@@ -171,11 +171,12 @@ class MultimodalBackbone:
         text = T.embedding(self.params["token_emb"], ids)
         text = T.add(T.add(text, self.params["text_pos"]), self.params["text_type"])
 
-        patches = np.stack([np.asarray(s.patches, dtype=np.float64) for s in samples])
+        patch_w = self.params["patch_w"]
+        patches = np.stack([np.asarray(s.patches, dtype=patch_w.data.dtype) for s in samples])
         if patches.shape[1:] != (c.num_patches, c.patch_dim):
             raise ValueError(
                 f"patches must be ({c.num_patches}, {c.patch_dim}), got {patches.shape[1:]}")
-        vis = T.affine(Tensor(patches), self.params["patch_w"], self.params["patch_b"])
+        vis = T.affine(Tensor(patches), patch_w, self.params["patch_b"])
         vis = T.add(T.add(vis, self.params["vis_pos"]), self.params["vis_type"])
         return EmbeddedBatch(text=text, visual=vis)
 
@@ -274,13 +275,29 @@ class MultimodalBackbone:
 
     @classmethod
     def load_checkpoint(cls, path) -> tuple["MultimodalBackbone", dict]:
+        """Load a saved backbone; its float64 payloads are cast to float32.
+
+        Tensor names and shapes must match those the stored config defines.
+        """
         kind, meta, arrays = serialize.load_container(path)
         if kind != "backbone":
             raise serialize.ContainerError(f"{path}: container holds {kind!r}, not a backbone")
-        config = BackboneConfig(**meta["config"])
+        try:
+            config = BackboneConfig(**meta["config"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise serialize.ContainerError(f"{path}: bad backbone config: {exc}") from None
         model = cls(config, np.random.default_rng(0))
+        missing = sorted(set(model.params) - set(arrays))
+        unknown = sorted(set(arrays) - set(model.params))
+        if missing or unknown:
+            raise serialize.ContainerError(
+                f"{path}: tensors do not match the config (missing {missing}, unknown {unknown})")
         for name, t in model.params.items():
-            t.data = arrays[name]
+            if arrays[name].shape != t.shape:
+                raise serialize.ContainerError(
+                    f"{path}: tensor {name} has shape {arrays[name].shape}, "
+                    f"the config needs {t.shape}")
+            t.data = arrays[name].astype(t.data.dtype)
         if meta.get("frozen"):
             model.freeze()
         return model, meta

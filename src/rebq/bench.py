@@ -249,7 +249,8 @@ def missing_counts(n: int, eta: float, case: str) -> tuple[int, int]:
     if case == "image-missing":
         return 0, _round_half_up(frac)
     half = _round_half_up(frac / 2)
-    return half, half
+    # at eta=100 and odd n both halves round up; the total cannot exceed n
+    return half, min(half, n - half)
 
 
 def apply_missing_mask(samples: list[Sample], eta: float, case: str, seed: int,

@@ -375,7 +375,7 @@ def _classification_losses(model: RebQModel, batch: list[Sample]) -> tuple[Tenso
         gt_v = Tensor(gen.q_visual.data[n_t + n_v:b])
         l_r = reconstruction_loss_from_queries(gt_t, q_hat_t_lr, gt_v, q_hat_v_lr)
     else:
-        l_r = Tensor(0.0)
+        l_r = Tensor(np.zeros_like(l_c.data))
     return l_c, l_r
 
 
@@ -384,7 +384,7 @@ def _baseline_logits(model: RebQModel, segments, n_t: int, n_v: int, n_c: int) -
     d = model.backbone.config.embed_dim
     for kind, count in (("text-only", n_t), ("image-only", n_v), ("complete", n_c)):
         if count:
-            blocks.append(model.baseline_blocks[kind].select(Tensor(np.zeros((count, d)))))
+            blocks.append(model.baseline_blocks[kind].select(T.zeros((count, d))))
     block = blocks[0] if len(blocks) == 1 else T.concat(blocks, axis=0)
     inj = _injection_for(model, [("attention", block)])
     out = model.backbone.forward(segments, inj)
@@ -478,7 +478,7 @@ class TrainingLog:
 def _targets(model: RebQModel, batch: list[Sample]) -> Tensor:
     c = model.mcfg.num_classes
     if model.mcfg.multi_label:
-        rows = np.zeros((len(batch), c))
+        rows = np.zeros((len(batch), c), dtype=T.DTYPE)
         for i, s in enumerate(batch):
             for lbl in s.label:
                 if not 0 <= lbl < c:

@@ -127,7 +127,7 @@ def compute_weights(query: Tensor, pool: PromptPool) -> PromptWeights:
     dots = T.tsum(T.mul(modulated, pool.keys), axis=1)            # (B, K)
     qnorm = T.sqrt(T.tsum(T.square(modulated), axis=1))           # (B, K)
     knorm = T.sqrt(T.tsum(T.square(pool.keys), axis=0))           # (K,)
-    denom = T.add(T.mul(qnorm, knorm), Tensor(T.COSINE_EPS))
+    denom = T.shift(T.mul(qnorm, knorm), T.COSINE_EPS)
     w = T.div(dots, denom)
     if single:
         w = T.reshape(w, (pool.pool_size,))

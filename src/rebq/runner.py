@@ -285,7 +285,7 @@ class ExperimentState:
         if set(named) != set(self.params):
             raise ValueError("experiment state does not match the model's parameter set")
         for k, t in named.items():
-            t.data = self.params[k].copy()
+            t.data = np.array(self.params[k], dtype=t.data.dtype)
         restored = EvalMatrix.from_lists(self.matrix_rows)
         matrix.values[:] = restored.values
 

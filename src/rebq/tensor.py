@@ -1,10 +1,12 @@
-"""Dense float64 tensors with tape-based reverse-mode differentiation.
+"""Dense float32 tensors with tape-based reverse-mode differentiation.
 
-Every value in the library is a :class:`Tensor` wrapping a contiguous
-float64 numpy array. Operations record a backward closure on the result
-when (and only when) some input participates in differentiation, so
-forward passes through frozen parameters cost barely more than raw numpy.
-Calling :func:`backward` on a scalar replays the recorded tape in reverse
+Every value in the library is a :class:`Tensor` wrapping a numpy array.
+Every float array the library creates is float32 (:data:`DTYPE`), while a
+float ndarray passed in keeps its dtype, so a graph built from float64
+arrays computes in float64 throughout. Operations record a backward
+closure on the result when (and only when) some input participates in
+differentiation, so forward passes through frozen parameters cost barely
+more than raw numpy. Calling :func:`backward` on a scalar replays the recorded tape in reverse
 topological order and deposits gradients on trainable leaf tensors.
 
 The module also houses the loss functions, parameter initializers and the
@@ -13,12 +15,47 @@ AdamW optimizer with a linear-warmup / cosine-annealing schedule.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
 Array = np.ndarray
+
+# the compute precision of every array the library creates
+DTYPE = np.float32
+
+
+def _openblas_function(name: str):
+    """``openblas_<name>`` of the OpenBLAS bundled with numpy, or None."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}",
+                       f"openblas_{name}64_", f"openblas_{name}"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _use_one_blas_thread():
+    """Run the OpenBLAS bundled with numpy on one thread.
+
+    The library's products are small (a few thousand rows by 64 columns).
+    A second BLAS thread does not make them faster, but it spins on a
+    second core between calls, and each product waits for the slower of
+    the two cores, so any other load on the machine slows every pass.
+    A numpy built against another BLAS is left as it is.
+    """
+    set_threads = _openblas_function("set_num_threads")
+    if set_threads is not None:
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads(1)
+
+
+_use_one_blas_thread()
 
 _grad_enabled = True
 
@@ -35,10 +72,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class ShapeError(ValueError):
     """Raised when operand shapes violate an operation's contract."""
 
@@ -47,8 +80,9 @@ class Tensor:
     __slots__ = ("data", "grad", "trainable", "_parents", "_backward")
 
     def __init__(self, data, trainable: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        self.data = arr
+        if not (isinstance(data, np.ndarray) and data.dtype.kind == "f"):
+            data = np.asarray(data, dtype=DTYPE)
+        self.data = data
         self.grad: Array | None = None
         self.trainable = trainable
         self._parents: tuple[Tensor, ...] | None = None
@@ -243,6 +277,14 @@ def scale(a: Tensor, c: float) -> Tensor:
     return out
 
 
+def shift(a: Tensor, c: float) -> Tensor:
+    """a + c for a Python scalar c, which takes the dtype of a."""
+    out = _make(a.data + c, (a,), None)
+    if out._parents is not None:
+        out._backward = lambda g: (g,)
+    return out
+
+
 def neg(a: Tensor) -> Tensor:
     out = _make(-a.data, (a,), None)
     if out._parents is not None:
@@ -349,7 +391,7 @@ def getitem(a: Tensor, key) -> Tensor:
     if out._parents is not None:
         shape = a.shape
         def bwd(g):
-            full = np.zeros(shape, dtype=np.float64)
+            full = np.zeros(shape, dtype=g.dtype)
             full[key] = g
             return (full,)
         out._backward = bwd
@@ -405,27 +447,11 @@ def sqrt(a: Tensor) -> Tensor:
     return out
 
 
-def exp(a: Tensor) -> Tensor:
-    res = np.exp(a.data)
-    out = _make(res, (a,), None)
-    if out._parents is not None:
-        out._backward = lambda g: (res * g,)
-    return out
-
-
 def log(a: Tensor) -> Tensor:
     out = _make(np.log(a.data), (a,), None)
     if out._parents is not None:
         ad = a.data
         out._backward = lambda g: (g / ad,)
-    return out
-
-
-def tanh(a: Tensor) -> Tensor:
-    res = np.tanh(a.data)
-    out = _make(res, (a,), None)
-    if out._parents is not None:
-        out._backward = lambda g: ((1.0 - res * res) * g,)
     return out
 
 
@@ -538,7 +564,7 @@ def embedding(table: Tensor, ids: Array) -> Tensor:
     if out._parents is not None:
         shape = table.shape
         def bwd(g):
-            full = np.zeros(shape, dtype=np.float64)
+            full = np.zeros(shape, dtype=g.dtype)
             np.add.at(full, ids.ravel(), g.reshape(-1, shape[-1]))
             return (full,)
         out._backward = bwd
@@ -561,7 +587,7 @@ def cosine_similarity(a: Tensor, b: Tensor, eps: float = COSINE_EPS) -> Tensor:
     dot = tsum(mul(a, b))
     na = sqrt(tsum(square(a)))
     nb = sqrt(tsum(square(b)))
-    return div(dot, add(mul(na, nb), Tensor(eps)))
+    return div(dot, shift(mul(na, nb), eps))
 
 
 # -- losses --------------------------------------------------------------------------------
@@ -571,7 +597,7 @@ def one_hot(index, num_classes: int) -> Array:
     idx = np.asarray(index, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= num_classes):
         raise ValueError(f"label index out of class range [0, {num_classes}): {index}")
-    eye = np.zeros(idx.shape + (num_classes,), dtype=np.float64)
+    eye = np.zeros(idx.shape + (num_classes,), dtype=DTYPE)
     np.put_along_axis(eye, idx[..., None], 1.0, axis=-1)
     return eye
 
@@ -658,7 +684,7 @@ def backward(loss_tensor: Tensor):
         if g is None:
             continue
         if node.trainable:
-            node.grad = g.copy() if node.grad is None else node.grad + g
+            node.grad = g if node.grad is None else node.grad + g
         if node._parents is None:
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
@@ -676,20 +702,20 @@ def backward(loss_tensor: Tensor):
 
 def uniform_init(rng: np.random.Generator, shape, low: float, high: float,
                  trainable: bool = True) -> Tensor:
-    return Tensor(rng.uniform(low, high, size=shape), trainable=trainable)
+    return Tensor(rng.uniform(low, high, size=shape).astype(DTYPE), trainable=trainable)
 
 
 def normal_init(rng: np.random.Generator, shape, std: float = 0.02,
                 trainable: bool = True) -> Tensor:
-    return Tensor(rng.normal(0.0, std, size=shape), trainable=trainable)
+    return Tensor(rng.normal(0.0, std, size=shape).astype(DTYPE), trainable=trainable)
 
 
 def zeros(shape, trainable: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float64), trainable=trainable)
+    return Tensor(np.zeros(shape, dtype=DTYPE), trainable=trainable)
 
 
 def ones(shape, trainable: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=np.float64), trainable=trainable)
+    return Tensor(np.ones(shape, dtype=DTYPE), trainable=trainable)
 
 
 # -- optimizer -----------------------------------------------------------------------------
@@ -715,10 +741,12 @@ def warmup_cosine_lr(step: int, base_lr: float, total_steps: int,
 class AdamW:
     """Decoupled weight-decay Adam over an explicit parameter list.
 
-    Moments are kept per parameter slot. Each step reads the scheduled
-    learning rate at the current counter, applies the update to every
-    parameter that has a gradient, and clears those gradients. Calling
-    step when no parameter has a gradient is a usage error.
+    Moments and one scratch buffer are kept per parameter slot, in the
+    parameter's dtype; gradients are only read, since they may alias each
+    other. Each step reads the scheduled learning rate at the current
+    counter, applies the update to every parameter that has a gradient, and
+    clears those gradients. Calling step when no parameter has a gradient
+    is a usage error.
     """
 
     def __init__(self, params, base_lr: float = 1e-4, total_steps: int = 1,
@@ -737,6 +765,7 @@ class AdamW:
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        self._scratch = [np.empty_like(p.data) for p in self.params]
 
     def current_lr(self) -> float:
         return warmup_cosine_lr(self.step_count, self.base_lr,
@@ -755,21 +784,24 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
-            m = self.m[i]
-            v = self.v[i]
+            m, v, s = self.m[i], self.v[i], self._scratch[i]
             m *= b1
-            m += (1.0 - b1) * g
-            np.multiply(g, g, out=g)
+            np.multiply(g, 1.0 - b1, out=s)
+            m += s
+            np.multiply(g, g, out=s)
+            s *= 1.0 - b2
             v *= b2
-            v += (1.0 - b2) * g
+            v += s
             if lr != 0.0:
-                denom = np.sqrt(v, out=g)
-                denom /= math.sqrt(bc2)
-                denom += self.eps
-                denom *= bc1 / lr
-                decay = (lr * self.weight_decay) * p.data
-                p.data -= m / denom
-                p.data -= decay
+                np.sqrt(v, out=s)
+                s /= math.sqrt(bc2)
+                s += self.eps
+                s *= bc1 / lr
+                np.divide(m, s, out=s)
+                # p - m / denom - (lr * wd) * p, rounded in that order
+                np.subtract(p.data, s, out=s)
+                p.data *= lr * self.weight_decay
+                np.subtract(s, p.data, out=p.data)
             p.grad = None
 
     def state_arrays(self) -> dict[str, Array]:
@@ -781,15 +813,8 @@ class AdamW:
         return out
 
     def load_state_arrays(self, arrays: dict[str, Array], step_count: int):
-        for i in range(len(self.params)):
-            self.m[i] = np.array(arrays[f"m{i}"], dtype=np.float64)
-            self.v[i] = np.array(arrays[f"v{i}"], dtype=np.float64)
+        """Restore moments, cast to each parameter's dtype (checkpoints hold float64)."""
+        for i, p in enumerate(self.params):
+            self.m[i] = np.array(arrays[f"m{i}"], dtype=p.data.dtype)
+            self.v[i] = np.array(arrays[f"v{i}"], dtype=p.data.dtype)
         self.step_count = step_count
-
-
-# Spec-facing alias: the optimizer object is the optimizer state.
-OptimizerState = AdamW
-
-
-def optimizer_step(state: AdamW):
-    state.step()

@@ -1,6 +1,8 @@
+import copy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -13,6 +15,24 @@ TINY = BackboneConfig(embed_dim=32, num_layers=2, num_heads=2, text_vocab_size=6
 
 TINY_SYNTH = SynthConfig(vocab_size=64, max_text_len=8, num_patches=4, patch_dim=6,
                          tokens_per_class=5, noise_token_prob=0.1, patch_noise_std=0.3)
+
+
+def float64(model):
+    """A copy of a backbone, prompt pool or RebQ model that computes in float64.
+
+    The library computes in float32, and a graph keeps the dtype of the
+    arrays it is built from, so tests whose tolerances assume exact
+    arithmetic (finite differences, algebraic identities) run on this copy.
+    """
+    model = copy.deepcopy(model)
+    tensors = list(getattr(model, "params", {}).values())
+    if hasattr(model, "backbone"):
+        tensors += model.backbone.params.values()
+    if hasattr(model, "parameters"):
+        tensors += model.parameters()
+    for t in tensors:
+        t.data = t.data.astype(np.float64)
+    return model
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from rebq import serialize
 from rebq import tensor as T
 from rebq.backbone import (BackboneConfig, MultimodalBackbone, PretrainConfig,
                            PromptInjection, pretrain, unified_positions)
 from rebq.bench import Sample, SynthConfig, dummy_patches, synth_generate
 from rebq.tensor import Tensor
+
+from conftest import float64
 
 CFG = BackboneConfig(embed_dim=32, num_layers=2, num_heads=2, text_vocab_size=64,
                      max_text_len=8, num_patches=4, patch_dim=6, pretrain_classes=4)
@@ -23,7 +26,7 @@ def sample_for(cfg, tokens, seed=0):
 
 class TestEmbed:
     def test_same_token_differs_only_by_position(self):
-        bb = make_backbone()
+        bb = float64(make_backbone())
         emb = bb.embed(sample_for(CFG, [5, 5, 5])).text.data[0]
         pos = bb.params["text_pos"].data
         np.testing.assert_allclose(emb[0] - emb[1], pos[0] - pos[1], atol=1e-12)
@@ -83,7 +86,7 @@ class TestForward:
         bb = make_backbone(seed=4)
         emb = bb.embed(sample_for(CFG, [4, 9]))
         plain = bb.forward(bb.unified_segments(emb)).data
-        empty = Tensor(np.zeros((1, 2, 2, 0, 32)))
+        empty = T.zeros((1, 2, 2, 0, 32))
         injected = bb.forward(bb.unified_segments(emb),
                               PromptInjection.attention_prefix(empty)).data
         assert plain.tobytes() == injected.tobytes()
@@ -118,7 +121,7 @@ class TestForward:
         assert a == b
 
     def test_head_permutation_symmetry(self):
-        bb = make_backbone(seed=8)
+        bb = float64(make_backbone(seed=8))
         emb = bb.embed(sample_for(CFG, [3, 1, 4]))
         base = bb.forward(bb.unified_segments(emb)).data.copy()
         d, h = CFG.embed_dim, CFG.num_heads
@@ -215,6 +218,41 @@ class TestPretrain:
                              PretrainConfig(steps=1, batch_size=4, eval_every=1,
                                             target_accuracy=2.0))
         assert not report.usable
+
+
+class TestCheckpointValidation:
+    @pytest.fixture()
+    def path(self, tmp_path):
+        bb = make_backbone()
+        bb.freeze()
+        path = tmp_path / "backbone.rbqt"
+        bb.save_checkpoint(path)
+        return path
+
+    def rewrite(self, path, edit):
+        kind, meta, arrays = serialize.load_container(path)
+        edit(arrays)
+        serialize.save_container(path, kind, meta, arrays)
+
+    def test_truncated_payload_rejected(self, path):
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(serialize.ContainerError, match="truncated"):
+            MultimodalBackbone.load_checkpoint(path)
+
+    def test_missing_tensor_rejected(self, path):
+        self.rewrite(path, lambda arrays: arrays.pop("lnf_b"))
+        with pytest.raises(serialize.ContainerError, match="lnf_b"):
+            MultimodalBackbone.load_checkpoint(path)
+
+    def test_unknown_tensor_rejected(self, path):
+        self.rewrite(path, lambda arrays: arrays.update(extra=np.zeros(3)))
+        with pytest.raises(serialize.ContainerError, match="extra"):
+            MultimodalBackbone.load_checkpoint(path)
+
+    def test_shape_mismatch_rejected(self, path):
+        self.rewrite(path, lambda arrays: arrays.update(patch_w=np.zeros((5, CFG.embed_dim))))
+        with pytest.raises(serialize.ContainerError, match="patch_w"):
+            MultimodalBackbone.load_checkpoint(path)
 
 
 class TestPositions:

@@ -146,6 +146,15 @@ class TestMasking:
         with pytest.raises(ValueError):
             missing_counts(10, 101, "both-missing")
 
+    def test_full_missing_ratio_never_exceeds_n(self):
+        # both halves round up at eta=100 and odd n; the total must stay n
+        _, corpus = synth_generate(2, 25, SMALL, seed=16)
+        for n in range(1, 51):
+            n_img, n_txt = missing_counts(n, 100, "both-missing")
+            assert n_img + n_txt == n and abs(n_img - n_txt) <= 1
+            masked = apply_missing_mask(corpus[:n], 100, "both-missing", n, 4, 6)
+            assert sum(s.missing_type != "complete" for s in masked) == n
+
     def test_both_missing_never_both_absent(self):
         meta, samples = synth_generate(4, 50, SMALL, seed=16)
         masked = apply_missing_mask(samples, 90, "both-missing", 17, 4, 6)

@@ -3,15 +3,19 @@ import inspect
 import numpy as np
 import pytest
 
+from rebq import serialize
 from rebq import tensor as T
+from rebq.backbone import MultimodalBackbone
+from rebq.metrics import EvalMatrix
 from rebq.pipeline import (ModelConfig, OptimizerConfig, VariantSpec, build_variant,
                            forward_batch, forward_sample, predict, predict_batch,
                            train_task, variant_from_name)
 from rebq.prompt import PromptPool, PromptVector
 from rebq.reconstruct import counterparts
-from rebq.tensor import Tensor
+from rebq.runner import ExperimentState, RunConfig
+from rebq.tensor import AdamW, Tensor
 
-from conftest import TINY
+from conftest import TINY, float64
 
 MCFG = ModelConfig(num_classes=4, pool_size=6, memory_pool_size=6, prompt_len=3,
                    prompted_layers=8, lam=0.01)
@@ -119,7 +123,7 @@ class TestForward:
             forward_batch(model, [bad])
 
     def test_batch_matches_single(self, tiny_backbone, complete_samples):
-        model = make_model(tiny_backbone)
+        model = float64(make_model(tiny_backbone))
         t_only, i_only = masked_pair(complete_samples[0])
         batch = [complete_samples[1], t_only, i_only]
         logits, info = forward_batch(model, batch)
@@ -172,7 +176,7 @@ class TestTrainTask:
 
     def test_loss_decomposition_exact(self, tiny_backbone, tiny_benchmark):
         _, stream = tiny_benchmark
-        model = make_model(tiny_backbone)
+        model = float64(make_model(tiny_backbone))
         log = train_task(model, stream.train_data(0)[:8], 1,
                          OptimizerConfig(batch_size=4), seed=1)
         lam = model.mcfg.lam
@@ -288,6 +292,81 @@ class TestFusedPath:
         assert l_r_fused.item() == pytest.approx(l_r_ref.item(), abs=1e-10)
 
 
+def record_dtypes(monkeypatch) -> set:
+    """Collect the dtype of every tape array, every gradient a backward closure
+    returns, and every gradient and moment an AdamW step sees."""
+    dtypes = set()
+    taped = []
+    wrap, backward, step = Tensor._wrap, T.backward, AdamW.step
+
+    def recording_wrap(data, parents, backward_fn):
+        dtypes.add(data.dtype)
+        out = wrap(data, parents, backward_fn)
+        if parents is not None:
+            taped.append(out)
+        return out
+
+    def recorded(fn):
+        def run(g):
+            grads = fn(g)
+            dtypes.update(x.dtype for x in grads if x is not None)
+            return grads
+        return run
+
+    def recording_backward(loss):
+        for t in taped:
+            t._backward = recorded(t._backward)
+        taped.clear()
+        return backward(loss)
+
+    def recording_step(opt):
+        dtypes.update(p.grad.dtype for p in opt.params if p.grad is not None)
+        step(opt)
+        dtypes.update(a.dtype for a in opt.m + opt.v)
+
+    monkeypatch.setattr(Tensor, "_wrap", staticmethod(recording_wrap))
+    monkeypatch.setattr(T, "backward", recording_backward)
+    monkeypatch.setattr(AdamW, "step", recording_step)
+    return dtypes
+
+
+class TestPrecision:
+    def test_float32_throughout(self, tiny_backbone, tiny_benchmark, tmp_path, monkeypatch):
+        _, stream = tiny_benchmark
+        dtypes = record_dtypes(monkeypatch)
+        f32 = {np.dtype(np.float32)}
+        model = make_model(tiny_backbone)
+        train_task(model, stream.train_data(0)[:4], 1, OptimizerConfig(batch_size=4), seed=8)
+        predict_batch(model, stream.test_data(0)[:6])
+        assert dtypes == f32
+
+        # checkpoints hold float64; loading casts back to the same float32 bits
+        tiny_backbone.save_checkpoint(tmp_path / "backbone.rbqt")
+        loaded, _ = MultimodalBackbone.load_checkpoint(tmp_path / "backbone.rbqt")
+        assert loaded.parameter_bytes() == tiny_backbone.parameter_bytes()
+        ExperimentState.capture(model, EvalMatrix(2), 1, [], RunConfig()).save(
+            tmp_path / "state.rbqt")
+        resumed = make_model(loaded)
+        ExperimentState.load(tmp_path / "state.rbqt").restore_into(resumed, EvalMatrix(2))
+        assert resumed.parameter_bytes() == model.parameter_bytes()
+        opt = AdamW(resumed.parameters(), total_steps=1)
+        serialize.save_container(tmp_path / "adamw.rbqt", "adamw", {}, opt.state_arrays())
+        opt.load_state_arrays(serialize.load_container(tmp_path / "adamw.rbqt")[2], 0)
+        assert {a.dtype for a in opt.m + opt.v} == f32
+
+        train_task(resumed, stream.train_data(1)[:4], 1, OptimizerConfig(batch_size=4), seed=9)
+        tensors = list(loaded.params.values()) + resumed.parameters()
+        assert dtypes | {t.data.dtype for t in tensors} == f32
+
+    def test_float64_model_stays_float64(self, tiny_backbone, tiny_benchmark, monkeypatch):
+        _, stream = tiny_benchmark
+        dtypes = record_dtypes(monkeypatch)
+        model = float64(make_model(tiny_backbone))
+        train_task(model, stream.train_data(0)[:4], 1, OptimizerConfig(batch_size=4), seed=8)
+        predict_batch(model, stream.test_data(0)[:6])
+        assert dtypes == {np.dtype(np.float64)}
+
+
 class TestEndToEndGradient:
     def test_joint_loss_gradient_vs_finite_differences(self, tiny_backbone,
                                                        complete_samples):
@@ -296,8 +375,8 @@ class TestEndToEndGradient:
         from rebq.pipeline import _targets
         from rebq.reconstruct import reconstruction_loss
 
-        model = make_model(tiny_backbone, pool_size=2, memory_pool_size=2,
-                           prompt_len=2)
+        model = float64(make_model(tiny_backbone, pool_size=2, memory_pool_size=2,
+                                   prompt_len=2))
         t_only, _ = masked_pair(complete_samples[0])
         batch = [complete_samples[1], t_only]
 

@@ -8,6 +8,7 @@ from rebq.prompt import (PromptPool, PromptWeights, aggregate, compute_weights,
                          init_pool, init_vector, select_prompt)
 from rebq.tensor import Tensor
 
+from conftest import float64
 from test_tensor import assert_grad_close, finite_diff_grad
 
 
@@ -18,7 +19,7 @@ def small_pool(seed=0, dim=4, k=3, n_p=2, layers=2, mode="attention"):
 
 class TestWeights:
     def test_parallel_query_unit_weight(self):
-        pool = small_pool()
+        pool = float64(small_pool())
         pool.attention.data[:] = 1.0
         key = pool.keys.data[:, 1]
         w = compute_weights(Tensor(2.5 * key), pool)
@@ -137,7 +138,7 @@ class TestSelect:
         np.testing.assert_allclose(block, pool.components.data[0], atol=1e-15)
 
     def test_gradients_reach_all_pool_parameters(self):
-        pool = small_pool(seed=18, dim=3, k=2, n_p=2, layers=1)
+        pool = float64(small_pool(seed=18, dim=3, k=2, n_p=2, layers=1))
         rng = np.random.default_rng(19)
         q = Tensor(rng.standard_normal(3), trainable=True)
         coeff = Tensor(rng.standard_normal((1, 1, 2, 2, 3)))

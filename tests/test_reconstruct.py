@@ -10,7 +10,7 @@ from rebq.reconstruct import (counterparts, generate_queries, generate_queries_b
                               reconstruction_loss, reconstruction_loss_from_queries)
 from rebq.tensor import AdamW, Tensor
 
-from conftest import TINY
+from conftest import TINY, float64
 
 
 def memory_pool(seed=0, mode="attention", k=4):
@@ -80,11 +80,12 @@ class TestReconstructQuery:
         assert q_hat.shape == (TINY.embed_dim,)
 
     def test_memory_query_scale_invariance(self, tiny_backbone, complete_samples):
-        pool = memory_pool(seed=3)
+        pool = float64(memory_pool(seed=3))
+        backbone = float64(tiny_backbone)
         masked = [text_only(s) for s in complete_samples[:2]]
-        mem = generate_queries_batch(masked, tiny_backbone).memory.data
-        base = reconstruct_batch(masked, Tensor(mem), pool, tiny_backbone).data
-        scaled = reconstruct_batch(masked, Tensor(37.5 * mem), pool, tiny_backbone).data
+        mem = generate_queries_batch(masked, backbone).memory.data
+        base = reconstruct_batch(masked, Tensor(mem), pool, backbone).data
+        scaled = reconstruct_batch(masked, Tensor(37.5 * mem), pool, backbone).data
         np.testing.assert_allclose(scaled, base, atol=1e-9)
 
     def test_empty_memory_prefix_reduces_to_plain_forward(self, tiny_backbone,

@@ -183,4 +183,5 @@ class TestResume:
         named = artifacts.model.named_parameters()
         assert set(state.params) == set(named)
         for k, t in named.items():
-            assert state.params[k].tobytes() == t.data.tobytes()
+            assert state.params[k].dtype == np.float64
+            assert state.params[k].astype(t.data.dtype).tobytes() == t.data.tobytes()

@@ -1,3 +1,4 @@
+import ctypes
 import math
 
 import numpy as np
@@ -150,7 +151,7 @@ class TestCosine:
         assert out.item() == 0.0
 
     def test_hand_value(self):
-        out = T.cosine_similarity(Tensor([1.0, 1.0]), Tensor([1.0, 0.0]))
+        out = T.cosine_similarity(Tensor(np.array([1.0, 1.0])), Tensor(np.array([1.0, 0.0])))
         assert out.item() == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
     def test_zero_vectors_defined(self):
@@ -171,7 +172,7 @@ class TestCosine:
 class TestLosses:
     def test_ce_uniform_logits(self):
         for c in (2, 5, 9):
-            logits = T.zeros(c)
+            logits = Tensor(np.zeros(c))
             target = Tensor(T.one_hot(0, c))
             assert T.cross_entropy(logits, target).item() == pytest.approx(math.log(c), abs=1e-12)
 
@@ -299,6 +300,15 @@ class TestDeterminism:
         assert run() == run()
 
 
+def reference_adamw_step(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8, wd=0.01):
+    """The AdamW update in the operation order AdamW.step has always used."""
+    m[:] = m * b1 + (1.0 - b1) * g
+    v[:] = v * b2 + (1.0 - b2) * (g * g)
+    if lr != 0.0:
+        denom = (np.sqrt(v) / math.sqrt(1.0 - b2 ** t) + eps) * ((1.0 - b1 ** t) / lr)
+        p[:] = p - m / denom - (lr * wd) * p
+
+
 class TestOptimizer:
     def test_schedule_endpoints(self):
         base, total = 1e-4, 200
@@ -348,6 +358,43 @@ class TestOptimizer:
         expected = 2.0 - 0.1 * (mhat / (math.sqrt(vhat) + 1e-8) + 0.01 * 2.0)
         np.testing.assert_allclose(p.data, [expected], atol=1e-12)
 
+    def test_float64_step_equals_reference_formula(self):
+        rng = np.random.default_rng(16)
+        params = [rand(rng, 4, 5), rand(rng, 3)]
+        ref = [p.data.copy() for p in params]
+        ref_m = [np.zeros_like(r) for r in ref]
+        ref_v = [np.zeros_like(r) for r in ref]
+        opt = AdamW(params, base_lr=1e-2, total_steps=8, warmup_frac=0.25,
+                    weight_decay=0.01)
+        for step in range(8):
+            lr = opt.current_lr()
+            for i, p in enumerate(params):
+                g = rng.standard_normal(p.shape)
+                p.grad = g.copy()
+                reference_adamw_step(ref[i], g, ref_m[i], ref_v[i], step + 1, lr)
+            opt.step()
+            for i, p in enumerate(params):
+                assert np.array_equal(p.data, ref[i])
+                assert np.array_equal(opt.m[i], ref_m[i])
+                assert np.array_equal(opt.v[i], ref_v[i])
+
+    def test_aliased_gradients_update_each_parameter(self):
+        rng = np.random.default_rng(17)
+        a, b = rand(rng, 3), rand(rng, 3)
+        c = Tensor(rng.standard_normal(3))
+        T.tsum(T.mul(T.add(a, b), c)).backward()
+        # add hands both operands one gradient array and backward keeps it
+        assert a.grad is b.grad
+        copies = [Tensor(a.data.copy(), trainable=True), Tensor(b.data.copy(), trainable=True)]
+        for q in copies:
+            q.grad = c.data.copy()
+        opt = AdamW([a, b], base_lr=1e-2, total_steps=4, warmup_frac=0.0)
+        ref_opt = AdamW(copies, base_lr=1e-2, total_steps=4, warmup_frac=0.0)
+        opt.step()
+        ref_opt.step()
+        assert np.array_equal(a.data, copies[0].data)
+        assert np.array_equal(b.data, copies[1].data)
+
 
 class TestGradientSuite:
     """Finite-difference checks on random instances with dims <= 8."""
@@ -366,3 +413,12 @@ class TestGradientSuite:
         build().backward()
         for p in (a, b, c):
             assert_grad_close(p.grad, finite_diff_grad(build, p))
+
+
+class TestBlas:
+    def test_bundled_openblas_runs_on_one_thread(self):
+        get_threads = T._openblas_function("get_num_threads")
+        if get_threads is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        get_threads.restype = ctypes.c_int
+        assert get_threads() == 1
