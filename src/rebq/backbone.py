@@ -67,25 +67,31 @@ class PromptInjection:
     def input_append(cls, block: Tensor):
         return cls(input_blocks=[block])
 
-    def merged_with(self, other: "PromptInjection") -> "PromptInjection":
-        """Combine two injections; attention prefixes concatenate along N_p."""
-        attn = self.attn
-        layers = self.num_prompted_layers
-        if other.attn is not None:
-            if attn is None:
-                attn, layers = other.attn, other.num_prompted_layers
-            else:
-                if other.attn.shape[1] != attn.shape[1]:
-                    raise T.ShapeError("cannot merge prefixes with differing layer counts")
-                attn = T.concat([attn, other.attn], axis=3)
-                layers = max(layers, other.num_prompted_layers)
-        return PromptInjection(attn=attn,
-                               input_blocks=self.input_blocks + other.input_blocks,
-                               num_prompted_layers=layers)
-
     @property
     def extra_length(self) -> int:
         return sum(b.shape[1] for b in self.input_blocks)
+
+
+def build_injection(parts: list[tuple[str, Tensor]],
+                    num_prompted_layers: int) -> PromptInjection | None:
+    """One injection payload from (mode, block) pairs, None when there are none.
+
+    Attention blocks concatenate along N_p in the given order and prompt
+    num_prompted_layers layers; input blocks are spliced in the given order.
+    """
+    attn = None
+    inputs: list[Tensor] = []
+    for mode, block in parts:
+        if mode == "attention":
+            attn = block if attn is None else T.concat([attn, block], axis=3)
+        elif mode == "input":
+            inputs.append(block)
+        else:
+            raise ValueError(f"unknown injection mode {mode!r}")
+    if attn is None and not inputs:
+        return None
+    return PromptInjection(attn=attn, input_blocks=inputs,
+                           num_prompted_layers=num_prompted_layers if attn is not None else 0)
 
 
 @dataclass
@@ -96,6 +102,11 @@ class EmbeddedBatch:
     @property
     def batch(self) -> int:
         return self.text.shape[0]
+
+    def rows(self, idx) -> "EmbeddedBatch":
+        """The rows at idx (a slice or index list) as untracked constants."""
+        return EmbeddedBatch(text=Tensor(self.text.data[idx]),
+                             visual=Tensor(self.visual.data[idx]))
 
 
 # Position map for the unified query/classification layout

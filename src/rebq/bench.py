@@ -70,15 +70,6 @@ def dummy_patches(num_patches: int, patch_dim: int) -> np.ndarray:
 DUMMY_TEXT: list[int] = []  # canonical text dummy: the empty sequence
 
 
-def canonical_dummy(sample: Sample, cfg_patches: int, cfg_dim: int) -> Sample:
-    """Force the missing modality's payload to its canonical dummy."""
-    if not sample.has_text:
-        sample.text_tokens = list(DUMMY_TEXT)
-    if not sample.has_visual:
-        sample.patches = dummy_patches(cfg_patches, cfg_dim)
-    return sample
-
-
 # -- synthetic generation ----------------------------------------------------------
 
 

@@ -1,9 +1,15 @@
 """The full model and per-session training loop.
 
-forward_batch runs the whole chain for a mini-batch: untracked query
-generation, reconstruction of missing queries through the memory source,
-modality-specific prompt selection, and the collaborative classification
-forward whose joint cls output feeds the shared linear head. Variants
+One forward path serves training and evaluation. forward_batch groups a
+mini-batch by missing type, embeds every row once through the frozen
+backbone, runs one untracked unified pass for the modality and memory
+queries and one tracked memory-injected pass that reconstructs each
+missing query, then selects modality-specific prompts and runs the
+collaborative classification forward whose joint cls output feeds the
+shared linear head. Training (train_task) also asks for the
+reconstruction loss: the masked counterparts of the batch's complete
+samples then ride along in both passes and L_r is computed over them.
+Evaluation (predict_batch) calls the same function without it. Variants
 (ablations and the naive per-missing-type baseline) are built by
 ``build_variant`` from a declarative spec.
 """
@@ -11,12 +17,12 @@ forward whose joint cls output feeds the shared linear head. Variants
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .backbone import MultimodalBackbone, PromptInjection
+from .backbone import MultimodalBackbone, build_injection
 from .bench import Sample
 from .prompt import PromptPool, PromptVector, init_pool, init_vector
 from .reconstruct import (counterparts, generate_queries_batch, reconstruct_batch,
@@ -200,183 +206,88 @@ def _group_indices(samples: list[Sample]):
     return idx_t, idx_v, idx_c
 
 
-def _injection_for(model: RebQModel, sources_blocks) -> PromptInjection | None:
-    """Combine (mode, block) pairs into one injection payload."""
-    attn = None
-    inputs: list[Tensor] = []
-    for mode, block in sources_blocks:
-        if mode == "attention":
-            attn = block if attn is None else T.concat([attn, block], axis=3)
-        else:
-            inputs.append(block)
-    if attn is None and not inputs:
-        return None
-    layers = model.prompted_layers if attn is not None else 0
-    return PromptInjection(attn=attn, input_blocks=inputs, num_prompted_layers=layers)
+def forward_batch(model: RebQModel, samples: list[Sample],
+                  with_lr: bool = False) -> tuple[Tensor, ForwardInfo, Tensor | None]:
+    """Logits for a mini-batch, grouped by missing type, and optionally L_r.
 
-
-def forward_batch(model: RebQModel, samples: list[Sample]) -> tuple[Tensor, ForwardInfo]:
-    """Logits for a mini-batch, grouped by missing type.
-
-    Returns logits in group order (text-only, image-only, complete) plus the
-    permutation mapping logits rows back to the input batch.
+    Returns logits in group order (text-only, image-only, complete), the
+    ForwardInfo whose order maps logits rows back to the input batch, and
+    the reconstruction loss. With with_lr set (and lam > 0, a memory source
+    and at least one complete sample) the masked counterparts of the
+    complete samples ride along in both backbone passes and L_r is their
+    mean residual; otherwise the third value is None.
     """
     for s in samples:
         if not s.has_text and not s.has_visual:
             raise ValueError(f"sample {s.id} is missing both modalities")
     backbone = model.backbone
+    cfg = backbone.config
     idx_t, idx_v, idx_c = _group_indices(samples)
     order = idx_t + idx_v + idx_c
     ordered = [samples[i] for i in order]
-    n_t, n_v = len(idx_t), len(idx_v)
-
-    gen = generate_queries_batch(ordered, backbone)
-    q_text_raw, q_vis_raw = gen.q_text.data, gen.q_visual.data
-
-    rec_text = [False] * len(samples)
-    rec_vis = [False] * len(samples)
-    use_recon = (model.uses_reconstruction and model.spec.modality_specific_query
-                 and n_t + n_v > 0)
-    if use_recon:
-        mem = Tensor(gen.memory.data[:n_t + n_v])
-        recon = reconstruct_batch(ordered[:n_t + n_v], mem, model.memory, backbone,
-                                  model.prompted_layers)
-        q_hat_visual, q_hat_text = recon[:n_t], recon[n_t:]
-        for i in idx_t:
-            rec_vis[i] = True
-        for i in idx_v:
-            rec_text[i] = True
-        q_text_eff = T.concat([Tensor(q_text_raw[:n_t]), q_hat_text,
-                               Tensor(q_text_raw[n_t + n_v:])], axis=0)
-        q_vis_eff = T.concat([q_hat_visual, Tensor(q_vis_raw[n_t:])], axis=0)
-    else:
-        q_text_eff = Tensor(q_text_raw)
-        q_vis_eff = Tensor(q_vis_raw)
-
-    emb = backbone.embed_batch(ordered)
-    segments = backbone.unified_segments(emb)
-
-    if model.spec.baseline:
-        logits = _baseline_logits(model, segments, n_t, n_v, len(idx_c))
-        injected = [("baseline",)] * len(samples)
-        return logits, ForwardInfo(order, rec_text, rec_vis, injected)
-
-    if model.spec.modality_specific_query:
-        p_text = model.text_source().select(q_text_eff)
-        p_vis = model.visual_source().select(q_vis_eff)
-        inj = _injection_for(model, [(model.spec.text_mode, p_text),
-                                     (model.spec.visual_mode, p_vis)])
-        out = backbone.forward(segments, inj)
-        logits = T.affine(out[:, 0], model.head_w, model.head_b)
-        injected = [("text", "visual")] * len(samples)
-        return logits, ForwardInfo(order, rec_text, rec_vis, injected)
-
-    # Without modality-specific queries only the available modality's prompts
-    # are injected, so prefix lengths differ per group and each group runs
-    # its own classification forward.
-    logits, injected = _per_group_logits(model, segments, q_text_eff, q_vis_eff,
-                                         n_t, n_v, len(samples), order)
-    return logits, ForwardInfo(order, rec_text, rec_vis, injected)
-
-
-def _classification_losses(model: RebQModel, batch: list[Sample]) -> tuple[Tensor, Tensor]:
-    """Fused training-step losses (L_c, L_r) for one mini-batch.
-
-    Equivalent to forward_batch plus reconstruction_loss on the complete
-    subset, but the untracked unified passes are shared between the two and
-    likewise the tracked memory-injected passes, which roughly halves the
-    per-step backbone work.
-    """
-    backbone = model.backbone
-    cfg = backbone.config
-    lam = model.mcfg.lam
-    idx_t, idx_v, idx_c = _group_indices(batch)
-    order = idx_t + idx_v + idx_c
-    ordered = [batch[i] for i in order]
     n_t, n_v, n_c = len(idx_t), len(idx_v), len(idx_c)
-    b = len(batch)
+    n_inc, b = n_t + n_v, len(samples)
 
-    use_recon_cls = (model.uses_reconstruction and model.spec.modality_specific_query
-                     and n_t + n_v > 0)
-    use_lr = lam > 0.0 and model.uses_reconstruction and n_c > 0
+    use_recon = model.uses_reconstruction and model.spec.modality_specific_query and n_inc > 0
+    use_lr = with_lr and model.mcfg.lam > 0.0 and model.uses_reconstruction and n_c > 0
 
-    # one untracked unified pass over the batch plus, when the reconstruction
-    # loss is active, the masked counterparts of every complete sample;
-    # embeddings are frozen-backbone constants, so each row embeds once and
-    # later passes slice from the same arrays
+    # embeddings are frozen-backbone constants: every row embeds once and
+    # both passes slice from the same arrays
     rows = list(ordered)
     if use_lr:
-        complete = ordered[n_t + n_v:]
-        pairs = [counterparts(s, cfg.num_patches, cfg.patch_dim) for s in complete]
+        pairs = [counterparts(s, cfg.num_patches, cfg.patch_dim) for s in ordered[n_inc:]]
         rows += [p[0] for p in pairs] + [p[1] for p in pairs]
     with T.no_grad():
-        emb_all = backbone.embed_batch(rows)
-    gen = generate_queries_batch(rows, backbone, emb=emb_all)
-    q_text_raw = gen.q_text.data[:b]
-    q_vis_raw = gen.q_visual.data[:b]
+        emb = backbone.embed_batch(rows)
+    gen = generate_queries_batch(rows, backbone, emb=emb)
+    q_text_raw, q_vis_raw = gen.q_text.data[:b], gen.q_visual.data[:b]
 
-    def emb_slice(idx):
-        from .backbone import EmbeddedBatch
-        return EmbeddedBatch(text=Tensor(emb_all.text.data[idx]),
-                             visual=Tensor(emb_all.visual.data[idx]))
+    # one tracked memory-injected pass: the batch's incomplete rows, then
+    # the counterparts (text-only halves first, then image-only halves)
+    recon_idx = (list(range(n_inc)) if use_recon else []) + list(range(b, len(rows)))
+    if recon_idx:
+        recon = reconstruct_batch([rows[i] for i in recon_idx],
+                                  Tensor(gen.memory.data[recon_idx]), model.memory,
+                                  backbone, model.prompted_layers, emb=emb.rows(recon_idx))
 
-    # one tracked memory-injected pass over every row that needs reconstructing
-    recon_rows: list[Sample] = []
-    recon_idx: list[int] = []
-    mem_rows: list[np.ndarray] = []
-    if use_recon_cls:
-        recon_rows += ordered[:n_t + n_v]
-        recon_idx += list(range(n_t + n_v))
-        mem_rows.append(gen.memory.data[:n_t + n_v])
-    if use_lr:
-        recon_rows += rows[b:]
-        recon_idx += list(range(b, len(rows)))
-        mem_rows.append(gen.memory.data[b:])
-    recon = None
-    if recon_rows:
-        recon = reconstruct_batch(recon_rows, Tensor(np.concatenate(mem_rows)),
-                                  model.memory, backbone, model.prompted_layers,
-                                  emb=emb_slice(recon_idx))
-
-    if use_recon_cls:
-        q_hat_visual, q_hat_text = recon[:n_t], recon[n_t:n_t + n_v]
+    rec_text = [use_recon and s.missing_type == "image-only" for s in samples]
+    rec_vis = [use_recon and s.missing_type == "text-only" for s in samples]
+    if use_recon:
+        q_hat_visual, q_hat_text = recon[:n_t], recon[n_t:n_inc]
         q_text_eff = T.concat([Tensor(q_text_raw[:n_t]), q_hat_text,
-                               Tensor(q_text_raw[n_t + n_v:])], axis=0)
+                               Tensor(q_text_raw[n_inc:])], axis=0)
         q_vis_eff = T.concat([q_hat_visual, Tensor(q_vis_raw[n_t:])], axis=0)
     else:
         q_text_eff = Tensor(q_text_raw)
         q_vis_eff = Tensor(q_vis_raw)
 
-    segments = backbone.unified_segments(emb_slice(list(range(b))))
+    segments = backbone.unified_segments(emb.rows(slice(0, b)))
     if model.spec.baseline:
         logits = _baseline_logits(model, segments, n_t, n_v, n_c)
+        injected = [("baseline",)] * b
     elif model.spec.modality_specific_query:
         p_text = model.text_source().select(q_text_eff)
         p_vis = model.visual_source().select(q_vis_eff)
-        inj = _injection_for(model, [(model.spec.text_mode, p_text),
-                                     (model.spec.visual_mode, p_vis)])
+        inj = build_injection([(model.spec.text_mode, p_text),
+                               (model.spec.visual_mode, p_vis)], model.prompted_layers)
         out = backbone.forward(segments, inj)
         logits = T.affine(out[:, 0], model.head_w, model.head_b)
+        injected = [("text", "visual")] * b
     else:
-        logits, _ = _per_group_logits(model, segments, q_text_eff, q_vis_eff,
-                                      n_t, n_v, b, order)
+        # without modality-specific queries only the available modality's
+        # prompts are injected, so each group runs its own forward
+        logits, injected = _per_group_logits(model, segments, q_text_eff, q_vis_eff,
+                                             n_t, n_v, b, order)
+    info = ForwardInfo(order, rec_text, rec_vis, injected)
 
-    target = _targets(model, ordered)
-    if model.mcfg.multi_label:
-        l_c = T.binary_cross_entropy(logits, target)
-    else:
-        l_c = T.cross_entropy(logits, target)
-
+    l_r = None
     if use_lr:
-        base = len(recon_rows) - 2 * n_c
-        q_hat_v_lr = recon[base:base + n_c]
-        q_hat_t_lr = recon[base + n_c:]
-        gt_t = Tensor(gen.q_text.data[n_t + n_v:b])
-        gt_v = Tensor(gen.q_visual.data[n_t + n_v:b])
-        l_r = reconstruction_loss_from_queries(gt_t, q_hat_t_lr, gt_v, q_hat_v_lr)
-    else:
-        l_r = Tensor(np.zeros_like(l_c.data))
-    return l_c, l_r
+        # text-only counterparts reconstruct the visual query, image-only the text
+        base = len(recon_idx) - 2 * n_c
+        l_r = reconstruction_loss_from_queries(
+            Tensor(gen.q_text.data[n_inc:b]), recon[base + n_c:],
+            Tensor(gen.q_visual.data[n_inc:b]), recon[base:base + n_c])
+    return logits, info, l_r
 
 
 def _baseline_logits(model: RebQModel, segments, n_t: int, n_v: int, n_c: int) -> Tensor:
@@ -386,7 +297,7 @@ def _baseline_logits(model: RebQModel, segments, n_t: int, n_v: int, n_c: int) -
         if count:
             blocks.append(model.baseline_blocks[kind].select(T.zeros((count, d))))
     block = blocks[0] if len(blocks) == 1 else T.concat(blocks, axis=0)
-    inj = _injection_for(model, [("attention", block)])
+    inj = build_injection([("attention", block)], model.prompted_layers)
     out = model.backbone.forward(segments, inj)
     return T.affine(out[:, 0], model.head_w, model.head_b)
 
@@ -410,7 +321,7 @@ def _per_group_logits(model: RebQModel, segments, q_text_eff, q_vis_eff,
             mode = model.spec.text_mode if tag == "text" else model.spec.visual_mode
             pairs.append((mode, src.select(q_eff[sl])))
             tags.append(tag)
-        out = model.backbone.forward(seg_group, _injection_for(model, pairs))
+        out = model.backbone.forward(seg_group, build_injection(pairs, model.prompted_layers))
         logits_parts.append(T.affine(out[:, 0], model.head_w, model.head_b))
         for i in order[sl]:
             injected[i] = tuple(tags)
@@ -418,26 +329,15 @@ def _per_group_logits(model: RebQModel, segments, q_text_eff, q_vis_eff,
     return logits, injected
 
 
-def forward_sample(model: RebQModel, sample: Sample) -> Tensor:
-    logits, _ = forward_batch(model, [sample])
-    return T.reshape(logits, (-1,))
-
-
-def predict(model: RebQModel, sample: Sample):
-    """Task-agnostic prediction over the full class set."""
-    with T.no_grad():
-        logits = forward_sample(model, sample).data
-    if model.mcfg.multi_label:
-        return sorted(int(c) for c in np.nonzero(logits > 0.0)[0])
-    return int(np.argmax(logits))
-
-
 def predict_batch(model: RebQModel, samples: list[Sample], batch_size: int = 64):
+    """Task-agnostic predictions over the full class set, in input order."""
+    if batch_size < 1:
+        raise ValueError(f"predict_batch: batch_size must be >= 1, got {batch_size}")
     preds: list = [None] * len(samples)
     with T.no_grad():
         for start in range(0, len(samples), batch_size):
             chunk = samples[start:start + batch_size]
-            logits, info = forward_batch(model, chunk)
+            logits, info, _ = forward_batch(model, chunk)
             vals = logits.data
             for row, orig in enumerate(info.order):
                 if model.mcfg.multi_label:
@@ -492,12 +392,16 @@ def train_task(model: RebQModel, samples: list[Sample], epochs: int,
                opt_cfg: OptimizerConfig, seed: int) -> TrainingLog:
     """Optimize pools and head on one session's data; the backbone stays frozen.
 
-    The joint objective is classification loss plus lam times the
-    reconstruction loss over the modality-complete subset of each batch
-    (zero when the batch has none).
+    Each step runs forward_batch with the reconstruction loss on: L_c is
+    the classification loss of the returned logits against the targets in
+    info.order, L_r the reconstruction loss over the batch's complete
+    samples (zero when the batch has none or it is switched off), and the
+    objective is L_c + lam * L_r.
     """
     if not samples:
         raise ValueError("train_task: empty session")
+    if opt_cfg.batch_size < 1:
+        raise ValueError(f"train_task: batch_size must be >= 1, got {opt_cfg.batch_size}")
     rng = np.random.default_rng(seed)
     params = model.parameters()
     steps_per_epoch = math.ceil(len(samples) / opt_cfg.batch_size)
@@ -505,13 +409,17 @@ def train_task(model: RebQModel, samples: list[Sample], epochs: int,
     opt = AdamW(params, base_lr=opt_cfg.base_lr, total_steps=total_steps,
                 warmup_frac=opt_cfg.warmup_frac, weight_decay=opt_cfg.weight_decay)
     lam = model.mcfg.lam
+    loss_fn = T.binary_cross_entropy if model.mcfg.multi_label else T.cross_entropy
     log = TrainingLog()
     step = 0
     for _ in range(epochs):
         perm = rng.permutation(len(samples))
         for start in range(0, len(samples), opt_cfg.batch_size):
             batch = [samples[i] for i in perm[start:start + opt_cfg.batch_size]]
-            l_c, l_r = _classification_losses(model, batch)
+            logits, info, l_r = forward_batch(model, batch, with_lr=True)
+            l_c = loss_fn(logits, _targets(model, [batch[i] for i in info.order]))
+            if l_r is None:
+                l_r = Tensor(np.zeros_like(l_c.data))
             total = T.add(l_c, T.scale(l_r, lam))
             lr_now = opt.current_lr()
             total.backward()

@@ -18,22 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
-from .backbone import MultimodalBackbone, PromptInjection, unified_positions
+from .backbone import MultimodalBackbone, build_injection, unified_positions
 from .bench import DUMMY_TEXT, Sample, dummy_patches
 from .tensor import Tensor
-
-
-@dataclass
-class QueryBundle:
-    q_text: Tensor | None
-    q_visual: Tensor | None
-    memory_query: Tensor
-    text_reconstructed: bool = False
-    visual_reconstructed: bool = False
-
-    def __post_init__(self):
-        if self.q_text is None and self.q_visual is None:
-            raise ValueError("query bundle needs at least one modality query")
 
 
 @dataclass
@@ -60,24 +47,6 @@ def generate_queries_batch(samples: list[Sample], backbone: MultimodalBackbone,
     )
 
 
-def generate_queries(sample: Sample, backbone: MultimodalBackbone) -> QueryBundle:
-    """Per-sample view; the missing modality's query slot stays empty."""
-    q = generate_queries_batch([sample], backbone)
-    return QueryBundle(
-        q_text=T.reshape(q.q_text, (-1,)) if sample.has_text else None,
-        q_visual=T.reshape(q.q_visual, (-1,)) if sample.has_visual else None,
-        memory_query=T.reshape(q.memory, (-1,)),
-    )
-
-
-def memory_injection(block: Tensor, mode: str, num_prompted_layers: int) -> PromptInjection:
-    if mode == "attention":
-        return PromptInjection.attention_prefix(block, num_prompted_layers)
-    if mode == "input":
-        return PromptInjection.input_append(block)
-    raise ValueError(f"unknown memory injection mode {mode!r}")
-
-
 def reconstruct_batch(samples: list[Sample], memory_queries: Tensor, memory_source,
                       backbone: MultimodalBackbone,
                       num_prompted_layers: int | None = None, emb=None) -> Tensor:
@@ -88,31 +57,16 @@ def reconstruct_batch(samples: list[Sample], memory_queries: Tensor, memory_sour
     for whichever modality the row lacks.
     """
     block = memory_source.select(memory_queries)
-    layers = block.shape[1] if memory_source.mode == "attention" else 0
-    if num_prompted_layers is not None and memory_source.mode == "attention":
+    # an attention block prompts its own layer count, clamped to
+    # num_prompted_layers; an input block prompts no layers
+    layers = block.shape[1]
+    if num_prompted_layers is not None:
         layers = min(layers, num_prompted_layers)
-    inj = memory_injection(block, memory_source.mode, layers)
+    inj = build_injection([(memory_source.mode, block)], layers)
     if emb is None:
         emb = backbone.embed_batch(samples)
     out = backbone.forward(backbone.recon_segments(emb), inj)
     return out[:, 0]
-
-
-def reconstruct_query(sample: Sample, bundle: QueryBundle, memory_source,
-                      backbone: MultimodalBackbone) -> Tensor:
-    """Reconstruct the single missing modality's query for one sample."""
-    if sample.has_text and sample.has_visual:
-        raise ValueError("reconstruct_query called on a modality-complete sample")
-    mq = T.reshape(bundle.memory_query, (1, -1))
-    out = reconstruct_batch([sample], mq, memory_source, backbone)
-    q_hat = T.reshape(out, (-1,))
-    if sample.has_text:
-        bundle.q_visual = q_hat
-        bundle.visual_reconstructed = True
-    else:
-        bundle.q_text = q_hat
-        bundle.text_reconstructed = True
-    return q_hat
 
 
 def counterparts(sample: Sample, num_patches: int, patch_dim: int) -> tuple[Sample, Sample]:
@@ -189,22 +143,11 @@ def export_query_embeddings(samples: list[Sample], backbone: MultimodalBackbone,
 
     for i, s in enumerate(samples):
         label = s.label if isinstance(s.label, int) else list(s.label)
-        if s.has_text:
-            records.append({"id": s.id, "label": label, "modality": "text",
-                            "kind": "ground_truth",
-                            "embedding": raw.q_text.data[i].tolist()})
-        else:
-            records.append({"id": s.id, "label": label, "modality": "text",
-                            "kind": "unreconstructed",
-                            "embedding": raw.q_text.data[i].tolist()})
-        if s.has_visual:
-            records.append({"id": s.id, "label": label, "modality": "visual",
-                            "kind": "ground_truth",
-                            "embedding": raw.q_visual.data[i].tolist()})
-        else:
-            records.append({"id": s.id, "label": label, "modality": "visual",
-                            "kind": "unreconstructed",
-                            "embedding": raw.q_visual.data[i].tolist()})
+        for modality, present, rows in (("text", s.has_text, raw.q_text),
+                                        ("visual", s.has_visual, raw.q_visual)):
+            records.append({"id": s.id, "label": label, "modality": modality,
+                            "kind": "ground_truth" if present else "unreconstructed",
+                            "embedding": rows.data[i].tolist()})
         if i in recon_by_index:
             records.append({"id": s.id, "label": label,
                             "modality": "text" if not s.has_text else "visual",

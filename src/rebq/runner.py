@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -153,43 +154,45 @@ def _session_seed(seed_train: int, session: int) -> int:
     return int(np.random.SeedSequence([seed_train, session]).generate_state(1)[0])
 
 
+@contextmanager
+def _stage(name: str):
+    """Re-raise any failure in the block as an ExperimentError tagged name.
+
+    An ExperimentError raised inside keeps its own stage.
+    """
+    try:
+        yield
+    except ExperimentError:
+        raise
+    except Exception as exc:
+        raise ExperimentError(name, str(exc)) from exc
+
+
 def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None,
                    resume_state: "ExperimentState | None" = None,
                    checkpoint_path: str | None = None) -> tuple[Report, RunArtifacts]:
     started = time.time()
-    try:
+    with _stage("backbone"):
         if backbone is None:
             backbone = _load_backbone(config)
         if not backbone.frozen:
             raise ExperimentError("backbone", "backbone must be frozen before fine-tuning")
         backbone_bytes = backbone.parameter_bytes()
-    except ExperimentError:
-        raise
-    except Exception as exc:
-        raise ExperimentError("backbone", str(exc)) from exc
 
-    try:
+    with _stage("benchmark"):
         meta, samples = _build_corpus(config)
         if config.synth.multi_label and not config.corpus_path:
             meta.multi_label = True
         stream = build_stream(meta, samples, config.num_sessions, config.eta,
                               config.missing_case, config.seed_split, config.seed_mask)
-    except ExperimentError:
-        raise
-    except Exception as exc:
-        raise ExperimentError("benchmark", str(exc)) from exc
 
-    try:
+    with _stage("model"):
         mcfg = ModelConfig(num_classes=meta.num_classes, pool_size=config.pool_size,
                            memory_pool_size=config.memory_pool_size,
                            prompt_len=config.prompt_len,
                            prompted_layers=config.prompted_layers, lam=config.lam,
                            multi_label=meta.multi_label)
         model = build_variant(_variant_spec(config), backbone, mcfg, config.seed_model)
-    except ExperimentError:
-        raise
-    except Exception as exc:
-        raise ExperimentError("model", str(exc)) from exc
 
     matrix = EvalMatrix(config.num_sessions)
     logs: list[TrainingLog] = []
@@ -204,7 +207,7 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
                               weight_decay=config.weight_decay,
                               batch_size=config.batch_size)
     mode = "f1_macro" if meta.multi_label else "accuracy"
-    try:
+    with _stage("train"):
         for j in range(start_session, config.num_sessions):
             log = train_task(model, stream.train_data(j), config.epochs, opt_cfg,
                              _session_seed(config.seed_train, j))
@@ -228,16 +231,10 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
             if checkpoint_path is not None:
                 ExperimentState.capture(model, matrix, j + 1, per_session,
                                         config).save(checkpoint_path)
-    except ExperimentError:
-        raise
-    except Exception as exc:
-        raise ExperimentError("train", str(exc)) from exc
 
-    try:
+    with _stage("metrics"):
         ap = average_performance(matrix)
         fg = average_forgetting(matrix) if config.num_sessions >= 2 else None
-    except Exception as exc:
-        raise ExperimentError("metrics", str(exc)) from exc
 
     report = Report(
         artifact_version=__version__,

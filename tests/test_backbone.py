@@ -4,7 +4,8 @@ import pytest
 from rebq import serialize
 from rebq import tensor as T
 from rebq.backbone import (BackboneConfig, MultimodalBackbone, PretrainConfig,
-                           PromptInjection, pretrain, unified_positions)
+                           PromptInjection, build_injection, pretrain,
+                           unified_positions)
 from rebq.bench import Sample, SynthConfig, dummy_patches, synth_generate
 from rebq.tensor import Tensor
 
@@ -144,14 +145,23 @@ class TestForward:
         rng = np.random.default_rng(10)
         a = Tensor(rng.standard_normal((1, 2, 2, 3, 32)))
         b = Tensor(rng.standard_normal((1, 2, 2, 2, 32)))
-        merged = PromptInjection.attention_prefix(a).merged_with(
-            PromptInjection.attention_prefix(b))
+        merged = build_injection([("attention", a), ("attention", b)], 2)
         assert merged.attn.shape == (1, 2, 2, 5, 32)
         joint = bb.forward(bb.unified_segments(emb), merged).data
         direct = bb.forward(bb.unified_segments(emb),
                             PromptInjection.attention_prefix(
                                 T.concat([a, b], axis=3))).data
         assert joint.tobytes() == direct.tobytes()
+
+    def test_injection_builder_modes(self):
+        rng = np.random.default_rng(12)
+        block = Tensor(rng.standard_normal((1, 3, 32)))
+        inj = build_injection([("input", block)], 2)
+        assert inj.attn is None and inj.input_blocks == [block]
+        assert inj.num_prompted_layers == 0
+        assert build_injection([], 2) is None
+        with pytest.raises(ValueError, match="sideways"):
+            build_injection([("sideways", block)], 2)
 
 
 def pretrain_corpus(seed=11, n=40):

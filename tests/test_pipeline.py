@@ -7,11 +7,11 @@ from rebq import serialize
 from rebq import tensor as T
 from rebq.backbone import MultimodalBackbone
 from rebq.metrics import EvalMatrix
-from rebq.pipeline import (ModelConfig, OptimizerConfig, VariantSpec, build_variant,
-                           forward_batch, forward_sample, predict, predict_batch,
-                           train_task, variant_from_name)
+from rebq.pipeline import (ModelConfig, OptimizerConfig, VariantSpec, _targets,
+                           build_variant, forward_batch, predict_batch, train_task,
+                           variant_from_name)
 from rebq.prompt import PromptPool, PromptVector
-from rebq.reconstruct import counterparts
+from rebq.reconstruct import counterparts, reconstruction_loss
 from rebq.runner import ExperimentState, RunConfig
 from rebq.tensor import AdamW, Tensor
 
@@ -81,19 +81,19 @@ class TestBuildVariant:
 class TestForward:
     def test_logits_length(self, tiny_backbone, complete_samples):
         model = make_model(tiny_backbone)
-        logits = forward_sample(model, complete_samples[0])
-        assert logits.shape == (4,)
+        logits, _, _ = forward_batch(model, complete_samples[:1])
+        assert logits.shape == (1, 4)
 
     def test_complete_sample_skips_reconstruction(self, tiny_backbone, complete_samples):
         model = make_model(tiny_backbone)
-        _, info = forward_batch(model, complete_samples[:3])
+        _, info, _ = forward_batch(model, complete_samples[:3])
         assert info.reconstructed_text == [False] * 3
         assert info.reconstructed_visual == [False] * 3
 
     def test_missing_modality_reconstructed(self, tiny_backbone, complete_samples):
         model = make_model(tiny_backbone)
         t_only, i_only = masked_pair(complete_samples[0])
-        _, info = forward_batch(model, [t_only, i_only, complete_samples[1]])
+        _, info, _ = forward_batch(model, [t_only, i_only, complete_samples[1]])
         assert info.reconstructed_visual == [True, False, False]
         assert info.reconstructed_text == [False, True, False]
 
@@ -101,14 +101,14 @@ class TestForward:
                                                         complete_samples):
         model = make_model(tiny_backbone, variant="no_reconstruction")
         t_only, _ = masked_pair(complete_samples[0])
-        _, info = forward_batch(model, [t_only])
+        _, info, _ = forward_batch(model, [t_only])
         assert info.reconstructed_visual == [False]
 
     def test_msq_off_injects_only_available_modality(self, tiny_backbone,
                                                      complete_samples):
         model = make_model(tiny_backbone, variant="no_modality_specific_query")
         t_only, i_only = masked_pair(complete_samples[0])
-        _, info = forward_batch(model, [t_only, i_only, complete_samples[1]])
+        _, info, _ = forward_batch(model, [t_only, i_only, complete_samples[1]])
         assert info.injected[0] == ("text",)
         assert info.injected[1] == ("visual",)
         assert info.injected[2] == ("text", "visual")
@@ -126,29 +126,29 @@ class TestForward:
         model = float64(make_model(tiny_backbone))
         t_only, i_only = masked_pair(complete_samples[0])
         batch = [complete_samples[1], t_only, i_only]
-        logits, info = forward_batch(model, batch)
+        logits, info, _ = forward_batch(model, batch)
         for row, orig in enumerate(info.order):
-            single = forward_sample(model, batch[orig])
-            np.testing.assert_allclose(logits.data[row], single.data, atol=1e-10)
+            single, _, _ = forward_batch(model, [batch[orig]])
+            np.testing.assert_allclose(logits.data[row], single.data[0], atol=1e-10)
 
     def test_group_order_permutation(self, tiny_backbone, complete_samples):
         model = make_model(tiny_backbone)
         t_only, i_only = masked_pair(complete_samples[0])
         batch = [complete_samples[1], t_only, i_only]
-        _, info = forward_batch(model, batch)
+        _, info, _ = forward_batch(model, batch)
         assert info.order == [1, 2, 0]
 
 
 class TestPredict:
     def test_argmax(self, tiny_backbone, complete_samples):
         model = make_model(tiny_backbone)
-        pred = predict(model, complete_samples[0])
-        logits = forward_sample(model, complete_samples[0]).data
-        assert pred == int(np.argmax(logits))
+        [pred] = predict_batch(model, complete_samples[:1])
+        logits, _, _ = forward_batch(model, complete_samples[:1])
+        assert pred == int(np.argmax(logits.data[0]))
 
     def test_shift_invariance(self, tiny_backbone, complete_samples):
         model = make_model(tiny_backbone)
-        logits = forward_sample(model, complete_samples[0]).data
+        logits = forward_batch(model, complete_samples[:1])[0].data[0]
         assert int(np.argmax(logits)) == int(np.argmax(logits + 123.0))
 
     def test_multi_label_threshold(self):
@@ -158,14 +158,23 @@ class TestPredict:
         assert active == [1]
 
     def test_predict_signature_task_agnostic(self):
-        params = inspect.signature(predict).parameters
+        params = inspect.signature(predict_batch).parameters
         assert "session" not in params and "task" not in params
 
     def test_predict_batch_matches_predict(self, tiny_backbone, complete_samples):
+        """Batched prediction equals one-sample prediction, whatever the chunking."""
         model = make_model(tiny_backbone)
         t_only, i_only = masked_pair(complete_samples[0])
         batch = [complete_samples[1], t_only, i_only, complete_samples[2]]
-        assert predict_batch(model, batch) == [predict(model, s) for s in batch]
+        assert predict_batch(model, batch) == [predict_batch(model, [s])[0] for s in batch]
+        assert predict_batch(model, batch, batch_size=3) == predict_batch(model, batch)
+
+    @pytest.mark.parametrize("batch_size", [0, -2])
+    def test_batch_size_below_one_rejected(self, tiny_backbone, complete_samples,
+                                           batch_size):
+        model = make_model(tiny_backbone)
+        with pytest.raises(ValueError, match="batch_size"):
+            predict_batch(model, complete_samples[:3], batch_size)
 
 
 class TestTrainTask:
@@ -173,6 +182,17 @@ class TestTrainTask:
         model = make_model(tiny_backbone)
         with pytest.raises(ValueError):
             train_task(model, [], 1, OptimizerConfig(), seed=0)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, tiny_backbone, tiny_benchmark,
+                                           batch_size):
+        _, stream = tiny_benchmark
+        model = make_model(tiny_backbone)
+        before = model.parameter_bytes()
+        with pytest.raises(ValueError, match="batch_size"):
+            train_task(model, stream.train_data(0)[:8], 1,
+                       OptimizerConfig(batch_size=batch_size), seed=0)
+        assert model.parameter_bytes() == before
 
     def test_loss_decomposition_exact(self, tiny_backbone, tiny_benchmark):
         _, stream = tiny_benchmark
@@ -221,12 +241,8 @@ class TestTrainTask:
         _, stream = tiny_benchmark
         model = make_model(tiny_backbone)
         batch = [s for s in stream.train_data(0) if s.missing_type == "complete"][:3]
-        logits, info = forward_batch(model, batch)
-        from rebq.pipeline import _targets
-        from rebq.reconstruct import reconstruction_loss
+        logits, info, l_r = forward_batch(model, batch, with_lr=True)
         l_c = T.cross_entropy(logits, _targets(model, [batch[i] for i in info.order]))
-        l_r = reconstruction_loss(batch, model.memory, model.backbone,
-                                  model.prompted_layers)
         T.add(l_c, T.scale(l_r, 0.01)).backward()
         assert model.memory.components.grad is not None
         assert np.abs(model.memory.components.grad).sum() > 0
@@ -239,15 +255,15 @@ class TestTrainTask:
         model = make_model(tiny_backbone, lam=0.0)
         incomplete = [s for s in stream.train_data(0) if s.missing_type != "complete"][:3]
         complete = [s for s in stream.train_data(0) if s.missing_type == "complete"][:3]
-        from rebq.pipeline import _targets
 
         # only complete samples: no reconstruction happens, memory gets nothing
-        logits, info = forward_batch(model, complete)
+        logits, info, l_r = forward_batch(model, complete, with_lr=True)
+        assert l_r is None
         T.cross_entropy(logits, _targets(model, [complete[i] for i in info.order])).backward()
         assert model.memory.components.grad is None
 
         # incomplete samples route gradient into the memory pool through q-hat
-        logits, info = forward_batch(model, incomplete)
+        logits, info, _ = forward_batch(model, incomplete, with_lr=True)
         T.cross_entropy(logits, _targets(model, [incomplete[i] for i in info.order])).backward()
         assert model.memory.components.grad is not None
         assert np.abs(model.memory.components.grad).sum() > 0
@@ -274,22 +290,30 @@ class TestTrainTask:
 
 class TestFusedPath:
     def test_fused_losses_match_unfused(self, tiny_backbone, tiny_benchmark):
-        """The shared-pass training path must agree with the spec-surface ops."""
-        from rebq.pipeline import _classification_losses, _targets
-        from rebq.reconstruct import reconstruction_loss
-
+        """The training call (masked counterparts riding along in both passes)
+        agrees with the evaluation call plus the reconstruction-loss oracle."""
         _, stream = tiny_benchmark
-        model = make_model(tiny_backbone)
+        model = float64(make_model(tiny_backbone))
         batch = stream.train_data(0)[:6]
-        l_c_fused, l_r_fused = _classification_losses(model, batch)
-
-        logits, info = forward_batch(model, batch)
-        l_c_ref = T.cross_entropy(logits, _targets(model, [batch[i] for i in info.order]))
         complete = [s for s in batch if s.missing_type == "complete"]
+        assert complete and len(complete) < len(batch)
+        logits_fused, info_fused, l_r_fused = forward_batch(model, batch, with_lr=True)
+        logits, info, l_r = forward_batch(model, batch)
+        assert l_r is None
+        assert info_fused == info
+        np.testing.assert_allclose(logits_fused.data, logits.data, atol=1e-10)
         l_r_ref = reconstruction_loss(complete, model.memory, model.backbone,
                                       model.prompted_layers)
-        assert l_c_fused.item() == pytest.approx(l_c_ref.item(), abs=1e-10)
         assert l_r_fused.item() == pytest.approx(l_r_ref.item(), abs=1e-10)
+
+    def test_lr_off_without_lambda_or_memory(self, tiny_backbone, tiny_benchmark):
+        _, stream = tiny_benchmark
+        batch = stream.train_data(0)[:6]
+        for model in (make_model(tiny_backbone, lam=0.0),
+                      make_model(tiny_backbone, variant="no_reconstruction")):
+            logits, _, l_r = forward_batch(model, batch, with_lr=True)
+            assert l_r is None
+            assert logits.data.tobytes() == forward_batch(model, batch)[0].data.tobytes()
 
 
 def record_dtypes(monkeypatch) -> set:
@@ -372,8 +396,6 @@ class TestEndToEndGradient:
                                                        complete_samples):
         """Finite-difference check of the full objective on a tiny model."""
         from test_tensor import assert_grad_close, finite_diff_grad
-        from rebq.pipeline import _targets
-        from rebq.reconstruct import reconstruction_loss
 
         model = float64(make_model(tiny_backbone, pool_size=2, memory_pool_size=2,
                                    prompt_len=2))
@@ -381,11 +403,15 @@ class TestEndToEndGradient:
         batch = [complete_samples[1], t_only]
 
         def build():
-            logits, info = forward_batch(model, batch)
+            # the training path: L_r rides along in the classification passes
+            logits, info, l_r = forward_batch(model, batch, with_lr=True)
             l_c = T.cross_entropy(logits, _targets(model, [batch[i] for i in info.order]))
-            l_r = reconstruction_loss([complete_samples[1]], model.memory,
-                                      model.backbone, model.prompted_layers)
             return T.add(l_c, T.scale(l_r, model.mcfg.lam))
+
+        l_r_ref = reconstruction_loss([complete_samples[1]], model.memory,
+                                      model.backbone, model.prompted_layers)
+        assert forward_batch(model, batch, with_lr=True)[2].item() == pytest.approx(
+            l_r_ref.item(), abs=1e-10)
 
         build().backward()
         for name in ("memory.components", "memory.keys", "memory.attention",

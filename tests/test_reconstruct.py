@@ -4,10 +4,10 @@ import pytest
 from rebq import tensor as T
 from rebq.bench import Sample, dummy_patches
 from rebq.prompt import init_pool, init_vector
-from rebq.reconstruct import (counterparts, generate_queries, generate_queries_batch,
+from rebq.reconstruct import (counterparts, generate_queries_batch,
                               export_query_embeddings, mean_reconstruction_cosine,
-                              reconstruct_batch, reconstruct_query,
-                              reconstruction_loss, reconstruction_loss_from_queries)
+                              reconstruct_batch, reconstruction_loss,
+                              reconstruction_loss_from_queries)
 from rebq.tensor import AdamW, Tensor
 
 from conftest import TINY, float64
@@ -23,61 +23,38 @@ def text_only(sample):
 
 
 class TestGenerateQueries:
-    def test_complete_sample_both_present(self, tiny_backbone, complete_samples):
-        bundle = generate_queries(complete_samples[0], tiny_backbone)
-        assert bundle.q_text is not None and bundle.q_visual is not None
-        assert not bundle.text_reconstructed and not bundle.visual_reconstructed
-
     def test_query_shapes(self, tiny_backbone, complete_samples):
-        bundle = generate_queries(complete_samples[0], tiny_backbone)
-        assert bundle.q_text.shape == (TINY.embed_dim,)
-        assert bundle.q_visual.shape == (TINY.embed_dim,)
-        assert bundle.memory_query.shape == (TINY.embed_dim,)
-
-    def test_missing_modality_slot_empty(self, tiny_backbone, complete_samples):
-        masked = text_only(complete_samples[0])
-        bundle = generate_queries(masked, tiny_backbone)
-        assert bundle.q_text is not None and bundle.q_visual is None
+        q = generate_queries_batch(complete_samples[:1], tiny_backbone)
+        assert q.q_text.shape == (1, TINY.embed_dim)
+        assert q.q_visual.shape == (1, TINY.embed_dim)
+        assert q.memory.shape == (1, TINY.embed_dim)
 
     def test_dummy_is_constant_across_samples(self, tiny_backbone, complete_samples):
         a = text_only(complete_samples[0])
         b = Sample(id="other", text_tokens=list(a.text_tokens),
                    patches=dummy_patches(TINY.num_patches, TINY.patch_dim),
                    label=a.label, has_visual=False)
-        qa = generate_queries(a, tiny_backbone)
-        qb = generate_queries(b, tiny_backbone)
+        qa = generate_queries_batch([a], tiny_backbone)
+        qb = generate_queries_batch([b], tiny_backbone)
         assert qa.q_text.data.tobytes() == qb.q_text.data.tobytes()
-        assert qa.memory_query.data.tobytes() == qb.memory_query.data.tobytes()
+        assert qa.memory.data.tobytes() == qb.memory.data.tobytes()
 
     def test_batch_matches_single(self, tiny_backbone, complete_samples):
         batch = generate_queries_batch(complete_samples[:3], tiny_backbone)
         for i, s in enumerate(complete_samples[:3]):
-            single = generate_queries(s, tiny_backbone)
-            np.testing.assert_allclose(batch.q_text.data[i], single.q_text.data, atol=1e-12)
+            single = generate_queries_batch([s], tiny_backbone)
+            np.testing.assert_allclose(batch.q_text.data[i], single.q_text.data[0], atol=1e-12)
 
 
 class TestReconstructQuery:
-    def test_rejects_complete_sample(self, tiny_backbone, complete_samples):
-        bundle = generate_queries(complete_samples[0], tiny_backbone)
-        with pytest.raises(ValueError):
-            reconstruct_query(complete_samples[0], bundle, memory_pool(), tiny_backbone)
-
     def test_deterministic(self, tiny_backbone, complete_samples):
         pool = memory_pool(seed=1)
-        masked = text_only(complete_samples[0])
+        masked = [text_only(complete_samples[0])]
         outs = []
         for _ in range(2):
-            bundle = generate_queries(masked, tiny_backbone)
-            outs.append(reconstruct_query(masked, bundle, pool, tiny_backbone).data.tobytes())
+            mem = generate_queries_batch(masked, tiny_backbone).memory
+            outs.append(reconstruct_batch(masked, mem, pool, tiny_backbone).data.tobytes())
         assert outs[0] == outs[1]
-
-    def test_sets_flag_and_fills_slot(self, tiny_backbone, complete_samples):
-        pool = memory_pool(seed=2)
-        masked = text_only(complete_samples[0])
-        bundle = generate_queries(masked, tiny_backbone)
-        q_hat = reconstruct_query(masked, bundle, pool, tiny_backbone)
-        assert bundle.visual_reconstructed and bundle.q_visual is q_hat
-        assert q_hat.shape == (TINY.embed_dim,)
 
     def test_memory_query_scale_invariance(self, tiny_backbone, complete_samples):
         pool = float64(memory_pool(seed=3))
@@ -201,3 +178,25 @@ class TestExport:
         loaded = json.loads(path.read_text())
         assert loaded == records
         assert all(len(r["embedding"]) == TINY.embed_dim for r in records)
+
+    def test_record_sequence(self, tiny_backbone, complete_samples):
+        pool = memory_pool(seed=14)
+        i_only = counterparts(complete_samples[2], TINY.num_patches, TINY.patch_dim)[1]
+        samples = [complete_samples[0], text_only(complete_samples[1]), i_only]
+        records = export_query_embeddings(samples, tiny_backbone, pool)
+        ids = [s.id for s in samples]
+        assert [(r["id"], r["modality"], r["kind"]) for r in records] == [
+            (ids[0], "text", "ground_truth"), (ids[0], "visual", "ground_truth"),
+            (ids[1], "text", "ground_truth"), (ids[1], "visual", "unreconstructed"),
+            (ids[1], "visual", "reconstructed"),
+            (ids[2], "text", "unreconstructed"), (ids[2], "visual", "ground_truth"),
+            (ids[2], "text", "reconstructed"),
+        ]
+        raw = generate_queries_batch(samples, tiny_backbone)
+        assert records[3]["embedding"] == raw.q_visual.data[1].tolist()
+        assert records[5]["embedding"] == raw.q_text.data[2].tolist()
+        with T.no_grad():
+            rec = reconstruct_batch(samples[1:], Tensor(raw.memory.data[1:]), pool,
+                                    tiny_backbone).data
+        assert records[4]["embedding"] == rec[0].tolist()
+        assert records[7]["embedding"] == rec[1].tolist()

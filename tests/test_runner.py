@@ -89,6 +89,21 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert exc.value.stage == "backbone"
 
+    @pytest.mark.parametrize("overrides, stage, needle", [
+        ({"missing_case": "sideways"}, "benchmark", "sideways"),
+        ({"variant": "not_a_variant"}, "model", "not_a_variant"),
+        ({"batch_size": 0}, "train", "batch_size"),
+        ({"batch_size": -1}, "train", "batch_size"),
+        ({"eval_batch_size": -2}, "train", "batch_size"),
+    ])
+    def test_bad_input_stage_tagged(self, tiny_backbone, tmp_path, overrides, stage,
+                                    needle):
+        cfg = tiny_config(tmp_path, **overrides)
+        with pytest.raises(ExperimentError) as exc:
+            run_experiment(cfg, backbone=tiny_backbone)
+        assert exc.value.stage == stage
+        assert needle in exc.value.cause
+
     def test_determinism_modulo_timing(self, tiny_backbone, tmp_path):
         cfg = tiny_config(tmp_path)
         a, _ = run_experiment(cfg, backbone=tiny_backbone)
