@@ -12,7 +12,8 @@ from .tensor import Tensor, AdamW, backward, no_grad  # noqa: F401
 from .backbone import BackboneConfig, MultimodalBackbone, PromptInjection, pretrain  # noqa: F401
 from .bench import Sample, SynthConfig, build_stream, load_corpus, save_corpus, synth_generate  # noqa: F401
 from .prompt import PromptPool, PromptVector, compute_weights, aggregate, select_prompt  # noqa: F401
-from .reconstruct import generate_queries_batch, reconstruct_batch, reconstruction_loss  # noqa: F401
+from .reconstruct import (QueryCache, generate_queries_batch, reconstruct_batch,  # noqa: F401
+                          reconstruction_loss)
 from .pipeline import (ModelConfig, OptimizerConfig, RebQModel, VariantSpec,  # noqa: F401
                        build_variant, forward_batch, predict_batch, train_task)
 from .metrics import EvalMatrix, average_forgetting, average_performance, performance  # noqa: F401

@@ -25,8 +25,8 @@ from . import tensor as T
 from .backbone import MultimodalBackbone, build_injection
 from .bench import Sample
 from .prompt import PromptPool, PromptVector, init_pool, init_vector
-from .reconstruct import (counterparts, generate_queries_batch, reconstruct_batch,
-                          reconstruction_loss_from_queries)
+from .reconstruct import (QueryCache, counterparts, generate_queries_batch,
+                          reconstruct_batch, reconstruction_loss_from_queries)
 from .tensor import AdamW, Tensor
 
 MISSING_TYPES = ("text-only", "image-only", "complete")
@@ -206,8 +206,9 @@ def _group_indices(samples: list[Sample]):
     return idx_t, idx_v, idx_c
 
 
-def forward_batch(model: RebQModel, samples: list[Sample],
-                  with_lr: bool = False) -> tuple[Tensor, ForwardInfo, Tensor | None]:
+def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False,
+                  cache: QueryCache | None = None
+                  ) -> tuple[Tensor, ForwardInfo, Tensor | None]:
     """Logits for a mini-batch, grouped by missing type, and optionally L_r.
 
     Returns logits in group order (text-only, image-only, complete), the
@@ -215,8 +216,11 @@ def forward_batch(model: RebQModel, samples: list[Sample],
     the reconstruction loss. With with_lr set (and lam > 0, a memory source
     and at least one complete sample) the masked counterparts of the
     complete samples ride along in both backbone passes and L_r is their
-    mean residual; otherwise the third value is None.
+    mean residual; otherwise the third value is None. A cache memoizes the
+    unified pass across calls (see reconstruct.QueryCache).
     """
+    if not samples:
+        raise ValueError("forward_batch: empty batch")
     for s in samples:
         if not s.has_text and not s.has_visual:
             raise ValueError(f"sample {s.id} is missing both modalities")
@@ -239,7 +243,7 @@ def forward_batch(model: RebQModel, samples: list[Sample],
         rows += [p[0] for p in pairs] + [p[1] for p in pairs]
     with T.no_grad():
         emb = backbone.embed_batch(rows)
-    gen = generate_queries_batch(rows, backbone, emb=emb)
+    gen = generate_queries_batch(rows, backbone, emb=emb, cache=cache)
     q_text_raw, q_vis_raw = gen.q_text.data[:b], gen.q_visual.data[:b]
 
     # one tracked memory-injected pass: the batch's incomplete rows, then
@@ -329,7 +333,8 @@ def _per_group_logits(model: RebQModel, segments, q_text_eff, q_vis_eff,
     return logits, injected
 
 
-def predict_batch(model: RebQModel, samples: list[Sample], batch_size: int = 64):
+def predict_batch(model: RebQModel, samples: list[Sample], batch_size: int = 64,
+                  cache: QueryCache | None = None):
     """Task-agnostic predictions over the full class set, in input order."""
     if batch_size < 1:
         raise ValueError(f"predict_batch: batch_size must be >= 1, got {batch_size}")
@@ -337,8 +342,12 @@ def predict_batch(model: RebQModel, samples: list[Sample], batch_size: int = 64)
     with T.no_grad():
         for start in range(0, len(samples), batch_size):
             chunk = samples[start:start + batch_size]
-            logits, info, _ = forward_batch(model, chunk)
+            logits, info, _ = forward_batch(model, chunk, cache=cache)
             vals = logits.data
+            bad = ~np.isfinite(vals).all(axis=1)
+            if bad.any():
+                ids = [chunk[info.order[row]].id for row in np.nonzero(bad)[0]]
+                raise ValueError(f"predict_batch: non-finite logits for samples {ids}")
             for row, orig in enumerate(info.order):
                 if model.mcfg.multi_label:
                     preds[start + orig] = sorted(int(c) for c in np.nonzero(vals[row] > 0.0)[0])
@@ -389,7 +398,8 @@ def _targets(model: RebQModel, batch: list[Sample]) -> Tensor:
 
 
 def train_task(model: RebQModel, samples: list[Sample], epochs: int,
-               opt_cfg: OptimizerConfig, seed: int) -> TrainingLog:
+               opt_cfg: OptimizerConfig, seed: int,
+               cache: QueryCache | None = None) -> TrainingLog:
     """Optimize pools and head on one session's data; the backbone stays frozen.
 
     Each step runs forward_batch with the reconstruction loss on: L_c is
@@ -416,11 +426,15 @@ def train_task(model: RebQModel, samples: list[Sample], epochs: int,
         perm = rng.permutation(len(samples))
         for start in range(0, len(samples), opt_cfg.batch_size):
             batch = [samples[i] for i in perm[start:start + opt_cfg.batch_size]]
-            logits, info, l_r = forward_batch(model, batch, with_lr=True)
+            logits, info, l_r = forward_batch(model, batch, with_lr=True, cache=cache)
             l_c = loss_fn(logits, _targets(model, [batch[i] for i in info.order]))
             if l_r is None:
                 l_r = Tensor(np.zeros_like(l_c.data))
             total = T.add(l_c, T.scale(l_r, lam))
+            if not np.isfinite(total.data):
+                raise ValueError(f"train_task: non-finite loss at step {step} "
+                                 f"(L_c {l_c.item()}, L_r {l_r.item()}) on samples "
+                                 f"{[s.id for s in batch]}")
             lr_now = opt.current_lr()
             total.backward()
             opt.step()

@@ -8,6 +8,14 @@ layout; the cls output of that pass is the reconstructed query for the
 absent modality. The reconstruction loss trains the memory pool to pull
 those reconstructions toward the queries the complete sample would have
 produced (ground truth is gradient-detached).
+
+The unified pass reads only the frozen backbone and a row's text tokens
+and patches, and each of its output rows depends on its own input row
+alone. A QueryCache therefore memoizes it for one experiment: rows are
+keyed by content (tokens plus patch bytes), so a masked copy and each
+masked counterpart of a sample get their own entries, and only rows not
+seen before go through the pass. The cached rows are bit-identical to a
+fresh pass.
 """
 
 from __future__ import annotations
@@ -32,19 +40,59 @@ class BatchQueries:
     memory: Tensor    # (B, D)
 
 
+class QueryCache:
+    """Unified-pass (text, visual, memory) query rows of one frozen backbone,
+    one (3, D) array per distinct row content seen."""
+
+    def __init__(self, backbone: MultimodalBackbone):
+        if not backbone.frozen:
+            raise ValueError("QueryCache needs a frozen backbone")
+        self.backbone = backbone
+        self.rows: dict[tuple, np.ndarray] = {}
+
+    @staticmethod
+    def key(sample: Sample) -> tuple:
+        patches = np.asarray(sample.patches)
+        return (tuple(sample.text_tokens), patches.dtype.str, patches.shape,
+                patches.tobytes())
+
+
 def generate_queries_batch(samples: list[Sample], backbone: MultimodalBackbone,
-                           emb=None) -> BatchQueries:
-    """One untracked unified forward; raw queries regardless of presence flags."""
+                           emb=None, cache: QueryCache | None = None) -> BatchQueries:
+    """One untracked unified forward; raw queries regardless of presence flags.
+
+    With a cache, only the rows it does not hold yet go through the pass,
+    in one batch, and every row of the result is read from the cache.
+    """
+    if cache is None:
+        rows = _unified_pass(samples, backbone, emb)
+    else:
+        if cache.backbone is not backbone:
+            raise ValueError("generate_queries_batch: the cache belongs to another backbone")
+        keys = [QueryCache.key(s) for s in samples]
+        misses: dict[tuple, int] = {}
+        for i, k in enumerate(keys):
+            if k not in cache.rows:
+                misses.setdefault(k, i)
+        if misses:
+            idx = list(misses.values())
+            fresh = _unified_pass([samples[i] for i in idx], backbone,
+                                  None if emb is None else emb.rows(idx))
+            cache.rows.update(zip(misses, fresh))
+        rows = np.stack([cache.rows[k] for k in keys])
+    return BatchQueries(q_text=Tensor(rows[:, 0]), q_visual=Tensor(rows[:, 1]),
+                        memory=Tensor(rows[:, 2]))
+
+
+def _unified_pass(samples: list[Sample], backbone: MultimodalBackbone,
+                  emb=None) -> np.ndarray:
+    """(B, 3, D) text, visual and memory queries of one unified forward."""
     pos = unified_positions(backbone.config)
     with T.no_grad():
         if emb is None:
             emb = backbone.embed_batch(samples)
-        out = backbone.forward(backbone.unified_segments(emb))
-    return BatchQueries(
-        q_text=out[:, pos["text_cls"]],
-        q_visual=out[:, pos["visual_cls"]],
-        memory=out[:, pos["joint"]],
-    )
+        out = backbone.forward(backbone.unified_segments(emb)).data
+    return out[:, [pos["text_cls"], pos["visual_cls"], pos["joint"]]]
 
 
 def reconstruct_batch(samples: list[Sample], memory_queries: Tensor, memory_source,
@@ -100,24 +148,30 @@ def reconstruction_loss(samples: list[Sample], memory_source,
     for s in samples:
         if s.missing_type != "complete":
             raise ValueError(f"reconstruction loss needs complete samples, got {s.id}")
+    return reconstruction_loss_from_queries(*_reconstruct_counterparts(
+        samples, memory_source, backbone, num_prompted_layers))
+
+
+def _reconstruct_counterparts(samples: list[Sample], memory_source,
+                              backbone: MultimodalBackbone, num_prompted_layers):
+    """(q_text, q_hat_text, q_visual, q_hat_visual) of complete samples.
+
+    The ground truth comes from the samples, each reconstruction from the
+    counterpart that lacks its modality. Samples and counterparts embed in
+    one call and share one unified pass.
+    """
     cfg = backbone.config
-    gt = generate_queries_batch(samples, backbone)
-
-    text_only, image_only = [], []
-    for s in samples:
-        t_only, i_only = counterparts(s, cfg.num_patches, cfg.patch_dim)
-        text_only.append(t_only)
-        image_only.append(i_only)
-
-    counterpart_rows = text_only + image_only
-    mem = generate_queries_batch(counterpart_rows, backbone).memory
-    recon = reconstruct_batch(counterpart_rows, mem, memory_source, backbone,
-                              num_prompted_layers)
+    pairs = [counterparts(s, cfg.num_patches, cfg.patch_dim) for s in samples]
+    rows = list(samples) + [p[0] for p in pairs] + [p[1] for p in pairs]
     n = len(samples)
-    q_hat_visual = recon[:n]   # text-only rows reconstruct the visual query
-    q_hat_text = recon[n:]
-    return reconstruction_loss_from_queries(gt.q_text, q_hat_text,
-                                            gt.q_visual, q_hat_visual)
+    with T.no_grad():
+        emb = backbone.embed_batch(rows)
+    queries = generate_queries_batch(rows, backbone, emb=emb)
+    recon = reconstruct_batch(rows[n:], Tensor(queries.memory.data[n:]), memory_source,
+                              backbone, num_prompted_layers, emb=emb.rows(slice(n, None)))
+    # text-only rows reconstruct the visual query, image-only rows the text
+    return (Tensor(queries.q_text.data[:n]), recon[n:],
+            Tensor(queries.q_visual.data[:n]), recon[:n])
 
 
 def export_query_embeddings(samples: list[Sample], backbone: MultimodalBackbone,
@@ -130,7 +184,9 @@ def export_query_embeddings(samples: list[Sample], backbone: MultimodalBackbone,
     and, when a memory source is supplied, the reconstructed one.
     """
     records: list[dict] = []
-    raw = generate_queries_batch(samples, backbone)
+    with T.no_grad():
+        emb = backbone.embed_batch(samples)
+    raw = generate_queries_batch(samples, backbone, emb=emb)
     incomplete = [i for i, s in enumerate(samples) if s.missing_type != "complete"]
     recon_by_index: dict[int, np.ndarray] = {}
     if memory_source is not None and incomplete:
@@ -138,7 +194,7 @@ def export_query_embeddings(samples: list[Sample], backbone: MultimodalBackbone,
         mem = Tensor(raw.memory.data[incomplete])
         with T.no_grad():
             rec = reconstruct_batch(rows, mem, memory_source, backbone,
-                                    num_prompted_layers)
+                                    num_prompted_layers, emb=emb.rows(incomplete))
         recon_by_index = {i: rec.data[j] for j, i in enumerate(incomplete)}
 
     for i, s in enumerate(samples):
@@ -167,23 +223,13 @@ def mean_reconstruction_cosine(samples: list[Sample], memory_source,
     Samples must be modality-complete; each is masked both ways and both
     reconstructions are scored against the queries of the intact sample.
     """
-    cfg = backbone.config
-    gt = generate_queries_batch(samples, backbone)
-    text_only, image_only = [], []
-    for s in samples:
-        t_only, i_only = counterparts(s, cfg.num_patches, cfg.patch_dim)
-        text_only.append(t_only)
-        image_only.append(i_only)
-    rows = text_only + image_only
     with T.no_grad():
-        mem = generate_queries_batch(rows, backbone).memory
-        rec = reconstruct_batch(rows, mem, memory_source, backbone,
-                                num_prompted_layers).data
-    n = len(samples)
+        q_text, q_hat_text, q_visual, q_hat_visual = _reconstruct_counterparts(
+            samples, memory_source, backbone, num_prompted_layers)
     sims = []
-    for i in range(n):
-        sims.append(_cos(rec[i], gt.q_visual.data[i]))
-        sims.append(_cos(rec[n + i], gt.q_text.data[i]))
+    for i in range(len(samples)):
+        sims.append(_cos(q_hat_visual.data[i], q_visual.data[i]))
+        sims.append(_cos(q_hat_text.data[i], q_text.data[i]))
     return float(np.mean(sims))
 
 

@@ -26,7 +26,7 @@ from .metrics import EvalMatrix, average_forgetting, average_performance, perfor
 from .pipeline import (ModelConfig, OptimizerConfig, RebQModel, TrainingLog,
                        VariantSpec, build_variant, predict_batch, train_task,
                        variant_from_name)
-from .reconstruct import export_query_embeddings
+from .reconstruct import QueryCache, export_query_embeddings
 
 
 class ExperimentError(RuntimeError):
@@ -208,15 +208,22 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
                               batch_size=config.batch_size)
     mode = "f1_macro" if meta.multi_label else "accuracy"
     with _stage("train"):
+        for caller, size in (("train_task", config.batch_size),
+                             ("predict_batch", config.eval_batch_size)):
+            if size < 1:
+                raise ValueError(f"{caller}: batch_size must be >= 1, got {size}")
+        # the unified pass depends only on the frozen backbone and the row,
+        # so one memo serves every epoch and evaluation of the experiment
+        cache = QueryCache(backbone)
         for j in range(start_session, config.num_sessions):
             log = train_task(model, stream.train_data(j), config.epochs, opt_cfg,
-                             _session_seed(config.seed_train, j))
+                             _session_seed(config.seed_train, j), cache=cache)
             logs.append(log)
             if backbone.parameter_bytes() != backbone_bytes:
                 raise ExperimentError("freeze", f"backbone changed during session {j}")
             for i in range(j + 1):
                 test = stream.test_data(i)
-                preds = predict_batch(model, test, config.eval_batch_size)
+                preds = predict_batch(model, test, config.eval_batch_size, cache=cache)
                 truths = [s.label for s in test]
                 matrix.set(i, j, performance(preds, truths, mode))
             per_session.append({

@@ -11,7 +11,7 @@ from rebq.pipeline import (ModelConfig, OptimizerConfig, VariantSpec, _targets,
                            build_variant, forward_batch, predict_batch, train_task,
                            variant_from_name)
 from rebq.prompt import PromptPool, PromptVector
-from rebq.reconstruct import counterparts, reconstruction_loss
+from rebq.reconstruct import QueryCache, counterparts, reconstruction_loss
 from rebq.runner import ExperimentState, RunConfig
 from rebq.tensor import AdamW, Tensor
 
@@ -122,6 +122,25 @@ class TestForward:
         with pytest.raises(ValueError):
             forward_batch(model, [bad])
 
+    def test_empty_batch_rejected(self, tiny_backbone):
+        with pytest.raises(ValueError, match="forward_batch: empty batch"):
+            forward_batch(make_model(tiny_backbone), [])
+
+    @pytest.mark.parametrize("variant", ["canonical", "no_modality_specific_query",
+                                         "baseline"])
+    def test_permuting_batch_permutes_logits(self, tiny_backbone, complete_samples,
+                                             variant):
+        model = make_model(tiny_backbone, variant)
+        batch = list(complete_samples[:4])
+        for s in complete_samples[4:8]:
+            batch += masked_pair(s)
+        logits, info, _ = forward_batch(model, batch)
+        by_sample = {orig: logits.data[row] for row, orig in enumerate(info.order)}
+        perm = np.random.default_rng(0).permutation(len(batch))
+        logits_p, info_p, _ = forward_batch(model, [batch[i] for i in perm])
+        for row, orig in enumerate(info_p.order):
+            assert logits_p.data[row].tobytes() == by_sample[perm[orig]].tobytes()
+
     def test_batch_matches_single(self, tiny_backbone, complete_samples):
         model = float64(make_model(tiny_backbone))
         t_only, i_only = masked_pair(complete_samples[0])
@@ -175,6 +194,13 @@ class TestPredict:
         model = make_model(tiny_backbone)
         with pytest.raises(ValueError, match="batch_size"):
             predict_batch(model, complete_samples[:3], batch_size)
+
+    def test_non_finite_logits_named(self, tiny_backbone, complete_samples):
+        model = make_model(tiny_backbone)
+        model.head_w.data[:] = np.nan
+        with pytest.raises(ValueError, match=f"predict_batch: non-finite logits.*"
+                                             f"{complete_samples[1].id}"):
+            predict_batch(model, complete_samples[:3])
 
 
 class TestTrainTask:
@@ -277,6 +303,33 @@ class TestTrainTask:
                        OptimizerConfig(batch_size=4), seed=6)
             runs.append(model.parameter_bytes())
         assert runs[0] == runs[1]
+
+    def test_non_finite_loss_stops_before_update(self, tiny_backbone, tiny_benchmark):
+        _, stream = tiny_benchmark
+        model = make_model(tiny_backbone)
+        model.head_b.data[0] = np.nan
+        before = model.parameter_bytes()
+        with pytest.raises(ValueError, match="train_task: non-finite loss at step 0"):
+            train_task(model, stream.train_data(0)[:8], 1,
+                       OptimizerConfig(batch_size=4), seed=0)
+        assert model.parameter_bytes() == before
+
+    @pytest.mark.parametrize("variant", ["canonical", "no_modality_specific_query"])
+    def test_query_cache_bit_identical(self, tiny_backbone, tiny_benchmark, variant):
+        """Training and evaluation give the same bytes with and without a cache."""
+        _, stream = tiny_benchmark
+        results = []
+        for cache in (None, QueryCache(tiny_backbone)):
+            model = make_model(tiny_backbone, variant)
+            preds = []
+            for j in range(2):
+                train_task(model, stream.train_data(j), 2, OptimizerConfig(batch_size=4),
+                           seed=j, cache=cache)
+                preds += [predict_batch(model, stream.test_data(i), 16, cache=cache)
+                          for i in range(j + 1)]
+            results.append((model.parameter_bytes(), preds))
+        assert cache.rows
+        assert results[0] == results[1]
 
     def test_baseline_trains(self, tiny_backbone, tiny_benchmark):
         _, stream = tiny_benchmark

@@ -1,16 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from rebq import reconstruct
 from rebq import tensor as T
-from rebq.bench import Sample, dummy_patches
+from rebq.backbone import MultimodalBackbone
+from rebq.bench import Sample, dummy_patches, synth_generate
 from rebq.prompt import init_pool, init_vector
-from rebq.reconstruct import (counterparts, generate_queries_batch,
+from rebq.reconstruct import (QueryCache, counterparts, generate_queries_batch,
                               export_query_embeddings, mean_reconstruction_cosine,
                               reconstruct_batch, reconstruction_loss,
                               reconstruction_loss_from_queries)
 from rebq.tensor import AdamW, Tensor
 
-from conftest import TINY, float64
+from conftest import TINY, TINY_SYNTH, float64
 
 
 def memory_pool(seed=0, mode="attention", k=4):
@@ -195,6 +199,137 @@ class TestExport:
         raw = generate_queries_batch(samples, tiny_backbone)
         assert records[3]["embedding"] == raw.q_visual.data[1].tolist()
         assert records[5]["embedding"] == raw.q_text.data[2].tolist()
+        with T.no_grad():
+            rec = reconstruct_batch(samples[1:], Tensor(raw.memory.data[1:]), pool,
+                                    tiny_backbone).data
+        assert records[4]["embedding"] == rec[0].tolist()
+        assert records[7]["embedding"] == rec[1].tolist()
+
+
+def rows_of(queries) -> np.ndarray:
+    return np.stack([queries.q_text.data, queries.q_visual.data, queries.memory.data], axis=1)
+
+
+@pytest.fixture(scope="module")
+def mixed_rows():
+    """32 complete samples and both masked counterparts of each: 96 rows."""
+    _, samples = synth_generate(4, 8, TINY_SYNTH, seed=411)
+    pairs = [counterparts(s, TINY.num_patches, TINY.patch_dim) for s in samples]
+    return samples + [p[0] for p in pairs] + [p[1] for p in pairs]
+
+
+class TestQueryCache:
+    def test_rows_independent_of_batch(self, tiny_backbone, mixed_rows):
+        """Each unified-pass row is bit-equal for any subset or order of its batch."""
+        full = rows_of(generate_queries_batch(mixed_rows, tiny_backbone))
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            idx = rng.permutation(len(mixed_rows))[:rng.integers(1, len(mixed_rows) + 1)]
+            part = rows_of(generate_queries_batch([mixed_rows[i] for i in idx],
+                                                  tiny_backbone))
+            assert part.tobytes() == full[idx].tobytes()
+
+    def test_cached_rows_equal_fresh_pass(self, tiny_backbone, mixed_rows, monkeypatch):
+        cache = QueryCache(tiny_backbone)
+        passes = []
+        unified_pass = reconstruct._unified_pass
+
+        def counted(samples, backbone, emb=None):
+            passes.append(len(samples))
+            return unified_pass(samples, backbone, emb)
+
+        monkeypatch.setattr(reconstruct, "_unified_pass", counted)
+        first, second = mixed_rows[:60], mixed_rows[40:] + mixed_rows[:10]
+        for batch in (first, second, second):
+            cached = generate_queries_batch(batch, tiny_backbone, cache=cache)
+            fresh = generate_queries_batch(batch, tiny_backbone)
+            assert rows_of(cached).tobytes() == rows_of(fresh).tobytes()
+        # cached and fresh calls alternate; a cached call passes only the rows
+        # not seen before (60, then 36, then none), a fresh call every row
+        assert passes == [60, 60, 36, 66, 66]
+        assert len(cache.rows) == len(mixed_rows)
+
+    def test_embedded_rows_equal_fresh_pass(self, tiny_backbone, mixed_rows):
+        cache = QueryCache(tiny_backbone)
+        generate_queries_batch(mixed_rows[::2], tiny_backbone, cache=cache)
+        with T.no_grad():
+            emb = tiny_backbone.embed_batch(mixed_rows)
+        cached = generate_queries_batch(mixed_rows, tiny_backbone, emb=emb, cache=cache)
+        fresh = generate_queries_batch(mixed_rows, tiny_backbone)
+        assert rows_of(cached).tobytes() == rows_of(fresh).tobytes()
+
+    def test_keys_follow_content(self, tiny_backbone, complete_samples):
+        cache = QueryCache(tiny_backbone)
+        s = complete_samples[0]
+        generate_queries_batch([s, *counterparts(s, TINY.num_patches, TINY.patch_dim)],
+                               tiny_backbone, cache=cache)
+        assert len(cache.rows) == 3
+        same_id = dataclasses.replace(complete_samples[1], id=s.id)
+        generate_queries_batch([s, same_id], tiny_backbone, cache=cache)
+        assert len(cache.rows) == 4
+        rows = rows_of(generate_queries_batch([s, same_id], tiny_backbone, cache=cache))
+        assert rows[0].tobytes() != rows[1].tobytes()
+
+    def test_bound_to_one_frozen_backbone(self, tiny_backbone, complete_samples):
+        other = MultimodalBackbone(TINY, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="frozen"):
+            QueryCache(other)
+        other.freeze()
+        with pytest.raises(ValueError, match="another backbone"):
+            generate_queries_batch(complete_samples[:1], other,
+                                   cache=QueryCache(tiny_backbone))
+
+
+class TestEmbedOnce:
+    """Each helper embeds its rows in one call and returns the values that
+    separate query and reconstruction passes give."""
+
+    @pytest.fixture()
+    def embed_calls(self, monkeypatch):
+        calls = []
+        embed_batch = MultimodalBackbone.embed_batch
+
+        def counted(self, samples):
+            calls.append(len(samples))
+            return embed_batch(self, samples)
+
+        monkeypatch.setattr(MultimodalBackbone, "embed_batch", counted)
+        return calls
+
+    @staticmethod
+    def separate_passes(samples, pool, backbone):
+        rows = [c for s in samples for c in counterparts(s, TINY.num_patches, TINY.patch_dim)]
+        rows = rows[0::2] + rows[1::2]
+        gt = generate_queries_batch(samples, backbone)
+        mem = generate_queries_batch(rows, backbone).memory
+        return gt, reconstruct_batch(rows, mem, pool, backbone)
+
+    def test_reconstruction_loss(self, tiny_backbone, complete_samples, embed_calls):
+        pool = memory_pool(seed=21)
+        loss = reconstruction_loss(complete_samples[:5], pool, tiny_backbone)
+        assert embed_calls == [15]
+        gt, rec = self.separate_passes(complete_samples[:5], pool, tiny_backbone)
+        ref = reconstruction_loss_from_queries(gt.q_text, rec[5:], gt.q_visual, rec[:5])
+        assert loss.data.tobytes() == ref.data.tobytes()
+
+    def test_mean_reconstruction_cosine(self, tiny_backbone, complete_samples,
+                                        embed_calls):
+        pool = memory_pool(seed=22)
+        value = mean_reconstruction_cosine(complete_samples[:5], pool, tiny_backbone)
+        assert embed_calls == [15]
+        gt, rec = self.separate_passes(complete_samples[:5], pool, tiny_backbone)
+        ref = np.mean([c for i in range(5)
+                       for c in (reconstruct._cos(rec.data[i], gt.q_visual.data[i]),
+                                 reconstruct._cos(rec.data[5 + i], gt.q_text.data[i]))])
+        assert value == float(ref)
+
+    def test_export_query_embeddings(self, tiny_backbone, complete_samples, embed_calls):
+        pool = memory_pool(seed=23)
+        i_only = counterparts(complete_samples[2], TINY.num_patches, TINY.patch_dim)[1]
+        samples = [complete_samples[0], text_only(complete_samples[1]), i_only]
+        records = export_query_embeddings(samples, tiny_backbone, pool)
+        assert embed_calls == [3]
+        raw = generate_queries_batch(samples, tiny_backbone)
         with T.no_grad():
             rec = reconstruct_batch(samples[1:], Tensor(raw.memory.data[1:]), pool,
                                     tiny_backbone).data

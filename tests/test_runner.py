@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from rebq import runner
 from rebq.metrics import EvalMatrix
 from rebq.runner import (ExperimentError, ExperimentState, Report, RunConfig,
                          emit_report, report_json_bytes, run_experiment)
@@ -103,6 +104,15 @@ class TestRunExperiment:
             run_experiment(cfg, backbone=tiny_backbone)
         assert exc.value.stage == stage
         assert needle in exc.value.cause
+
+    @pytest.mark.parametrize("overrides", [{"batch_size": 0}, {"eval_batch_size": -2}])
+    def test_batch_sizes_checked_before_training(self, tiny_backbone, tmp_path,
+                                                 monkeypatch, overrides):
+        calls = []
+        monkeypatch.setattr(runner, "train_task", lambda *a, **k: calls.append(a))
+        with pytest.raises(ExperimentError, match=r"\[train\] .*batch_size must be >= 1"):
+            run_experiment(tiny_config(tmp_path, **overrides), backbone=tiny_backbone)
+        assert calls == []
 
     def test_determinism_modulo_timing(self, tiny_backbone, tmp_path):
         cfg = tiny_config(tmp_path)
