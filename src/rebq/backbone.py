@@ -3,9 +3,13 @@
 The backbone consumes concatenated text token embeddings and image patch
 embeddings plus special cls tokens and emits a same-length output sequence
 (attention-prefix injection never changes sequence length; input-append
-lengthens it by exactly the prompt length). A desk-scale pretraining
-routine trains the encoder on synthetic modality-complete data until the
-joint cls token classifies held-out samples, then freezes every parameter.
+lengthens it by exactly the prompt length). Every caller reads only a few
+cls rows, so forward takes the positions it returns and computes the last
+layer's query side (attention rows, feed-forward, final norm) for those
+rows alone; keys and values still span the whole sequence. A desk-scale
+pretraining routine trains the encoder on synthetic modality-complete data
+until the joint cls token classifies held-out samples, then freezes every
+parameter.
 """
 
 from __future__ import annotations
@@ -57,19 +61,6 @@ class PromptInjection:
     attn: Tensor | None = None
     input_blocks: list[Tensor] = field(default_factory=list)
     num_prompted_layers: int = 0
-
-    @classmethod
-    def attention_prefix(cls, blocks: Tensor, num_prompted_layers: int | None = None):
-        layers = blocks.shape[1] if num_prompted_layers is None else num_prompted_layers
-        return cls(attn=blocks, num_prompted_layers=layers)
-
-    @classmethod
-    def input_append(cls, block: Tensor):
-        return cls(input_blocks=[block])
-
-    @property
-    def extra_length(self) -> int:
-        return sum(b.shape[1] for b in self.input_blocks)
 
 
 def build_injection(parts: list[tuple[str, Tensor]],
@@ -191,9 +182,6 @@ class MultimodalBackbone:
         vis = T.add(T.add(vis, self.params["vis_pos"]), self.params["vis_type"])
         return EmbeddedBatch(text=text, visual=vis)
 
-    def embed(self, sample: Sample) -> EmbeddedBatch:
-        return self.embed_batch([sample])
-
     def _cls_row(self, name: str, batch: int) -> Tensor:
         d = self.config.embed_dim
         vec = self.params[name]
@@ -213,24 +201,30 @@ class MultimodalBackbone:
 
     # -- transformer ------------------------------------------------------------------
 
-    def _attention(self, x: Tensor, l: int, prefix) -> Tensor:
+    def _attention(self, x: Tensor, l: int, prefix, rows=None) -> Tensor:
+        """Self-attention output for every position, or for rows only.
+
+        Keys and values always cover every position (and the prefix); rows
+        restricts the queries, so the output has one row per listed position.
+        """
         c = self.config
-        b, s, d = x.shape
+        b, _, d = x.shape
         h, dh = c.num_heads, c.embed_dim // c.num_heads
         qkv = T.affine(x, self.params[f"l{l}.qkv_w"], self.params[f"l{l}.qkv_b"])
-        q, k, v = qkv[:, :, :d], qkv[:, :, d:2 * d], qkv[:, :, 2 * d:]
+        q = qkv[:, :, :d] if rows is None else qkv[:, rows, :d]
+        k, v = qkv[:, :, d:2 * d], qkv[:, :, 2 * d:]
         if prefix is not None:
             kp, vp = prefix
             k = T.concat([kp, k], axis=1)
             v = T.concat([vp, v], axis=1)
-        skv = k.shape[1]
-        q = T.transpose(T.reshape(q, (b, s, h, dh)), (0, 2, 1, 3))
+        sq, skv = q.shape[1], k.shape[1]
+        q = T.transpose(T.reshape(q, (b, sq, h, dh)), (0, 2, 1, 3))
         k = T.transpose(T.reshape(k, (b, skv, h, dh)), (0, 2, 1, 3))
         v = T.transpose(T.reshape(v, (b, skv, h, dh)), (0, 2, 1, 3))
         scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
         att = T.softmax_rows(scores)
         out = T.transpose(T.matmul(att, v), (0, 2, 1, 3))
-        out = T.reshape(out, (b, s, d))
+        out = T.reshape(out, (b, sq, d))
         return T.affine(out, self.params[f"l{l}.out_w"], self.params[f"l{l}.out_b"])
 
     def _ffn(self, x: Tensor, l: int) -> Tensor:
@@ -238,12 +232,19 @@ class MultimodalBackbone:
         h = act(T.affine(x, self.params[f"l{l}.ff1_w"], self.params[f"l{l}.ff1_b"]))
         return T.affine(h, self.params[f"l{l}.ff2_w"], self.params[f"l{l}.ff2_b"])
 
-    def forward(self, segments: list[Tensor], injection: PromptInjection | None = None) -> Tensor:
+    def forward(self, segments: list[Tensor], injection: PromptInjection | None = None,
+                positions: list[int] | None = None) -> Tensor:
         """Pre-norm transformer over the concatenated segments.
 
         Attention prefixes extend only keys and values, so the output keeps
         the input length; input-append blocks are spliced after the leading
         token and lengthen the output by exactly their prompt length.
+
+        positions lists the output rows the caller reads, indexed in the
+        sequence after splicing (0 is always the joint cls); the result is
+        then (B, len(positions), D). The last layer still attends over every
+        position but computes its queries, feed-forward and the final norm
+        for those rows only. None returns the whole sequence.
         """
         c = self.config
         d = c.embed_dim
@@ -264,13 +265,22 @@ class MultimodalBackbone:
             if injection.attn is not None:
                 attn_blocks = injection.attn
                 prompted = min(injection.num_prompted_layers, attn_blocks.shape[1])
+        if positions is not None:
+            positions = [int(p) for p in positions]
+            n = x.shape[1]
+            if not positions or len(set(positions)) != len(positions) or not all(
+                    0 <= p < n for p in positions):
+                raise ValueError(
+                    f"positions must be distinct rows in [0, {n}), got {positions}")
         for l in range(c.num_layers):
             prefix = None
             if l < prompted and attn_blocks is not None:
                 prefix = (attn_blocks[:, l, 0], attn_blocks[:, l, 1])
-            x = T.add(x, self._attention(
-                T.layer_norm(x, self.params[f"l{l}.ln1_g"], self.params[f"l{l}.ln1_b"]),
-                l, prefix))
+            rows = positions if l == c.num_layers - 1 else None
+            normed = T.layer_norm(x, self.params[f"l{l}.ln1_g"], self.params[f"l{l}.ln1_b"])
+            if rows is not None:
+                x = x[:, rows]
+            x = T.add(x, self._attention(normed, l, prefix, rows))
             x = T.add(x, self._ffn(
                 T.layer_norm(x, self.params[f"l{l}.ln2_g"], self.params[f"l{l}.ln2_b"]), l))
         return T.layer_norm(x, self.params["lnf_g"], self.params["lnf_b"])
@@ -328,6 +338,13 @@ class PretrainConfig:
     target_accuracy: float = 0.9
     min_accuracy: float = 0.6
 
+    def __post_init__(self):
+        for name in ("steps", "batch_size", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"pretrain: {name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 < self.holdout_frac < 1.0:
+            raise ValueError(f"pretrain: holdout_frac must be in (0, 1), got {self.holdout_frac}")
+
 
 @dataclass
 class PretrainReport:
@@ -370,7 +387,7 @@ def pretrain(config: BackboneConfig, corpus: tuple[CorpusMeta, list[Sample]], se
 
     def logits_for(batch: list[Sample]) -> Tensor:
         emb = model.embed_batch(batch)
-        out = model.forward(model.unified_segments(emb))
+        out = model.forward(model.unified_segments(emb), positions=[0])
         return T.affine(out[:, 0], head_w, head_b)
 
     def holdout_accuracy() -> float:

@@ -274,7 +274,7 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
         p_vis = model.visual_source().select(q_vis_eff)
         inj = build_injection([(model.spec.text_mode, p_text),
                                (model.spec.visual_mode, p_vis)], model.prompted_layers)
-        out = backbone.forward(segments, inj)
+        out = backbone.forward(segments, inj, positions=[0])
         logits = T.affine(out[:, 0], model.head_w, model.head_b)
         injected = [("text", "visual")] * b
     else:
@@ -302,7 +302,7 @@ def _baseline_logits(model: RebQModel, segments, n_t: int, n_v: int, n_c: int) -
             blocks.append(model.baseline_blocks[kind].select(T.zeros((count, d))))
     block = blocks[0] if len(blocks) == 1 else T.concat(blocks, axis=0)
     inj = build_injection([("attention", block)], model.prompted_layers)
-    out = model.backbone.forward(segments, inj)
+    out = model.backbone.forward(segments, inj, positions=[0])
     return T.affine(out[:, 0], model.head_w, model.head_b)
 
 
@@ -325,7 +325,8 @@ def _per_group_logits(model: RebQModel, segments, q_text_eff, q_vis_eff,
             mode = model.spec.text_mode if tag == "text" else model.spec.visual_mode
             pairs.append((mode, src.select(q_eff[sl])))
             tags.append(tag)
-        out = model.backbone.forward(seg_group, build_injection(pairs, model.prompted_layers))
+        out = model.backbone.forward(seg_group, build_injection(pairs, model.prompted_layers),
+                                     positions=[0])
         logits_parts.append(T.affine(out[:, 0], model.head_w, model.head_b))
         for i in order[sl]:
             injected[i] = tuple(tags)

@@ -116,17 +116,17 @@ def compute_weights(query: Tensor, pool: PromptPool) -> PromptWeights:
 
     Accepts a (D,) query or a (B, D) batch; weights are raw cosines in
     [-1, 1], with an epsilon denominator so a zero query yields zeros.
+    Both sums over D are matrix products, so no (B, D, K) array is built:
+    q . (A_k * K_k) is q @ (A * K), and |q * A_k|^2 is q^2 @ A^2.
     """
     single = query.ndim == 1
     if query.shape[-1] != pool.dim:
         raise T.ShapeError(
             f"query width {query.shape[-1]} does not match pool width {pool.dim}")
     q = T.reshape(query, (1, pool.dim)) if single else query
-    # (B, D, 1) * (D, K) -> (B, D, K)
-    modulated = T.mul(T.reshape(q, (q.shape[0], pool.dim, 1)), pool.attention)
-    dots = T.tsum(T.mul(modulated, pool.keys), axis=1)            # (B, K)
-    qnorm = T.sqrt(T.tsum(T.square(modulated), axis=1))           # (B, K)
-    knorm = T.sqrt(T.tsum(T.square(pool.keys), axis=0))           # (K,)
+    dots = T.matmul(q, T.mul(pool.attention, pool.keys))                     # (B, K)
+    qnorm = T.sqrt(T.matmul(T.square(q), T.square(pool.attention)))          # (B, K)
+    knorm = T.sqrt(T.tsum(T.square(pool.keys), axis=0))                      # (K,)
     denom = T.shift(T.mul(qnorm, knorm), T.COSINE_EPS)
     w = T.div(dots, denom)
     if single:

@@ -91,8 +91,8 @@ def _unified_pass(samples: list[Sample], backbone: MultimodalBackbone,
     with T.no_grad():
         if emb is None:
             emb = backbone.embed_batch(samples)
-        out = backbone.forward(backbone.unified_segments(emb)).data
-    return out[:, [pos["text_cls"], pos["visual_cls"], pos["joint"]]]
+        return backbone.forward(backbone.unified_segments(emb), positions=[
+            pos["text_cls"], pos["visual_cls"], pos["joint"]]).data
 
 
 def reconstruct_batch(samples: list[Sample], memory_queries: Tensor, memory_source,
@@ -113,8 +113,7 @@ def reconstruct_batch(samples: list[Sample], memory_queries: Tensor, memory_sour
     inj = build_injection([(memory_source.mode, block)], layers)
     if emb is None:
         emb = backbone.embed_batch(samples)
-    out = backbone.forward(backbone.recon_segments(emb), inj)
-    return out[:, 0]
+    return backbone.forward(backbone.recon_segments(emb), inj, positions=[0])[:, 0]
 
 
 def counterparts(sample: Sample, num_patches: int, patch_dim: int) -> tuple[Sample, Sample]:
@@ -176,13 +175,30 @@ def _reconstruct_counterparts(samples: list[Sample], memory_source,
 
 def export_query_embeddings(samples: list[Sample], backbone: MultimodalBackbone,
                             memory_source=None, path=None,
-                            num_prompted_layers: int | None = None) -> list[dict]:
+                            num_prompted_layers: int | None = None,
+                            batch_size: int = 64) -> list[dict]:
     """JSON-ready query embeddings for external visualization.
 
     Complete samples contribute ground-truth queries; incomplete samples
     contribute the raw dummy-contaminated query (kind "unreconstructed")
-    and, when a memory source is supplied, the reconstructed one.
+    and, when a memory source is supplied, the reconstructed one. Samples
+    go through the backbone batch_size at a time.
     """
+    if batch_size < 1:
+        raise ValueError(f"export_query_embeddings: batch_size must be >= 1, got {batch_size}")
+    records: list[dict] = []
+    for start in range(0, len(samples), batch_size):
+        records += _query_records(samples[start:start + batch_size], backbone,
+                                  memory_source, num_prompted_layers)
+    if path is not None:
+        with open(path, "w") as fh:
+            json.dump(records, fh)
+    return records
+
+
+def _query_records(samples: list[Sample], backbone: MultimodalBackbone, memory_source,
+                   num_prompted_layers: int | None) -> list[dict]:
+    """The export records of one batch, in sample order."""
     records: list[dict] = []
     with T.no_grad():
         emb = backbone.embed_batch(samples)
@@ -209,9 +225,6 @@ def export_query_embeddings(samples: list[Sample], backbone: MultimodalBackbone,
                             "modality": "text" if not s.has_text else "visual",
                             "kind": "reconstructed",
                             "embedding": recon_by_index[i].tolist()})
-    if path is not None:
-        with open(path, "w") as fh:
-            json.dump(records, fh)
     return records
 
 

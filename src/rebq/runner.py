@@ -10,6 +10,7 @@ identical reports apart from wall-clock timing.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import time
 from contextlib import contextmanager
@@ -199,7 +200,9 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
     per_session: list[dict] = []
     start_session = 0
     if resume_state is not None:
-        resume_state.restore_into(model, matrix)
+        with _stage("resume"):
+            resume_state.check_matches(config, backbone)
+            resume_state.restore_into(model, matrix)
         per_session = list(resume_state.per_session)
         start_session = resume_state.next_session
 
@@ -260,13 +263,29 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
 # -- experiment checkpoint ---------------------------------------------------------------
 
 
+def backbone_fingerprint(backbone: MultimodalBackbone) -> str:
+    """SHA-256 of the backbone's parameter bytes."""
+    return hashlib.sha256(backbone.parameter_bytes()).hexdigest()
+
+
+def _differing_keys(a: dict, b: dict, prefix: str = "") -> list[str]:
+    keys = []
+    for k in sorted(set(a) | set(b)):
+        if isinstance(a.get(k), dict) and isinstance(b.get(k), dict):
+            keys += _differing_keys(a[k], b[k], f"{prefix}{k}.")
+        elif k not in a or k not in b or a[k] != b[k]:
+            keys.append(prefix + k)
+    return keys
+
+
 @dataclass
 class ExperimentState:
     """Session-boundary snapshot: enough to resume the remaining stream.
 
     Optimizers and data RNG streams are re-derived from the config seeds at
     each session boundary, so the snapshot carries the trained parameters,
-    the filled matrix columns and the session cursor.
+    the filled matrix columns and the session cursor, plus the config and
+    the backbone fingerprint a resume must match.
     """
 
     params: dict[str, np.ndarray]
@@ -274,6 +293,7 @@ class ExperimentState:
     next_session: int
     per_session: list[dict]
     config: dict
+    backbone_sha256: str | None = None
 
     @classmethod
     def capture(cls, model: RebQModel, matrix: EvalMatrix, next_session: int,
@@ -282,7 +302,20 @@ class ExperimentState:
                    matrix_rows=matrix.to_lists(),
                    next_session=next_session,
                    per_session=[dict(p) for p in per_session],
-                   config=config.to_dict())
+                   config=config.to_dict(),
+                   backbone_sha256=backbone_fingerprint(model.backbone))
+
+    def check_matches(self, config: RunConfig, backbone: MultimodalBackbone):
+        """Refuse a resume under another config (output_dir aside) or backbone."""
+        keys = [k for k in _differing_keys(self.config, config.to_dict()) if k != "output_dir"]
+        if keys:
+            raise ExperimentError("resume", f"checkpoint config differs in {keys}")
+        if self.backbone_sha256 is None:
+            raise ExperimentError("resume", "checkpoint has no backbone fingerprint; "
+                                            "it cannot be checked against this backbone")
+        if self.backbone_sha256 != backbone_fingerprint(backbone):
+            raise ExperimentError("resume", "checkpoint was trained on another backbone "
+                                            "(fingerprints differ)")
 
     def restore_into(self, model: RebQModel, matrix: EvalMatrix):
         named = model.named_parameters()
@@ -297,7 +330,8 @@ class ExperimentState:
         meta = {"next_session": self.next_session,
                 "per_session": self.per_session,
                 "config": self.config,
-                "matrix": self.matrix_rows}
+                "matrix": self.matrix_rows,
+                "backbone_sha256": self.backbone_sha256}
         serialize.save_container(path, "experiment", meta, self.params)
 
     @classmethod
@@ -307,7 +341,8 @@ class ExperimentState:
             raise serialize.ContainerError(f"{path}: not an experiment checkpoint")
         return cls(params=arrays, matrix_rows=meta["matrix"],
                    next_session=meta["next_session"],
-                   per_session=meta["per_session"], config=meta["config"])
+                   per_session=meta["per_session"], config=meta["config"],
+                   backbone_sha256=meta.get("backbone_sha256"))
 
 
 # -- report emission ------------------------------------------------------------------------
@@ -355,6 +390,7 @@ def emit_report(report: Report, out_dir, artifacts: RunArtifacts | None = None) 
         export_query_embeddings(test_samples, artifacts.backbone,
                                 artifacts.model.memory if artifacts.model.uses_reconstruction else None,
                                 path=queries_path,
-                                num_prompted_layers=artifacts.model.prompted_layers)
+                                num_prompted_layers=artifacts.model.prompted_layers,
+                                batch_size=report.config["eval_batch_size"])
         written.append(str(queries_path))
     return written

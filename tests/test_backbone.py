@@ -28,7 +28,7 @@ def sample_for(cfg, tokens, seed=0):
 class TestEmbed:
     def test_same_token_differs_only_by_position(self):
         bb = float64(make_backbone())
-        emb = bb.embed(sample_for(CFG, [5, 5, 5])).text.data[0]
+        emb = bb.embed_batch([sample_for(CFG, [5, 5, 5])]).text.data[0]
         pos = bb.params["text_pos"].data
         np.testing.assert_allclose(emb[0] - emb[1], pos[0] - pos[1], atol=1e-12)
 
@@ -38,8 +38,8 @@ class TestEmbed:
                         label=0, has_visual=False)
         explicit = Sample(id="b", text_tokens=[1, 2],
                           patches=np.ones((4, 6)), label=0)
-        a = bb.embed(masked).visual.data
-        b = bb.embed(explicit).visual.data
+        a = bb.embed_batch([masked]).visual.data
+        b = bb.embed_batch([explicit]).visual.data
         assert a.tobytes() == b.tobytes()
 
     def test_dummy_text_equals_empty_encoding(self):
@@ -48,53 +48,54 @@ class TestEmbed:
         patches = rng.standard_normal((4, 6))
         masked = Sample(id="a", text_tokens=[], patches=patches, label=0, has_text=False)
         explicit = Sample(id="b", text_tokens=[], patches=patches, label=0)
-        assert bb.embed(masked).text.data.tobytes() == bb.embed(explicit).text.data.tobytes()
+        assert bb.embed_batch([masked]).text.data.tobytes() == \
+            bb.embed_batch([explicit]).text.data.tobytes()
 
     def test_token_out_of_range_rejected(self):
         bb = make_backbone()
         with pytest.raises(ValueError):
-            bb.embed(sample_for(CFG, [64]))
+            bb.embed_batch([sample_for(CFG, [64])])
 
     def test_padding_fills_short_text(self):
         bb = make_backbone()
-        short = bb.embed(sample_for(CFG, [7])).text.data[0]
-        padded = bb.embed(sample_for(CFG, [7, 0, 0, 0, 0, 0, 0, 0])).text.data[0]
+        short = bb.embed_batch([sample_for(CFG, [7])]).text.data[0]
+        padded = bb.embed_batch([sample_for(CFG, [7, 0, 0, 0, 0, 0, 0, 0])]).text.data[0]
         assert short.tobytes() == padded.tobytes()
 
 
 class TestForward:
     def test_output_length_matches_input(self):
         bb = make_backbone()
-        emb = bb.embed(sample_for(CFG, [1, 2, 3]))
+        emb = bb.embed_batch([sample_for(CFG, [1, 2, 3])])
         out = bb.forward(bb.unified_segments(emb))
         assert out.shape == (1, 2 + CFG.max_text_len + 1 + CFG.num_patches, CFG.embed_dim)
 
     def test_attention_prefix_keeps_length(self):
         bb = make_backbone(seed=1)
-        emb = bb.embed(sample_for(CFG, [1, 2, 3]))
+        emb = bb.embed_batch([sample_for(CFG, [1, 2, 3])])
         blocks = Tensor(np.random.default_rng(2).standard_normal((1, 2, 2, 8, 32)))
-        out = bb.forward(bb.unified_segments(emb), PromptInjection.attention_prefix(blocks))
+        out = bb.forward(bb.unified_segments(emb), build_injection([("attention", blocks)], 2))
         assert out.shape[1] == 2 + CFG.max_text_len + 1 + CFG.num_patches
 
     def test_input_append_adds_length(self):
         bb = make_backbone(seed=1)
-        emb = bb.embed(sample_for(CFG, [1, 2, 3]))
+        emb = bb.embed_batch([sample_for(CFG, [1, 2, 3])])
         block = Tensor(np.random.default_rng(3).standard_normal((1, 5, 32)))
-        out = bb.forward(bb.recon_segments(emb), PromptInjection.input_append(block))
+        out = bb.forward(bb.recon_segments(emb), build_injection([("input", block)], 0))
         assert out.shape[1] == 1 + CFG.max_text_len + CFG.num_patches + 5
 
     def test_empty_prefix_bit_identical_to_uninjected(self):
         bb = make_backbone(seed=4)
-        emb = bb.embed(sample_for(CFG, [4, 9]))
+        emb = bb.embed_batch([sample_for(CFG, [4, 9])])
         plain = bb.forward(bb.unified_segments(emb)).data
         empty = T.zeros((1, 2, 2, 0, 32))
         injected = bb.forward(bb.unified_segments(emb),
-                              PromptInjection.attention_prefix(empty)).data
+                              build_injection([("attention", empty)], 2)).data
         assert plain.tobytes() == injected.tobytes()
 
     def test_zero_prompted_layers_bit_identical(self):
         bb = make_backbone(seed=5)
-        emb = bb.embed(sample_for(CFG, [4, 9]))
+        emb = bb.embed_batch([sample_for(CFG, [4, 9])])
         blocks = Tensor(np.random.default_rng(6).standard_normal((1, 2, 2, 4, 32)))
         plain = bb.forward(bb.unified_segments(emb)).data
         injected = bb.forward(bb.unified_segments(emb),
@@ -103,7 +104,7 @@ class TestForward:
 
     def test_too_many_prompted_layers_rejected(self):
         bb = make_backbone()
-        emb = bb.embed(sample_for(CFG, [1]))
+        emb = bb.embed_batch([sample_for(CFG, [1])])
         blocks = Tensor(np.zeros((1, 5, 2, 2, 32)))
         with pytest.raises(ValueError):
             bb.forward(bb.unified_segments(emb),
@@ -116,14 +117,14 @@ class TestForward:
 
     def test_forward_deterministic(self):
         bb = make_backbone(seed=7)
-        emb = bb.embed(sample_for(CFG, [2, 4, 8]))
+        emb = bb.embed_batch([sample_for(CFG, [2, 4, 8])])
         a = bb.forward(bb.unified_segments(emb)).data.tobytes()
         b = bb.forward(bb.unified_segments(emb)).data.tobytes()
         assert a == b
 
     def test_head_permutation_symmetry(self):
         bb = float64(make_backbone(seed=8))
-        emb = bb.embed(sample_for(CFG, [3, 1, 4]))
+        emb = bb.embed_batch([sample_for(CFG, [3, 1, 4])])
         base = bb.forward(bb.unified_segments(emb)).data.copy()
         d, h = CFG.embed_dim, CFG.num_heads
         dh = d // h
@@ -141,7 +142,7 @@ class TestForward:
 
     def test_merged_injection_concats_prefixes(self):
         bb = make_backbone(seed=9)
-        emb = bb.embed(sample_for(CFG, [1, 2]))
+        emb = bb.embed_batch([sample_for(CFG, [1, 2])])
         rng = np.random.default_rng(10)
         a = Tensor(rng.standard_normal((1, 2, 2, 3, 32)))
         b = Tensor(rng.standard_normal((1, 2, 2, 2, 32)))
@@ -149,8 +150,8 @@ class TestForward:
         assert merged.attn.shape == (1, 2, 2, 5, 32)
         joint = bb.forward(bb.unified_segments(emb), merged).data
         direct = bb.forward(bb.unified_segments(emb),
-                            PromptInjection.attention_prefix(
-                                T.concat([a, b], axis=3))).data
+                            build_injection([("attention", T.concat([a, b], axis=3))],
+                                            2)).data
         assert joint.tobytes() == direct.tobytes()
 
     def test_injection_builder_modes(self):
@@ -269,3 +270,56 @@ class TestPositions:
     def test_unified_layout_indices(self):
         pos = unified_positions(CFG)
         assert pos == {"joint": 0, "text_cls": 1, "visual_cls": 2 + CFG.max_text_len}
+
+
+class TestReadout:
+    """forward(..., positions=...) against the rows of the full forward."""
+
+    def layout(self, bb, kind, rng):
+        emb = bb.embed_batch([sample_for(CFG, [1, 2, 3], seed=1), sample_for(CFG, [9], seed=2)])
+        if kind == "unified-attention":
+            blocks = Tensor(rng.standard_normal((2, 2, 2, 3, 32)), trainable=True)
+            pos = unified_positions(CFG)
+            return (bb.unified_segments(emb), build_injection([("attention", blocks)], 2),
+                    [pos["text_cls"], pos["visual_cls"], pos["joint"]], blocks)
+        if kind == "recon-input":
+            block = Tensor(rng.standard_normal((2, 5, 32)), trainable=True)
+            # the joint cls, a spliced prompt row and the last patch row
+            return (bb.recon_segments(emb), build_injection([("input", block)], 0),
+                    [0, 3, 1 + 5 + CFG.max_text_len + CFG.num_patches - 1], block)
+        return bb.unified_segments(emb), None, [0], None
+
+    @pytest.mark.parametrize("kind", ["unified-attention", "recon-input", "plain"])
+    def test_rows_equal_full_forward(self, kind):
+        bb = float64(make_backbone(seed=13))
+        rng = np.random.default_rng(14)
+        segments, inj, rows, prompt = self.layout(bb, kind, rng)
+        full = bb.forward(segments, inj)
+        part = bb.forward(segments, inj, positions=rows)
+        assert part.shape == (2, len(rows), CFG.embed_dim)
+        np.testing.assert_allclose(part.data, full.data[:, rows], rtol=0, atol=1e-12)
+        if prompt is None:
+            return
+        coeff = Tensor(rng.standard_normal(part.shape))
+        T.tsum(T.mul(part, coeff)).backward()
+        grad_part, prompt.grad = prompt.grad, None
+        T.tsum(T.mul(full[:, rows], coeff)).backward()
+        np.testing.assert_allclose(grad_part, prompt.grad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [[], [0, 0], [-1],
+                                      [2 + CFG.max_text_len + CFG.num_patches + 1]])
+    def test_bad_positions_rejected(self, rows):
+        bb = make_backbone()
+        emb = bb.embed_batch([sample_for(CFG, [1])])
+        with pytest.raises(ValueError, match="positions"):
+            bb.forward(bb.unified_segments(emb), positions=rows)
+
+
+class TestPretrainConfig:
+    # steps, batch_size and eval_every at 0 are covered through the CLI
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", -3), ("holdout_frac", 0.0), ("holdout_frac", 1.0),
+        ("holdout_frac", -0.5)])
+    def test_bad_setting_names_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PretrainConfig(**{field: value})

@@ -53,6 +53,17 @@ class TestPretrainCli:
         tmp, _ = cli_workspace
         assert (tmp / "backbone.rbqt").exists()
 
+    @pytest.mark.parametrize("flag, field", [("--steps", "steps"),
+                                             ("--batch-size", "batch_size"),
+                                             ("--eval-every", "eval_every")])
+    def test_bad_setting_exits_naming_field(self, tmp_path, capsys, flag, field):
+        cfg_path = write_config(tmp_path)
+        rc = main(["pretrain", "--config", str(cfg_path), "--samples-per-class", "4",
+                   flag, "0"])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "backbone.rbqt").exists()
+
 
 class TestGenData:
     def test_writes_corpus(self, cli_workspace):

@@ -62,6 +62,35 @@ class TestWeights:
             assert (np.abs(w) <= 1.0 + 1e-12).all()
 
 
+def elementwise_weights(query: Tensor, pool: PromptPool) -> Tensor:
+    """The cosine weights through an explicit (B, D, K) modulated query."""
+    b, d = query.shape
+    modulated = T.mul(T.reshape(query, (b, d, 1)), pool.attention)
+    dots = T.tsum(T.mul(modulated, pool.keys), axis=1)
+    qnorm = T.sqrt(T.tsum(T.square(modulated), axis=1))
+    knorm = T.sqrt(T.tsum(T.square(pool.keys), axis=0))
+    return T.div(dots, T.shift(T.mul(qnorm, knorm), T.COSINE_EPS))
+
+
+class TestGemmCosines:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_weights_and_gradients_match_elementwise_oracle(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        base = float64(small_pool(seed=seed, dim=8, k=5))
+        q_data = rng.standard_normal((6, 8)) * rng.uniform(0.01, 10.0)
+        coeff = Tensor(rng.standard_normal((6, 5)))
+        results = []
+        for weights in (lambda q, p: compute_weights(q, p).w, elementwise_weights):
+            pool = float64(base)
+            q = Tensor(q_data.copy(), trainable=True)
+            w = weights(q, pool)
+            T.tsum(T.mul(w, coeff)).backward()
+            results.append([w.data, q.grad, pool.attention.grad, pool.keys.grad])
+        for got, want in zip(*results):
+            assert np.isfinite(want).all()
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 class TestAggregate:
     def test_one_hot_selects_component_exactly(self):
         pool = small_pool(seed=6)

@@ -80,7 +80,8 @@ class TestReconstructQuery:
         q_hat = reconstruct_batch(masked, mem, pool, tiny_backbone).data
         with T.no_grad():
             emb = tiny_backbone.embed_batch(masked)
-            plain = tiny_backbone.forward(tiny_backbone.recon_segments(emb)).data[:, 0]
+            plain = tiny_backbone.forward(tiny_backbone.recon_segments(emb),
+                                          positions=[0]).data[:, 0]
         assert q_hat.tobytes() == plain.tobytes()
 
     def test_input_mode_memory(self, tiny_backbone, complete_samples):

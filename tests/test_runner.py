@@ -1,11 +1,14 @@
 import copy
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from rebq import runner
+from rebq.backbone import MultimodalBackbone
 from rebq.metrics import EvalMatrix
+from rebq.reconstruct import export_query_embeddings
 from rebq.runner import (ExperimentError, ExperimentState, Report, RunConfig,
                          emit_report, report_json_bytes, run_experiment)
 
@@ -160,6 +163,51 @@ class TestEmit:
         assert {"ground_truth", "unreconstructed", "reconstructed"} <= kinds
 
 
+    def test_query_export_bounded_by_eval_batch_size(self, tiny_backbone, tmp_path,
+                                                     monkeypatch):
+        cfg = tiny_config(tmp_path, export_queries=True, eval_batch_size=5,
+                          output_dir=str(tmp_path / "outq"))
+        report, artifacts = run_experiment(cfg, backbone=tiny_backbone)
+        forward, rows_seen = MultimodalBackbone.forward, []
+
+        def recording(self, segments, *args, **kwargs):
+            rows_seen.append(segments[0].shape[0])
+            return forward(self, segments, *args, **kwargs)
+
+        monkeypatch.setattr(MultimodalBackbone, "forward", recording)
+        emit_report(report, cfg.output_dir, artifacts)
+        monkeypatch.undo()
+        assert rows_seen and max(rows_seen) <= 5
+        records = json.loads((tmp_path / "outq" / "queries.json").read_text())
+
+        test = [s for session in artifacts.stream.sessions for s in session.test]
+        assert len(test) > 5
+        whole = export_query_embeddings(test, artifacts.backbone, artifacts.model.memory,
+                                        num_prompted_layers=artifacts.model.prompted_layers,
+                                        batch_size=len(test))
+        assert [(r["id"], r["modality"], r["kind"]) for r in records] == \
+            [(r["id"], r["modality"], r["kind"]) for r in whole]
+        # float32 sums may round differently at another batch size; the
+        # rows are layer-norm outputs of unit scale
+        np.testing.assert_allclose([r["embedding"] for r in records],
+                                   [r["embedding"] for r in whole], rtol=1e-6, atol=1e-6)
+
+
+@pytest.fixture(scope="module")
+def resumable(tiny_backbone, tmp_path_factory):
+    """A config and the experiment checkpoint written after its first session."""
+    tmp = tmp_path_factory.mktemp("resume")
+    cfg = tiny_config(tmp, num_sessions=2, samples_per_class=12)
+    states = []
+    orig_save = ExperimentState.save
+    ExperimentState.save = lambda self, path: states.append(copy.deepcopy(self))
+    try:
+        run_experiment(cfg, backbone=tiny_backbone, checkpoint_path=str(tmp / "s.rbqt"))
+    finally:
+        ExperimentState.save = orig_save
+    return cfg, states[0]
+
+
 class TestResume:
     def test_final_checkpoint_resume_is_noop_with_same_report(self, tiny_backbone,
                                                               tmp_path):
@@ -210,3 +258,47 @@ class TestResume:
         for k, t in named.items():
             assert state.params[k].dtype == np.float64
             assert state.params[k].astype(t.data.dtype).tobytes() == t.data.tobytes()
+
+    def test_state_keeps_backbone_fingerprint(self, resumable, tiny_backbone, tmp_path):
+        _, state = resumable
+        assert state.backbone_sha256 == runner.backbone_fingerprint(tiny_backbone)
+        state.save(tmp_path / "fp.rbqt")
+        assert ExperimentState.load(tmp_path / "fp.rbqt").backbone_sha256 == \
+            state.backbone_sha256
+
+    def test_changed_config_refused_naming_keys(self, resumable, tiny_backbone, tmp_path):
+        cfg, state = resumable
+        changed = dataclasses.replace(cfg, lr=cfg.lr * 2, output_dir=str(tmp_path / "other"),
+                                      backbone=dataclasses.replace(cfg.backbone,
+                                                                   activation="gelu"))
+        with pytest.raises(ExperimentError, match="resume") as err:
+            run_experiment(changed, backbone=tiny_backbone,
+                           resume_state=copy.deepcopy(state))
+        assert err.value.stage == "resume"
+        assert "'lr'" in err.value.cause and "'backbone.activation'" in err.value.cause
+        assert "output_dir" not in err.value.cause
+
+    def test_other_output_dir_resumes(self, resumable, tiny_backbone, tmp_path):
+        cfg, state = resumable
+        moved = dataclasses.replace(cfg, output_dir=str(tmp_path / "moved"))
+        report, _ = run_experiment(moved, backbone=tiny_backbone,
+                                   resume_state=copy.deepcopy(state))
+        assert EvalMatrix.from_lists(report.matrix).complete
+
+    def test_other_backbone_refused(self, resumable, tiny_backbone):
+        cfg, state = resumable
+        other = copy.deepcopy(tiny_backbone)
+        other.params["lnf_b"].data[0] += 1.0
+        with pytest.raises(ExperimentError, match="another backbone") as err:
+            run_experiment(cfg, backbone=other, resume_state=copy.deepcopy(state))
+        assert err.value.stage == "resume"
+
+    def test_checkpoint_without_fingerprint_refused(self, resumable, tiny_backbone,
+                                                    tmp_path):
+        cfg, state = resumable
+        old = dataclasses.replace(copy.deepcopy(state), backbone_sha256=None)
+        old.save(tmp_path / "old.rbqt")
+        with pytest.raises(ExperimentError, match="no backbone fingerprint") as err:
+            run_experiment(cfg, backbone=tiny_backbone,
+                           resume_state=ExperimentState.load(tmp_path / "old.rbqt"))
+        assert err.value.stage == "resume"
