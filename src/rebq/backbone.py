@@ -6,7 +6,10 @@ embeddings plus special cls tokens and emits a same-length output sequence
 lengthens it by exactly the prompt length). Every caller reads only a few
 cls rows, so forward takes the positions it returns and computes the last
 layer's query side (attention rows, feed-forward, final norm) for those
-rows alone; keys and values still span the whole sequence. A desk-scale
+rows alone; keys and values still span the whole sequence. Each attention
+block is recorded as qkv affine, one fused tensor.attention node (which
+takes the layer's key/value prefix block and the query rows) and output
+affine, so training backpropagates through it in closed form. A desk-scale
 pretraining routine trains the encoder on synthetic modality-complete data
 until the joint cls token classifies held-out samples, then freezes every
 parameter.
@@ -14,7 +17,6 @@ parameter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -201,30 +203,16 @@ class MultimodalBackbone:
 
     # -- transformer ------------------------------------------------------------------
 
-    def _attention(self, x: Tensor, l: int, prefix, rows=None) -> Tensor:
+    def _attention(self, x: Tensor, l: int, prefix: Tensor | None, rows=None) -> Tensor:
         """Self-attention output for every position, or for rows only.
 
-        Keys and values always cover every position (and the prefix); rows
-        restricts the queries, so the output has one row per listed position.
+        One fused T.attention record sits between the qkv and output affines.
+        Keys and values always cover every position (after the (B, 2, N_p, D)
+        prefix block, when given); rows restricts the queries, so the output
+        has one row per listed position.
         """
-        c = self.config
-        b, _, d = x.shape
-        h, dh = c.num_heads, c.embed_dim // c.num_heads
         qkv = T.affine(x, self.params[f"l{l}.qkv_w"], self.params[f"l{l}.qkv_b"])
-        q = qkv[:, :, :d] if rows is None else qkv[:, rows, :d]
-        k, v = qkv[:, :, d:2 * d], qkv[:, :, 2 * d:]
-        if prefix is not None:
-            kp, vp = prefix
-            k = T.concat([kp, k], axis=1)
-            v = T.concat([vp, v], axis=1)
-        sq, skv = q.shape[1], k.shape[1]
-        q = T.transpose(T.reshape(q, (b, sq, h, dh)), (0, 2, 1, 3))
-        k = T.transpose(T.reshape(k, (b, skv, h, dh)), (0, 2, 1, 3))
-        v = T.transpose(T.reshape(v, (b, skv, h, dh)), (0, 2, 1, 3))
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-        att = T.softmax_rows(scores)
-        out = T.transpose(T.matmul(att, v), (0, 2, 1, 3))
-        out = T.reshape(out, (b, sq, d))
+        out = T.attention(qkv, self.config.num_heads, prefix, rows)
         return T.affine(out, self.params[f"l{l}.out_w"], self.params[f"l{l}.out_b"])
 
     def _ffn(self, x: Tensor, l: int) -> Tensor:
@@ -273,9 +261,7 @@ class MultimodalBackbone:
                 raise ValueError(
                     f"positions must be distinct rows in [0, {n}), got {positions}")
         for l in range(c.num_layers):
-            prefix = None
-            if l < prompted and attn_blocks is not None:
-                prefix = (attn_blocks[:, l, 0], attn_blocks[:, l, 1])
+            prefix = attn_blocks[:, l] if l < prompted else None
             rows = positions if l == c.num_layers - 1 else None
             normed = T.layer_norm(x, self.params[f"l{l}.ln1_g"], self.params[f"l{l}.ln1_b"])
             if rows is not None:

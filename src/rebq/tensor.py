@@ -6,8 +6,11 @@ float ndarray passed in keeps its dtype, so a graph built from float64
 arrays computes in float64 throughout. Operations record a backward
 closure on the result when (and only when) some input participates in
 differentiation, so forward passes through frozen parameters cost barely
-more than raw numpy. Calling :func:`backward` on a scalar replays the recorded tape in reverse
-topological order and deposits gradients on trainable leaf tensors.
+more than raw numpy. Calling :func:`backward` on a scalar replays the recorded
+tape in reverse topological order and deposits gradients on trainable leaf
+tensors. Multi-head attention (:func:`attention`) is one fused record with a
+closed-form backward, so a transformer block adds a handful of records to the
+tape rather than one per slice, reshape and transpose.
 
 The module also houses the loss functions, parameter initializers and the
 AdamW optimizer with a linear-warmup / cosine-annealing schedule.
@@ -330,20 +333,6 @@ def neg(a: Tensor) -> Tensor:
     return out
 
 
-def elementwise(kind: str, a: Tensor, b) -> Tensor:
-    """Dispatcher for add / subtract / multiply / scale by operation name."""
-    if kind == "scale":
-        return scale(a, float(b))
-    b = _as_tensor(b)
-    if kind == "add":
-        return add(a, b)
-    if kind == "subtract":
-        return sub(a, b)
-    if kind == "multiply":
-        return mul(a, b)
-    raise ValueError(f"unknown elementwise kind: {kind!r}")
-
-
 # -- linear algebra ---------------------------------------------------------------
 
 
@@ -478,10 +467,18 @@ def square(a: Tensor) -> Tensor:
 
 
 def sqrt(a: Tensor) -> Tensor:
+    """Elementwise square root; its gradient at 0 is taken as 0.
+
+    The library's norms sit under an epsilon denominator, which keeps the
+    forward total at a zero vector; the zero gradient keeps the backward
+    finite there instead of multiplying an infinite slope by zero.
+    """
     res = np.sqrt(a.data)
     out = _make(res, (a,), None)
     if out._parents is not None:
-        out._backward = lambda g: (0.5 / res * g,)
+        def bwd(g):
+            return (np.divide(0.5, res, out=np.zeros_like(res), where=res > 0.0) * g,)
+        out._backward = bwd
     return out
 
 
@@ -557,6 +554,75 @@ def log_softmax_rows(a: Tensor) -> Tensor:
         sm = np.exp(res)
         def bwd(g):
             return (g - sm * g.sum(axis=-1, keepdims=True),)
+        out._backward = bwd
+    return out
+
+
+def attention(qkv: Tensor, heads: int, prefix: Tensor | None = None, rows=None) -> Tensor:
+    """Multi-head scaled dot-product attention in one tape record.
+
+    qkv is the packed (B, S, 3D) query/key/value projection. prefix, when
+    given, is a (B, 2, N_p, D) key/value block that precedes the S keys and
+    values. rows lists the query positions to compute (None for all S), and
+    the result is the head-merged (B, len(rows) or S, D) output. The forward
+    rounds exactly like the unfused chain: slice and concat, split heads,
+    QK^T, scale, max-shifted softmax, att @ V, merge heads. The backward is
+    closed-form (FlashAttention, arXiv 2205.14135): dV = P^T dO and
+    dS = P * (dP - rowsum(dP * P)) * scale. dQ, dK and dV go straight into
+    one gradient of the packed projection, and the prefix gets one block.
+    """
+    if qkv.ndim != 3 or qkv.shape[-1] % 3 or (qkv.shape[-1] // 3) % heads:
+        raise ShapeError(f"attention: qkv {qkv.shape} is not (B, S, 3D) with D % {heads} == 0")
+    b, s, d3 = qkv.shape
+    d = d3 // 3
+    dh, n_p = d // heads, 0
+    data = qkv.data
+    qrows = slice(None) if rows is None else rows
+    qd = data[:, qrows, :d]
+    kd, vd = data[:, :, d:2 * d], data[:, :, 2 * d:]
+    if prefix is not None:
+        if prefix.ndim != 4 or prefix.shape[:2] != (b, 2) or prefix.shape[3] != d:
+            raise ShapeError(f"attention: prefix {prefix.shape} is not ({b}, 2, N_p, {d})")
+        n_p = prefix.shape[2]
+        kd = np.concatenate([prefix.data[:, 0], kd], axis=1)
+        vd = np.concatenate([prefix.data[:, 1], vd], axis=1)
+    sq, skv = qd.shape[1], kd.shape[1]
+    q = qd.reshape(b, sq, heads, dh).transpose(0, 2, 1, 3)
+    k = kd.reshape(b, skv, heads, dh).transpose(0, 2, 1, 3)
+    v = vd.reshape(b, skv, heads, dh).transpose(0, 2, 1, 3)
+    c = 1.0 / math.sqrt(dh)
+    p = q @ k.transpose(0, 1, 3, 2)
+    p *= c
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    res = (p @ v).transpose(0, 2, 1, 3).reshape(b, sq, d)
+    out = _make(res, (qkv,) if prefix is None else (qkv, prefix), None)
+    if out._parents is not None:
+        need_qkv = _needs(qkv)
+        need_prefix = prefix is not None and _needs(prefix)
+        def bwd(g):
+            do = g.reshape(b, sq, heads, dh).transpose(0, 2, 1, 3)
+            dv = p.swapaxes(-1, -2) @ do
+            ds = do @ v.swapaxes(-1, -2)
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= c
+            dk = (q.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
+            gqkv = gprefix = None
+            if need_qkv:
+                # query positions outside rows get a zero gradient
+                gqkv = (np.empty if rows is None else np.zeros)(qkv.shape, dtype=g.dtype)
+                parts = gqkv.reshape(b, s, 3, heads, dh)
+                parts[:, qrows, 0] = (ds @ k).transpose(0, 2, 1, 3)
+                parts[:, :, 1] = dk[:, :, n_p:].transpose(0, 2, 1, 3)
+                parts[:, :, 2] = dv[:, :, n_p:].transpose(0, 2, 1, 3)
+            if need_prefix:
+                gprefix = np.empty(prefix.shape, dtype=g.dtype)
+                blocks = gprefix.reshape(b, 2, n_p, heads, dh)
+                blocks[:, 0] = dk[:, :, :n_p].transpose(0, 2, 1, 3)
+                blocks[:, 1] = dv[:, :, :n_p].transpose(0, 2, 1, 3)
+            return (gqkv,) if prefix is None else (gqkv, gprefix)
         out._backward = bwd
     return out
 
@@ -663,27 +729,6 @@ def binary_cross_entropy(logits: Tensor, target: Tensor) -> Tensor:
             return (g * (s - t) / n, None)
         out._backward = bwd
     return out
-
-
-def mean_squared_error(pred: Tensor, target: Tensor) -> Tensor:
-    if pred.shape != target.shape:
-        raise ShapeError(f"mean_squared_error: {pred.shape} vs {target.shape}")
-    return tmean(square(sub(pred, target)))
-
-
-_LOSSES = {
-    "cross_entropy": cross_entropy,
-    "binary_cross_entropy": binary_cross_entropy,
-    "mse": mean_squared_error,
-}
-
-
-def loss(kind: str, logits: Tensor, target: Tensor) -> Tensor:
-    try:
-        fn = _LOSSES[kind]
-    except KeyError:
-        raise ValueError(f"unknown loss kind: {kind!r}") from None
-    return fn(logits, target)
 
 
 # -- reverse pass --------------------------------------------------------------------------

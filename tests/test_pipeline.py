@@ -7,9 +7,9 @@ from rebq import serialize
 from rebq import tensor as T
 from rebq.backbone import MultimodalBackbone
 from rebq.metrics import EvalMatrix
-from rebq.pipeline import (ModelConfig, OptimizerConfig, VariantSpec, _targets,
-                           build_variant, forward_batch, predict_batch, train_task,
-                           variant_from_name)
+from rebq.pipeline import (VARIANT_PRESETS, ModelConfig, OptimizerConfig, VariantSpec,
+                           _targets, build_variant, forward_batch, predict_batch,
+                           train_task, variant_from_name)
 from rebq.prompt import PromptPool, PromptVector
 from rebq.reconstruct import QueryCache, counterparts, reconstruction_loss
 from rebq.runner import ExperimentState, RunConfig
@@ -187,6 +187,31 @@ class TestPredict:
         batch = [complete_samples[1], t_only, i_only, complete_samples[2]]
         assert predict_batch(model, batch) == [predict_batch(model, [s])[0] for s in batch]
         assert predict_batch(model, batch, batch_size=3) == predict_batch(model, batch)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANT_PRESETS))
+    def test_single_sample_runs_match_the_batch(self, tiny_backbone, tiny_benchmark,
+                                                variant):
+        """One sample at a time predicts what one 64-row chunk predicts.
+
+        The logits agree only to 1e-6: float32 prompt selection
+        (prompt.aggregate, prompt.compute_weights) rounds differently with the
+        batch's row count, by up to 2.1e-7 at the default sizes.
+        """
+        _, stream = tiny_benchmark
+        model = make_model(tiny_backbone, variant)
+        samples = stream.test_data(0) + stream.test_data(1)
+
+        def logits(chunk):
+            with T.no_grad():
+                out, info, _ = forward_batch(model, chunk)
+            rows = np.empty_like(out.data)
+            rows[info.order] = out.data
+            return rows
+
+        assert predict_batch(model, samples, batch_size=1) == \
+            predict_batch(model, samples, batch_size=64)
+        single = np.concatenate([logits([s]) for s in samples])
+        np.testing.assert_allclose(single, logits(samples), rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("batch_size", [0, -2])
     def test_batch_size_below_one_rejected(self, tiny_backbone, complete_samples,

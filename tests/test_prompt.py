@@ -91,6 +91,42 @@ class TestGemmCosines:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+class TestZeroQuery:
+    def test_zero_row_gives_finite_gradients(self):
+        """An all-zero query row keeps every gradient finite.
+
+        The norm's gradient at zero is taken as zero, as the forward's epsilon
+        denominator makes the weights total there; before, the square root's
+        backward multiplied an infinite slope by zero and the shared
+        attention gradient became NaN.
+        """
+        rng = np.random.default_rng(20)
+        base = float64(small_pool(seed=21, dim=8, k=5))
+        q_data = rng.standard_normal((4, 8))
+        coeff = rng.standard_normal((4, 5))
+
+        def grads(rows, zero_row=None):
+            pool = float64(base)
+            q_rows = q_data[rows].copy()
+            if zero_row is not None:
+                q_rows[zero_row] = 0.0
+            q = Tensor(q_rows, trainable=True)
+            w = compute_weights(q, pool).w
+            T.tsum(T.mul(w, Tensor(coeff[rows]))).backward()
+            return q.grad, pool.attention.grad, pool.keys.grad
+
+        every, keep = [0, 1, 2, 3], [0, 1, 3]
+        q_grad, att_grad, key_grad = grads(every, zero_row=2)
+        for g in (q_grad, att_grad, key_grad):
+            assert np.isfinite(g).all()
+        # a row's query gradient depends on that row alone
+        assert np.array_equal(q_grad[keep], grads(every)[0][keep])
+        # the zero row adds nothing to the pool's gradients
+        _, att_ref, key_ref = grads(keep)
+        np.testing.assert_allclose(att_grad, att_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(key_grad, key_ref, rtol=0, atol=1e-12)
+
+
 class TestAggregate:
     def test_one_hot_selects_component_exactly(self):
         pool = small_pool(seed=6)
