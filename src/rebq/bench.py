@@ -142,23 +142,6 @@ def synth_generate(num_classes: int, samples_per_class: int, cfg: SynthConfig,
     return meta, samples
 
 
-def nearest_prototype_accuracy(samples: list[Sample], protos: Prototypes,
-                               modality: str) -> float:
-    """Independent check that one modality alone separates the classes."""
-    correct = 0
-    for s in samples:
-        label = s.label if isinstance(s.label, int) else s.label[0]
-        if modality == "text":
-            counts = [np.isin(s.text_tokens, bag).sum() for bag in protos.token_bags]
-            pred = int(np.argmax(counts))
-        else:
-            mean = s.patches.mean(axis=0)
-            dists = np.linalg.norm(protos.patch_means - mean[None, :], axis=1)
-            pred = int(np.argmin(dists))
-        correct += pred == label
-    return correct / len(samples)
-
-
 # -- session splitting --------------------------------------------------------------
 
 

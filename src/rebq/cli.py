@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -20,13 +21,14 @@ import numpy as np
 
 from .backbone import MultimodalBackbone, PretrainConfig, pretrain
 from .bench import save_corpus, synth_generate
+from .pipeline import VARIANT_PRESETS
 from .runner import (ExperimentError, Report, RunConfig, emit_report,
                      run_experiment)
 
 OUTPUT_ROOT_ENV = "REBQ_OUTPUT_ROOT"
 
 SWEEP_AXES = ("eta", "lam", "pool_size", "memory_pool_size", "prompt_len",
-              "prompted_layers")
+              "prompted_layers", "variant")
 
 
 def _resolve_output(path: str) -> str:
@@ -35,6 +37,32 @@ def _resolve_output(path: str) -> str:
     if root and not p.is_absolute():
         return str(Path(root) / p)
     return str(p)
+
+
+def _parse_value(raw: str):
+    """A `--set` or `--axis` value: JSON when it parses, else the raw string."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
+
+
+def _axis_value(name: str, raw: str):
+    """One value of a sweep axis, rejected before any run starts when it is
+    of the wrong kind or names no variant."""
+    value = _parse_value(raw)
+    if name == "variant":
+        ok = isinstance(value, str) and value in VARIANT_PRESETS
+        expected = f"one of {sorted(VARIANT_PRESETS)}"
+    else:
+        real = isinstance(getattr(RunConfig(), name), float)
+        kinds = (int, float) if real else (int,)
+        ok = (isinstance(value, kinds) and not isinstance(value, bool)
+              and math.isfinite(value))
+        expected = "a finite number" if real else "an integer"
+    if not ok:
+        raise ValueError(f"sweep axis {name}: bad value {raw!r}; expected {expected}")
+    return value
 
 
 def _load_config(args) -> RunConfig:
@@ -54,10 +82,7 @@ def _load_config(args) -> RunConfig:
         key, _, raw = item.partition("=")
         if not _:
             raise ValueError(f"--set expects key=value, got {item!r}")
-        try:
-            overrides[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            overrides[key] = raw
+        overrides[key] = _parse_value(raw)
     if overrides:
         d = cfg.to_dict()
         unknown = set(overrides) - set(d)
@@ -136,7 +161,7 @@ def cmd_sweep(args) -> int:
         name, _, raw = spec.partition("=")
         if name not in SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {name!r}; choose from {SWEEP_AXES}")
-        values = [json.loads(v) for v in raw.split(",") if v]
+        values = [_axis_value(name, v) for v in raw.split(",") if v]
         if not values:
             raise ValueError(f"axis {name} has no values")
         axes.append((name, values))

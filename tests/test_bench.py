@@ -5,16 +5,33 @@ import numpy as np
 import pytest
 
 from rebq import bench
-from rebq.bench import (CorpusFormatError, Sample, SynthConfig, apply_missing_mask,
-                        build_stream, dummy_patches, load_corpus, make_prototypes,
-                        missing_counts, nearest_prototype_accuracy, save_corpus,
-                        split_sessions, synth_generate)
+from rebq.bench import (CorpusFormatError, Prototypes, Sample, SynthConfig,
+                        apply_missing_mask, build_stream, dummy_patches, load_corpus,
+                        make_prototypes, missing_counts, save_corpus, split_sessions,
+                        synth_generate)
 
 
 def half_up_oracle(x_num: float, n: int) -> int:
     """Independent rounding oracle via decimal arithmetic."""
     val = decimal.Decimal(str(x_num)) * n / decimal.Decimal(100)
     return int(val.quantize(decimal.Decimal("1"), rounding=decimal.ROUND_HALF_UP))
+
+
+def nearest_prototype_accuracy(samples: list[Sample], protos: Prototypes,
+                               modality: str) -> float:
+    """Independent check that one modality alone separates the classes."""
+    correct = 0
+    for s in samples:
+        label = s.label if isinstance(s.label, int) else s.label[0]
+        if modality == "text":
+            counts = [np.isin(s.text_tokens, bag).sum() for bag in protos.token_bags]
+            pred = int(np.argmax(counts))
+        else:
+            mean = s.patches.mean(axis=0)
+            dists = np.linalg.norm(protos.patch_means - mean[None, :], axis=1)
+            pred = int(np.argmin(dists))
+        correct += pred == label
+    return correct / len(samples)
 
 
 SMALL = SynthConfig(vocab_size=64, max_text_len=8, num_patches=4, patch_dim=6,

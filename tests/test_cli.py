@@ -164,6 +164,33 @@ class TestSweep:
         assert rc == 2
 
 
+    def test_variant_axis(self, cli_workspace):
+        tmp, cfg_path = cli_workspace
+        rc = main(["sweep", "--config", str(cfg_path), "--axis", "variant=canonical,baseline",
+                   "--out", str(tmp / "sweep_variant")])
+        assert rc == 0
+        for variant in ("canonical", "baseline"):
+            report = json.loads(
+                (tmp / "sweep_variant" / f"variant{variant}" / "report.json").read_text())
+            assert report["config"]["variant"] == variant
+
+    @pytest.mark.parametrize("axis, bad", [("eta", "abc"), ("pool_size", "2.5"),
+                                           ("lam", "true"), ("eta", "NaN"),
+                                           ("variant", "bogus"),
+                                           ("variant", "3")])
+    def test_bad_value_rejected_before_any_run(self, cli_workspace, capsys, axis, bad):
+        tmp, cfg_path = cli_workspace
+        out = tmp / f"sweep_bad_{axis}_{bad}"
+        # the good value comes first, so a check made per run would start it
+        good = {"eta": "0", "pool_size": "4", "lam": "0.1", "variant": "canonical"}[axis]
+        rc = main(["sweep", "--config", str(cfg_path), "--axis", f"{axis}={good},{bad}",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"sweep axis {axis}" in err and bad in err
+        assert not out.exists()
+
+
 class TestReport:
     def test_verify_round_trip(self, cli_workspace, capsys):
         tmp, cfg_path = cli_workspace

@@ -1,8 +1,11 @@
 import ctypes
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rebq import tensor as T
 from rebq.tensor import AdamW, ShapeError, Tensor, warmup_cosine_lr
@@ -249,6 +252,22 @@ class TestBackward:
         assert_grad_close(gamma.grad, finite_diff_grad(build, gamma))
         assert_grad_close(beta.grad, finite_diff_grad(build, beta))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 6), (4, 1, 64), (2, 7, 64), (1, 1, 8), (5,)])
+    def test_layer_norm_matches_mean_formula_bytes(self, shape, dtype):
+        rng = np.random.default_rng(sum(shape))
+        x = Tensor(rng.standard_normal(shape).astype(dtype), trainable=True)
+        gamma = Tensor(rng.standard_normal(shape[-1]).astype(dtype), trainable=True)
+        beta = Tensor(rng.standard_normal(shape[-1]).astype(dtype), trainable=True)
+        g = rng.standard_normal(shape).astype(dtype)
+        out = T.layer_norm(x, gamma, beta)
+        T.tsum(T.mul(out, Tensor(g))).backward()
+        ref, dx, dgamma, dbeta = reference_layer_norm(x.data, gamma.data, beta.data, g)
+        for got, want in ((out.data, ref), (x.grad, dx), (gamma.grad, dgamma),
+                          (beta.grad, dbeta)):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
     def test_gelu_embedding_concat_getitem_gradients(self):
         rng = np.random.default_rng(14)
         table = rand(rng, 7, 4)
@@ -291,6 +310,36 @@ def reference_adamw_step(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8, wd=0.01)
     if lr != 0.0:
         denom = (np.sqrt(v) / math.sqrt(1.0 - b2 ** t) + eps) * ((1.0 - b1 ** t) / lr)
         p[:] = p - m / denom - (lr * wd) * p
+
+
+def reference_layer_norm(x, gamma, beta, g, eps=1e-5):
+    """Layer norm and its gradients for upstream g, in np.mean form."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    lead = tuple(range(x.ndim - 1))
+    dy = g * gamma
+    dx = inv * (dy - dy.mean(axis=-1, keepdims=True)
+                - xhat * (dy * xhat).mean(axis=-1, keepdims=True))
+    return xhat * gamma + beta, dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
+@st.composite
+def adamw_cases(draw):
+    """Parameters around the chunk boundaries, mixed dtypes and layouts, and
+    for each step which gradients are present."""
+    c = T.ADAMW_CHUNK
+    n = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.sampled_from([1, c - 1, c, c + 1, 2 * c + 7]),
+                          min_size=n, max_size=n))
+    dtypes = draw(st.lists(st.sampled_from([np.float32, np.float64]), min_size=n, max_size=n))
+    strided = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    steps = draw(st.integers(3, 5))
+    present = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n)
+                            .filter(any), min_size=steps, max_size=steps))
+    return sizes, dtypes, strided, present, draw(st.integers(0, 2 ** 32 - 1))
 
 
 class TestOptimizer:
@@ -361,6 +410,79 @@ class TestOptimizer:
                 assert np.array_equal(p.data, ref[i])
                 assert np.array_equal(opt.m[i], ref_m[i])
                 assert np.array_equal(opt.v[i], ref_v[i])
+
+    @settings(max_examples=25, deadline=None)
+    @given(adamw_cases())
+    def test_chunked_step_equals_reference_bytes(self, case):
+        sizes, dtypes, strided, present, seed = case
+        rng = np.random.default_rng(seed)
+        params, bases = [], []
+        for n, dt, is_strided in zip(sizes, dtypes, strided):
+            # a strided parameter is every other element of a larger array
+            base = rng.standard_normal(2 * n if is_strided else n).astype(dt)
+            bases.append(base)
+            params.append(Tensor(base[::2] if is_strided else base, trainable=True))
+        ref = [p.data.copy() for p in params]
+        ref_m = [np.zeros_like(r) for r in ref]
+        ref_v = [np.zeros_like(r) for r in ref]
+        # warmup covers the first two steps, so step 1 runs at lr == 0
+        opt = AdamW(params, base_lr=1e-2, total_steps=10, warmup_frac=0.2)
+        for step, mask in enumerate(present):
+            lr = opt.current_lr()
+            if step == 0:
+                assert lr == 0.0
+            for i, p in enumerate(params):
+                p.grad = None
+                if mask[i]:
+                    g = rng.standard_normal(p.shape).astype(dtypes[i])
+                    p.grad = g.copy()
+                    reference_adamw_step(ref[i], g, ref_m[i], ref_v[i], step + 1, lr)
+            opt.step()
+            for i, p in enumerate(params):
+                assert p.grad is None
+                assert p.data.tobytes() == ref[i].tobytes()
+                assert opt.m[i].tobytes() == ref_m[i].tobytes()
+                assert opt.v[i].tobytes() == ref_v[i].tobytes()
+        for base, is_strided, r in zip(bases, strided, ref):
+            if is_strided:
+                assert base[::2].tobytes() == r.tobytes()
+
+    def test_transposed_parameter_is_updated_in_place(self):
+        rng = np.random.default_rng(19)
+        base = rng.standard_normal((300, 500)).astype(np.float32)
+        p = Tensor(base.T, trainable=True)
+        ref, g = base.T.copy(), rng.standard_normal((500, 300)).astype(np.float32)
+        opt = AdamW([p], base_lr=1e-2, total_steps=4, warmup_frac=0.0)
+        reference_adamw_step(ref, g, np.zeros_like(ref), np.zeros_like(ref), 1,
+                             opt.current_lr())
+        p.grad = g
+        opt.step()
+        assert p.data.base is base
+        assert p.data.tobytes() == ref.tobytes()
+
+    def test_scratch_is_at_most_one_chunk_per_dtype(self):
+        c = T.ADAMW_CHUNK
+        rng = np.random.default_rng(18)
+        params = [Tensor(rng.standard_normal(n).astype(dt), trainable=True)
+                  for n, dt in ((3 * c + 5, np.float32), (c - 1, np.float32),
+                                (2 * c, np.float64), (7, np.float64))]
+        moments = 2 * sum(p.data.nbytes for p in params)
+        chunks = c * (4 + 8)
+        tracemalloc.start()
+        try:
+            opt = AdamW(params, base_lr=1e-2, total_steps=4, warmup_frac=0.0)
+            held = tracemalloc.get_traced_memory()[0]
+            for p in params:
+                p.grad = np.ones_like(p.data)
+            before_step = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            opt.step()
+            step_peak = tracemalloc.get_traced_memory()[1] - before_step
+        finally:
+            tracemalloc.stop()
+        # a few KB of Python objects besides the arrays
+        assert held <= moments + chunks + 8192
+        assert step_peak <= 8192
 
     def test_aliased_gradients_update_each_parameter(self):
         rng = np.random.default_rng(17)
