@@ -2,17 +2,19 @@
 
 The backbone consumes concatenated text token embeddings and image patch
 embeddings plus special cls tokens and emits a same-length output sequence
-(attention-prefix injection never changes sequence length; input-append
-lengthens it by exactly the prompt length). Every caller reads only a few
-cls rows, so forward takes the positions it returns and computes the last
-layer's query side (attention rows, feed-forward, final norm) for those
-rows alone; keys and values still span the whole sequence. Each attention
-block is recorded as qkv affine, one fused tensor.attention node (which
-takes the layer's key/value prefix block and the query rows) and output
-affine, so training backpropagates through it in closed form. A desk-scale
-pretraining routine trains the encoder on synthetic modality-complete data
-until the joint cls token classifies held-out samples, then freezes every
-parameter.
+(attention-prefix injection extends only keys and values). Every caller
+reads only a few cls rows, so forward takes the positions it returns and
+computes the last layer's query side (attention rows, feed-forward, final
+norm) for those rows alone; keys and values still span the whole sequence.
+Each attention block is recorded as qkv affine, one fused tensor.attention
+node (which takes the layer's key/value prefix block and the query rows)
+and output affine, so training backpropagates through it in closed form.
+A pass that records nothing on the tape runs row-parallel: every output
+row depends on its own input row alone, so forward splits the batch into
+contiguous parts over the process's cores (tensor.split_rows) and the
+result is bit-identical to one serial pass. A desk-scale pretraining
+routine trains the encoder on synthetic modality-complete data until the
+joint cls token classifies held-out samples, then freezes every parameter.
 """
 
 from __future__ import annotations
@@ -52,39 +54,25 @@ class BackboneConfig:
 
 @dataclass
 class PromptInjection:
-    """Per-forward prompt payload.
+    """Per-forward prompt payload: per-layer key/value prefixes as one
+    (B, layers, 2, N_p, D) tensor applied to the first num_prompted_layers
+    transformer layers."""
 
-    attn holds per-layer key/value prefixes as one (B, layers, 2, N_p, D)
-    tensor applied to the first num_prompted_layers transformer layers;
-    input_blocks are (B, N_p, D) tensors spliced into the sequence right
-    after the leading token. Either part may be absent.
-    """
-
-    attn: Tensor | None = None
-    input_blocks: list[Tensor] = field(default_factory=list)
+    attn: Tensor
     num_prompted_layers: int = 0
 
 
-def build_injection(parts: list[tuple[str, Tensor]],
+def build_injection(blocks: list[Tensor],
                     num_prompted_layers: int) -> PromptInjection | None:
-    """One injection payload from (mode, block) pairs, None when there are none.
+    """One injection payload from prompt blocks, None when there are none.
 
-    Attention blocks concatenate along N_p in the given order and prompt
-    num_prompted_layers layers; input blocks are spliced in the given order.
+    The blocks concatenate along N_p in the given order and prompt
+    num_prompted_layers layers.
     """
-    attn = None
-    inputs: list[Tensor] = []
-    for mode, block in parts:
-        if mode == "attention":
-            attn = block if attn is None else T.concat([attn, block], axis=3)
-        elif mode == "input":
-            inputs.append(block)
-        else:
-            raise ValueError(f"unknown injection mode {mode!r}")
-    if attn is None and not inputs:
+    if not blocks:
         return None
-    return PromptInjection(attn=attn, input_blocks=inputs,
-                           num_prompted_layers=num_prompted_layers if attn is not None else 0)
+    attn = blocks[0] if len(blocks) == 1 else T.concat(blocks, axis=3)
+    return PromptInjection(attn=attn, num_prompted_layers=num_prompted_layers)
 
 
 @dataclass
@@ -225,14 +213,15 @@ class MultimodalBackbone:
         """Pre-norm transformer over the concatenated segments.
 
         Attention prefixes extend only keys and values, so the output keeps
-        the input length; input-append blocks are spliced after the leading
-        token and lengthen the output by exactly their prompt length.
-
-        positions lists the output rows the caller reads, indexed in the
-        sequence after splicing (0 is always the joint cls); the result is
-        then (B, len(positions), D). The last layer still attends over every
+        the input length. positions lists the output rows the caller reads
+        (0 is always the joint cls); the result is then
+        (B, len(positions), D). The last layer still attends over every
         position but computes its queries, feed-forward and the final norm
         for those rows only. None returns the whole sequence.
+
+        A pass that records nothing on the tape (grad recording off, or no
+        tracked segment, prefix or parameter) splits its batch rows over
+        tensor.split_rows; tracked passes run serially.
         """
         c = self.config
         d = c.embed_dim
@@ -240,19 +229,14 @@ class MultimodalBackbone:
             if seg.shape[-1] != d:
                 raise T.ShapeError(f"segment width {seg.shape[-1]} != embed dim {d}")
         x = T.concat(segments, axis=1) if len(segments) > 1 else segments[0]
-        prompted = 0
-        attn_blocks = None
+        attn, prompted = None, 0
         if injection is not None:
             if injection.num_prompted_layers > c.num_layers:
                 raise ValueError(
                     f"injection prompts {injection.num_prompted_layers} layers, "
                     f"backbone has {c.num_layers}")
-            if injection.input_blocks:
-                lead, rest = x[:, :1], x[:, 1:]
-                x = T.concat([lead, *injection.input_blocks, rest], axis=1)
-            if injection.attn is not None:
-                attn_blocks = injection.attn
-                prompted = min(injection.num_prompted_layers, attn_blocks.shape[1])
+            attn = injection.attn
+            prompted = min(injection.num_prompted_layers, attn.shape[1])
         if positions is not None:
             positions = [int(p) for p in positions]
             n = x.shape[1]
@@ -260,8 +244,22 @@ class MultimodalBackbone:
                     0 <= p < n for p in positions):
                 raise ValueError(
                     f"positions must be distinct rows in [0, {n}), got {positions}")
+        if T.recording(x, attn, *self.params.values()):
+            return self._layers(x, attn, prompted, positions)
+
+        def part(lo: int, hi: int) -> Tensor:
+            return self._layers(x[lo:hi], None if attn is None else attn[lo:hi],
+                                prompted, positions)
+
+        parts = T.split_rows(part, x.shape[0])
+        return parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
+
+    def _layers(self, x: Tensor, attn: Tensor | None, prompted: int,
+                positions: list[int] | None) -> Tensor:
+        """The transformer layers and final norm over a checked (B, S, D) input."""
+        c = self.config
         for l in range(c.num_layers):
-            prefix = attn_blocks[:, l] if l < prompted else None
+            prefix = attn[:, l] if l < prompted else None
             rows = positions if l == c.num_layers - 1 else None
             normed = T.layer_norm(x, self.params[f"l{l}.ln1_g"], self.params[f"l{l}.ln1_b"])
             if rows is not None:

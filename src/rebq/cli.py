@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tensor as T
 from .backbone import MultimodalBackbone, PretrainConfig, pretrain
 from .bench import save_corpus, synth_generate
 from .pipeline import VARIANT_PRESETS
@@ -179,11 +180,15 @@ def cmd_sweep(args) -> int:
             tag_parts.append(f"{name}{value}")
         tag = "_".join(tag_parts)
         d["output_dir"] = str(Path(root) / tag)
+        RunConfig.from_dict(d).check()
         configs.append((tag, d))
 
     results = []
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the runs share the cores: each splits its passes into at most
+        # cores // jobs parts, so jobs processes start no more threads than cores
+        with ProcessPoolExecutor(max_workers=args.jobs, initializer=T.set_row_parts,
+                                 initargs=(max(1, T.row_parts() // args.jobs),)) as pool:
             for (tag, _), res in zip(configs, pool.map(_sweep_worker,
                                                        [d for _, d in configs])):
                 results.append((tag, res))

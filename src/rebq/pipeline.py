@@ -39,9 +39,6 @@ class VariantSpec:
     memory: str = "pool"           # pool | vector | none
     text_prompts: str = "pool"     # pool | vector | unified
     visual_prompts: str = "pool"   # pool | vector | unified
-    text_mode: str = "attention"   # attention | input
-    visual_mode: str = "attention"
-    memory_mode: str = "attention"
     baseline: bool = False
     name: str = "canonical"
 
@@ -59,11 +56,6 @@ class VariantSpec:
         for kind in (self.text_prompts, self.visual_prompts):
             if kind not in ("pool", "vector", "unified"):
                 raise ValueError(f"bad prompt kind {kind!r}")
-        for mode in (self.text_mode, self.visual_mode, self.memory_mode):
-            if mode not in ("attention", "input"):
-                raise ValueError(f"bad injection mode {mode!r}")
-        if self.text_prompts == "unified" and self.text_mode != self.visual_mode:
-            raise ValueError("a unified pool cannot mix injection modes")
 
 
 VARIANT_PRESETS = {
@@ -125,28 +117,26 @@ class RebQModel:
         else:
             if spec.text_prompts == "unified":
                 self.unified = init_pool(rng, d, mcfg.pool_size, mcfg.prompt_len,
-                                         self.prompted_layers, "unified", spec.text_mode)
+                                         self.prompted_layers, "unified")
             else:
-                self.folder = self._source(rng, spec.text_prompts, "text",
-                                           spec.text_mode, mcfg)
-                self.album = self._source(rng, spec.visual_prompts, "visual",
-                                          spec.visual_mode, mcfg)
+                self.folder = self._source(rng, spec.text_prompts, "text", mcfg)
+                self.album = self._source(rng, spec.visual_prompts, "visual", mcfg)
             if spec.memory == "pool":
                 self.memory = init_pool(rng, d, mcfg.memory_pool_size, mcfg.prompt_len,
-                                        self.prompted_layers, "memory", spec.memory_mode)
+                                        self.prompted_layers, "memory")
             elif spec.memory == "vector":
                 self.memory = init_vector(rng, d, mcfg.prompt_len, self.prompted_layers,
-                                          "memory", spec.memory_mode)
+                                          "memory")
 
         self.head_w = T.normal_init(rng, (d, mcfg.num_classes))
         self.head_b = T.zeros(mcfg.num_classes, trainable=True)
 
-    def _source(self, rng, kind, modality, mode, mcfg):
+    def _source(self, rng, kind, modality, mcfg):
         if kind == "pool":
             return init_pool(rng, self.backbone.config.embed_dim, mcfg.pool_size,
-                             mcfg.prompt_len, self.prompted_layers, modality, mode)
+                             mcfg.prompt_len, self.prompted_layers, modality)
         return init_vector(rng, self.backbone.config.embed_dim, mcfg.prompt_len,
-                           self.prompted_layers, modality, mode)
+                           self.prompted_layers, modality)
 
     # -- parameters ----------------------------------------------------------------
 
@@ -272,8 +262,7 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
     elif model.spec.modality_specific_query:
         p_text = model.text_source().select(q_text_eff)
         p_vis = model.visual_source().select(q_vis_eff)
-        inj = build_injection([(model.spec.text_mode, p_text),
-                               (model.spec.visual_mode, p_vis)], model.prompted_layers)
+        inj = build_injection([p_text, p_vis], model.prompted_layers)
         out = backbone.forward(segments, inj, positions=[0])
         logits = T.affine(out[:, 0], model.head_w, model.head_b)
         injected = [("text", "visual")] * b
@@ -301,7 +290,7 @@ def _baseline_logits(model: RebQModel, segments, n_t: int, n_v: int, n_c: int) -
         if count:
             blocks.append(model.baseline_blocks[kind].select(T.zeros((count, d))))
     block = blocks[0] if len(blocks) == 1 else T.concat(blocks, axis=0)
-    inj = build_injection([("attention", block)], model.prompted_layers)
+    inj = build_injection([block], model.prompted_layers)
     out = model.backbone.forward(segments, inj, positions=[0])
     return T.affine(out[:, 0], model.head_w, model.head_b)
 
@@ -320,12 +309,9 @@ def _per_group_logits(model: RebQModel, segments, q_text_eff, q_vis_eff,
         if not count:
             continue
         seg_group = [seg[sl] for seg in segments]
-        pairs, tags = [], []
-        for tag, src, q_eff in sources:
-            mode = model.spec.text_mode if tag == "text" else model.spec.visual_mode
-            pairs.append((mode, src.select(q_eff[sl])))
-            tags.append(tag)
-        out = model.backbone.forward(seg_group, build_injection(pairs, model.prompted_layers),
+        blocks = [src.select(q_eff[sl]) for _, src, q_eff in sources]
+        tags = [tag for tag, _, _ in sources]
+        out = model.backbone.forward(seg_group, build_injection(blocks, model.prompted_layers),
                                      positions=[0])
         logits_parts.append(T.affine(out[:, 0], model.head_w, model.head_b))
         for i in order[sl]:

@@ -17,16 +17,14 @@ from . import tensor as T
 from .tensor import Tensor
 
 MODALITIES = ("text", "visual", "memory", "unified")
-MODES = ("attention", "input")
 
 
 @dataclass
 class PromptPool:
     attention: Tensor   # (D, K)
     keys: Tensor        # (D, K)
-    components: Tensor  # (K, layers, 2, N_p, D) attention mode; (K, N_p, D) input mode
+    components: Tensor  # (K, layers, 2, N_p, D)
     modality: str
-    mode: str = "attention"
 
     @property
     def dim(self) -> int:
@@ -56,9 +54,8 @@ class PromptPool:
 class PromptVector:
     """A single learnable prompt block; selection ignores the query."""
 
-    block: Tensor  # (layers, 2, N_p, D) attention mode; (N_p, D) input mode
+    block: Tensor  # (layers, 2, N_p, D)
     modality: str
-    mode: str = "attention"
 
     @property
     def prompt_len(self) -> int:
@@ -82,33 +79,24 @@ class PromptWeights:
 
 
 def init_pool(rng: np.random.Generator, dim: int, pool_size: int, prompt_len: int,
-              num_layers: int, modality: str, mode: str = "attention") -> PromptPool:
+              num_layers: int, modality: str) -> PromptPool:
     """Uniform init in [-1/sqrt(D), 1/sqrt(D)] for keys, attention and components."""
     bound = 1.0 / np.sqrt(dim)
-    if mode == "attention":
-        comp_shape = (pool_size, num_layers, 2, prompt_len, dim)
-    elif mode == "input":
-        comp_shape = (pool_size, prompt_len, dim)
-    else:
-        raise ValueError(f"unknown injection mode {mode!r}")
     return PromptPool(
         attention=T.uniform_init(rng, (dim, pool_size), -bound, bound),
         keys=T.uniform_init(rng, (dim, pool_size), -bound, bound),
-        components=T.uniform_init(rng, comp_shape, -bound, bound),
+        components=T.uniform_init(rng, (pool_size, num_layers, 2, prompt_len, dim),
+                                  -bound, bound),
         modality=modality,
-        mode=mode,
     )
 
 
 def init_vector(rng: np.random.Generator, dim: int, prompt_len: int, num_layers: int,
-                modality: str, mode: str = "attention") -> PromptVector:
+                modality: str) -> PromptVector:
     bound = 1.0 / np.sqrt(dim)
-    if mode == "attention":
-        shape = (num_layers, 2, prompt_len, dim)
-    else:
-        shape = (prompt_len, dim)
-    return PromptVector(block=T.uniform_init(rng, shape, -bound, bound),
-                        modality=modality, mode=mode)
+    return PromptVector(block=T.uniform_init(rng, (num_layers, 2, prompt_len, dim),
+                                             -bound, bound),
+                        modality=modality)
 
 
 def compute_weights(query: Tensor, pool: PromptPool) -> PromptWeights:
@@ -137,8 +125,7 @@ def compute_weights(query: Tensor, pool: PromptPool) -> PromptWeights:
 def aggregate(weights: PromptWeights, pool: PromptPool) -> Tensor:
     """Weighted sum of all pool components; linear in the weights.
 
-    Returns a block with a leading batch axis: (B, layers, 2, N_p, D) in
-    attention mode or (B, N_p, D) in input mode (B=1 for a single query).
+    Returns a (B, layers, 2, N_p, D) block (B=1 for a single query).
     """
     w = weights.w
     single = w.ndim == 1

@@ -105,12 +105,11 @@ def reconstruct_batch(samples: list[Sample], memory_queries: Tensor, memory_sour
     for whichever modality the row lacks.
     """
     block = memory_source.select(memory_queries)
-    # an attention block prompts its own layer count, clamped to
-    # num_prompted_layers; an input block prompts no layers
+    # the block prompts its own layer count, clamped to num_prompted_layers
     layers = block.shape[1]
     if num_prompted_layers is not None:
         layers = min(layers, num_prompted_layers)
-    inj = build_injection([(memory_source.mode, block)], layers)
+    inj = build_injection([block], layers)
     if emb is None:
         emb = backbone.embed_batch(samples)
     return backbone.forward(backbone.recon_segments(emb), inj, positions=[0])[:, 0]

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, serialize
+from . import tensor as T
 from .backbone import BackboneConfig, MultimodalBackbone
 from .bench import (CmmlStream, CorpusMeta, SynthConfig, build_stream, load_corpus,
                     synth_generate)
@@ -35,6 +36,20 @@ class ExperimentError(RuntimeError):
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
         self.cause = cause
+
+
+# (field, the stage that reads it, the test its value must pass, the rule)
+_RANGES = (
+    ("eta", "benchmark", lambda v: 0 <= v <= 100, "lie in [0, 100]"),
+    ("pool_size", "model", lambda v: v >= 1, "be >= 1"),
+    ("memory_pool_size", "model", lambda v: v >= 1, "be >= 1"),
+    ("prompt_len", "model", lambda v: v >= 1, "be >= 1"),
+    ("prompted_layers", "model", lambda v: v >= 0, "be >= 0"),
+    ("lam", "model", lambda v: v >= 0, "be >= 0"),
+    ("epochs", "train", lambda v: v >= 1, "be >= 1"),
+    ("batch_size", "train", lambda v: v >= 1, "be >= 1"),
+    ("eval_batch_size", "train", lambda v: v >= 1, "be >= 1"),
+)
 
 
 @dataclass
@@ -67,6 +82,21 @@ class RunConfig:
     seed_model: int = 5
     export_queries: bool = False
     output_dir: str = "runs/run"
+
+    def check(self):
+        """Refuse an out-of-range setting before any stage runs.
+
+        The ExperimentError names the field and is tagged with the stage
+        that reads it, the stage the value would otherwise fail in.
+        """
+        for name, stage, test, rule in _RANGES:
+            value = getattr(self, name)
+            try:
+                ok = bool(test(value))
+            except TypeError:  # a value of the wrong kind, e.g. from --set
+                ok = False
+            if not ok:
+                raise ExperimentError(stage, f"{name} must {rule}, got {value!r}")
 
     def with_root_seed(self, root: int) -> "RunConfig":
         """Derive the five seed streams from one root seed."""
@@ -173,6 +203,7 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
                    resume_state: "ExperimentState | None" = None,
                    checkpoint_path: str | None = None) -> tuple[Report, RunArtifacts]:
     started = time.time()
+    config.check()
     with _stage("backbone"):
         if backbone is None:
             backbone = _load_backbone(config)
@@ -211,10 +242,6 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
                               batch_size=config.batch_size)
     mode = "f1_macro" if meta.multi_label else "accuracy"
     with _stage("train"):
-        for caller, size in (("train_task", config.batch_size),
-                             ("predict_batch", config.eval_batch_size)):
-            if size < 1:
-                raise ValueError(f"{caller}: batch_size must be >= 1, got {size}")
         # the unified pass depends only on the frozen backbone and the row,
         # so one memo serves every epoch and evaluation of the experiment
         cache = QueryCache(backbone)
@@ -254,7 +281,8 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
         fg=fg,
         per_session=per_session,
         timing={"wall_clock_s": time.time() - started,
-                "started_at": started},
+                "started_at": started,
+                "threads": T.row_parts()},
     )
     return report, RunArtifacts(model=model, stream=stream, backbone=backbone,
                                 logs=logs, matrix=matrix)

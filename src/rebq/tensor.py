@@ -17,17 +17,27 @@ AdamW optimizer with a linear-warmup / cosine-annealing schedule. AdamW
 updates each parameter in cache-sized chunks (:data:`ADAMW_CHUNK`) with one
 chunk of scratch per dtype.
 
-Importing it sets two process-wide policies: numpy's bundled OpenBLAS runs
-on one thread, and where the C library has ``mallopt`` (glibc), memory that
-a released tape frees stays in the process for the next step instead of
-going back to the kernel. The trade-off of the latter: the resident set
-stays at its high-water mark between steps.
+Importing it sets process-wide policies: numpy's bundled OpenBLAS runs on
+one thread; and where the C library has ``mallopt`` (glibc), memory that a
+released tape frees stays in the process for the next step instead of going
+back to the kernel (the resident set stays at its high-water mark between
+steps), and every thread allocates from one arena, so the workers of
+:func:`split_rows` keep no high-water mark of their own.
+
+:func:`split_rows` spreads the rows of an untracked pass over the cores
+the process may run on (:func:`row_parts`): the calling thread computes one
+contiguous part and a small worker pool, created on first use and dropped
+in a forked child, computes the rest. Importing the module starts no
+thread.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -96,6 +106,9 @@ def _keep_freed_memory():
     if mallopt is not None:
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's ceiling for the dynamic one
         mallopt(-1, 1 << 30)   # M_TRIM_THRESHOLD
+        # M_ARENA_MAX: a split_rows worker thread would otherwise get an arena
+        # of its own, which keeps its own high-water mark next to the main one
+        mallopt(-8, 1)
 
 
 _keep_freed_memory()
@@ -113,6 +126,86 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+def recording(*tensors) -> bool:
+    """Whether an operation on these tensors (None entries skipped) would
+    record a tape node."""
+    return _grad_enabled and any(t is not None and _needs(t) for t in tensors)
+
+
+# -- row-parallel untracked passes ------------------------------------------------
+
+# the fewest rows one part of a split holds: below it, handing the interpreter
+# lock back and forth between short numpy operations costs more than the
+# second core saves (forward timings at the default sizes are in CHANGES.md)
+PARALLEL_MIN_ROWS = 20
+
+_parts_limit: int | None = None  # None: the cores this process may run on
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def row_parts() -> int:
+    """The most parts :func:`split_rows` divides rows into."""
+    if _parts_limit is not None:
+        return _parts_limit
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity masks
+        return os.cpu_count() or 1
+
+
+def set_row_parts(parts: int | None):
+    """Limit :func:`split_rows` to parts (>= 1); None restores the core count."""
+    global _parts_limit
+    if parts is not None and parts < 1:
+        raise ValueError(f"set_row_parts: parts must be >= 1, got {parts}")
+    _parts_limit = parts
+
+
+def _workers() -> ThreadPoolExecutor:
+    """The worker pool, created on first use; it starts a thread only when
+    no idle one is left, so it holds as many as the widest split needed."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(thread_name_prefix="rebq-rows")
+        return _pool
+
+
+def _drop_pool():
+    """Forget the parent's pool in a forked child: its threads did not fork,
+    yet the child's copy of the executor would count them as idle and never
+    start a thread for new work."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def split_rows(fn, n: int) -> list:
+    """``fn(lo, hi)`` over contiguous parts of ``range(n)``, results in order.
+
+    The rows divide into at most :func:`row_parts` parts of at least
+    :data:`PARALLEL_MIN_ROWS` rows, as equal as possible; the calling thread
+    runs the first part and the worker pool the others. fn must record
+    nothing on the tape and make no row depend on another part's rows. With
+    one part, ``fn(0, n)`` runs inline and nothing touches the pool.
+    """
+    parts = min(row_parts(), n // PARALLEL_MIN_ROWS)
+    if parts <= 1:
+        return [fn(0, n)]
+    bounds = [n * i // parts for i in range(parts + 1)]
+    pool = _workers()
+    futures = [pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        first = fn(bounds[0], bounds[1])
+    finally:
+        wait(futures)  # no part outlives the call, even when the first one fails
+    return [first] + [f.result() for f in futures]
 
 
 class ShapeError(ValueError):

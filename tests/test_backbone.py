@@ -74,15 +74,8 @@ class TestForward:
         bb = make_backbone(seed=1)
         emb = bb.embed_batch([sample_for(CFG, [1, 2, 3])])
         blocks = Tensor(np.random.default_rng(2).standard_normal((1, 2, 2, 8, 32)))
-        out = bb.forward(bb.unified_segments(emb), build_injection([("attention", blocks)], 2))
+        out = bb.forward(bb.unified_segments(emb), build_injection([blocks], 2))
         assert out.shape[1] == 2 + CFG.max_text_len + 1 + CFG.num_patches
-
-    def test_input_append_adds_length(self):
-        bb = make_backbone(seed=1)
-        emb = bb.embed_batch([sample_for(CFG, [1, 2, 3])])
-        block = Tensor(np.random.default_rng(3).standard_normal((1, 5, 32)))
-        out = bb.forward(bb.recon_segments(emb), build_injection([("input", block)], 0))
-        assert out.shape[1] == 1 + CFG.max_text_len + CFG.num_patches + 5
 
     def test_empty_prefix_bit_identical_to_uninjected(self):
         bb = make_backbone(seed=4)
@@ -90,7 +83,7 @@ class TestForward:
         plain = bb.forward(bb.unified_segments(emb)).data
         empty = T.zeros((1, 2, 2, 0, 32))
         injected = bb.forward(bb.unified_segments(emb),
-                              build_injection([("attention", empty)], 2)).data
+                              build_injection([empty], 2)).data
         assert plain.tobytes() == injected.tobytes()
 
     def test_zero_prompted_layers_bit_identical(self):
@@ -146,23 +139,19 @@ class TestForward:
         rng = np.random.default_rng(10)
         a = Tensor(rng.standard_normal((1, 2, 2, 3, 32)))
         b = Tensor(rng.standard_normal((1, 2, 2, 2, 32)))
-        merged = build_injection([("attention", a), ("attention", b)], 2)
+        merged = build_injection([a, b], 2)
         assert merged.attn.shape == (1, 2, 2, 5, 32)
         joint = bb.forward(bb.unified_segments(emb), merged).data
         direct = bb.forward(bb.unified_segments(emb),
-                            build_injection([("attention", T.concat([a, b], axis=3))],
-                                            2)).data
+                            build_injection([T.concat([a, b], axis=3)], 2)).data
         assert joint.tobytes() == direct.tobytes()
 
     def test_injection_builder_modes(self):
-        rng = np.random.default_rng(12)
-        block = Tensor(rng.standard_normal((1, 3, 32)))
-        inj = build_injection([("input", block)], 2)
-        assert inj.attn is None and inj.input_blocks == [block]
-        assert inj.num_prompted_layers == 0
+        """The builder's cases besides concatenation: none, and one block."""
+        block = Tensor(np.random.default_rng(12).standard_normal((1, 2, 2, 3, 32)))
+        inj = build_injection([block], 2)
+        assert inj.attn is block and inj.num_prompted_layers == 2
         assert build_injection([], 2) is None
-        with pytest.raises(ValueError, match="sideways"):
-            build_injection([("sideways", block)], 2)
 
 
 def pretrain_corpus(seed=11, n=40):
@@ -280,16 +269,16 @@ class TestReadout:
         if kind == "unified-attention":
             blocks = Tensor(rng.standard_normal((2, 2, 2, 3, 32)), trainable=True)
             pos = unified_positions(CFG)
-            return (bb.unified_segments(emb), build_injection([("attention", blocks)], 2),
+            return (bb.unified_segments(emb), build_injection([blocks], 2),
                     [pos["text_cls"], pos["visual_cls"], pos["joint"]], blocks)
-        if kind == "recon-input":
-            block = Tensor(rng.standard_normal((2, 5, 32)), trainable=True)
-            # the joint cls, a spliced prompt row and the last patch row
-            return (bb.recon_segments(emb), build_injection([("input", block)], 0),
-                    [0, 3, 1 + 5 + CFG.max_text_len + CFG.num_patches - 1], block)
+        if kind == "recon-attention":
+            block = Tensor(rng.standard_normal((2, 1, 2, 5, 32)), trainable=True)
+            # the joint cls, a text row and the last patch row, one prompted layer
+            return (bb.recon_segments(emb), build_injection([block], 1),
+                    [0, 3, CFG.max_text_len + CFG.num_patches], block)
         return bb.unified_segments(emb), None, [0], None
 
-    @pytest.mark.parametrize("kind", ["unified-attention", "recon-input", "plain"])
+    @pytest.mark.parametrize("kind", ["unified-attention", "recon-attention", "plain"])
     def test_rows_equal_full_forward(self, kind):
         bb = float64(make_backbone(seed=13))
         rng = np.random.default_rng(14)

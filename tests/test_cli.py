@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from rebq import tensor as T
 from rebq.cli import main
 from rebq.runner import RunConfig
 
@@ -189,6 +190,31 @@ class TestSweep:
         err = capsys.readouterr().err
         assert f"sweep axis {axis}" in err and bad in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("axis, values, stage", [
+        ("eta", "0,150", "benchmark"), ("pool_size", "4,0", "model"),
+        ("memory_pool_size", "4,0", "model"), ("prompt_len", "2,-1", "model"),
+        ("lam", "0.01,-5", "model")])
+    def test_out_of_range_value_rejected_before_any_run(self, cli_workspace, capsys,
+                                                        axis, values, stage):
+        tmp, cfg_path = cli_workspace
+        out = tmp / f"sweep_range_{axis}"
+        # the good value comes first, so a check made per run would start it
+        rc = main(["sweep", "--config", str(cfg_path), "--axis", f"{axis}={values}",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error [{stage}] {axis} must" in err
+        assert not out.exists()
+
+    def test_jobs_share_the_cores(self, cli_workspace):
+        tmp, cfg_path = cli_workspace
+        rc = main(["sweep", "--config", str(cfg_path), "--axis", "eta=0,50",
+                   "--jobs", "2", "--out", str(tmp / "sweep_jobs")])
+        assert rc == 0
+        for tag in ("eta0", "eta50"):
+            report = json.loads((tmp / "sweep_jobs" / tag / "report.json").read_text())
+            assert report["timing"]["threads"] == max(1, T.row_parts() // 2)
 
 
 class TestReport:

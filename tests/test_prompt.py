@@ -12,9 +12,8 @@ from conftest import float64
 from test_tensor import assert_grad_close, finite_diff_grad
 
 
-def small_pool(seed=0, dim=4, k=3, n_p=2, layers=2, mode="attention"):
-    return init_pool(np.random.default_rng(seed), dim, k, n_p, layers,
-                     modality="text", mode=mode)
+def small_pool(seed=0, dim=4, k=3, n_p=2, layers=2):
+    return init_pool(np.random.default_rng(seed), dim, k, n_p, layers, modality="text")
 
 
 class TestWeights:
@@ -216,11 +215,6 @@ class TestSelect:
             assert p.grad is not None
             assert_grad_close(p.grad, finite_diff_grad(build, p))
             p.grad = None
-
-    def test_input_mode_shapes(self):
-        pool = small_pool(seed=20, mode="input")
-        block = select_prompt(T.zeros(4), pool)
-        assert block.shape == (1, 2, 4)  # (B, N_p, D)
 
     def test_vector_ignores_query(self):
         vec = init_vector(np.random.default_rng(21), 4, 2, 2, "text")

@@ -17,9 +17,9 @@ from rebq.tensor import AdamW, Tensor
 from conftest import TINY, TINY_SYNTH, float64
 
 
-def memory_pool(seed=0, mode="attention", k=4):
+def memory_pool(seed=0, k=4):
     return init_pool(np.random.default_rng(seed), TINY.embed_dim, k, 3,
-                     TINY.num_layers, "memory", mode)
+                     TINY.num_layers, "memory")
 
 
 def text_only(sample):
@@ -74,7 +74,7 @@ class TestReconstructQuery:
         # A zero-length prefix is a strict no-op; the second forward then
         # just recomputes the joint cls on the compact layout.
         pool = init_pool(np.random.default_rng(4), TINY.embed_dim, 3, 0,
-                         TINY.num_layers, "memory", "attention")
+                         TINY.num_layers, "memory")
         masked = [text_only(complete_samples[0])]
         mem = generate_queries_batch(masked, tiny_backbone).memory
         q_hat = reconstruct_batch(masked, mem, pool, tiny_backbone).data
@@ -83,13 +83,6 @@ class TestReconstructQuery:
             plain = tiny_backbone.forward(tiny_backbone.recon_segments(emb),
                                           positions=[0]).data[:, 0]
         assert q_hat.tobytes() == plain.tobytes()
-
-    def test_input_mode_memory(self, tiny_backbone, complete_samples):
-        pool = memory_pool(seed=5, mode="input")
-        masked = [text_only(complete_samples[0])]
-        mem = generate_queries_batch(masked, tiny_backbone).memory
-        q_hat = reconstruct_batch(masked, mem, pool, tiny_backbone)
-        assert q_hat.shape == (1, TINY.embed_dim)
 
     def test_memory_vector_source(self, tiny_backbone, complete_samples):
         vec = init_vector(np.random.default_rng(6), TINY.embed_dim, 3,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rebq import runner
+from rebq import tensor as T
 from rebq.backbone import MultimodalBackbone
 from rebq.metrics import EvalMatrix
 from rebq.reconstruct import export_query_embeddings
@@ -107,6 +108,24 @@ class TestRunExperiment:
             run_experiment(cfg, backbone=tiny_backbone)
         assert exc.value.stage == stage
         assert needle in exc.value.cause
+
+    @pytest.mark.parametrize("field, value, stage", [
+        ("eta", 150.0, "benchmark"), ("eta", -0.5, "benchmark"),
+        ("pool_size", 0, "model"), ("memory_pool_size", 0, "model"),
+        ("prompt_len", -1, "model"), ("prompted_layers", -1, "model"),
+        ("lam", -5.0, "model"), ("lam", "x", "model"), ("epochs", 0, "train")])
+    def test_out_of_range_refused_before_any_stage(self, tmp_path, field, value, stage):
+        # the checkpoint is missing, so any stage that ran would fail first
+        cfg = tiny_config(tmp_path, **{field: value})
+        with pytest.raises(ExperimentError) as exc:
+            run_experiment(cfg)
+        assert exc.value.stage == stage
+        assert exc.value.cause.startswith(f"{field} must ")
+        assert repr(value) in exc.value.cause
+
+    def test_timing_records_threads(self, tiny_run):
+        _, report, _ = tiny_run
+        assert report.timing["threads"] == T.row_parts() >= 1
 
     @pytest.mark.parametrize("overrides", [{"batch_size": 0}, {"eval_batch_size": -2}])
     def test_batch_sizes_checked_before_training(self, tiny_backbone, tmp_path,
