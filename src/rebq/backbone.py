@@ -1,8 +1,10 @@
-"""Frozen multimodal transformer encoder with prompt-injection hooks.
+"""Frozen multimodal transformer encoder prompted through attention prefixes.
 
 The backbone consumes concatenated text token embeddings and image patch
-embeddings plus special cls tokens and emits a same-length output sequence
-(attention-prefix injection extends only keys and values). Every caller
+embeddings plus special cls tokens and emits a same-length output sequence.
+Prompts arrive as one (B, layers, 2, N_p, D) prefix tensor whose block for
+layer l extends that layer's keys and values, so the first `layers` layers
+are prompted and the output keeps the input length. Every caller
 reads only a few cls rows, so forward takes the positions it returns and
 computes the last layer's query side (attention rows, feed-forward, final
 norm) for those rows alone; keys and values still span the whole sequence.
@@ -50,29 +52,6 @@ class BackboneConfig:
             raise ValueError("max_text_len and num_patches must be >= 1")
         if self.activation not in ("relu", "gelu"):
             raise ValueError(f"unknown activation {self.activation!r}")
-
-
-@dataclass
-class PromptInjection:
-    """Per-forward prompt payload: per-layer key/value prefixes as one
-    (B, layers, 2, N_p, D) tensor applied to the first num_prompted_layers
-    transformer layers."""
-
-    attn: Tensor
-    num_prompted_layers: int = 0
-
-
-def build_injection(blocks: list[Tensor],
-                    num_prompted_layers: int) -> PromptInjection | None:
-    """One injection payload from prompt blocks, None when there are none.
-
-    The blocks concatenate along N_p in the given order and prompt
-    num_prompted_layers layers.
-    """
-    if not blocks:
-        return None
-    attn = blocks[0] if len(blocks) == 1 else T.concat(blocks, axis=3)
-    return PromptInjection(attn=attn, num_prompted_layers=num_prompted_layers)
 
 
 @dataclass
@@ -208,16 +187,18 @@ class MultimodalBackbone:
         h = act(T.affine(x, self.params[f"l{l}.ff1_w"], self.params[f"l{l}.ff1_b"]))
         return T.affine(h, self.params[f"l{l}.ff2_w"], self.params[f"l{l}.ff2_b"])
 
-    def forward(self, segments: list[Tensor], injection: PromptInjection | None = None,
+    def forward(self, segments: list[Tensor], prefix: Tensor | None = None,
                 positions: list[int] | None = None) -> Tensor:
         """Pre-norm transformer over the concatenated segments.
 
-        Attention prefixes extend only keys and values, so the output keeps
-        the input length. positions lists the output rows the caller reads
-        (0 is always the joint cls); the result is then
-        (B, len(positions), D). The last layer still attends over every
-        position but computes its queries, feed-forward and the final norm
-        for those rows only. None returns the whole sequence.
+        prefix is the (B, layers, 2, N_p, D) prompt block; its block l
+        precedes layer l's keys and values, so it prompts the first
+        prefix.shape[1] layers and the output keeps the input length.
+        positions lists the output rows the caller reads (0 is always the
+        joint cls); the result is then (B, len(positions), D). The last layer
+        still attends over every position but computes its queries,
+        feed-forward and the final norm for those rows only. None returns the
+        whole sequence.
 
         A pass that records nothing on the tape (grad recording off, or no
         tracked segment, prefix or parameter) splits its batch rows over
@@ -228,15 +209,10 @@ class MultimodalBackbone:
         for seg in segments:
             if seg.shape[-1] != d:
                 raise T.ShapeError(f"segment width {seg.shape[-1]} != embed dim {d}")
-        x = T.concat(segments, axis=1) if len(segments) > 1 else segments[0]
-        attn, prompted = None, 0
-        if injection is not None:
-            if injection.num_prompted_layers > c.num_layers:
-                raise ValueError(
-                    f"injection prompts {injection.num_prompted_layers} layers, "
-                    f"backbone has {c.num_layers}")
-            attn = injection.attn
-            prompted = min(injection.num_prompted_layers, attn.shape[1])
+        x = T.concat(segments, axis=1)
+        if prefix is not None and prefix.shape[1] > c.num_layers:
+            raise ValueError(
+                f"prefix prompts {prefix.shape[1]} layers, backbone has {c.num_layers}")
         if positions is not None:
             positions = [int(p) for p in positions]
             n = x.shape[1]
@@ -244,27 +220,27 @@ class MultimodalBackbone:
                     0 <= p < n for p in positions):
                 raise ValueError(
                     f"positions must be distinct rows in [0, {n}), got {positions}")
-        if T.recording(x, attn, *self.params.values()):
-            return self._layers(x, attn, prompted, positions)
+        if T.recording(x, prefix, *self.params.values()):
+            return self._layers(x, prefix, positions)
 
         def part(lo: int, hi: int) -> Tensor:
-            return self._layers(x[lo:hi], None if attn is None else attn[lo:hi],
-                                prompted, positions)
+            return self._layers(x[lo:hi], None if prefix is None else prefix[lo:hi],
+                                positions)
 
-        parts = T.split_rows(part, x.shape[0])
-        return parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
+        return T.concat(T.split_rows(part, x.shape[0]), axis=0)
 
-    def _layers(self, x: Tensor, attn: Tensor | None, prompted: int,
+    def _layers(self, x: Tensor, prefix: Tensor | None,
                 positions: list[int] | None) -> Tensor:
         """The transformer layers and final norm over a checked (B, S, D) input."""
         c = self.config
+        prompted = 0 if prefix is None else prefix.shape[1]
         for l in range(c.num_layers):
-            prefix = attn[:, l] if l < prompted else None
+            block = prefix[:, l] if l < prompted else None
             rows = positions if l == c.num_layers - 1 else None
             normed = T.layer_norm(x, self.params[f"l{l}.ln1_g"], self.params[f"l{l}.ln1_b"])
             if rows is not None:
                 x = x[:, rows]
-            x = T.add(x, self._attention(normed, l, prefix, rows))
+            x = T.add(x, self._attention(normed, l, block, rows))
             x = T.add(x, self._ffn(
                 T.layer_norm(x, self.params[f"l{l}.ln2_g"], self.params[f"l{l}.ln2_b"]), l))
         return T.layer_norm(x, self.params["lnf_g"], self.params["lnf_b"])

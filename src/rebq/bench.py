@@ -265,10 +265,6 @@ class CmmlStream:
     def num_sessions(self) -> int:
         return len(self.sessions)
 
-    @property
-    def class_count(self) -> int:
-        return self.meta.num_classes
-
     def train_data(self, session: int) -> list[Sample]:
         self.access_log.append(("train", session))
         return self.sessions[session].train

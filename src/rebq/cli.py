@@ -9,6 +9,7 @@ directories are rooted at $REBQ_OUTPUT_ROOT when it is set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .backbone import MultimodalBackbone, PretrainConfig, pretrain
+from .backbone import PretrainConfig, pretrain
 from .bench import save_corpus, synth_generate
 from .pipeline import VARIANT_PRESETS
 from .runner import (ExperimentError, Report, RunConfig, emit_report,
@@ -85,12 +86,7 @@ def _load_config(args) -> RunConfig:
             raise ValueError(f"--set expects key=value, got {item!r}")
         overrides[key] = _parse_value(raw)
     if overrides:
-        d = cfg.to_dict()
-        unknown = set(overrides) - set(d)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        d.update(overrides)
-        cfg = RunConfig.from_dict(d)
+        cfg = RunConfig.from_dict({**cfg.to_dict(), **overrides})
     if getattr(args, "seed", None) is not None:
         cfg = cfg.with_root_seed(args.seed)
     return cfg
@@ -116,11 +112,15 @@ def cmd_pretrain(args) -> int:
 
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args)
-    import dataclasses
+    for flag, value in (("--classes", args.classes),
+                        ("--samples-per-class", args.samples_per_class)):
+        if value is not None and value < 1:
+            raise ValueError(f"gen-data: {flag} must be >= 1, got {value}")
     synth = dataclasses.replace(cfg.synth, multi_label=args.multi_label or cfg.synth.multi_label)
-    meta, samples = synth_generate(args.classes or cfg.num_classes,
-                                   args.samples_per_class or cfg.samples_per_class,
-                                   synth, seed=cfg.seed_corpus)
+    meta, samples = synth_generate(
+        cfg.num_classes if args.classes is None else args.classes,
+        cfg.samples_per_class if args.samples_per_class is None else args.samples_per_class,
+        synth, seed=cfg.seed_corpus)
     out = _resolve_output(args.out)
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     save_corpus(out, meta, samples)
@@ -145,7 +145,6 @@ def cmd_run(args) -> int:
 
 
 def _with_output(cfg: RunConfig, out: str) -> RunConfig:
-    import dataclasses
     return dataclasses.replace(cfg, output_dir=_resolve_output(out))
 
 
@@ -156,6 +155,8 @@ def _sweep_worker(cfg_dict: dict) -> tuple[str, float, float | None]:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"sweep: --jobs must be >= 1, got {args.jobs}")
     base = _load_config(args)
     axes: list[tuple[str, list]] = []
     for spec in args.axis:

@@ -26,9 +26,6 @@ class EvalMatrix:
             raise ValueError(f"performance {value} outside [0, 1]")
         self.values[i, j] = value
 
-    def get(self, i: int, j: int) -> float:
-        return float(self.values[i, j])
-
     def column_complete(self, j: int) -> bool:
         return not np.isnan(self.values[:j + 1, j]).any()
 

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .backbone import MultimodalBackbone, build_injection
+from .backbone import MultimodalBackbone
 from .bench import Sample
-from .prompt import PromptPool, PromptVector, init_pool, init_vector
+from .prompt import PromptVector, init_pool, init_vector
 from .reconstruct import (QueryCache, counterparts, generate_queries_batch,
                           reconstruct_batch, reconstruction_loss_from_queries)
 from .tensor import AdamW, Tensor
@@ -34,43 +34,30 @@ MISSING_TYPES = ("text-only", "image-only", "complete")
 
 @dataclass(frozen=True)
 class VariantSpec:
-    reconstruction: bool = True
     modality_specific_query: bool = True
-    memory: str = "pool"           # pool | vector | none
-    text_prompts: str = "pool"     # pool | vector | unified
-    visual_prompts: str = "pool"   # pool | vector | unified
+    memory: str = "pool"     # pool | vector | none; a memory source reconstructs
+    prompts: str = "pool"    # pool: a text and a visual pool | unified: one shared pool
     baseline: bool = False
     name: str = "canonical"
 
     def validate(self):
         if self.baseline:
             return
-        if (self.text_prompts == "unified") != (self.visual_prompts == "unified"):
-            raise ValueError("unified pool must be shared by both modalities")
         if self.memory not in ("pool", "vector", "none"):
             raise ValueError(f"bad memory kind {self.memory!r}")
-        if self.reconstruction and self.memory == "none":
-            raise ValueError("reconstruction requires a memory source")
-        if not self.reconstruction and self.memory != "none":
-            raise ValueError("a memory source without reconstruction is dead weight")
-        for kind in (self.text_prompts, self.visual_prompts):
-            if kind not in ("pool", "vector", "unified"):
-                raise ValueError(f"bad prompt kind {kind!r}")
+        if self.prompts not in ("pool", "unified"):
+            raise ValueError(f"bad prompt kind {self.prompts!r}")
 
 
 VARIANT_PRESETS = {
     "canonical": VariantSpec(),
-    "rebq": VariantSpec(name="rebq"),
-    "no_reconstruction": VariantSpec(reconstruction=False, memory="none",
-                                     name="no_reconstruction"),
+    "no_reconstruction": VariantSpec(memory="none", name="no_reconstruction"),
     "no_modality_specific_query": VariantSpec(modality_specific_query=False,
                                               name="no_modality_specific_query"),
     "no_memory_pool": VariantSpec(memory="vector", name="no_memory_pool"),
-    "no_modality_specific_pool": VariantSpec(text_prompts="unified",
-                                             visual_prompts="unified",
+    "no_modality_specific_pool": VariantSpec(prompts="unified",
                                              name="no_modality_specific_pool"),
-    "baseline": VariantSpec(baseline=True, reconstruction=False, memory="none",
-                            name="baseline"),
+    "baseline": VariantSpec(baseline=True, memory="none", name="baseline"),
 }
 
 
@@ -110,33 +97,27 @@ class RebQModel:
 
         if spec.baseline:
             self.baseline_blocks = {
-                kind: init_vector(rng, d, mcfg.prompt_len, self.prompted_layers,
-                                  modality=kind)
+                kind: init_vector(rng, d, mcfg.prompt_len, self.prompted_layers)
                 for kind in MISSING_TYPES
             }
         else:
-            if spec.text_prompts == "unified":
+            # the draw order (prompt pools, memory, head) fixes the seeded values
+            if spec.prompts == "unified":
                 self.unified = init_pool(rng, d, mcfg.pool_size, mcfg.prompt_len,
-                                         self.prompted_layers, "unified")
+                                         self.prompted_layers)
             else:
-                self.folder = self._source(rng, spec.text_prompts, "text", mcfg)
-                self.album = self._source(rng, spec.visual_prompts, "visual", mcfg)
+                self.folder = init_pool(rng, d, mcfg.pool_size, mcfg.prompt_len,
+                                        self.prompted_layers)
+                self.album = init_pool(rng, d, mcfg.pool_size, mcfg.prompt_len,
+                                       self.prompted_layers)
             if spec.memory == "pool":
                 self.memory = init_pool(rng, d, mcfg.memory_pool_size, mcfg.prompt_len,
-                                        self.prompted_layers, "memory")
+                                        self.prompted_layers)
             elif spec.memory == "vector":
-                self.memory = init_vector(rng, d, mcfg.prompt_len, self.prompted_layers,
-                                          "memory")
+                self.memory = init_vector(rng, d, mcfg.prompt_len, self.prompted_layers)
 
         self.head_w = T.normal_init(rng, (d, mcfg.num_classes))
         self.head_b = T.zeros(mcfg.num_classes, trainable=True)
-
-    def _source(self, rng, kind, modality, mcfg):
-        if kind == "pool":
-            return init_pool(rng, self.backbone.config.embed_dim, mcfg.pool_size,
-                             mcfg.prompt_len, self.prompted_layers, modality)
-        return init_vector(rng, self.backbone.config.embed_dim, mcfg.prompt_len,
-                           self.prompted_layers, modality)
 
     # -- parameters ----------------------------------------------------------------
 
@@ -159,10 +140,6 @@ class RebQModel:
     def parameter_bytes(self) -> bytes:
         named = self.named_parameters()
         return b"".join(named[k].data.tobytes() for k in sorted(named))
-
-    @property
-    def uses_reconstruction(self) -> bool:
-        return self.spec.reconstruction and self.memory is not None
 
     def text_source(self):
         return self.unified if self.unified is not None else self.folder
@@ -222,8 +199,9 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
     n_t, n_v, n_c = len(idx_t), len(idx_v), len(idx_c)
     n_inc, b = n_t + n_v, len(samples)
 
-    use_recon = model.uses_reconstruction and model.spec.modality_specific_query and n_inc > 0
-    use_lr = with_lr and model.mcfg.lam > 0.0 and model.uses_reconstruction and n_c > 0
+    has_memory = model.memory is not None
+    use_recon = has_memory and model.spec.modality_specific_query and n_inc > 0
+    use_lr = with_lr and model.mcfg.lam > 0.0 and has_memory and n_c > 0
 
     # embeddings are frozen-backbone constants: every row embeds once and
     # both passes slice from the same arrays
@@ -242,7 +220,7 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
     if recon_idx:
         recon = reconstruct_batch([rows[i] for i in recon_idx],
                                   Tensor(gen.memory.data[recon_idx]), model.memory,
-                                  backbone, model.prompted_layers, emb=emb.rows(recon_idx))
+                                  backbone, emb=emb.rows(recon_idx))
 
     rec_text = [use_recon and s.missing_type == "image-only" for s in samples]
     rec_vis = [use_recon and s.missing_type == "text-only" for s in samples]
@@ -262,8 +240,7 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
     elif model.spec.modality_specific_query:
         p_text = model.text_source().select(q_text_eff)
         p_vis = model.visual_source().select(q_vis_eff)
-        inj = build_injection([p_text, p_vis], model.prompted_layers)
-        out = backbone.forward(segments, inj, positions=[0])
+        out = backbone.forward(segments, T.concat([p_text, p_vis], axis=3), positions=[0])
         logits = T.affine(out[:, 0], model.head_w, model.head_b)
         injected = [("text", "visual")] * b
     else:
@@ -289,9 +266,7 @@ def _baseline_logits(model: RebQModel, segments, n_t: int, n_v: int, n_c: int) -
     for kind, count in (("text-only", n_t), ("image-only", n_v), ("complete", n_c)):
         if count:
             blocks.append(model.baseline_blocks[kind].select(T.zeros((count, d))))
-    block = blocks[0] if len(blocks) == 1 else T.concat(blocks, axis=0)
-    inj = build_injection([block], model.prompted_layers)
-    out = model.backbone.forward(segments, inj, positions=[0])
+    out = model.backbone.forward(segments, T.concat(blocks, axis=0), positions=[0])
     return T.affine(out[:, 0], model.head_w, model.head_b)
 
 
@@ -311,13 +286,11 @@ def _per_group_logits(model: RebQModel, segments, q_text_eff, q_vis_eff,
         seg_group = [seg[sl] for seg in segments]
         blocks = [src.select(q_eff[sl]) for _, src, q_eff in sources]
         tags = [tag for tag, _, _ in sources]
-        out = model.backbone.forward(seg_group, build_injection(blocks, model.prompted_layers),
-                                     positions=[0])
+        out = model.backbone.forward(seg_group, T.concat(blocks, axis=3), positions=[0])
         logits_parts.append(T.affine(out[:, 0], model.head_w, model.head_b))
         for i in order[sl]:
             injected[i] = tuple(tags)
-    logits = logits_parts[0] if len(logits_parts) == 1 else T.concat(logits_parts, axis=0)
-    return logits, injected
+    return T.concat(logits_parts, axis=0), injected
 
 
 def predict_batch(model: RebQModel, samples: list[Sample], batch_size: int = 64,

@@ -3,11 +3,12 @@
 A first (untracked) forward over the unified layout yields both modality
 queries and the joint memory query for every sample. For a sample missing
 one modality, prompts selected from the memory pool by the joint query are
-injected into a second forward over the compact [cls, text, visual]
+prefixed to a second forward over the compact [cls, text, visual]
 layout; the cls output of that pass is the reconstructed query for the
-absent modality. The reconstruction loss trains the memory pool to pull
-those reconstructions toward the queries the complete sample would have
-produced (ground truth is gradient-detached).
+absent modality. The reconstruction loss (reconstruction_loss_from_queries)
+trains the memory pool to pull those reconstructions toward the queries the
+complete sample would have produced (ground truth is gradient-detached);
+pipeline.forward_batch builds the masked counterparts it is computed over.
 
 The unified pass reads only the frozen backbone and a row's text tokens
 and patches, and each of its output rows depends on its own input row
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
-from .backbone import MultimodalBackbone, build_injection, unified_positions
+from .backbone import MultimodalBackbone, unified_positions
 from .bench import DUMMY_TEXT, Sample, dummy_patches
 from .tensor import Tensor
 
@@ -96,23 +97,18 @@ def _unified_pass(samples: list[Sample], backbone: MultimodalBackbone,
 
 
 def reconstruct_batch(samples: list[Sample], memory_queries: Tensor, memory_source,
-                      backbone: MultimodalBackbone,
-                      num_prompted_layers: int | None = None, emb=None) -> Tensor:
+                      backbone: MultimodalBackbone, emb=None) -> Tensor:
     """Tracked reconstruction pass; returns one (B, D) query matrix.
 
     Rows may mix text-only and image-only samples: the layout is identical,
     only the dummy contents differ, and the cls output is the reconstruction
-    for whichever modality the row lacks.
+    for whichever modality the row lacks. The selected memory block prompts
+    as many layers as the memory source was built with.
     """
-    block = memory_source.select(memory_queries)
-    # the block prompts its own layer count, clamped to num_prompted_layers
-    layers = block.shape[1]
-    if num_prompted_layers is not None:
-        layers = min(layers, num_prompted_layers)
-    inj = build_injection([block], layers)
+    prefix = memory_source.select(memory_queries)
     if emb is None:
         emb = backbone.embed_batch(samples)
-    return backbone.forward(backbone.recon_segments(emb), inj, positions=[0])[:, 0]
+    return backbone.forward(backbone.recon_segments(emb), prefix, positions=[0])[:, 0]
 
 
 def counterparts(sample: Sample, num_patches: int, patch_dim: int) -> tuple[Sample, Sample]:
@@ -134,47 +130,8 @@ def reconstruction_loss_from_queries(q_text: Tensor, q_hat_text: Tensor,
     return T.scale(total, 1.0 / n)
 
 
-def reconstruction_loss(samples: list[Sample], memory_source,
-                        backbone: MultimodalBackbone,
-                        num_prompted_layers: int | None = None) -> Tensor:
-    """Reconstruction objective over a batch of modality-complete samples.
-
-    Ground-truth queries come from the unified pass on the original samples
-    and are constants: gradient flows only into the memory source through
-    the reconstructed counterpart queries.
-    """
-    for s in samples:
-        if s.missing_type != "complete":
-            raise ValueError(f"reconstruction loss needs complete samples, got {s.id}")
-    return reconstruction_loss_from_queries(*_reconstruct_counterparts(
-        samples, memory_source, backbone, num_prompted_layers))
-
-
-def _reconstruct_counterparts(samples: list[Sample], memory_source,
-                              backbone: MultimodalBackbone, num_prompted_layers):
-    """(q_text, q_hat_text, q_visual, q_hat_visual) of complete samples.
-
-    The ground truth comes from the samples, each reconstruction from the
-    counterpart that lacks its modality. Samples and counterparts embed in
-    one call and share one unified pass.
-    """
-    cfg = backbone.config
-    pairs = [counterparts(s, cfg.num_patches, cfg.patch_dim) for s in samples]
-    rows = list(samples) + [p[0] for p in pairs] + [p[1] for p in pairs]
-    n = len(samples)
-    with T.no_grad():
-        emb = backbone.embed_batch(rows)
-    queries = generate_queries_batch(rows, backbone, emb=emb)
-    recon = reconstruct_batch(rows[n:], Tensor(queries.memory.data[n:]), memory_source,
-                              backbone, num_prompted_layers, emb=emb.rows(slice(n, None)))
-    # text-only rows reconstruct the visual query, image-only rows the text
-    return (Tensor(queries.q_text.data[:n]), recon[n:],
-            Tensor(queries.q_visual.data[:n]), recon[:n])
-
-
 def export_query_embeddings(samples: list[Sample], backbone: MultimodalBackbone,
                             memory_source=None, path=None,
-                            num_prompted_layers: int | None = None,
                             batch_size: int = 64) -> list[dict]:
     """JSON-ready query embeddings for external visualization.
 
@@ -188,15 +145,15 @@ def export_query_embeddings(samples: list[Sample], backbone: MultimodalBackbone,
     records: list[dict] = []
     for start in range(0, len(samples), batch_size):
         records += _query_records(samples[start:start + batch_size], backbone,
-                                  memory_source, num_prompted_layers)
+                                  memory_source)
     if path is not None:
         with open(path, "w") as fh:
             json.dump(records, fh)
     return records
 
 
-def _query_records(samples: list[Sample], backbone: MultimodalBackbone, memory_source,
-                   num_prompted_layers: int | None) -> list[dict]:
+def _query_records(samples: list[Sample], backbone: MultimodalBackbone,
+                   memory_source) -> list[dict]:
     """The export records of one batch, in sample order."""
     records: list[dict] = []
     with T.no_grad():
@@ -209,7 +166,7 @@ def _query_records(samples: list[Sample], backbone: MultimodalBackbone, memory_s
         mem = Tensor(raw.memory.data[incomplete])
         with T.no_grad():
             rec = reconstruct_batch(rows, mem, memory_source, backbone,
-                                    num_prompted_layers, emb=emb.rows(incomplete))
+                                    emb=emb.rows(incomplete))
         recon_by_index = {i: rec.data[j] for j, i in enumerate(incomplete)}
 
     for i, s in enumerate(samples):
@@ -226,24 +183,3 @@ def _query_records(samples: list[Sample], backbone: MultimodalBackbone, memory_s
                             "embedding": recon_by_index[i].tolist()})
     return records
 
-
-def mean_reconstruction_cosine(samples: list[Sample], memory_source,
-                               backbone: MultimodalBackbone,
-                               num_prompted_layers: int | None = None) -> float:
-    """Mean cosine between reconstructed and ground-truth queries.
-
-    Samples must be modality-complete; each is masked both ways and both
-    reconstructions are scored against the queries of the intact sample.
-    """
-    with T.no_grad():
-        q_text, q_hat_text, q_visual, q_hat_visual = _reconstruct_counterparts(
-            samples, memory_source, backbone, num_prompted_layers)
-    sims = []
-    for i in range(len(samples)):
-        sims.append(_cos(q_hat_visual.data[i], q_visual.data[i]))
-        sims.append(_cos(q_hat_text.data[i], q_text.data[i]))
-    return float(np.mean(sims))
-
-
-def _cos(a: np.ndarray, b: np.ndarray) -> float:
-    return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b) + T.COSINE_EPS))

@@ -107,23 +107,28 @@ class RunConfig:
             seed_model=int(states[4]))
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["backbone"] = asdict(self.backbone)
-        d["synth"] = asdict(self.synth)
-        return d
+        return asdict(self)  # asdict recurses into backbone and synth
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        if "backbone" in d:
-            d["backbone"] = BackboneConfig(**d["backbone"])
-        if "synth" in d:
-            d["synth"] = SynthConfig(**d["synth"])
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        d = dict(_checked_keys(d, cls, "config"))
+        for key, kind in (("backbone", BackboneConfig), ("synth", SynthConfig)):
+            if key in d:
+                d[key] = kind(**_checked_keys(d[key], kind, f"config key {key}"))
         return cls(**d)
+
+
+def _checked_keys(d, kind, what: str, required: bool = False) -> dict:
+    """d when it is a mapping whose keys are fields of the dataclass kind
+    (all of them when required); otherwise a ValueError naming what."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a mapping, got {d!r}")
+    names = {f.name for f in dataclasses.fields(kind)}
+    if set(d) - names:
+        raise ValueError(f"{what} has unknown keys {sorted(set(d) - names)}")
+    if required and names - set(d):
+        raise ValueError(f"{what} lacks keys {sorted(names - set(d))}")
+    return d
 
 
 @dataclass
@@ -141,7 +146,7 @@ class Report:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Report":
-        return cls(**d)
+        return cls(**_checked_keys(d, cls, "report", required=True))
 
     def recompute(self) -> tuple[float, float | None]:
         m = EvalMatrix.from_lists(self.matrix)
@@ -415,10 +420,8 @@ def emit_report(report: Report, out_dir, artifacts: RunArtifacts | None = None) 
         for i in range(artifacts.stream.num_sessions):
             test_samples.extend(artifacts.stream.sessions[i].test)
         queries_path = out / "queries.json"
-        export_query_embeddings(test_samples, artifacts.backbone,
-                                artifacts.model.memory if artifacts.model.uses_reconstruction else None,
+        export_query_embeddings(test_samples, artifacts.backbone, artifacts.model.memory,
                                 path=queries_path,
-                                num_prompted_layers=artifacts.model.prompted_layers,
                                 batch_size=report.config["eval_batch_size"])
         written.append(str(queries_path))
     return written

@@ -253,78 +253,15 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """A tensor sharing this one's values but cut from the tape."""
-        return Tensor._wrap(self.data, None, None)
-
-    def copy(self) -> "Tensor":
-        t = Tensor(self.data.copy(), trainable=self.trainable)
-        return t
-
     def __repr__(self) -> str:
         flag = ", trainable" if self.trainable else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # -- operator sugar ---------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return getitem(self, key)
 
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
     def backward(self):
         backward(self)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _needs(t: Tensor) -> bool:
@@ -421,13 +358,6 @@ def shift(a: Tensor, c: float) -> Tensor:
     return out
 
 
-def neg(a: Tensor) -> Tensor:
-    out = _make(-a.data, (a,), None)
-    if out._parents is not None:
-        out._backward = lambda g: (-g,)
-    return out
-
-
 # -- linear algebra ---------------------------------------------------------------
 
 
@@ -497,7 +427,10 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
+    """The tensors joined along axis; a lone tensor is returned as it is."""
     tensors = tuple(tensors)
+    if len(tensors) == 1:
+        return tensors[0]
     out = _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, None)
     if out._parents is not None:
         sizes = [t.shape[axis] for t in tensors]
@@ -543,13 +476,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return out
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.size if axis is None else (
-        np.prod([a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
-    )
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / float(count))
-
-
 # -- pointwise nonlinearities -------------------------------------------------------------
 
 
@@ -574,14 +500,6 @@ def sqrt(a: Tensor) -> Tensor:
         def bwd(g):
             return (np.divide(0.5, res, out=np.zeros_like(res), where=res > 0.0) * g,)
         out._backward = bwd
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    out = _make(np.log(a.data), (a,), None)
-    if out._parents is not None:
-        ad = a.data
-        out._backward = lambda g: (g / ad,)
     return out
 
 
@@ -610,14 +528,6 @@ def gelu(a: Tensor) -> Tensor:
             d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
             return (g * d,)
         out._backward = bwd
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    res = 1.0 / (1.0 + np.exp(-a.data))
-    out = _make(res, (a,), None)
-    if out._parents is not None:
-        out._backward = lambda g: (g * res * (1.0 - res),)
     return out
 
 
@@ -781,23 +691,9 @@ def embedding(table: Tensor, ids: Array) -> Tensor:
     return out
 
 
-# -- similarity ----------------------------------------------------------------------------
-
+# the epsilon under every cosine denominator: it makes a zero vector's cosine
+# total and deterministic (0)
 COSINE_EPS = 1e-12
-
-
-def cosine_similarity(a: Tensor, b: Tensor, eps: float = COSINE_EPS) -> Tensor:
-    """Cosine similarity of two equal-length vectors.
-
-    The epsilon in the denominator makes the both-zero case total and
-    deterministic (result 0).
-    """
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"cosine_similarity: need equal-length vectors, got {a.shape}, {b.shape}")
-    dot = tsum(mul(a, b))
-    na = sqrt(tsum(square(a)))
-    nb = sqrt(tsum(square(b)))
-    return div(dot, shift(mul(na, nb), eps))
 
 
 # -- losses --------------------------------------------------------------------------------

@@ -3,8 +3,7 @@ import pytest
 
 from rebq import serialize
 from rebq import tensor as T
-from rebq.backbone import (BackboneConfig, MultimodalBackbone, PretrainConfig,
-                           PromptInjection, build_injection, pretrain,
+from rebq.backbone import (BackboneConfig, MultimodalBackbone, PretrainConfig, pretrain,
                            unified_positions)
 from rebq.bench import Sample, SynthConfig, dummy_patches, synth_generate
 from rebq.tensor import Tensor
@@ -74,7 +73,7 @@ class TestForward:
         bb = make_backbone(seed=1)
         emb = bb.embed_batch([sample_for(CFG, [1, 2, 3])])
         blocks = Tensor(np.random.default_rng(2).standard_normal((1, 2, 2, 8, 32)))
-        out = bb.forward(bb.unified_segments(emb), build_injection([blocks], 2))
+        out = bb.forward(bb.unified_segments(emb), blocks)
         assert out.shape[1] == 2 + CFG.max_text_len + 1 + CFG.num_patches
 
     def test_empty_prefix_bit_identical_to_uninjected(self):
@@ -82,26 +81,23 @@ class TestForward:
         emb = bb.embed_batch([sample_for(CFG, [4, 9])])
         plain = bb.forward(bb.unified_segments(emb)).data
         empty = T.zeros((1, 2, 2, 0, 32))
-        injected = bb.forward(bb.unified_segments(emb),
-                              build_injection([empty], 2)).data
+        injected = bb.forward(bb.unified_segments(emb), empty).data
         assert plain.tobytes() == injected.tobytes()
 
     def test_zero_prompted_layers_bit_identical(self):
         bb = make_backbone(seed=5)
         emb = bb.embed_batch([sample_for(CFG, [4, 9])])
-        blocks = Tensor(np.random.default_rng(6).standard_normal((1, 2, 2, 4, 32)))
+        blocks = Tensor(np.random.default_rng(6).standard_normal((1, 0, 2, 4, 32)))
         plain = bb.forward(bb.unified_segments(emb)).data
-        injected = bb.forward(bb.unified_segments(emb),
-                              PromptInjection(attn=blocks, num_prompted_layers=0)).data
+        injected = bb.forward(bb.unified_segments(emb), blocks).data
         assert plain.tobytes() == injected.tobytes()
 
     def test_too_many_prompted_layers_rejected(self):
         bb = make_backbone()
         emb = bb.embed_batch([sample_for(CFG, [1])])
-        blocks = Tensor(np.zeros((1, 5, 2, 2, 32)))
-        with pytest.raises(ValueError):
-            bb.forward(bb.unified_segments(emb),
-                       PromptInjection(attn=blocks, num_prompted_layers=5))
+        blocks = Tensor(np.zeros((1, 3, 2, 2, 32)))
+        with pytest.raises(ValueError, match="prefix prompts 3 layers, backbone has 2"):
+            bb.forward(bb.unified_segments(emb), blocks)
 
     def test_dimension_mismatch_rejected(self):
         bb = make_backbone()
@@ -134,24 +130,35 @@ class TestForward:
         np.testing.assert_allclose(permuted, base, atol=1e-10)
 
     def test_merged_injection_concats_prefixes(self):
-        bb = make_backbone(seed=9)
+        """Blocks merged along N_p act as one set of prompts: their order does
+        not change the output beyond rounding."""
+        bb = float64(make_backbone(seed=9))
         emb = bb.embed_batch([sample_for(CFG, [1, 2])])
         rng = np.random.default_rng(10)
         a = Tensor(rng.standard_normal((1, 2, 2, 3, 32)))
         b = Tensor(rng.standard_normal((1, 2, 2, 2, 32)))
-        merged = build_injection([a, b], 2)
-        assert merged.attn.shape == (1, 2, 2, 5, 32)
+        merged = T.concat([a, b], axis=3)
+        assert merged.shape == (1, 2, 2, 5, 32)
         joint = bb.forward(bb.unified_segments(emb), merged).data
-        direct = bb.forward(bb.unified_segments(emb),
-                            build_injection([T.concat([a, b], axis=3)], 2)).data
-        assert joint.tobytes() == direct.tobytes()
+        swapped = bb.forward(bb.unified_segments(emb), T.concat([b, a], axis=3)).data
+        np.testing.assert_allclose(joint, swapped, rtol=0, atol=1e-12)
+        assert not np.allclose(joint, bb.forward(bb.unified_segments(emb), a).data)
 
-    def test_injection_builder_modes(self):
-        """The builder's cases besides concatenation: none, and one block."""
-        block = Tensor(np.random.default_rng(12).standard_normal((1, 2, 2, 3, 32)))
-        inj = build_injection([block], 2)
-        assert inj.attn is block and inj.num_prompted_layers == 2
-        assert build_injection([], 2) is None
+    def test_shallow_prefix_prompts_leading_layers(self, monkeypatch):
+        """A prefix with fewer layers than the backbone prompts the leading ones."""
+        bb = make_backbone(seed=12)
+        emb = bb.embed_batch([sample_for(CFG, [3, 5])])
+        prefixes = []
+        attention = T.attention
+
+        def spy(qkv, heads, prefix=None, rows=None):
+            prefixes.append(None if prefix is None else prefix.shape)
+            return attention(qkv, heads, prefix, rows)
+
+        monkeypatch.setattr(T, "attention", spy)
+        shallow = Tensor(np.random.default_rng(12).standard_normal((1, 1, 2, 3, 32), np.float32))
+        bb.forward(bb.unified_segments(emb), shallow)
+        assert prefixes == [(1, 2, 3, 32), None]
 
 
 def pretrain_corpus(seed=11, n=40):
@@ -269,12 +276,12 @@ class TestReadout:
         if kind == "unified-attention":
             blocks = Tensor(rng.standard_normal((2, 2, 2, 3, 32)), trainable=True)
             pos = unified_positions(CFG)
-            return (bb.unified_segments(emb), build_injection([blocks], 2),
+            return (bb.unified_segments(emb), blocks,
                     [pos["text_cls"], pos["visual_cls"], pos["joint"]], blocks)
         if kind == "recon-attention":
             block = Tensor(rng.standard_normal((2, 1, 2, 5, 32)), trainable=True)
             # the joint cls, a text row and the last patch row, one prompted layer
-            return (bb.recon_segments(emb), build_injection([block], 1),
+            return (bb.recon_segments(emb), block,
                     [0, 3, CFG.max_text_len + CFG.num_patches], block)
         return bb.unified_segments(emb), None, [0], None
 

@@ -1,8 +1,11 @@
 import decimal
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rebq import bench
 from rebq.bench import (CorpusFormatError, Prototypes, Sample, SynthConfig,
@@ -176,6 +179,73 @@ class TestMasking:
         meta, samples = synth_generate(4, 50, SMALL, seed=16)
         masked = apply_missing_mask(samples, 90, "both-missing", 17, 4, 6)
         assert all(s.has_text or s.has_visual for s in masked)
+
+
+def complete_samples(n: int) -> list[Sample]:
+    return [Sample(id=f"c{i}", text_tokens=[1 + i % 7], patches=np.full((4, 6), float(i)),
+                   label=i % 3) for i in range(n)]
+
+
+class TestProtocolProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 2000), eta=st.floats(0.0, 100.0),
+           case=st.sampled_from(bench.MISSING_CASES))
+    def test_missing_counts(self, n, eta, case):
+        n_img, n_txt = missing_counts(n, eta, case)
+        assert n_img >= 0 and n_txt >= 0 and n_img + n_txt <= n
+        if case != "both-missing":
+            # round half up: the count is the integer in [x - 1/2, x + 1/2)
+            exact = Fraction(eta) * n / 100
+            count = n_img if case == "text-missing" else n_txt
+            assert exact - Fraction(1, 2) <= count < exact + Fraction(1, 2)
+            assert (n_txt if case == "text-missing" else n_img) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 60), eta=st.floats(0.0, 100.0),
+           case=st.sampled_from(bench.MISSING_CASES), seed=st.integers(0, 2 ** 32 - 1))
+    def test_mask_degrades_exactly_the_counted_samples(self, n, eta, case, seed):
+        samples = complete_samples(n)
+        masked = apply_missing_mask(samples, eta, case, seed, 4, 6)
+        again = apply_missing_mask(samples, eta, case, seed, 4, 6)
+        assert [(s.id, s.has_text, s.has_visual) for s in masked] == \
+            [(s.id, s.has_text, s.has_visual) for s in again]
+        n_img, n_txt = missing_counts(n, eta, case)
+        image_only = [s for s in masked if s.missing_type == "image-only"]
+        text_only = [s for s in masked if s.missing_type == "text-only"]
+        assert (len(image_only), len(text_only)) == (n_img, n_txt)
+        assert all(s.text_tokens == [] for s in image_only)
+        assert all((s.patches == dummy_patches(4, 6)).all() for s in text_only)
+        for before, after in zip(samples, masked):
+            assert after.id == before.id and after.label == before.label
+            if after.missing_type == "complete":
+                assert after is before
+
+    @settings(max_examples=40, deadline=None)
+    @given(classes=st.integers(2, 8), per_class=st.integers(1, 6),
+           sessions=st.integers(1, 8), multi_label=st.booleans(),
+           eta=st.floats(0.0, 100.0), case=st.sampled_from(bench.MISSING_CASES),
+           seed=st.integers(0, 2 ** 16))
+    def test_stream_sessions_class_disjoint_and_splits_apart(
+            self, classes, per_class, sessions, multi_label, eta, case, seed):
+        sessions = min(sessions, classes)
+        cfg = SynthConfig(vocab_size=64, max_text_len=8, num_patches=4, patch_dim=6,
+                          tokens_per_class=4, multi_label=multi_label)
+        meta, samples = synth_generate(classes, per_class, cfg, seed=seed)
+        stream = build_stream(meta, samples, sessions, eta, case, seed + 1, seed + 2)
+        seen_classes: set[int] = set()
+        seen_ids: set[str] = set()
+        for s in stream.sessions:
+            assert not seen_classes & set(s.spec.classes)
+            seen_classes |= set(s.spec.classes)
+            train_ids = {x.id for x in s.train}
+            test_ids = {x.id for x in s.test}
+            assert len(train_ids) == len(s.train) and len(test_ids) == len(s.test)
+            assert not train_ids & test_ids
+            assert not (train_ids | test_ids) & seen_ids
+            seen_ids |= train_ids | test_ids
+            for x in s.train + s.test:
+                first = x.label if isinstance(x.label, int) else x.label[0]
+                assert first in s.spec.classes
 
 
 class TestStream:

@@ -75,6 +75,15 @@ class TestGenData:
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 4 * 10
 
+    @pytest.mark.parametrize("flag", ["--classes", "--samples-per-class"])
+    def test_count_below_one_rejected(self, cli_workspace, capsys, flag):
+        tmp, cfg_path = cli_workspace
+        out = tmp / "zero.jsonl"
+        rc = main(["gen-data", "--config", str(cfg_path), "--out", str(out), flag, "0"])
+        assert rc == 2
+        assert f"gen-data: {flag} must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corpus_feeds_run(self, cli_workspace):
         tmp, cfg_path = cli_workspace
         corpus = tmp / "corpus2.jsonl"
@@ -116,6 +125,18 @@ class TestRun:
         rc = main(["run", "--config", str(cfg_path), "--set", "bogus_key=1",
                    "--out", str(tmp / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize("setting, message", [
+        ("backbone=5", "config key backbone must be a mapping, got 5"),
+        ('synth={"bogus": 1}', "config key synth has unknown keys ['bogus']")],
+        ids=["backbone-not-mapping", "synth-unknown-key"])
+    def test_bad_nested_config_named(self, cli_workspace, capsys, setting, message):
+        tmp, cfg_path = cli_workspace
+        rc = main(["run", "--config", str(cfg_path), "--set", setting,
+                   "--out", str(tmp / "nested_bad")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp / "nested_bad").exists()
 
     def test_output_root_env(self, cli_workspace, monkeypatch):
         tmp, cfg_path = cli_workspace
@@ -207,6 +228,16 @@ class TestSweep:
         assert f"error [{stage}] {axis} must" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected_before_any_run(self, cli_workspace, capsys, jobs):
+        tmp, cfg_path = cli_workspace
+        out = tmp / f"sweep_jobs{jobs}"
+        rc = main(["sweep", "--config", str(cfg_path), "--axis", "eta=0",
+                   "--jobs", jobs, "--out", str(out)])
+        assert rc == 2
+        assert f"sweep: --jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jobs_share_the_cores(self, cli_workspace):
         tmp, cfg_path = cli_workspace
         rc = main(["sweep", "--config", str(cfg_path), "--axis", "eta=0,50",
@@ -234,3 +265,19 @@ class TestReport:
         doc["ap"] = 0.123456
         path.write_text(json.dumps(doc))
         assert main(["report", "--report", str(path)]) == 1
+
+    @pytest.mark.parametrize("doc, message", [
+        ({}, "report lacks keys ['ap', 'artifact_version',"),
+        ([1, 2], "report must be a mapping, got [1, 2]"),
+        ("extra", "report has unknown keys ['extra']")],
+        ids=["empty-object", "list", "extra-key"])
+    def test_non_report_json_rejected(self, cli_workspace, capsys, doc, message):
+        tmp, cfg_path = cli_workspace
+        if doc == "extra":
+            assert main(["run", "--config", str(cfg_path), "--out", str(tmp / "extra")]) == 0
+            doc = json.loads((tmp / "extra" / "report.json").read_text())
+            doc["extra"] = 1
+        path = tmp / "not_a_report.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--report", str(path)]) == 2
+        assert message in capsys.readouterr().err

@@ -15,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rebq import tensor as T
-from rebq.backbone import (BackboneConfig, EmbeddedBatch, MultimodalBackbone,
-                           build_injection, unified_positions)
+from rebq.backbone import BackboneConfig, EmbeddedBatch, MultimodalBackbone, unified_positions
 from rebq.tensor import Tensor
 
 from conftest import TINY
@@ -95,18 +94,17 @@ class TestSplitForward:
     def test_split_equals_serial(self, size, rows, workers, prefix, positions, seed):
         bb = BACKBONES[size]
         segments = unified_input(bb, rows, seed)
-        inj = None if prefix is None else build_injection(
-            [prompt_block(bb, rows, prefix, seed + 1)], bb.config.num_layers)
+        block = None if prefix is None else prompt_block(bb, rows, prefix, seed + 1)
         pos = unified_positions(bb.config)
         rows_read = {"all": None, "joint": [0],
                      "unified": [pos["text_cls"], pos["visual_cls"], pos["joint"]]}[positions]
         try:
             T.set_row_parts(1)
             with T.no_grad():
-                serial = bb.forward(segments, inj, rows_read).data
+                serial = bb.forward(segments, block, rows_read).data
             T.set_row_parts(workers)
             with T.no_grad():
-                split = bb.forward(segments, inj, rows_read).data
+                split = bb.forward(segments, block, rows_read).data
         finally:
             T.set_row_parts(None)
         assert split.shape == serial.shape
@@ -126,12 +124,11 @@ class TestSplitForward:
         bb = BACKBONES["tiny"]
         segments = unified_input(bb, 3 * MIN, 2)
         block = prompt_block(bb, 3 * MIN, 2, 3, trainable=True)
-        inj = build_injection([block], bb.config.num_layers)
         parts(1)
-        serial = bb.forward(segments, inj, positions=[0])
+        serial = bb.forward(segments, block, positions=[0])
         spy = PoolSpy(monkeypatch)
         parts(3)
-        tracked = bb.forward(segments, inj, positions=[0])
+        tracked = bb.forward(segments, block, positions=[0])
         assert spy.calls == 0
         assert tape_records(tracked) == tape_records(serial)
         assert tracked.data.tobytes() == serial.data.tobytes()

@@ -10,11 +10,12 @@ from rebq.pipeline import (VARIANT_PRESETS, ModelConfig, OptimizerConfig, Varian
                            _targets, build_variant, forward_batch, predict_batch,
                            train_task, variant_from_name)
 from rebq.prompt import PromptPool, PromptVector
-from rebq.reconstruct import QueryCache, counterparts, reconstruction_loss
+from rebq.reconstruct import QueryCache, counterparts
 from rebq.runner import ExperimentState, RunConfig
 from rebq.tensor import AdamW, Tensor
 
 from conftest import TINY, float64
+from reconstruction_oracle import reconstruction_loss
 
 MCFG = ModelConfig(num_classes=4, pool_size=6, memory_pool_size=6, prompt_len=3,
                    prompted_layers=8, lam=0.01)
@@ -61,14 +62,14 @@ class TestBuildVariant:
         assert model.memory is None and model.folder is None
 
     def test_contradictory_specs_rejected(self, tiny_backbone):
-        with pytest.raises(ValueError):
-            build_variant(VariantSpec(text_prompts="unified", visual_prompts="pool"),
-                          tiny_backbone, MCFG, 0)
-        with pytest.raises(ValueError):
-            build_variant(VariantSpec(reconstruction=True, memory="none"),
-                          tiny_backbone, MCFG, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad prompt kind 'vector'"):
+            build_variant(VariantSpec(prompts="vector"), tiny_backbone, MCFG, 0)
+        with pytest.raises(ValueError, match="bad memory kind 'bogus'"):
+            build_variant(VariantSpec(memory="bogus"), tiny_backbone, MCFG, 0)
+        with pytest.raises(ValueError, match="known: .*'no_reconstruction'"):
             variant_from_name("not_a_variant")
+        with pytest.raises(ValueError, match="unknown variant 'rebq'"):
+            variant_from_name("rebq")
 
     def test_unfrozen_backbone_rejected(self):
         from rebq.backbone import MultimodalBackbone
@@ -379,8 +380,7 @@ class TestFusedPath:
         assert l_r is None
         assert info_fused == info
         np.testing.assert_allclose(logits_fused.data, logits.data, atol=1e-10)
-        l_r_ref = reconstruction_loss(complete, model.memory, model.backbone,
-                                      model.prompted_layers)
+        l_r_ref = reconstruction_loss(complete, model.memory, model.backbone)
         assert l_r_fused.item() == pytest.approx(l_r_ref.item(), abs=1e-10)
 
     def test_lr_off_without_lambda_or_memory(self, tiny_backbone, tiny_benchmark):
@@ -481,8 +481,7 @@ class TestEndToEndGradient:
             l_c = T.cross_entropy(logits, _targets(model, [batch[i] for i in info.order]))
             return T.add(l_c, T.scale(l_r, model.mcfg.lam))
 
-        l_r_ref = reconstruction_loss([complete_samples[1]], model.memory,
-                                      model.backbone, model.prompted_layers)
+        l_r_ref = reconstruction_loss([complete_samples[1]], model.memory, model.backbone)
         assert forward_batch(model, batch, with_lr=True)[2].item() == pytest.approx(
             l_r_ref.item(), abs=1e-10)
 

@@ -7,19 +7,19 @@ from rebq import reconstruct
 from rebq import tensor as T
 from rebq.backbone import MultimodalBackbone
 from rebq.bench import Sample, dummy_patches, synth_generate
+from rebq.pipeline import ModelConfig, build_variant, forward_batch
 from rebq.prompt import init_pool, init_vector
 from rebq.reconstruct import (QueryCache, counterparts, generate_queries_batch,
-                              export_query_embeddings, mean_reconstruction_cosine,
-                              reconstruct_batch, reconstruction_loss,
+                              export_query_embeddings, reconstruct_batch,
                               reconstruction_loss_from_queries)
 from rebq.tensor import AdamW, Tensor
 
 from conftest import TINY, TINY_SYNTH, float64
+from reconstruction_oracle import mean_reconstruction_cosine, reconstruction_loss
 
 
 def memory_pool(seed=0, k=4):
-    return init_pool(np.random.default_rng(seed), TINY.embed_dim, k, 3,
-                     TINY.num_layers, "memory")
+    return init_pool(np.random.default_rng(seed), TINY.embed_dim, k, 3, TINY.num_layers)
 
 
 def text_only(sample):
@@ -73,8 +73,7 @@ class TestReconstructQuery:
                                                           complete_samples):
         # A zero-length prefix is a strict no-op; the second forward then
         # just recomputes the joint cls on the compact layout.
-        pool = init_pool(np.random.default_rng(4), TINY.embed_dim, 3, 0,
-                         TINY.num_layers, "memory")
+        pool = init_pool(np.random.default_rng(4), TINY.embed_dim, 3, 0, TINY.num_layers)
         masked = [text_only(complete_samples[0])]
         mem = generate_queries_batch(masked, tiny_backbone).memory
         q_hat = reconstruct_batch(masked, mem, pool, tiny_backbone).data
@@ -85,8 +84,7 @@ class TestReconstructQuery:
         assert q_hat.tobytes() == plain.tobytes()
 
     def test_memory_vector_source(self, tiny_backbone, complete_samples):
-        vec = init_vector(np.random.default_rng(6), TINY.embed_dim, 3,
-                          TINY.num_layers, "memory")
+        vec = init_vector(np.random.default_rng(6), TINY.embed_dim, 3, TINY.num_layers)
         masked = [text_only(s) for s in complete_samples[:2]]
         mem = generate_queries_batch(masked, tiny_backbone).memory
         q_hat = reconstruct_batch(masked, mem, vec, tiny_backbone)
@@ -116,11 +114,6 @@ class TestReconstructionLoss:
         doubled = reconstruction_loss_from_queries(
             q_t, Tensor(q_t.data + 2 * r_t), q_v, Tensor(q_v.data + 2 * r_v)).item()
         assert doubled == pytest.approx(4 * base, rel=1e-12)
-
-    def test_rejects_incomplete_batch(self, tiny_backbone, complete_samples):
-        batch = [complete_samples[0], text_only(complete_samples[1])]
-        with pytest.raises(ValueError):
-            reconstruction_loss(batch, memory_pool(), tiny_backbone)
 
     def test_nonnegative_and_gradient_routing(self, tiny_backbone, complete_samples):
         pool = memory_pool(seed=9)
@@ -275,7 +268,7 @@ class TestQueryCache:
 
 
 class TestEmbedOnce:
-    """Each helper embeds its rows in one call and returns the values that
+    """Each caller embeds its rows in one call and returns the values that
     separate query and reconstruction passes give."""
 
     @pytest.fixture()
@@ -290,32 +283,21 @@ class TestEmbedOnce:
         monkeypatch.setattr(MultimodalBackbone, "embed_batch", counted)
         return calls
 
-    @staticmethod
-    def separate_passes(samples, pool, backbone):
-        rows = [c for s in samples for c in counterparts(s, TINY.num_patches, TINY.patch_dim)]
-        rows = rows[0::2] + rows[1::2]
-        gt = generate_queries_batch(samples, backbone)
-        mem = generate_queries_batch(rows, backbone).memory
-        return gt, reconstruct_batch(rows, mem, pool, backbone)
-
     def test_reconstruction_loss(self, tiny_backbone, complete_samples, embed_calls):
-        pool = memory_pool(seed=21)
-        loss = reconstruction_loss(complete_samples[:5], pool, tiny_backbone)
+        """The training call embeds complete samples and both counterparts of
+        each in one call; its L_r equals the one of separate passes."""
+        mcfg = ModelConfig(num_classes=4, pool_size=4, memory_pool_size=4, prompt_len=3)
+        model = build_variant("canonical", tiny_backbone, mcfg, seed=21)
+        _, _, loss = forward_batch(model, complete_samples[:5], with_lr=True)
         assert embed_calls == [15]
-        gt, rec = self.separate_passes(complete_samples[:5], pool, tiny_backbone)
+        rows = [c for s in complete_samples[:5]
+                for c in counterparts(s, TINY.num_patches, TINY.patch_dim)]
+        rows = rows[0::2] + rows[1::2]
+        gt = generate_queries_batch(complete_samples[:5], tiny_backbone)
+        mem = generate_queries_batch(rows, tiny_backbone).memory
+        rec = reconstruct_batch(rows, mem, model.memory, tiny_backbone)
         ref = reconstruction_loss_from_queries(gt.q_text, rec[5:], gt.q_visual, rec[:5])
         assert loss.data.tobytes() == ref.data.tobytes()
-
-    def test_mean_reconstruction_cosine(self, tiny_backbone, complete_samples,
-                                        embed_calls):
-        pool = memory_pool(seed=22)
-        value = mean_reconstruction_cosine(complete_samples[:5], pool, tiny_backbone)
-        assert embed_calls == [15]
-        gt, rec = self.separate_passes(complete_samples[:5], pool, tiny_backbone)
-        ref = np.mean([c for i in range(5)
-                       for c in (reconstruct._cos(rec.data[i], gt.q_visual.data[i]),
-                                 reconstruct._cos(rec.data[5 + i], gt.q_text.data[i]))])
-        assert value == float(ref)
 
     def test_export_query_embeddings(self, tiny_backbone, complete_samples, embed_calls):
         pool = memory_pool(seed=23)

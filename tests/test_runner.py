@@ -202,7 +202,6 @@ class TestEmit:
         test = [s for session in artifacts.stream.sessions for s in session.test]
         assert len(test) > 5
         whole = export_query_embeddings(test, artifacts.backbone, artifacts.model.memory,
-                                        num_prompted_layers=artifacts.model.prompted_layers,
                                         batch_size=len(test))
         assert [(r["id"], r["modality"], r["kind"]) for r in records] == \
             [(r["id"], r["modality"], r["kind"]) for r in whole]

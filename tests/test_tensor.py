@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rebq import tensor as T
+from rebq.prompt import PromptPool, compute_weights
 from rebq.tensor import AdamW, ShapeError, Tensor, warmup_cosine_lr
 
 
@@ -65,7 +66,7 @@ class TestElementwise:
         assert "(2, 3)" in str(exc.value) and "(4, 5)" in str(exc.value)
 
     def test_scalar_operand_broadcasts(self):
-        out = Tensor([1.0, 2.0]) * 2.5
+        out = T.scale(Tensor([1.0, 2.0]), 2.5)
         np.testing.assert_array_equal(out.data, [2.5, 5.0])
 
 
@@ -137,33 +138,37 @@ class TestSoftmax:
         assert_grad_close(x.grad, finite_diff_grad(build, x))
 
 
+def cosine(a, b) -> float:
+    """The library's one cosine, prompt.compute_weights, between a and b: the
+    weight of query a for a one-key pool with key b and unit modulation."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    pool = PromptPool(attention=Tensor(np.ones((b.size, 1))), keys=Tensor(b[:, None]),
+                      components=Tensor(np.zeros((1, 1, 2, 1, b.size))))
+    return float(compute_weights(Tensor(a[None]), pool).data[0, 0])
+
+
 class TestCosine:
+    """The cosine and its epsilon denominator (T.COSINE_EPS)."""
+
     def test_self_similarity(self):
-        rng = np.random.default_rng(7)
-        v = Tensor(rng.standard_normal(6))
-        assert T.cosine_similarity(v, v).item() == pytest.approx(1.0, abs=1e-12)
+        v = np.random.default_rng(7).standard_normal(6)
+        assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        out = T.cosine_similarity(Tensor([1.0, 0.0]), Tensor([0.0, 1.0]))
-        assert out.item() == 0.0
+        assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_hand_value(self):
-        out = T.cosine_similarity(Tensor(np.array([1.0, 1.0])), Tensor(np.array([1.0, 0.0])))
-        assert out.item() == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
     def test_zero_vectors_defined(self):
-        out = T.cosine_similarity(Tensor([0.0, 0.0]), Tensor([0.0, 0.0]))
-        assert out.item() == 0.0
+        assert cosine([0.0, 0.0], [0.0, 0.0]) == 0.0
 
     def test_positive_scale_invariance(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            a = Tensor(rng.standard_normal(5))
-            b = Tensor(rng.standard_normal(5))
+            a, b = rng.standard_normal(5), rng.standard_normal(5)
             c = float(rng.uniform(0.01, 100.0))
-            base = T.cosine_similarity(a, b).item()
-            scaled = T.cosine_similarity(Tensor(a.data * c), b).item()
-            assert abs(base - scaled) < 1e-10
+            assert abs(cosine(a, b) - cosine(a * c, b)) < 1e-10
 
 
 class TestLosses:
@@ -178,7 +183,7 @@ class TestLosses:
         logits = rand(rng, 6)
         target = Tensor(T.one_hot(2, 6))
         T.cross_entropy(logits, target).backward()
-        expected = T.softmax_rows(logits.detach()).data - target.data
+        expected = T.softmax_rows(Tensor(logits.data)).data - target.data
         np.testing.assert_allclose(logits.grad, expected, atol=1e-12)
 
     def test_label_out_of_range_rejected(self):
@@ -207,7 +212,7 @@ class TestBackward:
         w = rand(rng, 4, 3)
         x = Tensor(rng.standard_normal((3, 2)))
         def build():
-            return T.tsum(T.softmax_rows(T.matmul(w, x).transpose((1, 0))))
+            return T.tsum(T.softmax_rows(T.transpose(T.matmul(w, x), (1, 0))))
         build().backward()
         assert_grad_close(w.grad, finite_diff_grad(build, w))
 
@@ -234,8 +239,9 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, [12.0])
 
     def test_detach_blocks_flow(self):
+        """A value rewrapped in a new Tensor is a constant: it carries no tape."""
         x = Tensor([1.0, 2.0], trainable=True)
-        y = T.square(x).detach()
+        y = Tensor(T.square(x).data)
         loss = T.tsum(T.mul(y, Tensor([1.0, 1.0])))
         loss.backward()
         assert x.grad is None
@@ -280,6 +286,12 @@ class TestBackward:
         build().backward()
         assert_grad_close(table.grad, finite_diff_grad(build, table))
         assert_grad_close(other.grad, finite_diff_grad(build, other))
+
+    def test_concat_of_one_tensor_is_that_tensor(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), trainable=True)
+        assert T.concat([x], axis=1) is x
+        T.tsum(T.square(T.concat([x], axis=0))).backward()
+        np.testing.assert_array_equal(x.grad, 2 * x.data)
 
     def test_no_grad_skips_tape(self):
         x = Tensor([1.0], trainable=True)
@@ -515,7 +527,7 @@ class TestGradientSuite:
             h = T.gelu(T.matmul(a, b))
             h = T.add(h, c)
             p = T.softmax_rows(h)
-            return T.tmean(T.square(T.log(T.add(p, Tensor(1.0)))))
+            return T.scale(T.tsum(T.sqrt(T.add(T.square(p), Tensor(1.0)))), 1.0 / p.size)
         build().backward()
         for p in (a, b, c):
             assert_grad_close(p.grad, finite_diff_grad(build, p))
