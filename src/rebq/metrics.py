@@ -26,12 +26,9 @@ class EvalMatrix:
             raise ValueError(f"performance {value} outside [0, 1]")
         self.values[i, j] = value
 
-    def column_complete(self, j: int) -> bool:
-        return not np.isnan(self.values[:j + 1, j]).any()
-
     @property
     def complete(self) -> bool:
-        return self.column_complete(self.t - 1)
+        return not np.isnan(self.values[:, self.t - 1]).any()
 
     def rows(self) -> list[list[float]]:
         """Row i as the values a[i][i..T-1]."""

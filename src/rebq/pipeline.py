@@ -1,16 +1,19 @@
 """The full model and per-session training loop.
 
-One forward path serves training and evaluation. forward_batch groups a
+One forward path serves training and evaluation. forward_batch orders a
 mini-batch by missing type, embeds every row once through the frozen
 backbone, runs one untracked unified pass for the modality and memory
 queries and one tracked memory-injected pass that reconstructs each
-missing query, then selects modality-specific prompts and runs the
-collaborative classification forward whose joint cls output feeds the
-shared linear head. Training (train_task) also asks for the
-reconstruction loss: the masked counterparts of the batch's complete
-samples then ride along in both passes and L_r is computed over them.
-Evaluation (predict_batch) calls the same function without it. Variants
-(ablations and the naive per-missing-type baseline) are built by
+missing query. Its classification step is the same for every variant:
+the variant lists (row slice, prompt prefix) groups, and each group runs
+one prompted backbone forward whose joint cls output feeds the shared
+linear head. The baseline and the pooled variants form one group for the
+whole batch; without modality-specific queries each missing type is its
+own group, since its prefix length differs. Training (train_task) also
+asks for the reconstruction loss: the masked counterparts of the batch's
+complete samples then ride along in both passes and L_r is computed over
+them. Evaluation (predict_batch) calls the same function without it.
+Variants (ablations and the naive per-missing-type baseline) are built by
 ``build_variant`` from a declarative spec.
 """
 
@@ -158,29 +161,14 @@ def build_variant(spec: VariantSpec | str, backbone: MultimodalBackbone,
 # -- forward -----------------------------------------------------------------------------
 
 
-@dataclass
-class ForwardInfo:
-    order: list[int]                       # permutation applied to the batch
-    reconstructed_text: list[bool]         # aligned with the original batch order
-    reconstructed_visual: list[bool]
-    injected: list[tuple[str, ...]]        # prompt sources injected per sample
-
-
-def _group_indices(samples: list[Sample]):
-    idx_t = [i for i, s in enumerate(samples) if s.missing_type == "text-only"]
-    idx_v = [i for i, s in enumerate(samples) if s.missing_type == "image-only"]
-    idx_c = [i for i, s in enumerate(samples) if s.missing_type == "complete"]
-    return idx_t, idx_v, idx_c
-
-
 def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False,
                   cache: QueryCache | None = None
-                  ) -> tuple[Tensor, ForwardInfo, Tensor | None]:
+                  ) -> tuple[Tensor, list[int], Tensor | None]:
     """Logits for a mini-batch, grouped by missing type, and optionally L_r.
 
     Returns logits in group order (text-only, image-only, complete), the
-    ForwardInfo whose order maps logits rows back to the input batch, and
-    the reconstruction loss. With with_lr set (and lam > 0, a memory source
+    order that maps logits rows back to the input batch, and the
+    reconstruction loss. With with_lr set (and lam > 0, a memory source
     and at least one complete sample) the masked counterparts of the
     complete samples ride along in both backbone passes and L_r is their
     mean residual; otherwise the third value is None. A cache memoizes the
@@ -193,11 +181,11 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
             raise ValueError(f"sample {s.id} is missing both modalities")
     backbone = model.backbone
     cfg = backbone.config
-    idx_t, idx_v, idx_c = _group_indices(samples)
-    order = idx_t + idx_v + idx_c
+    kinds = [MISSING_TYPES.index(s.missing_type) for s in samples]
+    order = sorted(range(len(samples)), key=kinds.__getitem__)
     ordered = [samples[i] for i in order]
-    n_t, n_v, n_c = len(idx_t), len(idx_v), len(idx_c)
-    n_inc, b = n_t + n_v, len(samples)
+    b, n_t, n_c = len(samples), kinds.count(0), kinds.count(2)
+    n_inc = b - n_c
 
     has_memory = model.memory is not None
     use_recon = has_memory and model.spec.modality_specific_query and n_inc > 0
@@ -211,86 +199,50 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
         rows += [p[0] for p in pairs] + [p[1] for p in pairs]
     with T.no_grad():
         emb = backbone.embed_batch(rows)
-    gen = generate_queries_batch(rows, backbone, emb=emb, cache=cache)
-    q_text_raw, q_vis_raw = gen.q_text.data[:b], gen.q_visual.data[:b]
+    queries = generate_queries_batch(rows, backbone, emb=emb, cache=cache)
+    q_text, q_vis = Tensor(queries[:b, 0]), Tensor(queries[:b, 1])
 
     # one tracked memory-injected pass: the batch's incomplete rows, then
     # the counterparts (text-only halves first, then image-only halves)
     recon_idx = (list(range(n_inc)) if use_recon else []) + list(range(b, len(rows)))
     if recon_idx:
-        recon = reconstruct_batch([rows[i] for i in recon_idx],
-                                  Tensor(gen.memory.data[recon_idx]), model.memory,
-                                  backbone, emb=emb.rows(recon_idx))
-
-    rec_text = [use_recon and s.missing_type == "image-only" for s in samples]
-    rec_vis = [use_recon and s.missing_type == "text-only" for s in samples]
+        recon = reconstruct_batch([rows[i] for i in recon_idx], Tensor(queries[recon_idx, 2]),
+                                  model.memory, backbone, emb=emb.rows(recon_idx))
     if use_recon:
-        q_hat_visual, q_hat_text = recon[:n_t], recon[n_t:n_inc]
-        q_text_eff = T.concat([Tensor(q_text_raw[:n_t]), q_hat_text,
-                               Tensor(q_text_raw[n_inc:])], axis=0)
-        q_vis_eff = T.concat([q_hat_visual, Tensor(q_vis_raw[n_t:])], axis=0)
-    else:
-        q_text_eff = Tensor(q_text_raw)
-        q_vis_eff = Tensor(q_vis_raw)
+        # text-only rows reconstruct the visual query, image-only the text
+        q_text = T.concat([Tensor(queries[:n_t, 0]), recon[n_t:n_inc],
+                           Tensor(queries[n_inc:b, 0])], axis=0)
+        q_vis = T.concat([recon[:n_t], Tensor(queries[n_t:b, 1])], axis=0)
 
-    segments = backbone.unified_segments(emb.rows(slice(0, b)))
+    # without modality-specific queries only the available modality's
+    # prompts are prefixed, so each missing type is its own group
+    text_src, vis_src = model.text_source(), model.visual_source()
+    spans = (slice(0, n_t), slice(n_t, n_inc), slice(n_inc, b))
     if model.spec.baseline:
-        logits = _baseline_logits(model, segments, n_t, n_v, n_c)
-        injected = [("baseline",)] * b
+        groups = [(slice(0, b), T.concat(
+            [model.baseline_blocks[kind].select(T.zeros((sl.stop - sl.start, cfg.embed_dim)))
+             for kind, sl in zip(MISSING_TYPES, spans) if sl.stop > sl.start], axis=0))]
     elif model.spec.modality_specific_query:
-        p_text = model.text_source().select(q_text_eff)
-        p_vis = model.visual_source().select(q_vis_eff)
-        out = backbone.forward(segments, T.concat([p_text, p_vis], axis=3), positions=[0])
-        logits = T.affine(out[:, 0], model.head_w, model.head_b)
-        injected = [("text", "visual")] * b
+        groups = [(slice(0, b), T.concat([text_src.select(q_text), vis_src.select(q_vis)],
+                                         axis=3))]
     else:
-        # without modality-specific queries only the available modality's
-        # prompts are injected, so each group runs its own forward
-        logits, injected = _per_group_logits(model, segments, q_text_eff, q_vis_eff,
-                                             n_t, n_v, b, order)
-    info = ForwardInfo(order, rec_text, rec_vis, injected)
+        t, v, c = spans
+        reads = ((t, [(text_src, q_text)]), (v, [(vis_src, q_vis)]),
+                 (c, [(text_src, q_text), (vis_src, q_vis)]))
+        groups = [(sl, T.concat([src.select(q[sl]) for src, q in sources], axis=3))
+                  for sl, sources in reads if sl.stop > sl.start]
+    logits = T.concat([T.affine(backbone.forward(backbone.unified_segments(emb.rows(sl)),
+                                                 prefix, positions=[0])[:, 0],
+                                model.head_w, model.head_b) for sl, prefix in groups], axis=0)
 
     l_r = None
     if use_lr:
         # text-only counterparts reconstruct the visual query, image-only the text
         base = len(recon_idx) - 2 * n_c
         l_r = reconstruction_loss_from_queries(
-            Tensor(gen.q_text.data[n_inc:b]), recon[base + n_c:],
-            Tensor(gen.q_visual.data[n_inc:b]), recon[base:base + n_c])
-    return logits, info, l_r
-
-
-def _baseline_logits(model: RebQModel, segments, n_t: int, n_v: int, n_c: int) -> Tensor:
-    blocks = []
-    d = model.backbone.config.embed_dim
-    for kind, count in (("text-only", n_t), ("image-only", n_v), ("complete", n_c)):
-        if count:
-            blocks.append(model.baseline_blocks[kind].select(T.zeros((count, d))))
-    out = model.backbone.forward(segments, T.concat(blocks, axis=0), positions=[0])
-    return T.affine(out[:, 0], model.head_w, model.head_b)
-
-
-def _per_group_logits(model: RebQModel, segments, q_text_eff, q_vis_eff,
-                      n_t: int, n_v: int, b: int, order):
-    text_src, vis_src = model.text_source(), model.visual_source()
-    logits_parts = []
-    injected: list[tuple[str, ...]] = [()] * b
-    groups = [("text-only", slice(0, n_t), [("text", text_src, q_text_eff)]),
-              ("image-only", slice(n_t, n_t + n_v), [("visual", vis_src, q_vis_eff)]),
-              ("complete", slice(n_t + n_v, b),
-               [("text", text_src, q_text_eff), ("visual", vis_src, q_vis_eff)])]
-    for _, sl, sources in groups:
-        count = sl.stop - sl.start
-        if not count:
-            continue
-        seg_group = [seg[sl] for seg in segments]
-        blocks = [src.select(q_eff[sl]) for _, src, q_eff in sources]
-        tags = [tag for tag, _, _ in sources]
-        out = model.backbone.forward(seg_group, T.concat(blocks, axis=3), positions=[0])
-        logits_parts.append(T.affine(out[:, 0], model.head_w, model.head_b))
-        for i in order[sl]:
-            injected[i] = tuple(tags)
-    return T.concat(logits_parts, axis=0), injected
+            Tensor(queries[n_inc:b, 0]), recon[base + n_c:],
+            Tensor(queries[n_inc:b, 1]), recon[base:base + n_c])
+    return logits, order, l_r
 
 
 def predict_batch(model: RebQModel, samples: list[Sample], batch_size: int = 64,
@@ -302,13 +254,13 @@ def predict_batch(model: RebQModel, samples: list[Sample], batch_size: int = 64,
     with T.no_grad():
         for start in range(0, len(samples), batch_size):
             chunk = samples[start:start + batch_size]
-            logits, info, _ = forward_batch(model, chunk, cache=cache)
+            logits, order, _ = forward_batch(model, chunk, cache=cache)
             vals = logits.data
             bad = ~np.isfinite(vals).all(axis=1)
             if bad.any():
-                ids = [chunk[info.order[row]].id for row in np.nonzero(bad)[0]]
+                ids = [chunk[order[row]].id for row in np.nonzero(bad)[0]]
                 raise ValueError(f"predict_batch: non-finite logits for samples {ids}")
-            for row, orig in enumerate(info.order):
+            for row, orig in enumerate(order):
                 if model.mcfg.multi_label:
                     preds[start + orig] = sorted(int(c) for c in np.nonzero(vals[row] > 0.0)[0])
                 else:
@@ -364,7 +316,7 @@ def train_task(model: RebQModel, samples: list[Sample], epochs: int,
 
     Each step runs forward_batch with the reconstruction loss on: L_c is
     the classification loss of the returned logits against the targets in
-    info.order, L_r the reconstruction loss over the batch's complete
+    order, L_r the reconstruction loss over the batch's complete
     samples (zero when the batch has none or it is switched off), and the
     objective is L_c + lam * L_r.
     """
@@ -386,8 +338,8 @@ def train_task(model: RebQModel, samples: list[Sample], epochs: int,
         perm = rng.permutation(len(samples))
         for start in range(0, len(samples), opt_cfg.batch_size):
             batch = [samples[i] for i in perm[start:start + opt_cfg.batch_size]]
-            logits, info, l_r = forward_batch(model, batch, with_lr=True, cache=cache)
-            l_c = loss_fn(logits, _targets(model, [batch[i] for i in info.order]))
+            logits, order, l_r = forward_batch(model, batch, with_lr=True, cache=cache)
+            l_c = loss_fn(logits, _targets(model, [batch[i] for i in order]))
             if l_r is None:
                 l_r = Tensor(np.zeros_like(l_c.data))
             total = T.add(l_c, T.scale(l_r, lam))

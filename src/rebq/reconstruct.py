@@ -1,14 +1,16 @@
 """Missing-query reconstruction through the frozen backbone.
 
 A first (untracked) forward over the unified layout yields both modality
-queries and the joint memory query for every sample. For a sample missing
-one modality, prompts selected from the memory pool by the joint query are
-prefixed to a second forward over the compact [cls, text, visual]
-layout; the cls output of that pass is the reconstructed query for the
-absent modality. The reconstruction loss (reconstruction_loss_from_queries)
-trains the memory pool to pull those reconstructions toward the queries the
-complete sample would have produced (ground truth is gradient-detached);
-pipeline.forward_batch builds the masked counterparts it is computed over.
+queries and the joint memory query for every sample; generate_queries_batch
+returns them as one (B, 3, D) array whose columns are the text, visual and
+memory queries. For a sample missing one modality, prompts selected from
+the memory pool by the joint query are prefixed to a second forward over
+the compact [cls, text, visual] layout; the cls output of that pass is the
+reconstructed query for the absent modality. The reconstruction loss
+(reconstruction_loss_from_queries) trains the memory pool to pull those
+reconstructions toward the queries the complete sample would have produced
+(ground truth is gradient-detached); pipeline.forward_batch builds the
+masked counterparts it is computed over.
 
 The unified pass reads only the frozen backbone and a row's text tokens
 and patches, and each of its output rows depends on its own input row
@@ -22,7 +24,7 @@ fresh pass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,15 +32,6 @@ from . import tensor as T
 from .backbone import MultimodalBackbone, unified_positions
 from .bench import DUMMY_TEXT, Sample, dummy_patches
 from .tensor import Tensor
-
-
-@dataclass
-class BatchQueries:
-    """Raw per-position outputs of the unified pass, one row per sample."""
-
-    q_text: Tensor    # (B, D)
-    q_visual: Tensor  # (B, D)
-    memory: Tensor    # (B, D)
 
 
 class QueryCache:
@@ -59,30 +52,30 @@ class QueryCache:
 
 
 def generate_queries_batch(samples: list[Sample], backbone: MultimodalBackbone,
-                           emb=None, cache: QueryCache | None = None) -> BatchQueries:
+                           emb=None, cache: QueryCache | None = None) -> np.ndarray:
     """One untracked unified forward; raw queries regardless of presence flags.
+
+    Returns a (B, 3, D) array whose columns are the text, visual and memory
+    (joint) queries of each row.
 
     With a cache, only the rows it does not hold yet go through the pass,
     in one batch, and every row of the result is read from the cache.
     """
     if cache is None:
-        rows = _unified_pass(samples, backbone, emb)
-    else:
-        if cache.backbone is not backbone:
-            raise ValueError("generate_queries_batch: the cache belongs to another backbone")
-        keys = [QueryCache.key(s) for s in samples]
-        misses: dict[tuple, int] = {}
-        for i, k in enumerate(keys):
-            if k not in cache.rows:
-                misses.setdefault(k, i)
-        if misses:
-            idx = list(misses.values())
-            fresh = _unified_pass([samples[i] for i in idx], backbone,
-                                  None if emb is None else emb.rows(idx))
-            cache.rows.update(zip(misses, fresh))
-        rows = np.stack([cache.rows[k] for k in keys])
-    return BatchQueries(q_text=Tensor(rows[:, 0]), q_visual=Tensor(rows[:, 1]),
-                        memory=Tensor(rows[:, 2]))
+        return _unified_pass(samples, backbone, emb)
+    if cache.backbone is not backbone:
+        raise ValueError("generate_queries_batch: the cache belongs to another backbone")
+    keys = [QueryCache.key(s) for s in samples]
+    misses: dict[tuple, int] = {}
+    for i, k in enumerate(keys):
+        if k not in cache.rows:
+            misses.setdefault(k, i)
+    if misses:
+        idx = list(misses.values())
+        fresh = _unified_pass([samples[i] for i in idx], backbone,
+                              None if emb is None else emb.rows(idx))
+        cache.rows.update(zip(misses, fresh))
+    return np.stack([cache.rows[k] for k in keys])
 
 
 def _unified_pass(samples: list[Sample], backbone: MultimodalBackbone,
@@ -163,7 +156,7 @@ def _query_records(samples: list[Sample], backbone: MultimodalBackbone,
     recon_by_index: dict[int, np.ndarray] = {}
     if memory_source is not None and incomplete:
         rows = [samples[i] for i in incomplete]
-        mem = Tensor(raw.memory.data[incomplete])
+        mem = Tensor(raw[incomplete, 2])
         with T.no_grad():
             rec = reconstruct_batch(rows, mem, memory_source, backbone,
                                     emb=emb.rows(incomplete))
@@ -171,11 +164,11 @@ def _query_records(samples: list[Sample], backbone: MultimodalBackbone,
 
     for i, s in enumerate(samples):
         label = s.label if isinstance(s.label, int) else list(s.label)
-        for modality, present, rows in (("text", s.has_text, raw.q_text),
-                                        ("visual", s.has_visual, raw.q_visual)):
+        for col, (modality, present) in enumerate((("text", s.has_text),
+                                                   ("visual", s.has_visual))):
             records.append({"id": s.id, "label": label, "modality": modality,
                             "kind": "ground_truth" if present else "unreconstructed",
-                            "embedding": rows.data[i].tolist()})
+                            "embedding": raw[i, col].tolist()})
         if i in recon_by_index:
             records.append({"id": s.id, "label": label,
                             "modality": "text" if not s.has_text else "visual",

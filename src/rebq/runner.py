@@ -26,8 +26,7 @@ from .bench import (CmmlStream, CorpusMeta, SynthConfig, build_stream, load_corp
                     synth_generate)
 from .metrics import EvalMatrix, average_forgetting, average_performance, performance
 from .pipeline import (ModelConfig, OptimizerConfig, RebQModel, TrainingLog,
-                       VariantSpec, build_variant, predict_batch, train_task,
-                       variant_from_name)
+                       build_variant, predict_batch, train_task)
 from .reconstruct import QueryCache, export_query_embeddings
 
 
@@ -114,7 +113,11 @@ class RunConfig:
         d = dict(_checked_keys(d, cls, "config"))
         for key, kind in (("backbone", BackboneConfig), ("synth", SynthConfig)):
             if key in d:
-                d[key] = kind(**_checked_keys(d[key], kind, f"config key {key}"))
+                fields = _checked_keys(d[key], kind, f"config key {key}")
+                try:
+                    d[key] = kind(**fields)
+                except (TypeError, ValueError) as exc:  # a value __post_init__ refuses
+                    raise ValueError(f"config key {key}: {exc}") from None
         return cls(**d)
 
 
@@ -162,10 +165,6 @@ class RunArtifacts:
     backbone: MultimodalBackbone
     logs: list[TrainingLog]
     matrix: EvalMatrix
-
-
-def _variant_spec(config: RunConfig) -> VariantSpec:
-    return variant_from_name(config.variant)
 
 
 def _load_backbone(config: RunConfig) -> MultimodalBackbone:
@@ -222,6 +221,11 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
             meta.multi_label = True
         stream = build_stream(meta, samples, config.num_sessions, config.eta,
                               config.missing_case, config.seed_split, config.seed_mask)
+        for j, session in enumerate(stream.sessions):
+            for split in ("train", "test"):
+                if not getattr(session, split):
+                    raise ExperimentError("benchmark", f"session {j} has an empty {split} "
+                                                       "split; raise samples_per_class")
 
     with _stage("model"):
         mcfg = ModelConfig(num_classes=meta.num_classes, pool_size=config.pool_size,
@@ -229,7 +233,7 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
                            prompt_len=config.prompt_len,
                            prompted_layers=config.prompted_layers, lam=config.lam,
                            multi_label=meta.multi_label)
-        model = build_variant(_variant_spec(config), backbone, mcfg, config.seed_model)
+        model = build_variant(config.variant, backbone, mcfg, config.seed_model)
 
     matrix = EvalMatrix(config.num_sessions)
     logs: list[TrainingLog] = []
@@ -386,42 +390,40 @@ def report_json_bytes(report: Report) -> bytes:
 
 
 def emit_report(report: Report, out_dir, artifacts: RunArtifacts | None = None) -> list[str]:
-    """Write report.json, matrix.csv, trajectory.csv and optional query export."""
+    """Write report.json, matrix.csv, trajectory.csv and optional query export.
+
+    Any failure to write, such as a file path taken by a directory, raises an
+    ExperimentError tagged emit.
+    """
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
-    except OSError as exc:
-        raise ExperimentError("emit", f"output directory {out} not writable: {exc}")
-
     written = []
-    report_path = out / "report.json"
-    report_path.write_bytes(report_json_bytes(report))
-    written.append(str(report_path))
+    with _stage("emit"):
+        out.mkdir(parents=True, exist_ok=True)
+        report_path = out / "report.json"
+        report_path.write_bytes(report_json_bytes(report))
+        written.append(str(report_path))
 
-    matrix = EvalMatrix.from_lists(report.matrix)
-    matrix_path = out / "matrix.csv"
-    with open(matrix_path, "w") as fh:
-        for row in matrix.rows():
-            fh.write(",".join(repr(v) for v in row) + "\n")
-    written.append(str(matrix_path))
+        matrix = EvalMatrix.from_lists(report.matrix)
+        matrix_path = out / "matrix.csv"
+        with open(matrix_path, "w") as fh:
+            for row in matrix.rows():
+                fh.write(",".join(repr(v) for v in row) + "\n")
+        written.append(str(matrix_path))
 
-    traj_path = out / "trajectory.csv"
-    with open(traj_path, "w") as fh:
-        for j in range(matrix.t):
-            col = matrix.values[:j + 1, j]
-            fh.write(f"{j},{repr(float(col.mean()))}\n")
-    written.append(str(traj_path))
+        traj_path = out / "trajectory.csv"
+        with open(traj_path, "w") as fh:
+            for j in range(matrix.t):
+                col = matrix.values[:j + 1, j]
+                fh.write(f"{j},{repr(float(col.mean()))}\n")
+        written.append(str(traj_path))
 
-    if artifacts is not None and report.config.get("export_queries"):
-        test_samples = []
-        for i in range(artifacts.stream.num_sessions):
-            test_samples.extend(artifacts.stream.sessions[i].test)
-        queries_path = out / "queries.json"
-        export_query_embeddings(test_samples, artifacts.backbone, artifacts.model.memory,
-                                path=queries_path,
-                                batch_size=report.config["eval_batch_size"])
-        written.append(str(queries_path))
+        if artifacts is not None and report.config.get("export_queries"):
+            test_samples = []
+            for i in range(artifacts.stream.num_sessions):
+                test_samples.extend(artifacts.stream.sessions[i].test)
+            queries_path = out / "queries.json"
+            export_query_embeddings(test_samples, artifacts.backbone, artifacts.model.memory,
+                                    path=queries_path,
+                                    batch_size=report.config["eval_batch_size"])
+            written.append(str(queries_path))
     return written

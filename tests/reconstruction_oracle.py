@@ -30,11 +30,10 @@ def reconstruct_counterparts(samples, memory_source, backbone):
     with T.no_grad():
         emb = backbone.embed_batch(rows)
     queries = generate_queries_batch(rows, backbone, emb=emb)
-    recon = reconstruct_batch(rows[n:], Tensor(queries.memory.data[n:]), memory_source,
+    recon = reconstruct_batch(rows[n:], Tensor(queries[n:, 2]), memory_source,
                               backbone, emb=emb.rows(slice(n, None)))
     # text-only rows reconstruct the visual query, image-only rows the text
-    return (Tensor(queries.q_text.data[:n]), recon[n:],
-            Tensor(queries.q_visual.data[:n]), recon[:n])
+    return (Tensor(queries[:n, 0]), recon[n:], Tensor(queries[:n, 1]), recon[:n])
 
 
 def reconstruction_loss(samples, memory_source, backbone) -> Tensor:

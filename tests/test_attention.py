@@ -158,8 +158,8 @@ class TestTape:
         model = make_model(tiny_backbone)
         batch = stream.train_data(0)[:6]
         assert {s.missing_type for s in batch} > {"complete"}
-        logits, info, l_r = forward_batch(model, batch, with_lr=True)
-        l_c = T.cross_entropy(logits, _targets(model, [batch[i] for i in info.order]))
+        logits, order, l_r = forward_batch(model, batch, with_lr=True)
+        l_c = T.cross_entropy(logits, _targets(model, [batch[i] for i in order]))
         loss = T.add(l_c, T.scale(l_r, model.mcfg.lam))
         ops: Counter = Counter()
         seen, stack = set(), [loss]

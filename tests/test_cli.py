@@ -128,8 +128,11 @@ class TestRun:
 
     @pytest.mark.parametrize("setting, message", [
         ("backbone=5", "config key backbone must be a mapping, got 5"),
-        ('synth={"bogus": 1}', "config key synth has unknown keys ['bogus']")],
-        ids=["backbone-not-mapping", "synth-unknown-key"])
+        ('synth={"bogus": 1}', "config key synth has unknown keys ['bogus']"),
+        ('backbone={"embed_dim": "x"}', "config key backbone: not all arguments converted"),
+        ('backbone={"activation": "tanh"}', "config key backbone: unknown activation 'tanh'")],
+        ids=["backbone-not-mapping", "synth-unknown-key", "backbone-value-type",
+             "backbone-value-refused"])
     def test_bad_nested_config_named(self, cli_workspace, capsys, setting, message):
         tmp, cfg_path = cli_workspace
         rc = main(["run", "--config", str(cfg_path), "--set", setting,

@@ -1,8 +1,10 @@
+import copy
 import inspect
 
 import numpy as np
 import pytest
 
+from rebq import pipeline
 from rebq import tensor as T
 from rebq.backbone import MultimodalBackbone
 from rebq.metrics import EvalMatrix
@@ -29,6 +31,22 @@ def make_model(tiny_backbone, variant="canonical", **overrides):
 
 def masked_pair(sample):
     return counterparts(sample, TINY.num_patches, TINY.patch_dim)
+
+
+def input_order_logits(model, batch) -> np.ndarray:
+    """Untracked forward_batch logits with row i belonging to batch[i]."""
+    with T.no_grad():
+        out, order, _ = forward_batch(model, batch)
+    rows = np.empty_like(out.data)
+    rows[order] = out.data
+    return rows
+
+
+def shift_pool(model, name: str, by: float = 0.5):
+    """A copy of model whose pool name has every component moved by by."""
+    shifted = copy.deepcopy(model)
+    getattr(shifted, name).components.data += by
+    return shifted
 
 
 class TestBuildVariant:
@@ -86,32 +104,49 @@ class TestForward:
 
     def test_complete_sample_skips_reconstruction(self, tiny_backbone, complete_samples):
         model = make_model(tiny_backbone)
-        _, info, _ = forward_batch(model, complete_samples[:3])
-        assert info.reconstructed_text == [False] * 3
-        assert info.reconstructed_visual == [False] * 3
+        batch = complete_samples[:3]
+        shifted = shift_pool(model, "memory")
+        assert input_order_logits(shifted, batch).tobytes() == \
+            input_order_logits(model, batch).tobytes()
 
     def test_missing_modality_reconstructed(self, tiny_backbone, complete_samples):
+        """Shifting the memory pool moves exactly the incomplete rows' logits."""
         model = make_model(tiny_backbone)
         t_only, i_only = masked_pair(complete_samples[0])
-        _, info, _ = forward_batch(model, [t_only, i_only, complete_samples[1]])
-        assert info.reconstructed_visual == [True, False, False]
-        assert info.reconstructed_text == [False, True, False]
+        batch = [t_only, i_only, complete_samples[1]]
+        base = input_order_logits(model, batch)
+        moved = input_order_logits(shift_pool(model, "memory"), batch)
+        assert not np.array_equal(moved[0], base[0])
+        assert not np.array_equal(moved[1], base[1])
+        assert moved[2].tobytes() == base[2].tobytes()
 
     def test_no_reconstruction_variant_uses_raw_queries(self, tiny_backbone,
-                                                        complete_samples):
+                                                        complete_samples, monkeypatch):
         model = make_model(tiny_backbone, variant="no_reconstruction")
-        t_only, _ = masked_pair(complete_samples[0])
-        _, info, _ = forward_batch(model, [t_only])
-        assert info.reconstructed_visual == [False]
+        t_only, i_only = masked_pair(complete_samples[0])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reconstruct_batch called")
+
+        monkeypatch.setattr(pipeline, "reconstruct_batch", refuse)
+        _, _, l_r = forward_batch(model, [t_only, i_only, complete_samples[1]],
+                                  with_lr=True)
+        assert l_r is None
 
     def test_msq_off_injects_only_available_modality(self, tiny_backbone,
                                                      complete_samples):
+        """Text-only rows read only the text pool, image-only rows only the
+        visual pool, complete rows both."""
         model = make_model(tiny_backbone, variant="no_modality_specific_query")
         t_only, i_only = masked_pair(complete_samples[0])
-        _, info, _ = forward_batch(model, [t_only, i_only, complete_samples[1]])
-        assert info.injected[0] == ("text",)
-        assert info.injected[1] == ("visual",)
-        assert info.injected[2] == ("text", "visual")
+        batch = [t_only, i_only, complete_samples[1]]
+        base = input_order_logits(model, batch)
+        album = input_order_logits(shift_pool(model, "album"), batch)
+        folder = input_order_logits(shift_pool(model, "folder"), batch)
+        assert album[0].tobytes() == base[0].tobytes()
+        assert folder[1].tobytes() == base[1].tobytes()
+        for moved, row in ((album, 1), (album, 2), (folder, 0), (folder, 2)):
+            assert not np.array_equal(moved[row], base[row])
 
     def test_both_missing_rejected(self, tiny_backbone, complete_samples):
         model = make_model(tiny_backbone)
@@ -134,19 +169,19 @@ class TestForward:
         batch = list(complete_samples[:4])
         for s in complete_samples[4:8]:
             batch += masked_pair(s)
-        logits, info, _ = forward_batch(model, batch)
-        by_sample = {orig: logits.data[row] for row, orig in enumerate(info.order)}
+        logits, order, _ = forward_batch(model, batch)
+        by_sample = {orig: logits.data[row] for row, orig in enumerate(order)}
         perm = np.random.default_rng(0).permutation(len(batch))
-        logits_p, info_p, _ = forward_batch(model, [batch[i] for i in perm])
-        for row, orig in enumerate(info_p.order):
+        logits_p, order_p, _ = forward_batch(model, [batch[i] for i in perm])
+        for row, orig in enumerate(order_p):
             assert logits_p.data[row].tobytes() == by_sample[perm[orig]].tobytes()
 
     def test_batch_matches_single(self, tiny_backbone, complete_samples):
         model = float64(make_model(tiny_backbone))
         t_only, i_only = masked_pair(complete_samples[0])
         batch = [complete_samples[1], t_only, i_only]
-        logits, info, _ = forward_batch(model, batch)
-        for row, orig in enumerate(info.order):
+        logits, order, _ = forward_batch(model, batch)
+        for row, orig in enumerate(order):
             single, _, _ = forward_batch(model, [batch[orig]])
             np.testing.assert_allclose(logits.data[row], single.data[0], atol=1e-10)
 
@@ -154,8 +189,8 @@ class TestForward:
         model = make_model(tiny_backbone)
         t_only, i_only = masked_pair(complete_samples[0])
         batch = [complete_samples[1], t_only, i_only]
-        _, info, _ = forward_batch(model, batch)
-        assert info.order == [1, 2, 0]
+        _, order, _ = forward_batch(model, batch)
+        assert order == [1, 2, 0]
 
 
 class TestPredict:
@@ -200,18 +235,11 @@ class TestPredict:
         _, stream = tiny_benchmark
         model = make_model(tiny_backbone, variant)
         samples = stream.test_data(0) + stream.test_data(1)
-
-        def logits(chunk):
-            with T.no_grad():
-                out, info, _ = forward_batch(model, chunk)
-            rows = np.empty_like(out.data)
-            rows[info.order] = out.data
-            return rows
-
         assert predict_batch(model, samples, batch_size=1) == \
             predict_batch(model, samples, batch_size=64)
-        single = np.concatenate([logits([s]) for s in samples])
-        np.testing.assert_allclose(single, logits(samples), rtol=0, atol=1e-6)
+        single = np.concatenate([input_order_logits(model, [s]) for s in samples])
+        np.testing.assert_allclose(single, input_order_logits(model, samples),
+                                   rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("batch_size", [0, -2])
     def test_batch_size_below_one_rejected(self, tiny_backbone, complete_samples,
@@ -292,8 +320,8 @@ class TestTrainTask:
         _, stream = tiny_benchmark
         model = make_model(tiny_backbone)
         batch = [s for s in stream.train_data(0) if s.missing_type == "complete"][:3]
-        logits, info, l_r = forward_batch(model, batch, with_lr=True)
-        l_c = T.cross_entropy(logits, _targets(model, [batch[i] for i in info.order]))
+        logits, order, l_r = forward_batch(model, batch, with_lr=True)
+        l_c = T.cross_entropy(logits, _targets(model, [batch[i] for i in order]))
         T.add(l_c, T.scale(l_r, 0.01)).backward()
         assert model.memory.components.grad is not None
         assert np.abs(model.memory.components.grad).sum() > 0
@@ -308,14 +336,14 @@ class TestTrainTask:
         complete = [s for s in stream.train_data(0) if s.missing_type == "complete"][:3]
 
         # only complete samples: no reconstruction happens, memory gets nothing
-        logits, info, l_r = forward_batch(model, complete, with_lr=True)
+        logits, order, l_r = forward_batch(model, complete, with_lr=True)
         assert l_r is None
-        T.cross_entropy(logits, _targets(model, [complete[i] for i in info.order])).backward()
+        T.cross_entropy(logits, _targets(model, [complete[i] for i in order])).backward()
         assert model.memory.components.grad is None
 
         # incomplete samples route gradient into the memory pool through q-hat
-        logits, info, _ = forward_batch(model, incomplete, with_lr=True)
-        T.cross_entropy(logits, _targets(model, [incomplete[i] for i in info.order])).backward()
+        logits, order, _ = forward_batch(model, incomplete, with_lr=True)
+        T.cross_entropy(logits, _targets(model, [incomplete[i] for i in order])).backward()
         assert model.memory.components.grad is not None
         assert np.abs(model.memory.components.grad).sum() > 0
 
@@ -375,10 +403,10 @@ class TestFusedPath:
         batch = stream.train_data(0)[:6]
         complete = [s for s in batch if s.missing_type == "complete"]
         assert complete and len(complete) < len(batch)
-        logits_fused, info_fused, l_r_fused = forward_batch(model, batch, with_lr=True)
-        logits, info, l_r = forward_batch(model, batch)
+        logits_fused, order_fused, l_r_fused = forward_batch(model, batch, with_lr=True)
+        logits, order, l_r = forward_batch(model, batch)
         assert l_r is None
-        assert info_fused == info
+        assert order_fused == order
         np.testing.assert_allclose(logits_fused.data, logits.data, atol=1e-10)
         l_r_ref = reconstruction_loss(complete, model.memory, model.backbone)
         assert l_r_fused.item() == pytest.approx(l_r_ref.item(), abs=1e-10)
@@ -477,8 +505,8 @@ class TestEndToEndGradient:
 
         def build():
             # the training path: L_r rides along in the classification passes
-            logits, info, l_r = forward_batch(model, batch, with_lr=True)
-            l_c = T.cross_entropy(logits, _targets(model, [batch[i] for i in info.order]))
+            logits, order, l_r = forward_batch(model, batch, with_lr=True)
+            l_c = T.cross_entropy(logits, _targets(model, [batch[i] for i in order]))
             return T.add(l_c, T.scale(l_r, model.mcfg.lam))
 
         l_r_ref = reconstruction_loss([complete_samples[1]], model.memory, model.backbone)

@@ -29,9 +29,7 @@ def text_only(sample):
 class TestGenerateQueries:
     def test_query_shapes(self, tiny_backbone, complete_samples):
         q = generate_queries_batch(complete_samples[:1], tiny_backbone)
-        assert q.q_text.shape == (1, TINY.embed_dim)
-        assert q.q_visual.shape == (1, TINY.embed_dim)
-        assert q.memory.shape == (1, TINY.embed_dim)
+        assert q.shape == (1, 3, TINY.embed_dim)
 
     def test_dummy_is_constant_across_samples(self, tiny_backbone, complete_samples):
         a = text_only(complete_samples[0])
@@ -40,14 +38,14 @@ class TestGenerateQueries:
                    label=a.label, has_visual=False)
         qa = generate_queries_batch([a], tiny_backbone)
         qb = generate_queries_batch([b], tiny_backbone)
-        assert qa.q_text.data.tobytes() == qb.q_text.data.tobytes()
-        assert qa.memory.data.tobytes() == qb.memory.data.tobytes()
+        assert qa[:, 0].tobytes() == qb[:, 0].tobytes()
+        assert qa[:, 2].tobytes() == qb[:, 2].tobytes()
 
     def test_batch_matches_single(self, tiny_backbone, complete_samples):
         batch = generate_queries_batch(complete_samples[:3], tiny_backbone)
         for i, s in enumerate(complete_samples[:3]):
             single = generate_queries_batch([s], tiny_backbone)
-            np.testing.assert_allclose(batch.q_text.data[i], single.q_text.data[0], atol=1e-12)
+            np.testing.assert_allclose(batch[i, 0], single[0, 0], atol=1e-12)
 
 
 class TestReconstructQuery:
@@ -56,7 +54,7 @@ class TestReconstructQuery:
         masked = [text_only(complete_samples[0])]
         outs = []
         for _ in range(2):
-            mem = generate_queries_batch(masked, tiny_backbone).memory
+            mem = Tensor(generate_queries_batch(masked, tiny_backbone)[:, 2])
             outs.append(reconstruct_batch(masked, mem, pool, tiny_backbone).data.tobytes())
         assert outs[0] == outs[1]
 
@@ -64,7 +62,7 @@ class TestReconstructQuery:
         pool = float64(memory_pool(seed=3))
         backbone = float64(tiny_backbone)
         masked = [text_only(s) for s in complete_samples[:2]]
-        mem = generate_queries_batch(masked, backbone).memory.data
+        mem = generate_queries_batch(masked, backbone)[:, 2]
         base = reconstruct_batch(masked, Tensor(mem), pool, backbone).data
         scaled = reconstruct_batch(masked, Tensor(37.5 * mem), pool, backbone).data
         np.testing.assert_allclose(scaled, base, atol=1e-9)
@@ -75,7 +73,7 @@ class TestReconstructQuery:
         # just recomputes the joint cls on the compact layout.
         pool = init_pool(np.random.default_rng(4), TINY.embed_dim, 3, 0, TINY.num_layers)
         masked = [text_only(complete_samples[0])]
-        mem = generate_queries_batch(masked, tiny_backbone).memory
+        mem = Tensor(generate_queries_batch(masked, tiny_backbone)[:, 2])
         q_hat = reconstruct_batch(masked, mem, pool, tiny_backbone).data
         with T.no_grad():
             emb = tiny_backbone.embed_batch(masked)
@@ -86,7 +84,7 @@ class TestReconstructQuery:
     def test_memory_vector_source(self, tiny_backbone, complete_samples):
         vec = init_vector(np.random.default_rng(6), TINY.embed_dim, 3, TINY.num_layers)
         masked = [text_only(s) for s in complete_samples[:2]]
-        mem = generate_queries_batch(masked, tiny_backbone).memory
+        mem = Tensor(generate_queries_batch(masked, tiny_backbone)[:, 2])
         q_hat = reconstruct_batch(masked, mem, vec, tiny_backbone)
         assert q_hat.shape == (2, TINY.embed_dim)
 
@@ -184,17 +182,13 @@ class TestExport:
             (ids[2], "text", "reconstructed"),
         ]
         raw = generate_queries_batch(samples, tiny_backbone)
-        assert records[3]["embedding"] == raw.q_visual.data[1].tolist()
-        assert records[5]["embedding"] == raw.q_text.data[2].tolist()
+        assert records[3]["embedding"] == raw[1, 1].tolist()
+        assert records[5]["embedding"] == raw[2, 0].tolist()
         with T.no_grad():
-            rec = reconstruct_batch(samples[1:], Tensor(raw.memory.data[1:]), pool,
+            rec = reconstruct_batch(samples[1:], Tensor(raw[1:, 2]), pool,
                                     tiny_backbone).data
         assert records[4]["embedding"] == rec[0].tolist()
         assert records[7]["embedding"] == rec[1].tolist()
-
-
-def rows_of(queries) -> np.ndarray:
-    return np.stack([queries.q_text.data, queries.q_visual.data, queries.memory.data], axis=1)
 
 
 @pytest.fixture(scope="module")
@@ -208,12 +202,11 @@ def mixed_rows():
 class TestQueryCache:
     def test_rows_independent_of_batch(self, tiny_backbone, mixed_rows):
         """Each unified-pass row is bit-equal for any subset or order of its batch."""
-        full = rows_of(generate_queries_batch(mixed_rows, tiny_backbone))
+        full = generate_queries_batch(mixed_rows, tiny_backbone)
         rng = np.random.default_rng(0)
         for _ in range(200):
             idx = rng.permutation(len(mixed_rows))[:rng.integers(1, len(mixed_rows) + 1)]
-            part = rows_of(generate_queries_batch([mixed_rows[i] for i in idx],
-                                                  tiny_backbone))
+            part = generate_queries_batch([mixed_rows[i] for i in idx], tiny_backbone)
             assert part.tobytes() == full[idx].tobytes()
 
     def test_cached_rows_equal_fresh_pass(self, tiny_backbone, mixed_rows, monkeypatch):
@@ -230,7 +223,7 @@ class TestQueryCache:
         for batch in (first, second, second):
             cached = generate_queries_batch(batch, tiny_backbone, cache=cache)
             fresh = generate_queries_batch(batch, tiny_backbone)
-            assert rows_of(cached).tobytes() == rows_of(fresh).tobytes()
+            assert cached.tobytes() == fresh.tobytes()
         # cached and fresh calls alternate; a cached call passes only the rows
         # not seen before (60, then 36, then none), a fresh call every row
         assert passes == [60, 60, 36, 66, 66]
@@ -243,7 +236,7 @@ class TestQueryCache:
             emb = tiny_backbone.embed_batch(mixed_rows)
         cached = generate_queries_batch(mixed_rows, tiny_backbone, emb=emb, cache=cache)
         fresh = generate_queries_batch(mixed_rows, tiny_backbone)
-        assert rows_of(cached).tobytes() == rows_of(fresh).tobytes()
+        assert cached.tobytes() == fresh.tobytes()
 
     def test_keys_follow_content(self, tiny_backbone, complete_samples):
         cache = QueryCache(tiny_backbone)
@@ -254,7 +247,7 @@ class TestQueryCache:
         same_id = dataclasses.replace(complete_samples[1], id=s.id)
         generate_queries_batch([s, same_id], tiny_backbone, cache=cache)
         assert len(cache.rows) == 4
-        rows = rows_of(generate_queries_batch([s, same_id], tiny_backbone, cache=cache))
+        rows = generate_queries_batch([s, same_id], tiny_backbone, cache=cache)
         assert rows[0].tobytes() != rows[1].tobytes()
 
     def test_bound_to_one_frozen_backbone(self, tiny_backbone, complete_samples):
@@ -294,9 +287,10 @@ class TestEmbedOnce:
                 for c in counterparts(s, TINY.num_patches, TINY.patch_dim)]
         rows = rows[0::2] + rows[1::2]
         gt = generate_queries_batch(complete_samples[:5], tiny_backbone)
-        mem = generate_queries_batch(rows, tiny_backbone).memory
+        mem = Tensor(generate_queries_batch(rows, tiny_backbone)[:, 2])
         rec = reconstruct_batch(rows, mem, model.memory, tiny_backbone)
-        ref = reconstruction_loss_from_queries(gt.q_text, rec[5:], gt.q_visual, rec[:5])
+        ref = reconstruction_loss_from_queries(Tensor(gt[:, 0]), rec[5:],
+                                               Tensor(gt[:, 1]), rec[:5])
         assert loss.data.tobytes() == ref.data.tobytes()
 
     def test_export_query_embeddings(self, tiny_backbone, complete_samples, embed_calls):
@@ -307,7 +301,7 @@ class TestEmbedOnce:
         assert embed_calls == [3]
         raw = generate_queries_batch(samples, tiny_backbone)
         with T.no_grad():
-            rec = reconstruct_batch(samples[1:], Tensor(raw.memory.data[1:]), pool,
+            rec = reconstruct_batch(samples[1:], Tensor(raw[1:, 2]), pool,
                                     tiny_backbone).data
         assert records[4]["embedding"] == rec[0].tolist()
         assert records[7]["embedding"] == rec[1].tolist()

@@ -1,9 +1,12 @@
 import copy
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rebq import runner
 from rebq import tensor as T
@@ -136,6 +139,19 @@ class TestRunExperiment:
             run_experiment(tiny_config(tmp_path, **overrides), backbone=tiny_backbone)
         assert calls == []
 
+    def test_empty_split_refused_before_training(self, tiny_backbone, tmp_path,
+                                                 monkeypatch):
+        # multi-label samples are filed under their first class, so at 12
+        # samples per class session 0 gets 4 training and no test samples
+        calls = []
+        monkeypatch.setattr(runner, "train_task", lambda *a, **k: calls.append(a))
+        cfg = tiny_config(tmp_path, samples_per_class=12,
+                          synth=dataclasses.replace(TINY_SYNTH, multi_label=True))
+        with pytest.raises(ExperimentError,
+                           match=r"\[benchmark\] session 0 has an empty test split"):
+            run_experiment(cfg, backbone=tiny_backbone)
+        assert calls == []
+
     def test_determinism_modulo_timing(self, tiny_backbone, tmp_path):
         cfg = tiny_config(tmp_path)
         a, _ = run_experiment(cfg, backbone=tiny_backbone)
@@ -149,6 +165,23 @@ class TestRunExperiment:
         for entry in report.per_session:
             assert set(entry) >= {"session", "mean_total", "mean_classification",
                                   "mean_reconstruction", "final_total"}
+
+
+
+class TestProtocolProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(sessions=st.integers(1, 3), eta=st.floats(0.0, 100.0),
+           multi_label=st.booleans())
+    def test_sessions_read_once_in_order_and_runs_repeat(self, tiny_backbone, sessions,
+                                                         eta, multi_label):
+        cfg = tiny_config(Path("unused"), num_classes=6, samples_per_class=12,
+                          num_sessions=sessions, eta=eta, batch_size=8,
+                          synth=dataclasses.replace(TINY_SYNTH, multi_label=multi_label))
+        a, art = run_experiment(cfg, backbone=tiny_backbone)
+        train_reads = [j for kind, j in art.stream.access_log if kind == "train"]
+        assert train_reads == list(range(sessions))
+        b, _ = run_experiment(cfg, backbone=tiny_backbone)
+        assert strip_timing(report_json_bytes(a)) == strip_timing(report_json_bytes(b))
 
 
 class TestEmit:
@@ -170,6 +203,20 @@ class TestEmit:
         loaded = json.loads((out / "report.json").read_text())
         m = EvalMatrix.from_lists(loaded["matrix"])
         assert m.complete
+
+    @pytest.mark.parametrize("taken", ["report.json", "trajectory.csv"])
+    def test_write_failure_stage_tagged(self, tiny_run, tmp_path, taken):
+        _, report, artifacts = tiny_run
+        (tmp_path / taken).mkdir()
+        with pytest.raises(ExperimentError, match=r"^\[emit\] .*" + taken) as exc:
+            emit_report(report, tmp_path, artifacts)
+        assert exc.value.stage == "emit"
+
+    def test_output_path_taken_by_file(self, tiny_run, tmp_path):
+        _, report, artifacts = tiny_run
+        (tmp_path / "out").write_text("")
+        with pytest.raises(ExperimentError, match=r"^\[emit\] "):
+            emit_report(report, tmp_path / "out", artifacts)
 
     def test_query_export_opt_in(self, tiny_backbone, tmp_path):
         cfg = tiny_config(tmp_path, export_queries=True,
