@@ -14,7 +14,7 @@ asks for the reconstruction loss: the masked counterparts of the batch's
 complete samples then ride along in both passes and L_r is computed over
 them. Evaluation (predict_batch) calls the same function without it.
 Variants (ablations and the naive per-missing-type baseline) are built by
-``build_variant`` from a declarative spec.
+``build_variant`` from a preset name in VARIANT_PRESETS.
 """
 
 from __future__ import annotations
@@ -41,34 +41,16 @@ class VariantSpec:
     memory: str = "pool"     # pool | vector | none; a memory source reconstructs
     prompts: str = "pool"    # pool: a text and a visual pool | unified: one shared pool
     baseline: bool = False
-    name: str = "canonical"
-
-    def validate(self):
-        if self.baseline:
-            return
-        if self.memory not in ("pool", "vector", "none"):
-            raise ValueError(f"bad memory kind {self.memory!r}")
-        if self.prompts not in ("pool", "unified"):
-            raise ValueError(f"bad prompt kind {self.prompts!r}")
 
 
 VARIANT_PRESETS = {
     "canonical": VariantSpec(),
-    "no_reconstruction": VariantSpec(memory="none", name="no_reconstruction"),
-    "no_modality_specific_query": VariantSpec(modality_specific_query=False,
-                                              name="no_modality_specific_query"),
-    "no_memory_pool": VariantSpec(memory="vector", name="no_memory_pool"),
-    "no_modality_specific_pool": VariantSpec(prompts="unified",
-                                             name="no_modality_specific_pool"),
-    "baseline": VariantSpec(baseline=True, memory="none", name="baseline"),
+    "no_reconstruction": VariantSpec(memory="none"),
+    "no_modality_specific_query": VariantSpec(modality_specific_query=False),
+    "no_memory_pool": VariantSpec(memory="vector"),
+    "no_modality_specific_pool": VariantSpec(prompts="unified"),
+    "baseline": VariantSpec(baseline=True, memory="none"),
 }
-
-
-def variant_from_name(name: str) -> VariantSpec:
-    try:
-        return VARIANT_PRESETS[name]
-    except KeyError:
-        raise ValueError(f"unknown variant {name!r}; known: {sorted(VARIANT_PRESETS)}") from None
 
 
 @dataclass
@@ -85,7 +67,6 @@ class ModelConfig:
 class RebQModel:
     def __init__(self, backbone: MultimodalBackbone, spec: VariantSpec,
                  mcfg: ModelConfig, seed: int):
-        spec.validate()
         if not backbone.frozen:
             raise ValueError("RebQModel requires a frozen backbone")
         self.backbone = backbone
@@ -151,10 +132,13 @@ class RebQModel:
         return self.unified if self.unified is not None else self.album
 
 
-def build_variant(spec: VariantSpec | str, backbone: MultimodalBackbone,
-                  mcfg: ModelConfig, seed: int = 0) -> RebQModel:
-    if isinstance(spec, str):
-        spec = variant_from_name(spec)
+def build_variant(name: str, backbone: MultimodalBackbone, mcfg: ModelConfig,
+                  seed: int = 0) -> RebQModel:
+    """The model of the VARIANT_PRESETS entry name."""
+    try:
+        spec = VARIANT_PRESETS[name]
+    except KeyError:
+        raise ValueError(f"unknown variant {name!r}; known: {sorted(VARIANT_PRESETS)}") from None
     return RebQModel(backbone, spec, mcfg, seed)
 
 

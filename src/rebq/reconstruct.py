@@ -114,13 +114,15 @@ def counterparts(sample: Sample, num_patches: int, patch_dim: int) -> tuple[Samp
 
 def reconstruction_loss_from_queries(q_text: Tensor, q_hat_text: Tensor,
                                      q_visual: Tensor, q_hat_visual: Tensor) -> Tensor:
-    """Mean over samples of both squared-norm reconstruction residuals."""
-    if q_text.shape != q_hat_text.shape or q_visual.shape != q_hat_visual.shape:
-        raise T.ShapeError("reconstruction loss: query shape mismatch")
-    n = 1 if q_text.ndim == 1 else q_text.shape[0]
+    """Mean over the N samples of both squared-norm reconstruction residuals;
+    all four queries are (N, D)."""
+    shapes = [q.shape for q in (q_text, q_hat_text, q_visual, q_hat_visual)]
+    if len(shapes[0]) != 2 or len(set(shapes)) != 1:
+        raise T.ShapeError(f"reconstruction loss: need four matching (N, D) queries, "
+                           f"got shapes {shapes}")
     total = T.add(T.tsum(T.square(T.sub(q_text, q_hat_text))),
                   T.tsum(T.square(T.sub(q_visual, q_hat_visual))))
-    return T.scale(total, 1.0 / n)
+    return T.scale(total, 1.0 / shapes[0][0])
 
 
 def export_query_embeddings(samples: list[Sample], backbone: MultimodalBackbone,

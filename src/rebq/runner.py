@@ -1,17 +1,19 @@
 """Experiment orchestration: config, the continual protocol, and reports.
 
-run_experiment builds the benchmark stream, trains the chosen variant one
-session at a time (never revisiting earlier sessions' training data), fills
-the evaluation matrix column by column, and emits a self-contained report.
-Everything is derived from explicit seeds, so identical configs reproduce
-identical reports apart from wall-clock timing.
+run_experiment takes the frozen backbone (loaded from its checkpoint when
+none is passed), builds the benchmark stream, trains the chosen variant on
+sessions 0..T-1 in one call, one session at a time (never revisiting
+earlier sessions' training data), and fills the evaluation matrix column
+by column; emit_report writes the self-contained report. Everything is
+derived from explicit seeds, so identical configs reproduce identical
+reports apart from wall-clock timing.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -19,14 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, serialize
+from . import __version__
 from . import tensor as T
 from .backbone import BackboneConfig, MultimodalBackbone
-from .bench import (CmmlStream, CorpusMeta, SynthConfig, build_stream, load_corpus,
-                    synth_generate)
+from .bench import (MISSING_CASES, CmmlStream, CorpusMeta, SynthConfig, build_stream,
+                    load_corpus, synth_generate)
 from .metrics import EvalMatrix, average_forgetting, average_performance, performance
-from .pipeline import (ModelConfig, OptimizerConfig, RebQModel, TrainingLog,
-                       build_variant, predict_batch, train_task)
+from .pipeline import (VARIANT_PRESETS, ModelConfig, OptimizerConfig, RebQModel,
+                       TrainingLog, build_variant, predict_batch, train_task)
 from .reconstruct import QueryCache, export_query_embeddings
 
 
@@ -37,18 +39,47 @@ class ExperimentError(RuntimeError):
         self.cause = cause
 
 
+def _at_least(low):
+    return lambda v: v >= low, f"be >= {low}"
+
+
+def _within(low, high):
+    return lambda v: low <= v <= high, f"lie in [{low}, {high}]"
+
+
+def _one_of(choices):
+    return lambda v: v in choices, f"be one of {sorted(choices)}"
+
+
 # (field, the stage that reads it, the test its value must pass, the rule)
+# for every numeric field and every field with a fixed set of values
 _RANGES = (
-    ("eta", "benchmark", lambda v: 0 <= v <= 100, "lie in [0, 100]"),
-    ("pool_size", "model", lambda v: v >= 1, "be >= 1"),
-    ("memory_pool_size", "model", lambda v: v >= 1, "be >= 1"),
-    ("prompt_len", "model", lambda v: v >= 1, "be >= 1"),
-    ("prompted_layers", "model", lambda v: v >= 0, "be >= 0"),
-    ("lam", "model", lambda v: v >= 0, "be >= 0"),
-    ("epochs", "train", lambda v: v >= 1, "be >= 1"),
-    ("batch_size", "train", lambda v: v >= 1, "be >= 1"),
-    ("eval_batch_size", "train", lambda v: v >= 1, "be >= 1"),
+    ("num_classes", "benchmark", *_at_least(2)),
+    ("samples_per_class", "benchmark", *_at_least(1)),
+    ("num_sessions", "benchmark", *_at_least(1)),
+    ("eta", "benchmark", *_within(0, 100)),
+    ("missing_case", "benchmark", *_one_of(MISSING_CASES)),
+    ("seed_corpus", "benchmark", *_at_least(0)),
+    ("seed_split", "benchmark", *_at_least(0)),
+    ("seed_mask", "benchmark", *_at_least(0)),
+    ("variant", "model", *_one_of(VARIANT_PRESETS)),
+    ("pool_size", "model", *_at_least(1)),
+    ("memory_pool_size", "model", *_at_least(1)),
+    ("prompt_len", "model", *_at_least(1)),
+    ("prompted_layers", "model", *_at_least(0)),
+    ("lam", "model", *_at_least(0)),
+    ("seed_model", "model", *_at_least(0)),
+    ("epochs", "train", *_at_least(1)),
+    ("batch_size", "train", *_at_least(1)),
+    ("eval_batch_size", "train", *_at_least(1)),
+    ("lr", "train", *_at_least(0)),
+    ("warmup_frac", "train", *_within(0, 1)),
+    ("weight_decay", "train", *_at_least(0)),
+    ("seed_train", "train", *_at_least(0)),
 )
+
+# what a value must be, by the kind of its field's default
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 @dataclass
@@ -83,18 +114,21 @@ class RunConfig:
     output_dir: str = "runs/run"
 
     def check(self):
-        """Refuse an out-of-range setting before any stage runs.
+        """Refuse a setting of the wrong kind or out of range before any stage runs.
 
-        The ExperimentError names the field and is tagged with the stage
-        that reads it, the stage the value would otherwise fail in.
+        A value must have its field's kind, that of the default: an int
+        field takes an int, a real field an int or a finite float (a bool
+        is neither). The ExperimentError names the field and is tagged with
+        the stage that reads it, the stage the value would otherwise fail in.
         """
+        defaults = {f.name: f.default for f in dataclasses.fields(self)}
         for name, stage, test, rule in _RANGES:
-            value = getattr(self, name)
-            try:
-                ok = bool(test(value))
-            except TypeError:  # a value of the wrong kind, e.g. from --set
-                ok = False
-            if not ok:
+            value, kind = getattr(self, name), type(defaults[name])
+            if (not isinstance(value, (int, float) if kind is float else kind)
+                    or isinstance(value, bool)
+                    or (isinstance(value, float) and not math.isfinite(value))):
+                raise ExperimentError(stage, f"{name} must be {_KINDS[kind]}, got {value!r}")
+            if not test(value):
                 raise ExperimentError(stage, f"{name} must {rule}, got {value!r}")
 
     def with_root_seed(self, root: int) -> "RunConfig":
@@ -203,9 +237,8 @@ def _stage(name: str):
         raise ExperimentError(name, str(exc)) from exc
 
 
-def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None,
-                   resume_state: "ExperimentState | None" = None,
-                   checkpoint_path: str | None = None) -> tuple[Report, RunArtifacts]:
+def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
+                   ) -> tuple[Report, RunArtifacts]:
     started = time.time()
     config.check()
     with _stage("backbone"):
@@ -238,14 +271,6 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
     matrix = EvalMatrix(config.num_sessions)
     logs: list[TrainingLog] = []
     per_session: list[dict] = []
-    start_session = 0
-    if resume_state is not None:
-        with _stage("resume"):
-            resume_state.check_matches(config, backbone)
-            resume_state.restore_into(model, matrix)
-        per_session = list(resume_state.per_session)
-        start_session = resume_state.next_session
-
     opt_cfg = OptimizerConfig(base_lr=config.lr, warmup_frac=config.warmup_frac,
                               weight_decay=config.weight_decay,
                               batch_size=config.batch_size)
@@ -254,7 +279,7 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
         # the unified pass depends only on the frozen backbone and the row,
         # so one memo serves every epoch and evaluation of the experiment
         cache = QueryCache(backbone)
-        for j in range(start_session, config.num_sessions):
+        for j in range(config.num_sessions):
             log = train_task(model, stream.train_data(j), config.epochs, opt_cfg,
                              _session_seed(config.seed_train, j), cache=cache)
             logs.append(log)
@@ -274,9 +299,6 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
                 "mean_reconstruction": log.mean("reconstruction"),
                 "final_total": log.steps[-1].total,
             })
-            if checkpoint_path is not None:
-                ExperimentState.capture(model, matrix, j + 1, per_session,
-                                        config).save(checkpoint_path)
 
     with _stage("metrics"):
         ap = average_performance(matrix)
@@ -295,91 +317,6 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
     )
     return report, RunArtifacts(model=model, stream=stream, backbone=backbone,
                                 logs=logs, matrix=matrix)
-
-
-# -- experiment checkpoint ---------------------------------------------------------------
-
-
-def backbone_fingerprint(backbone: MultimodalBackbone) -> str:
-    """SHA-256 of the backbone's parameter bytes."""
-    return hashlib.sha256(backbone.parameter_bytes()).hexdigest()
-
-
-def _differing_keys(a: dict, b: dict, prefix: str = "") -> list[str]:
-    keys = []
-    for k in sorted(set(a) | set(b)):
-        if isinstance(a.get(k), dict) and isinstance(b.get(k), dict):
-            keys += _differing_keys(a[k], b[k], f"{prefix}{k}.")
-        elif k not in a or k not in b or a[k] != b[k]:
-            keys.append(prefix + k)
-    return keys
-
-
-@dataclass
-class ExperimentState:
-    """Session-boundary snapshot: enough to resume the remaining stream.
-
-    Optimizers and data RNG streams are re-derived from the config seeds at
-    each session boundary, so the snapshot carries the trained parameters,
-    the filled matrix columns and the session cursor, plus the config and
-    the backbone fingerprint a resume must match.
-    """
-
-    params: dict[str, np.ndarray]
-    matrix_rows: list[list[float | None]]
-    next_session: int
-    per_session: list[dict]
-    config: dict
-    backbone_sha256: str | None = None
-
-    @classmethod
-    def capture(cls, model: RebQModel, matrix: EvalMatrix, next_session: int,
-                per_session: list[dict], config: RunConfig) -> "ExperimentState":
-        return cls(params={k: v.data.copy() for k, v in model.named_parameters().items()},
-                   matrix_rows=matrix.to_lists(),
-                   next_session=next_session,
-                   per_session=[dict(p) for p in per_session],
-                   config=config.to_dict(),
-                   backbone_sha256=backbone_fingerprint(model.backbone))
-
-    def check_matches(self, config: RunConfig, backbone: MultimodalBackbone):
-        """Refuse a resume under another config (output_dir aside) or backbone."""
-        keys = [k for k in _differing_keys(self.config, config.to_dict()) if k != "output_dir"]
-        if keys:
-            raise ExperimentError("resume", f"checkpoint config differs in {keys}")
-        if self.backbone_sha256 is None:
-            raise ExperimentError("resume", "checkpoint has no backbone fingerprint; "
-                                            "it cannot be checked against this backbone")
-        if self.backbone_sha256 != backbone_fingerprint(backbone):
-            raise ExperimentError("resume", "checkpoint was trained on another backbone "
-                                            "(fingerprints differ)")
-
-    def restore_into(self, model: RebQModel, matrix: EvalMatrix):
-        named = model.named_parameters()
-        if set(named) != set(self.params):
-            raise ValueError("experiment state does not match the model's parameter set")
-        for k, t in named.items():
-            t.data = np.array(self.params[k], dtype=t.data.dtype)
-        restored = EvalMatrix.from_lists(self.matrix_rows)
-        matrix.values[:] = restored.values
-
-    def save(self, path):
-        meta = {"next_session": self.next_session,
-                "per_session": self.per_session,
-                "config": self.config,
-                "matrix": self.matrix_rows,
-                "backbone_sha256": self.backbone_sha256}
-        serialize.save_container(path, "experiment", meta, self.params)
-
-    @classmethod
-    def load(cls, path) -> "ExperimentState":
-        kind, meta, arrays = serialize.load_container(path)
-        if kind != "experiment":
-            raise serialize.ContainerError(f"{path}: not an experiment checkpoint")
-        return cls(params=arrays, matrix_rows=meta["matrix"],
-                   next_session=meta["next_session"],
-                   per_session=meta["per_session"], config=meta["config"],
-                   backbone_sha256=meta.get("backbone_sha256"))
 
 
 # -- report emission ------------------------------------------------------------------------

@@ -35,13 +35,18 @@ def float64(model):
     return model
 
 
-@pytest.fixture(scope="session")
-def tiny_backbone():
+def make_tiny_backbone():
+    """The frozen TINY backbone the tests share, pretrained from fixed seeds."""
     corpus = synth_generate(TINY.pretrain_classes, 40, TINY_SYNTH, seed=111)
     model, report = pretrain(TINY, corpus, seed=112,
                              pcfg=PretrainConfig(steps=400, batch_size=16, eval_every=50))
     assert report.usable, f"fixture backbone unusable (accuracy {report.accuracy})"
     return model
+
+
+@pytest.fixture(scope="session")
+def tiny_backbone():
+    return make_tiny_backbone()
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,4 @@
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -130,9 +129,14 @@ class TestRun:
         ("backbone=5", "config key backbone must be a mapping, got 5"),
         ('synth={"bogus": 1}', "config key synth has unknown keys ['bogus']"),
         ('backbone={"embed_dim": "x"}', "config key backbone: not all arguments converted"),
-        ('backbone={"activation": "tanh"}', "config key backbone: unknown activation 'tanh'")],
+        ('backbone={"activation": "tanh"}', "config key backbone: unknown activation 'tanh'"),
+        ("num_sessions=-1", "error [benchmark] num_sessions must be >= 1, got -1"),
+        ("eta=true", "error [benchmark] eta must be a finite number, got True"),
+        ("epochs=1.5", "error [train] epochs must be an integer, got 1.5"),
+        ("warmup_frac=2", "error [train] warmup_frac must lie in [0, 1], got 2")],
         ids=["backbone-not-mapping", "synth-unknown-key", "backbone-value-type",
-             "backbone-value-refused"])
+             "backbone-value-refused", "sessions-negative", "eta-bool", "epochs-real",
+             "warmup-above-one"])
     def test_bad_nested_config_named(self, cli_workspace, capsys, setting, message):
         tmp, cfg_path = cli_workspace
         rc = main(["run", "--config", str(cfg_path), "--set", setting,
@@ -204,6 +208,7 @@ class TestSweep:
                                            ("variant", "bogus"),
                                            ("variant", "3")])
     def test_bad_value_rejected_before_any_run(self, cli_workspace, capsys, axis, bad):
+        stage = "benchmark" if axis == "eta" else "model"
         tmp, cfg_path = cli_workspace
         out = tmp / f"sweep_bad_{axis}_{bad}"
         # the good value comes first, so a check made per run would start it
@@ -212,7 +217,7 @@ class TestSweep:
                    "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"sweep axis {axis}" in err and bad in err
+        assert f"error [{stage}] {axis} must" in err and bad.lower() in err.lower()
         assert not out.exists()
 
     @pytest.mark.parametrize("axis, values, stage", [

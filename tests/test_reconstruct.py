@@ -97,21 +97,30 @@ class TestReconstructionLoss:
 
     def test_hand_case(self):
         # N=1, D=2, text residual (1, 0), visual residual zero
-        q_t = Tensor([1.0, 2.0])
-        q_hat_t = Tensor([0.0, 2.0])
-        q_v = Tensor([3.0, 4.0])
+        q_t = Tensor([[1.0, 2.0]])
+        q_hat_t = Tensor([[0.0, 2.0]])
+        q_v = Tensor([[3.0, 4.0]])
         loss = reconstruction_loss_from_queries(q_t, q_hat_t, q_v, q_v)
         assert loss.item() == 1.0
 
     def test_quadratic_homogeneity(self):
         rng = np.random.default_rng(8)
-        q_t, q_v = Tensor(rng.standard_normal(4)), Tensor(rng.standard_normal(4))
-        r_t, r_v = rng.standard_normal(4), rng.standard_normal(4)
+        q_t, q_v = Tensor(rng.standard_normal((1, 4))), Tensor(rng.standard_normal((1, 4)))
+        r_t, r_v = rng.standard_normal((1, 4)), rng.standard_normal((1, 4))
         base = reconstruction_loss_from_queries(
             q_t, Tensor(q_t.data + r_t), q_v, Tensor(q_v.data + r_v)).item()
         doubled = reconstruction_loss_from_queries(
             q_t, Tensor(q_t.data + 2 * r_t), q_v, Tensor(q_v.data + 2 * r_v)).item()
         assert doubled == pytest.approx(4 * base, rel=1e-12)
+
+    @pytest.mark.parametrize("shapes", [[(4,)] * 4, [(2, 4), (3, 4), (2, 4), (2, 4)],
+                                        [(2, 4), (2, 4), (2, 5), (2, 5)],
+                                        [(1, 2, 4)] * 4])
+    def test_only_matching_matrices_accepted(self, shapes):
+        # a 1-D query is refused, not taken as one sample or as D samples
+        queries = [Tensor(np.ones(shape)) for shape in shapes]
+        with pytest.raises(T.ShapeError, match=r"four matching \(N, D\) queries"):
+            reconstruction_loss_from_queries(*queries)
 
     def test_nonnegative_and_gradient_routing(self, tiny_backbone, complete_samples):
         pool = memory_pool(seed=9)

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import json
 from pathlib import Path
@@ -13,8 +12,8 @@ from rebq import tensor as T
 from rebq.backbone import MultimodalBackbone
 from rebq.metrics import EvalMatrix
 from rebq.reconstruct import export_query_embeddings
-from rebq.runner import (ExperimentError, ExperimentState, Report, RunConfig,
-                         emit_report, report_json_bytes, run_experiment)
+from rebq.runner import (ExperimentError, Report, RunConfig, emit_report, report_json_bytes,
+                         run_experiment)
 
 from conftest import TINY, TINY_SYNTH
 
@@ -39,7 +38,6 @@ def tiny_config(tmp_path, **overrides) -> RunConfig:
         eval_batch_size=16,
         output_dir=str(tmp_path / "out"),
     )
-    import dataclasses
     return dataclasses.replace(cfg, **overrides)
 
 
@@ -116,7 +114,16 @@ class TestRunExperiment:
         ("eta", 150.0, "benchmark"), ("eta", -0.5, "benchmark"),
         ("pool_size", 0, "model"), ("memory_pool_size", 0, "model"),
         ("prompt_len", -1, "model"), ("prompted_layers", -1, "model"),
-        ("lam", -5.0, "model"), ("lam", "x", "model"), ("epochs", 0, "train")])
+        ("lam", -5.0, "model"), ("lam", "x", "model"), ("epochs", 0, "train"),
+        ("num_classes", 1, "benchmark"), ("samples_per_class", 0, "benchmark"),
+        ("num_sessions", -1, "benchmark"), ("num_sessions", 0, "benchmark"),
+        ("eta", True, "benchmark"), ("eta", float("nan"), "benchmark"),
+        ("missing_case", "sideways", "benchmark"), ("missing_case", 1, "benchmark"),
+        ("seed_split", -1, "benchmark"), ("variant", "rebq", "model"),
+        ("pool_size", 1.5, "model"), ("prompted_layers", False, "model"),
+        ("seed_model", 2.0, "model"), ("epochs", 1.5, "train"), ("lr", -1.0, "train"),
+        ("lr", "x", "train"), ("lr", float("inf"), "train"), ("warmup_frac", 2, "train"),
+        ("weight_decay", -0.1, "train"), ("seed_train", None, "train")])
     def test_out_of_range_refused_before_any_stage(self, tmp_path, field, value, stage):
         # the checkpoint is missing, so any stage that ran would fail first
         cfg = tiny_config(tmp_path, **{field: value})
@@ -256,114 +263,3 @@ class TestEmit:
         # rows are layer-norm outputs of unit scale
         np.testing.assert_allclose([r["embedding"] for r in records],
                                    [r["embedding"] for r in whole], rtol=1e-6, atol=1e-6)
-
-
-@pytest.fixture(scope="module")
-def resumable(tiny_backbone, tmp_path_factory):
-    """A config and the experiment checkpoint written after its first session."""
-    tmp = tmp_path_factory.mktemp("resume")
-    cfg = tiny_config(tmp, num_sessions=2, samples_per_class=12)
-    states = []
-    orig_save = ExperimentState.save
-    ExperimentState.save = lambda self, path: states.append(copy.deepcopy(self))
-    try:
-        run_experiment(cfg, backbone=tiny_backbone, checkpoint_path=str(tmp / "s.rbqt"))
-    finally:
-        ExperimentState.save = orig_save
-    return cfg, states[0]
-
-
-class TestResume:
-    def test_final_checkpoint_resume_is_noop_with_same_report(self, tiny_backbone,
-                                                              tmp_path):
-        cfg = tiny_config(tmp_path, num_sessions=3, samples_per_class=12)
-        straight, _ = run_experiment(cfg, backbone=tiny_backbone)
-
-        ckpt = tmp_path / "state.rbqt"
-        run_experiment(cfg, backbone=tiny_backbone, checkpoint_path=str(ckpt))
-        state = ExperimentState.load(ckpt)
-        assert state.next_session == 3  # checkpoint advanced to the end
-        resumed, _ = run_experiment(cfg, backbone=tiny_backbone, resume_state=state)
-        assert strip_timing(report_json_bytes(resumed)) == \
-            strip_timing(report_json_bytes(straight))
-
-    def test_mid_stream_resume(self, tiny_backbone, tmp_path):
-        cfg = tiny_config(tmp_path, num_sessions=2, samples_per_class=12)
-        straight, _ = run_experiment(cfg, backbone=tiny_backbone)
-
-        # capture the snapshot written after session 1, then resume from it
-        ckpt = tmp_path / "s.rbqt"
-        saved_states = []
-        orig_save = ExperimentState.save
-
-        def capture_save(self, path):
-            saved_states.append(copy.deepcopy(self))
-            orig_save(self, path)
-
-        ExperimentState.save = capture_save
-        try:
-            run_experiment(cfg, backbone=tiny_backbone, checkpoint_path=str(ckpt))
-        finally:
-            ExperimentState.save = orig_save
-
-        mid = saved_states[0]
-        assert mid.next_session == 1
-        resumed, _ = run_experiment(cfg, backbone=tiny_backbone, resume_state=mid)
-        assert strip_timing(report_json_bytes(resumed)) == \
-            strip_timing(report_json_bytes(straight))
-
-    def test_state_round_trip(self, tiny_backbone, tmp_path):
-        cfg = tiny_config(tmp_path)
-        ckpt = tmp_path / "rt.rbqt"
-        _, artifacts = run_experiment(cfg, backbone=tiny_backbone,
-                                      checkpoint_path=str(ckpt))
-        state = ExperimentState.load(ckpt)
-        named = artifacts.model.named_parameters()
-        assert set(state.params) == set(named)
-        for k, t in named.items():
-            assert state.params[k].dtype == np.float64
-            assert state.params[k].astype(t.data.dtype).tobytes() == t.data.tobytes()
-
-    def test_state_keeps_backbone_fingerprint(self, resumable, tiny_backbone, tmp_path):
-        _, state = resumable
-        assert state.backbone_sha256 == runner.backbone_fingerprint(tiny_backbone)
-        state.save(tmp_path / "fp.rbqt")
-        assert ExperimentState.load(tmp_path / "fp.rbqt").backbone_sha256 == \
-            state.backbone_sha256
-
-    def test_changed_config_refused_naming_keys(self, resumable, tiny_backbone, tmp_path):
-        cfg, state = resumable
-        changed = dataclasses.replace(cfg, lr=cfg.lr * 2, output_dir=str(tmp_path / "other"),
-                                      backbone=dataclasses.replace(cfg.backbone,
-                                                                   activation="gelu"))
-        with pytest.raises(ExperimentError, match="resume") as err:
-            run_experiment(changed, backbone=tiny_backbone,
-                           resume_state=copy.deepcopy(state))
-        assert err.value.stage == "resume"
-        assert "'lr'" in err.value.cause and "'backbone.activation'" in err.value.cause
-        assert "output_dir" not in err.value.cause
-
-    def test_other_output_dir_resumes(self, resumable, tiny_backbone, tmp_path):
-        cfg, state = resumable
-        moved = dataclasses.replace(cfg, output_dir=str(tmp_path / "moved"))
-        report, _ = run_experiment(moved, backbone=tiny_backbone,
-                                   resume_state=copy.deepcopy(state))
-        assert EvalMatrix.from_lists(report.matrix).complete
-
-    def test_other_backbone_refused(self, resumable, tiny_backbone):
-        cfg, state = resumable
-        other = copy.deepcopy(tiny_backbone)
-        other.params["lnf_b"].data[0] += 1.0
-        with pytest.raises(ExperimentError, match="another backbone") as err:
-            run_experiment(cfg, backbone=other, resume_state=copy.deepcopy(state))
-        assert err.value.stage == "resume"
-
-    def test_checkpoint_without_fingerprint_refused(self, resumable, tiny_backbone,
-                                                    tmp_path):
-        cfg, state = resumable
-        old = dataclasses.replace(copy.deepcopy(state), backbone_sha256=None)
-        old.save(tmp_path / "old.rbqt")
-        with pytest.raises(ExperimentError, match="no backbone fingerprint") as err:
-            run_experiment(cfg, backbone=tiny_backbone,
-                           resume_state=ExperimentState.load(tmp_path / "old.rbqt"))
-        assert err.value.stage == "resume"

@@ -1,4 +1,4 @@
-"""Every name a rebq module imports is used in that module.
+"""Every name a rebq module or a test file imports is used in that file.
 
 The package's __init__ imports names only to re-export them, so it is left
 out. A quoted annotation counts as a use of the names it mentions.
@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(p for p in (Path(__file__).parent.parent / "src" / "rebq").glob("*.py")
-                 if p.name != "__init__.py")
+TESTS = Path(__file__).parent
+SOURCES = sorted(p for p in (TESTS.parent / "src" / "rebq").glob("*.py")
+                 if p.name != "__init__.py") + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
