@@ -69,11 +69,20 @@ def _load_config(args) -> RunConfig:
         cfg = RunConfig.from_dict({**cfg.to_dict(), **overrides})
     if getattr(args, "seed", None) is not None:
         cfg = cfg.with_root_seed(args.seed)
+    cfg.check()  # before a command resolves a path or builds anything from it
     return cfg
+
+
+def _check_counts(command: str, *flags):
+    """Refuse a count flag below 1, naming it; None means the flag is unset."""
+    for flag, value in flags:
+        if value is not None and value < 1:
+            raise ValueError(f"{command}: {flag} must be >= 1, got {value}")
 
 
 def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
+    _check_counts("pretrain", ("--samples-per-class", args.samples_per_class))
     pcfg = PretrainConfig(steps=args.steps, batch_size=args.batch_size,
                           eval_every=args.eval_every)
     pretrain_seed = int(np.random.SeedSequence([cfg.seed_corpus, 97]).generate_state(1)[0])
@@ -92,10 +101,8 @@ def cmd_pretrain(args) -> int:
 
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args)
-    for flag, value in (("--classes", args.classes),
-                        ("--samples-per-class", args.samples_per_class)):
-        if value is not None and value < 1:
-            raise ValueError(f"gen-data: {flag} must be >= 1, got {value}")
+    _check_counts("gen-data", ("--classes", args.classes),
+                  ("--samples-per-class", args.samples_per_class))
     synth = dataclasses.replace(cfg.synth, multi_label=args.multi_label or cfg.synth.multi_label)
     meta, samples = synth_generate(
         cfg.num_classes if args.classes is None else args.classes,

@@ -51,9 +51,11 @@ def _one_of(choices):
     return lambda v: v in choices, f"be one of {sorted(choices)}"
 
 
-# (field, the stage that reads it, the test its value must pass, the rule)
-# for every numeric field and every field with a fixed set of values
-_RANGES = (
+# (field, the stage that reads it, the test its value must pass, the rule) for
+# every field but the nested configs; a field with no test is checked for kind only
+_CHECKS = (
+    ("backbone_checkpoint", "backbone", None, None),
+    ("corpus_path", "benchmark", None, None),
     ("num_classes", "benchmark", *_at_least(2)),
     ("samples_per_class", "benchmark", *_at_least(1)),
     ("num_sessions", "benchmark", *_at_least(1)),
@@ -76,10 +78,47 @@ _RANGES = (
     ("warmup_frac", "train", *_within(0, 1)),
     ("weight_decay", "train", *_at_least(0)),
     ("seed_train", "train", *_at_least(0)),
+    ("export_queries", "emit", None, None),
+    ("output_dir", "emit", None, None),
 )
 
-# what a value must be, by the kind of its field's default
-_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _finite_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _or_none(test):
+    return lambda v: v is None or test(v)
+
+
+def _list_of(test):
+    return lambda v: isinstance(v, list) and all(test(e) for e in v)
+
+
+# what a value must be, by its field's annotation: (test, description)
+_KINDS = {
+    "int": (_integer, "an integer"),
+    "float": (_finite_number, "a finite number"),
+    "float | None": (_or_none(_finite_number), "a finite number or None"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (_or_none(lambda v: isinstance(v, str)), "a string or None"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "dict": (lambda v: isinstance(v, dict), "a mapping"),
+    "list[int]": (_list_of(_integer), "a list of integers"),
+    "list[dict]": (_list_of(lambda v: isinstance(v, dict)), "a list of mappings"),
+    "list[list[float | None]]": (_list_of(_list_of(_or_none(_finite_number))),
+                                 "a list of rows of finite numbers or None"),
+}
+
+
+def _kind_error(name: str, value, annotation: str) -> str | None:
+    """Why value does not fit a field annotated annotation, or None when it does."""
+    test, kind = _KINDS[annotation]
+    return None if test(value) else f"{name} must be {kind}, got {value!r}"
 
 
 @dataclass
@@ -116,19 +155,18 @@ class RunConfig:
     def check(self):
         """Refuse a setting of the wrong kind or out of range before any stage runs.
 
-        A value must have its field's kind, that of the default: an int
-        field takes an int, a real field an int or a finite float (a bool
-        is neither). The ExperimentError names the field and is tagged with
+        A value must have its field's annotated kind: an int field takes an
+        int, a real field an int or a finite float (a bool is neither), a
+        path a string. The ExperimentError names the field and is tagged with
         the stage that reads it, the stage the value would otherwise fail in.
         """
-        defaults = {f.name: f.default for f in dataclasses.fields(self)}
-        for name, stage, test, rule in _RANGES:
-            value, kind = getattr(self, name), type(defaults[name])
-            if (not isinstance(value, (int, float) if kind is float else kind)
-                    or isinstance(value, bool)
-                    or (isinstance(value, float) and not math.isfinite(value))):
-                raise ExperimentError(stage, f"{name} must be {_KINDS[kind]}, got {value!r}")
-            if not test(value):
+        kinds = {f.name: f.type for f in dataclasses.fields(self)}
+        for name, stage, test, rule in _CHECKS:
+            value = getattr(self, name)
+            wrong = _kind_error(name, value, kinds[name])
+            if wrong:
+                raise ExperimentError(stage, wrong)
+            if test is not None and not test(value):
                 raise ExperimentError(stage, f"{name} must {rule}, got {value!r}")
 
     def with_root_seed(self, root: int) -> "RunConfig":
@@ -168,6 +206,30 @@ def _checked_keys(d, kind, what: str, required: bool = False) -> dict:
     return d
 
 
+def _checked_fields(d, kind, what: str) -> dict:
+    """d when it holds every field of the dataclass kind and nothing else,
+    each value of its field's annotated kind; otherwise a ValueError naming
+    what and the field."""
+    _checked_keys(d, kind, what, required=True)
+    for f in dataclasses.fields(kind):
+        wrong = _kind_error(f.name, d[f.name], f.type)
+        if wrong:
+            raise ValueError(f"{what} {wrong}")
+    return d
+
+
+@dataclass
+class SessionSummary:
+    """One report.per_session entry: a session's classes and training losses."""
+    session: int
+    classes: list[int]
+    steps: int
+    mean_total: float
+    mean_classification: float
+    mean_reconstruction: float
+    final_total: float
+
+
 @dataclass
 class Report:
     artifact_version: str
@@ -183,7 +245,13 @@ class Report:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Report":
-        return cls(**_checked_keys(d, cls, "report", required=True))
+        d = _checked_fields(d, cls, "report")
+        sizes = [len(row) for row in d["matrix"]]
+        if any(n != len(sizes) for n in sizes):
+            raise ValueError(f"report matrix must be square, got rows of lengths {sizes}")
+        for i, entry in enumerate(d["per_session"]):
+            _checked_fields(entry, SessionSummary, f"report per_session[{i}]")
+        return cls(**d)
 
     def recompute(self) -> tuple[float, float | None]:
         m = EvalMatrix.from_lists(self.matrix)
@@ -242,10 +310,17 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
     started = time.time()
     config.check()
     with _stage("backbone"):
+        source = "the passed backbone"
         if backbone is None:
-            backbone = _load_backbone(config)
+            backbone, source = _load_backbone(config), f"checkpoint {config.backbone_checkpoint}"
         if not backbone.frozen:
             raise ExperimentError("backbone", "backbone must be frozen before fine-tuning")
+        # the report records config.backbone, so it must be the backbone every pass uses
+        used, stated = asdict(backbone.config), asdict(config.backbone)
+        differ = [f"{k} {used[k]!r} (config {stated[k]!r})" for k in used if used[k] != stated[k]]
+        if differ:
+            raise ExperimentError("backbone", f"{source} differs from the config's backbone "
+                                              f"in {', '.join(differ)}")
         backbone_bytes = backbone.parameter_bytes()
 
     with _stage("benchmark"):
@@ -290,15 +365,15 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
                 preds = predict_batch(model, test, config.eval_batch_size, cache=cache)
                 truths = [s.label for s in test]
                 matrix.set(i, j, performance(preds, truths, mode))
-            per_session.append({
-                "session": j,
-                "classes": stream.spec(j).classes,
-                "steps": len(log.steps),
-                "mean_total": log.mean("total"),
-                "mean_classification": log.mean("classification"),
-                "mean_reconstruction": log.mean("reconstruction"),
-                "final_total": log.steps[-1].total,
-            })
+            per_session.append(asdict(SessionSummary(
+                session=j,
+                classes=stream.spec(j).classes,
+                steps=len(log.steps),
+                mean_total=log.mean("total"),
+                mean_classification=log.mean("classification"),
+                mean_reconstruction=log.mean("reconstruction"),
+                final_total=log.steps[-1].total,
+            )))
 
     with _stage("metrics"):
         ap = average_performance(matrix)

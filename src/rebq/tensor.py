@@ -3,14 +3,23 @@
 Every value in the library is a :class:`Tensor` wrapping a numpy array.
 Every float array the library creates is float32 (:data:`DTYPE`), while a
 float ndarray passed in keeps its dtype, so a graph built from float64
-arrays computes in float64 throughout. Operations record a backward
-closure on the result when (and only when) some input participates in
-differentiation, so forward passes through frozen parameters cost barely
-more than raw numpy. Calling :func:`backward` on a scalar replays the recorded
-tape in reverse topological order and deposits gradients on trainable leaf
-tensors. Multi-head attention (:func:`attention`) is one fused record with a
-closed-form backward, so a transformer block adds a handful of records to the
-tape rather than one per slice, reshape and transpose.
+arrays computes in float64 throughout.
+
+An operation gives its result a tape record (``_Node``) when (and only
+when) some input participates in differentiation, so forward passes through
+frozen parameters cost barely more than raw numpy. A record holds one link
+per input (the input's own record, the input itself when it is a trainable
+leaf, or None for a constant) and a backward closure that keeps only the
+shapes and arrays that backward reads, never an input Tensor. A value no
+backward reads is freed as soon as the caller drops its Tensor: an affine
+behind a frozen weight keeps the weight but not its input, and add,
+reshape or relu keep no input value at all. Calling :func:`backward` on a
+scalar walks the records in reverse topological order, deposits gradients
+on trainable leaf tensors and releases each record as it goes, so no graph
+outlives its backward; a second backward through a released record raises
+RuntimeError. Multi-head attention (:func:`attention`) is one fused record
+with a closed-form backward, so a transformer block adds a handful of
+records to the tape rather than one per slice, reshape and transpose.
 
 The module also houses the loss functions, parameter initializers and the
 AdamW optimizer with a linear-warmup / cosine-annealing schedule. AdamW
@@ -94,10 +103,10 @@ def _keep_freed_memory():
     """Keep the memory a released tape frees inside the process.
 
     A training step allocates tens of megabytes of activations and
-    gradients and frees them when its graph is dropped. By default glibc
-    gives large blocks back to the kernel (through munmap, or by trimming
-    the top of the heap), so the next step takes every page again as a
-    page fault. With blocks below 32 MiB served from the heap and the heap
+    gradients and frees them as its backward releases the graph. By default
+    glibc gives large blocks back to the kernel (through munmap, or by
+    trimming the top of the heap), so the next step takes every page again
+    as a page fault. With blocks below 32 MiB served from the heap and the heap
     trimmed only past 1 GiB of free space, the next step reuses the same
     memory. The cost is that the resident set stays at its high-water mark
     between steps; the peak itself does not move.
@@ -131,7 +140,7 @@ def no_grad():
 def recording(*tensors) -> bool:
     """Whether an operation on these tensors (None entries skipped) would
     record a tape node."""
-    return _grad_enabled and any(t is not None and _needs(t) for t in tensors)
+    return _grad_enabled and any(t is not None and _link(t) is not None for t in tensors)
 
 
 # -- row-parallel untracked passes ------------------------------------------------
@@ -212,8 +221,31 @@ class ShapeError(ValueError):
     """Raised when operand shapes violate an operation's contract."""
 
 
+_RELEASED = "backward: this graph was released by an earlier backward"
+
+
+class _Node:
+    """One tape record: a link per input and the backward closure.
+
+    A link is the input's own record, the input itself when it is a
+    trainable leaf, or None for a constant. The closure maps the result's
+    gradient to one gradient per input (None where nothing reads it) and
+    holds only the shapes and arrays it reads, never an input Tensor.
+    """
+
+    __slots__ = ("inputs", "backward")
+
+    def __init__(self, inputs: tuple, backward):
+        self.inputs = inputs
+        self.backward = backward
+
+
+def _released(g):
+    raise RuntimeError(_RELEASED)
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "trainable", "_parents", "_backward")
+    __slots__ = ("data", "grad", "trainable", "_node")
 
     def __init__(self, data, trainable: bool = False):
         if not (isinstance(data, np.ndarray) and data.dtype.kind == "f"):
@@ -221,20 +253,7 @@ class Tensor:
         self.data = data
         self.grad: Array | None = None
         self.trainable = trainable
-        self._parents: tuple[Tensor, ...] | None = None
-        self._backward = None
-
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def _wrap(data: Array, parents, backward_fn) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = data
-        out.grad = None
-        out.trainable = False
-        out._parents = parents
-        out._backward = backward_fn
-        return out
+        self._node: _Node | None = None
 
     # -- introspection ---------------------------------------------------------
 
@@ -264,14 +283,22 @@ class Tensor:
         backward(self)
 
 
-def _needs(t: Tensor) -> bool:
-    return t.trainable or t._parents is not None
+def _link(t: Tensor):
+    """t's tape link: its record, t itself when a trainable leaf, else None."""
+    if t._node is not None:
+        return t._node
+    return t if t.trainable else None
 
 
-def _make(data: Array, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    if _grad_enabled and any(_needs(p) for p in parents):
-        return Tensor._wrap(data, parents, backward_fn)
-    return Tensor._wrap(data, None, None)
+def _output(data: Array, *inputs: Tensor) -> tuple[Tensor, tuple | None]:
+    """The result Tensor of an operation on inputs, with no record yet, and
+    the inputs' links: None when the operation records nothing."""
+    out = Tensor.__new__(Tensor)
+    out.data, out.grad, out.trainable, out._node = data, None, False, None
+    if not _grad_enabled:
+        return out, None
+    links = tuple(map(_link, inputs))
+    return out, (links if any(link is not None for link in links) else None)
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -299,62 +326,64 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "add")
-    out = _make(a.data + b.data, (a, b), None)
-    if out._parents is not None:
-        def bwd(g):
-            return (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
-        out._backward = bwd
+    out, links = _output(a.data + b.data, a, b)
+    if links is not None:
+        sa, sb = a.shape, b.shape
+        out._node = _Node(links, lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
     return out
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "sub")
-    out = _make(a.data - b.data, (a, b), None)
-    if out._parents is not None:
-        def bwd(g):
-            return (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
-        out._backward = bwd
+    out, links = _output(a.data - b.data, a, b)
+    if links is not None:
+        sa, sb = a.shape, b.shape
+        out._node = _Node(links, lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
     return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product with numpy broadcasting."""
     _check_broadcast(a, b, "mul")
-    out = _make(a.data * b.data, (a, b), None)
-    if out._parents is not None:
-        ad, bd = a.data, b.data
+    out, links = _output(a.data * b.data, a, b)
+    if links is not None:
+        sa, sb = a.shape, b.shape
+        # each operand's gradient reads the other operand's value
+        ad = a.data if links[1] is not None else None
+        bd = b.data if links[0] is not None else None
         def bwd(g):
-            return (_unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape))
-        out._backward = bwd
+            return (None if bd is None else _unbroadcast(g * bd, sa),
+                    None if ad is None else _unbroadcast(g * ad, sb))
+        out._node = _Node(links, bwd)
     return out
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "div")
-    out = _make(a.data / b.data, (a, b), None)
-    if out._parents is not None:
-        ad, bd = a.data, b.data
+    out, links = _output(a.data / b.data, a, b)
+    if links is not None:
+        sa, sb = a.shape, b.shape
+        need_a, need_b = links[0] is not None, links[1] is not None
+        ad, bd = a.data if need_b else None, b.data
         def bwd(g):
-            return (
-                _unbroadcast(g / bd, a.shape),
-                _unbroadcast(-g * ad / (bd * bd), b.shape),
-            )
-        out._backward = bwd
+            return (_unbroadcast(g / bd, sa) if need_a else None,
+                    _unbroadcast(-g * ad / (bd * bd), sb) if need_b else None)
+        out._node = _Node(links, bwd)
     return out
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    out = _make(a.data * c, (a,), None)
-    if out._parents is not None:
-        out._backward = lambda g: (g * c,)
+    out, links = _output(a.data * c, a)
+    if links is not None:
+        out._node = _Node(links, lambda g: (g * c,))
     return out
 
 
 def shift(a: Tensor, c: float) -> Tensor:
     """a + c for a Python scalar c, which takes the dtype of a."""
-    out = _make(a.data + c, (a,), None)
-    if out._parents is not None:
-        out._backward = lambda g: (g,)
+    out, links = _output(a.data + c, a)
+    if links is not None:
+        out._node = _Node(links, lambda g: (g,))
     return out
 
 
@@ -366,34 +395,44 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: operands must be at least 2-d, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} @ {b.shape}")
-    out = _make(a.data @ b.data, (a, b), None)
-    if out._parents is not None:
-        ad, bd = a.data, b.data
-        need_a, need_b = _needs(a), _needs(b)
+    out, links = _output(a.data @ b.data, a, b)
+    if links is not None:
+        sa, sb = a.shape, b.shape
+        need_a, need_b = links[0] is not None, links[1] is not None
+        # an operand's value is kept only for the other operand's gradient
+        ad = a.data if need_b else None
+        bd = b.data if need_a else None
+        flat_b = b.ndim == 2 and a.ndim > 2
         def bwd(g):
             ga = gb = None
             if need_a:
-                ga = _unbroadcast(g @ bd.swapaxes(-1, -2), a.shape)
+                ga = _unbroadcast(g @ bd.swapaxes(-1, -2), sa)
             if need_b:
-                if bd.ndim == 2 and ad.ndim > 2:
+                if flat_b:
                     gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
                 else:
-                    gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, b.shape)
+                    gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, sb)
             return (ga, gb)
-        out._backward = bwd
+        out._node = _Node(links, bwd)
     return out
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b in one tape record; b broadcasts over the leading axes."""
+    """x @ w + b in one tape record; b broadcasts over the leading axes.
+
+    The record keeps w's value only when x needs a gradient and x's only
+    when w does, so an affine behind a frozen weight keeps w but not x.
+    """
     if x.shape[-1] != w.shape[-2]:
         raise ShapeError(f"affine: inner dimensions disagree, {x.shape} @ {w.shape}")
     data = x.data @ w.data
     data += b.data
-    out = _make(data, (x, w, b), None)
-    if out._parents is not None:
-        xd, wd = x.data, w.data
-        need_x, need_w, need_b = _needs(x), _needs(w), _needs(b)
+    out, links = _output(data, x, w, b)
+    if links is not None:
+        need_x, need_w, need_b = (link is not None for link in links)
+        wd = w.data if need_x else None
+        xd = x.data if need_w else None
+        sb = b.shape
         def bwd(g):
             gx = gw = gb = None
             if need_x:
@@ -401,9 +440,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             if need_w:
                 gw = xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             if need_b:
-                gb = _unbroadcast(g, b.shape)
+                gb = _unbroadcast(g, sb)
             return (gx, gw, gb)
-        out._backward = bwd
+        out._node = _Node(links, bwd)
     return out
 
 
@@ -411,18 +450,18 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = _make(a.data.reshape(shape), (a,), None)
-    if out._parents is not None:
+    out, links = _output(a.data.reshape(shape), a)
+    if links is not None:
         orig = a.shape
-        out._backward = lambda g: (g.reshape(orig),)
+        out._node = _Node(links, lambda g: (g.reshape(orig),))
     return out
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out = _make(a.data.transpose(axes), (a,), None)
-    if out._parents is not None:
+    out, links = _output(a.data.transpose(axes), a)
+    if links is not None:
         inv = tuple(np.argsort(axes))
-        out._backward = lambda g: (g.transpose(inv),)
+        out._node = _Node(links, lambda g: (g.transpose(inv),))
     return out
 
 
@@ -431,33 +470,33 @@ def concat(tensors, axis: int = 0) -> Tensor:
     tensors = tuple(tensors)
     if len(tensors) == 1:
         return tensors[0]
-    out = _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, None)
-    if out._parents is not None:
+    out, links = _output(np.concatenate([t.data for t in tensors], axis=axis), *tensors)
+    if links is not None:
         sizes = [t.shape[axis] for t in tensors]
         splits = np.cumsum(sizes)[:-1]
         def bwd(g):
             return tuple(np.split(g, splits, axis=axis))
-        out._backward = bwd
+        out._node = _Node(links, bwd)
     return out
 
 
 def getitem(a: Tensor, key) -> Tensor:
-    out = _make(a.data[key], (a,), None)
-    if out._parents is not None:
+    out, links = _output(a.data[key], a)
+    if links is not None:
         shape = a.shape
         def bwd(g):
             full = np.zeros(shape, dtype=g.dtype)
             full[key] = g
             return (full,)
-        out._backward = bwd
+        out._node = _Node(links, bwd)
     return out
 
 
 def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = _make(np.broadcast_to(a.data, shape).copy(), (a,), None)
-    if out._parents is not None:
+    out, links = _output(np.broadcast_to(a.data, shape).copy(), a)
+    if links is not None:
         orig = a.shape
-        out._backward = lambda g: (_unbroadcast(g, orig),)
+        out._node = _Node(links, lambda g: (_unbroadcast(g, orig),))
     return out
 
 
@@ -465,14 +504,14 @@ def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), None)
-    if out._parents is not None:
+    out, links = _output(a.data.sum(axis=axis, keepdims=keepdims), a)
+    if links is not None:
         shape = a.shape
         def bwd(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, shape).copy(),)
-        out._backward = bwd
+        out._node = _Node(links, bwd)
     return out
 
 
@@ -480,10 +519,10 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def square(a: Tensor) -> Tensor:
-    out = _make(a.data * a.data, (a,), None)
-    if out._parents is not None:
-        ad = a.data
-        out._backward = lambda g: (2.0 * ad * g,)
+    ad = a.data
+    out, links = _output(ad * ad, a)
+    if links is not None:
+        out._node = _Node(links, lambda g: (2.0 * ad * g,))
     return out
 
 
@@ -495,20 +534,19 @@ def sqrt(a: Tensor) -> Tensor:
     finite there instead of multiplying an infinite slope by zero.
     """
     res = np.sqrt(a.data)
-    out = _make(res, (a,), None)
-    if out._parents is not None:
+    out, links = _output(res, a)
+    if links is not None:
         def bwd(g):
             return (np.divide(0.5, res, out=np.zeros_like(res), where=res > 0.0) * g,)
-        out._backward = bwd
+        out._node = _Node(links, bwd)
     return out
 
 
 def relu(a: Tensor) -> Tensor:
-    res = np.maximum(a.data, 0.0)
-    out = _make(res, (a,), None)
-    if out._parents is not None:
+    out, links = _output(np.maximum(a.data, 0.0), a)
+    if links is not None:
         mask = a.data > 0.0
-        out._backward = lambda g: (g * mask,)
+        out._node = _Node(links, lambda g: (g * mask,))
     return out
 
 
@@ -520,14 +558,13 @@ def gelu(a: Tensor) -> Tensor:
     x = a.data
     inner = _GELU_C * (x + 0.044715 * x**3)
     t = np.tanh(inner)
-    res = 0.5 * x * (1.0 + t)
-    out = _make(res, (a,), None)
-    if out._parents is not None:
+    out, links = _output(0.5 * x * (1.0 + t), a)
+    if links is not None:
         def bwd(g):
             dinner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
             d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
             return (g * d,)
-        out._backward = bwd
+        out._node = _Node(links, bwd)
     return out
 
 
@@ -541,12 +578,12 @@ def softmax_rows(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     res = e / e.sum(axis=-1, keepdims=True)
-    out = _make(res, (a,), None)
-    if out._parents is not None:
+    out, links = _output(res, a)
+    if links is not None:
         def bwd(g):
             dot = (g * res).sum(axis=-1, keepdims=True)
             return ((g - dot) * res,)
-        out._backward = bwd
+        out._node = _Node(links, bwd)
     return out
 
 
@@ -554,12 +591,10 @@ def log_softmax_rows(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     res = shifted - lse
-    out = _make(res, (a,), None)
-    if out._parents is not None:
+    out, links = _output(res, a)
+    if links is not None:
         sm = np.exp(res)
-        def bwd(g):
-            return (g - sm * g.sum(axis=-1, keepdims=True),)
-        out._backward = bwd
+        out._node = _Node(links, lambda g: (g - sm * g.sum(axis=-1, keepdims=True),))
     return out
 
 
@@ -602,10 +637,14 @@ def attention(qkv: Tensor, heads: int, prefix: Tensor | None = None, rows=None) 
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     res = (p @ v).transpose(0, 2, 1, 3).reshape(b, sq, d)
-    out = _make(res, (qkv,) if prefix is None else (qkv, prefix), None)
-    if out._parents is not None:
-        need_qkv = _needs(qkv)
-        need_prefix = prefix is not None and _needs(prefix)
+    out, links = _output(res, qkv) if prefix is None else _output(res, qkv, prefix)
+    if links is not None:
+        need_qkv = links[0] is not None
+        need_prefix = prefix is not None and links[1] is not None
+        qkv_shape = qkv.shape
+        prefix_shape = None if prefix is None else prefix.shape
+        if not need_qkv:
+            k = None  # only dQ reads the keys
         def bwd(g):
             do = g.reshape(b, sq, heads, dh).transpose(0, 2, 1, 3)
             dv = p.swapaxes(-1, -2) @ do
@@ -617,18 +656,18 @@ def attention(qkv: Tensor, heads: int, prefix: Tensor | None = None, rows=None) 
             gqkv = gprefix = None
             if need_qkv:
                 # query positions outside rows get a zero gradient
-                gqkv = (np.empty if rows is None else np.zeros)(qkv.shape, dtype=g.dtype)
+                gqkv = (np.empty if rows is None else np.zeros)(qkv_shape, dtype=g.dtype)
                 parts = gqkv.reshape(b, s, 3, heads, dh)
                 parts[:, qrows, 0] = (ds @ k).transpose(0, 2, 1, 3)
                 parts[:, :, 1] = dk[:, :, n_p:].transpose(0, 2, 1, 3)
                 parts[:, :, 2] = dv[:, :, n_p:].transpose(0, 2, 1, 3)
             if need_prefix:
-                gprefix = np.empty(prefix.shape, dtype=g.dtype)
+                gprefix = np.empty(prefix_shape, dtype=g.dtype)
                 blocks = gprefix.reshape(b, 2, n_p, heads, dh)
                 blocks[:, 0] = dk[:, :, :n_p].transpose(0, 2, 1, 3)
                 blocks[:, 1] = dv[:, :, :n_p].transpose(0, 2, 1, 3)
-            return (gqkv,) if prefix is None else (gqkv, gprefix)
-        out._backward = bwd
+            return (gqkv, gprefix)
+        out._node = _Node(links, bwd)
     return out
 
 
@@ -648,16 +687,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat *= inv
     res = xhat * gamma.data
     res += beta.data
-    out = _make(res, (x, gamma, beta), None)
-    if out._parents is not None:
+    out, links = _output(res, x, gamma, beta)
+    if links is not None:
+        need_x, need_gamma, need_beta = (link is not None for link in links)
         gd = gamma.data
         lead = tuple(range(x.ndim - 1))
-        need_x = _needs(x)
         def bwd(g):
             dx = dgamma = dbeta = None
-            if _needs(gamma):
+            if need_gamma:
                 dgamma = (g * xhat).sum(axis=lead)
-            if _needs(beta):
+            if need_beta:
                 dbeta = g.sum(axis=lead)
             if need_x:
                 # inv * (dy - mean(dy) - xhat * mean(dy * xhat)), rounded in that order
@@ -668,7 +707,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
                 dx -= np.multiply(xhat, mean_proj, out=proj)
                 dx *= inv
             return (dx, dgamma, dbeta)
-        out._backward = bwd
+        out._node = _Node(links, bwd)
     return out
 
 
@@ -680,14 +719,14 @@ def embedding(table: Tensor, ids: Array) -> Tensor:
             f"embedding: token id out of range [0, {table.shape[0]}), "
             f"got min={ids.min()} max={ids.max()}"
         )
-    out = _make(table.data[ids], (table,), None)
-    if out._parents is not None:
+    out, links = _output(table.data[ids], table)
+    if links is not None:
         shape = table.shape
         def bwd(g):
             full = np.zeros(shape, dtype=g.dtype)
             np.add.at(full, ids.ravel(), g.reshape(-1, shape[-1]))
             return (full,)
-        out._backward = bwd
+        out._node = _Node(links, bwd)
     return out
 
 
@@ -723,13 +762,13 @@ def binary_cross_entropy(logits: Tensor, target: Tensor) -> Tensor:
         raise ShapeError(f"binary_cross_entropy: logits {logits.shape} vs target {target.shape}")
     z, t = logits.data, target.data
     vals = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-    out = _make(np.asarray(vals.mean()), (logits, target), None)
-    if out._parents is not None:
+    out, links = _output(np.asarray(vals.mean()), logits, target)
+    if links is not None:
         n = z.size
         def bwd(g):
             s = 1.0 / (1.0 + np.exp(-z))
             return (g * (s - t) / n, None)
-        out._backward = bwd
+        out._node = _Node(links, bwd)
     return out
 
 
@@ -737,45 +776,59 @@ def binary_cross_entropy(logits: Tensor, target: Tensor) -> Tensor:
 
 
 def backward(loss_tensor: Tensor):
-    """Replay the tape from a scalar and deposit grads on trainable leaves.
+    """Walk the tape back from a scalar and deposit grads on trainable leaves.
 
-    Non-trainable tensors are never written to; interior accumulators live
-    only in a transient table that is dropped when the call returns, and the
-    tape itself is discarded with the graph once the caller releases it.
+    The records reachable from the scalar are ordered first, so a record
+    that an earlier backward released raises RuntimeError before any
+    gradient is computed. The walk then pops each record in reverse
+    topological order, runs its closure if a gradient reached it, and
+    releases it: the closure, and with it every array it kept, is replaced
+    by one that raises, and its links are dropped. No graph outlives its backward, and a second
+    backward through any of its records fails instead of adding the
+    gradients twice. Non-trainable tensors are never written to; interior
+    accumulators live only in a transient table.
     """
     if loss_tensor.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss_tensor.shape}")
+    root = _link(loss_tensor)
+    if root is None:
+        return
 
-    order: list[Tensor] = []
+    order: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss_tensor, False)]
+    stack: list[tuple] = [(root, False)]
     while stack:
-        node, done = stack.pop()
+        link, done = stack.pop()
         if done:
-            order.append(node)
+            order.append(link)
             continue
-        if id(node) in seen:
+        if id(link) in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        if node._parents is not None:
-            for p in node._parents:
-                if id(p) not in seen and _needs(p):
+        seen.add(id(link))
+        stack.append((link, True))
+        if type(link) is _Node:
+            if link.backward is _released:
+                raise RuntimeError(_RELEASED)
+            for p in link.inputs:
+                if p is not None and id(p) not in seen:
                     stack.append((p, False))
 
-    grads: dict[int, Array] = {id(loss_tensor): np.ones_like(loss_tensor.data)}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
+    grads: dict[int, Array] = {id(root): np.ones_like(loss_tensor.data)}
+    while order:
+        link = order.pop()
+        g = grads.pop(id(link), None)
+        if type(link) is Tensor:
+            if g is not None:
+                link.grad = g if link.grad is None else link.grad + g
+            continue
+        fn, inputs = link.backward, link.inputs
+        link.backward, link.inputs = _released, ()
         if g is None:
             continue
-        if node.trainable:
-            node.grad = g if node.grad is None else node.grad + g
-        if node._parents is None:
-            continue
-        for parent, pg in zip(node._parents, node._backward(g)):
-            if pg is None or not _needs(parent):
+        for p, pg in zip(inputs, fn(g)):
+            if pg is None or p is None:
                 continue
-            key = id(parent)
+            key = id(p)
             if key in grads:
                 grads[key] = grads[key] + pg
             else:

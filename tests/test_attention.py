@@ -89,7 +89,7 @@ class TestFusedAttention:
         assert fused[1] is None
         assert_same(fused, unfused)
         out = T.attention(Tensor(qkv), 2, Tensor(pre, trainable=True))
-        gqkv, gprefix = out._backward(coeff)
+        gqkv, gprefix = out._node.backward(coeff)
         assert gqkv is None and gprefix.shape == pre.shape
 
     @pytest.mark.parametrize("prefix", PREFIXES)
@@ -162,13 +162,13 @@ class TestTape:
         l_c = T.cross_entropy(logits, _targets(model, [batch[i] for i in order]))
         loss = T.add(l_c, T.scale(l_r, model.mcfg.lam))
         ops: Counter = Counter()
-        seen, stack = set(), [loss]
+        seen, stack = set(), [loss._node]
         while stack:
             node = stack.pop()
-            if id(node) in seen or node._parents is None:
+            if not isinstance(node, T._Node) or id(node) in seen:
                 continue
             seen.add(id(node))
-            ops[node._backward.__qualname__.split(".")[0]] += 1
-            stack.extend(node._parents)
+            ops[node.backward.__qualname__.split(".")[0]] += 1
+            stack.extend(node.inputs)
         assert ops["attention"] == 2 * TINY.num_layers
         assert ops["transpose"] == 0 and ops["softmax_rows"] == 0

@@ -271,27 +271,30 @@ class TestPositions:
 class TestReadout:
     """forward(..., positions=...) against the rows of the full forward."""
 
-    def layout(self, bb, kind, rng):
+    def segments(self, bb, kind):
+        """Fresh segment records for one graph: a backward releases the records
+        it walks, so two graphs that each run a backward cannot share them."""
         emb = bb.embed_batch([sample_for(CFG, [1, 2, 3], seed=1), sample_for(CFG, [9], seed=2)])
+        return bb.recon_segments(emb) if kind == "recon-attention" else bb.unified_segments(emb)
+
+    def layout(self, kind, rng):
         if kind == "unified-attention":
             blocks = Tensor(rng.standard_normal((2, 2, 2, 3, 32)), trainable=True)
             pos = unified_positions(CFG)
-            return (bb.unified_segments(emb), blocks,
-                    [pos["text_cls"], pos["visual_cls"], pos["joint"]], blocks)
+            return blocks, [pos["text_cls"], pos["visual_cls"], pos["joint"]]
         if kind == "recon-attention":
             block = Tensor(rng.standard_normal((2, 1, 2, 5, 32)), trainable=True)
             # the joint cls, a text row and the last patch row, one prompted layer
-            return (bb.recon_segments(emb), block,
-                    [0, 3, CFG.max_text_len + CFG.num_patches], block)
-        return bb.unified_segments(emb), None, [0], None
+            return block, [0, 3, CFG.max_text_len + CFG.num_patches]
+        return None, [0]
 
     @pytest.mark.parametrize("kind", ["unified-attention", "recon-attention", "plain"])
     def test_rows_equal_full_forward(self, kind):
         bb = float64(make_backbone(seed=13))
         rng = np.random.default_rng(14)
-        segments, inj, rows, prompt = self.layout(bb, kind, rng)
-        full = bb.forward(segments, inj)
-        part = bb.forward(segments, inj, positions=rows)
+        prompt, rows = self.layout(kind, rng)
+        full = bb.forward(self.segments(bb, kind), prompt)
+        part = bb.forward(self.segments(bb, kind), prompt, positions=rows)
         assert part.shape == (2, len(rows), CFG.embed_dim)
         np.testing.assert_allclose(part.data, full.data[:, rows], rtol=0, atol=1e-12)
         if prompt is None:

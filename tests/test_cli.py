@@ -12,6 +12,10 @@ from conftest import TINY, TINY_SYNTH
 import dataclasses
 
 
+def without(d: dict, key: str) -> dict:
+    return {k: v for k, v in d.items() if k != key}
+
+
 def write_config(tmp_path, **overrides) -> Path:
     cfg = RunConfig(
         backbone=TINY,
@@ -48,14 +52,23 @@ def cli_workspace(tmp_path_factory):
     return tmp, cfg_path
 
 
+@pytest.fixture(scope="module")
+def report_doc(cli_workspace):
+    """The parsed report.json of one run in the shared workspace."""
+    tmp, cfg_path = cli_workspace
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp / "report_doc")]) == 0
+    return json.loads((tmp / "report_doc" / "report.json").read_text())
+
+
 class TestPretrainCli:
     def test_checkpoint_written(self, cli_workspace):
         tmp, _ = cli_workspace
         assert (tmp / "backbone.rbqt").exists()
 
-    @pytest.mark.parametrize("flag, field", [("--steps", "steps"),
-                                             ("--batch-size", "batch_size"),
-                                             ("--eval-every", "eval_every")])
+    @pytest.mark.parametrize("flag, field", [
+        ("--steps", "steps"), ("--batch-size", "batch_size"), ("--eval-every", "eval_every"),
+        pytest.param("--samples-per-class", "pretrain: --samples-per-class must be >= 1",
+                     id="--samples-per-class")])
     def test_bad_setting_exits_naming_field(self, tmp_path, capsys, flag, field):
         cfg_path = write_config(tmp_path)
         rc = main(["pretrain", "--config", str(cfg_path), "--samples-per-class", "4",
@@ -63,6 +76,20 @@ class TestPretrainCli:
         assert rc == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "backbone.rbqt").exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        ("backbone_checkpoint=5", "error [backbone] backbone_checkpoint must be a string, got 5"),
+        ("output_dir=null", "error [emit] output_dir must be a string, got None")])
+    def test_bad_path_setting_refused_before_pretraining(self, tmp_path, capsys,
+                                                         monkeypatch, setting, message):
+        calls = []
+        monkeypatch.setattr("rebq.cli.pretrain", lambda *a, **k: calls.append(a))
+        cfg_path = write_config(tmp_path)
+        rc = main(["pretrain", "--config", str(cfg_path), "--samples-per-class", "4",
+                   "--set", setting])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
 
 
 class TestGenData:
@@ -133,10 +160,13 @@ class TestRun:
         ("num_sessions=-1", "error [benchmark] num_sessions must be >= 1, got -1"),
         ("eta=true", "error [benchmark] eta must be a finite number, got True"),
         ("epochs=1.5", "error [train] epochs must be an integer, got 1.5"),
-        ("warmup_frac=2", "error [train] warmup_frac must lie in [0, 1], got 2")],
+        ("warmup_frac=2", "error [train] warmup_frac must lie in [0, 1], got 2"),
+        ("output_dir=5", "error [emit] output_dir must be a string, got 5"),
+        ("corpus_path=3", "error [benchmark] corpus_path must be a string or None, got 3"),
+        ("export_queries=1", "error [emit] export_queries must be true or false, got 1")],
         ids=["backbone-not-mapping", "synth-unknown-key", "backbone-value-type",
              "backbone-value-refused", "sessions-negative", "eta-bool", "epochs-real",
-             "warmup-above-one"])
+             "warmup-above-one", "output-dir-int", "corpus-path-int", "export-queries-int"])
     def test_bad_nested_config_named(self, cli_workspace, capsys, setting, message):
         tmp, cfg_path = cli_workspace
         rc = main(["run", "--config", str(cfg_path), "--set", setting,
@@ -274,18 +304,30 @@ class TestReport:
         path.write_text(json.dumps(doc))
         assert main(["report", "--report", str(path)]) == 1
 
-    @pytest.mark.parametrize("doc, message", [
-        ({}, "report lacks keys ['ap', 'artifact_version',"),
-        ([1, 2], "report must be a mapping, got [1, 2]"),
-        ("extra", "report has unknown keys ['extra']")],
-        ids=["empty-object", "list", "extra-key"])
-    def test_non_report_json_rejected(self, cli_workspace, capsys, doc, message):
-        tmp, cfg_path = cli_workspace
-        if doc == "extra":
-            assert main(["run", "--config", str(cfg_path), "--out", str(tmp / "extra")]) == 0
-            doc = json.loads((tmp / "extra" / "report.json").read_text())
-            doc["extra"] = 1
-        path = tmp / "not_a_report.json"
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda doc: {}, "report lacks keys ['ap', 'artifact_version',"),
+        (lambda doc: [1, 2], "report must be a mapping, got [1, 2]"),
+        (lambda doc: {**doc, "extra": 1}, "report has unknown keys ['extra']"),
+        (lambda doc: {**doc, "ap": "x"}, "report ap must be a finite number, got 'x'"),
+        (lambda doc: {**doc, "fg": True}, "report fg must be a finite number or None, got True"),
+        (lambda doc: {**doc, "matrix": [[0.5, None], ["x", 0.5]]},
+         "report matrix must be a list of rows of finite numbers or None"),
+        (lambda doc: {**doc, "matrix": [row + [0.5] for row in doc["matrix"]]},
+         "report matrix must be square, got rows of lengths [3, 3]"),
+        (lambda doc: {**doc, "per_session": [without(doc["per_session"][0], "classes")]},
+         "report per_session[0] lacks keys ['classes']"),
+        (lambda doc: {**doc, "per_session": doc["per_session"] + [{**doc["per_session"][0],
+                                                                   "mean_total": "x"}]},
+         "report per_session[2] mean_total must be a finite number, got 'x'")],
+        ids=["empty-object", "list", "extra-key", "ap-string", "fg-bool", "matrix-string",
+             "matrix-not-square", "session-without-classes", "session-loss-string"])
+    def test_non_report_json_rejected(self, report_doc, capsys, tmp_path, tamper, message):
+        """Refused with exit 2 before any of the summary prints."""
+        doc = tamper(json.loads(json.dumps(report_doc)))
+        path = tmp_path / "not_a_report.json"
         path.write_text(json.dumps(doc))
+        capsys.readouterr()
         assert main(["report", "--report", str(path)]) == 2
-        assert message in capsys.readouterr().err
+        out = capsys.readouterr()
+        assert message in out.err
+        assert out.out == ""

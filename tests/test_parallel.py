@@ -72,13 +72,13 @@ class PoolSpy:
 
 
 def tape_records(out: Tensor) -> int:
-    seen, stack = set(), [out]
+    seen, stack = set(), [out._node]
     while stack:
-        t = stack.pop()
-        if id(t) in seen or t._parents is None:
+        node = stack.pop()
+        if not isinstance(node, T._Node) or id(node) in seen:
             continue
-        seen.add(id(t))
-        stack.extend(t._parents)
+        seen.add(id(node))
+        stack.extend(node.inputs)
     return len(seen)
 
 
@@ -118,7 +118,7 @@ class TestSplitForward:
         parts(2)
         out = bb.forward(unified_input(bb, 2 * MIN, 1), positions=[0])
         assert spy.calls == 1
-        assert out._parents is None
+        assert out._node is None
 
     def test_tracked_pass_never_splits(self, parts, monkeypatch):
         bb = BACKBONES["tiny"]

@@ -1,5 +1,6 @@
 import copy
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from rebq.pipeline import (VARIANT_PRESETS, ModelConfig, OptimizerConfig, _targe
                            build_variant, forward_batch, predict_batch, train_task)
 from rebq.prompt import PromptPool, PromptVector
 from rebq.reconstruct import QueryCache, counterparts
-from rebq.tensor import AdamW, Tensor
+from rebq.tensor import AdamW
 
 from conftest import TINY, float64
 from reconstruction_oracle import reconstruction_loss
@@ -266,6 +267,30 @@ class TestTrainTask:
                        OptimizerConfig(batch_size=batch_size), seed=0)
         assert model.parameter_bytes() == before
 
+    def test_step_graph_released_before_next_forward(self, tiny_backbone, tiny_benchmark,
+                                                     monkeypatch):
+        """A step's graph dies with its backward, although train_task still
+        holds its loss tensors, so each step's forward starts from the same
+        traced memory."""
+        _, stream = tiny_benchmark
+        model = make_model(tiny_backbone)
+        starts = []
+        forward = pipeline.forward_batch
+
+        def traced(*args, **kwargs):
+            starts.append(tracemalloc.get_traced_memory()[0])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "forward_batch", traced)
+        tracemalloc.start()
+        try:
+            train_task(model, stream.train_data(0)[:8], 1, OptimizerConfig(batch_size=4),
+                       seed=3)
+        finally:
+            tracemalloc.stop()
+        assert len(starts) == 2
+        assert abs(starts[1] - starts[0]) <= 64 << 10
+
     def test_loss_decomposition_exact(self, tiny_backbone, tiny_benchmark):
         _, stream = tiny_benchmark
         model = float64(make_model(tiny_backbone))
@@ -418,36 +443,26 @@ def record_dtypes(monkeypatch) -> set:
     """Collect the dtype of every tape array, every gradient a backward closure
     returns, and every gradient and moment an AdamW step sees."""
     dtypes = set()
-    taped = []
-    wrap, backward, step = Tensor._wrap, T.backward, AdamW.step
+    output, init, step = T._output, T._Node.__init__, AdamW.step
 
-    def recording_wrap(data, parents, backward_fn):
+    def recording_output(data, *inputs):
         dtypes.add(data.dtype)
-        out = wrap(data, parents, backward_fn)
-        if parents is not None:
-            taped.append(out)
-        return out
+        return output(data, *inputs)
 
-    def recorded(fn):
+    def recording_init(node, inputs, backward):
         def run(g):
-            grads = fn(g)
+            grads = backward(g)
             dtypes.update(x.dtype for x in grads if x is not None)
             return grads
-        return run
-
-    def recording_backward(loss):
-        for t in taped:
-            t._backward = recorded(t._backward)
-        taped.clear()
-        return backward(loss)
+        init(node, inputs, run)
 
     def recording_step(opt):
         dtypes.update(p.grad.dtype for p in opt.params if p.grad is not None)
         step(opt)
         dtypes.update(a.dtype for a in opt.m + opt.v)
 
-    monkeypatch.setattr(Tensor, "_wrap", staticmethod(recording_wrap))
-    monkeypatch.setattr(T, "backward", recording_backward)
+    monkeypatch.setattr(T, "_output", recording_output)
+    monkeypatch.setattr(T._Node, "__init__", recording_init)
     monkeypatch.setattr(AdamW, "step", recording_step)
     return dtypes
 

@@ -123,7 +123,10 @@ class TestRunExperiment:
         ("pool_size", 1.5, "model"), ("prompted_layers", False, "model"),
         ("seed_model", 2.0, "model"), ("epochs", 1.5, "train"), ("lr", -1.0, "train"),
         ("lr", "x", "train"), ("lr", float("inf"), "train"), ("warmup_frac", 2, "train"),
-        ("weight_decay", -0.1, "train"), ("seed_train", None, "train")])
+        ("weight_decay", -0.1, "train"), ("seed_train", None, "train"),
+        ("backbone_checkpoint", None, "backbone"), ("corpus_path", 3, "benchmark"),
+        ("export_queries", 1, "emit"), ("export_queries", "yes", "emit"),
+        ("output_dir", 5, "emit"), ("output_dir", None, "emit")])
     def test_out_of_range_refused_before_any_stage(self, tmp_path, field, value, stage):
         # the checkpoint is missing, so any stage that ran would fail first
         cfg = tiny_config(tmp_path, **{field: value})
@@ -132,6 +135,29 @@ class TestRunExperiment:
         assert exc.value.stage == stage
         assert exc.value.cause.startswith(f"{field} must ")
         assert repr(value) in exc.value.cause
+
+    @pytest.mark.parametrize("source", ["passed", "checkpoint"])
+    def test_other_backbone_config_refused_naming_keys(self, tiny_backbone, tmp_path,
+                                                       monkeypatch, source):
+        """The report records config.backbone, so a backbone built from another
+        config is refused before any stage reads it."""
+        calls = []
+        monkeypatch.setattr(runner, "build_stream", lambda *a, **k: calls.append(a))
+        stated = dataclasses.replace(TINY, embed_dim=64, num_heads=4, ffn_mult=3)
+        cfg = tiny_config(tmp_path, backbone=stated,
+                          backbone_checkpoint=str(tmp_path / "backbone.rbqt"))
+        passed = tiny_backbone
+        if source == "checkpoint":
+            tiny_backbone.save_checkpoint(cfg.backbone_checkpoint)
+            passed = None
+        with pytest.raises(ExperimentError) as exc:
+            run_experiment(cfg, backbone=passed)
+        assert exc.value.stage == "backbone"
+        assert exc.value.cause.endswith(
+            "differs from the config's backbone in embed_dim 32 (config 64), "
+            "num_heads 2 (config 4), ffn_mult 2 (config 3)")
+        assert (source == "checkpoint") == ("backbone.rbqt" in exc.value.cause)
+        assert calls == []
 
     def test_timing_records_threads(self, tiny_run):
         _, report, _ = tiny_run

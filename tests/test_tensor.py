@@ -1,6 +1,7 @@
 import ctypes
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -297,7 +298,72 @@ class TestBackward:
         x = Tensor([1.0], trainable=True)
         with T.no_grad():
             y = T.square(x)
-        assert y._parents is None
+        assert y._node is None
+
+
+class TestRelease:
+    """A record keeps only what its backward reads, and backward releases it."""
+
+    @pytest.mark.parametrize("make", [
+        lambda x: T.add(x, x),
+        T.relu,
+        lambda x: T.layer_norm(x, T.ones(3), T.zeros(3))],
+        ids=["add", "relu", "layer_norm"])
+    def test_value_no_backward_reads_dies_with_its_tensor(self, make):
+        """Behind a frozen-weight affine nothing reads the intermediate's value,
+        so it is freed once the caller drops the tensor, graph still alive."""
+        rng = np.random.default_rng(30)
+        x = rand(rng, 4, 3)
+        h = make(x)
+        value = weakref.ref(h.data)
+        loss = T.tsum(T.affine(h, Tensor(rng.standard_normal((3, 2))), T.zeros(2)))
+        del h
+        assert value() is None
+        loss.backward()
+        assert x.grad.shape == x.shape
+
+    def test_backward_frees_the_graph(self):
+        """The loss stays referenced, yet after its backward only the gradient
+        remains of everything its forward allocated."""
+        rng = np.random.default_rng(31)
+        width = 64
+        frozen = [(Tensor(rng.standard_normal((width, width)).astype(np.float32)),
+                   T.zeros(width)) for _ in range(4)]
+        gamma, beta = T.ones(width), T.zeros(width)
+        p = Tensor(rng.standard_normal((256, width)).astype(np.float32), trainable=True)
+
+        def build():
+            x = p
+            for w, b in frozen:
+                x = T.add(x, T.relu(T.affine(T.layer_norm(x, gamma, beta), w, b)))
+            return T.tsum(T.square(x))
+
+        build().backward()  # numpy's first calls allocate caches of their own
+        p.grad = None
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = build()
+            graph = tracemalloc.get_traced_memory()[0] - before
+            loss.backward()
+            after = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert graph >= 4 * p.data.nbytes
+        # a few KB of Python objects besides the gradient
+        assert after <= p.grad.nbytes + 8192
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["same-loss", "shared-record"])
+    def test_second_backward_through_released_records_raises(self, shared):
+        x = Tensor([3.0], trainable=True)
+        y = T.square(x)
+        loss = T.tsum(y)
+        loss.backward()
+        again = T.tsum(T.scale(y, 2.0)) if shared else loss
+        with pytest.raises(RuntimeError,
+                           match="backward: this graph was released by an earlier backward"):
+            again.backward()
+        np.testing.assert_array_equal(x.grad, [6.0])
 
 
 class TestDeterminism:
