@@ -1,22 +1,24 @@
 """Frozen multimodal transformer encoder prompted through attention prefixes.
 
-The backbone consumes concatenated text token embeddings and image patch
-embeddings plus special cls tokens and emits a same-length output sequence.
-Prompts arrive as one (B, layers, 2, N_p, D) prefix tensor whose block for
-layer l extends that layer's keys and values, so the first `layers` layers
-are prompted and the output keeps the input length. Every caller
-reads only a few cls rows, so forward takes the positions it returns and
-computes the last layer's query side (attention rows, feed-forward, final
-norm) for those rows alone; keys and values still span the whole sequence.
-Each attention block is recorded as qkv affine, one fused tensor.attention
-node (which takes the layer's key/value prefix block and the query rows)
-and output affine, so training backpropagates through it in closed form.
-A pass that records nothing on the tape runs row-parallel: every output
-row depends on its own input row alone, so forward splits the batch into
-contiguous parts over the process's cores (tensor.split_rows) and the
-result is bit-identical to one serial pass. A desk-scale pretraining
-routine trains the encoder on synthetic modality-complete data until the
-joint cls token classifies held-out samples, then freezes every parameter.
+embed_batch embeds samples once into one (B, S, D) unified sequence
+[x_cls, x_cls_t, X_text, x_cls_v, X_visual]. Every pass reads it, a row
+view or a row subset of it (recon_positions: [x_cls, X_text, X_visual]),
+so no backbone operation writes into its input. Prompts arrive as one
+(B, layers, 2, N_p, D) prefix tensor whose block for layer l extends that
+layer's keys and values, so the first `layers` layers are prompted and the
+output keeps the input length. Every caller reads only a few cls rows, so
+forward takes the positions it returns and computes the last layer's query
+side (attention rows, feed-forward, final norm) for those rows alone; keys
+and values still span the whole sequence. Each attention block is recorded
+as qkv affine, one fused tensor.attention node (which takes the layer's
+key/value prefix block and the query rows) and output affine, so training
+backpropagates through it in closed form. A pass that records nothing on
+the tape runs row-parallel: every output row depends on its own input row
+alone, so forward splits the batch into contiguous parts over the process's
+cores (tensor.split_rows) and the result is bit-identical to one serial
+pass. A desk-scale pretraining routine trains the encoder on synthetic
+modality-complete data until the joint cls token classifies held-out
+samples, then freezes every parameter.
 """
 
 from __future__ import annotations
@@ -54,25 +56,18 @@ class BackboneConfig:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
-@dataclass
-class EmbeddedBatch:
-    text: Tensor    # (B, P, D)
-    visual: Tensor  # (B, Q, D)
-
-    @property
-    def batch(self) -> int:
-        return self.text.shape[0]
-
-    def rows(self, idx) -> "EmbeddedBatch":
-        """The rows at idx (a slice or index list) as untracked constants."""
-        return EmbeddedBatch(text=Tensor(self.text.data[idx]),
-                             visual=Tensor(self.visual.data[idx]))
-
-
 # Position map for the unified query/classification layout
 # [x_cls, x_cls_t, X_text, x_cls_v, X_visual].
 def unified_positions(cfg: BackboneConfig) -> dict[str, int]:
     return {"joint": 0, "text_cls": 1, "visual_cls": 2 + cfg.max_text_len}
+
+
+def recon_positions(cfg: BackboneConfig) -> list[int]:
+    """The unified rows that form the reconstruction layout [x_cls, X_text,
+    X_visual]: every row but the two modality cls tokens."""
+    pos = unified_positions(cfg)
+    return [p for p in range(3 + cfg.max_text_len + cfg.num_patches)
+            if p not in (pos["text_cls"], pos["visual_cls"])]
 
 
 class MultimodalBackbone:
@@ -126,8 +121,10 @@ class MultimodalBackbone:
 
     # -- embedding ----------------------------------------------------------------
 
-    def embed_batch(self, samples: list[Sample]) -> EmbeddedBatch:
-        """Token/patch embeddings plus positional and modality-type terms."""
+    def embed_batch(self, samples: list[Sample]) -> Tensor:
+        """The (B, S, D) unified sequence [x_cls, x_cls_t, X_text, x_cls_v,
+        X_visual]: token/patch embeddings plus positional and modality-type
+        terms, between the cls rows."""
         c = self.config
         ids = np.zeros((len(samples), c.max_text_len), dtype=np.int64)
         for i, s in enumerate(samples):
@@ -149,24 +146,13 @@ class MultimodalBackbone:
                 f"patches must be ({c.num_patches}, {c.patch_dim}), got {patches.shape[1:]}")
         vis = T.affine(Tensor(patches), patch_w, self.params["patch_b"])
         vis = T.add(T.add(vis, self.params["vis_pos"]), self.params["vis_type"])
-        return EmbeddedBatch(text=text, visual=vis)
+        b, d, p = len(samples), c.embed_dim, self.params
 
-    def _cls_row(self, name: str, batch: int) -> Tensor:
-        d = self.config.embed_dim
-        vec = self.params[name]
-        if name == "cls_t":
-            vec = T.add(vec, self.params["text_type"])
-        elif name == "cls_v":
-            vec = T.add(vec, self.params["vis_type"])
-        return T.broadcast_to(T.reshape(vec, (1, 1, d)), (batch, 1, d))
+        def cls_row(vec: Tensor) -> Tensor:
+            return T.broadcast_to(T.reshape(vec, (1, 1, d)), (b, 1, d))
 
-    def unified_segments(self, emb: EmbeddedBatch) -> list[Tensor]:
-        b = emb.batch
-        return [self._cls_row("cls", b), self._cls_row("cls_t", b), emb.text,
-                self._cls_row("cls_v", b), emb.visual]
-
-    def recon_segments(self, emb: EmbeddedBatch) -> list[Tensor]:
-        return [self._cls_row("cls", emb.batch), emb.text, emb.visual]
+        return T.concat([cls_row(p["cls"]), cls_row(T.add(p["cls_t"], p["text_type"])), text,
+                         cls_row(T.add(p["cls_v"], p["vis_type"])), vis], axis=1)
 
     # -- transformer ------------------------------------------------------------------
 
@@ -187,9 +173,9 @@ class MultimodalBackbone:
         h = act(T.affine(x, self.params[f"l{l}.ff1_w"], self.params[f"l{l}.ff1_b"]))
         return T.affine(h, self.params[f"l{l}.ff2_w"], self.params[f"l{l}.ff2_b"])
 
-    def forward(self, segments: list[Tensor], prefix: Tensor | None = None,
+    def forward(self, x: Tensor, prefix: Tensor | None = None,
                 positions: list[int] | None = None) -> Tensor:
-        """Pre-norm transformer over the concatenated segments.
+        """Pre-norm transformer over one (B, S, D) embedded sequence.
 
         prefix is the (B, layers, 2, N_p, D) prompt block; its block l
         precedes layer l's keys and values, so it prompts the first
@@ -201,15 +187,12 @@ class MultimodalBackbone:
         whole sequence.
 
         A pass that records nothing on the tape (grad recording off, or no
-        tracked segment, prefix or parameter) splits its batch rows over
+        tracked input, prefix or parameter) splits its batch rows over
         tensor.split_rows; tracked passes run serially.
         """
         c = self.config
-        d = c.embed_dim
-        for seg in segments:
-            if seg.shape[-1] != d:
-                raise T.ShapeError(f"segment width {seg.shape[-1]} != embed dim {d}")
-        x = T.concat(segments, axis=1)
+        if x.ndim != 3 or x.shape[-1] != c.embed_dim:
+            raise T.ShapeError(f"input {x.shape} is not (B, S, {c.embed_dim})")
         if prefix is not None and prefix.shape[1] > c.num_layers:
             raise ValueError(
                 f"prefix prompts {prefix.shape[1]} layers, backbone has {c.num_layers}")
@@ -346,8 +329,7 @@ def pretrain(config: BackboneConfig, corpus: tuple[CorpusMeta, list[Sample]], se
                 warmup_frac=pcfg.warmup_frac, weight_decay=0.01)
 
     def logits_for(batch: list[Sample]) -> Tensor:
-        emb = model.embed_batch(batch)
-        out = model.forward(model.unified_segments(emb), positions=[0])
+        out = model.forward(model.embed_batch(batch), positions=[0])
         return T.affine(out[:, 0], head_w, head_b)
 
     def holdout_accuracy() -> float:

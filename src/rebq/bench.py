@@ -61,6 +61,11 @@ class SynthConfig:
     prototype_scale: float = 1.0
     multi_label: bool = False
 
+    def __post_init__(self):
+        if not 0.0 <= self.noise_token_prob <= 1.0:
+            raise ValueError(
+                f"noise_token_prob must lie in [0, 1], got {self.noise_token_prob}")
+
 
 def dummy_patches(num_patches: int, patch_dim: int) -> np.ndarray:
     """Canonical visual dummy: every pixel value equals one."""
@@ -165,16 +170,18 @@ def _labels_of(sample: Sample) -> list[int]:
 
 
 def split_sessions(meta: CorpusMeta, samples: list[Sample], num_sessions: int,
-                   seed: int, train_frac: float = 0.8):
-    """Shuffle classes, partition contiguously, and 80/20-split each class."""
-    if meta.num_classes < num_sessions:
-        raise ValueError(f"{meta.num_classes} classes cannot fill {num_sessions} sessions")
+                   seed: int, train_frac: float = 0.8) -> list[SessionData]:
+    """Shuffle classes, partition contiguously, and 80/20-split each class.
+
+    The class count must be a multiple of the session count, so that every
+    class is trained and tested in exactly one session.
+    """
+    per, dropped = divmod(meta.num_classes, num_sessions)
+    if dropped:
+        raise ValueError(f"{meta.num_classes} classes do not split evenly into {num_sessions} "
+                         f"sessions: {dropped} would be dropped")
     rng = np.random.default_rng(seed)
     order = rng.permutation(meta.num_classes)
-    per = meta.num_classes // num_sessions
-    dropped = meta.num_classes - per * num_sessions
-    if dropped:
-        order = order[:per * num_sessions]
     class_sets = [sorted(int(c) for c in order[s * per:(s + 1) * per])
                   for s in range(num_sessions)]
 
@@ -201,7 +208,7 @@ def split_sessions(meta: CorpusMeta, samples: list[Sample], num_sessions: int,
             test.extend(group[i] for i in perm[cut:])
         sessions.append(SessionData(
             spec=SessionSpec(index=s, classes=classes), train=train, test=test))
-    return sessions, dropped
+    return sessions
 
 
 # -- missing-modality masking ----------------------------------------------------------
@@ -284,7 +291,7 @@ def build_stream(meta: CorpusMeta, samples: list[Sample], num_sessions: int,
     Train and test masks draw from distinct seed streams so the two splits
     are never correlated.
     """
-    sessions, _ = split_sessions(meta, samples, num_sessions, split_seed)
+    sessions = split_sessions(meta, samples, num_sessions, split_seed)
     npatch = meta.num_patches
     masked_sessions = []
     for s in sessions:
@@ -406,8 +413,8 @@ def _parse_record(rec: dict, meta: CorpusMeta, path, lineno: int) -> Sample:
         if not isinstance(patches, list) or not patches:
             fail("record with has_visual=true missing 'patches'")
         arr = np.asarray(patches, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != meta.patch_dim:
-            fail(f"patches must be (Q, {meta.patch_dim}), got {arr.shape}")
+        if arr.shape != (meta.num_patches, meta.patch_dim):
+            fail(f"patches must be ({meta.num_patches}, {meta.patch_dim}), got {arr.shape}")
     else:
         arr = dummy_patches(meta.num_patches, meta.patch_dim)
 

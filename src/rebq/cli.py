@@ -1,9 +1,13 @@
 """Command-line surface: pretrain, gen-data, run, sweep, report.
 
-Configuration comes from a JSON file matching RunConfig; individual flags
-override file values, `--set key=value` overrides anything else, and
-`--seed` derives every seed stream from one root. Relative output
-directories are rooted at $REBQ_OUTPUT_ROOT when it is set.
+Configuration comes from a JSON file matching RunConfig. `--set
+key=value` overrides one of its keys (a mapping value for a nested config
+such as synth or backbone overrides only the keys it names), `--seed`
+derives every seed stream from one root, and `sweep --axis key=v1,v2`
+runs the grid over any keys but output_dir. No flag mirrors a RunConfig
+field; the flags a command adds set what RunConfig does not hold: output
+paths and pretraining sizes. Relative output directories are rooted at
+$REBQ_OUTPUT_ROOT when it is set.
 """
 
 from __future__ import annotations
@@ -27,9 +31,6 @@ from .runner import (ExperimentError, Report, RunConfig, emit_report,
 
 OUTPUT_ROOT_ENV = "REBQ_OUTPUT_ROOT"
 
-SWEEP_AXES = ("eta", "lam", "pool_size", "memory_pool_size", "prompt_len",
-              "prompted_layers", "variant")
-
 
 def _resolve_output(path: str) -> str:
     root = os.environ.get(OUTPUT_ROOT_ENV)
@@ -47,46 +48,43 @@ def _parse_value(raw: str):
         return raw
 
 
+def _override(config: dict, key: str, value):
+    """Set config[key] to value; a mapping value is merged into a mapping
+    already there, so a nested config keeps the keys it does not name."""
+    old = config.get(key)
+    both = isinstance(old, dict) and isinstance(value, dict)
+    config[key] = {**old, **value} if both else value
+
+
 def _load_config(args) -> RunConfig:
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             cfg = RunConfig.from_dict(json.load(fh))
     else:
         cfg = RunConfig()
-    overrides = {}
-    for flag, attr in (("variant", "variant"), ("eta", "eta"), ("lam", "lam"),
-                       ("epochs", "epochs"), ("backbone_checkpoint", "backbone_checkpoint"),
-                       ("output_dir", "output_dir")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            overrides[attr] = val
-    for item in getattr(args, "set", None) or []:
-        key, _, raw = item.partition("=")
-        if not _:
-            raise ValueError(f"--set expects key=value, got {item!r}")
-        overrides[key] = _parse_value(raw)
-    if overrides:
-        cfg = RunConfig.from_dict({**cfg.to_dict(), **overrides})
-    if getattr(args, "seed", None) is not None:
+    if args.set:
+        d = cfg.to_dict()
+        for item in args.set:
+            key, sep, raw = item.partition("=")
+            if not sep:
+                raise ValueError(f"--set expects key=value, got {item!r}")
+            _override(d, key, _parse_value(raw))
+        cfg = RunConfig.from_dict(d)
+    if args.seed is not None:
         cfg = cfg.with_root_seed(args.seed)
     cfg.check()  # before a command resolves a path or builds anything from it
     return cfg
 
 
-def _check_counts(command: str, *flags):
-    """Refuse a count flag below 1, naming it; None means the flag is unset."""
-    for flag, value in flags:
-        if value is not None and value < 1:
-            raise ValueError(f"{command}: {flag} must be >= 1, got {value}")
-
-
 def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
-    _check_counts("pretrain", ("--samples-per-class", args.samples_per_class))
-    pcfg = PretrainConfig(steps=args.steps, batch_size=args.batch_size,
+    if args.pretrain_samples_per_class < 1:
+        raise ValueError("pretrain: --samples-per-class must be >= 1, "
+                         f"got {args.pretrain_samples_per_class}")
+    pcfg = PretrainConfig(steps=args.steps, batch_size=args.pretrain_batch_size,
                           eval_every=args.eval_every)
     pretrain_seed = int(np.random.SeedSequence([cfg.seed_corpus, 97]).generate_state(1)[0])
-    corpus = synth_generate(cfg.backbone.pretrain_classes, args.samples_per_class,
+    corpus = synth_generate(cfg.backbone.pretrain_classes, args.pretrain_samples_per_class,
                             cfg.synth, seed=pretrain_seed, id_prefix="p")
     model, report = pretrain(cfg.backbone, corpus, seed=pretrain_seed, pcfg=pcfg)
     out = _resolve_output(args.out or cfg.backbone_checkpoint)
@@ -101,13 +99,8 @@ def cmd_pretrain(args) -> int:
 
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args)
-    _check_counts("gen-data", ("--classes", args.classes),
-                  ("--samples-per-class", args.samples_per_class))
-    synth = dataclasses.replace(cfg.synth, multi_label=args.multi_label or cfg.synth.multi_label)
-    meta, samples = synth_generate(
-        cfg.num_classes if args.classes is None else args.classes,
-        cfg.samples_per_class if args.samples_per_class is None else args.samples_per_class,
-        synth, seed=cfg.seed_corpus)
+    meta, samples = synth_generate(cfg.num_classes, cfg.samples_per_class, cfg.synth,
+                                   seed=cfg.seed_corpus)
     out = _resolve_output(args.out)
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     save_corpus(out, meta, samples)
@@ -123,16 +116,12 @@ def _run_single(cfg: RunConfig) -> Report:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
-    cfg = _with_output(cfg, cfg.output_dir)
+    cfg = dataclasses.replace(cfg, output_dir=_resolve_output(args.out or cfg.output_dir))
     report = _run_single(cfg)
     fg = "n/a" if report.fg is None else f"{report.fg:.4f}"
     print(f"variant={cfg.variant} eta={cfg.eta} AP={report.ap:.4f} FG={fg}")
     print(f"report written to {cfg.output_dir}")
     return 0
-
-
-def _with_output(cfg: RunConfig, out: str) -> RunConfig:
-    return dataclasses.replace(cfg, output_dir=_resolve_output(out))
 
 
 def _sweep_worker(cfg_dict: dict) -> tuple[str, float, float | None]:
@@ -145,11 +134,12 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"sweep: --jobs must be >= 1, got {args.jobs}")
     base = _load_config(args)
+    keys = sorted(set(base.to_dict()) - {"output_dir"})
     axes: list[tuple[str, list]] = []
     for spec in args.axis:
         name, _, raw = spec.partition("=")
-        if name not in SWEEP_AXES:
-            raise ValueError(f"unknown sweep axis {name!r}; choose from {SWEEP_AXES}")
+        if name not in keys:
+            raise ValueError(f"unknown sweep axis {name!r}; choose a config key from {keys}")
         values = [_parse_value(v) for v in raw.split(",") if v]
         if not values:
             raise ValueError(f"axis {name} has no values")
@@ -164,7 +154,7 @@ def cmd_sweep(args) -> int:
         d = base.to_dict()
         tag_parts = []
         for (name, _), value in zip(axes, combo):
-            d[name] = value
+            _override(d, name, value)
             tag_parts.append(f"{name}{value}")
         tag = "_".join(tag_parts)
         d["output_dir"] = str(Path(root) / tag)
@@ -227,39 +217,33 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (RunConfig schema)")
         p.add_argument("--seed", type=int, help="root seed deriving all seed streams")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override any config key (JSON-parsed value)")
+                       help="override a config key (JSON-parsed value; a mapping is "
+                            "merged into a nested config)")
 
     p = sub.add_parser("pretrain", help="pretrain and freeze a backbone checkpoint")
     common(p)
     p.add_argument("--out", help="checkpoint path (default: config backbone_checkpoint)")
     p.add_argument("--steps", type=int, default=1500)
-    p.add_argument("--batch-size", type=int, default=16)
+    p.add_argument("--batch-size", dest="pretrain_batch_size", type=int, default=16)
     p.add_argument("--eval-every", type=int, default=100)
-    p.add_argument("--samples-per-class", type=int, default=100)
+    p.add_argument("--samples-per-class", dest="pretrain_samples_per_class", type=int,
+                   default=100)
     p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("gen-data", help="generate a synthetic corpus file")
+    p = sub.add_parser("gen-data", help="generate the config's synthetic corpus file")
     common(p)
     p.add_argument("--out", required=True, help="corpus path (.jsonl)")
-    p.add_argument("--classes", type=int)
-    p.add_argument("--samples-per-class", type=int)
-    p.add_argument("--multi-label", action="store_true")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("run", help="run one continual experiment")
     common(p)
-    p.add_argument("--variant")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--lam", type=float, help="reconstruction loss weight")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--backbone-checkpoint", dest="backbone_checkpoint")
-    p.add_argument("--out", dest="output_dir")
+    p.add_argument("--out", help="output directory (default: config output_dir)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="grid sweep over config axes")
     common(p)
-    p.add_argument("--axis", action="append", default=[], metavar="NAME=V1,V2,...",
-                   help=f"sweep axis; one of {', '.join(SWEEP_AXES)}")
+    p.add_argument("--axis", action="append", default=[], metavar="KEY=V1,V2,...",
+                   help="sweep axis; any config key but output_dir")
     p.add_argument("--out", help="sweep output root")
     p.add_argument("--jobs", type=int, default=1, help="parallel runs")
     p.set_defaults(func=cmd_sweep)

@@ -1,15 +1,16 @@
 """The full model and per-session training loop.
 
 One forward path serves training and evaluation. forward_batch orders a
-mini-batch by missing type, embeds every row once through the frozen
-backbone, runs one untracked unified pass for the modality and memory
-queries and one tracked memory-injected pass that reconstructs each
-missing query. Its classification step is the same for every variant:
-the variant lists (row slice, prompt prefix) groups, and each group runs
-one prompted backbone forward whose joint cls output feeds the shared
-linear head. The baseline and the pooled variants form one group for the
-whole batch; without modality-specific queries each missing type is its
-own group, since its prefix length differs. Training (train_task) also
+mini-batch by missing type, embeds every row once into one sequence,
+runs one untracked unified pass for the modality and memory queries and
+one tracked memory-injected pass that reconstructs each missing query;
+the baseline, whose prompts follow the missing type alone, runs neither.
+Its classification step is the same for every variant: the variant lists
+(row slice, prompt prefix) groups, and each group runs one prompted
+backbone forward over a row view of the sequence, whose joint cls output
+feeds the shared linear head. The baseline and the pooled variants form
+one group for the whole batch; without modality-specific queries each
+missing type is its own group, since its prefix length differs. Training (train_task) also
 asks for the reconstruction loss: the masked counterparts of the batch's
 complete samples then ride along in both passes and L_r is computed over
 them. Evaluation (predict_batch) calls the same function without it.
@@ -175,48 +176,50 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
     use_recon = has_memory and model.spec.modality_specific_query and n_inc > 0
     use_lr = with_lr and model.mcfg.lam > 0.0 and has_memory and n_c > 0
 
-    # embeddings are frozen-backbone constants: every row embeds once and
-    # both passes slice from the same arrays
+    # the embedded sequence is a frozen-backbone constant: every row embeds
+    # once and every pass reads rows of the same array
     rows = list(ordered)
     if use_lr:
         pairs = [counterparts(s, cfg.num_patches, cfg.patch_dim) for s in ordered[n_inc:]]
         rows += [p[0] for p in pairs] + [p[1] for p in pairs]
     with T.no_grad():
         emb = backbone.embed_batch(rows)
-    queries = generate_queries_batch(rows, backbone, emb=emb, cache=cache)
-    q_text, q_vis = Tensor(queries[:b, 0]), Tensor(queries[:b, 1])
-
-    # one tracked memory-injected pass: the batch's incomplete rows, then
-    # the counterparts (text-only halves first, then image-only halves)
-    recon_idx = (list(range(n_inc)) if use_recon else []) + list(range(b, len(rows)))
-    if recon_idx:
-        recon = reconstruct_batch([rows[i] for i in recon_idx], Tensor(queries[recon_idx, 2]),
-                                  model.memory, backbone, emb=emb.rows(recon_idx))
-    if use_recon:
-        # text-only rows reconstruct the visual query, image-only the text
-        q_text = T.concat([Tensor(queries[:n_t, 0]), recon[n_t:n_inc],
-                           Tensor(queries[n_inc:b, 0])], axis=0)
-        q_vis = T.concat([recon[:n_t], Tensor(queries[n_t:b, 1])], axis=0)
-
-    # without modality-specific queries only the available modality's
-    # prompts are prefixed, so each missing type is its own group
-    text_src, vis_src = model.text_source(), model.visual_source()
     spans = (slice(0, n_t), slice(n_t, n_inc), slice(n_inc, b))
     if model.spec.baseline:
+        # the baseline's prompts follow the missing type alone: it reads no query
         groups = [(slice(0, b), T.concat(
             [model.baseline_blocks[kind].select(T.zeros((sl.stop - sl.start, cfg.embed_dim)))
              for kind, sl in zip(MISSING_TYPES, spans) if sl.stop > sl.start], axis=0))]
-    elif model.spec.modality_specific_query:
-        groups = [(slice(0, b), T.concat([text_src.select(q_text), vis_src.select(q_vis)],
-                                         axis=3))]
     else:
-        t, v, c = spans
-        reads = ((t, [(text_src, q_text)]), (v, [(vis_src, q_vis)]),
-                 (c, [(text_src, q_text), (vis_src, q_vis)]))
-        groups = [(sl, T.concat([src.select(q[sl]) for src, q in sources], axis=3))
-                  for sl, sources in reads if sl.stop > sl.start]
-    logits = T.concat([T.affine(backbone.forward(backbone.unified_segments(emb.rows(sl)),
-                                                 prefix, positions=[0])[:, 0],
+        queries = generate_queries_batch(rows, backbone, emb=emb, cache=cache)
+        q_text, q_vis = Tensor(queries[:b, 0]), Tensor(queries[:b, 1])
+
+        # one tracked memory-injected pass: the batch's incomplete rows, then
+        # the counterparts (text-only halves first, then image-only halves)
+        recon_idx = (list(range(n_inc)) if use_recon else []) + list(range(b, len(rows)))
+        if recon_idx:
+            recon = reconstruct_batch([rows[i] for i in recon_idx],
+                                      Tensor(queries[recon_idx, 2]), model.memory, backbone,
+                                      emb=emb[recon_idx])
+        if use_recon:
+            # text-only rows reconstruct the visual query, image-only the text
+            q_text = T.concat([Tensor(queries[:n_t, 0]), recon[n_t:n_inc],
+                               Tensor(queries[n_inc:b, 0])], axis=0)
+            q_vis = T.concat([recon[:n_t], Tensor(queries[n_t:b, 1])], axis=0)
+
+        # without modality-specific queries only the available modality's
+        # prompts are prefixed, so each missing type is its own group
+        text_src, vis_src = model.text_source(), model.visual_source()
+        if model.spec.modality_specific_query:
+            groups = [(slice(0, b), T.concat([text_src.select(q_text), vis_src.select(q_vis)],
+                                             axis=3))]
+        else:
+            t, v, c = spans
+            reads = ((t, [(text_src, q_text)]), (v, [(vis_src, q_vis)]),
+                     (c, [(text_src, q_text), (vis_src, q_vis)]))
+            groups = [(sl, T.concat([src.select(q[sl]) for src, q in sources], axis=3))
+                      for sl, sources in reads if sl.stop > sl.start]
+    logits = T.concat([T.affine(backbone.forward(emb[sl], prefix, positions=[0])[:, 0],
                                 model.head_w, model.head_b) for sl, prefix in groups], axis=0)
 
     l_r = None

@@ -1,13 +1,14 @@
 """Missing-query reconstruction through the frozen backbone.
 
-A first (untracked) forward over the unified layout yields both modality
-queries and the joint memory query for every sample; generate_queries_batch
-returns them as one (B, 3, D) array whose columns are the text, visual and
-memory queries. For a sample missing one modality, prompts selected from
-the memory pool by the joint query are prefixed to a second forward over
-the compact [cls, text, visual] layout; the cls output of that pass is the
-reconstructed query for the absent modality. The reconstruction loss
-(reconstruction_loss_from_queries) trains the memory pool to pull those
+Both passes read one embed_batch sequence. A first (untracked) forward
+over the unified layout yields both modality queries and the joint memory
+query for every sample; generate_queries_batch returns them as one
+(B, 3, D) array whose columns are the text, visual and memory queries. For
+a sample missing one modality, prompts selected from the memory pool by
+the joint query are prefixed to a second forward over the compact [cls,
+text, visual] rows of the same sequence (recon_positions); the cls output
+of that pass is the reconstructed query for the absent modality. The
+reconstruction loss (reconstruction_loss_from_queries) trains the memory pool to pull those
 reconstructions toward the queries the complete sample would have produced
 (ground truth is gradient-detached); pipeline.forward_batch builds the
 masked counterparts it is computed over.
@@ -29,7 +30,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import tensor as T
-from .backbone import MultimodalBackbone, unified_positions
+from .backbone import MultimodalBackbone, recon_positions, unified_positions
 from .bench import DUMMY_TEXT, Sample, dummy_patches
 from .tensor import Tensor
 
@@ -56,7 +57,8 @@ def generate_queries_batch(samples: list[Sample], backbone: MultimodalBackbone,
     """One untracked unified forward; raw queries regardless of presence flags.
 
     Returns a (B, 3, D) array whose columns are the text, visual and memory
-    (joint) queries of each row.
+    (joint) queries of each row. emb is the samples' embed_batch sequence,
+    embedded here when not given.
 
     With a cache, only the rows it does not hold yet go through the pass,
     in one batch, and every row of the result is read from the cache.
@@ -73,7 +75,7 @@ def generate_queries_batch(samples: list[Sample], backbone: MultimodalBackbone,
     if misses:
         idx = list(misses.values())
         fresh = _unified_pass([samples[i] for i in idx], backbone,
-                              None if emb is None else emb.rows(idx))
+                              None if emb is None else emb[idx])
         cache.rows.update(zip(misses, fresh))
     return np.stack([cache.rows[k] for k in keys])
 
@@ -85,7 +87,7 @@ def _unified_pass(samples: list[Sample], backbone: MultimodalBackbone,
     with T.no_grad():
         if emb is None:
             emb = backbone.embed_batch(samples)
-        return backbone.forward(backbone.unified_segments(emb), positions=[
+        return backbone.forward(emb, positions=[
             pos["text_cls"], pos["visual_cls"], pos["joint"]]).data
 
 
@@ -96,12 +98,14 @@ def reconstruct_batch(samples: list[Sample], memory_queries: Tensor, memory_sour
     Rows may mix text-only and image-only samples: the layout is identical,
     only the dummy contents differ, and the cls output is the reconstruction
     for whichever modality the row lacks. The selected memory block prompts
-    as many layers as the memory source was built with.
+    as many layers as the memory source was built with. The pass reads the
+    recon_positions rows of emb, the samples' embed_batch sequence.
     """
     prefix = memory_source.select(memory_queries)
     if emb is None:
         emb = backbone.embed_batch(samples)
-    return backbone.forward(backbone.recon_segments(emb), prefix, positions=[0])[:, 0]
+    return backbone.forward(emb[:, recon_positions(backbone.config)], prefix,
+                            positions=[0])[:, 0]
 
 
 def counterparts(sample: Sample, num_patches: int, patch_dim: int) -> tuple[Sample, Sample]:
@@ -161,7 +165,7 @@ def _query_records(samples: list[Sample], backbone: MultimodalBackbone,
         mem = Tensor(raw[incomplete, 2])
         with T.no_grad():
             rec = reconstruct_batch(rows, mem, memory_source, backbone,
-                                    emb=emb.rows(incomplete))
+                                    emb=emb[incomplete])
         recon_by_index = {i: rec.data[j] for j, i in enumerate(incomplete)}
 
     for i, s in enumerate(samples):

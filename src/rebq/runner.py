@@ -249,6 +249,10 @@ class Report:
         sizes = [len(row) for row in d["matrix"]]
         if any(n != len(sizes) for n in sizes):
             raise ValueError(f"report matrix must be square, got rows of lengths {sizes}")
+        if (d["fg"] is None) != (len(sizes) < 2):
+            need = "None" if len(sizes) < 2 else "a finite number"
+            raise ValueError(f"report fg must be {need} for a {len(sizes)}-session matrix, "
+                             f"got {d['fg']!r}")
         for i, entry in enumerate(d["per_session"]):
             _checked_fields(entry, SessionSummary, f"report per_session[{i}]")
         return cls(**d)
@@ -325,8 +329,16 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
 
     with _stage("benchmark"):
         meta, samples = _build_corpus(config)
-        if config.synth.multi_label and not config.corpus_path:
-            meta.multi_label = True
+        bb = config.backbone
+        misfit = [f"{name} {have} (the backbone {rule} {want})" for name, have, rule, want in (
+            ("patch_dim", meta.patch_dim, "needs", bb.patch_dim),
+            ("num_patches", meta.num_patches, "needs", bb.num_patches),
+            ("max_text_len", meta.max_text_len, "reads at most", bb.max_text_len),
+            ("vocab_size", meta.vocab_size, "reads at most", bb.text_vocab_size))
+            if (have != want if rule == "needs" else have > want)]
+        if misfit:
+            raise ExperimentError("benchmark", "the corpus does not fit the backbone: "
+                                               + ", ".join(misfit))
         stream = build_stream(meta, samples, config.num_sessions, config.eta,
                               config.missing_case, config.seed_split, config.seed_mask)
         for j, session in enumerate(stream.sessions):

@@ -31,7 +31,7 @@ def reconstruct_counterparts(samples, memory_source, backbone):
         emb = backbone.embed_batch(rows)
     queries = generate_queries_batch(rows, backbone, emb=emb)
     recon = reconstruct_batch(rows[n:], Tensor(queries[n:, 2]), memory_source,
-                              backbone, emb=emb.rows(slice(n, None)))
+                              backbone, emb=emb[n:])
     # text-only rows reconstruct the visual query, image-only rows the text
     return (Tensor(queries[:n, 0]), recon[n:], Tensor(queries[:n, 1]), recon[:n])
 

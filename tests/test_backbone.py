@@ -4,7 +4,7 @@ import pytest
 from rebq import serialize
 from rebq import tensor as T
 from rebq.backbone import (BackboneConfig, MultimodalBackbone, PretrainConfig, pretrain,
-                           unified_positions)
+                           recon_positions, unified_positions)
 from rebq.bench import Sample, SynthConfig, dummy_patches, synth_generate
 from rebq.tensor import Tensor
 
@@ -18,6 +18,16 @@ def make_backbone(seed=0, cfg=CFG):
     return MultimodalBackbone(cfg, np.random.default_rng(seed))
 
 
+def text_rows(x):
+    """The X_text rows of an embedded unified sequence."""
+    return x.data[:, 2:2 + CFG.max_text_len]
+
+
+def visual_rows(x):
+    """The X_visual rows of an embedded unified sequence."""
+    return x.data[:, 3 + CFG.max_text_len:]
+
+
 def sample_for(cfg, tokens, seed=0):
     rng = np.random.default_rng(seed)
     return Sample(id="t", text_tokens=tokens,
@@ -27,7 +37,7 @@ def sample_for(cfg, tokens, seed=0):
 class TestEmbed:
     def test_same_token_differs_only_by_position(self):
         bb = float64(make_backbone())
-        emb = bb.embed_batch([sample_for(CFG, [5, 5, 5])]).text.data[0]
+        emb = text_rows(bb.embed_batch([sample_for(CFG, [5, 5, 5])]))[0]
         pos = bb.params["text_pos"].data
         np.testing.assert_allclose(emb[0] - emb[1], pos[0] - pos[1], atol=1e-12)
 
@@ -37,8 +47,8 @@ class TestEmbed:
                         label=0, has_visual=False)
         explicit = Sample(id="b", text_tokens=[1, 2],
                           patches=np.ones((4, 6)), label=0)
-        a = bb.embed_batch([masked]).visual.data
-        b = bb.embed_batch([explicit]).visual.data
+        a = visual_rows(bb.embed_batch([masked]))
+        b = visual_rows(bb.embed_batch([explicit]))
         assert a.tobytes() == b.tobytes()
 
     def test_dummy_text_equals_empty_encoding(self):
@@ -47,8 +57,8 @@ class TestEmbed:
         patches = rng.standard_normal((4, 6))
         masked = Sample(id="a", text_tokens=[], patches=patches, label=0, has_text=False)
         explicit = Sample(id="b", text_tokens=[], patches=patches, label=0)
-        assert bb.embed_batch([masked]).text.data.tobytes() == \
-            bb.embed_batch([explicit]).text.data.tobytes()
+        assert text_rows(bb.embed_batch([masked])).tobytes() == \
+            text_rows(bb.embed_batch([explicit])).tobytes()
 
     def test_token_out_of_range_rejected(self):
         bb = make_backbone()
@@ -57,8 +67,8 @@ class TestEmbed:
 
     def test_padding_fills_short_text(self):
         bb = make_backbone()
-        short = bb.embed_batch([sample_for(CFG, [7])]).text.data[0]
-        padded = bb.embed_batch([sample_for(CFG, [7, 0, 0, 0, 0, 0, 0, 0])]).text.data[0]
+        short = text_rows(bb.embed_batch([sample_for(CFG, [7])]))[0]
+        padded = text_rows(bb.embed_batch([sample_for(CFG, [7, 0, 0, 0, 0, 0, 0, 0])]))[0]
         assert short.tobytes() == padded.tobytes()
 
 
@@ -66,30 +76,30 @@ class TestForward:
     def test_output_length_matches_input(self):
         bb = make_backbone()
         emb = bb.embed_batch([sample_for(CFG, [1, 2, 3])])
-        out = bb.forward(bb.unified_segments(emb))
+        out = bb.forward(emb)
         assert out.shape == (1, 2 + CFG.max_text_len + 1 + CFG.num_patches, CFG.embed_dim)
 
     def test_attention_prefix_keeps_length(self):
         bb = make_backbone(seed=1)
         emb = bb.embed_batch([sample_for(CFG, [1, 2, 3])])
         blocks = Tensor(np.random.default_rng(2).standard_normal((1, 2, 2, 8, 32)))
-        out = bb.forward(bb.unified_segments(emb), blocks)
+        out = bb.forward(emb, blocks)
         assert out.shape[1] == 2 + CFG.max_text_len + 1 + CFG.num_patches
 
     def test_empty_prefix_bit_identical_to_uninjected(self):
         bb = make_backbone(seed=4)
         emb = bb.embed_batch([sample_for(CFG, [4, 9])])
-        plain = bb.forward(bb.unified_segments(emb)).data
+        plain = bb.forward(emb).data
         empty = T.zeros((1, 2, 2, 0, 32))
-        injected = bb.forward(bb.unified_segments(emb), empty).data
+        injected = bb.forward(emb, empty).data
         assert plain.tobytes() == injected.tobytes()
 
     def test_zero_prompted_layers_bit_identical(self):
         bb = make_backbone(seed=5)
         emb = bb.embed_batch([sample_for(CFG, [4, 9])])
         blocks = Tensor(np.random.default_rng(6).standard_normal((1, 0, 2, 4, 32)))
-        plain = bb.forward(bb.unified_segments(emb)).data
-        injected = bb.forward(bb.unified_segments(emb), blocks).data
+        plain = bb.forward(emb).data
+        injected = bb.forward(emb, blocks).data
         assert plain.tobytes() == injected.tobytes()
 
     def test_too_many_prompted_layers_rejected(self):
@@ -97,24 +107,24 @@ class TestForward:
         emb = bb.embed_batch([sample_for(CFG, [1])])
         blocks = Tensor(np.zeros((1, 3, 2, 2, 32)))
         with pytest.raises(ValueError, match="prefix prompts 3 layers, backbone has 2"):
-            bb.forward(bb.unified_segments(emb), blocks)
+            bb.forward(emb, blocks)
 
     def test_dimension_mismatch_rejected(self):
         bb = make_backbone()
         with pytest.raises(T.ShapeError):
-            bb.forward([Tensor(np.zeros((1, 3, 16)))])
+            bb.forward(Tensor(np.zeros((1, 3, 16))))
 
     def test_forward_deterministic(self):
         bb = make_backbone(seed=7)
         emb = bb.embed_batch([sample_for(CFG, [2, 4, 8])])
-        a = bb.forward(bb.unified_segments(emb)).data.tobytes()
-        b = bb.forward(bb.unified_segments(emb)).data.tobytes()
+        a = bb.forward(emb).data.tobytes()
+        b = bb.forward(emb).data.tobytes()
         assert a == b
 
     def test_head_permutation_symmetry(self):
         bb = float64(make_backbone(seed=8))
         emb = bb.embed_batch([sample_for(CFG, [3, 1, 4])])
-        base = bb.forward(bb.unified_segments(emb)).data.copy()
+        base = bb.forward(emb).data.copy()
         d, h = CFG.embed_dim, CFG.num_heads
         dh = d // h
         perm = np.arange(d).reshape(h, dh)[::-1].ravel()  # swap the two heads
@@ -126,7 +136,7 @@ class TestForward:
             for part in range(3):
                 b[part * d:(part + 1) * d] = b[part * d:(part + 1) * d][perm]
             bb.params[f"l{l}.out_w"].data = bb.params[f"l{l}.out_w"].data[perm, :]
-        permuted = bb.forward(bb.unified_segments(emb)).data
+        permuted = bb.forward(emb).data
         np.testing.assert_allclose(permuted, base, atol=1e-10)
 
     def test_merged_injection_concats_prefixes(self):
@@ -139,10 +149,10 @@ class TestForward:
         b = Tensor(rng.standard_normal((1, 2, 2, 2, 32)))
         merged = T.concat([a, b], axis=3)
         assert merged.shape == (1, 2, 2, 5, 32)
-        joint = bb.forward(bb.unified_segments(emb), merged).data
-        swapped = bb.forward(bb.unified_segments(emb), T.concat([b, a], axis=3)).data
+        joint = bb.forward(emb, merged).data
+        swapped = bb.forward(emb, T.concat([b, a], axis=3)).data
         np.testing.assert_allclose(joint, swapped, rtol=0, atol=1e-12)
-        assert not np.allclose(joint, bb.forward(bb.unified_segments(emb), a).data)
+        assert not np.allclose(joint, bb.forward(emb, a).data)
 
     def test_shallow_prefix_prompts_leading_layers(self, monkeypatch):
         """A prefix with fewer layers than the backbone prompts the leading ones."""
@@ -157,7 +167,7 @@ class TestForward:
 
         monkeypatch.setattr(T, "attention", spy)
         shallow = Tensor(np.random.default_rng(12).standard_normal((1, 1, 2, 3, 32), np.float32))
-        bb.forward(bb.unified_segments(emb), shallow)
+        bb.forward(emb, shallow)
         assert prefixes == [(1, 2, 3, 32), None]
 
 
@@ -184,7 +194,7 @@ class TestPretrain:
                                            target_accuracy=0.0))
         before = model.parameter_bytes()
         emb = model.embed_batch(corpus[1][:2])
-        out = model.forward(model.unified_segments(emb))
+        out = model.forward(emb)
         T.tsum(T.square(out)).backward()
         assert all(t.grad is None for t in model.params.values())
         assert model.parameter_bytes() == before
@@ -215,8 +225,8 @@ class TestPretrain:
         assert loaded.parameter_bytes() == model.parameter_bytes()
         emb_a = model.embed_batch(corpus[1][:3])
         emb_b = loaded.embed_batch(corpus[1][:3])
-        a = model.forward(model.unified_segments(emb_a)).data
-        b = loaded.forward(loaded.unified_segments(emb_b)).data
+        a = model.forward(emb_a).data
+        b = loaded.forward(emb_b).data
         assert a.tobytes() == b.tobytes()
 
     def test_unusable_flag_below_minimum(self):
@@ -267,15 +277,31 @@ class TestPositions:
         pos = unified_positions(CFG)
         assert pos == {"joint": 0, "text_cls": 1, "visual_cls": 2 + CFG.max_text_len}
 
+    def test_embedded_sequence_layout(self):
+        """embed_batch puts the three cls rows around the text and patch rows,
+        and the reconstruction layout is that sequence without the modality
+        cls rows."""
+        bb = make_backbone()
+        x = bb.embed_batch([sample_for(CFG, [1, 2, 3]), sample_for(CFG, [4], seed=1)])
+        p, pos = bb.params, unified_positions(CFG)
+        assert x.shape == (2, 3 + CFG.max_text_len + CFG.num_patches, CFG.embed_dim)
+        for row, vec in ((pos["joint"], p["cls"].data),
+                         (pos["text_cls"], p["cls_t"].data + p["text_type"].data),
+                         (pos["visual_cls"], p["cls_v"].data + p["vis_type"].data)):
+            assert x.data[1, row].tobytes() == vec.tobytes()
+        recon = np.concatenate([x.data[:, :1], text_rows(x), visual_rows(x)], axis=1)
+        assert x.data[:, recon_positions(CFG)].tobytes() == recon.tobytes()
+
 
 class TestReadout:
     """forward(..., positions=...) against the rows of the full forward."""
 
-    def segments(self, bb, kind):
-        """Fresh segment records for one graph: a backward releases the records
-        it walks, so two graphs that each run a backward cannot share them."""
+    def sequence(self, bb, kind):
+        """A freshly embedded input for one graph: a backward releases the
+        records it walks, so two graphs that each run a backward cannot share
+        them."""
         emb = bb.embed_batch([sample_for(CFG, [1, 2, 3], seed=1), sample_for(CFG, [9], seed=2)])
-        return bb.recon_segments(emb) if kind == "recon-attention" else bb.unified_segments(emb)
+        return emb[:, recon_positions(CFG)] if kind == "recon-attention" else emb
 
     def layout(self, kind, rng):
         if kind == "unified-attention":
@@ -293,8 +319,8 @@ class TestReadout:
         bb = float64(make_backbone(seed=13))
         rng = np.random.default_rng(14)
         prompt, rows = self.layout(kind, rng)
-        full = bb.forward(self.segments(bb, kind), prompt)
-        part = bb.forward(self.segments(bb, kind), prompt, positions=rows)
+        full = bb.forward(self.sequence(bb, kind), prompt)
+        part = bb.forward(self.sequence(bb, kind), prompt, positions=rows)
         assert part.shape == (2, len(rows), CFG.embed_dim)
         np.testing.assert_allclose(part.data, full.data[:, rows], rtol=0, atol=1e-12)
         if prompt is None:
@@ -311,7 +337,7 @@ class TestReadout:
         bb = make_backbone()
         emb = bb.embed_batch([sample_for(CFG, [1])])
         with pytest.raises(ValueError, match="positions"):
-            bb.forward(bb.unified_segments(emb), positions=rows)
+            bb.forward(emb, positions=rows)
 
 
 class TestPretrainConfig:

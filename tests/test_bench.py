@@ -72,6 +72,11 @@ class TestSynth:
         with pytest.raises(ValueError):
             synth_generate(4, 2, cfg, seed=0)
 
+    @pytest.mark.parametrize("prob", [-0.1, 1.5, 3.0])
+    def test_noise_probability_outside_unit_interval_rejected(self, prob):
+        with pytest.raises(ValueError, match=r"noise_token_prob must lie in \[0, 1\]"):
+            SynthConfig(noise_token_prob=prob)
+
     def test_multi_label_active_sets(self):
         cfg = SynthConfig(vocab_size=64, max_text_len=8, num_patches=4, patch_dim=6,
                           tokens_per_class=4, multi_label=True)
@@ -86,17 +91,16 @@ class TestSplit:
         cfg = SynthConfig(vocab_size=128, max_text_len=8, num_patches=4, patch_dim=6,
                           tokens_per_class=4)
         meta, samples = synth_generate(20, 4, cfg, seed=5)
-        sessions, dropped = split_sessions(meta, samples, 5, seed=0)
-        assert dropped == 0
+        sessions = split_sessions(meta, samples, 5, seed=0)
         assert all(len(s.spec.classes) == 4 for s in sessions)
         union = sorted(c for s in sessions for c in s.spec.classes)
         assert union == list(range(20))
 
-    def test_trailing_classes_dropped(self):
+    def test_indivisible_class_count_refused(self):
         meta, samples = synth_generate(7, 4, SMALL, seed=6)
-        sessions, dropped = split_sessions(meta, samples, 3, seed=0)
-        assert dropped == 1
-        assert sum(len(s.spec.classes) for s in sessions) == 6
+        with pytest.raises(ValueError, match="7 classes do not split evenly into 3 sessions: "
+                                             "1 would be dropped"):
+            split_sessions(meta, samples, 3, seed=0)
 
     def test_fewer_classes_than_sessions_rejected(self):
         meta, samples = synth_generate(2, 4, SMALL, seed=7)
@@ -105,14 +109,14 @@ class TestSplit:
 
     def test_deterministic(self):
         meta, samples = synth_generate(6, 10, SMALL, seed=8)
-        a, _ = split_sessions(meta, samples, 3, seed=9)
-        b, _ = split_sessions(meta, samples, 3, seed=9)
+        a = split_sessions(meta, samples, 3, seed=9)
+        b = split_sessions(meta, samples, 3, seed=9)
         assert [s.spec.classes for s in a] == [s.spec.classes for s in b]
         assert [[x.id for x in s.train] for s in a] == [[x.id for x in s.train] for s in b]
 
     def test_stratified_80_20(self):
         meta, samples = synth_generate(4, 10, SMALL, seed=10)
-        sessions, _ = split_sessions(meta, samples, 2, seed=0)
+        sessions = split_sessions(meta, samples, 2, seed=0)
         for s in sessions:
             assert len(s.train) == 16 and len(s.test) == 4
 
@@ -228,7 +232,8 @@ class TestProtocolProperties:
            seed=st.integers(0, 2 ** 16))
     def test_stream_sessions_class_disjoint_and_splits_apart(
             self, classes, per_class, sessions, multi_label, eta, case, seed):
-        sessions = min(sessions, classes)
+        # the largest session count up to the drawn one that divides the classes
+        sessions = max(k for k in range(1, min(sessions, classes) + 1) if classes % k == 0)
         cfg = SynthConfig(vocab_size=64, max_text_len=8, num_patches=4, patch_dim=6,
                           tokens_per_class=4, multi_label=multi_label)
         meta, samples = synth_generate(classes, per_class, cfg, seed=seed)
@@ -247,6 +252,7 @@ class TestProtocolProperties:
             for x in s.train + s.test:
                 first = x.label if isinstance(x.label, int) else x.label[0]
                 assert first in s.spec.classes
+        assert seen_classes == set(range(classes))
 
 
 class TestStream:
@@ -304,6 +310,19 @@ class TestCorpusIO:
         with pytest.raises(CorpusFormatError) as exc:
             load_corpus(path)
         assert ":2:" in str(exc.value)
+
+    def test_patch_count_other_than_header_rejected(self, tmp_path):
+        meta, samples = synth_generate(3, 2, SMALL, seed=26)
+        path = tmp_path / "short.jsonl"
+        save_corpus(path, meta, samples)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["patches"] = rec["patches"][:-1]
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError, match=r":3: patches must be \(4, 6\), "
+                                                    r"got \(3, 6\)"):
+            load_corpus(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from rebq import tensor as T
-from rebq.cli import main
+from rebq.bench import load_corpus
+from rebq.cli import _load_config, build_parser, main
 from rebq.runner import RunConfig
 
 from conftest import TINY, TINY_SYNTH
@@ -101,14 +102,31 @@ class TestGenData:
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 4 * 10
 
-    @pytest.mark.parametrize("flag", ["--classes", "--samples-per-class"])
-    def test_count_below_one_rejected(self, cli_workspace, capsys, flag):
+    @pytest.mark.parametrize("setting, message", [
+        ("num_classes=1", "error [benchmark] num_classes must be >= 2, got 1"),
+        ("samples_per_class=0", "error [benchmark] samples_per_class must be >= 1, got 0")],
+        ids=["num_classes", "samples_per_class"])
+    def test_count_out_of_range_refused(self, cli_workspace, capsys, setting, message):
         tmp, cfg_path = cli_workspace
         out = tmp / "zero.jsonl"
-        rc = main(["gen-data", "--config", str(cfg_path), "--out", str(out), flag, "0"])
+        rc = main(["gen-data", "--config", str(cfg_path), "--out", str(out), "--set", setting])
         assert rc == 2
-        assert f"gen-data: {flag} must be >= 1, got 0" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_nested_set_keeps_the_file_sizes(self, cli_workspace):
+        """--set synth={"multi_label": true} changes that key alone; the
+        config file's TINY sizes stay."""
+        tmp, cfg_path = cli_workspace
+        out = tmp / "multi.jsonl"
+        rc = main(["gen-data", "--config", str(cfg_path), "--out", str(out),
+                   "--set", 'synth={"multi_label": true}'])
+        assert rc == 0
+        meta, samples = load_corpus(out)
+        assert meta.multi_label and all(isinstance(s.label, list) for s in samples)
+        assert (meta.vocab_size, meta.max_text_len, meta.num_patches, meta.patch_dim) == (
+            TINY_SYNTH.vocab_size, TINY_SYNTH.max_text_len, TINY_SYNTH.num_patches,
+            TINY_SYNTH.patch_dim)
 
     def test_corpus_feeds_run(self, cli_workspace):
         tmp, cfg_path = cli_workspace
@@ -140,7 +158,7 @@ class TestRun:
 
     def test_variant_flag_override(self, cli_workspace):
         tmp, cfg_path = cli_workspace
-        rc = main(["run", "--config", str(cfg_path), "--variant", "baseline",
+        rc = main(["run", "--config", str(cfg_path), "--set", "variant=baseline",
                    "--out", str(tmp / "run_baseline")])
         assert rc == 0
         report = json.loads((tmp / "run_baseline" / "report.json").read_text())
@@ -163,10 +181,13 @@ class TestRun:
         ("warmup_frac=2", "error [train] warmup_frac must lie in [0, 1], got 2"),
         ("output_dir=5", "error [emit] output_dir must be a string, got 5"),
         ("corpus_path=3", "error [benchmark] corpus_path must be a string or None, got 3"),
-        ("export_queries=1", "error [emit] export_queries must be true or false, got 1")],
+        ("export_queries=1", "error [emit] export_queries must be true or false, got 1"),
+        ('synth={"noise_token_prob": 3.0}',
+         "config key synth: noise_token_prob must lie in [0, 1], got 3.0")],
         ids=["backbone-not-mapping", "synth-unknown-key", "backbone-value-type",
              "backbone-value-refused", "sessions-negative", "eta-bool", "epochs-real",
-             "warmup-above-one", "output-dir-int", "corpus-path-int", "export-queries-int"])
+             "warmup-above-one", "output-dir-int", "corpus-path-int", "export-queries-int",
+             "synth-noise-above-one"])
     def test_bad_nested_config_named(self, cli_workspace, capsys, setting, message):
         tmp, cfg_path = cli_workspace
         rc = main(["run", "--config", str(cfg_path), "--set", setting,
@@ -174,6 +195,26 @@ class TestRun:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp / "nested_bad").exists()
+
+    @pytest.mark.parametrize("key, setting", [
+        ("synth", '{"multi_label": true}'), ("backbone", '{"activation": "gelu"}')])
+    def test_nested_set_merges_into_file_values(self, cli_workspace, key, setting):
+        _, cfg_path = cli_workspace
+        args = build_parser().parse_args(["run", "--config", str(cfg_path),
+                                          "--set", f"{key}={setting}"])
+        cfg = _load_config(args)
+        expected = dataclasses.replace({"synth": TINY_SYNTH, "backbone": TINY}[key],
+                                       **json.loads(setting))
+        assert getattr(cfg, key) == expected
+
+    def test_no_flag_mirrors_a_config_field(self):
+        """Config fields are set through --config and --set only."""
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        commands = next(a.choices for a in build_parser()._actions
+                        if isinstance(a.choices, dict))
+        mirrored = {(name, action.dest) for name, command in commands.items()
+                    for action in command._actions if action.dest in fields}
+        assert mirrored == set()
 
     def test_output_root_env(self, cli_workspace, monkeypatch):
         tmp, cfg_path = cli_workspace
@@ -222,6 +263,22 @@ class TestSweep:
                    "--out", str(tmp / "sweep2")])
         assert rc == 2
 
+
+    def test_any_config_key_is_an_axis(self, cli_workspace, capsys):
+        tmp, cfg_path = cli_workspace
+        rc = main(["sweep", "--config", str(cfg_path),
+                   "--axis", "missing_case=text-missing,image-missing",
+                   "--out", str(tmp / "sweep_case")])
+        assert rc == 0
+        for case in ("text-missing", "image-missing"):
+            report = json.loads(
+                (tmp / "sweep_case" / f"missing_case{case}" / "report.json").read_text())
+            assert report["config"]["missing_case"] == case
+        rc = main(["sweep", "--config", str(cfg_path), "--axis", "output_dir=a,b",
+                   "--out", str(tmp / "sweep_out")])
+        assert rc == 2
+        assert "unknown sweep axis 'output_dir'" in capsys.readouterr().err
+        assert not (tmp / "sweep_out").exists()
 
     def test_variant_axis(self, cli_workspace):
         tmp, cfg_path = cli_workspace
@@ -318,9 +375,14 @@ class TestReport:
          "report per_session[0] lacks keys ['classes']"),
         (lambda doc: {**doc, "per_session": doc["per_session"] + [{**doc["per_session"][0],
                                                                    "mean_total": "x"}]},
-         "report per_session[2] mean_total must be a finite number, got 'x'")],
+         "report per_session[2] mean_total must be a finite number, got 'x'"),
+        (lambda doc: {**doc, "fg": None},
+         "report fg must be a finite number for a 2-session matrix, got None"),
+        (lambda doc: {**doc, "matrix": [[0.5]], "fg": 0.1},
+         "report fg must be None for a 1-session matrix, got 0.1")],
         ids=["empty-object", "list", "extra-key", "ap-string", "fg-bool", "matrix-string",
-             "matrix-not-square", "session-without-classes", "session-loss-string"])
+             "matrix-not-square", "session-without-classes", "session-loss-string",
+             "fg-null-two-sessions", "fg-one-session"])
     def test_non_report_json_rejected(self, report_doc, capsys, tmp_path, tamper, message):
         """Refused with exit 2 before any of the summary prints."""
         doc = tamper(json.loads(json.dumps(report_doc)))

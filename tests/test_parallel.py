@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rebq import tensor as T
-from rebq.backbone import BackboneConfig, EmbeddedBatch, MultimodalBackbone, unified_positions
+from rebq.backbone import BackboneConfig, MultimodalBackbone, unified_positions
 from rebq.tensor import Tensor
 
 from conftest import TINY
@@ -32,14 +32,12 @@ def frozen_backbone(cfg: BackboneConfig, seed: int = 0) -> MultimodalBackbone:
 BACKBONES = {"tiny": frozen_backbone(TINY), "default": frozen_backbone(BackboneConfig())}
 
 
-def unified_input(bb: MultimodalBackbone, rows: int, seed: int) -> list[Tensor]:
+def unified_input(bb: MultimodalBackbone, rows: int, seed: int) -> Tensor:
+    """A random constant sequence of the unified layout's length."""
     c = bb.config
-    rng = np.random.default_rng(seed)
-    emb = EmbeddedBatch(
-        text=Tensor(rng.standard_normal((rows, c.max_text_len, c.embed_dim), dtype=np.float32)),
-        visual=Tensor(rng.standard_normal((rows, c.num_patches, c.embed_dim),
-                                          dtype=np.float32)))
-    return bb.unified_segments(emb)
+    length = 3 + c.max_text_len + c.num_patches
+    return Tensor(np.random.default_rng(seed).standard_normal(
+        (rows, length, c.embed_dim), dtype=np.float32))
 
 
 def prompt_block(bb: MultimodalBackbone, rows: int, n_p: int, seed: int,
@@ -93,7 +91,7 @@ class TestSplitForward:
            seed=st.integers(0, 2 ** 16))
     def test_split_equals_serial(self, size, rows, workers, prefix, positions, seed):
         bb = BACKBONES[size]
-        segments = unified_input(bb, rows, seed)
+        x = unified_input(bb, rows, seed)
         block = None if prefix is None else prompt_block(bb, rows, prefix, seed + 1)
         pos = unified_positions(bb.config)
         rows_read = {"all": None, "joint": [0],
@@ -101,10 +99,10 @@ class TestSplitForward:
         try:
             T.set_row_parts(1)
             with T.no_grad():
-                serial = bb.forward(segments, block, rows_read).data
+                serial = bb.forward(x, block, rows_read).data
             T.set_row_parts(workers)
             with T.no_grad():
-                split = bb.forward(segments, block, rows_read).data
+                split = bb.forward(x, block, rows_read).data
         finally:
             T.set_row_parts(None)
         assert split.shape == serial.shape
@@ -122,13 +120,13 @@ class TestSplitForward:
 
     def test_tracked_pass_never_splits(self, parts, monkeypatch):
         bb = BACKBONES["tiny"]
-        segments = unified_input(bb, 3 * MIN, 2)
+        x = unified_input(bb, 3 * MIN, 2)
         block = prompt_block(bb, 3 * MIN, 2, 3, trainable=True)
         parts(1)
-        serial = bb.forward(segments, block, positions=[0])
+        serial = bb.forward(x, block, positions=[0])
         spy = PoolSpy(monkeypatch)
         parts(3)
-        tracked = bb.forward(segments, block, positions=[0])
+        tracked = bb.forward(x, block, positions=[0])
         assert spy.calls == 0
         assert tape_records(tracked) == tape_records(serial)
         assert tracked.data.tobytes() == serial.data.tobytes()
@@ -155,9 +153,9 @@ class TestSplitForward:
             T.set_row_parts(0)
 
 
-def _forward_in_child(bb, segments, expected):
+def _forward_in_child(bb, x, expected):
     with T.no_grad():
-        out = bb.forward(segments, positions=[0]).data
+        out = bb.forward(x, positions=[0]).data
     sys.exit(0 if out.tobytes() == expected.tobytes() else 1)
 
 
@@ -166,14 +164,14 @@ def _forward_in_child(bb, segments, expected):
 def test_forked_child_completes_split_forward(parts, monkeypatch):
     """A child forked after the parent used the pool gets a pool of its own."""
     bb = BACKBONES["tiny"]
-    segments = unified_input(bb, 2 * MIN, 5)
+    x = unified_input(bb, 2 * MIN, 5)
     spy = PoolSpy(monkeypatch)
     parts(2)
     with T.no_grad():
-        expected = bb.forward(segments, positions=[0]).data
+        expected = bb.forward(x, positions=[0]).data
     assert spy.calls == 1
     child = multiprocessing.get_context("fork").Process(
-        target=_forward_in_child, args=(bb, segments, expected))
+        target=_forward_in_child, args=(bb, x, expected))
     child.start()
     child.join(timeout=30)
     alive = child.is_alive()

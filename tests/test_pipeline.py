@@ -127,6 +127,20 @@ class TestForward:
                                   with_lr=True)
         assert l_r is None
 
+    def test_baseline_reads_no_query(self, tiny_backbone, tiny_benchmark, monkeypatch):
+        """Baseline prompts follow the missing type alone, so neither training
+        nor prediction runs the unified query pass."""
+        _, stream = tiny_benchmark
+        model = make_model(tiny_backbone, variant="baseline")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("generate_queries_batch called")
+
+        monkeypatch.setattr(pipeline, "generate_queries_batch", refuse)
+        train_task(model, stream.train_data(0)[:8], 1, OptimizerConfig(batch_size=4), seed=7,
+                   cache=QueryCache(tiny_backbone))
+        assert len(predict_batch(model, stream.test_data(0), 16)) == len(stream.test_data(0))
+
     def test_msq_off_injects_only_available_modality(self, tiny_backbone,
                                                      complete_samples):
         """Text-only rows read only the text pool, image-only rows only the

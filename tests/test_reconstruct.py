@@ -5,7 +5,7 @@ import pytest
 
 from rebq import reconstruct
 from rebq import tensor as T
-from rebq.backbone import MultimodalBackbone
+from rebq.backbone import MultimodalBackbone, recon_positions
 from rebq.bench import Sample, dummy_patches, synth_generate
 from rebq.pipeline import ModelConfig, build_variant, forward_batch
 from rebq.prompt import init_pool, init_vector
@@ -77,7 +77,7 @@ class TestReconstructQuery:
         q_hat = reconstruct_batch(masked, mem, pool, tiny_backbone).data
         with T.no_grad():
             emb = tiny_backbone.embed_batch(masked)
-            plain = tiny_backbone.forward(tiny_backbone.recon_segments(emb),
+            plain = tiny_backbone.forward(emb[:, recon_positions(TINY)],
                                           positions=[0]).data[:, 0]
         assert q_hat.tobytes() == plain.tobytes()
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rebq import runner
 from rebq import tensor as T
 from rebq.backbone import MultimodalBackbone
+from rebq.bench import save_corpus, synth_generate
 from rebq.metrics import EvalMatrix
 from rebq.reconstruct import export_query_embeddings
 from rebq.runner import (ExperimentError, Report, RunConfig, emit_report, report_json_bytes,
@@ -185,6 +186,39 @@ class TestRunExperiment:
             run_experiment(cfg, backbone=tiny_backbone)
         assert calls == []
 
+    def test_indivisible_class_count_refused_before_training(self, tiny_backbone, tmp_path,
+                                                             monkeypatch):
+        calls = []
+        monkeypatch.setattr(runner, "train_task", lambda *a, **k: calls.append(a))
+        with pytest.raises(ExperimentError, match=r"\[benchmark\] 5 classes do not split "
+                                                  r"evenly into 2 sessions: 1 would be dropped"):
+            run_experiment(tiny_config(tmp_path, num_classes=5), backbone=tiny_backbone)
+        assert calls == []
+
+    @pytest.mark.parametrize("source", ["synth", "file"])
+    @pytest.mark.parametrize("field, value, misfit", [
+        ("patch_dim", 5, "patch_dim 5 (the backbone needs 6)"),
+        ("num_patches", 5, "num_patches 5 (the backbone needs 4)"),
+        ("max_text_len", 12, "max_text_len 12 (the backbone reads at most 8)"),
+        ("vocab_size", 200, "vocab_size 200 (the backbone reads at most 64)")])
+    def test_corpus_the_backbone_cannot_read_refused(self, tiny_backbone, tmp_path,
+                                                     monkeypatch, source, field, value,
+                                                     misfit):
+        """Checked against the corpus header before the stream is built."""
+        calls = []
+        monkeypatch.setattr(runner, "build_stream", lambda *a, **k: calls.append(a))
+        synth = dataclasses.replace(TINY_SYNTH, **{field: value})
+        cfg = tiny_config(tmp_path, synth=synth)
+        if source == "file":
+            path = tmp_path / "corpus.jsonl"
+            save_corpus(path, *synth_generate(4, 5, synth, seed=0))
+            cfg = dataclasses.replace(cfg, synth=TINY_SYNTH, corpus_path=str(path))
+        with pytest.raises(ExperimentError) as exc:
+            run_experiment(cfg, backbone=tiny_backbone)
+        assert exc.value.stage == "benchmark"
+        assert exc.value.cause == f"the corpus does not fit the backbone: {misfit}"
+        assert calls == []
+
     def test_determinism_modulo_timing(self, tiny_backbone, tmp_path):
         cfg = tiny_config(tmp_path)
         a, _ = run_experiment(cfg, backbone=tiny_backbone)
@@ -269,9 +303,9 @@ class TestEmit:
         report, artifacts = run_experiment(cfg, backbone=tiny_backbone)
         forward, rows_seen = MultimodalBackbone.forward, []
 
-        def recording(self, segments, *args, **kwargs):
-            rows_seen.append(segments[0].shape[0])
-            return forward(self, segments, *args, **kwargs)
+        def recording(self, x, *args, **kwargs):
+            rows_seen.append(x.shape[0])
+            return forward(self, x, *args, **kwargs)
 
         monkeypatch.setattr(MultimodalBackbone, "forward", recording)
         emit_report(report, cfg.output_dir, artifacts)
