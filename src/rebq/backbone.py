@@ -27,33 +27,31 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import serialize
+from . import rules, serialize
 from . import tensor as T
 from .bench import CorpusMeta, Sample
+from .rules import rule
 from .tensor import AdamW, Tensor
 
 
 @dataclass
 class BackboneConfig:
-    embed_dim: int = 64        # D
-    num_layers: int = 4        # L
-    num_heads: int = 4         # H
-    text_vocab_size: int = 512
-    max_text_len: int = 16     # P
-    num_patches: int = 16      # Q
-    patch_dim: int = 16
-    pretrain_classes: int = 10
-    ffn_mult: int = 2
-    activation: str = "relu"   # relu | gelu
+    embed_dim: int = rule(64, low=1)          # D
+    num_layers: int = rule(4, low=1)          # L
+    num_heads: int = rule(4, low=1)           # H
+    text_vocab_size: int = rule(512, low=1)
+    max_text_len: int = rule(16, low=1)       # P
+    num_patches: int = rule(16, low=1)        # Q
+    patch_dim: int = rule(16, low=1)
+    pretrain_classes: int = rule(10, low=2)
+    ffn_mult: int = rule(2, low=1)
+    activation: str = rule("relu", choices=("relu", "gelu"))
 
     def __post_init__(self):
+        rules.check(self)
         if self.embed_dim % self.num_heads:
             raise ValueError(
                 f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}")
-        if self.max_text_len < 1 or self.num_patches < 1:
-            raise ValueError("max_text_len and num_patches must be >= 1")
-        if self.activation not in ("relu", "gelu"):
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 # Position map for the unified query/classification layout
@@ -272,21 +270,17 @@ class MultimodalBackbone:
 
 @dataclass
 class PretrainConfig:
-    steps: int = 1500
-    batch_size: int = 16
-    lr: float = 3e-4
-    warmup_frac: float = 0.1
-    holdout_frac: float = 0.1
-    eval_every: int = 100
-    target_accuracy: float = 0.9
-    min_accuracy: float = 0.6
+    steps: int = rule(1500, low=1)
+    batch_size: int = rule(16, low=1)
+    lr: float = rule(3e-4, low=0)
+    warmup_frac: float = rule(0.1, low=0, high=1)
+    holdout_frac: float = rule(0.1, low=0, high=1, open=True)
+    eval_every: int = rule(100, low=1)
+    target_accuracy: float = rule(0.9, low=0)   # above 1, training never stops early
+    min_accuracy: float = rule(0.6, low=0, high=1)
 
     def __post_init__(self):
-        for name in ("steps", "batch_size", "eval_every"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"pretrain: {name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 < self.holdout_frac < 1.0:
-            raise ValueError(f"pretrain: holdout_frac must be in (0, 1), got {self.holdout_frac}")
+        rules.check(self)
 
 
 @dataclass

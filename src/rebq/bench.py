@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
+
+from . import rules
+from .rules import rule
 
 MISSING_CASES = ("text-missing", "image-missing", "both-missing")
 
@@ -41,30 +44,28 @@ class Sample:
 
 @dataclass
 class CorpusMeta:
-    num_classes: int
-    patch_dim: int
-    max_text_len: int
-    multi_label: bool = False
-    vocab_size: int = 512
-    num_patches: int = 16
+    num_classes: int = rule(low=1)
+    patch_dim: int = rule(low=1)
+    max_text_len: int = rule(low=1)
+    multi_label: bool = rule(False)
+    vocab_size: int = rule(512, low=1)
+    num_patches: int = rule(16, low=1)
 
 
 @dataclass
 class SynthConfig:
-    vocab_size: int = 512
-    max_text_len: int = 16
-    num_patches: int = 16
-    patch_dim: int = 16
-    tokens_per_class: int = 8
-    noise_token_prob: float = 0.2   # rho
-    patch_noise_std: float = 0.5    # sigma
-    prototype_scale: float = 1.0
-    multi_label: bool = False
+    vocab_size: int = rule(512, low=2)          # id 0 is padding
+    max_text_len: int = rule(16, low=1)
+    num_patches: int = rule(16, low=1)
+    patch_dim: int = rule(16, low=1)
+    tokens_per_class: int = rule(8, low=1)
+    noise_token_prob: float = rule(0.2, low=0, high=1)   # rho
+    patch_noise_std: float = rule(0.5, low=0)            # sigma
+    prototype_scale: float = rule(1.0, low=0)
+    multi_label: bool = rule(False)
 
     def __post_init__(self):
-        if not 0.0 <= self.noise_token_prob <= 1.0:
-            raise ValueError(
-                f"noise_token_prob must lie in [0, 1], got {self.noise_token_prob}")
+        rules.check(self)
 
 
 def dummy_patches(num_patches: int, patch_dim: int) -> np.ndarray:
@@ -186,11 +187,6 @@ def split_sessions(meta: CorpusMeta, samples: list[Sample], num_sessions: int,
                   for s in range(num_sessions)]
 
     # multi-label samples belong to the session of their first active class
-    session_of = {}
-    for s, classes in enumerate(class_sets):
-        for c in classes:
-            session_of[c] = s
-
     by_class: dict[int, list[Sample]] = {}
     for sample in samples:
         c = _labels_of(sample)[0]
@@ -316,15 +312,7 @@ class CorpusFormatError(ValueError):
 def save_corpus(path, meta: CorpusMeta, samples: list[Sample]):
     """Line-delimited JSON: one header object, then one record per sample."""
     with open(path, "w") as fh:
-        header = {
-            "num_classes": meta.num_classes,
-            "patch_dim": meta.patch_dim,
-            "max_text_len": meta.max_text_len,
-            "multi_label": meta.multi_label,
-            "vocab_size": meta.vocab_size,
-            "num_patches": meta.num_patches,
-        }
-        fh.write(json.dumps(header) + "\n")
+        fh.write(json.dumps(asdict(meta)) + "\n")
         for s in samples:
             rec = {
                 "id": s.id,
@@ -341,22 +329,19 @@ def save_corpus(path, meta: CorpusMeta, samples: list[Sample]):
 
 
 def load_corpus(path) -> tuple[CorpusMeta, list[Sample]]:
-    """Read and validate a corpus file; malformed lines name their line number."""
+    """Read and validate a corpus file; malformed lines name their line number.
+
+    The header holds CorpusMeta's fields under their declared rules. No
+    record value is coerced: each must already have its kind.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise CorpusFormatError(f"{path}: empty corpus file")
     try:
-        header = json.loads(lines[0])
-        meta = CorpusMeta(
-            num_classes=int(header["num_classes"]),
-            patch_dim=int(header["patch_dim"]),
-            max_text_len=int(header["max_text_len"]),
-            multi_label=bool(header.get("multi_label", False)),
-            vocab_size=int(header.get("vocab_size", 512)),
-            num_patches=int(header.get("num_patches", 16)),
-        )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        meta = CorpusMeta(**rules.mapping(json.loads(lines[0]), CorpusMeta, "the header"))
+        rules.check(meta)
+    except ValueError as exc:  # a JSONDecodeError too
         raise CorpusFormatError(f"{path}:1: bad header: {exc}") from None
 
     samples: list[Sample] = []
@@ -373,50 +358,55 @@ def load_corpus(path) -> tuple[CorpusMeta, list[Sample]]:
     return meta, samples
 
 
-def _parse_record(rec: dict, meta: CorpusMeta, path, lineno: int) -> Sample:
+# the kind a record value must have where it is given; none is coerced
+_RECORD_KIND = {"has_text": bool, "has_visual": bool, "label": int, "labels": list[int],
+                 "text_tokens": list[int]}
+
+
+def _parse_record(rec, meta: CorpusMeta, path, lineno: int) -> Sample:
     def fail(msg):
         raise CorpusFormatError(f"{path}:{lineno}: {msg}")
 
-    has_text = bool(rec.get("has_text", True))
-    has_visual = bool(rec.get("has_visual", True))
+    if not isinstance(rec, dict):
+        fail(f"record must be a mapping, got {rec!r}")
+    for key, kind in _RECORD_KIND.items():
+        wrong = key in rec and rules.kind_error(key, rec[key], kind)
+        if wrong:
+            fail(wrong)
+    has_text, has_visual = rec.get("has_text", True), rec.get("has_visual", True)
     if not has_text and not has_visual:
         fail("both modalities marked missing")
+    key = "labels" if meta.multi_label else "label"
+    absent = [k for k, read in ((key, True), ("text_tokens", has_text), ("patches", has_visual))
+              if read and k not in rec]
+    if absent:
+        fail(f"record missing {absent}")
 
-    if meta.multi_label:
-        labels = rec.get("labels")
-        if not isinstance(labels, list) or not labels:
-            fail("multi-label corpus record needs a non-empty 'labels' list")
-        if any(not 0 <= int(c) < meta.num_classes for c in labels):
-            fail(f"label out of declared range [0, {meta.num_classes})")
-        label = sorted(int(c) for c in labels)
-    else:
-        if "label" not in rec:
-            fail("record missing 'label'")
-        label = int(rec["label"])
-        if not 0 <= label < meta.num_classes:
-            fail(f"label {label} out of declared range [0, {meta.num_classes})")
+    labels = sorted(rec[key]) if meta.multi_label else [rec[key]]
+    if not labels:
+        fail("multi-label corpus record needs a non-empty 'labels' list")
+    if any(not 0 <= c < meta.num_classes for c in labels):
+        fail(f"{key} {rec[key]} out of declared range [0, {meta.num_classes})")
 
-    if has_text:
-        tokens = rec.get("text_tokens")
-        if not isinstance(tokens, list):
-            fail("record with has_text=true missing 'text_tokens'")
-        if len(tokens) > meta.max_text_len:
-            fail(f"text length {len(tokens)} exceeds max_text_len {meta.max_text_len}")
-        tokens = [int(t) for t in tokens]
-        if any(not 0 <= t < meta.vocab_size for t in tokens):
-            fail("token id out of vocabulary range")
-    else:
-        tokens = list(DUMMY_TEXT)
+    tokens = rec["text_tokens"] if has_text else list(DUMMY_TEXT)
+    if len(tokens) > meta.max_text_len:
+        fail(f"text length {len(tokens)} exceeds max_text_len {meta.max_text_len}")
+    if any(not 0 <= t < meta.vocab_size for t in tokens):
+        fail("token id out of vocabulary range")
 
     if has_visual:
-        patches = rec.get("patches")
-        if not isinstance(patches, list) or not patches:
-            fail("record with has_visual=true missing 'patches'")
-        arr = np.asarray(patches, dtype=np.float64)
+        try:
+            arr = np.asarray(rec["patches"])
+        except ValueError:  # rows of different lengths: no numeric array, refused below
+            arr = np.asarray(None)
+        if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+            fail("patches must be rows of finite numbers")
         if arr.shape != (meta.num_patches, meta.patch_dim):
             fail(f"patches must be ({meta.num_patches}, {meta.patch_dim}), got {arr.shape}")
+        arr = arr.astype(np.float64, copy=False)
     else:
         arr = dummy_patches(meta.num_patches, meta.patch_dim)
 
     return Sample(id=str(rec.get("id", f"line{lineno}")), text_tokens=tokens,
-                  patches=arr, label=label, has_text=has_text, has_visual=has_visual)
+                  patches=arr, label=labels if meta.multi_label else labels[0],
+                  has_text=has_text, has_visual=has_visual)

@@ -4,10 +4,11 @@ Configuration comes from a JSON file matching RunConfig. `--set
 key=value` overrides one of its keys (a mapping value for a nested config
 such as synth or backbone overrides only the keys it names), `--seed`
 derives every seed stream from one root, and `sweep --axis key=v1,v2`
-runs the grid over any keys but output_dir. No flag mirrors a RunConfig
-field: the other flags set only what RunConfig does not hold (output
-paths, pretraining sizes, sweep jobs). Relative output directories are
-rooted at $REBQ_OUTPUT_ROOT when it is set.
+runs the grid over any keys but output_dir. Each value is checked against
+the rule its field declares (rebq.rules) before any command runs. No flag
+mirrors a RunConfig field: the other flags set only what RunConfig does
+not hold (output paths, pretraining sizes, sweep jobs). Relative output
+directories are rooted at $REBQ_OUTPUT_ROOT when it is set.
 """
 
 from __future__ import annotations

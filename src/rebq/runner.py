@@ -6,22 +6,22 @@ sessions 0..T-1 in one call, one session at a time (never revisiting
 earlier sessions' training data), and fills the evaluation matrix column
 by column; emit_report writes the self-contained report. Everything is
 derived from explicit seeds, so identical configs reproduce identical
-reports apart from wall-clock timing.
+reports apart from wall-clock timing. Every RunConfig, SessionSummary and
+Report field declares its rule next to itself (rebq.rules).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, rules
 from . import tensor as T
 from .backbone import BackboneConfig, MultimodalBackbone
 from .bench import (MISSING_CASES, CmmlStream, CorpusMeta, SynthConfig, build_stream,
@@ -30,6 +30,7 @@ from .metrics import EvalMatrix, average_forgetting, average_performance, perfor
 from .pipeline import (VARIANT_PRESETS, ModelConfig, OptimizerConfig, RebQModel,
                        TrainingLog, build_variant, predict_batch, train_task)
 from .reconstruct import QueryCache, export_query_embeddings
+from .rules import rule
 
 
 class ExperimentError(RuntimeError):
@@ -39,135 +40,48 @@ class ExperimentError(RuntimeError):
         self.cause = cause
 
 
-def _at_least(low):
-    return lambda v: v >= low, f"be >= {low}"
-
-
-def _within(low, high):
-    return lambda v: low <= v <= high, f"lie in [{low}, {high}]"
-
-
-def _one_of(choices):
-    return lambda v: v in choices, f"be one of {sorted(choices)}"
-
-
-# (field, the stage that reads it, the test its value must pass, the rule) for
-# every field but the nested configs; a field with no test is checked for kind only
-_CHECKS = (
-    ("backbone_checkpoint", "backbone", None, None),
-    ("corpus_path", "benchmark", None, None),
-    ("num_classes", "benchmark", *_at_least(2)),
-    ("samples_per_class", "benchmark", *_at_least(1)),
-    ("num_sessions", "benchmark", *_at_least(1)),
-    ("eta", "benchmark", *_within(0, 100)),
-    ("missing_case", "benchmark", *_one_of(MISSING_CASES)),
-    ("seed_corpus", "benchmark", *_at_least(0)),
-    ("seed_split", "benchmark", *_at_least(0)),
-    ("seed_mask", "benchmark", *_at_least(0)),
-    ("variant", "model", *_one_of(VARIANT_PRESETS)),
-    ("pool_size", "model", *_at_least(1)),
-    ("memory_pool_size", "model", *_at_least(1)),
-    ("prompt_len", "model", *_at_least(1)),
-    ("prompted_layers", "model", *_at_least(0)),
-    ("lam", "model", *_at_least(0)),
-    ("seed_model", "model", *_at_least(0)),
-    ("epochs", "train", *_at_least(1)),
-    ("batch_size", "train", *_at_least(1)),
-    ("eval_batch_size", "train", *_at_least(1)),
-    ("lr", "train", *_at_least(0)),
-    ("warmup_frac", "train", *_within(0, 1)),
-    ("weight_decay", "train", *_at_least(0)),
-    ("seed_train", "train", *_at_least(0)),
-    ("export_queries", "emit", None, None),
-    ("output_dir", "emit", None, None),
-)
-
-
-def _integer(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _finite_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _or_none(test):
-    return lambda v: v is None or test(v)
-
-
-def _list_of(test):
-    return lambda v: isinstance(v, list) and all(test(e) for e in v)
-
-
-# what a value must be, by its field's annotation: (test, description)
-_KINDS = {
-    "int": (_integer, "an integer"),
-    "float": (_finite_number, "a finite number"),
-    "float | None": (_or_none(_finite_number), "a finite number or None"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "str | None": (_or_none(lambda v: isinstance(v, str)), "a string or None"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "dict": (lambda v: isinstance(v, dict), "a mapping"),
-    "list[int]": (_list_of(_integer), "a list of integers"),
-    "list[dict]": (_list_of(lambda v: isinstance(v, dict)), "a list of mappings"),
-    "list[list[float | None]]": (_list_of(_list_of(_or_none(_finite_number))),
-                                 "a list of rows of finite numbers or None"),
-}
-
-
-def _kind_error(name: str, value, annotation: str) -> str | None:
-    """Why value does not fit a field annotated annotation, or None when it does."""
-    test, kind = _KINDS[annotation]
-    return None if test(value) else f"{name} must be {kind}, got {value!r}"
-
-
 @dataclass
 class RunConfig:
-    backbone: BackboneConfig = field(default_factory=BackboneConfig)
-    backbone_checkpoint: str = "backbone.rbqt"
-    corpus_path: str | None = None        # when unset, a synthetic corpus is generated
-    synth: SynthConfig = field(default_factory=SynthConfig)
-    num_classes: int = 20
-    samples_per_class: int = 200
-    num_sessions: int = 5
-    eta: float = 70.0
-    missing_case: str = "both-missing"
-    pool_size: int = 128
-    memory_pool_size: int = 128
-    prompt_len: int = 8
-    prompted_layers: int = 8
-    lam: float = 0.01
-    variant: str = "canonical"
-    epochs: int = 3
-    batch_size: int = 4
-    lr: float = 1e-4
-    warmup_frac: float = 0.1
-    weight_decay: float = 0.01
-    eval_batch_size: int = 64
-    seed_corpus: int = 1
-    seed_split: int = 2
-    seed_mask: int = 3
-    seed_train: int = 4
-    seed_model: int = 5
-    export_queries: bool = False
-    output_dir: str = "runs/run"
+    backbone: BackboneConfig = rule(factory=BackboneConfig, stage="backbone")
+    backbone_checkpoint: str = rule("backbone.rbqt", stage="backbone")
+    corpus_path: str | None = rule(None, stage="benchmark")  # None: a synthetic corpus
+    synth: SynthConfig = rule(factory=SynthConfig, stage="benchmark")
+    num_classes: int = rule(20, low=2, stage="benchmark")
+    samples_per_class: int = rule(200, low=1, stage="benchmark")
+    num_sessions: int = rule(5, low=1, stage="benchmark")
+    eta: float = rule(70.0, low=0, high=100, stage="benchmark")
+    missing_case: str = rule("both-missing", choices=MISSING_CASES, stage="benchmark")
+    pool_size: int = rule(128, low=1, stage="model")
+    memory_pool_size: int = rule(128, low=1, stage="model")
+    prompt_len: int = rule(8, low=1, stage="model")
+    prompted_layers: int = rule(8, low=0, stage="model")
+    lam: float = rule(0.01, low=0, stage="model")
+    variant: str = rule("canonical", choices=tuple(VARIANT_PRESETS), stage="model")
+    epochs: int = rule(3, low=1, stage="train")
+    batch_size: int = rule(4, low=1, stage="train")
+    lr: float = rule(1e-4, low=0, stage="train")
+    warmup_frac: float = rule(0.1, low=0, high=1, stage="train")
+    weight_decay: float = rule(0.01, low=0, stage="train")
+    eval_batch_size: int = rule(64, low=1, stage="train")
+    seed_corpus: int = rule(1, low=0, stage="benchmark")
+    seed_split: int = rule(2, low=0, stage="benchmark")
+    seed_mask: int = rule(3, low=0, stage="benchmark")
+    seed_train: int = rule(4, low=0, stage="train")
+    seed_model: int = rule(5, low=0, stage="model")
+    export_queries: bool = rule(False, stage="emit")
+    output_dir: str = rule("runs/run", stage="emit")
 
     def check(self):
-        """Refuse a setting of the wrong kind or out of range before any stage runs.
+        """Refuse a value that breaks its field's declared rule before any stage runs.
 
-        A value must have its field's annotated kind: an int field takes an
-        int, a real field an int or a finite float (a bool is neither), a
-        path a string. The ExperimentError names the field and is tagged with
-        the stage that reads it, the stage the value would otherwise fail in.
+        The ExperimentError names the field (backbone.* and synth.* by dotted
+        path) and carries the stage its top-level field declares as its reader.
         """
-        kinds = {f.name: f.type for f in dataclasses.fields(self)}
-        for name, stage, test, rule in _CHECKS:
-            value = getattr(self, name)
-            wrong = _kind_error(name, value, kinds[name])
-            if wrong:
-                raise ExperimentError(stage, wrong)
-            if test is not None and not test(value):
-                raise ExperimentError(stage, f"{name} must {rule}, got {value!r}")
+        for f in dataclasses.fields(self):
+            try:
+                rules.check_field(self, f)
+            except ValueError as exc:
+                raise ExperimentError(f.metadata["rule"].stage, str(exc)) from None
 
     def with_root_seed(self, root: int) -> "RunConfig":
         """Derive the five seed streams from one root seed."""
@@ -182,80 +96,57 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(_checked_keys(d, cls, "config"))
+        d = dict(rules.mapping(d, cls, "config"))
         for key, kind in (("backbone", BackboneConfig), ("synth", SynthConfig)):
             if key in d:
-                fields = _checked_keys(d[key], kind, f"config key {key}")
+                fields = rules.mapping(d[key], kind, f"config key {key}")
                 try:
                     d[key] = kind(**fields)
-                except (TypeError, ValueError) as exc:  # a value __post_init__ refuses
+                except ValueError as exc:  # a value __post_init__ refuses
                     raise ValueError(f"config key {key}: {exc}") from None
         return cls(**d)
-
-
-def _checked_keys(d, kind, what: str, required: bool = False) -> dict:
-    """d when it is a mapping whose keys are fields of the dataclass kind
-    (all of them when required); otherwise a ValueError naming what."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} must be a mapping, got {d!r}")
-    names = {f.name for f in dataclasses.fields(kind)}
-    if set(d) - names:
-        raise ValueError(f"{what} has unknown keys {sorted(set(d) - names)}")
-    if required and names - set(d):
-        raise ValueError(f"{what} lacks keys {sorted(names - set(d))}")
-    return d
-
-
-def _checked_fields(d, kind, what: str) -> dict:
-    """d when it holds every field of the dataclass kind and nothing else,
-    each value of its field's annotated kind; otherwise a ValueError naming
-    what and the field."""
-    _checked_keys(d, kind, what, required=True)
-    for f in dataclasses.fields(kind):
-        wrong = _kind_error(f.name, d[f.name], f.type)
-        if wrong:
-            raise ValueError(f"{what} {wrong}")
-    return d
 
 
 @dataclass
 class SessionSummary:
     """One report.per_session entry: a session's classes and training losses."""
-    session: int
-    classes: list[int]
-    steps: int
-    mean_total: float
-    mean_classification: float
-    mean_reconstruction: float
-    final_total: float
+    session: int = rule(low=0)
+    classes: list[int] = rule(low=1)
+    steps: int = rule(low=1)
+    mean_total: float = rule()
+    mean_classification: float = rule()
+    mean_reconstruction: float = rule()
+    final_total: float = rule()
 
 
 @dataclass
 class Report:
-    artifact_version: str
-    config: dict
-    matrix: list[list[float | None]]
-    ap: float
-    fg: float | None
-    per_session: list[dict]
-    timing: dict
+    artifact_version: str = rule()
+    config: dict = rule()
+    matrix: list[list[float | None]] = rule(low=1)
+    ap: float = rule()
+    fg: float | None = rule()
+    per_session: list[dict] = rule()
+    timing: dict = rule()
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Report":
-        d = _checked_fields(d, cls, "report")
-        sizes = [len(row) for row in d["matrix"]]
+        report = cls(**rules.mapping(d, cls, "report"))
+        rules.check(report, "report ")
+        sizes = [len(row) for row in report.matrix]
         if any(n != len(sizes) for n in sizes):
             raise ValueError(f"report matrix must be square, got rows of lengths {sizes}")
-        if (d["fg"] is None) != (len(sizes) < 2):
+        if (report.fg is None) != (len(sizes) < 2):
             need = "None" if len(sizes) < 2 else "a finite number"
             raise ValueError(f"report fg must be {need} for a {len(sizes)}-session matrix, "
-                             f"got {d['fg']!r}")
-        for i, entry in enumerate(d["per_session"]):
-            _checked_fields(entry, SessionSummary, f"report per_session[{i}]")
-        return cls(**d)
+                             f"got {report.fg!r}")
+        for i, entry in enumerate(report.per_session):
+            what = f"report per_session[{i}]"
+            rules.check(SessionSummary(**rules.mapping(entry, SessionSummary, what)), what + " ")
+        return report
 
     def recompute(self) -> tuple[float, float | None]:
         m = EvalMatrix.from_lists(self.matrix)

@@ -271,6 +271,16 @@ class TestCheckpointValidation:
         with pytest.raises(serialize.ContainerError, match="patch_w"):
             MultimodalBackbone.load_checkpoint(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("num_heads", 0, "num_heads must be >= 1, got 0"),
+        ("embed_dim", 32.0, "embed_dim must be an integer, got 32.0")])
+    def test_stored_config_breaking_a_rule_rejected(self, path, key, value, message):
+        kind, meta, arrays = serialize.load_container(path)
+        meta["config"][key] = value
+        serialize.save_container(path, kind, meta, arrays)
+        with pytest.raises(serialize.ContainerError, match=f"bad backbone config: {message}"):
+            MultimodalBackbone.load_checkpoint(path)
+
 
 class TestPositions:
     def test_unified_layout_indices(self):

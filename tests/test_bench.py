@@ -353,6 +353,34 @@ class TestCorpusIO:
             load_corpus(path)
         assert ":4:" in str(exc.value)
 
+    @pytest.mark.parametrize("line, tamper, message", [
+        (3, lambda rec: {**rec, "has_text": "false"},
+         "has_text must be true or false, got 'false'"),
+        (3, lambda rec: {**rec, "label": 0.5}, "label must be an integer, got 0.5"),
+        (3, lambda rec: {**rec, "label": "x"}, "label must be an integer, got 'x'"),
+        (3, lambda rec: {**rec, "text_tokens": [None]},
+         "text_tokens must be a list of integers, got [None]"),
+        (3, lambda rec: {**rec, "patches": [[float("nan")] + row[1:] for row in rec["patches"]]},
+         "patches must be rows of finite numbers"),
+        (3, lambda rec: [rec], "record must be a mapping, got [{"),
+        (1, lambda header: {**header, "num_patches": 1.7},
+         "bad header: num_patches must be an integer, got 1.7"),
+        (1, lambda header: {**header, "multi_label": "no"},
+         "bad header: multi_label must be true or false, got 'no'")],
+        ids=["has-text-string", "label-real", "label-string", "token-null", "patch-nan",
+             "record-list", "header-patches-real", "header-multi-label-string"])
+    def test_value_of_wrong_kind_refused_by_line(self, tmp_path, line, tamper, message):
+        """Read as written, never coerced: each is refused naming path:line."""
+        meta, samples = synth_generate(3, 2, SMALL, seed=27)
+        path = tmp_path / "kinds.jsonl"
+        save_corpus(path, meta, samples)
+        lines = path.read_text().splitlines()
+        lines[line - 1] = json.dumps(tamper(json.loads(lines[line - 1])))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(path)
+        assert str(exc.value).startswith(f"{path}:{line}: {message}")
+
     def test_both_missing_record_rejected(self):
         with pytest.raises(ValueError):
             Sample(id="x", text_tokens=[], patches=np.ones((2, 2)), label=0,

@@ -173,8 +173,22 @@ class TestRun:
     @pytest.mark.parametrize("setting, message", [
         ("backbone=5", "config key backbone must be a mapping, got 5"),
         ('synth={"bogus": 1}', "config key synth has unknown keys ['bogus']"),
-        ('backbone={"embed_dim": "x"}', "config key backbone: not all arguments converted"),
-        ('backbone={"activation": "tanh"}', "config key backbone: unknown activation 'tanh'"),
+        ('backbone={"embed_dim": "x"}',
+         "config key backbone: embed_dim must be an integer, got 'x'"),
+        ('backbone={"activation": "tanh"}',
+         "config key backbone: activation must be one of ['gelu', 'relu'], got 'tanh'"),
+        ('backbone={"num_heads": 0}', "config key backbone: num_heads must be >= 1, got 0"),
+        ('backbone={"embed_dim": 32.0}',
+         "config key backbone: embed_dim must be an integer, got 32.0"),
+        ('synth={"max_text_len": 0}', "config key synth: max_text_len must be >= 1, got 0"),
+        ('synth={"multi_label": "yes"}',
+         "config key synth: multi_label must be true or false, got 'yes'"),
+        ('synth={"patch_noise_std": "a"}',
+         "config key synth: patch_noise_std must be a finite number, got 'a'"),
+        ('synth={"patch_noise_std": -1.0}',
+         "config key synth: patch_noise_std must be >= 0, got -1.0"),
+        ('synth={"tokens_per_class": 0}',
+         "config key synth: tokens_per_class must be >= 1, got 0"),
         ("num_sessions=-1", "error [benchmark] num_sessions must be >= 1, got -1"),
         ("eta=true", "error [benchmark] eta must be a finite number, got True"),
         ("epochs=1.5", "error [train] epochs must be an integer, got 1.5"),
@@ -185,7 +199,9 @@ class TestRun:
         ('synth={"noise_token_prob": 3.0}',
          "config key synth: noise_token_prob must lie in [0, 1], got 3.0")],
         ids=["backbone-not-mapping", "synth-unknown-key", "backbone-value-type",
-             "backbone-value-refused", "sessions-negative", "eta-bool", "epochs-real",
+             "backbone-value-refused", "backbone-heads-zero", "backbone-dim-real",
+             "synth-text-len-zero", "synth-multi-label-string", "synth-noise-string",
+             "synth-noise-negative", "synth-tokens-zero", "sessions-negative", "eta-bool", "epochs-real",
              "warmup-above-one", "output-dir-int", "corpus-path-int", "export-queries-int",
              "synth-noise-above-one"])
     def test_bad_nested_config_named(self, cli_workspace, capsys, setting, message):
@@ -375,10 +391,12 @@ class TestReport:
         (lambda doc: {**doc, "fg": None},
          "report fg must be a finite number for a 2-session matrix, got None"),
         (lambda doc: {**doc, "matrix": [[0.5]], "fg": 0.1},
-         "report fg must be None for a 1-session matrix, got 0.1")],
+         "report fg must be None for a 1-session matrix, got 0.1"),
+        (lambda doc: {**doc, "matrix": [], "fg": None},
+         "report matrix must have length >= 1, got []")],
         ids=["empty-object", "list", "extra-key", "ap-string", "fg-bool", "matrix-string",
              "matrix-not-square", "session-without-classes", "session-loss-string",
-             "fg-null-two-sessions", "fg-one-session"])
+             "fg-null-two-sessions", "fg-one-session", "matrix-empty"])
     def test_non_report_json_rejected(self, report_doc, capsys, tmp_path, tamper, message):
         """Refused with exit 2 before any of the summary prints."""
         doc = tamper(json.loads(json.dumps(report_doc)))
