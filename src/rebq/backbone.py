@@ -268,16 +268,20 @@ class MultimodalBackbone:
 # -- pretraining ----------------------------------------------------------------------------
 
 
+PRETRAIN_LR = 3e-4
+PRETRAIN_WARMUP_FRAC = 0.1
+HOLDOUT_FRAC = 0.1       # share of the corpus held out, at least one sample
+TARGET_ACCURACY = 0.9    # held-out accuracy that stops training early
+MIN_ACCURACY = 0.6       # below it the backbone is flagged unusable
+
+
 @dataclass
 class PretrainConfig:
+    """Steps, batch size and evaluation cadence. The rest is fixed: PRETRAIN_LR,
+    PRETRAIN_WARMUP_FRAC, HOLDOUT_FRAC, TARGET_ACCURACY and MIN_ACCURACY."""
     steps: int = rule(1500, low=1)
     batch_size: int = rule(16, low=1)
-    lr: float = rule(3e-4, low=0)
-    warmup_frac: float = rule(0.1, low=0, high=1)
-    holdout_frac: float = rule(0.1, low=0, high=1, open=True)
     eval_every: int = rule(100, low=1)
-    target_accuracy: float = rule(0.9, low=0)   # above 1, training never stops early
-    min_accuracy: float = rule(0.6, low=0, high=1)
 
     def __post_init__(self):
         rules.check(self)
@@ -295,8 +299,9 @@ def pretrain(config: BackboneConfig, corpus: tuple[CorpusMeta, list[Sample]], se
              pcfg: PretrainConfig | None = None) -> tuple[MultimodalBackbone, PretrainReport]:
     """Train the encoder to classify the joint cls token, then freeze it.
 
-    Stops early once held-out accuracy reaches the target; a run that ends
-    below the minimum accuracy is flagged unusable.
+    Stops early once held-out accuracy reaches TARGET_ACCURACY; a run that
+    ends below MIN_ACCURACY is flagged unusable. One sample at least is held
+    out, so the corpus needs two or more.
     """
     pcfg = pcfg or PretrainConfig()
     meta, samples = corpus
@@ -306,6 +311,9 @@ def pretrain(config: BackboneConfig, corpus: tuple[CorpusMeta, list[Sample]], se
     for s in samples:
         if s.missing_type != "complete":
             raise ValueError("pretraining corpus must be modality-complete")
+    if len(samples) < 2:
+        raise ValueError(f"pretraining needs at least 2 samples, got {len(samples)}: one is "
+                         "held out and at least one must be left to train on")
 
     rng = np.random.default_rng(seed)
     model = MultimodalBackbone(config, rng)
@@ -314,13 +322,13 @@ def pretrain(config: BackboneConfig, corpus: tuple[CorpusMeta, list[Sample]], se
     head_b = T.zeros(classes, trainable=True)
 
     order = rng.permutation(len(samples))
-    n_hold = max(1, int(round(pcfg.holdout_frac * len(samples))))
+    n_hold = max(1, int(round(HOLDOUT_FRAC * len(samples))))
     hold = [samples[i] for i in order[:n_hold]]
     train = [samples[i] for i in order[n_hold:]]
 
     params = list(model.params.values()) + [head_w, head_b]
-    opt = AdamW(params, base_lr=pcfg.lr, total_steps=pcfg.steps,
-                warmup_frac=pcfg.warmup_frac, weight_decay=0.01)
+    opt = AdamW(params, base_lr=PRETRAIN_LR, total_steps=pcfg.steps,
+                warmup_frac=PRETRAIN_WARMUP_FRAC, weight_decay=0.01)
 
     def logits_for(batch: list[Sample]) -> Tensor:
         out = model.forward(model.embed_batch(batch), positions=[0])
@@ -349,9 +357,9 @@ def pretrain(config: BackboneConfig, corpus: tuple[CorpusMeta, list[Sample]], se
         steps_used = step + 1
         if steps_used % pcfg.eval_every == 0 or steps_used == pcfg.steps:
             accuracy = holdout_accuracy()
-            if accuracy >= pcfg.target_accuracy:
+            if accuracy >= TARGET_ACCURACY:
                 break
     model.freeze()
     report = PretrainReport(accuracy=accuracy, steps_used=steps_used,
-                            usable=accuracy >= pcfg.min_accuracy, losses=losses)
+                            usable=accuracy >= MIN_ACCURACY, losses=losses)
     return model, report

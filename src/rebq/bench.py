@@ -3,8 +3,9 @@
 A corpus is a list of :class:`Sample` records plus a :class:`CorpusMeta`
 header. Sessions partition the classes into disjoint subsets; the missing
 mask then degrades a configurable share of each session's samples to a
-single modality, replacing the absent one with its canonical dummy (empty
-token sequence for text, all-ones patches for images).
+single modality. Sample.without is the one place that makes such a copy: it
+replaces the absent modality with its canonical dummy (empty token sequence
+for text, all-ones patches of the sample's own shape for images).
 """
 
 from __future__ import annotations
@@ -40,6 +41,15 @@ class Sample:
         if self.has_text and self.has_visual:
             return "complete"
         return "text-only" if self.has_text else "image-only"
+
+    def without(self, modality: str) -> Sample:
+        """A copy whose "text" or "visual" modality is absent and replaced by
+        its canonical dummy; a sample's only modality cannot be dropped."""
+        if modality == "text":
+            return replace(self, has_text=False, text_tokens=list(DUMMY_TEXT))
+        if modality == "visual":
+            return replace(self, has_visual=False, patches=dummy_patches(*self.patches.shape))
+        raise ValueError(f"sample {self.id}: unknown modality {modality!r}")
 
 
 @dataclass
@@ -121,27 +131,18 @@ def synth_generate(num_classes: int, samples_per_class: int, cfg: SynthConfig,
     rng = np.random.default_rng(seed)
     protos = make_prototypes(num_classes, cfg, rng)
     samples: list[Sample] = []
-    total = num_classes * samples_per_class
-    if cfg.multi_label:
-        for i in range(total):
+    for i in range(num_classes * samples_per_class):
+        if cfg.multi_label:
             k = int(rng.integers(1, 4))
             active = sorted(rng.choice(num_classes, size=min(k, num_classes), replace=False).tolist())
-            samples.append(Sample(
-                id=f"{id_prefix}{i:06d}",
-                text_tokens=_sample_text(protos.token_bags, active, cfg, rng),
-                patches=_sample_patches(protos.patch_means, active, cfg, rng),
-                label=[int(a) for a in active],
-            ))
-    else:
-        for c in range(num_classes):
-            for j in range(samples_per_class):
-                i = c * samples_per_class + j
-                samples.append(Sample(
-                    id=f"{id_prefix}{i:06d}",
-                    text_tokens=_sample_text(protos.token_bags, [c], cfg, rng),
-                    patches=_sample_patches(protos.patch_means, [c], cfg, rng),
-                    label=c,
-                ))
+        else:
+            active = [i // samples_per_class]
+        samples.append(Sample(
+            id=f"{id_prefix}{i:06d}",
+            text_tokens=_sample_text(protos.token_bags, active, cfg, rng),
+            patches=_sample_patches(protos.patch_means, active, cfg, rng),
+            label=active if cfg.multi_label else active[0],
+        ))
     meta = CorpusMeta(num_classes=num_classes, patch_dim=cfg.patch_dim,
                       max_text_len=cfg.max_text_len, multi_label=cfg.multi_label,
                       vocab_size=cfg.vocab_size, num_patches=cfg.num_patches)
@@ -152,27 +153,19 @@ def synth_generate(num_classes: int, samples_per_class: int, cfg: SynthConfig,
 
 
 @dataclass
-class SessionSpec:
-    index: int
-    classes: list[int]
-    missing_ratio: float = 0.0
-    missing_case: str = "both-missing"
-
-
-@dataclass
 class SessionData:
-    spec: SessionSpec
+    classes: list[int]
     train: list[Sample]
     test: list[Sample]
 
 
-def _labels_of(sample: Sample) -> list[int]:
-    return [sample.label] if isinstance(sample.label, int) else list(sample.label)
+TRAIN_FRAC = 0.8  # the share of each class's samples that trains
 
 
 def split_sessions(meta: CorpusMeta, samples: list[Sample], num_sessions: int,
-                   seed: int, train_frac: float = 0.8) -> list[SessionData]:
-    """Shuffle classes, partition contiguously, and 80/20-split each class.
+                   seed: int) -> list[SessionData]:
+    """Shuffle classes, partition contiguously, and split each class's
+    samples TRAIN_FRAC (0.8) to train, the rest to test.
 
     The class count must be a multiple of the session count, so that every
     class is trained and tested in exactly one session.
@@ -189,21 +182,20 @@ def split_sessions(meta: CorpusMeta, samples: list[Sample], num_sessions: int,
     # multi-label samples belong to the session of their first active class
     by_class: dict[int, list[Sample]] = {}
     for sample in samples:
-        c = _labels_of(sample)[0]
+        c = sample.label if isinstance(sample.label, int) else sample.label[0]
         by_class.setdefault(c, []).append(sample)
 
     sessions = []
-    for s, classes in enumerate(class_sets):
+    for classes in class_sets:
         train: list[Sample] = []
         test: list[Sample] = []
         for c in classes:
             group = by_class.get(c, [])
             perm = rng.permutation(len(group))
-            cut = int(round(train_frac * len(group)))
+            cut = int(round(TRAIN_FRAC * len(group)))
             train.extend(group[i] for i in perm[:cut])
             test.extend(group[i] for i in perm[cut:])
-        sessions.append(SessionData(
-            spec=SessionSpec(index=s, classes=classes), train=train, test=test))
+        sessions.append(SessionData(classes, train, test))
     return sessions
 
 
@@ -230,21 +222,22 @@ def missing_counts(n: int, eta: float, case: str) -> tuple[int, int]:
     return half, min(half, n - half)
 
 
-def apply_missing_mask(samples: list[Sample], eta: float, case: str, seed: int,
-                       num_patches: int, patch_dim: int) -> list[Sample]:
-    """Degrade a seeded uniform subset of samples to a single modality."""
+def apply_missing_mask(samples: list[Sample], eta: float, case: str, seed: int) -> list[Sample]:
+    """Degrade a seeded uniform subset of complete samples to a single modality.
+
+    At eta > 0 every input sample must be complete, so that the masked share
+    is exactly eta; a corpus holding incomplete samples runs only at eta 0.
+    """
     n_img_only, n_txt_only = missing_counts(len(samples), eta, case)
+    incomplete = [s for s in samples if s.missing_type != "complete"]
+    if eta > 0 and incomplete:
+        raise ValueError(f"sample {incomplete[0].id} is already {incomplete[0].missing_type}: a "
+                         f"corpus with incomplete samples runs only at eta 0, got eta {eta}")
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(samples), size=n_img_only + n_txt_only, replace=False)
     masked = list(samples)
     for j, idx in enumerate(chosen):
-        s = masked[idx]
-        if j < n_img_only:
-            out = replace(s, has_text=False, text_tokens=list(DUMMY_TEXT))
-        else:
-            out = replace(s, has_visual=False,
-                          patches=dummy_patches(num_patches, patch_dim))
-        masked[idx] = out
+        masked[idx] = masked[idx].without("text" if j < n_img_only else "visual")
     return masked
 
 
@@ -260,13 +253,8 @@ class CmmlStream:
     can be audited from the access log.
     """
 
-    meta: CorpusMeta
     sessions: list[SessionData]
     access_log: list[tuple[str, int]] = field(default_factory=list)
-
-    @property
-    def num_sessions(self) -> int:
-        return len(self.sessions)
 
     def train_data(self, session: int) -> list[Sample]:
         self.access_log.append(("train", session))
@@ -275,9 +263,6 @@ class CmmlStream:
     def test_data(self, session: int) -> list[Sample]:
         self.access_log.append(("test", session))
         return self.sessions[session].test
-
-    def spec(self, session: int) -> SessionSpec:
-        return self.sessions[session].spec
 
 
 def build_stream(meta: CorpusMeta, samples: list[Sample], num_sessions: int,
@@ -288,18 +273,12 @@ def build_stream(meta: CorpusMeta, samples: list[Sample], num_sessions: int,
     are never correlated.
     """
     sessions = split_sessions(meta, samples, num_sessions, split_seed)
-    npatch = meta.num_patches
-    masked_sessions = []
-    for s in sessions:
-        train_seed = int(np.random.SeedSequence([mask_seed, s.spec.index, 0]).generate_state(1)[0])
-        test_seed = int(np.random.SeedSequence([mask_seed, s.spec.index, 1]).generate_state(1)[0])
-        spec = replace(s.spec, missing_ratio=eta, missing_case=case)
-        masked_sessions.append(SessionData(
-            spec=spec,
-            train=apply_missing_mask(s.train, eta, case, train_seed, npatch, meta.patch_dim),
-            test=apply_missing_mask(s.test, eta, case, test_seed, npatch, meta.patch_dim),
-        ))
-    return CmmlStream(meta=meta, sessions=masked_sessions)
+    for j, s in enumerate(sessions):
+        train_seed = int(np.random.SeedSequence([mask_seed, j, 0]).generate_state(1)[0])
+        test_seed = int(np.random.SeedSequence([mask_seed, j, 1]).generate_state(1)[0])
+        s.train = apply_missing_mask(s.train, eta, case, train_seed)
+        s.test = apply_missing_mask(s.test, eta, case, test_seed)
+    return CmmlStream(sessions)
 
 
 # -- corpus file format --------------------------------------------------------------------

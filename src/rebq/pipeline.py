@@ -180,7 +180,7 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
     # once and every pass reads rows of the same array
     rows = list(ordered)
     if use_lr:
-        pairs = [counterparts(s, cfg.num_patches, cfg.patch_dim) for s in ordered[n_inc:]]
+        pairs = [counterparts(s) for s in ordered[n_inc:]]
         rows += [p[0] for p in pairs] + [p[1] for p in pairs]
     with T.no_grad():
         emb = backbone.embed_batch(rows)

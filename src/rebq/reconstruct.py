@@ -10,8 +10,9 @@ text, visual] rows of the same sequence (recon_positions); the cls output
 of that pass is the reconstructed query for the absent modality. The
 reconstruction loss (reconstruction_loss_from_queries) trains the memory pool to pull those
 reconstructions toward the queries the complete sample would have produced
-(ground truth is gradient-detached); pipeline.forward_batch builds the
-masked counterparts it is computed over.
+(ground truth is gradient-detached); pipeline.forward_batch computes it
+over the complete samples' masked counterparts, which counterparts makes
+with Sample.without.
 
 The unified pass reads only the frozen backbone and a row's text tokens
 and patches, and each of its output rows depends on its own input row
@@ -25,13 +26,12 @@ fresh pass.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import numpy as np
 
 from . import tensor as T
 from .backbone import MultimodalBackbone, recon_positions, unified_positions
-from .bench import DUMMY_TEXT, Sample, dummy_patches
+from .bench import Sample
 from .tensor import Tensor
 
 
@@ -108,12 +108,9 @@ def reconstruct_batch(samples: list[Sample], memory_queries: Tensor, memory_sour
                             positions=[0])[:, 0]
 
 
-def counterparts(sample: Sample, num_patches: int, patch_dim: int) -> tuple[Sample, Sample]:
-    """(text-only, image-only) masked versions of a complete sample."""
-    text_only = replace(sample, has_visual=False,
-                        patches=dummy_patches(num_patches, patch_dim))
-    image_only = replace(sample, has_text=False, text_tokens=list(DUMMY_TEXT))
-    return text_only, image_only
+def counterparts(sample: Sample) -> tuple[Sample, Sample]:
+    """(text-only, image-only) masked copies of a complete sample (Sample.without)."""
+    return sample.without("visual"), sample.without("text")
 
 
 def reconstruction_loss_from_queries(q_text: Tensor, q_hat_text: Tensor,

@@ -270,7 +270,7 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
                 matrix.set(i, j, performance(preds, truths, mode))
             per_session.append(asdict(SessionSummary(
                 session=j,
-                classes=stream.spec(j).classes,
+                classes=stream.sessions[j].classes,
                 steps=len(log.steps),
                 mean_total=log.mean("total"),
                 mean_classification=log.mean("classification"),
@@ -333,9 +333,7 @@ def emit_report(report: Report, out_dir, artifacts: RunArtifacts | None = None) 
         written.append(str(traj_path))
 
         if artifacts is not None and report.config.get("export_queries"):
-            test_samples = []
-            for i in range(artifacts.stream.num_sessions):
-                test_samples.extend(artifacts.stream.sessions[i].test)
+            test_samples = [s for session in artifacts.stream.sessions for s in session.test]
             queries_path = out / "queries.json"
             export_query_embeddings(test_samples, artifacts.backbone, artifacts.model.memory,
                                     path=queries_path,

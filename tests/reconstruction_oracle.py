@@ -23,8 +23,7 @@ def reconstruct_counterparts(samples, memory_source, backbone):
     counterpart that lacks its modality. Samples and counterparts embed in
     one call and share one unified pass.
     """
-    cfg = backbone.config
-    pairs = [counterparts(s, cfg.num_patches, cfg.patch_dim) for s in samples]
+    pairs = [counterparts(s) for s in samples]
     rows = list(samples) + [p[0] for p in pairs] + [p[1] for p in pairs]
     n = len(samples)
     with T.no_grad():

@@ -3,8 +3,8 @@ import pytest
 
 from rebq import serialize
 from rebq import tensor as T
-from rebq.backbone import (BackboneConfig, MultimodalBackbone, PretrainConfig, pretrain,
-                           recon_positions, unified_positions)
+from rebq.backbone import (MIN_ACCURACY, BackboneConfig, MultimodalBackbone, PretrainConfig,
+                           pretrain, recon_positions, unified_positions)
 from rebq.bench import Sample, SynthConfig, dummy_patches, synth_generate
 from rebq.tensor import Tensor
 
@@ -189,9 +189,8 @@ class TestPretrain:
 
     def test_frozen_parameters_reject_gradients(self):
         corpus = pretrain_corpus()
-        model, _ = pretrain(CFG, corpus, seed=13, pcfg=
-                            PretrainConfig(steps=60, batch_size=8, eval_every=30,
-                                           target_accuracy=0.0))
+        model, _ = pretrain(CFG, corpus, seed=13,
+                            pcfg=PretrainConfig(steps=60, batch_size=8, eval_every=30))
         before = model.parameter_bytes()
         emb = model.embed_batch(corpus[1][:2])
         out = model.forward(emb)
@@ -201,7 +200,7 @@ class TestPretrain:
 
     def test_equal_seeds_bit_identical(self):
         corpus = pretrain_corpus()
-        cfgp = PretrainConfig(steps=50, batch_size=8, eval_every=25, target_accuracy=0.0)
+        cfgp = PretrainConfig(steps=50, batch_size=8, eval_every=25)
         a, _ = pretrain(CFG, corpus, seed=14, pcfg=cfgp)
         b, _ = pretrain(CFG, corpus, seed=14, pcfg=cfgp)
         assert a.parameter_bytes() == b.parameter_bytes()
@@ -214,9 +213,8 @@ class TestPretrain:
 
     def test_checkpoint_round_trip(self, tmp_path):
         corpus = pretrain_corpus()
-        model, report = pretrain(CFG, corpus, seed=16, pcfg=
-                                 PretrainConfig(steps=40, batch_size=8, eval_every=20,
-                                                target_accuracy=0.0))
+        model, report = pretrain(CFG, corpus, seed=16,
+                                 pcfg=PretrainConfig(steps=40, batch_size=8, eval_every=20))
         path = tmp_path / "backbone.rbqt"
         model.save_checkpoint(path, {"accuracy": report.accuracy, "usable": report.usable})
         loaded, meta = MultimodalBackbone.load_checkpoint(path)
@@ -231,10 +229,16 @@ class TestPretrain:
 
     def test_unusable_flag_below_minimum(self):
         corpus = pretrain_corpus()
-        _, report = pretrain(CFG, corpus, seed=17, pcfg=
-                             PretrainConfig(steps=1, batch_size=4, eval_every=1,
-                                            target_accuracy=2.0))
+        _, report = pretrain(CFG, corpus, seed=17,
+                             pcfg=PretrainConfig(steps=1, batch_size=4, eval_every=1))
+        assert report.accuracy < MIN_ACCURACY
         assert not report.usable
+
+    def test_single_sample_corpus_refused(self):
+        """One sample is held out, so none would be left to train on."""
+        meta, samples = pretrain_corpus()
+        with pytest.raises(ValueError, match="at least 2 samples, got 1: one is held out"):
+            pretrain(CFG, (meta, samples[:1]), seed=18, pcfg=PretrainConfig(steps=2))
 
 
 class TestCheckpointValidation:
@@ -352,9 +356,7 @@ class TestReadout:
 
 class TestPretrainConfig:
     # steps, batch_size and eval_every at 0 are covered through the CLI
-    @pytest.mark.parametrize("field, value", [
-        ("batch_size", -3), ("holdout_frac", 0.0), ("holdout_frac", 1.0),
-        ("holdout_frac", -0.5)])
+    @pytest.mark.parametrize("field, value", [("batch_size", -3)])
     def test_bad_setting_names_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             PretrainConfig(**{field: value})

@@ -92,8 +92,8 @@ class TestSplit:
                           tokens_per_class=4)
         meta, samples = synth_generate(20, 4, cfg, seed=5)
         sessions = split_sessions(meta, samples, 5, seed=0)
-        assert all(len(s.spec.classes) == 4 for s in sessions)
-        union = sorted(c for s in sessions for c in s.spec.classes)
+        assert all(len(s.classes) == 4 for s in sessions)
+        union = sorted(c for s in sessions for c in s.classes)
         assert union == list(range(20))
 
     def test_indivisible_class_count_refused(self):
@@ -111,7 +111,7 @@ class TestSplit:
         meta, samples = synth_generate(6, 10, SMALL, seed=8)
         a = split_sessions(meta, samples, 3, seed=9)
         b = split_sessions(meta, samples, 3, seed=9)
-        assert [s.spec.classes for s in a] == [s.spec.classes for s in b]
+        assert [s.classes for s in a] == [s.classes for s in b]
         assert [[x.id for x in s.train] for s in a] == [[x.id for x in s.train] for s in b]
 
     def test_stratified_80_20(self):
@@ -148,8 +148,7 @@ class TestMasking:
 
     def test_mask_application_and_dummies(self):
         meta, samples = synth_generate(4, 25, SMALL, seed=12)
-        masked = apply_missing_mask(samples, 70, "both-missing", seed=13,
-                                    num_patches=SMALL.num_patches, patch_dim=SMALL.patch_dim)
+        masked = apply_missing_mask(samples, 70, "both-missing", seed=13)
         img_only = [s for s in masked if not s.has_text]
         txt_only = [s for s in masked if not s.has_visual]
         assert len(img_only) == 35 and len(txt_only) == 35
@@ -162,8 +161,8 @@ class TestMasking:
 
     def test_mask_deterministic(self):
         meta, samples = synth_generate(4, 25, SMALL, seed=14)
-        a = apply_missing_mask(samples, 50, "both-missing", 15, 4, 6)
-        b = apply_missing_mask(samples, 50, "both-missing", 15, 4, 6)
+        a = apply_missing_mask(samples, 50, "both-missing", 15)
+        b = apply_missing_mask(samples, 50, "both-missing", 15)
         assert [(s.has_text, s.has_visual) for s in a] == [(s.has_text, s.has_visual) for s in b]
 
     def test_invalid_eta_rejected(self):
@@ -176,13 +175,39 @@ class TestMasking:
         for n in range(1, 51):
             n_img, n_txt = missing_counts(n, 100, "both-missing")
             assert n_img + n_txt == n and abs(n_img - n_txt) <= 1
-            masked = apply_missing_mask(corpus[:n], 100, "both-missing", n, 4, 6)
+            masked = apply_missing_mask(corpus[:n], 100, "both-missing", n)
             assert sum(s.missing_type != "complete" for s in masked) == n
 
     def test_both_missing_never_both_absent(self):
         meta, samples = synth_generate(4, 50, SMALL, seed=16)
-        masked = apply_missing_mask(samples, 90, "both-missing", 17, 4, 6)
+        masked = apply_missing_mask(samples, 90, "both-missing", 17)
         assert all(s.has_text or s.has_visual for s in masked)
+
+    def test_without_dummies_take_the_samples_own_shape(self):
+        sample = Sample(id="x", text_tokens=[3, 4], patches=np.zeros((3, 5)), label=0)
+        text_only, image_only = sample.without("visual"), sample.without("text")
+        assert text_only.missing_type == "text-only" and text_only.text_tokens == [3, 4]
+        np.testing.assert_array_equal(text_only.patches, dummy_patches(3, 5))
+        assert text_only.patches.dtype == np.float64
+        assert image_only.missing_type == "image-only" and image_only.text_tokens == []
+        assert image_only.patches is sample.patches
+        assert sample.missing_type == "complete"
+        with pytest.raises(ValueError, match="sample x: unknown modality 'image'"):
+            sample.without("image")
+
+    @pytest.mark.parametrize("drop, keep", [("text", "visual"), ("visual", "text")])
+    def test_without_refuses_the_only_modality(self, drop, keep):
+        sample = Sample(id="x7", text_tokens=[3], patches=np.zeros((3, 5)), label=0)
+        with pytest.raises(ValueError, match="sample x7: both modalities missing"):
+            sample.without(keep).without(drop)
+
+    def test_incomplete_sample_masked_only_at_eta_zero(self):
+        _, samples = synth_generate(4, 5, SMALL, seed=23)
+        samples[3] = samples[3].without("text")
+        with pytest.raises(ValueError, match=f"sample {samples[3].id} is already image-only: "
+                                             "a corpus with incomplete samples runs only at eta 0"):
+            apply_missing_mask(samples, 70, "both-missing", 24)
+        assert apply_missing_mask(samples, 0, "both-missing", 24) == samples
 
 
 def complete_samples(n: int) -> list[Sample]:
@@ -210,8 +235,8 @@ class TestProtocolProperties:
            case=st.sampled_from(bench.MISSING_CASES), seed=st.integers(0, 2 ** 32 - 1))
     def test_mask_degrades_exactly_the_counted_samples(self, n, eta, case, seed):
         samples = complete_samples(n)
-        masked = apply_missing_mask(samples, eta, case, seed, 4, 6)
-        again = apply_missing_mask(samples, eta, case, seed, 4, 6)
+        masked = apply_missing_mask(samples, eta, case, seed)
+        again = apply_missing_mask(samples, eta, case, seed)
         assert [(s.id, s.has_text, s.has_visual) for s in masked] == \
             [(s.id, s.has_text, s.has_visual) for s in again]
         n_img, n_txt = missing_counts(n, eta, case)
@@ -241,8 +266,8 @@ class TestProtocolProperties:
         seen_classes: set[int] = set()
         seen_ids: set[str] = set()
         for s in stream.sessions:
-            assert not seen_classes & set(s.spec.classes)
-            seen_classes |= set(s.spec.classes)
+            assert not seen_classes & set(s.classes)
+            seen_classes |= set(s.classes)
             train_ids = {x.id for x in s.train}
             test_ids = {x.id for x in s.test}
             assert len(train_ids) == len(s.train) and len(test_ids) == len(s.test)
@@ -251,7 +276,7 @@ class TestProtocolProperties:
             seen_ids |= train_ids | test_ids
             for x in s.train + s.test:
                 first = x.label if isinstance(x.label, int) else x.label[0]
-                assert first in s.spec.classes
+                assert first in s.classes
         assert seen_classes == set(range(classes))
 
 
@@ -286,7 +311,7 @@ class TestStream:
 class TestCorpusIO:
     def test_round_trip_bit_exact(self, tmp_path):
         meta, samples = synth_generate(4, 6, SMALL, seed=21)
-        masked = apply_missing_mask(samples, 50, "both-missing", 22, 4, 6)
+        masked = apply_missing_mask(samples, 50, "both-missing", 22)
         path = tmp_path / "corpus.jsonl"
         save_corpus(path, meta, masked)
         meta2, loaded = load_corpus(path)

@@ -28,7 +28,7 @@ def make_model(tiny_backbone, variant="canonical", **overrides):
 
 
 def masked_pair(sample):
-    return counterparts(sample, TINY.num_patches, TINY.patch_dim)
+    return counterparts(sample)
 
 
 def input_order_logits(model, batch) -> np.ndarray:

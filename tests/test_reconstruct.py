@@ -23,7 +23,7 @@ def memory_pool(seed=0, k=4):
 
 
 def text_only(sample):
-    return counterparts(sample, TINY.num_patches, TINY.patch_dim)[0]
+    return counterparts(sample)[0]
 
 
 class TestGenerateQueries:
@@ -179,7 +179,7 @@ class TestExport:
 
     def test_record_sequence(self, tiny_backbone, complete_samples):
         pool = memory_pool(seed=14)
-        i_only = counterparts(complete_samples[2], TINY.num_patches, TINY.patch_dim)[1]
+        i_only = counterparts(complete_samples[2])[1]
         samples = [complete_samples[0], text_only(complete_samples[1]), i_only]
         records = export_query_embeddings(samples, tiny_backbone, pool)
         ids = [s.id for s in samples]
@@ -204,7 +204,7 @@ class TestExport:
 def mixed_rows():
     """32 complete samples and both masked counterparts of each: 96 rows."""
     _, samples = synth_generate(4, 8, TINY_SYNTH, seed=411)
-    pairs = [counterparts(s, TINY.num_patches, TINY.patch_dim) for s in samples]
+    pairs = [counterparts(s) for s in samples]
     return samples + [p[0] for p in pairs] + [p[1] for p in pairs]
 
 
@@ -250,8 +250,7 @@ class TestQueryCache:
     def test_keys_follow_content(self, tiny_backbone, complete_samples):
         cache = QueryCache(tiny_backbone)
         s = complete_samples[0]
-        generate_queries_batch([s, *counterparts(s, TINY.num_patches, TINY.patch_dim)],
-                               tiny_backbone, cache=cache)
+        generate_queries_batch([s, *counterparts(s)], tiny_backbone, cache=cache)
         assert len(cache.rows) == 3
         same_id = dataclasses.replace(complete_samples[1], id=s.id)
         generate_queries_batch([s, same_id], tiny_backbone, cache=cache)
@@ -292,8 +291,7 @@ class TestEmbedOnce:
         model = build_variant("canonical", tiny_backbone, mcfg, seed=21)
         _, _, loss = forward_batch(model, complete_samples[:5], with_lr=True)
         assert embed_calls == [15]
-        rows = [c for s in complete_samples[:5]
-                for c in counterparts(s, TINY.num_patches, TINY.patch_dim)]
+        rows = [c for s in complete_samples[:5] for c in counterparts(s)]
         rows = rows[0::2] + rows[1::2]
         gt = generate_queries_batch(complete_samples[:5], tiny_backbone)
         mem = Tensor(generate_queries_batch(rows, tiny_backbone)[:, 2])
@@ -304,7 +302,7 @@ class TestEmbedOnce:
 
     def test_export_query_embeddings(self, tiny_backbone, complete_samples, embed_calls):
         pool = memory_pool(seed=23)
-        i_only = counterparts(complete_samples[2], TINY.num_patches, TINY.patch_dim)[1]
+        i_only = counterparts(complete_samples[2])[1]
         samples = [complete_samples[0], text_only(complete_samples[1]), i_only]
         records = export_query_embeddings(samples, tiny_backbone, pool)
         assert embed_calls == [3]

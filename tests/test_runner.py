@@ -219,6 +219,23 @@ class TestRunExperiment:
         assert exc.value.cause == f"the corpus does not fit the backbone: {misfit}"
         assert calls == []
 
+    def test_corpus_with_an_incomplete_record_runs_only_at_eta_zero(self, tiny_backbone,
+                                                                     tmp_path):
+        """Masking it at eta > 0 would miscount the incomplete share or drop
+        the record's only modality."""
+        meta, samples = synth_generate(4, 20, TINY_SYNTH, seed=0)
+        samples[0] = samples[0].without("text")
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(path, meta, samples)
+        cfg = tiny_config(tmp_path, corpus_path=str(path), eta=70.0)
+        with pytest.raises(ExperimentError) as exc:
+            run_experiment(cfg, backbone=tiny_backbone)
+        assert exc.value.stage == "benchmark"
+        assert exc.value.cause.startswith("sample s000000 is already image-only: a corpus with "
+                                          "incomplete samples runs only at eta 0")
+        report, _ = run_experiment(dataclasses.replace(cfg, eta=0.0), backbone=tiny_backbone)
+        assert np.isfinite(report.ap)
+
     def test_determinism_modulo_timing(self, tiny_backbone, tmp_path):
         cfg = tiny_config(tmp_path)
         a, _ = run_experiment(cfg, backbone=tiny_backbone)
