@@ -15,5 +15,5 @@ from .prompt import PromptPool, PromptVector, compute_weights, aggregate, select
 from .reconstruct import QueryCache, generate_queries_batch, reconstruct_batch  # noqa: F401
 from .pipeline import (ModelConfig, OptimizerConfig, RebQModel, VariantSpec,  # noqa: F401
                        build_variant, forward_batch, predict_batch, train_task)
-from .metrics import EvalMatrix, average_forgetting, average_performance, performance  # noqa: F401
+from .metrics import average_forgetting, average_performance, performance  # noqa: F401
 from .runner import Report, RunConfig, emit_report, run_experiment  # noqa: F401

@@ -4,8 +4,9 @@ Configuration comes from a JSON file matching RunConfig. `--set
 key=value` overrides one of its keys (a mapping value for a nested config
 such as synth or backbone overrides only the keys it names), `--seed`
 derives every seed stream from one root, and `sweep --axis key=v1,v2`
-runs the grid over any keys but output_dir. Each value is checked against
-the rule its field declares (rebq.rules) before any command runs. No flag
+runs the grid over any keys but output_dir, or over root seeds with the
+axis `seed`. Each value is checked against the rule its field declares
+(rebq.rules) before any command runs. No flag
 mirrors a RunConfig field: the other flags set only what RunConfig does
 not hold (output paths, pretraining sizes, sweep jobs). Relative output
 directories are rooted at $REBQ_OUTPUT_ROOT when it is set.
@@ -135,7 +136,7 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"sweep: --jobs must be >= 1, got {args.jobs}")
     base = _load_config(args)
-    keys = sorted(set(base.to_dict()) - {"output_dir"})
+    keys = sorted(set(base.to_dict()) - {"output_dir"} | {"seed"})
     axes: list[tuple[str, list]] = []
     for spec in args.axis:
         name, _, raw = spec.partition("=")
@@ -144,9 +145,17 @@ def cmd_sweep(args) -> int:
         values = [_parse_value(v) for v in raw.split(",") if v]
         if not values:
             raise ValueError(f"axis {name} has no values")
+        bad = [v for v in values if not (type(v) is int and v >= 0)] if name == "seed" else []
+        if bad:
+            raise ValueError(f"sweep axis seed takes non-negative integers, got {bad[0]!r}")
         axes.append((name, values))
     if not axes:
         raise ValueError("sweep needs at least one --axis")
+    names = [name for name, _ in axes]
+    clash = [n for n in names if n.startswith("seed_")] + ["--seed"] * (args.seed is not None)
+    if "seed" in names and clash:
+        raise ValueError(f"sweep axis seed derives every seed stream, so it cannot go with "
+                         f"{', '.join(clash)}")
 
     root = _resolve_output(args.out or base.output_dir)
     combos = list(itertools.product(*(vals for _, vals in axes)))
@@ -159,8 +168,11 @@ def cmd_sweep(args) -> int:
             tag_parts.append(f"{name}{value}")
         tag = "_".join(tag_parts)
         d["output_dir"] = str(Path(root) / tag)
-        RunConfig.from_dict(d).check()
-        configs.append((tag, d))
+        seed = d.pop("seed", None)
+        cfg = RunConfig.from_dict(d)
+        cfg = cfg if seed is None else cfg.with_root_seed(seed)
+        cfg.check()
+        configs.append((tag, cfg.to_dict()))
 
     results = []
     if args.jobs > 1:
@@ -244,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid sweep over config axes")
     common(p)
     p.add_argument("--axis", action="append", default=[], metavar="KEY=V1,V2,...",
-                   help="sweep axis; any config key but output_dir")
+                   help="sweep axis; any config key but output_dir, or seed for root seeds")
     p.add_argument("--out", help="sweep output root")
     p.add_argument("--jobs", type=int, default=1, help="parallel runs")
     p.set_defaults(func=cmd_sweep)

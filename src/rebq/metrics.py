@@ -1,53 +1,19 @@
-"""Continual-evaluation metrics: the session matrix, AP and FG.
+"""Continual-evaluation metrics: performance, AP and FG over the session matrix.
 
-The matrix stores a[i][j], the test performance on session i after
-training through session j, for i <= j. Average performance is the mean
-of the final column; average forgetting is the mean over earlier sessions
-of the peak drop from any intermediate checkpoint to the final one (it can
-go negative when later training helps earlier sessions).
+The session matrix is the report's list of lists: matrix[i][j] is the test
+performance on session i after training through session j, set for i <= j
+and None below the diagonal. With T sessions and a = matrix,
+
+    AP = (1/T) sum_{i<T} a[i][T-1]
+    FG = (1/(T-1)) sum_{i<T-1} (max_{i<=z<T-1} a[i][z] - a[i][T-1])
+
+so AP is the mean of the final column and FG the mean peak-to-final drop
+of every earlier session (negative when later training helps it).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-class EvalMatrix:
-    def __init__(self, num_sessions: int):
-        if num_sessions < 1:
-            raise ValueError("need at least one session")
-        self.t = num_sessions
-        self.values = np.full((num_sessions, num_sessions), np.nan)
-
-    def set(self, i: int, j: int, value: float):
-        if i > j:
-            raise ValueError(f"entry ({i}, {j}) below the diagonal is undefined")
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"performance {value} outside [0, 1]")
-        self.values[i, j] = value
-
-    @property
-    def complete(self) -> bool:
-        return not np.isnan(self.values[:, self.t - 1]).any()
-
-    def rows(self) -> list[list[float]]:
-        """Row i as the values a[i][i..T-1]."""
-        return [[float(v) for v in self.values[i, i:]] for i in range(self.t)]
-
-    def to_lists(self) -> list[list[float | None]]:
-        out = []
-        for i in range(self.t):
-            out.append([None if np.isnan(v) else float(v) for v in self.values[i]])
-        return out
-
-    @classmethod
-    def from_lists(cls, rows: list[list[float | None]]) -> "EvalMatrix":
-        m = cls(len(rows))
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if v is not None:
-                    m.values[i, j] = v
-        return m
 
 
 def performance(predictions: list, truths: list, mode: str) -> float:
@@ -74,23 +40,27 @@ def performance(predictions: list, truths: list, mode: str) -> float:
     return float(np.mean(f1s))
 
 
-def average_performance(matrix: EvalMatrix) -> float:
+def _final_column(matrix: list[list[float | None]]) -> list[float]:
+    last = [row[-1] for row in matrix]
+    if None in last:
+        raise ValueError("AP and FG need a complete final column")
+    return last
+
+
+def average_performance(matrix: list[list[float | None]]) -> float:
     """Mean of the last column: performance on every session after the final one."""
-    if not matrix.complete:
-        raise ValueError("average performance needs a complete matrix")
-    last = matrix.values[:, matrix.t - 1]
-    return float(last.mean())
+    return float(np.mean(_final_column(matrix)))
 
 
-def average_forgetting(matrix: EvalMatrix) -> float:
+def average_forgetting(matrix: list[list[float | None]]) -> float:
     """Mean peak drop from any intermediate checkpoint to the final one."""
-    if matrix.t < 2:
+    t = len(matrix)
+    if t < 2:
         raise ValueError("forgetting is undefined for fewer than two sessions")
-    if not matrix.complete:
-        raise ValueError("average forgetting needs a complete matrix")
-    t = matrix.t
-    drops = []
-    for i in range(t - 1):
-        peak = matrix.values[i, i:t - 1].max()
-        drops.append(peak - matrix.values[i, t - 1])
-    return float(np.mean(drops))
+    last = _final_column(matrix)
+    return float(np.mean([max(matrix[i][i:t - 1]) - last[i] for i in range(t - 1)]))
+
+
+def ap_fg(matrix: list[list[float | None]]) -> tuple[float, float | None]:
+    """(AP, FG) of a session matrix; FG is None for a single session."""
+    return average_performance(matrix), (average_forgetting(matrix) if len(matrix) > 1 else None)

@@ -3,8 +3,9 @@
 run_experiment takes the frozen backbone (loaded from its checkpoint when
 none is passed), builds the benchmark stream, trains the chosen variant on
 sessions 0..T-1 in one call, one session at a time (never revisiting
-earlier sessions' training data), and fills the evaluation matrix column
-by column; emit_report writes the self-contained report. Everything is
+earlier sessions' training data), and fills the session matrix (the
+report's list of lists, rebq.metrics) column by column; emit_report writes
+the self-contained report and the CSVs derived from its matrix. Everything is
 derived from explicit seeds, so identical configs reproduce identical
 reports apart from wall-clock timing. Every RunConfig, SessionSummary and
 Report field declares its rule next to itself (rebq.rules).
@@ -26,7 +27,7 @@ from . import tensor as T
 from .backbone import BackboneConfig, MultimodalBackbone
 from .bench import (MISSING_CASES, CmmlStream, CorpusMeta, SynthConfig, build_stream,
                     load_corpus, synth_generate)
-from .metrics import EvalMatrix, average_forgetting, average_performance, performance
+from .metrics import ap_fg, performance
 from .pipeline import (VARIANT_PRESETS, ModelConfig, OptimizerConfig, RebQModel,
                        TrainingLog, build_variant, predict_batch, train_task)
 from .reconstruct import QueryCache, export_query_embeddings
@@ -44,7 +45,10 @@ class ExperimentError(RuntimeError):
 class RunConfig:
     backbone: BackboneConfig = rule(factory=BackboneConfig, stage="backbone")
     backbone_checkpoint: str = rule("backbone.rbqt", stage="backbone")
-    corpus_path: str | None = rule(None, stage="benchmark")  # None: a synthetic corpus
+    # None: a synthetic corpus, the only one samples_per_class, seed_corpus and
+    # synth's generation fields shape; a corpus file's header must agree with
+    # num_classes and synth.multi_label
+    corpus_path: str | None = rule(None, stage="benchmark")
     synth: SynthConfig = rule(factory=SynthConfig, stage="benchmark")
     num_classes: int = rule(20, low=2, stage="benchmark")
     samples_per_class: int = rule(200, low=1, stage="benchmark")
@@ -143,25 +147,28 @@ class Report:
             need = "None" if len(sizes) < 2 else "a finite number"
             raise ValueError(f"report fg must be {need} for a {len(sizes)}-session matrix, "
                              f"got {report.fg!r}")
+        for i, row in enumerate(report.matrix):
+            for j, v in enumerate(row):
+                if (v is not None) if j < i else (v is None or not 0.0 <= v <= 1.0):
+                    need = "None below the diagonal" if j < i else "in [0, 1] from the diagonal on"
+                    raise ValueError(f"report matrix[{i}][{j}] must be {need}, got {v!r}")
         for i, entry in enumerate(report.per_session):
             what = f"report per_session[{i}]"
             rules.check(SessionSummary(**rules.mapping(entry, SessionSummary, what)), what + " ")
         return report
 
     def recompute(self) -> tuple[float, float | None]:
-        m = EvalMatrix.from_lists(self.matrix)
-        ap = average_performance(m)
-        fg = average_forgetting(m) if m.t >= 2 else None
-        return ap, fg
+        return ap_fg(self.matrix)
 
 
 @dataclass
 class RunArtifacts:
+    """What a run built besides its report: the trained model (whose backbone
+    is the frozen one every pass used), the stream with its access log, and
+    each session's training log. The session matrix is report.matrix."""
     model: RebQModel
     stream: CmmlStream
-    backbone: MultimodalBackbone
     logs: list[TrainingLog]
-    matrix: EvalMatrix
 
 
 def _load_backbone(config: RunConfig) -> MultimodalBackbone:
@@ -220,6 +227,12 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
 
     with _stage("benchmark"):
         meta, samples = _build_corpus(config)
+        differ = [f"{name} {have} (config {want})" for name, have, want in (
+            ("num_classes", meta.num_classes, config.num_classes),
+            ("multi_label", meta.multi_label, config.synth.multi_label)) if have != want]
+        if differ:
+            raise ExperimentError("benchmark", f"corpus {config.corpus_path} differs from "
+                                               f"the config in {', '.join(differ)}")
         bb = config.backbone
         misfit = [f"{name} {have} (the backbone {rule} {want})" for name, have, rule, want in (
             ("patch_dim", meta.patch_dim, "needs", bb.patch_dim),
@@ -246,7 +259,8 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
                            multi_label=meta.multi_label)
         model = build_variant(config.variant, backbone, mcfg, config.seed_model)
 
-    matrix = EvalMatrix(config.num_sessions)
+    t = config.num_sessions
+    matrix: list[list[float | None]] = [[None] * t for _ in range(t)]
     logs: list[TrainingLog] = []
     per_session: list[dict] = []
     opt_cfg = OptimizerConfig(base_lr=config.lr, warmup_frac=config.warmup_frac,
@@ -257,7 +271,7 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
         # the unified pass depends only on the frozen backbone and the row,
         # so one memo serves every epoch and evaluation of the experiment
         cache = QueryCache(backbone)
-        for j in range(config.num_sessions):
+        for j in range(t):
             log = train_task(model, stream.train_data(j), config.epochs, opt_cfg,
                              _session_seed(config.seed_train, j), cache=cache)
             logs.append(log)
@@ -267,7 +281,7 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
                 test = stream.test_data(i)
                 preds = predict_batch(model, test, config.eval_batch_size, cache=cache)
                 truths = [s.label for s in test]
-                matrix.set(i, j, performance(preds, truths, mode))
+                matrix[i][j] = performance(preds, truths, mode)
             per_session.append(asdict(SessionSummary(
                 session=j,
                 classes=stream.sessions[j].classes,
@@ -279,13 +293,12 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
             )))
 
     with _stage("metrics"):
-        ap = average_performance(matrix)
-        fg = average_forgetting(matrix) if config.num_sessions >= 2 else None
+        ap, fg = ap_fg(matrix)
 
     report = Report(
         artifact_version=__version__,
         config=config.to_dict(),
-        matrix=matrix.to_lists(),
+        matrix=matrix,
         ap=ap,
         fg=fg,
         per_session=per_session,
@@ -293,8 +306,7 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
                 "started_at": started,
                 "threads": T.row_parts()},
     )
-    return report, RunArtifacts(model=model, stream=stream, backbone=backbone,
-                                logs=logs, matrix=matrix)
+    return report, RunArtifacts(model=model, stream=stream, logs=logs)
 
 
 # -- report emission ------------------------------------------------------------------------
@@ -304,39 +316,27 @@ def report_json_bytes(report: Report) -> bytes:
     return json.dumps(report.to_dict(), indent=2, sort_keys=True).encode()
 
 
-def emit_report(report: Report, out_dir, artifacts: RunArtifacts | None = None) -> list[str]:
-    """Write report.json, matrix.csv, trajectory.csv and optional query export.
+def emit_report(report: Report, out_dir, artifacts: RunArtifacts | None = None) -> None:
+    """Write report.json, and from report.matrix matrix.csv (row i holds
+    a[i][i..T-1]) and trajectory.csv (j, the mean of column j over sessions
+    0..j); with artifacts and the config's export_queries, queries.json too.
 
     Any failure to write, such as a file path taken by a directory, raises an
     ExperimentError tagged emit.
     """
     out = Path(out_dir)
-    written = []
     with _stage("emit"):
         out.mkdir(parents=True, exist_ok=True)
-        report_path = out / "report.json"
-        report_path.write_bytes(report_json_bytes(report))
-        written.append(str(report_path))
-
-        matrix = EvalMatrix.from_lists(report.matrix)
-        matrix_path = out / "matrix.csv"
-        with open(matrix_path, "w") as fh:
-            for row in matrix.rows():
-                fh.write(",".join(repr(v) for v in row) + "\n")
-        written.append(str(matrix_path))
-
-        traj_path = out / "trajectory.csv"
-        with open(traj_path, "w") as fh:
-            for j in range(matrix.t):
-                col = matrix.values[:j + 1, j]
-                fh.write(f"{j},{repr(float(col.mean()))}\n")
-        written.append(str(traj_path))
-
+        (out / "report.json").write_bytes(report_json_bytes(report))
+        matrix = report.matrix
+        with open(out / "matrix.csv", "w") as fh:
+            for i, row in enumerate(matrix):
+                fh.write(",".join(repr(float(v)) for v in row[i:]) + "\n")
+        with open(out / "trajectory.csv", "w") as fh:
+            for j in range(len(matrix)):
+                fh.write(f"{j},{float(np.mean([row[j] for row in matrix[:j + 1]]))!r}\n")
         if artifacts is not None and report.config.get("export_queries"):
             test_samples = [s for session in artifacts.stream.sessions for s in session.test]
-            queries_path = out / "queries.json"
-            export_query_embeddings(test_samples, artifacts.backbone, artifacts.model.memory,
-                                    path=queries_path,
+            export_query_embeddings(test_samples, artifacts.model.backbone,
+                                    artifacts.model.memory, path=out / "queries.json",
                                     batch_size=report.config["eval_batch_size"])
-            written.append(str(queries_path))
-    return written

@@ -17,6 +17,13 @@ def without(d: dict, key: str) -> dict:
     return {k: v for k, v in d.items() if k != key}
 
 
+def with_entry(doc: dict, i: int, j: int, value) -> dict:
+    """doc with its report matrix entry [i][j] set to value."""
+    matrix = [list(row) for row in doc["matrix"]]
+    matrix[i][j] = value
+    return {**doc, "matrix": matrix}
+
+
 def write_config(tmp_path, **overrides) -> Path:
     cfg = RunConfig(
         backbone=TINY,
@@ -354,6 +361,38 @@ class TestSweep:
             report = json.loads((tmp / "sweep_jobs" / tag / "report.json").read_text())
             assert report["timing"]["threads"] == max(1, T.row_parts() // 2)
 
+    def test_seed_axis_derives_every_seed_stream(self, cli_workspace):
+        tmp, cfg_path = cli_workspace
+        rc = main(["sweep", "--config", str(cfg_path), "--axis", "seed=1,2",
+                   "--out", str(tmp / "sweep_seed")])
+        assert rc == 0
+        base = RunConfig.from_dict(json.loads(cfg_path.read_text()))
+        for seed in (1, 2):
+            config = json.loads(
+                (tmp / "sweep_seed" / f"seed{seed}" / "report.json").read_text())["config"]
+            assert config == {**base.with_root_seed(seed).to_dict(),
+                              "output_dir": str(tmp / "sweep_seed" / f"seed{seed}")}
+        assert config["seed_mask"] != base.seed_mask
+
+    @pytest.mark.parametrize("args, message", [
+        (["--axis", "seed=1,2", "--axis", "seed_mask=3,4"],
+         "sweep axis seed derives every seed stream, so it cannot go with seed_mask"),
+        (["--seed", "7", "--axis", "seed=1,2"],
+         "sweep axis seed derives every seed stream, so it cannot go with --seed"),
+        (["--axis", "seed=1,-2"], "sweep axis seed takes non-negative integers, got -2"),
+        (["--axis", "seed=1.5"], "sweep axis seed takes non-negative integers, got 1.5"),
+        (["--axis", "seed=true"], "sweep axis seed takes non-negative integers, got True"),
+        (["--axis", "seed=x"], "sweep axis seed takes non-negative integers, got 'x'")],
+        ids=["with-seed-axis", "with-seed-flag", "negative", "float", "bool", "string"])
+    def test_bad_seed_axis_rejected_before_any_run(self, cli_workspace, capsys, args,
+                                                   message):
+        tmp, cfg_path = cli_workspace
+        out = tmp / "sweep_bad_seed"
+        rc = main(["sweep", "--config", str(cfg_path), *args, "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReport:
     def test_verify_round_trip(self, cli_workspace, capsys):
@@ -393,10 +432,19 @@ class TestReport:
         (lambda doc: {**doc, "matrix": [[0.5]], "fg": 0.1},
          "report fg must be None for a 1-session matrix, got 0.1"),
         (lambda doc: {**doc, "matrix": [], "fg": None},
-         "report matrix must have length >= 1, got []")],
+         "report matrix must have length >= 1, got []"),
+        (lambda doc: with_entry(doc, 1, 0, 0.3),
+         "report matrix[1][0] must be None below the diagonal, got 0.3"),
+        (lambda doc: with_entry(doc, 1, 1, None),
+         "report matrix[1][1] must be in [0, 1] from the diagonal on, got None"),
+        (lambda doc: with_entry(doc, 0, 1, None),
+         "report matrix[0][1] must be in [0, 1] from the diagonal on, got None"),
+        (lambda doc: with_entry(doc, 0, 0, 1.5),
+         "report matrix[0][0] must be in [0, 1] from the diagonal on, got 1.5")],
         ids=["empty-object", "list", "extra-key", "ap-string", "fg-bool", "matrix-string",
              "matrix-not-square", "session-without-classes", "session-loss-string",
-             "fg-null-two-sessions", "fg-one-session", "matrix-empty"])
+             "fg-null-two-sessions", "fg-one-session", "matrix-empty", "matrix-below-diagonal",
+             "matrix-diagonal-none", "matrix-final-column-none", "matrix-above-one"])
     def test_non_report_json_rejected(self, report_doc, capsys, tmp_path, tamper, message):
         """Refused with exit 2 before any of the summary prints."""
         doc = tamper(json.loads(json.dumps(report_doc)))
@@ -407,3 +455,12 @@ class TestReport:
         out = capsys.readouterr()
         assert message in out.err
         assert out.out == ""
+
+    def test_re_emit_matches_the_run(self, cli_workspace, report_doc, tmp_path):
+        """The CSVs derive from report.matrix alone, so re-emitting a saved
+        report reproduces the run's bytes."""
+        run = cli_workspace[0] / "report_doc"
+        assert main(["report", "--report", str(run / "report.json"),
+                     "--emit", str(tmp_path / "again")]) == 0
+        for name in ("matrix.csv", "trajectory.csv"):
+            assert (tmp_path / "again" / name).read_bytes() == (run / name).read_bytes()

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from rebq.metrics import (EvalMatrix, average_forgetting, average_performance,
-                          performance)
+from rebq.metrics import ap_fg, average_forgetting, average_performance, performance
 
 
-def brute_force_ap(values: np.ndarray, t: int) -> float:
+def brute_force_ap(values: list, t: int) -> float:
     """Direct evaluation of the average-performance formula (1-based walk)."""
     total = 0.0
     for i in range(1, t + 1):
@@ -13,7 +12,7 @@ def brute_force_ap(values: np.ndarray, t: int) -> float:
     return total / t
 
 
-def brute_force_fg(values: np.ndarray, t: int) -> float:
+def brute_force_fg(values: list, t: int) -> float:
     """Direct evaluation of the forgetting formula, max over z in {t..T-1}."""
     total = 0.0
     for i in range(1, t):
@@ -22,12 +21,13 @@ def brute_force_fg(values: np.ndarray, t: int) -> float:
     return total / (t - 1)
 
 
-def random_matrix(rng, t: int) -> EvalMatrix:
-    m = EvalMatrix(t)
-    for i in range(t):
-        for j in range(i, t):
-            m.set(i, j, float(rng.uniform()))
-    return m
+def random_matrix(rng, t: int) -> list:
+    """A session matrix: uniform values from the diagonal on, None below it."""
+    return [[float(rng.uniform()) if j >= i else None for j in range(t)] for i in range(t)]
+
+
+def constant_matrix(t: int, value: float) -> list:
+    return [[value if j >= i else None for j in range(t)] for i in range(t)]
 
 
 class TestPerformance:
@@ -79,69 +79,61 @@ class TestPerformance:
 
 class TestAveragePerformance:
     def test_single_task(self):
-        m = EvalMatrix(1)
-        m.set(0, 0, 0.5)
-        assert average_performance(m) == 0.5
+        assert average_performance([[0.5]]) == 0.5
 
     def test_hand_case(self):
-        m = EvalMatrix(2)
-        m.set(0, 0, 0.4)
-        m.set(0, 1, 0.7)
-        m.set(1, 1, 0.9)
+        m = [[0.4, 0.7],
+             [None, 0.9]]
         assert average_performance(m) == pytest.approx(0.8, abs=1e-15)
 
     def test_constant_matrix(self):
-        m = EvalMatrix(3)
-        for i in range(3):
-            for j in range(i, 3):
-                m.set(i, j, 0.25)
-        assert average_performance(m) == pytest.approx(0.25, abs=1e-15)
+        assert average_performance(constant_matrix(3, 0.25)) == pytest.approx(0.25, abs=1e-15)
 
     def test_incomplete_rejected(self):
-        m = EvalMatrix(2)
-        m.set(0, 0, 0.5)
-        with pytest.raises(ValueError):
-            average_performance(m)
+        with pytest.raises(ValueError, match="complete final column"):
+            average_performance([[0.5, None], [None, None]])
 
 
 class TestAverageForgetting:
     def test_hand_case_positive(self):
-        m = EvalMatrix(2)
-        m.set(0, 0, 0.9)
-        m.set(0, 1, 0.7)
-        m.set(1, 1, 0.8)
+        m = [[0.9, 0.7],
+             [None, 0.8]]
         assert average_forgetting(m) == pytest.approx(0.2, abs=1e-15)
 
     def test_constant_row_zero(self):
-        m = EvalMatrix(3)
-        for i in range(3):
-            for j in range(i, 3):
-                m.set(i, j, 0.6)
-        assert average_forgetting(m) == 0.0
+        assert average_forgetting(constant_matrix(3, 0.6)) == 0.0
 
     def test_negative_forgetting(self):
-        m = EvalMatrix(2)
-        m.set(0, 0, 0.5)
-        m.set(0, 1, 0.6)
-        m.set(1, 1, 0.6)
+        m = [[0.5, 0.6],
+             [None, 0.6]]
         assert average_forgetting(m) == pytest.approx(-0.1, abs=1e-15)
 
     def test_single_task_rejected(self):
-        m = EvalMatrix(1)
-        m.set(0, 0, 1.0)
         with pytest.raises(ValueError):
-            average_forgetting(m)
+            average_forgetting([[1.0]])
 
     def test_max_includes_diagonal_checkpoint(self):
         # peak at z = t itself must be considered
-        m = EvalMatrix(3)
-        m.set(0, 0, 0.9)
-        m.set(0, 1, 0.1)
-        m.set(0, 2, 0.2)
-        m.set(1, 1, 0.5)
-        m.set(1, 2, 0.5)
-        m.set(2, 2, 0.5)
+        m = [[0.9, 0.1, 0.2],
+             [None, 0.5, 0.5],
+             [None, None, 0.5]]
         assert average_forgetting(m) == pytest.approx((0.9 - 0.2) / 2, abs=1e-15)
+
+
+class TestApFg:
+    def test_one_session_has_no_forgetting(self):
+        assert ap_fg([[0.5]]) == (0.5, None)
+
+    def test_bits_match_the_numpy_array_formulas(self):
+        """The list form computes over the same float64 values in the same
+        order as a NaN-padded array would: every bit is the same."""
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            t = int(rng.integers(2, 12))
+            m = random_matrix(rng, t)
+            a = np.array([[np.nan if v is None else v for v in row] for row in m])
+            drops = [a[i, i:t - 1].max() - a[i, t - 1] for i in range(t - 1)]
+            assert ap_fg(m) == (float(a[:, t - 1].mean()), float(np.mean(drops)))
 
 
 class TestMetricOracle:
@@ -150,28 +142,5 @@ class TestMetricOracle:
         for _ in range(1000):
             t = int(rng.integers(2, 8))
             m = random_matrix(rng, t)
-            assert abs(average_performance(m) - brute_force_ap(m.values, t)) <= 1e-12
-            assert abs(average_forgetting(m) - brute_force_fg(m.values, t)) <= 1e-12
-
-
-class TestMatrix:
-    def test_shape_protocol(self):
-        m = EvalMatrix(4)
-        with pytest.raises(ValueError):
-            m.set(2, 1, 0.5)
-        with pytest.raises(ValueError):
-            m.set(0, 0, 1.5)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(2)
-        m = random_matrix(rng, 3)
-        m2 = EvalMatrix.from_lists(m.to_lists())
-        np.testing.assert_array_equal(
-            np.nan_to_num(m.values, nan=-1), np.nan_to_num(m2.values, nan=-1))
-
-    def test_rows_shape(self):
-        m = random_matrix(np.random.default_rng(3), 5)
-        rows = m.rows()
-        assert len(rows) == 5
-        for i, row in enumerate(rows):
-            assert len(row) == 5 - i
+            assert abs(average_performance(m) - brute_force_ap(m, t)) <= 1e-12
+            assert abs(average_forgetting(m) - brute_force_fg(m, t)) <= 1e-12

@@ -11,7 +11,6 @@ from rebq import runner
 from rebq import tensor as T
 from rebq.backbone import MultimodalBackbone
 from rebq.bench import save_corpus, synth_generate
-from rebq.metrics import EvalMatrix
 from rebq.reconstruct import export_query_embeddings
 from rebq.runner import (ExperimentError, Report, RunConfig, emit_report, report_json_bytes,
                          run_experiment)
@@ -58,12 +57,10 @@ def tiny_run(tiny_backbone, tmp_path_factory):
 
 class TestRunExperiment:
     def test_matrix_shape(self, tiny_run):
-        _, report, artifacts = tiny_run
-        t = artifacts.matrix.t
-        assert t == 2
-        filled = sum(1 for i in range(t) for j in range(i, t)
-                     if not np.isnan(artifacts.matrix.values[i, j]))
-        assert filled == t * (t + 1) // 2
+        _, report, _ = tiny_run
+        assert [[v is not None for v in row] for row in report.matrix] == [[True, True],
+                                                                          [False, True]]
+        assert all(0.0 <= v <= 1.0 for row in report.matrix for v in row if v is not None)
 
     def test_protocol_isolation(self, tiny_run):
         _, _, artifacts = tiny_run
@@ -73,9 +70,9 @@ class TestRunExperiment:
 
     def test_backbone_unchanged(self, tiny_run, tiny_backbone):
         _, report, artifacts = tiny_run
-        assert artifacts.backbone is tiny_backbone
+        assert artifacts.model.backbone is tiny_backbone
         # run_experiment asserts byte-stability internally; re-verify here
-        assert artifacts.backbone.frozen
+        assert artifacts.model.backbone.frozen
 
     def test_report_recompute(self, tiny_run):
         _, report, _ = tiny_run
@@ -219,6 +216,28 @@ class TestRunExperiment:
         assert exc.value.cause == f"the corpus does not fit the backbone: {misfit}"
         assert calls == []
 
+    @pytest.mark.parametrize("overrides, differ", [
+        ({"num_classes": 20, "samples_per_class": 200}, "num_classes 4 (config 20)"),
+        ({"synth": dataclasses.replace(TINY_SYNTH, multi_label=True)},
+         "multi_label False (config True)"),
+        ({"num_classes": 6, "synth": dataclasses.replace(TINY_SYNTH, multi_label=True)},
+         "num_classes 4 (config 6), multi_label False (config True)")])
+    def test_corpus_header_must_agree_with_the_config(self, tiny_backbone, tmp_path,
+                                                      monkeypatch, overrides, differ):
+        """The report records the config's class count and label mode, so a
+        corpus file whose header says otherwise is refused before the stream
+        is built."""
+        calls = []
+        monkeypatch.setattr(runner, "build_stream", lambda *a, **k: calls.append(a))
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(path, *synth_generate(4, 20, TINY_SYNTH, seed=0))
+        cfg = tiny_config(tmp_path, corpus_path=str(path), **overrides)
+        with pytest.raises(ExperimentError) as exc:
+            run_experiment(cfg, backbone=tiny_backbone)
+        assert exc.value.stage == "benchmark"
+        assert exc.value.cause == f"corpus {path} differs from the config in {differ}"
+        assert calls == []
+
     def test_corpus_with_an_incomplete_record_runs_only_at_eta_zero(self, tiny_backbone,
                                                                      tmp_path):
         """Masking it at eta > 0 would miscount the incomplete share or drop
@@ -272,21 +291,15 @@ class TestEmit:
     def test_emit_files_and_shapes(self, tiny_run, tmp_path):
         cfg, report, artifacts = tiny_run
         out = tmp_path / "emit"
-        files = emit_report(report, out, artifacts)
-        names = {f.split("/")[-1] for f in files}
-        assert names == {"report.json", "matrix.csv", "trajectory.csv"}
+        assert emit_report(report, out, artifacts) is None
+        assert {p.name for p in out.iterdir()} == {"report.json", "matrix.csv",
+                                                  "trajectory.csv"}
 
-        matrix_rows = (out / "matrix.csv").read_text().splitlines()
-        assert len(matrix_rows) == 2
-        assert len(matrix_rows[0].split(",")) == 2
-        assert len(matrix_rows[1].split(",")) == 1
-
-        traj_rows = (out / "trajectory.csv").read_text().splitlines()
-        assert len(traj_rows) == 2
-
-        loaded = json.loads((out / "report.json").read_text())
-        m = EvalMatrix.from_lists(loaded["matrix"])
-        assert m.complete
+        (a00, a01), (_, a11) = report.matrix
+        assert (out / "matrix.csv").read_text() == f"{a00!r},{a01!r}\n{a11!r}\n"
+        assert (out / "trajectory.csv").read_text() == \
+            f"0,{a00!r}\n1,{float(np.mean([a01, a11]))!r}\n"
+        assert Report.from_dict(json.loads((out / "report.json").read_text())) == report
 
     @pytest.mark.parametrize("taken", ["report.json", "trajectory.csv"])
     def test_write_failure_stage_tagged(self, tiny_run, tmp_path, taken):
@@ -306,8 +319,7 @@ class TestEmit:
         cfg = tiny_config(tmp_path, export_queries=True,
                           output_dir=str(tmp_path / "outq"))
         report, artifacts = run_experiment(cfg, backbone=tiny_backbone)
-        files = emit_report(report, cfg.output_dir, artifacts)
-        assert any(f.endswith("queries.json") for f in files)
+        emit_report(report, cfg.output_dir, artifacts)
         records = json.loads((tmp_path / "outq" / "queries.json").read_text())
         kinds = {r["kind"] for r in records}
         assert {"ground_truth", "unreconstructed", "reconstructed"} <= kinds
@@ -332,7 +344,7 @@ class TestEmit:
 
         test = [s for session in artifacts.stream.sessions for s in session.test]
         assert len(test) > 5
-        whole = export_query_embeddings(test, artifacts.backbone, artifacts.model.memory,
+        whole = export_query_embeddings(test, artifacts.model.backbone, artifacts.model.memory,
                                         batch_size=len(test))
         assert [(r["id"], r["modality"], r["kind"]) for r in records] == \
             [(r["id"], r["modality"], r["kind"]) for r in whole]
