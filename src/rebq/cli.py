@@ -5,16 +5,19 @@ key=value` overrides one of its keys (a mapping value for a nested config
 such as synth or backbone overrides only the keys it names), `--seed`
 derives every seed stream from one root, and `sweep --axis key=v1,v2`
 runs the grid over any keys but output_dir, or over root seeds with the
-axis `seed`. Each value is checked against the rule its field declares
-(rebq.rules) before any command runs. No flag
-mirrors a RunConfig field: the other flags set only what RunConfig does
-not hold (output paths, pretraining sizes, sweep jobs). Relative output
-directories are rooted at $REBQ_OUTPUT_ROOT when it is set.
+axis `seed`, each axis and value once; its sweep.csv has a column per axis,
+and with a `seed` axis it prints AP and FG as mean (min-max) over the
+seeds. Each value is checked against the rule its field declares
+(rebq.rules) before any command runs. No flag mirrors a RunConfig field:
+the other flags set only what RunConfig does not hold (output paths,
+pretraining sizes, sweep jobs). Relative output directories are rooted at
+$REBQ_OUTPUT_ROOT when it is set.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import itertools
 import json
@@ -132,6 +135,33 @@ def _sweep_worker(cfg_dict: dict) -> tuple[str, float, float | None]:
     return cfg.output_dir, report.ap, report.fg
 
 
+def _cell(value) -> str:
+    """A sweep.csv axis cell: a string as it is, any other value as JSON."""
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _spread(values: tuple) -> str:
+    """mean (min-max) of values, or n/a when one is None."""
+    if None in values:
+        return "n/a"
+    return f"{float(np.mean(values)):.4f} ({min(values):.4f}-{max(values):.4f})"
+
+
+def _print_over_seeds(axes: list[tuple[str, list]], combos: list[tuple],
+                      results: list[tuple]):
+    """Print AP and FG as mean (min-max) over the seed axis for each
+    combination of the other axes."""
+    names = [name for name, _ in axes]
+    groups: dict[str, list[tuple]] = {}
+    for combo, (_, (_, ap, fg)) in zip(combos, results):
+        label = " ".join(f"{n}={_cell(v)}" for n, v in zip(names, combo) if n != "seed")
+        groups.setdefault(label or "all runs", []).append((ap, fg))
+    print(f"over seeds {dict(axes)['seed']}, mean (min-max):")
+    for label, runs in groups.items():
+        aps, fgs = zip(*runs)
+        print(f"{label}: AP={_spread(aps)} FG={_spread(fgs)}")
+
+
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"sweep: --jobs must be >= 1, got {args.jobs}")
@@ -145,6 +175,11 @@ def cmd_sweep(args) -> int:
         values = [_parse_value(v) for v in raw.split(",") if v]
         if not values:
             raise ValueError(f"axis {name} has no values")
+        if name in (n for n, _ in axes):
+            raise ValueError(f"sweep axis {name} is given twice, the second time as {spec!r}")
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"sweep axis {name} repeats the value {repeated[0]!r}")
         bad = [v for v in values if not (type(v) is int and v >= 0)] if name == "seed" else []
         if bad:
             raise ValueError(f"sweep axis seed takes non-negative integers, got {bad[0]!r}")
@@ -189,13 +224,16 @@ def cmd_sweep(args) -> int:
 
     summary = Path(root) / "sweep.csv"
     summary.parent.mkdir(parents=True, exist_ok=True)
-    with open(summary, "w") as fh:
-        fh.write("tag,ap,fg,output_dir\n")
-        for tag, (out_dir, ap, fg) in results:
-            fh.write(f"{tag},{ap!r},{'' if fg is None else repr(fg)},{out_dir}\n")
+    with open(summary, "w", newline="") as fh:
+        rows = csv.writer(fh, lineterminator="\n")
+        rows.writerow(["tag", *names, "ap", "fg", "output_dir"])
+        for combo, (tag, (out_dir, ap, fg)) in zip(combos, results):
+            rows.writerow([tag, *map(_cell, combo), ap, fg, out_dir])
     for tag, (_, ap, fg) in results:
         fgs = "n/a" if fg is None else f"{fg:.4f}"
         print(f"{tag}: AP={ap:.4f} FG={fgs}")
+    if "seed" in names:
+        _print_over_seeds(axes, combos, results)
     print(f"sweep summary -> {summary}")
     return 0
 
@@ -207,7 +245,7 @@ def cmd_report(args) -> int:
     ok = abs(ap - report.ap) <= 1e-12 and (
         (fg is None and report.fg is None) or abs(fg - report.fg) <= 1e-12)
     print(f"artifact version: {report.artifact_version}")
-    print(f"variant: {report.config.get('variant')}  eta: {report.config.get('eta')}")
+    print(f"variant: {report.config['variant']}  eta: {report.config['eta']}")
     fgs = "n/a" if report.fg is None else f"{report.fg:.4f}"
     print(f"AP: {report.ap:.4f}  FG: {fgs}")
     print(f"matrix check: {'consistent' if ok else 'MISMATCH'}")

@@ -123,6 +123,17 @@ class SessionSummary:
     final_total: float = rule()
 
 
+def _lacking(full: dict, given: dict, prefix: str = "") -> list[str]:
+    """The dotted keys of full, nested mappings included, that given lacks."""
+    lacking = []
+    for key, value in full.items():
+        if key not in given:
+            lacking.append(prefix + key)
+        elif isinstance(value, dict):
+            lacking += _lacking(value, given[key], f"{prefix}{key}.")
+    return lacking
+
+
 @dataclass
 class Report:
     artifact_version: str = rule()
@@ -138,6 +149,11 @@ class Report:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Report":
+        """A report read from outside, refused unless it agrees with itself:
+        every field keeps its rule, the matrix is square with None below the
+        diagonal and values in [0, 1] from it on, fg is None exactly for one
+        session, config is a whole RunConfig whose num_sessions is the matrix
+        size, and per_session numbers the sessions 0..T-1 in order."""
         report = cls(**rules.mapping(d, cls, "report"))
         rules.check(report, "report ")
         sizes = [len(row) for row in report.matrix]
@@ -155,6 +171,21 @@ class Report:
         for i, entry in enumerate(report.per_session):
             what = f"report per_session[{i}]"
             rules.check(SessionSummary(**rules.mapping(entry, SessionSummary, what)), what + " ")
+        try:
+            config = RunConfig.from_dict(report.config)
+            rules.check(config, "config.")
+        except ValueError as exc:
+            raise ValueError(f"report {exc}") from None
+        lacking = sorted(_lacking(config.to_dict(), report.config))
+        if lacking:
+            raise ValueError(f"report config lacks keys {lacking}")
+        if config.num_sessions != len(sizes):
+            raise ValueError(f"report config.num_sessions is {config.num_sessions}, "
+                             f"but the matrix has {len(sizes)} sessions")
+        numbers = [entry["session"] for entry in report.per_session]
+        if numbers != list(range(len(sizes))):
+            raise ValueError(f"report per_session must number the sessions "
+                             f"{list(range(len(sizes)))} in order, got {numbers}")
         return report
 
     def recompute(self) -> tuple[float, float | None]:

@@ -10,10 +10,11 @@ when) some input participates in differentiation, so forward passes through
 frozen parameters cost barely more than raw numpy. A record holds one link
 per input (the input's own record, the input itself when it is a trainable
 leaf, or None for a constant) and a backward closure that keeps only the
-shapes and arrays that backward reads, never an input Tensor. A value no
-backward reads is freed as soon as the caller drops its Tensor: an affine
-behind a frozen weight keeps the weight but not its input, and add,
-reshape or relu keep no input value at all. Calling :func:`backward` on a
+shapes and arrays that backward reads, never an input Tensor, and never a
+view that pins a larger array than it reads. A value no backward reads is
+freed as soon as the caller drops its Tensor: an affine behind a frozen
+weight keeps the weight but not its input, and add, reshape or relu keep no
+input value at all. Calling :func:`backward` on a
 scalar walks the records in reverse topological order, deposits gradients
 on trainable leaf tensors and releases each record as it goes, so no graph
 outlives its backward; a second backward through a released record raises
@@ -610,6 +611,10 @@ def attention(qkv: Tensor, heads: int, prefix: Tensor | None = None, rows=None) 
     closed-form (FlashAttention, arXiv 2205.14135): dV = P^T dO and
     dS = P * (dP - rowsum(dP * P)) * scale. dQ, dK and dV go straight into
     one gradient of the packed projection, and the prefix gets one block.
+    The record keeps its own arrays, never a view that pins a larger one:
+    with a prefix the keys and values are concatenated copies, so it keeps a
+    copy of the query rows too, and the projection is freed with the
+    caller's Tensor; without one, q, k and v all view the projection.
     """
     if qkv.ndim != 3 or qkv.shape[-1] % 3 or (qkv.shape[-1] // 3) % heads:
         raise ShapeError(f"attention: qkv {qkv.shape} is not (B, S, 3D) with D % {heads} == 0")
@@ -645,6 +650,8 @@ def attention(qkv: Tensor, heads: int, prefix: Tensor | None = None, rows=None) 
         prefix_shape = None if prefix is None else prefix.shape
         if not need_qkv:
             k = None  # only dQ reads the keys
+        if prefix is not None and rows is None:  # k and v are copies already
+            q = qd.copy().reshape(b, sq, heads, dh).transpose(0, 2, 1, 3)
         def bwd(g):
             do = g.reshape(b, sq, heads, dh).transpose(0, 2, 1, 3)
             dv = p.swapaxes(-1, -2) @ do

@@ -1,6 +1,8 @@
+import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rebq import tensor as T
@@ -271,8 +273,8 @@ class TestSweep:
                    "--out", str(tmp / "sweep")])
         assert rc == 0
         summary = (tmp / "sweep" / "sweep.csv").read_text().splitlines()
-        assert summary[0] == "tag,ap,fg,output_dir"
-        assert len(summary) == 3
+        assert summary[0] == "tag,eta,ap,fg,output_dir"
+        assert [row.split(",")[:2] for row in summary[1:]] == [["eta0", "0"], ["eta50", "50"]]
         assert (tmp / "sweep" / "eta0" / "report.json").exists()
         assert (tmp / "sweep" / "eta50" / "report.json").exists()
 
@@ -374,6 +376,49 @@ class TestSweep:
                               "output_dir": str(tmp / "sweep_seed" / f"seed{seed}")}
         assert config["seed_mask"] != base.seed_mask
 
+    def test_seed_axis_summarised_per_other_combination(self, cli_workspace, capsys):
+        tmp, cfg_path = cli_workspace
+        capsys.readouterr()
+        rc = main(["sweep", "--config", str(cfg_path), "--axis", "variant=canonical,baseline",
+                   "--axis", "seed=1,2", "--out", str(tmp / "sweep_claims")])
+        assert rc == 0
+        with open(tmp / "sweep_claims" / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["tag", "variant", "seed", "ap", "fg", "output_dir"]
+        assert [(r["tag"], r["variant"], r["seed"]) for r in rows] == [
+            ("variantcanonical_seed1", "canonical", "1"), ("variantcanonical_seed2", "canonical", "2"),
+            ("variantbaseline_seed1", "baseline", "1"), ("variantbaseline_seed2", "baseline", "2")]
+        out = capsys.readouterr().out
+        assert "over seeds [1, 2], mean (min-max):" in out
+        for variant in ("canonical", "baseline"):
+            runs = [r for r in rows if r["variant"] == variant]
+            for r in runs:
+                report = json.loads((Path(r["output_dir"]) / "report.json").read_text())
+                assert (float(r["ap"]), float(r["fg"])) == (report["ap"], report["fg"])
+            stats = []
+            for key in ("ap", "fg"):
+                values = [float(r[key]) for r in runs]
+                stats.append(f"{float(np.mean(values)):.4f} "
+                             f"({min(values):.4f}-{max(values):.4f})")
+            assert f"variant={variant}: AP={stats[0]} FG={stats[1]}\n" in out
+
+    @pytest.mark.parametrize("axes, message", [
+        (["--axis", "eta=0", "--axis", "eta=50"],
+         "sweep axis eta is given twice, the second time as 'eta=50'"),
+        (["--axis", "eta=0,0"], "sweep axis eta repeats the value 0"),
+        (["--axis", "seed=1,2,1"], "sweep axis seed repeats the value 1")],
+        ids=["repeated-axis", "repeated-value", "repeated-seed"])
+    def test_repeated_axis_or_value_rejected_before_any_run(self, cli_workspace, capsys,
+                                                            axes, message):
+        """Otherwise one run is lost to the last axis given, or two runs share
+        one directory and sweep.csv holds the same row twice."""
+        tmp, cfg_path = cli_workspace
+        out = tmp / "sweep_repeated"
+        rc = main(["sweep", "--config", str(cfg_path), *axes, "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, message", [
         (["--axis", "seed=1,2", "--axis", "seed_mask=3,4"],
          "sweep axis seed derives every seed stream, so it cannot go with seed_mask"),
@@ -440,11 +485,32 @@ class TestReport:
         (lambda doc: with_entry(doc, 0, 1, None),
          "report matrix[0][1] must be in [0, 1] from the diagonal on, got None"),
         (lambda doc: with_entry(doc, 0, 0, 1.5),
-         "report matrix[0][0] must be in [0, 1] from the diagonal on, got 1.5")],
+         "report matrix[0][0] must be in [0, 1] from the diagonal on, got 1.5"),
+        (lambda doc: {**doc, "config": {},
+                      "per_session": [{**doc["per_session"][0], "session": 7}] * 3},
+         "report config lacks keys ['backbone', 'backbone_checkpoint', 'batch_size',"),
+        (lambda doc: {**doc, "config": without(doc["config"], "variant")},
+         "report config lacks keys ['variant']"),
+        (lambda doc: {**doc, "config": {**doc["config"],
+                                        "synth": without(doc["config"]["synth"], "multi_label")}},
+         "report config lacks keys ['synth.multi_label']"),
+        (lambda doc: {**doc, "config": {**doc["config"], "bogus": 1}},
+         "report config has unknown keys ['bogus']"),
+        (lambda doc: {**doc, "config": {**doc["config"], "eta": 150}},
+         "report config.eta must lie in [0, 100], got 150"),
+        (lambda doc: {**doc, "config": {**doc["config"], "num_sessions": 3}},
+         "report config.num_sessions is 3, but the matrix has 2 sessions"),
+        (lambda doc: {**doc, "per_session": doc["per_session"] + doc["per_session"][1:]},
+         "report per_session must number the sessions [0, 1] in order, got [0, 1, 1]"),
+        (lambda doc: {**doc, "per_session": doc["per_session"][::-1]},
+         "report per_session must number the sessions [0, 1] in order, got [1, 0]")],
         ids=["empty-object", "list", "extra-key", "ap-string", "fg-bool", "matrix-string",
              "matrix-not-square", "session-without-classes", "session-loss-string",
              "fg-null-two-sessions", "fg-one-session", "matrix-empty", "matrix-below-diagonal",
-             "matrix-diagonal-none", "matrix-final-column-none", "matrix-above-one"])
+             "matrix-diagonal-none", "matrix-final-column-none", "matrix-above-one",
+             "config-empty-sessions-seven", "config-without-variant",
+             "config-without-nested-key", "config-unknown-key", "config-out-of-range",
+             "config-session-count", "per-session-extra", "per-session-order"])
     def test_non_report_json_rejected(self, report_doc, capsys, tmp_path, tamper, message):
         """Refused with exit 2 before any of the summary prints."""
         doc = tamper(json.loads(json.dumps(report_doc)))

@@ -353,6 +353,36 @@ class TestRelease:
         # a few KB of Python objects besides the gradient
         assert after <= p.grad.nbytes + 8192
 
+    @pytest.mark.parametrize("n_p", [3, None], ids=["prefix", "no-prefix"])
+    def test_attention_record_pins_no_projection_it_does_not_view(self, n_p):
+        """With a prefix the keys and values are concatenated copies, so the
+        record keeps its own query rows and the packed projection dies with
+        the caller's Tensor. Without one, q, k and v all view the projection
+        and the record copies nothing. Either way the gradients are the
+        float64 unfused chain's."""
+        from test_attention import case, run, unfused_attention
+        rng = np.random.default_rng(32)
+        qkv_data, pre_data, coeff = case(rng, 2, 6, 2, 4, n_p, None)
+        x = Tensor(qkv_data.copy(), trainable=True)
+        prefix = None if n_p is None else Tensor(pre_data.copy(), trainable=True)
+        qkv = T.scale(x, 1.0)  # a projection no other record keeps
+        out = T.attention(qkv, 2, prefix)
+        kept = [cell.cell_contents for cell in out._node.backward.__closure__
+                if isinstance(cell.cell_contents, np.ndarray)]
+        views = sum(np.shares_memory(a, qkv.data) for a in kept)
+        loss = T.tsum(T.mul(out, Tensor(coeff)))
+        projection = weakref.ref(qkv.data)
+        del qkv, out
+        if n_p is None:
+            assert views == 3 and projection() is not None
+        else:
+            assert views == 0 and projection() is None
+        loss.backward()
+        _, want_qkv, want_prefix = run(unfused_attention, qkv_data, 2, pre_data, None, coeff)
+        np.testing.assert_allclose(x.grad, want_qkv, rtol=0, atol=1e-12)
+        if n_p is not None:
+            np.testing.assert_allclose(prefix.grad, want_prefix, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("shared", [False, True], ids=["same-loss", "shared-record"])
     def test_second_backward_through_released_records_raises(self, shared):
         x = Tensor([3.0], trainable=True)
