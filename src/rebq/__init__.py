@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .tensor import Tensor, AdamW, backward, no_grad  # noqa: F401
 from .backbone import BackboneConfig, MultimodalBackbone, pretrain  # noqa: F401
-from .bench import Sample, SynthConfig, build_stream, load_corpus, save_corpus, synth_generate  # noqa: F401
+from .bench import Sample, SynthConfig, build_stream, synth_generate  # noqa: F401
 from .prompt import PromptPool, PromptVector, compute_weights, aggregate, select_prompt  # noqa: F401
 from .reconstruct import QueryCache, generate_queries_batch, reconstruct_batch  # noqa: F401
 from .pipeline import (ModelConfig, OptimizerConfig, RebQModel, VariantSpec,  # noqa: F401

@@ -1,7 +1,8 @@
 """Benchmark construction: synthetic corpora, session splits, missing masks.
 
-A corpus is a list of :class:`Sample` records plus a :class:`CorpusMeta`
-header. Sessions partition the classes into disjoint subsets; the missing
+synth_generate is the only source of a corpus: a list of complete
+:class:`Sample` records plus the :class:`CorpusMeta` sizes they were made
+with. Sessions partition the classes into disjoint subsets; the missing
 mask then degrades a configurable share of each session's samples to a
 single modality. Sample.without is the one place that makes such a copy: it
 replaces the absent modality with its canonical dummy (empty token sequence
@@ -10,9 +11,8 @@ for text, all-ones patches of the sample's own shape for images).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -54,12 +54,13 @@ class Sample:
 
 @dataclass
 class CorpusMeta:
-    num_classes: int = rule(low=1)
-    patch_dim: int = rule(low=1)
-    max_text_len: int = rule(low=1)
-    multi_label: bool = rule(False)
-    vocab_size: int = rule(512, low=1)
-    num_patches: int = rule(16, low=1)
+    """The sizes synth_generate made a corpus with."""
+    num_classes: int
+    patch_dim: int
+    max_text_len: int
+    multi_label: bool
+    vocab_size: int
+    num_patches: int
 
 
 @dataclass
@@ -223,16 +224,9 @@ def missing_counts(n: int, eta: float, case: str) -> tuple[int, int]:
 
 
 def apply_missing_mask(samples: list[Sample], eta: float, case: str, seed: int) -> list[Sample]:
-    """Degrade a seeded uniform subset of complete samples to a single modality.
-
-    At eta > 0 every input sample must be complete, so that the masked share
-    is exactly eta; a corpus holding incomplete samples runs only at eta 0.
-    """
+    """Degrade a seeded uniform subset of the (complete) samples to a single
+    modality, so that exactly the share missing_counts gives goes missing."""
     n_img_only, n_txt_only = missing_counts(len(samples), eta, case)
-    incomplete = [s for s in samples if s.missing_type != "complete"]
-    if eta > 0 and incomplete:
-        raise ValueError(f"sample {incomplete[0].id} is already {incomplete[0].missing_type}: a "
-                         f"corpus with incomplete samples runs only at eta 0, got eta {eta}")
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(samples), size=n_img_only + n_txt_only, replace=False)
     masked = list(samples)
@@ -279,113 +273,3 @@ def build_stream(meta: CorpusMeta, samples: list[Sample], num_sessions: int,
         s.train = apply_missing_mask(s.train, eta, case, train_seed)
         s.test = apply_missing_mask(s.test, eta, case, test_seed)
     return CmmlStream(sessions)
-
-
-# -- corpus file format --------------------------------------------------------------------
-
-
-class CorpusFormatError(ValueError):
-    pass
-
-
-def save_corpus(path, meta: CorpusMeta, samples: list[Sample]):
-    """Line-delimited JSON: one header object, then one record per sample."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(asdict(meta)) + "\n")
-        for s in samples:
-            rec = {
-                "id": s.id,
-                "text_tokens": list(s.text_tokens),
-                "patches": s.patches.tolist(),
-                "has_text": s.has_text,
-                "has_visual": s.has_visual,
-            }
-            if meta.multi_label:
-                rec["labels"] = list(s.label)
-            else:
-                rec["label"] = int(s.label)
-            fh.write(json.dumps(rec) + "\n")
-
-
-def load_corpus(path) -> tuple[CorpusMeta, list[Sample]]:
-    """Read and validate a corpus file; malformed lines name their line number.
-
-    The header holds CorpusMeta's fields under their declared rules. No
-    record value is coerced: each must already have its kind.
-    """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise CorpusFormatError(f"{path}: empty corpus file")
-    try:
-        meta = CorpusMeta(**rules.mapping(json.loads(lines[0]), CorpusMeta, "the header"))
-        rules.check(meta)
-    except ValueError as exc:  # a JSONDecodeError too
-        raise CorpusFormatError(f"{path}:1: bad header: {exc}") from None
-
-    samples: list[Sample] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"{path}:{lineno}: malformed JSON: {exc}") from None
-        samples.append(_parse_record(rec, meta, path, lineno))
-    if not samples:
-        raise CorpusFormatError(f"{path}: corpus has a header but no samples")
-    return meta, samples
-
-
-# the kind a record value must have where it is given; none is coerced
-_RECORD_KIND = {"has_text": bool, "has_visual": bool, "label": int, "labels": list[int],
-                 "text_tokens": list[int]}
-
-
-def _parse_record(rec, meta: CorpusMeta, path, lineno: int) -> Sample:
-    def fail(msg):
-        raise CorpusFormatError(f"{path}:{lineno}: {msg}")
-
-    if not isinstance(rec, dict):
-        fail(f"record must be a mapping, got {rec!r}")
-    for key, kind in _RECORD_KIND.items():
-        wrong = key in rec and rules.kind_error(key, rec[key], kind)
-        if wrong:
-            fail(wrong)
-    has_text, has_visual = rec.get("has_text", True), rec.get("has_visual", True)
-    if not has_text and not has_visual:
-        fail("both modalities marked missing")
-    key = "labels" if meta.multi_label else "label"
-    absent = [k for k, read in ((key, True), ("text_tokens", has_text), ("patches", has_visual))
-              if read and k not in rec]
-    if absent:
-        fail(f"record missing {absent}")
-
-    labels = sorted(rec[key]) if meta.multi_label else [rec[key]]
-    if not labels:
-        fail("multi-label corpus record needs a non-empty 'labels' list")
-    if any(not 0 <= c < meta.num_classes for c in labels):
-        fail(f"{key} {rec[key]} out of declared range [0, {meta.num_classes})")
-
-    tokens = rec["text_tokens"] if has_text else list(DUMMY_TEXT)
-    if len(tokens) > meta.max_text_len:
-        fail(f"text length {len(tokens)} exceeds max_text_len {meta.max_text_len}")
-    if any(not 0 <= t < meta.vocab_size for t in tokens):
-        fail("token id out of vocabulary range")
-
-    if has_visual:
-        try:
-            arr = np.asarray(rec["patches"])
-        except ValueError:  # rows of different lengths: no numeric array, refused below
-            arr = np.asarray(None)
-        if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
-            fail("patches must be rows of finite numbers")
-        if arr.shape != (meta.num_patches, meta.patch_dim):
-            fail(f"patches must be ({meta.num_patches}, {meta.patch_dim}), got {arr.shape}")
-        arr = arr.astype(np.float64, copy=False)
-    else:
-        arr = dummy_patches(meta.num_patches, meta.patch_dim)
-
-    return Sample(id=str(rec.get("id", f"line{lineno}")), text_tokens=tokens,
-                  patches=arr, label=labels if meta.multi_label else labels[0],
-                  has_text=has_text, has_visual=has_visual)

@@ -1,17 +1,18 @@
-"""Command-line surface: pretrain, gen-data, run, sweep, report.
+"""Command-line surface: pretrain, run, sweep, report.
 
 Configuration comes from a JSON file matching RunConfig. `--set
 key=value` overrides one of its keys (a mapping value for a nested config
 such as synth or backbone overrides only the keys it names), `--seed`
 derives every seed stream from one root, and `sweep --axis key=v1,v2`
 runs the grid over any keys but output_dir, or over root seeds with the
-axis `seed`, each axis and value once; its sweep.csv has a column per axis,
-and with a `seed` axis it prints AP and FG as mean (min-max) over the
-seeds. Each value is checked against the rule its field declares
-(rebq.rules) before any command runs. No flag mirrors a RunConfig field:
-the other flags set only what RunConfig does not hold (output paths,
-pretraining sizes, sweep jobs). Relative output directories are rooted at
-$REBQ_OUTPUT_ROOT when it is set.
+axis `seed`, each axis and value once. A value list is cut only at the
+commas outside brackets, braces and quotes, so a mapping can be a value.
+sweep.csv has a column per axis, and with a `seed` axis the sweep prints AP
+and FG as mean (min-max) over the seeds. Each value is checked against the
+rule its field declares (rebq.rules) before any command runs. No flag
+mirrors a RunConfig field: the other flags set only what RunConfig does not
+hold (output paths, pretraining sizes, sweep jobs). Relative output
+directories are rooted at $REBQ_OUTPUT_ROOT when it is set.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import PretrainConfig, pretrain
-from .bench import save_corpus, synth_generate
+from .bench import synth_generate
 from .runner import (ExperimentError, Report, RunConfig, emit_report,
                      run_experiment)
 
@@ -76,6 +77,8 @@ def _load_config(args) -> RunConfig:
             _override(d, key, _parse_value(raw))
         cfg = RunConfig.from_dict(d)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         cfg = cfg.with_root_seed(args.seed)
     cfg.check()  # before a command resolves a path or builds anything from it
     return cfg
@@ -100,17 +103,6 @@ def cmd_pretrain(args) -> int:
     print(f"held-out accuracy {report.accuracy:.4f} after {report.steps_used} steps"
           f" ({'usable' if report.usable else 'UNUSABLE'})")
     return 0 if report.usable else 1
-
-
-def cmd_gen_data(args) -> int:
-    cfg = _load_config(args)
-    meta, samples = synth_generate(cfg.num_classes, cfg.samples_per_class, cfg.synth,
-                                   seed=cfg.seed_corpus)
-    out = _resolve_output(args.out)
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
-    save_corpus(out, meta, samples)
-    print(f"wrote {len(samples)} samples over {meta.num_classes} classes -> {out}")
-    return 0
 
 
 def _run_single(cfg: RunConfig) -> Report:
@@ -162,6 +154,26 @@ def _print_over_seeds(axes: list[tuple[str, list]], combos: list[tuple],
         print(f"{label}: AP={_spread(aps)} FG={_spread(fgs)}")
 
 
+def _split_top_level(raw: str) -> list[str]:
+    """raw cut at each comma outside brackets, braces and double-quoted strings."""
+    parts, start, depth, quoted, escaped = [], 0, 0, False, False
+    for i, ch in enumerate(raw):
+        if escaped:
+            escaped = False
+        elif quoted:
+            escaped, quoted = ch == "\\", ch != '"'
+        elif ch == '"':
+            quoted = True
+        elif ch in "[{":
+            depth += 1
+        elif ch in "]}":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(raw[start:i])
+            start = i + 1
+    return parts + [raw[start:]]
+
+
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"sweep: --jobs must be >= 1, got {args.jobs}")
@@ -172,7 +184,7 @@ def cmd_sweep(args) -> int:
         name, _, raw = spec.partition("=")
         if name not in keys:
             raise ValueError(f"unknown sweep axis {name!r}; choose a config key from {keys}")
-        values = [_parse_value(v) for v in raw.split(",") if v]
+        values = [_parse_value(v) for v in _split_top_level(raw) if v]
         if not values:
             raise ValueError(f"axis {name} has no values")
         if name in (n for n, _ in axes):
@@ -280,11 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples-per-class", dest="pretrain_samples_per_class", type=int,
                    default=100)
     p.set_defaults(func=cmd_pretrain)
-
-    p = sub.add_parser("gen-data", help="generate the config's synthetic corpus file")
-    common(p)
-    p.add_argument("--out", required=True, help="corpus path (.jsonl)")
-    p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("run", help="run one continual experiment")
     common(p)

@@ -62,11 +62,6 @@ def _fits(value, kind) -> bool:
     return isinstance(value, kind)
 
 
-def kind_error(name: str, value, kind) -> str | None:
-    """Why value is not of kind (an annotation such as list[int]), or None."""
-    return None if _fits(value, kind) else f"{name} must be {_describe(kind)}, got {value!r}"
-
-
 def _broken(value, r: Rule) -> str | None:
     """What value must do to keep the rule r, or None when it keeps it."""
     if r.choices:
@@ -91,9 +86,8 @@ def _kinds(cls) -> dict:
 def check_field(obj, f: dataclasses.Field, prefix: str = "") -> None:
     """Raise a ValueError naming prefix + the dotted path when field f of obj breaks its rule."""
     value, kind, name = getattr(obj, f.name), _kinds(type(obj))[f.name], prefix + f.name
-    wrong = kind_error(name, value, kind)
-    if wrong:
-        raise ValueError(wrong)
+    if not _fits(value, kind):
+        raise ValueError(f"{name} must be {_describe(kind)}, got {value!r}")
     if dataclasses.is_dataclass(kind):
         return check(value, name + ".")
     broken = _broken(value, f.metadata["rule"])

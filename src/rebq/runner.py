@@ -25,8 +25,7 @@ import numpy as np
 from . import __version__, rules
 from . import tensor as T
 from .backbone import BackboneConfig, MultimodalBackbone
-from .bench import (MISSING_CASES, CmmlStream, CorpusMeta, SynthConfig, build_stream,
-                    load_corpus, synth_generate)
+from .bench import MISSING_CASES, CmmlStream, SynthConfig, build_stream, synth_generate
 from .metrics import ap_fg, performance
 from .pipeline import (VARIANT_PRESETS, ModelConfig, OptimizerConfig, RebQModel,
                        TrainingLog, build_variant, predict_batch, train_task)
@@ -45,10 +44,6 @@ class ExperimentError(RuntimeError):
 class RunConfig:
     backbone: BackboneConfig = rule(factory=BackboneConfig, stage="backbone")
     backbone_checkpoint: str = rule("backbone.rbqt", stage="backbone")
-    # None: a synthetic corpus, the only one samples_per_class, seed_corpus and
-    # synth's generation fields shape; a corpus file's header must agree with
-    # num_classes and synth.multi_label
-    corpus_path: str | None = rule(None, stage="benchmark")
     synth: SynthConfig = rule(factory=SynthConfig, stage="benchmark")
     num_classes: int = rule(20, low=2, stage="benchmark")
     samples_per_class: int = rule(200, low=1, stage="benchmark")
@@ -213,13 +208,6 @@ def _load_backbone(config: RunConfig) -> MultimodalBackbone:
     return backbone
 
 
-def _build_corpus(config: RunConfig) -> tuple[CorpusMeta, list]:
-    if config.corpus_path:
-        return load_corpus(config.corpus_path)
-    return synth_generate(config.num_classes, config.samples_per_class,
-                          config.synth, config.seed_corpus)
-
-
 def _session_seed(seed_train: int, session: int) -> int:
     return int(np.random.SeedSequence([seed_train, session]).generate_state(1)[0])
 
@@ -257,13 +245,8 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
         backbone_bytes = backbone.parameter_bytes()
 
     with _stage("benchmark"):
-        meta, samples = _build_corpus(config)
-        differ = [f"{name} {have} (config {want})" for name, have, want in (
-            ("num_classes", meta.num_classes, config.num_classes),
-            ("multi_label", meta.multi_label, config.synth.multi_label)) if have != want]
-        if differ:
-            raise ExperimentError("benchmark", f"corpus {config.corpus_path} differs from "
-                                               f"the config in {', '.join(differ)}")
+        meta, samples = synth_generate(config.num_classes, config.samples_per_class,
+                                       config.synth, config.seed_corpus)
         bb = config.backbone
         misfit = [f"{name} {have} (the backbone {rule} {want})" for name, have, rule, want in (
             ("patch_dim", meta.patch_dim, "needs", bb.patch_dim),

@@ -1,5 +1,4 @@
 import decimal
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rebq import bench
-from rebq.bench import (CorpusFormatError, Prototypes, Sample, SynthConfig,
-                        apply_missing_mask, build_stream, dummy_patches, load_corpus,
-                        make_prototypes, missing_counts, save_corpus, split_sessions,
+from rebq.bench import (Prototypes, Sample, SynthConfig, apply_missing_mask, build_stream,
+                        dummy_patches, make_prototypes, missing_counts, split_sessions,
                         synth_generate)
 
 
@@ -201,14 +199,6 @@ class TestMasking:
         with pytest.raises(ValueError, match="sample x7: both modalities missing"):
             sample.without(keep).without(drop)
 
-    def test_incomplete_sample_masked_only_at_eta_zero(self):
-        _, samples = synth_generate(4, 5, SMALL, seed=23)
-        samples[3] = samples[3].without("text")
-        with pytest.raises(ValueError, match=f"sample {samples[3].id} is already image-only: "
-                                             "a corpus with incomplete samples runs only at eta 0"):
-            apply_missing_mask(samples, 70, "both-missing", 24)
-        assert apply_missing_mask(samples, 0, "both-missing", 24) == samples
-
 
 def complete_samples(n: int) -> list[Sample]:
     return [Sample(id=f"c{i}", text_tokens=[1 + i % 7], patches=np.full((4, 6), float(i)),
@@ -308,104 +298,7 @@ class TestStream:
         assert stream.access_log == [("train", 1), ("test", 0)]
 
 
-class TestCorpusIO:
-    def test_round_trip_bit_exact(self, tmp_path):
-        meta, samples = synth_generate(4, 6, SMALL, seed=21)
-        masked = apply_missing_mask(samples, 50, "both-missing", 22)
-        path = tmp_path / "corpus.jsonl"
-        save_corpus(path, meta, masked)
-        meta2, loaded = load_corpus(path)
-        assert meta2 == meta
-        assert len(loaded) == len(masked)
-        for a, b in zip(masked, loaded):
-            assert a.id == b.id and a.label == b.label
-            assert a.text_tokens == b.text_tokens
-            assert a.patches.tobytes() == b.patches.tobytes()
-            assert (a.has_text, a.has_visual) == (b.has_text, b.has_visual)
-
-    def test_missing_patches_with_visual_rejected(self, tmp_path):
-        meta, samples = synth_generate(3, 2, SMALL, seed=23)
-        path = tmp_path / "bad.jsonl"
-        save_corpus(path, meta, samples)
-        lines = path.read_text().splitlines()
-        rec = json.loads(lines[1])
-        del rec["patches"]
-        lines[1] = json.dumps(rec)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusFormatError) as exc:
-            load_corpus(path)
-        assert ":2:" in str(exc.value)
-
-    def test_patch_count_other_than_header_rejected(self, tmp_path):
-        meta, samples = synth_generate(3, 2, SMALL, seed=26)
-        path = tmp_path / "short.jsonl"
-        save_corpus(path, meta, samples)
-        lines = path.read_text().splitlines()
-        rec = json.loads(lines[2])
-        rec["patches"] = rec["patches"][:-1]
-        lines[2] = json.dumps(rec)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusFormatError, match=r":3: patches must be \(4, 6\), "
-                                                    r"got \(3, 6\)"):
-            load_corpus(path)
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with pytest.raises(CorpusFormatError):
-            load_corpus(path)
-
-    def test_label_out_of_range_rejected(self, tmp_path):
-        meta, samples = synth_generate(3, 2, SMALL, seed=24)
-        path = tmp_path / "bad2.jsonl"
-        save_corpus(path, meta, samples)
-        lines = path.read_text().splitlines()
-        rec = json.loads(lines[1])
-        rec["label"] = 99
-        lines[1] = json.dumps(rec)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusFormatError):
-            load_corpus(path)
-
-    def test_malformed_line_reports_number(self, tmp_path):
-        meta, samples = synth_generate(3, 2, SMALL, seed=25)
-        path = tmp_path / "bad3.jsonl"
-        save_corpus(path, meta, samples)
-        lines = path.read_text().splitlines()
-        lines[3] = "{not json"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusFormatError) as exc:
-            load_corpus(path)
-        assert ":4:" in str(exc.value)
-
-    @pytest.mark.parametrize("line, tamper, message", [
-        (3, lambda rec: {**rec, "has_text": "false"},
-         "has_text must be true or false, got 'false'"),
-        (3, lambda rec: {**rec, "label": 0.5}, "label must be an integer, got 0.5"),
-        (3, lambda rec: {**rec, "label": "x"}, "label must be an integer, got 'x'"),
-        (3, lambda rec: {**rec, "text_tokens": [None]},
-         "text_tokens must be a list of integers, got [None]"),
-        (3, lambda rec: {**rec, "patches": [[float("nan")] + row[1:] for row in rec["patches"]]},
-         "patches must be rows of finite numbers"),
-        (3, lambda rec: [rec], "record must be a mapping, got [{"),
-        (1, lambda header: {**header, "num_patches": 1.7},
-         "bad header: num_patches must be an integer, got 1.7"),
-        (1, lambda header: {**header, "multi_label": "no"},
-         "bad header: multi_label must be true or false, got 'no'")],
-        ids=["has-text-string", "label-real", "label-string", "token-null", "patch-nan",
-             "record-list", "header-patches-real", "header-multi-label-string"])
-    def test_value_of_wrong_kind_refused_by_line(self, tmp_path, line, tamper, message):
-        """Read as written, never coerced: each is refused naming path:line."""
-        meta, samples = synth_generate(3, 2, SMALL, seed=27)
-        path = tmp_path / "kinds.jsonl"
-        save_corpus(path, meta, samples)
-        lines = path.read_text().splitlines()
-        lines[line - 1] = json.dumps(tamper(json.loads(lines[line - 1])))
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusFormatError) as exc:
-            load_corpus(path)
-        assert str(exc.value).startswith(f"{path}:{line}: {message}")
-
+class TestSample:
     def test_both_missing_record_rejected(self):
         with pytest.raises(ValueError):
             Sample(id="x", text_tokens=[], patches=np.ones((2, 2)), label=0,

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rebq import tensor as T
-from rebq.bench import load_corpus
 from rebq.cli import _load_config, build_parser, main
 from rebq.runner import RunConfig
 
@@ -102,52 +101,6 @@ class TestPretrainCli:
         assert calls == []
 
 
-class TestGenData:
-    def test_writes_corpus(self, cli_workspace):
-        tmp, cfg_path = cli_workspace
-        out = tmp / "corpus.jsonl"
-        rc = main(["gen-data", "--config", str(cfg_path), "--out", str(out)])
-        assert rc == 0
-        lines = out.read_text().splitlines()
-        assert len(lines) == 1 + 4 * 10
-
-    @pytest.mark.parametrize("setting, message", [
-        ("num_classes=1", "error [benchmark] num_classes must be >= 2, got 1"),
-        ("samples_per_class=0", "error [benchmark] samples_per_class must be >= 1, got 0")],
-        ids=["num_classes", "samples_per_class"])
-    def test_count_out_of_range_refused(self, cli_workspace, capsys, setting, message):
-        tmp, cfg_path = cli_workspace
-        out = tmp / "zero.jsonl"
-        rc = main(["gen-data", "--config", str(cfg_path), "--out", str(out), "--set", setting])
-        assert rc == 2
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_nested_set_keeps_the_file_sizes(self, cli_workspace):
-        """--set synth={"multi_label": true} changes that key alone; the
-        config file's TINY sizes stay."""
-        tmp, cfg_path = cli_workspace
-        out = tmp / "multi.jsonl"
-        rc = main(["gen-data", "--config", str(cfg_path), "--out", str(out),
-                   "--set", 'synth={"multi_label": true}'])
-        assert rc == 0
-        meta, samples = load_corpus(out)
-        assert meta.multi_label and all(isinstance(s.label, list) for s in samples)
-        assert (meta.vocab_size, meta.max_text_len, meta.num_patches, meta.patch_dim) == (
-            TINY_SYNTH.vocab_size, TINY_SYNTH.max_text_len, TINY_SYNTH.num_patches,
-            TINY_SYNTH.patch_dim)
-
-    def test_corpus_feeds_run(self, cli_workspace):
-        tmp, cfg_path = cli_workspace
-        corpus = tmp / "corpus2.jsonl"
-        assert main(["gen-data", "--config", str(cfg_path), "--out", str(corpus)]) == 0
-        rc = main(["run", "--config", str(cfg_path),
-                   "--set", f"corpus_path={corpus}",
-                   "--out", str(tmp / "from_corpus")])
-        assert rc == 0
-        assert (tmp / "from_corpus" / "report.json").exists()
-
-
 class TestRun:
     def test_run_emits_reports(self, cli_workspace):
         tmp, cfg_path = cli_workspace
@@ -203,7 +156,6 @@ class TestRun:
         ("epochs=1.5", "error [train] epochs must be an integer, got 1.5"),
         ("warmup_frac=2", "error [train] warmup_frac must lie in [0, 1], got 2"),
         ("output_dir=5", "error [emit] output_dir must be a string, got 5"),
-        ("corpus_path=3", "error [benchmark] corpus_path must be a string or None, got 3"),
         ("export_queries=1", "error [emit] export_queries must be true or false, got 1"),
         ('synth={"noise_token_prob": 3.0}',
          "config key synth: noise_token_prob must lie in [0, 1], got 3.0")],
@@ -211,7 +163,7 @@ class TestRun:
              "backbone-value-refused", "backbone-heads-zero", "backbone-dim-real",
              "synth-text-len-zero", "synth-multi-label-string", "synth-noise-string",
              "synth-noise-negative", "synth-tokens-zero", "sessions-negative", "eta-bool", "epochs-real",
-             "warmup-above-one", "output-dir-int", "corpus-path-int", "export-queries-int",
+             "warmup-above-one", "output-dir-int", "export-queries-int",
              "synth-noise-above-one"])
     def test_bad_nested_config_named(self, cli_workspace, capsys, setting, message):
         tmp, cfg_path = cli_workspace
@@ -222,11 +174,30 @@ class TestRun:
         assert not (tmp / "nested_bad").exists()
 
     def test_nested_set_merges_into_file_values(self, cli_workspace):
-        """The backbone counterpart of TestGenData::test_nested_set_keeps_the_file_sizes."""
+        """A mapping --set changes the keys it names alone; the config file's
+        TINY sizes stay."""
         _, cfg_path = cli_workspace
         args = build_parser().parse_args(["run", "--config", str(cfg_path),
-                                          "--set", 'backbone={"activation": "gelu"}'])
-        assert _load_config(args).backbone == dataclasses.replace(TINY, activation="gelu")
+                                          "--set", 'backbone={"activation": "gelu"}',
+                                          "--set", 'synth={"multi_label": true}'])
+        cfg = _load_config(args)
+        assert cfg.backbone == dataclasses.replace(TINY, activation="gelu")
+        assert cfg.synth == dataclasses.replace(TINY_SYNTH, multi_label=True)
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "pretrain"])
+    def test_negative_seed_refused_naming_the_flag(self, tmp_path, capsys, monkeypatch,
+                                                   command):
+        calls = []
+        for name in ("run_experiment", "pretrain"):
+            monkeypatch.setattr(f"rebq.cli.{name}", lambda *a, **k: calls.append(a))
+        cfg_path = write_config(tmp_path)
+        axis = ["--axis", "eta=0"] if command == "sweep" else []
+        rc = main([command, "--config", str(cfg_path), "--seed", "-1", *axis,
+                   "--out", str(tmp_path / "seeded")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert calls == []
+        assert not (tmp_path / "seeded").exists()
 
     def test_no_flag_mirrors_a_config_field(self):
         """Config fields are set through --config and --set only."""
@@ -300,6 +271,27 @@ class TestSweep:
         assert rc == 2
         assert "unknown sweep axis 'output_dir'" in capsys.readouterr().err
         assert not (tmp / "sweep_out").exists()
+
+    @pytest.mark.parametrize("values", [
+        ['{"noise_token_prob": 0.1, "patch_noise_std": 0.3}'],
+        ['{"noise_token_prob": 0.1, "patch_noise_std": 0.3}',
+         '{"noise_token_prob": 0.3, "patch_noise_std": 0.1}']],
+        ids=["one-mapping", "two-mappings"])
+    def test_mapping_values_cut_at_top_level_commas(self, cli_workspace, values):
+        """The commas inside a mapping do not cut the value list, and each
+        mapping merges into the config's synth."""
+        tmp, cfg_path = cli_workspace
+        out = tmp / f"sweep_synth{len(values)}"
+        rc = main(["sweep", "--config", str(cfg_path), "--axis", "synth=" + ",".join(values),
+                   "--out", str(out)])
+        assert rc == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [json.loads(r["synth"]) for r in rows] == [json.loads(v) for v in values]
+        for row, value in zip(rows, values):
+            report = json.loads((Path(row["output_dir"]) / "report.json").read_text())
+            assert report["config"]["synth"] == {**dataclasses.asdict(TINY_SYNTH),
+                                                 **json.loads(value)}
 
     def test_variant_axis(self, cli_workspace):
         tmp, cfg_path = cli_workspace
@@ -496,6 +488,8 @@ class TestReport:
          "report config lacks keys ['synth.multi_label']"),
         (lambda doc: {**doc, "config": {**doc["config"], "bogus": 1}},
          "report config has unknown keys ['bogus']"),
+        (lambda doc: {**doc, "config": {**doc["config"], "corpus_path": None}},
+         "report config has unknown keys ['corpus_path']"),
         (lambda doc: {**doc, "config": {**doc["config"], "eta": 150}},
          "report config.eta must lie in [0, 100], got 150"),
         (lambda doc: {**doc, "config": {**doc["config"], "num_sessions": 3}},
@@ -509,7 +503,8 @@ class TestReport:
              "fg-null-two-sessions", "fg-one-session", "matrix-empty", "matrix-below-diagonal",
              "matrix-diagonal-none", "matrix-final-column-none", "matrix-above-one",
              "config-empty-sessions-seven", "config-without-variant",
-             "config-without-nested-key", "config-unknown-key", "config-out-of-range",
+             "config-without-nested-key", "config-unknown-key", "config-with-corpus-path",
+             "config-out-of-range",
              "config-session-count", "per-session-extra", "per-session-order"])
     def test_non_report_json_rejected(self, report_doc, capsys, tmp_path, tamper, message):
         """Refused with exit 2 before any of the summary prints."""

@@ -16,11 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rebq.backbone import BackboneConfig, PretrainConfig
-from rebq.bench import CorpusMeta, SynthConfig
+from rebq.bench import SynthConfig
 from rebq.runner import ExperimentError, Report, RunConfig, SessionSummary
 
-CHECKED = (RunConfig, BackboneConfig, SynthConfig, PretrainConfig, CorpusMeta, Report,
-           SessionSummary)
+CHECKED = (RunConfig, BackboneConfig, SynthConfig, PretrainConfig, Report, SessionSummary)
 CONFIGS = (RunConfig, BackboneConfig, SynthConfig, PretrainConfig)
 NESTED = {"backbone": BackboneConfig, "synth": SynthConfig}
 
