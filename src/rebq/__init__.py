@@ -13,7 +13,7 @@ from .backbone import BackboneConfig, MultimodalBackbone, pretrain  # noqa: F401
 from .bench import Sample, SynthConfig, build_stream, synth_generate  # noqa: F401
 from .prompt import PromptPool, PromptVector, compute_weights, aggregate, select_prompt  # noqa: F401
 from .reconstruct import QueryCache, generate_queries_batch, reconstruct_batch  # noqa: F401
-from .pipeline import (ModelConfig, OptimizerConfig, RebQModel, VariantSpec,  # noqa: F401
-                       build_variant, forward_batch, predict_batch, train_task)
+from .pipeline import (ModelConfig, RebQModel, VariantSpec, build_variant,  # noqa: F401
+                       forward_batch, predict_batch, train_task)
 from .metrics import average_forgetting, average_performance, performance  # noqa: F401
 from .runner import Report, RunConfig, emit_report, run_experiment  # noqa: F401

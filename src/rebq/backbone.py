@@ -16,7 +16,8 @@ backpropagates through it in closed form. A pass that records nothing on
 the tape runs row-parallel: every output row depends on its own input row
 alone, so forward splits the batch into contiguous parts over the process's
 cores (tensor.split_rows) and the result is bit-identical to one serial
-pass. A desk-scale pretraining routine trains the encoder on synthetic
+pass. Each layer's feed-forward block is a ReLU MLP of width FFN_MULT * D.
+A desk-scale pretraining routine trains the encoder on synthetic
 modality-complete data until the joint cls token classifies held-out
 samples, then freezes every parameter.
 """
@@ -33,6 +34,8 @@ from .bench import CorpusMeta, Sample
 from .rules import rule
 from .tensor import AdamW, Tensor
 
+FFN_MULT = 2  # feed-forward width per embedding dimension
+
 
 @dataclass
 class BackboneConfig:
@@ -44,8 +47,6 @@ class BackboneConfig:
     num_patches: int = rule(16, low=1)        # Q
     patch_dim: int = rule(16, low=1)
     pretrain_classes: int = rule(10, low=2)
-    ffn_mult: int = rule(2, low=1)
-    activation: str = rule("relu", choices=("relu", "gelu"))
 
     def __post_init__(self):
         rules.check(self)
@@ -74,7 +75,7 @@ class MultimodalBackbone:
         self.frozen = False
         c = config
         d = c.embed_dim
-        f = c.ffn_mult * d
+        f = FFN_MULT * d
         p: dict[str, Tensor] = {}
         p["token_emb"] = T.normal_init(rng, (c.text_vocab_size, d))
         p["patch_w"] = T.normal_init(rng, (c.patch_dim, d))
@@ -167,8 +168,7 @@ class MultimodalBackbone:
         return T.affine(out, self.params[f"l{l}.out_w"], self.params[f"l{l}.out_b"])
 
     def _ffn(self, x: Tensor, l: int) -> Tensor:
-        act = T.relu if self.config.activation == "relu" else T.gelu
-        h = act(T.affine(x, self.params[f"l{l}.ff1_w"], self.params[f"l{l}.ff1_b"]))
+        h = T.relu(T.affine(x, self.params[f"l{l}.ff1_w"], self.params[f"l{l}.ff1_b"]))
         return T.affine(h, self.params[f"l{l}.ff2_w"], self.params[f"l{l}.ff2_b"])
 
     def forward(self, x: Tensor, prefix: Tensor | None = None,
@@ -245,8 +245,9 @@ class MultimodalBackbone:
         if kind != "backbone":
             raise serialize.ContainerError(f"{path}: container holds {kind!r}, not a backbone")
         try:
-            config = BackboneConfig(**meta["config"])
-        except (KeyError, TypeError, ValueError) as exc:
+            config = BackboneConfig(**rules.mapping(meta.get("config"), BackboneConfig,
+                                                    "stored config"))
+        except ValueError as exc:
             raise serialize.ContainerError(f"{path}: bad backbone config: {exc}") from None
         model = cls(config, np.random.default_rng(0))
         missing = sorted(set(model.params) - set(arrays))
@@ -269,7 +270,6 @@ class MultimodalBackbone:
 
 
 PRETRAIN_LR = 3e-4
-PRETRAIN_WARMUP_FRAC = 0.1
 HOLDOUT_FRAC = 0.1       # share of the corpus held out, at least one sample
 TARGET_ACCURACY = 0.9    # held-out accuracy that stops training early
 MIN_ACCURACY = 0.6       # below it the backbone is flagged unusable
@@ -278,7 +278,7 @@ MIN_ACCURACY = 0.6       # below it the backbone is flagged unusable
 @dataclass
 class PretrainConfig:
     """Steps, batch size and evaluation cadence. The rest is fixed: PRETRAIN_LR,
-    PRETRAIN_WARMUP_FRAC, HOLDOUT_FRAC, TARGET_ACCURACY and MIN_ACCURACY."""
+    HOLDOUT_FRAC, TARGET_ACCURACY, MIN_ACCURACY and AdamW's default schedule."""
     steps: int = rule(1500, low=1)
     batch_size: int = rule(16, low=1)
     eval_every: int = rule(100, low=1)
@@ -327,8 +327,7 @@ def pretrain(config: BackboneConfig, corpus: tuple[CorpusMeta, list[Sample]], se
     train = [samples[i] for i in order[n_hold:]]
 
     params = list(model.params.values()) + [head_w, head_b]
-    opt = AdamW(params, base_lr=PRETRAIN_LR, total_steps=pcfg.steps,
-                warmup_frac=PRETRAIN_WARMUP_FRAC, weight_decay=0.01)
+    opt = AdamW(params, base_lr=PRETRAIN_LR, total_steps=pcfg.steps)
 
     def logits_for(batch: list[Sample]) -> Tensor:
         out = model.forward(model.embed_batch(batch), positions=[0])

@@ -7,12 +7,16 @@ derives every seed stream from one root, and `sweep --axis key=v1,v2`
 runs the grid over any keys but output_dir, or over root seeds with the
 axis `seed`, each axis and value once. A value list is cut only at the
 commas outside brackets, braces and quotes, so a mapping can be a value.
-sweep.csv has a column per axis, and with a `seed` axis the sweep prints AP
-and FG as mean (min-max) over the seeds. Each value is checked against the
-rule its field declares (rebq.rules) before any command runs. No flag
-mirrors a RunConfig field: the other flags set only what RunConfig does not
-hold (output paths, pretraining sizes, sweep jobs). Relative output
-directories are rooted at $REBQ_OUTPUT_ROOT when it is set.
+A run's tag and directory join `<axis><value>` for each axis; a mapping or
+list value is named by its position in the axis list instead. sweep.csv has
+a column per axis, and with a `seed` axis the sweep prints AP and FG as
+mean (min-max) over the seeds. Each value is checked against the rule its
+field declares (rebq.rules) before any command runs. No flag mirrors a
+RunConfig field: the other flags set only what RunConfig does not hold
+(output paths, pretraining sizes, sweep jobs). $REBQ_OUTPUT_ROOT, when
+set, roots the relative output directories of run, sweep and report --emit.
+It does not root the checkpoint path, so pretrain writes the checkpoint
+where run and sweep read it.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ def cmd_pretrain(args) -> int:
     corpus = synth_generate(cfg.backbone.pretrain_classes, args.pretrain_samples_per_class,
                             cfg.synth, seed=pretrain_seed, id_prefix="p")
     model, report = pretrain(cfg.backbone, corpus, seed=pretrain_seed, pcfg=pcfg)
-    out = _resolve_output(args.out or cfg.backbone_checkpoint)
+    out = args.out or cfg.backbone_checkpoint
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     model.save_checkpoint(out, {"accuracy": report.accuracy, "usable": report.usable,
                                 "steps_used": report.steps_used})
@@ -210,9 +214,10 @@ def cmd_sweep(args) -> int:
     for combo in combos:
         d = base.to_dict()
         tag_parts = []
-        for (name, _), value in zip(axes, combo):
+        for (name, values), value in zip(axes, combo):
             _override(d, name, value)
-            tag_parts.append(f"{name}{value}")
+            named = values.index(value) if isinstance(value, (dict, list)) else value
+            tag_parts.append(f"{name}{named}")
         tag = "_".join(tag_parts)
         d["output_dir"] = str(Path(root) / tag)
         seed = d.pop("seed", None)

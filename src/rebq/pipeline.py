@@ -60,7 +60,7 @@ class ModelConfig:
     pool_size: int = 128
     memory_pool_size: int = 128
     prompt_len: int = 8
-    prompted_layers: int = 8   # clamped to the backbone depth
+    prompted_layers: int | None = None   # at most the backbone depth; None prompts every layer
     lam: float = 0.01          # reconstruction loss weight
     multi_label: bool = False
 
@@ -73,33 +73,29 @@ class RebQModel:
         self.backbone = backbone
         self.spec = spec
         self.mcfg = mcfg
-        d = backbone.config.embed_dim
-        self.prompted_layers = min(mcfg.prompted_layers, backbone.config.num_layers)
+        d, layers = backbone.config.embed_dim, backbone.config.num_layers
+        depth = layers if mcfg.prompted_layers is None else mcfg.prompted_layers
+        if depth > layers:
+            raise ValueError(f"prompted_layers {depth} exceeds the backbone's {layers} layers")
         rng = np.random.default_rng(seed)
 
         self.folder = self.album = self.unified = self.memory = None
         self.baseline_blocks: dict[str, PromptVector] | None = None
 
         if spec.baseline:
-            self.baseline_blocks = {
-                kind: init_vector(rng, d, mcfg.prompt_len, self.prompted_layers)
-                for kind in MISSING_TYPES
-            }
+            self.baseline_blocks = {kind: init_vector(rng, d, mcfg.prompt_len, depth)
+                                    for kind in MISSING_TYPES}
         else:
             # the draw order (prompt pools, memory, head) fixes the seeded values
             if spec.prompts == "unified":
-                self.unified = init_pool(rng, d, mcfg.pool_size, mcfg.prompt_len,
-                                         self.prompted_layers)
+                self.unified = init_pool(rng, d, mcfg.pool_size, mcfg.prompt_len, depth)
             else:
-                self.folder = init_pool(rng, d, mcfg.pool_size, mcfg.prompt_len,
-                                        self.prompted_layers)
-                self.album = init_pool(rng, d, mcfg.pool_size, mcfg.prompt_len,
-                                       self.prompted_layers)
+                self.folder = init_pool(rng, d, mcfg.pool_size, mcfg.prompt_len, depth)
+                self.album = init_pool(rng, d, mcfg.pool_size, mcfg.prompt_len, depth)
             if spec.memory == "pool":
-                self.memory = init_pool(rng, d, mcfg.memory_pool_size, mcfg.prompt_len,
-                                        self.prompted_layers)
+                self.memory = init_pool(rng, d, mcfg.memory_pool_size, mcfg.prompt_len, depth)
             elif spec.memory == "vector":
-                self.memory = init_vector(rng, d, mcfg.prompt_len, self.prompted_layers)
+                self.memory = init_vector(rng, d, mcfg.prompt_len, depth)
 
         self.head_w = T.normal_init(rng, (d, mcfg.num_classes))
         self.head_b = T.zeros(mcfg.num_classes, trainable=True)
@@ -259,14 +255,6 @@ def predict_batch(model: RebQModel, samples: list[Sample], batch_size: int = 64,
 
 
 @dataclass
-class OptimizerConfig:
-    base_lr: float = 1e-4
-    warmup_frac: float = 0.1
-    weight_decay: float = 0.01
-    batch_size: int = 4
-
-
-@dataclass
 class StepLog:
     step: int
     total: float
@@ -296,35 +284,32 @@ def _targets(model: RebQModel, batch: list[Sample]) -> Tensor:
     return Tensor(T.one_hot([s.label for s in batch], c))
 
 
-def train_task(model: RebQModel, samples: list[Sample], epochs: int,
-               opt_cfg: OptimizerConfig, seed: int,
-               cache: QueryCache | None = None) -> TrainingLog:
+def train_task(model: RebQModel, samples: list[Sample], epochs: int, batch_size: int,
+               lr: float, seed: int, cache: QueryCache | None = None) -> TrainingLog:
     """Optimize pools and head on one session's data; the backbone stays frozen.
 
-    Each step runs forward_batch with the reconstruction loss on: L_c is
-    the classification loss of the returned logits against the targets in
-    order, L_r the reconstruction loss over the batch's complete
-    samples (zero when the batch has none or it is switched off), and the
-    objective is L_c + lam * L_r.
+    AdamW runs its default schedule (tensor.AdamW) from base rate lr over
+    epochs * ceil(len(samples) / batch_size) steps. Each step runs
+    forward_batch with the reconstruction loss on: L_c is the classification
+    loss of the returned logits against the targets in order, L_r the
+    reconstruction loss over the batch's complete samples (zero when the
+    batch has none or it is switched off), and the objective is L_c + lam * L_r.
     """
     if not samples:
         raise ValueError("train_task: empty session")
-    if opt_cfg.batch_size < 1:
-        raise ValueError(f"train_task: batch_size must be >= 1, got {opt_cfg.batch_size}")
+    if batch_size < 1:
+        raise ValueError(f"train_task: batch_size must be >= 1, got {batch_size}")
     rng = np.random.default_rng(seed)
-    params = model.parameters()
-    steps_per_epoch = math.ceil(len(samples) / opt_cfg.batch_size)
-    total_steps = epochs * steps_per_epoch
-    opt = AdamW(params, base_lr=opt_cfg.base_lr, total_steps=total_steps,
-                warmup_frac=opt_cfg.warmup_frac, weight_decay=opt_cfg.weight_decay)
+    opt = AdamW(model.parameters(), base_lr=lr,
+                total_steps=epochs * math.ceil(len(samples) / batch_size))
     lam = model.mcfg.lam
     loss_fn = T.binary_cross_entropy if model.mcfg.multi_label else T.cross_entropy
     log = TrainingLog()
     step = 0
     for _ in range(epochs):
         perm = rng.permutation(len(samples))
-        for start in range(0, len(samples), opt_cfg.batch_size):
-            batch = [samples[i] for i in perm[start:start + opt_cfg.batch_size]]
+        for start in range(0, len(samples), batch_size):
+            batch = [samples[i] for i in perm[start:start + batch_size]]
             logits, order, l_r = forward_batch(model, batch, with_lr=True, cache=cache)
             l_c = loss_fn(logits, _targets(model, [batch[i] for i in order]))
             if l_r is None:

@@ -27,8 +27,8 @@ from . import tensor as T
 from .backbone import BackboneConfig, MultimodalBackbone
 from .bench import MISSING_CASES, CmmlStream, SynthConfig, build_stream, synth_generate
 from .metrics import ap_fg, performance
-from .pipeline import (VARIANT_PRESETS, ModelConfig, OptimizerConfig, RebQModel,
-                       TrainingLog, build_variant, predict_batch, train_task)
+from .pipeline import (VARIANT_PRESETS, ModelConfig, RebQModel, TrainingLog, build_variant,
+                       predict_batch, train_task)
 from .reconstruct import QueryCache, export_query_embeddings
 from .rules import rule
 
@@ -53,14 +53,12 @@ class RunConfig:
     pool_size: int = rule(128, low=1, stage="model")
     memory_pool_size: int = rule(128, low=1, stage="model")
     prompt_len: int = rule(8, low=1, stage="model")
-    prompted_layers: int = rule(8, low=0, stage="model")
+    prompted_layers: int | None = rule(None, low=0, stage="model")  # None: every layer
     lam: float = rule(0.01, low=0, stage="model")
     variant: str = rule("canonical", choices=tuple(VARIANT_PRESETS), stage="model")
     epochs: int = rule(3, low=1, stage="train")
     batch_size: int = rule(4, low=1, stage="train")
     lr: float = rule(1e-4, low=0, stage="train")
-    warmup_frac: float = rule(0.1, low=0, high=1, stage="train")
-    weight_decay: float = rule(0.01, low=0, stage="train")
     eval_batch_size: int = rule(64, low=1, stage="train")
     seed_corpus: int = rule(1, low=0, stage="benchmark")
     seed_split: int = rule(2, low=0, stage="benchmark")
@@ -75,12 +73,16 @@ class RunConfig:
 
         The ExperimentError names the field (backbone.* and synth.* by dotted
         path) and carries the stage its top-level field declares as its reader.
+        Then a prompted_layers that is set may not exceed backbone.num_layers.
         """
         for f in dataclasses.fields(self):
             try:
                 rules.check_field(self, f)
             except ValueError as exc:
                 raise ExperimentError(f.metadata["rule"].stage, str(exc)) from None
+        if (self.prompted_layers or 0) > self.backbone.num_layers:
+            raise ExperimentError("model", f"prompted_layers {self.prompted_layers} exceeds "
+                                           f"backbone.num_layers {self.backbone.num_layers}")
 
     def with_root_seed(self, root: int) -> "RunConfig":
         """Derive the five seed streams from one root seed."""
@@ -277,17 +279,14 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
     matrix: list[list[float | None]] = [[None] * t for _ in range(t)]
     logs: list[TrainingLog] = []
     per_session: list[dict] = []
-    opt_cfg = OptimizerConfig(base_lr=config.lr, warmup_frac=config.warmup_frac,
-                              weight_decay=config.weight_decay,
-                              batch_size=config.batch_size)
     mode = "f1_macro" if meta.multi_label else "accuracy"
     with _stage("train"):
         # the unified pass depends only on the frozen backbone and the row,
         # so one memo serves every epoch and evaluation of the experiment
         cache = QueryCache(backbone)
         for j in range(t):
-            log = train_task(model, stream.train_data(j), config.epochs, opt_cfg,
-                             _session_seed(config.seed_train, j), cache=cache)
+            log = train_task(model, stream.train_data(j), config.epochs, config.batch_size,
+                             config.lr, _session_seed(config.seed_train, j), cache=cache)
             logs.append(log)
             if backbone.parameter_bytes() != backbone_bytes:
                 raise ExperimentError("freeze", f"backbone changed during session {j}")

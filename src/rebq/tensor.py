@@ -551,24 +551,6 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
-_GELU_C = math.sqrt(2.0 / math.pi)
-
-
-def gelu(a: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh approximation."""
-    x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
-    t = np.tanh(inner)
-    out, links = _output(0.5 * x * (1.0 + t), a)
-    if links is not None:
-        def bwd(g):
-            dinner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-            d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-            return (g * d,)
-        out._node = _Node(links, bwd)
-    return out
-
-
 # -- softmax family ------------------------------------------------------------------------
 
 
@@ -904,6 +886,8 @@ class AdamW:
     then stay in the core's cache across the sequence instead of streaming
     from memory once per operation, and the optimizer holds one chunk of
     scratch per dtype rather than one parameter-sized buffer per slot.
+
+    The defaults (10% warmup, weight decay 0.01) are the lab's one schedule.
     """
 
     def __init__(self, params, base_lr: float = 1e-4, total_steps: int = 1,

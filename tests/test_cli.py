@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rebq import serialize
 from rebq import tensor as T
+from rebq.backbone import PretrainReport
 from rebq.cli import _load_config, build_parser, main
 from rebq.runner import RunConfig
 
@@ -137,8 +139,9 @@ class TestRun:
         ('synth={"bogus": 1}', "config key synth has unknown keys ['bogus']"),
         ('backbone={"embed_dim": "x"}',
          "config key backbone: embed_dim must be an integer, got 'x'"),
-        ('backbone={"activation": "tanh"}',
-         "config key backbone: activation must be one of ['gelu', 'relu'], got 'tanh'"),
+        ('backbone={"pretrain_classes": 1}',
+         "config key backbone: pretrain_classes must be >= 2, got 1"),
+        ('backbone={"activation": "gelu"}', "config key backbone has unknown keys ['activation']"),
         ('backbone={"num_heads": 0}', "config key backbone: num_heads must be >= 1, got 0"),
         ('backbone={"embed_dim": 32.0}',
          "config key backbone: embed_dim must be an integer, got 32.0"),
@@ -154,16 +157,18 @@ class TestRun:
         ("num_sessions=-1", "error [benchmark] num_sessions must be >= 1, got -1"),
         ("eta=true", "error [benchmark] eta must be a finite number, got True"),
         ("epochs=1.5", "error [train] epochs must be an integer, got 1.5"),
-        ("warmup_frac=2", "error [train] warmup_frac must lie in [0, 1], got 2"),
+        ("warmup_frac=0.1", "error: config has unknown keys ['warmup_frac']"),
+        ("prompted_layers=3", "error [model] prompted_layers 3 exceeds backbone.num_layers 2"),
         ("output_dir=5", "error [emit] output_dir must be a string, got 5"),
         ("export_queries=1", "error [emit] export_queries must be true or false, got 1"),
         ('synth={"noise_token_prob": 3.0}',
          "config key synth: noise_token_prob must lie in [0, 1], got 3.0")],
         ids=["backbone-not-mapping", "synth-unknown-key", "backbone-value-type",
-             "backbone-value-refused", "backbone-heads-zero", "backbone-dim-real",
-             "synth-text-len-zero", "synth-multi-label-string", "synth-noise-string",
-             "synth-noise-negative", "synth-tokens-zero", "sessions-negative", "eta-bool", "epochs-real",
-             "warmup-above-one", "output-dir-int", "export-queries-int",
+             "backbone-value-refused", "backbone-activation-removed", "backbone-heads-zero",
+             "backbone-dim-real", "synth-text-len-zero", "synth-multi-label-string",
+             "synth-noise-string", "synth-noise-negative", "synth-tokens-zero",
+             "sessions-negative", "eta-bool", "epochs-real", "warmup-frac-removed",
+             "prompted-layers-deeper-than-backbone", "output-dir-int", "export-queries-int",
              "synth-noise-above-one"])
     def test_bad_nested_config_named(self, cli_workspace, capsys, setting, message):
         tmp, cfg_path = cli_workspace
@@ -178,10 +183,10 @@ class TestRun:
         TINY sizes stay."""
         _, cfg_path = cli_workspace
         args = build_parser().parse_args(["run", "--config", str(cfg_path),
-                                          "--set", 'backbone={"activation": "gelu"}',
+                                          "--set", 'backbone={"pretrain_classes": 5}',
                                           "--set", 'synth={"multi_label": true}'])
         cfg = _load_config(args)
-        assert cfg.backbone == dataclasses.replace(TINY, activation="gelu")
+        assert cfg.backbone == dataclasses.replace(TINY, pretrain_classes=5)
         assert cfg.synth == dataclasses.replace(TINY_SYNTH, multi_label=True)
 
     @pytest.mark.parametrize("command", ["run", "sweep", "pretrain"])
@@ -215,6 +220,31 @@ class TestRun:
         rc = main(["run", "--config", str(cfg_path), "--out", "nested/run"])
         assert rc == 0
         assert (root / "nested" / "run" / "report.json").exists()
+
+    def test_output_root_leaves_the_checkpoint_path(self, tiny_backbone, tmp_path,
+                                                     monkeypatch):
+        """With the root set, pretrain writes the checkpoint where run reads it."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REBQ_OUTPUT_ROOT", str(tmp_path / "root"))
+        monkeypatch.setattr("rebq.cli.pretrain",
+                            lambda *a, **k: (tiny_backbone, PretrainReport(1.0, 1, True)))
+        cfg_path = write_config(tmp_path, backbone_checkpoint="backbone.rbqt",
+                                output_dir="out")
+        assert main(["pretrain", "--config", str(cfg_path), "--samples-per-class", "4"]) == 0
+        assert (tmp_path / "backbone.rbqt").exists()
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert (tmp_path / "root" / "out" / "report.json").exists()
+
+    def test_checkpoint_with_a_removed_key_refused(self, cli_workspace, tmp_path, capsys):
+        tmp, _ = cli_workspace
+        kind, meta, arrays = serialize.load_container(tmp / "backbone.rbqt")
+        meta["config"]["ffn_mult"] = 2
+        serialize.save_container(tmp_path / "old.rbqt", kind, meta, arrays)
+        cfg_path = write_config(tmp_path, backbone_checkpoint=str(tmp_path / "old.rbqt"))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert ("old.rbqt: bad backbone config: stored config has unknown keys ['ffn_mult']"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_flag_beats_env(self, cli_workspace, monkeypatch):
         tmp, cfg_path = cli_workspace
@@ -288,6 +318,8 @@ class TestSweep:
         with open(out / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [json.loads(r["synth"]) for r in rows] == [json.loads(v) for v in values]
+        assert [r["tag"] for r in rows] == [f"synth{i}" for i in range(len(values))]
+        assert sorted(p.name for p in out.iterdir()) == ["sweep.csv", *(r["tag"] for r in rows)]
         for row, value in zip(rows, values):
             report = json.loads((Path(row["output_dir"]) / "report.json").read_text())
             assert report["config"]["synth"] == {**dataclasses.asdict(TINY_SYNTH),
@@ -490,6 +522,10 @@ class TestReport:
          "report config has unknown keys ['bogus']"),
         (lambda doc: {**doc, "config": {**doc["config"], "corpus_path": None}},
          "report config has unknown keys ['corpus_path']"),
+        (lambda doc: {**doc, "config": {
+            **doc["config"], "warmup_frac": 0.1, "weight_decay": 0.01,
+            "backbone": {**doc["config"]["backbone"], "activation": "relu", "ffn_mult": 2}}},
+         "report config has unknown keys ['warmup_frac', 'weight_decay']"),
         (lambda doc: {**doc, "config": {**doc["config"], "eta": 150}},
          "report config.eta must lie in [0, 100], got 150"),
         (lambda doc: {**doc, "config": {**doc["config"], "num_sessions": 3}},
@@ -504,7 +540,7 @@ class TestReport:
              "matrix-diagonal-none", "matrix-final-column-none", "matrix-above-one",
              "config-empty-sessions-seven", "config-without-variant",
              "config-without-nested-key", "config-unknown-key", "config-with-corpus-path",
-             "config-out-of-range",
+             "config-with-removed-keys", "config-out-of-range",
              "config-session-count", "per-session-extra", "per-session-order"])
     def test_non_report_json_rejected(self, report_doc, capsys, tmp_path, tamper, message):
         """Refused with exit 2 before any of the summary prints."""

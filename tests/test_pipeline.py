@@ -8,8 +8,8 @@ import pytest
 from rebq import pipeline
 from rebq import tensor as T
 from rebq.backbone import MultimodalBackbone
-from rebq.pipeline import (VARIANT_PRESETS, ModelConfig, OptimizerConfig, _targets,
-                           build_variant, forward_batch, predict_batch, train_task)
+from rebq.pipeline import (VARIANT_PRESETS, ModelConfig, _targets, build_variant,
+                           forward_batch, predict_batch, train_task)
 from rebq.prompt import PromptPool, PromptVector
 from rebq.reconstruct import QueryCache, counterparts
 from rebq.tensor import AdamW
@@ -17,8 +17,7 @@ from rebq.tensor import AdamW
 from conftest import TINY, float64
 from reconstruction_oracle import reconstruction_loss
 
-MCFG = ModelConfig(num_classes=4, pool_size=6, memory_pool_size=6, prompt_len=3,
-                   prompted_layers=8, lam=0.01)
+MCFG = ModelConfig(num_classes=4, pool_size=6, memory_pool_size=6, prompt_len=3, lam=0.01)
 
 
 def make_model(tiny_backbone, variant="canonical", **overrides):
@@ -56,10 +55,10 @@ class TestBuildVariant:
         assert isinstance(model.folder, PromptPool)
         assert isinstance(model.memory, PromptPool)
 
-    def test_prompted_layers_clamped_to_backbone(self, tiny_backbone):
-        model = make_model(tiny_backbone)
-        assert model.prompted_layers == TINY.num_layers
-        assert model.folder.components.shape[1] == TINY.num_layers
+    def test_prompted_layers_deeper_than_backbone_refused(self, tiny_backbone):
+        assert make_model(tiny_backbone).folder.components.shape[1] == TINY.num_layers
+        with pytest.raises(ValueError, match="prompted_layers 3 exceeds the backbone's 2 layers"):
+            make_model(tiny_backbone, prompted_layers=TINY.num_layers + 1)
 
     def test_no_memory_pool_is_single_block(self, tiny_backbone):
         model = make_model(tiny_backbone, variant="no_memory_pool")
@@ -137,7 +136,7 @@ class TestForward:
             raise AssertionError("generate_queries_batch called")
 
         monkeypatch.setattr(pipeline, "generate_queries_batch", refuse)
-        train_task(model, stream.train_data(0)[:8], 1, OptimizerConfig(batch_size=4), seed=7,
+        train_task(model, stream.train_data(0)[:8], 1, 4, 1e-4, seed=7,
                    cache=QueryCache(tiny_backbone))
         assert len(predict_batch(model, stream.test_data(0), 16)) == len(stream.test_data(0))
 
@@ -268,7 +267,7 @@ class TestTrainTask:
     def test_empty_session_rejected(self, tiny_backbone):
         model = make_model(tiny_backbone)
         with pytest.raises(ValueError):
-            train_task(model, [], 1, OptimizerConfig(), seed=0)
+            train_task(model, [], 1, 4, 1e-4, seed=0)
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one_rejected(self, tiny_backbone, tiny_benchmark,
@@ -277,8 +276,7 @@ class TestTrainTask:
         model = make_model(tiny_backbone)
         before = model.parameter_bytes()
         with pytest.raises(ValueError, match="batch_size"):
-            train_task(model, stream.train_data(0)[:8], 1,
-                       OptimizerConfig(batch_size=batch_size), seed=0)
+            train_task(model, stream.train_data(0)[:8], 1, batch_size, 1e-4, seed=0)
         assert model.parameter_bytes() == before
 
     def test_step_graph_released_before_next_forward(self, tiny_backbone, tiny_benchmark,
@@ -298,8 +296,7 @@ class TestTrainTask:
         monkeypatch.setattr(pipeline, "forward_batch", traced)
         tracemalloc.start()
         try:
-            train_task(model, stream.train_data(0)[:8], 1, OptimizerConfig(batch_size=4),
-                       seed=3)
+            train_task(model, stream.train_data(0)[:8], 1, 4, 1e-4, seed=3)
         finally:
             tracemalloc.stop()
         assert len(starts) == 2
@@ -308,8 +305,7 @@ class TestTrainTask:
     def test_loss_decomposition_exact(self, tiny_backbone, tiny_benchmark):
         _, stream = tiny_benchmark
         model = float64(make_model(tiny_backbone))
-        log = train_task(model, stream.train_data(0)[:8], 1,
-                         OptimizerConfig(batch_size=4), seed=1)
+        log = train_task(model, stream.train_data(0)[:8], 1, 4, 1e-4, seed=1)
         lam = model.mcfg.lam
         for step in log.steps:
             assert step.total == step.classification + lam * step.reconstruction
@@ -317,8 +313,7 @@ class TestTrainTask:
     def test_lambda_zero_total_equals_classification(self, tiny_backbone, tiny_benchmark):
         _, stream = tiny_benchmark
         model = make_model(tiny_backbone, lam=0.0)
-        log = train_task(model, stream.train_data(0)[:8], 1,
-                         OptimizerConfig(batch_size=4), seed=2)
+        log = train_task(model, stream.train_data(0)[:8], 1, 4, 1e-4, seed=2)
         for step in log.steps:
             assert step.total == step.classification
             assert step.reconstruction == 0.0
@@ -327,25 +322,21 @@ class TestTrainTask:
         _, stream = tiny_benchmark
         model = make_model(tiny_backbone)
         before = model.parameter_bytes()
-        # warmup over the single step: lr at step 0 is exactly 0
-        train_task(model, stream.train_data(0)[:4], 1,
-                   OptimizerConfig(batch_size=4, warmup_frac=1.0), seed=3)
+        train_task(model, stream.train_data(0)[:4], 1, 4, 0.0, seed=3)
         assert model.parameter_bytes() == before
 
     def test_backbone_frozen_through_training(self, tiny_backbone, tiny_benchmark):
         _, stream = tiny_benchmark
         model = make_model(tiny_backbone)
         before = tiny_backbone.parameter_bytes()
-        train_task(model, stream.train_data(0)[:12], 1,
-                   OptimizerConfig(batch_size=4), seed=4)
+        train_task(model, stream.train_data(0)[:12], 1, 4, 1e-4, seed=4)
         assert tiny_backbone.parameter_bytes() == before
 
     def test_training_moves_pools_and_head(self, tiny_backbone, tiny_benchmark):
         _, stream = tiny_benchmark
         model = make_model(tiny_backbone)
         before = model.parameter_bytes()
-        train_task(model, stream.train_data(0)[:12], 2,
-                   OptimizerConfig(batch_size=4), seed=5)
+        train_task(model, stream.train_data(0)[:12], 2, 4, 1e-4, seed=5)
         assert model.parameter_bytes() != before
 
     def test_gradient_routing_lambda_positive(self, tiny_backbone, tiny_benchmark):
@@ -384,8 +375,7 @@ class TestTrainTask:
         runs = []
         for _ in range(2):
             model = make_model(tiny_backbone)
-            train_task(model, stream.train_data(0)[:12], 1,
-                       OptimizerConfig(batch_size=4), seed=6)
+            train_task(model, stream.train_data(0)[:12], 1, 4, 1e-4, seed=6)
             runs.append(model.parameter_bytes())
         assert runs[0] == runs[1]
 
@@ -395,8 +385,7 @@ class TestTrainTask:
         model.head_b.data[0] = np.nan
         before = model.parameter_bytes()
         with pytest.raises(ValueError, match="train_task: non-finite loss at step 0"):
-            train_task(model, stream.train_data(0)[:8], 1,
-                       OptimizerConfig(batch_size=4), seed=0)
+            train_task(model, stream.train_data(0)[:8], 1, 4, 1e-4, seed=0)
         assert model.parameter_bytes() == before
 
     @pytest.mark.parametrize("variant", ["canonical", "no_modality_specific_query"])
@@ -408,8 +397,7 @@ class TestTrainTask:
             model = make_model(tiny_backbone, variant)
             preds = []
             for j in range(2):
-                train_task(model, stream.train_data(j), 2, OptimizerConfig(batch_size=4),
-                           seed=j, cache=cache)
+                train_task(model, stream.train_data(j), 2, 4, 1e-4, seed=j, cache=cache)
                 preds += [predict_batch(model, stream.test_data(i), 16, cache=cache)
                           for i in range(j + 1)]
             results.append((model.parameter_bytes(), preds))
@@ -419,8 +407,7 @@ class TestTrainTask:
     def test_baseline_trains(self, tiny_backbone, tiny_benchmark):
         _, stream = tiny_benchmark
         model = make_model(tiny_backbone, variant="baseline")
-        log = train_task(model, stream.train_data(0)[:8], 1,
-                         OptimizerConfig(batch_size=4), seed=7)
+        log = train_task(model, stream.train_data(0)[:8], 1, 4, 1e-4, seed=7)
         assert all(s.reconstruction == 0.0 for s in log.steps)
         names = set(model.named_parameters())
         assert any(n.startswith("baseline.") for n in names)
@@ -487,7 +474,7 @@ class TestPrecision:
         dtypes = record_dtypes(monkeypatch)
         f32 = {np.dtype(np.float32)}
         model = make_model(tiny_backbone)
-        train_task(model, stream.train_data(0)[:4], 1, OptimizerConfig(batch_size=4), seed=8)
+        train_task(model, stream.train_data(0)[:4], 1, 4, 1e-4, seed=8)
         predict_batch(model, stream.test_data(0)[:6])
         assert dtypes == f32
 
@@ -497,8 +484,7 @@ class TestPrecision:
         assert loaded.parameter_bytes() == tiny_backbone.parameter_bytes()
 
         on_loaded = make_model(loaded)
-        train_task(on_loaded, stream.train_data(1)[:4], 1, OptimizerConfig(batch_size=4),
-                   seed=9)
+        train_task(on_loaded, stream.train_data(1)[:4], 1, 4, 1e-4, seed=9)
         tensors = list(loaded.params.values()) + on_loaded.parameters()
         assert dtypes | {t.data.dtype for t in tensors} == f32
 
@@ -506,7 +492,7 @@ class TestPrecision:
         _, stream = tiny_benchmark
         dtypes = record_dtypes(monkeypatch)
         model = float64(make_model(tiny_backbone))
-        train_task(model, stream.train_data(0)[:4], 1, OptimizerConfig(batch_size=4), seed=8)
+        train_task(model, stream.train_data(0)[:4], 1, 4, 1e-4, seed=8)
         predict_batch(model, stream.test_data(0)[:6])
         assert dtypes == {np.dtype(np.float64)}
 

@@ -119,8 +119,7 @@ class TestRunExperiment:
         ("seed_split", -1, "benchmark"), ("variant", "rebq", "model"),
         ("pool_size", 1.5, "model"), ("prompted_layers", False, "model"),
         ("seed_model", 2.0, "model"), ("epochs", 1.5, "train"), ("lr", -1.0, "train"),
-        ("lr", "x", "train"), ("lr", float("inf"), "train"), ("warmup_frac", 2, "train"),
-        ("weight_decay", -0.1, "train"), ("seed_train", None, "train"),
+        ("lr", "x", "train"), ("lr", float("inf"), "train"), ("seed_train", None, "train"),
         ("backbone_checkpoint", None, "backbone"),
         ("export_queries", 1, "emit"), ("export_queries", "yes", "emit"),
         ("output_dir", 5, "emit"), ("output_dir", None, "emit")])
@@ -133,6 +132,12 @@ class TestRunExperiment:
         assert exc.value.cause.startswith(f"{field} must ")
         assert repr(value) in exc.value.cause
 
+    def test_prompted_layers_deeper_than_backbone_refused_before_any_stage(self, tmp_path):
+        RunConfig().check()  # the default prompts every layer of the default backbone
+        with pytest.raises(ExperimentError, match=r"^\[model\] prompted_layers 3 exceeds "
+                                                  r"backbone.num_layers 2$"):
+            run_experiment(tiny_config(tmp_path, prompted_layers=TINY.num_layers + 1))
+
     @pytest.mark.parametrize("source", ["passed", "checkpoint"])
     def test_other_backbone_config_refused_naming_keys(self, tiny_backbone, tmp_path,
                                                        monkeypatch, source):
@@ -140,7 +145,7 @@ class TestRunExperiment:
         config is refused before any stage reads it."""
         calls = []
         monkeypatch.setattr(runner, "build_stream", lambda *a, **k: calls.append(a))
-        stated = dataclasses.replace(TINY, embed_dim=64, num_heads=4, ffn_mult=3)
+        stated = dataclasses.replace(TINY, embed_dim=64, num_heads=4, pretrain_classes=5)
         cfg = tiny_config(tmp_path, backbone=stated,
                           backbone_checkpoint=str(tmp_path / "backbone.rbqt"))
         passed = tiny_backbone
@@ -152,7 +157,7 @@ class TestRunExperiment:
         assert exc.value.stage == "backbone"
         assert exc.value.cause.endswith(
             "differs from the config's backbone in embed_dim 32 (config 64), "
-            "num_heads 2 (config 4), ffn_mult 2 (config 3)")
+            "num_heads 2 (config 4), pretrain_classes 4 (config 5)")
         assert (source == "checkpoint") == ("backbone.rbqt" in exc.value.cause)
         assert calls == []
 
