@@ -270,8 +270,9 @@ def cmd_report(args) -> int:
         print(f"  session {entry['session']}: classes={entry['classes']} "
               f"mean loss {entry['mean_total']:.4f}")
     if args.emit:
-        emit_report(report, _resolve_output(args.emit))
-        print(f"re-emitted CSVs to {args.emit}")
+        out = _resolve_output(args.emit)
+        emit_report(report, out)
+        print(f"re-emitted CSVs to {out}")
     return 0 if ok else 1
 
 

@@ -3,7 +3,7 @@
 One forward path serves training and evaluation. forward_batch orders a
 mini-batch by missing type, embeds every row once into one sequence,
 runs one untracked unified pass for the modality and memory queries and
-one tracked memory-injected pass that reconstructs each missing query;
+a tracked memory-injected pass that reconstructs each missing query;
 the baseline, whose prompts follow the missing type alone, runs neither.
 Its classification step is the same for every variant: the variant lists
 (row slice, prompt prefix) groups, and each group runs one prompted
@@ -12,8 +12,9 @@ feeds the shared linear head. The baseline and the pooled variants form
 one group for the whole batch; without modality-specific queries each
 missing type is its own group, since its prefix length differs. Training (train_task) also
 asks for the reconstruction loss: the masked counterparts of the batch's
-complete samples then ride along in both passes and L_r is computed over
-them. Evaluation (predict_batch) calls the same function without it.
+complete samples then ride along in the unified pass and the memory
+selection, and their reconstruction pass is recorded, back-propagated and
+released before the classification pass. Evaluation calls it without L_r.
 Variants (ablations and the naive per-missing-type baseline) are built by
 ``build_variant`` from a preset name in VARIANT_PRESETS.
 """
@@ -151,9 +152,12 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
     order that maps logits rows back to the input batch, and the
     reconstruction loss. With with_lr set (and lam > 0, a memory source
     and at least one complete sample) the masked counterparts of the
-    complete samples ride along in both backbone passes and L_r is their
-    mean residual; otherwise the third value is None. A cache memoizes the
-    unified pass across calls (see reconstruct.QueryCache).
+    complete samples ride along in the unified pass and the memory
+    selection, and L_r is their mean residual, whose own records are already
+    released; its backward is exact in L_c + lam * L_r (_reconstruct).
+    Otherwise the third value is None. One memory selection serves both
+    reconstruction passes (prompt.compute_weights says why). A cache
+    memoizes the unified pass across calls (see reconstruct.QueryCache).
     """
     if not samples:
         raise ValueError("forward_batch: empty batch")
@@ -181,6 +185,7 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
     with T.no_grad():
         emb = backbone.embed_batch(rows)
     spans = (slice(0, n_t), slice(n_t, n_inc), slice(n_inc, b))
+    l_r = None
     if model.spec.baseline:
         # the baseline's prompts follow the missing type alone: it reads no query
         groups = [(slice(0, b), T.concat(
@@ -189,17 +194,12 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
     else:
         queries = generate_queries_batch(rows, backbone, emb=emb, cache=cache)
         q_text, q_vis = Tensor(queries[:b, 0]), Tensor(queries[:b, 1])
-
-        # one tracked memory-injected pass: the batch's incomplete rows, then
-        # the counterparts (text-only halves first, then image-only halves)
-        recon_idx = (list(range(n_inc)) if use_recon else []) + list(range(b, len(rows)))
-        if recon_idx:
-            recon = reconstruct_batch([rows[i] for i in recon_idx],
-                                      Tensor(queries[recon_idx, 2]), model.memory, backbone,
-                                      emb=emb[recon_idx])
+        if use_recon or use_lr:
+            recon, l_r = _reconstruct(model, rows, queries, emb, n_inc if use_recon else 0,
+                                      b, use_lr)
         if use_recon:
             # text-only rows reconstruct the visual query, image-only the text
-            q_text = T.concat([Tensor(queries[:n_t, 0]), recon[n_t:n_inc],
+            q_text = T.concat([Tensor(queries[:n_t, 0]), recon[n_t:],
                                Tensor(queries[n_inc:b, 0])], axis=0)
             q_vis = T.concat([recon[:n_t], Tensor(queries[n_t:b, 1])], axis=0)
 
@@ -217,15 +217,32 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
                       for sl, sources in reads if sl.stop > sl.start]
     logits = T.concat([T.affine(backbone.forward(emb[sl], prefix, positions=[0])[:, 0],
                                 model.head_w, model.head_b) for sl, prefix in groups], axis=0)
+    return logits, order, l_r
 
+
+def _reconstruct(model: RebQModel, rows: list[Sample], queries: np.ndarray, emb: Tensor,
+                 n_rec: int, b: int, use_lr: bool) -> tuple[Tensor | None, Tensor | None]:
+    """The reconstructed queries of rows[:n_rec] and, when use_lr, L_r over
+    the counterparts rows[b:], from one memory selection. The counterparts'
+    pass runs first on a detached leaf over their prompt rows; lam * L_r is
+    back-propagated at once and T.attach carries those rows' gradient on."""
+    idx = list(range(n_rec)) + list(range(b, len(rows)))
+    prefix = model.memory.select(Tensor(queries[idx, 2]))
     l_r = None
     if use_lr:
+        lam, n_c = model.mcfg.lam, (len(rows) - b) // 2
+        block_c = Tensor(prefix.data[n_rec:], trainable=True)
+        recon = reconstruct_batch(rows[b:], block_c, model.backbone, emb=emb[b:])
         # text-only counterparts reconstruct the visual query, image-only the text
-        base = len(recon_idx) - 2 * n_c
         l_r = reconstruction_loss_from_queries(
-            Tensor(queries[n_inc:b, 0]), recon[base + n_c:],
-            Tensor(queries[n_inc:b, 1]), recon[base:base + n_c])
-    return logits, order, l_r
+            Tensor(queries[b - n_c:b, 0]), recon[n_c:], Tensor(queries[b - n_c:b, 1]),
+            recon[:n_c])
+        T.backward(T.scale(l_r, lam))
+        if block_c.grad is not None:
+            l_r = T.attach(l_r, prefix[n_rec:], block_c.grad, lam)
+    if not n_rec:
+        return None, l_r
+    return reconstruct_batch(rows[:n_rec], prefix[:n_rec], model.backbone, emb=emb[:n_rec]), l_r
 
 
 def predict_batch(model: RebQModel, samples: list[Sample], batch_size: int = 64,
@@ -294,6 +311,8 @@ def train_task(model: RebQModel, samples: list[Sample], epochs: int, batch_size:
     loss of the returned logits against the targets in order, L_r the
     reconstruction loss over the batch's complete samples (zero when the
     batch has none or it is switched off), and the objective is L_c + lam * L_r.
+    forward_batch back-propagates lam * L_r, touching no parameter, before the
+    classification pass records; the step's gradients keep their bits.
     """
     if not samples:
         raise ValueError("train_task: empty session")

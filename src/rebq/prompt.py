@@ -87,7 +87,9 @@ def compute_weights(query: Tensor, pool: PromptPool) -> Tensor:
     Maps a (B, D) query batch to (B, K) weights, raw cosines in [-1, 1]
     with an epsilon denominator so a zero query yields zeros. Both sums
     over D are matrix products, so no (B, D, K) array is built:
-    q . (A_k * K_k) is q @ (A * K), and |q * A_k|^2 is q^2 @ A^2.
+    q . (A_k * K_k) is q @ (A * K), and |q * A_k|^2 is q^2 @ A^2. Their float32
+    rows round with the row count, so the parts of a selection split by rows
+    differ in the last bits from the whole; only backbone passes are split.
     """
     if query.shape[-1] != pool.dim:
         raise T.ShapeError(
@@ -102,8 +104,8 @@ def compute_weights(query: Tensor, pool: PromptPool) -> Tensor:
 def aggregate(weights: Tensor, pool: PromptPool) -> Tensor:
     """Weighted sum of all pool components; linear in the weights.
 
-    Maps (B, K) weights to a (B, layers, 2, N_p, D) block.
-    """
+    Maps (B, K) weights to a (B, layers, 2, N_p, D) block by one matrix
+    product, whose float32 rows round with the row count (compute_weights)."""
     if weights.shape[-1] != pool.pool_size:
         raise T.ShapeError(
             f"weight length {weights.shape[-1]} does not match pool size {pool.pool_size}")

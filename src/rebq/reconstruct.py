@@ -91,17 +91,17 @@ def _unified_pass(samples: list[Sample], backbone: MultimodalBackbone,
             pos["text_cls"], pos["visual_cls"], pos["joint"]]).data
 
 
-def reconstruct_batch(samples: list[Sample], memory_queries: Tensor, memory_source,
+def reconstruct_batch(samples: list[Sample], prefix: Tensor,
                       backbone: MultimodalBackbone, emb=None) -> Tensor:
     """Tracked reconstruction pass; returns one (B, D) query matrix.
 
     Rows may mix text-only and image-only samples: the layout is identical,
     only the dummy contents differ, and the cls output is the reconstruction
-    for whichever modality the row lacks. The selected memory block prompts
-    as many layers as the memory source was built with. The pass reads the
-    recon_positions rows of emb, the samples' embed_batch sequence.
+    for whichever modality the row lacks. prefix is the samples' memory
+    block, selected by their memory queries (memory_source.select); it
+    prompts as many layers as the memory source was built with. The pass
+    reads the recon_positions rows of emb, the samples' embed_batch sequence.
     """
-    prefix = memory_source.select(memory_queries)
     if emb is None:
         emb = backbone.embed_batch(samples)
     return backbone.forward(emb[:, recon_positions(backbone.config)], prefix,
@@ -159,10 +159,9 @@ def _query_records(samples: list[Sample], backbone: MultimodalBackbone,
     recon_by_index: dict[int, np.ndarray] = {}
     if memory_source is not None and incomplete:
         rows = [samples[i] for i in incomplete]
-        mem = Tensor(raw[incomplete, 2])
         with T.no_grad():
-            rec = reconstruct_batch(rows, mem, memory_source, backbone,
-                                    emb=emb[incomplete])
+            rec = reconstruct_batch(rows, memory_source.select(Tensor(raw[incomplete, 2])),
+                                    backbone, emb=emb[incomplete])
         recon_by_index = {i: rec.data[j] for j, i in enumerate(incomplete)}
 
     for i, s in enumerate(samples):

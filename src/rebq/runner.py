@@ -149,8 +149,9 @@ class Report:
         """A report read from outside, refused unless it agrees with itself:
         every field keeps its rule, the matrix is square with None below the
         diagonal and values in [0, 1] from it on, fg is None exactly for one
-        session, config is a whole RunConfig whose num_sessions is the matrix
-        size, and per_session numbers the sessions 0..T-1 in order."""
+        session, config is a whole RunConfig that passes RunConfig.check and
+        whose num_sessions is the matrix size, and per_session numbers the
+        sessions 0..T-1 in order."""
         report = cls(**rules.mapping(d, cls, "report"))
         rules.check(report, "report ")
         sizes = [len(row) for row in report.matrix]
@@ -170,9 +171,11 @@ class Report:
             rules.check(SessionSummary(**rules.mapping(entry, SessionSummary, what)), what + " ")
         try:
             config = RunConfig.from_dict(report.config)
-            rules.check(config, "config.")
+            config.check()
         except ValueError as exc:
             raise ValueError(f"report {exc}") from None
+        except ExperimentError as exc:
+            raise ValueError(f"report config.{exc.cause}") from None
         lacking = sorted(_lacking(config.to_dict(), report.config))
         if lacking:
             raise ValueError(f"report config lacks keys {lacking}")

@@ -21,6 +21,8 @@ outlives its backward; a second backward through a released record raises
 RuntimeError. Multi-head attention (:func:`attention`) is one fused record
 with a closed-form backward, so a transformer block adds a handful of
 records to the tape rather than one per slice, reshape and transpose.
+:func:`attach` carries an earlier backward's gradient into a later graph, so
+one loss term can be back-propagated and released before the rest records.
 
 The module also houses the loss functions, parameter initializers and the
 AdamW optimizer with a linear-warmup / cosine-annealing schedule. AdamW
@@ -377,6 +379,20 @@ def scale(a: Tensor, c: float) -> Tensor:
     out, links = _output(a.data * c, a)
     if links is not None:
         out._node = _Node(links, lambda g: (g * c,))
+    return out
+
+
+def attach(scalar: Tensor, x: Tensor, grad: Array, seed: float) -> Tensor:
+    """scalar's value, linked to x alone (scalar's records may be released).
+
+    grad is what x got from a backward that seeded scalar's gradient with
+    seed, as backward(scale(scalar, seed)) does; the record hands x
+    grad * (g / seed), which is grad, bit for bit, when g is seed."""
+    if scalar.size != 1 or grad.shape != x.shape:
+        raise ShapeError(f"attach: scalar {scalar.shape}, x {x.shape}, grad {grad.shape}")
+    out, links = _output(scalar.data, x)
+    if links is not None:
+        out._node = _Node(links, lambda g: (grad * (g / seed),))
     return out
 
 

@@ -29,7 +29,7 @@ def reconstruct_counterparts(samples, memory_source, backbone):
     with T.no_grad():
         emb = backbone.embed_batch(rows)
     queries = generate_queries_batch(rows, backbone, emb=emb)
-    recon = reconstruct_batch(rows[n:], Tensor(queries[n:, 2]), memory_source,
+    recon = reconstruct_batch(rows[n:], memory_source.select(Tensor(queries[n:, 2])),
                               backbone, emb=emb[n:])
     # text-only rows reconstruct the visual query, image-only rows the text
     return (Tensor(queries[:n, 0]), recon[n:], Tensor(queries[:n, 1]), recon[:n])

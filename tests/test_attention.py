@@ -148,17 +148,29 @@ class TestFusedAttentionProperty:
 
 class TestTape:
     def test_one_attention_record_per_layer_and_tracked_pass(self, tiny_backbone,
-                                                               tiny_benchmark):
+                                                               tiny_benchmark, monkeypatch):
         """Each attention block of the training graph is one tape record.
 
-        Two passes are tracked (memory-injected reconstruction, and
-        classification); the unified query pass runs untracked.
+        Three passes are tracked: the counterparts' reconstruction, which is
+        back-propagated and released inside forward_batch, the incomplete
+        rows' reconstruction and the classification, which stay in the
+        step's graph. The unified query pass runs untracked.
         """
         _, stream = tiny_benchmark
         model = make_model(tiny_backbone)
         batch = stream.train_data(0)[:6]
         assert {s.missing_type for s in batch} > {"complete"}
+        recorded = []
+        attention = T.attention
+
+        def counting(*args, **kwargs):
+            out = attention(*args, **kwargs)
+            recorded.append(out._node is not None)
+            return out
+
+        monkeypatch.setattr(T, "attention", counting)
         logits, order, l_r = forward_batch(model, batch, with_lr=True)
+        assert sum(recorded) == 3 * TINY.num_layers
         l_c = T.cross_entropy(logits, _targets(model, [batch[i] for i in order]))
         loss = T.add(l_c, T.scale(l_r, model.mcfg.lam))
         ops: Counter = Counter()
@@ -171,4 +183,5 @@ class TestTape:
             ops[node.backward.__qualname__.split(".")[0]] += 1
             stack.extend(node.inputs)
         assert ops["attention"] == 2 * TINY.num_layers
+        assert ops["attach"] == 1
         assert ops["transpose"] == 0 and ops["softmax_rows"] == 0

@@ -530,6 +530,8 @@ class TestReport:
          "report config.eta must lie in [0, 100], got 150"),
         (lambda doc: {**doc, "config": {**doc["config"], "num_sessions": 3}},
          "report config.num_sessions is 3, but the matrix has 2 sessions"),
+        (lambda doc: {**doc, "config": {**doc["config"], "prompted_layers": 100}},
+         "report config.prompted_layers 100 exceeds backbone.num_layers 2"),
         (lambda doc: {**doc, "per_session": doc["per_session"] + doc["per_session"][1:]},
          "report per_session must number the sessions [0, 1] in order, got [0, 1, 1]"),
         (lambda doc: {**doc, "per_session": doc["per_session"][::-1]},
@@ -541,7 +543,8 @@ class TestReport:
              "config-empty-sessions-seven", "config-without-variant",
              "config-without-nested-key", "config-unknown-key", "config-with-corpus-path",
              "config-with-removed-keys", "config-out-of-range",
-             "config-session-count", "per-session-extra", "per-session-order"])
+             "config-session-count", "config-prompted-deeper-than-backbone",
+             "per-session-extra", "per-session-order"])
     def test_non_report_json_rejected(self, report_doc, capsys, tmp_path, tamper, message):
         """Refused with exit 2 before any of the summary prints."""
         doc = tamper(json.loads(json.dumps(report_doc)))
@@ -561,3 +564,13 @@ class TestReport:
                      "--emit", str(tmp_path / "again")]) == 0
         for name in ("matrix.csv", "trajectory.csv"):
             assert (tmp_path / "again" / name).read_bytes() == (run / name).read_bytes()
+
+    def test_re_emit_names_the_directory_under_the_output_root(
+            self, cli_workspace, report_doc, tmp_path, monkeypatch, capsys):
+        run = cli_workspace[0] / "report_doc"
+        monkeypatch.setenv("REBQ_OUTPUT_ROOT", str(tmp_path / "root"))
+        capsys.readouterr()
+        assert main(["report", "--report", str(run / "report.json"), "--emit", "again"]) == 0
+        written = tmp_path / "root" / "again"
+        assert (written / "matrix.csv").exists()
+        assert capsys.readouterr().out.splitlines()[-1] == f"re-emitted CSVs to {written}"

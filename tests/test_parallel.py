@@ -180,3 +180,45 @@ def test_forked_child_completes_split_forward(parts, monkeypatch):
         child.join()
     assert not alive, "the forked child's split forward did not finish"
     assert child.exitcode == 0
+
+
+def tracked_grads(bb: MultimodalBackbone, x: np.ndarray, block: np.ndarray,
+                  coeff: np.ndarray, positions) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gradients of sum(coeff * output) at the input rows and the prompt rows
+    of one tracked forward."""
+    xt, pt = Tensor(x, trainable=True), Tensor(block, trainable=True)
+    out = bb.forward(xt, pt, positions)
+    T.tsum(T.mul(out, Tensor(coeff))).backward()
+    return xt.grad, pt.grad
+
+
+class TestRowSeparableBackward:
+    """A tracked pass's backward runs per-sample products and row-wise norms
+    and softmaxes, so the gradients a row gets do not depend on the other
+    rows of its pass: rows [A; B] in one pass or in two give the same bytes."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(size=st.sampled_from(["tiny", "default"]),
+           rows_a=st.integers(1, 5), rows_b=st.integers(1, 5),
+           prompted=st.sampled_from(["none", "all"]),
+           positions=st.sampled_from([None, [0]]),
+           n_p=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+    def test_joint_pass_equals_separate_passes(self, size, rows_a, rows_b, prompted,
+                                               positions, n_p, seed):
+        bb = BACKBONES[size]
+        rows = rows_a + rows_b
+        x = unified_input(bb, rows, seed).data
+        block = prompt_block(bb, rows, n_p, seed + 1).data
+        if prompted == "none":
+            block = block[:, :0]
+        width = x.shape[1] if positions is None else len(positions)
+        coeff = np.random.default_rng(seed + 2).standard_normal(
+            (rows, width, bb.config.embed_dim), dtype=np.float32)
+        joint = tracked_grads(bb, x, block, coeff, positions)
+        parts = [tracked_grads(bb, x[sl], block[sl], coeff[sl], positions)
+                 for sl in (slice(0, rows_a), slice(rows_a, rows))]
+        assert joint[0].tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
+        if prompted == "none":
+            assert joint[1] is None and all(p[1] is None for p in parts)
+        else:
+            assert joint[1].tobytes() == np.concatenate([p[1] for p in parts]).tobytes()

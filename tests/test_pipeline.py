@@ -1,6 +1,7 @@
 import copy
 import inspect
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -302,6 +303,38 @@ class TestTrainTask:
         assert len(starts) == 2
         assert abs(starts[1] - starts[0]) <= 64 << 10
 
+    def test_reconstruction_records_released_before_classification(
+            self, tiny_backbone, complete_samples, monkeypatch):
+        """In a step on complete samples the counterparts' reconstruction pass
+        is back-propagated first: when the classification forward starts, no
+        array its attention records kept is alive."""
+        model = make_model(tiny_backbone)
+        kept, alive = [], []
+        attention, forward = T.attention, MultimodalBackbone.forward
+
+        def keeping_attention(qkv, heads, prefix=None, rows=None):
+            out = attention(qkv, heads, prefix, rows)
+            if out._node is not None:
+                kept.extend(weakref.ref(cell.cell_contents)
+                            for cell in out._node.backward.__closure__
+                            if isinstance(cell.cell_contents, np.ndarray))
+            return out
+
+        def watched_forward(bb, x, prefix=None, positions=None):
+            alive.append((len(kept), sum(ref() is not None for ref in kept)))
+            return forward(bb, x, prefix, positions)
+
+        monkeypatch.setattr(T, "attention", keeping_attention)
+        monkeypatch.setattr(MultimodalBackbone, "forward", watched_forward)
+        batch = complete_samples[:4]
+        log = train_task(model, batch, 1, len(batch), 1e-4, seed=3)
+        assert log.steps[0].reconstruction > 0.0
+        # the untracked query pass, the counterparts' pass, then classification
+        assert len(alive) == 3
+        recorded, still_alive = alive[-1]
+        assert recorded > 0
+        assert still_alive == 0
+
     def test_loss_decomposition_exact(self, tiny_backbone, tiny_benchmark):
         _, stream = tiny_benchmark
         model = float64(make_model(tiny_backbone))
@@ -386,6 +419,17 @@ class TestTrainTask:
         before = model.parameter_bytes()
         with pytest.raises(ValueError, match="train_task: non-finite loss at step 0"):
             train_task(model, stream.train_data(0)[:8], 1, 4, 1e-4, seed=0)
+        assert model.parameter_bytes() == before
+
+    def test_non_finite_reconstruction_loss_stops_before_update(self, tiny_backbone,
+                                                                complete_samples):
+        """L_r's backward runs inside forward_batch; a NaN there still stops the
+        step before any parameter moves, with L_c finite."""
+        model = make_model(tiny_backbone)
+        model.memory.components.data[0] = np.nan
+        before = model.parameter_bytes()
+        with pytest.raises(ValueError, match=r"non-finite loss at step 0 \(L_c \d.*L_r nan"):
+            train_task(model, complete_samples[:4], 1, 4, 1e-4, seed=0)
         assert model.parameter_bytes() == before
 
     @pytest.mark.parametrize("variant", ["canonical", "no_modality_specific_query"])

@@ -55,7 +55,7 @@ class TestReconstructQuery:
         outs = []
         for _ in range(2):
             mem = Tensor(generate_queries_batch(masked, tiny_backbone)[:, 2])
-            outs.append(reconstruct_batch(masked, mem, pool, tiny_backbone).data.tobytes())
+            outs.append(reconstruct_batch(masked, pool.select(mem), tiny_backbone).data.tobytes())
         assert outs[0] == outs[1]
 
     def test_memory_query_scale_invariance(self, tiny_backbone, complete_samples):
@@ -63,8 +63,8 @@ class TestReconstructQuery:
         backbone = float64(tiny_backbone)
         masked = [text_only(s) for s in complete_samples[:2]]
         mem = generate_queries_batch(masked, backbone)[:, 2]
-        base = reconstruct_batch(masked, Tensor(mem), pool, backbone).data
-        scaled = reconstruct_batch(masked, Tensor(37.5 * mem), pool, backbone).data
+        base = reconstruct_batch(masked, pool.select(Tensor(mem)), backbone).data
+        scaled = reconstruct_batch(masked, pool.select(Tensor(37.5 * mem)), backbone).data
         np.testing.assert_allclose(scaled, base, atol=1e-9)
 
     def test_empty_memory_prefix_reduces_to_plain_forward(self, tiny_backbone,
@@ -74,7 +74,7 @@ class TestReconstructQuery:
         pool = init_pool(np.random.default_rng(4), TINY.embed_dim, 3, 0, TINY.num_layers)
         masked = [text_only(complete_samples[0])]
         mem = Tensor(generate_queries_batch(masked, tiny_backbone)[:, 2])
-        q_hat = reconstruct_batch(masked, mem, pool, tiny_backbone).data
+        q_hat = reconstruct_batch(masked, pool.select(mem), tiny_backbone).data
         with T.no_grad():
             emb = tiny_backbone.embed_batch(masked)
             plain = tiny_backbone.forward(emb[:, recon_positions(TINY)],
@@ -85,7 +85,7 @@ class TestReconstructQuery:
         vec = init_vector(np.random.default_rng(6), TINY.embed_dim, 3, TINY.num_layers)
         masked = [text_only(s) for s in complete_samples[:2]]
         mem = Tensor(generate_queries_batch(masked, tiny_backbone)[:, 2])
-        q_hat = reconstruct_batch(masked, mem, vec, tiny_backbone)
+        q_hat = reconstruct_batch(masked, vec.select(mem), tiny_backbone)
         assert q_hat.shape == (2, TINY.embed_dim)
 
 
@@ -194,7 +194,7 @@ class TestExport:
         assert records[3]["embedding"] == raw[1, 1].tolist()
         assert records[5]["embedding"] == raw[2, 0].tolist()
         with T.no_grad():
-            rec = reconstruct_batch(samples[1:], Tensor(raw[1:, 2]), pool,
+            rec = reconstruct_batch(samples[1:], pool.select(Tensor(raw[1:, 2])),
                                     tiny_backbone).data
         assert records[4]["embedding"] == rec[0].tolist()
         assert records[7]["embedding"] == rec[1].tolist()
@@ -295,7 +295,7 @@ class TestEmbedOnce:
         rows = rows[0::2] + rows[1::2]
         gt = generate_queries_batch(complete_samples[:5], tiny_backbone)
         mem = Tensor(generate_queries_batch(rows, tiny_backbone)[:, 2])
-        rec = reconstruct_batch(rows, mem, model.memory, tiny_backbone)
+        rec = reconstruct_batch(rows, model.memory.select(mem), tiny_backbone)
         ref = reconstruction_loss_from_queries(Tensor(gt[:, 0]), rec[5:],
                                                Tensor(gt[:, 1]), rec[:5])
         assert loss.data.tobytes() == ref.data.tobytes()
@@ -308,7 +308,7 @@ class TestEmbedOnce:
         assert embed_calls == [3]
         raw = generate_queries_batch(samples, tiny_backbone)
         with T.no_grad():
-            rec = reconstruct_batch(samples[1:], Tensor(raw[1:, 2]), pool,
+            rec = reconstruct_batch(samples[1:], pool.select(Tensor(raw[1:, 2])),
                                     tiny_backbone).data
         assert records[4]["embedding"] == rec[0].tolist()
         assert records[7]["embedding"] == rec[1].tolist()

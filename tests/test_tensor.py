@@ -396,6 +396,73 @@ class TestRelease:
         np.testing.assert_array_equal(x.grad, [6.0])
 
 
+class TestAttach:
+    """attach carries a gradient an earlier backward computed into a later graph."""
+
+    def lr_term(self, rng, lam):
+        """A scalar whose backward at weight lam already ran, the leaf it reached,
+        and what that leaf got."""
+        leaf = Tensor(rng.standard_normal((3, 4)).astype(np.float32), trainable=True)
+        loss = T.tsum(T.square(leaf))
+        T.backward(T.scale(loss, lam))
+        return loss, leaf.grad
+
+    def test_value_unchanged(self):
+        rng = np.random.default_rng(40)
+        loss, grad = self.lr_term(rng, 0.01)
+        x = Tensor(rng.standard_normal((3, 4)).astype(np.float32), trainable=True)
+        out = T.attach(loss, x, grad, 0.01)
+        assert out.data.tobytes() == loss.data.tobytes()
+        assert out.data.dtype == np.float32
+
+    @pytest.mark.parametrize("lam", [0.01, 1.0, 0.37])
+    def test_gradient_delivered_exactly(self, lam):
+        """In other + lam * term, x gets the earlier backward's gradient bit
+        for bit, through whatever records lie between x and its leaves."""
+        rng = np.random.default_rng(41)
+        loss, grad = self.lr_term(rng, lam)
+        p = Tensor(rng.standard_normal((3, 4)).astype(np.float32), trainable=True)
+        coeff = rng.standard_normal((3, 4)).astype(np.float32)
+        x = T.reshape(T.reshape(p, (12,)), (3, 4))
+        other = T.tsum(T.mul(p, Tensor(coeff)))
+        T.add(other, T.scale(T.attach(loss, x, grad, lam), lam)).backward()
+        assert p.grad.tobytes() == (grad + coeff).tobytes()
+
+    def test_gradient_scales_with_the_incoming_gradient(self):
+        rng = np.random.default_rng(42)
+        loss, grad = self.lr_term(rng, 0.5)
+        x = Tensor(np.zeros((3, 4), np.float32), trainable=True)
+        T.scale(T.attach(loss, x, grad, 0.5), 3.0).backward()
+        np.testing.assert_allclose(x.grad, grad * 6.0, rtol=1e-6)
+
+    def test_backward_releases_the_record(self):
+        rng = np.random.default_rng(43)
+        loss, grad = self.lr_term(rng, 1.0)
+        x = Tensor(np.zeros((3, 4), np.float32), trainable=True)
+        out = T.attach(loss, x, grad, 1.0)
+        out.backward()
+        with pytest.raises(RuntimeError,
+                           match="backward: this graph was released by an earlier backward"):
+            out.backward()
+        assert x.grad.tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("scalar_shape, grad_shape", [((), (4, 3)), ((), (3,)),
+                                                          ((2,), (3, 4))],
+                             ids=["transposed-grad", "short-grad", "non-scalar"])
+    def test_shape_mismatch_refused(self, scalar_shape, grad_shape):
+        x = Tensor(np.zeros((3, 4), np.float32), trainable=True)
+        with pytest.raises(ShapeError, match="attach"):
+            T.attach(Tensor(np.zeros(scalar_shape, np.float32)), x,
+                     np.zeros(grad_shape, np.float32), 1.0)
+
+    def test_no_record_without_grad(self):
+        rng = np.random.default_rng(44)
+        loss, grad = self.lr_term(rng, 1.0)
+        x = Tensor(np.zeros((3, 4), np.float32), trainable=True)
+        with T.no_grad():
+            assert T.attach(loss, x, grad, 1.0)._node is None
+
+
 class TestDeterminism:
     def test_seeded_init_bit_identical(self):
         a = T.uniform_init(np.random.default_rng(42), (5, 5), -1.0, 1.0)
