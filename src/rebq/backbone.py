@@ -106,9 +106,6 @@ class MultimodalBackbone:
 
     # -- parameter management --------------------------------------------------
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        return dict(self.params)
-
     def freeze(self):
         for t in self.params.values():
             t.trainable = False

@@ -2,10 +2,10 @@
 
 Configuration comes from a JSON file matching RunConfig. `--set
 key=value` overrides one of its keys (a mapping value for a nested config
-such as synth or backbone overrides only the keys it names), `--seed`
-derives every seed stream from one root, and `sweep --axis key=v1,v2`
-runs the grid over any keys but output_dir, or over root seeds with the
-axis `seed`, each axis and value once. A value list is cut only at the
+such as synth or backbone overrides only the keys it names), and `sweep
+--axis key=v1,v2` runs the grid over any keys but output_dir, each axis and
+value once; the root seed is the key `seed`, so `--set seed=3` and `--axis
+seed=1,2,3` vary a run's randomness. A value list is cut only at the
 commas outside brackets, braces and quotes, so a mapping can be a value.
 A run's tag and directory join `<axis><value>` for each axis; a mapping or
 list value is named by its position in the axis list instead. sweep.csv has
@@ -80,10 +80,6 @@ def _load_config(args) -> RunConfig:
                 raise ValueError(f"--set expects key=value, got {item!r}")
             _override(d, key, _parse_value(raw))
         cfg = RunConfig.from_dict(d)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {args.seed}")
-        cfg = cfg.with_root_seed(args.seed)
     cfg.check()  # before a command resolves a path or builds anything from it
     return cfg
 
@@ -95,7 +91,7 @@ def cmd_pretrain(args) -> int:
                          f"got {args.pretrain_samples_per_class}")
     pcfg = PretrainConfig(steps=args.steps, batch_size=args.pretrain_batch_size,
                           eval_every=args.eval_every)
-    pretrain_seed = int(np.random.SeedSequence([cfg.seed_corpus, 97]).generate_state(1)[0])
+    pretrain_seed = int(np.random.SeedSequence([cfg.seed, 97]).generate_state(1)[0])
     corpus = synth_generate(cfg.backbone.pretrain_classes, args.pretrain_samples_per_class,
                             cfg.synth, seed=pretrain_seed, id_prefix="p")
     model, report = pretrain(cfg.backbone, corpus, seed=pretrain_seed, pcfg=pcfg)
@@ -182,7 +178,7 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"sweep: --jobs must be >= 1, got {args.jobs}")
     base = _load_config(args)
-    keys = sorted(set(base.to_dict()) - {"output_dir"} | {"seed"})
+    keys = sorted(set(base.to_dict()) - {"output_dir"})
     axes: list[tuple[str, list]] = []
     for spec in args.axis:
         name, _, raw = spec.partition("=")
@@ -196,17 +192,10 @@ def cmd_sweep(args) -> int:
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise ValueError(f"sweep axis {name} repeats the value {repeated[0]!r}")
-        bad = [v for v in values if not (type(v) is int and v >= 0)] if name == "seed" else []
-        if bad:
-            raise ValueError(f"sweep axis seed takes non-negative integers, got {bad[0]!r}")
         axes.append((name, values))
     if not axes:
         raise ValueError("sweep needs at least one --axis")
     names = [name for name, _ in axes]
-    clash = [n for n in names if n.startswith("seed_")] + ["--seed"] * (args.seed is not None)
-    if "seed" in names and clash:
-        raise ValueError(f"sweep axis seed derives every seed stream, so it cannot go with "
-                         f"{', '.join(clash)}")
 
     root = _resolve_output(args.out or base.output_dir)
     combos = list(itertools.product(*(vals for _, vals in axes)))
@@ -220,9 +209,7 @@ def cmd_sweep(args) -> int:
             tag_parts.append(f"{name}{named}")
         tag = "_".join(tag_parts)
         d["output_dir"] = str(Path(root) / tag)
-        seed = d.pop("seed", None)
         cfg = RunConfig.from_dict(d)
-        cfg = cfg if seed is None else cfg.with_root_seed(seed)
         cfg.check()
         configs.append((tag, cfg.to_dict()))
 
@@ -284,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file (RunConfig schema)")
-        p.add_argument("--seed", type=int, help="root seed deriving all seed streams")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (JSON-parsed value; a mapping is "
                             "merged into a nested config)")
@@ -307,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid sweep over config axes")
     common(p)
     p.add_argument("--axis", action="append", default=[], metavar="KEY=V1,V2,...",
-                   help="sweep axis; any config key but output_dir, or seed for root seeds")
+                   help="sweep axis; any config key but output_dir")
     p.add_argument("--out", help="sweep output root")
     p.add_argument("--jobs", type=int, default=1, help="parallel runs")
     p.set_defaults(func=cmd_sweep)

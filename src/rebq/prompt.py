@@ -33,9 +33,6 @@ class PromptPool:
     def pool_size(self) -> int:
         return self.attention.shape[1]
 
-    def parameters(self) -> list[Tensor]:
-        return [self.attention, self.keys, self.components]
-
     def named_parameters(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.attention": self.attention,
                 f"{prefix}.keys": self.keys,
@@ -50,9 +47,6 @@ class PromptVector:
     """A single learnable prompt block; selection ignores the query."""
 
     block: Tensor  # (layers, 2, N_p, D)
-
-    def parameters(self) -> list[Tensor]:
-        return [self.block]
 
     def named_parameters(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.block": self.block}

@@ -5,10 +5,12 @@ none is passed), builds the benchmark stream, trains the chosen variant on
 sessions 0..T-1 in one call, one session at a time (never revisiting
 earlier sessions' training data), and fills the session matrix (the
 report's list of lists, rebq.metrics) column by column; emit_report writes
-the self-contained report and the CSVs derived from its matrix. Everything is
-derived from explicit seeds, so identical configs reproduce identical
-reports apart from wall-clock timing. Every RunConfig, SessionSummary and
-Report field declares its rule next to itself (rebq.rules).
+the self-contained report and the CSVs derived from its matrix. Every random
+draw comes from one of five streams (corpus, split, mask, training, model)
+that RunConfig derives from its one root seed, so identical configs
+reproduce identical reports apart from wall-clock timing. Every RunConfig,
+SessionSummary and Report field declares its rule next to itself
+(rebq.rules).
 """
 
 from __future__ import annotations
@@ -60,11 +62,7 @@ class RunConfig:
     batch_size: int = rule(4, low=1, stage="train")
     lr: float = rule(1e-4, low=0, stage="train")
     eval_batch_size: int = rule(64, low=1, stage="train")
-    seed_corpus: int = rule(1, low=0, stage="benchmark")
-    seed_split: int = rule(2, low=0, stage="benchmark")
-    seed_mask: int = rule(3, low=0, stage="benchmark")
-    seed_train: int = rule(4, low=0, stage="train")
-    seed_model: int = rule(5, low=0, stage="model")
+    seed: int = rule(1, low=0, stage="benchmark")  # root of the seed_* streams below
     export_queries: bool = rule(False, stage="emit")
     output_dir: str = rule("runs/run", stage="emit")
 
@@ -73,7 +71,8 @@ class RunConfig:
 
         The ExperimentError names the field (backbone.* and synth.* by dotted
         path) and carries the stage its top-level field declares as its reader.
-        Then a prompted_layers that is set may not exceed backbone.num_layers.
+        Then a prompted_layers that is set may not exceed backbone.num_layers,
+        and the corpus synth describes must fit what the backbone reads.
         """
         for f in dataclasses.fields(self):
             try:
@@ -83,14 +82,29 @@ class RunConfig:
         if (self.prompted_layers or 0) > self.backbone.num_layers:
             raise ExperimentError("model", f"prompted_layers {self.prompted_layers} exceeds "
                                            f"backbone.num_layers {self.backbone.num_layers}")
+        sy, bb = self.synth, self.backbone
+        misfit = [f"{name} {have} (the backbone {rule} {want})" for name, have, rule, want in (
+            ("patch_dim", sy.patch_dim, "needs", bb.patch_dim),
+            ("num_patches", sy.num_patches, "needs", bb.num_patches),
+            ("max_text_len", sy.max_text_len, "reads at most", bb.max_text_len),
+            ("vocab_size", sy.vocab_size, "reads at most", bb.text_vocab_size))
+            if (have != want if rule == "needs" else have > want)]
+        if misfit:
+            raise ExperimentError("benchmark", "the corpus does not fit the backbone: "
+                                               + ", ".join(misfit))
+
+    def _stream(self, i: int) -> int:
+        return int(np.random.SeedSequence(self.seed).generate_state(5)[i])
+
+    # the five seed streams a run draws from, each derived from seed alone
+    seed_corpus = property(lambda self: self._stream(0))
+    seed_split = property(lambda self: self._stream(1))
+    seed_mask = property(lambda self: self._stream(2))
+    seed_train = property(lambda self: self._stream(3))
+    seed_model = property(lambda self: self._stream(4))
 
     def with_root_seed(self, root: int) -> "RunConfig":
-        """Derive the five seed streams from one root seed."""
-        states = np.random.SeedSequence(root).generate_state(5)
-        return dataclasses.replace(
-            self, seed_corpus=int(states[0]), seed_split=int(states[1]),
-            seed_mask=int(states[2]), seed_train=int(states[3]),
-            seed_model=int(states[4]))
+        return dataclasses.replace(self, seed=root)
 
     def to_dict(self) -> dict:
         return asdict(self)  # asdict recurses into backbone and synth
@@ -252,16 +266,6 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
     with _stage("benchmark"):
         meta, samples = synth_generate(config.num_classes, config.samples_per_class,
                                        config.synth, config.seed_corpus)
-        bb = config.backbone
-        misfit = [f"{name} {have} (the backbone {rule} {want})" for name, have, rule, want in (
-            ("patch_dim", meta.patch_dim, "needs", bb.patch_dim),
-            ("num_patches", meta.num_patches, "needs", bb.num_patches),
-            ("max_text_len", meta.max_text_len, "reads at most", bb.max_text_len),
-            ("vocab_size", meta.vocab_size, "reads at most", bb.text_vocab_size))
-            if (have != want if rule == "needs" else have > want)]
-        if misfit:
-            raise ExperimentError("benchmark", "the corpus does not fit the backbone: "
-                                               + ", ".join(misfit))
         stream = build_stream(meta, samples, config.num_sessions, config.eta,
                               config.missing_case, config.seed_split, config.seed_mask)
         for j, session in enumerate(stream.sessions):

@@ -683,12 +683,12 @@ def _mean_last(a: Array, n) -> Array:
     return np.true_divide(out, n, out=out)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     n = np.intp(x.shape[-1])
     xhat = x.data - _mean_last(x.data, n)
     var = _mean_last(xhat * xhat, n)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat *= inv
     res = xhat * gamma.data
     res += beta.data
@@ -843,14 +843,12 @@ def backward(loss_tensor: Tensor):
 # -- initializers --------------------------------------------------------------------------
 
 
-def uniform_init(rng: np.random.Generator, shape, low: float, high: float,
-                 trainable: bool = True) -> Tensor:
-    return Tensor(rng.uniform(low, high, size=shape).astype(DTYPE), trainable=trainable)
+def uniform_init(rng: np.random.Generator, shape, low: float, high: float) -> Tensor:
+    return Tensor(rng.uniform(low, high, size=shape).astype(DTYPE), trainable=True)
 
 
-def normal_init(rng: np.random.Generator, shape, std: float = 0.02,
-                trainable: bool = True) -> Tensor:
-    return Tensor(rng.normal(0.0, std, size=shape).astype(DTYPE), trainable=trainable)
+def normal_init(rng: np.random.Generator, shape) -> Tensor:
+    return Tensor(rng.normal(0.0, 0.02, size=shape).astype(DTYPE), trainable=True)
 
 
 def zeros(shape, trainable: bool = False) -> Tensor:
@@ -868,15 +866,20 @@ def ones(shape, trainable: bool = False) -> Tensor:
 # a 2 MiB per-core L2 cache
 ADAMW_CHUNK = 1 << 16
 
+# the lab's one schedule and AdamW setting: 10% linear warmup, then cosine decay
+WARMUP_FRAC = 0.1
+BETAS = (0.9, 0.999)
+EPS = 1e-8
+WEIGHT_DECAY = 0.01
 
-def warmup_cosine_lr(step: int, base_lr: float, total_steps: int,
-                     warmup_frac: float = 0.1) -> float:
-    """Linear ramp over the warmup window, cosine decay to zero after it.
+
+def warmup_cosine_lr(step: int, base_lr: float, total_steps: int) -> float:
+    """Linear ramp over the first WARMUP_FRAC of the steps, cosine decay to zero after it.
 
     `step` counts from 0; the rate is exactly `base_lr` at the end of
     warmup and exactly 0 at `total_steps`.
     """
-    warmup = int(round(warmup_frac * total_steps))
+    warmup = int(round(WARMUP_FRAC * total_steps))
     if warmup > 0 and step < warmup:
         return base_lr * step / warmup
     if total_steps <= warmup:
@@ -903,22 +906,17 @@ class AdamW:
     from memory once per operation, and the optimizer holds one chunk of
     scratch per dtype rather than one parameter-sized buffer per slot.
 
-    The defaults (10% warmup, weight decay 0.01) are the lab's one schedule.
+    The schedule, betas, epsilon and weight decay are the module constants
+    WARMUP_FRAC, BETAS, EPS and WEIGHT_DECAY.
     """
 
-    def __init__(self, params, base_lr: float = 1e-4, total_steps: int = 1,
-                 warmup_frac: float = 0.1, betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.01):
+    def __init__(self, params, base_lr: float, total_steps: int):
         self.params = list(params)
         for p in self.params:
             if not p.trainable:
                 raise ValueError("AdamW: received a non-trainable parameter")
         self.base_lr = base_lr
         self.total_steps = total_steps
-        self.warmup_frac = warmup_frac
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.step_count = 0
         # C order, so that each moment's flat view walks it in place
         self.m = [np.zeros(p.shape, p.data.dtype) for p in self.params]
@@ -929,8 +927,7 @@ class AdamW:
         self._scratch = {dt: np.empty(n, dt) for dt, n in sizes.items()}
 
     def current_lr(self) -> float:
-        return warmup_cosine_lr(self.step_count, self.base_lr,
-                                self.total_steps, self.warmup_frac)
+        return warmup_cosine_lr(self.step_count, self.base_lr, self.total_steps)
 
     def step(self):
         if all(p.grad is None for p in self.params):
@@ -938,12 +935,11 @@ class AdamW:
         lr = self.current_lr()
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETAS
         c1, c2 = 1.0 - b1, 1.0 - b2
         root_bc2 = math.sqrt(1.0 - b2 ** t)
         bc1_over_lr = (1.0 - b1 ** t) / lr if lr != 0.0 else 0.0
-        decay = lr * self.weight_decay
-        eps = self.eps
+        decay = lr * WEIGHT_DECAY
         for p, m_all, v_all in zip(self.params, self.m, self.v):
             g_all = p.grad
             if g_all is None:
@@ -968,7 +964,7 @@ class AdamW:
                 if lr != 0.0:
                     np.sqrt(v, out=s)
                     s /= root_bc2
-                    s += eps
+                    s += EPS
                     s *= bc1_over_lr
                     np.divide(m, s, out=s)
                     # x - m / denom - (lr * wd) * x, rounded in that order

@@ -28,8 +28,9 @@ def float64(model):
     tensors = list(getattr(model, "params", {}).values())
     if hasattr(model, "backbone"):
         tensors += model.backbone.params.values()
-    if hasattr(model, "parameters"):
-        tensors += model.parameters()
+        tensors += model.named_parameters().values()
+    elif hasattr(model, "named_parameters"):  # a prompt pool, whose names take a prefix
+        tensors += model.named_parameters("").values()
     for t in tensors:
         t.data = t.data.astype(np.float64)
     return model

@@ -102,6 +102,33 @@ class TestPretrainCli:
         assert message in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("setting, misfit", [
+        ('synth={"patch_dim": 8}', "patch_dim 8 (the backbone needs 6)"),
+        ('synth={"vocab_size": 1024}', "vocab_size 1024 (the backbone reads at most 64)")])
+    def test_corpus_the_backbone_cannot_read_refused_before_any_corpus(
+            self, tmp_path, capsys, monkeypatch, setting, misfit):
+        calls = []
+        for name in ("synth_generate", "pretrain"):
+            monkeypatch.setattr(f"rebq.cli.{name}", lambda *a, **k: calls.append(a))
+        cfg_path = write_config(tmp_path)
+        rc = main(["pretrain", "--config", str(cfg_path), "--set", setting])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error [benchmark] the corpus does not fit the "
+                                           f"backbone: {misfit}\n")
+        assert calls == []
+
+    def test_default_pretraining_seed(self, tmp_path, monkeypatch, tiny_backbone):
+        """The default seed 1 pretrains from SeedSequence([1, 97]), the seed the
+        default checkpoint has always come from."""
+        seeds = []
+        monkeypatch.setattr("rebq.cli.synth_generate",
+                            lambda *a, seed, **k: seeds.append(seed) or (None, []))
+        monkeypatch.setattr("rebq.cli.pretrain", lambda *a, seed, **k: seeds.append(seed)
+                            or (tiny_backbone, PretrainReport(1.0, 1, True)))
+        assert main(["pretrain", "--out", str(tmp_path / "backbone.rbqt")]) == 0
+        expected = int(np.random.SeedSequence([1, 97]).generate_state(1)[0])
+        assert seeds == [expected, expected] == [2260559168, 2260559168]
+
 
 class TestRun:
     def test_run_emits_reports(self, cli_workspace):
@@ -190,17 +217,17 @@ class TestRun:
         assert cfg.synth == dataclasses.replace(TINY_SYNTH, multi_label=True)
 
     @pytest.mark.parametrize("command", ["run", "sweep", "pretrain"])
-    def test_negative_seed_refused_naming_the_flag(self, tmp_path, capsys, monkeypatch,
-                                                   command):
+    def test_negative_seed_refused_naming_the_field(self, tmp_path, capsys, monkeypatch,
+                                                    command):
         calls = []
         for name in ("run_experiment", "pretrain"):
             monkeypatch.setattr(f"rebq.cli.{name}", lambda *a, **k: calls.append(a))
         cfg_path = write_config(tmp_path)
         axis = ["--axis", "eta=0"] if command == "sweep" else []
-        rc = main([command, "--config", str(cfg_path), "--seed", "-1", *axis,
+        rc = main([command, "--config", str(cfg_path), "--set", "seed=-1", *axis,
                    "--out", str(tmp_path / "seeded")])
         assert rc == 2
-        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert capsys.readouterr().err == "error [benchmark] seed must be >= 0, got -1\n"
         assert calls == []
         assert not (tmp_path / "seeded").exists()
 
@@ -258,12 +285,12 @@ class TestRun:
     def test_root_seed_derives_streams(self, cli_workspace):
         tmp, cfg_path = cli_workspace
         for i, run_dir in enumerate(("seeded_a", "seeded_b")):
-            rc = main(["run", "--config", str(cfg_path), "--seed", "777",
+            rc = main(["run", "--config", str(cfg_path), "--set", "seed=777",
                        "--out", str(tmp / run_dir)])
             assert rc == 0
         a = json.loads((tmp / "seeded_a" / "report.json").read_text())
         b = json.loads((tmp / "seeded_b" / "report.json").read_text())
-        assert a["config"]["seed_corpus"] == b["config"]["seed_corpus"]
+        assert a["config"]["seed"] == b["config"]["seed"] == 777
         assert a["matrix"] == b["matrix"]
 
 
@@ -396,9 +423,9 @@ class TestSweep:
         for seed in (1, 2):
             config = json.loads(
                 (tmp / "sweep_seed" / f"seed{seed}" / "report.json").read_text())["config"]
-            assert config == {**base.with_root_seed(seed).to_dict(),
+            assert config == {**dataclasses.replace(base, seed=seed).to_dict(),
                               "output_dir": str(tmp / "sweep_seed" / f"seed{seed}")}
-        assert config["seed_mask"] != base.seed_mask
+        assert RunConfig.from_dict(config).seed_mask != base.seed_mask
 
     def test_seed_axis_summarised_per_other_combination(self, cli_workspace, capsys):
         tmp, cfg_path = cli_workspace
@@ -445,16 +472,16 @@ class TestSweep:
 
     @pytest.mark.parametrize("args, message", [
         (["--axis", "seed=1,2", "--axis", "seed_mask=3,4"],
-         "sweep axis seed derives every seed stream, so it cannot go with seed_mask"),
-        (["--seed", "7", "--axis", "seed=1,2"],
-         "sweep axis seed derives every seed stream, so it cannot go with --seed"),
-        (["--axis", "seed=1,-2"], "sweep axis seed takes non-negative integers, got -2"),
-        (["--axis", "seed=1.5"], "sweep axis seed takes non-negative integers, got 1.5"),
-        (["--axis", "seed=true"], "sweep axis seed takes non-negative integers, got True"),
-        (["--axis", "seed=x"], "sweep axis seed takes non-negative integers, got 'x'")],
-        ids=["with-seed-axis", "with-seed-flag", "negative", "float", "bool", "string"])
+         "error: unknown sweep axis 'seed_mask'"),
+        (["--axis", "seed=1,-2"], "error [benchmark] seed must be >= 0, got -2"),
+        (["--axis", "seed=1.5"], "error [benchmark] seed must be an integer, got 1.5"),
+        (["--axis", "seed=true"], "error [benchmark] seed must be an integer, got True"),
+        (["--axis", "seed=x"], "error [benchmark] seed must be an integer, got 'x'")],
+        ids=["with-seed-axis", "negative", "float", "bool", "string"])
     def test_bad_seed_axis_rejected_before_any_run(self, cli_workspace, capsys, args,
                                                    message):
+        """seed is an ordinary key: its values meet its field's rule, and the
+        five streams it derives are no config keys."""
         tmp, cfg_path = cli_workspace
         out = tmp / "sweep_bad_seed"
         rc = main(["sweep", "--config", str(cfg_path), *args, "--out", str(out)])
@@ -526,8 +553,17 @@ class TestReport:
             **doc["config"], "warmup_frac": 0.1, "weight_decay": 0.01,
             "backbone": {**doc["config"]["backbone"], "activation": "relu", "ffn_mult": 2}}},
          "report config has unknown keys ['warmup_frac', 'weight_decay']"),
+        (lambda doc: {**doc, "config": {**without(doc["config"], "seed"), "seed_corpus": 1,
+                                        "seed_split": 2, "seed_mask": 3, "seed_train": 4,
+                                        "seed_model": 5}},
+         "report config has unknown keys ['seed_corpus', 'seed_mask', 'seed_model', "
+         "'seed_split', 'seed_train']"),
         (lambda doc: {**doc, "config": {**doc["config"], "eta": 150}},
          "report config.eta must lie in [0, 100], got 150"),
+        (lambda doc: {**doc, "config": {**doc["config"],
+                                        "synth": {**doc["config"]["synth"], "patch_dim": 8}}},
+         "report config.the corpus does not fit the backbone: patch_dim 8 "
+         "(the backbone needs 6)"),
         (lambda doc: {**doc, "config": {**doc["config"], "num_sessions": 3}},
          "report config.num_sessions is 3, but the matrix has 2 sessions"),
         (lambda doc: {**doc, "config": {**doc["config"], "prompted_layers": 100}},
@@ -542,7 +578,8 @@ class TestReport:
              "matrix-diagonal-none", "matrix-final-column-none", "matrix-above-one",
              "config-empty-sessions-seven", "config-without-variant",
              "config-without-nested-key", "config-unknown-key", "config-with-corpus-path",
-             "config-with-removed-keys", "config-out-of-range",
+             "config-with-removed-keys", "config-with-seed-streams", "config-out-of-range",
+             "config-synth-misfit",
              "config-session-count", "config-prompted-deeper-than-backbone",
              "per-session-extra", "per-session-order"])
     def test_non_report_json_rejected(self, report_doc, capsys, tmp_path, tamper, message):

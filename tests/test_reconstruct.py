@@ -127,7 +127,7 @@ class TestReconstructionLoss:
         loss = reconstruction_loss(complete_samples[:3], pool, tiny_backbone)
         assert loss.item() >= 0.0
         loss.backward()
-        for p in pool.parameters():
+        for p in pool.named_parameters("memory").values():
             assert p.grad is not None and np.abs(p.grad).sum() > 0
         assert all(t.grad is None for t in tiny_backbone.params.values())
 
@@ -137,7 +137,7 @@ class TestReconstructionLoss:
         loss = reconstruction_loss(complete_samples[:2], pool, tiny_backbone)
         loss.backward()
         g1 = pool.components.grad.copy()
-        for p in pool.parameters():
+        for p in pool.named_parameters("memory").values():
             p.grad = None
         loss2 = reconstruction_loss(complete_samples[:2], pool, tiny_backbone)
         loss2.backward()
@@ -149,8 +149,8 @@ class TestTrainingImprovesReconstruction:
         rng = np.random.default_rng(11)
         untrained = memory_pool(seed=12, k=4)
         trained = memory_pool(seed=12, k=4)
-        params = trained.parameters()
-        opt = AdamW(params, base_lr=5e-3, total_steps=120, warmup_frac=0.1)
+        params = list(trained.named_parameters("memory").values())
+        opt = AdamW(params, base_lr=5e-3, total_steps=120)
         for _ in range(120):
             idx = rng.integers(0, len(complete_samples), size=4)
             batch = [complete_samples[i] for i in idx]

@@ -116,10 +116,10 @@ class TestRunExperiment:
         ("num_sessions", -1, "benchmark"), ("num_sessions", 0, "benchmark"),
         ("eta", True, "benchmark"), ("eta", float("nan"), "benchmark"),
         ("missing_case", "sideways", "benchmark"), ("missing_case", 1, "benchmark"),
-        ("seed_split", -1, "benchmark"), ("variant", "rebq", "model"),
+        ("seed", -1, "benchmark"), ("variant", "rebq", "model"),
         ("pool_size", 1.5, "model"), ("prompted_layers", False, "model"),
-        ("seed_model", 2.0, "model"), ("epochs", 1.5, "train"), ("lr", -1.0, "train"),
-        ("lr", "x", "train"), ("lr", float("inf"), "train"), ("seed_train", None, "train"),
+        ("seed", 2.0, "benchmark"), ("epochs", 1.5, "train"), ("lr", -1.0, "train"),
+        ("lr", "x", "train"), ("lr", float("inf"), "train"), ("seed", None, "benchmark"),
         ("backbone_checkpoint", None, "backbone"),
         ("export_queries", 1, "emit"), ("export_queries", "yes", "emit"),
         ("output_dir", 5, "emit"), ("output_dir", None, "emit")])
@@ -176,12 +176,11 @@ class TestRunExperiment:
 
     def test_empty_split_refused_before_training(self, tiny_backbone, tmp_path,
                                                  monkeypatch):
-        # multi-label samples are filed under their first class, so at 12
-        # samples per class session 0 gets 4 training and no test samples
+        # one sample per class rounds to 1 training and 0 test samples in
+        # every class, whatever the seed
         calls = []
         monkeypatch.setattr(runner, "train_task", lambda *a, **k: calls.append(a))
-        cfg = tiny_config(tmp_path, samples_per_class=12,
-                          synth=dataclasses.replace(TINY_SYNTH, multi_label=True))
+        cfg = tiny_config(tmp_path, samples_per_class=1)
         with pytest.raises(ExperimentError,
                            match=r"\[benchmark\] session 0 has an empty test split"):
             run_experiment(cfg, backbone=tiny_backbone)
@@ -201,18 +200,15 @@ class TestRunExperiment:
         ("num_patches", 5, "num_patches 5 (the backbone needs 4)"),
         ("max_text_len", 12, "max_text_len 12 (the backbone reads at most 8)"),
         ("vocab_size", 200, "vocab_size 200 (the backbone reads at most 64)")])
-    def test_corpus_the_backbone_cannot_read_refused(self, tiny_backbone, tmp_path,
-                                                     monkeypatch, field, value, misfit):
-        """Checked against the corpus sizes before the stream is built."""
-        calls = []
-        monkeypatch.setattr(runner, "build_stream", lambda *a, **k: calls.append(a))
+    def test_corpus_the_backbone_cannot_read_refused(self, tmp_path, field, value, misfit):
+        """RunConfig.check compares the sizes synth draws with before any stage:
+        the checkpoint is missing, so a stage that ran would fail first."""
         synth = dataclasses.replace(TINY_SYNTH, **{field: value})
         cfg = tiny_config(tmp_path, synth=synth)
         with pytest.raises(ExperimentError) as exc:
-            run_experiment(cfg, backbone=tiny_backbone)
+            run_experiment(cfg)
         assert exc.value.stage == "benchmark"
         assert exc.value.cause == f"the corpus does not fit the backbone: {misfit}"
-        assert calls == []
 
     def test_determinism_modulo_timing(self, tiny_backbone, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -228,6 +224,17 @@ class TestRunExperiment:
             assert set(entry) >= {"session", "mean_total", "mean_classification",
                                   "mean_reconstruction", "final_total"}
 
+
+
+class TestSeed:
+    @settings(max_examples=30, deadline=None)
+    @given(root=st.integers(0, 2 ** 63))
+    def test_streams_derive_from_the_root(self, root):
+        cfg = RunConfig(seed=root)
+        streams = [cfg.seed_corpus, cfg.seed_split, cfg.seed_mask, cfg.seed_train,
+                   cfg.seed_model]
+        assert streams == np.random.SeedSequence(root).generate_state(5).tolist()
+        assert RunConfig().with_root_seed(root) == dataclasses.replace(RunConfig(), seed=root)
 
 
 class TestProtocolProperties:
