@@ -4,7 +4,9 @@ rebq.rules reads each field's kind from its annotation and its range,
 choices and stage from its declaration. The guard fails naming any field of
 the checked dataclasses that declares no rule; the property draws, for
 every config field, a value of the wrong kind or outside the declared
-range and asserts that the refusal names the field. Only the checks run.
+range and asserts that the refusal names the field; a config that gives a
+value for one of the seed streams RunConfig derives from its root seed is
+refused naming the stream. Only the checks run.
 """
 
 import dataclasses
@@ -70,12 +72,25 @@ def bad_values(cls, f) -> st.SearchStrategy:
 
 FIELDS = [pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
           for cls in CONFIGS for f in dataclasses.fields(cls)]
+# the seed streams RunConfig derives from its root seed, given by name
+STREAMS = [pytest.param(RunConfig, name, id=f"RunConfig.{name}")
+           for name, v in vars(RunConfig).items()
+           if isinstance(v, property) and name.startswith("seed_")]
 
 
-@pytest.mark.parametrize("cls, f", FIELDS)
+@pytest.mark.parametrize("cls, f", FIELDS + STREAMS)
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_bad_value_refused_naming_the_field(cls, f, data):
+    if isinstance(f, str):
+        # a derived seed stream takes no value of its own: a config that
+        # gives one, bad as the root seed's rule sees it, is refused by name
+        value = data.draw(bad_values(cls, RunConfig.__dataclass_fields__["seed"]))
+        with pytest.raises(ValueError, match=rf"^config has unknown keys \['{f}'\]$"):
+            RunConfig.from_dict({f: value})
+        with pytest.raises(AttributeError, match=f"'{f}'"):
+            setattr(RunConfig(), f, value)
+        return
     value = data.draw(bad_values(cls, f))
     if cls is RunConfig:
         with pytest.raises(ExperimentError) as exc:
