@@ -13,8 +13,10 @@ one group for the whole batch; without modality-specific queries each
 missing type is its own group, since its prefix length differs. Training (train_task) also
 asks for the reconstruction loss: the masked counterparts of the batch's
 complete samples then ride along in the unified pass and the memory
-selection, and their reconstruction pass is recorded, back-propagated and
-released before the classification pass. Evaluation calls it without L_r.
+selection, and their reconstruction runs in chunks of at most the batch's
+rows, each recorded, back-propagated and released before the next chunk
+and before the classification pass, so no tracked pass holds more rows
+than the batch. Evaluation calls it without L_r.
 Variants (ablations and the naive per-missing-type baseline) are built by
 ``build_variant`` from a preset name in VARIANT_PRESETS.
 """
@@ -155,8 +157,11 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
     complete samples ride along in the unified pass and the memory
     selection, and L_r is their mean residual, whose own records are already
     released; its backward is exact in L_c + lam * L_r (_reconstruct).
-    Otherwise the third value is None. One memory selection serves both
-    reconstruction passes (prompt.compute_weights says why). A cache
+    Otherwise the third value is None. One memory selection serves the
+    counterparts' chunks, then the incomplete rows' reconstruction pass
+    (prompt.compute_weights says why); every tracked pass holds at most
+    len(samples) rows, and the counterparts take a second chunk only when
+    they outnumber the batch (2 * n_c > len(samples)). A cache
     memoizes the unified pass across calls (see reconstruct.QueryCache).
     """
     if not samples:
@@ -223,23 +228,39 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
 def _reconstruct(model: RebQModel, rows: list[Sample], queries: np.ndarray, emb: Tensor,
                  n_rec: int, b: int, use_lr: bool) -> tuple[Tensor | None, Tensor | None]:
     """The reconstructed queries of rows[:n_rec] and, when use_lr, L_r over
-    the counterparts rows[b:], from one memory selection. The counterparts'
-    pass runs first on a detached leaf over their prompt rows; lam * L_r is
-    back-propagated at once and T.attach carries those rows' gradient on."""
+    the 2 * n_c counterparts rows[b:], from one memory selection.
+
+    The counterparts go first, in chunks of at most b rows (at most two, one
+    when 2 * n_c <= b), in row order. Each chunk's pass runs on a detached
+    leaf over its prompt rows and back-propagates its share of lam * L_r,
+    through the chain L_r itself takes, before the next chunk records: no
+    tracked pass holds more than b rows, and each row's gradient keeps its
+    bits, since a frozen-backbone pass is row-separable. L_r's value comes
+    untracked from the joined reconstructions, and T.attach carries the
+    joined chunk gradients on."""
     idx = list(range(n_rec)) + list(range(b, len(rows)))
     prefix = model.memory.select(Tensor(queries[idx, 2]))
     l_r = None
     if use_lr:
         lam, n_c = model.mcfg.lam, (len(rows) - b) // 2
-        block_c = Tensor(prefix.data[n_rec:], trainable=True)
-        recon = reconstruct_batch(rows[b:], block_c, model.backbone, emb=emb[b:])
         # text-only counterparts reconstruct the visual query, image-only the text
+        truth = np.concatenate([queries[b - n_c:b, 1], queries[b - n_c:b, 0]])
+        recons, grads = [], []
+        for lo in range(0, 2 * n_c, b):
+            hi = lo + b
+            leaf = Tensor(prefix.data[n_rec + lo:n_rec + hi], trainable=True)
+            recon = reconstruct_batch(rows[b + lo:b + hi], leaf, model.backbone,
+                                      emb=emb[b + lo:b + hi])
+            residual = T.tsum(T.square(T.sub(Tensor(truth[lo:hi]), recon)))
+            T.backward(T.scale(T.scale(residual, 1.0 / n_c), lam))
+            recons.append(recon.data)
+            grads.append(leaf.grad)
+        joined = np.concatenate(recons)
         l_r = reconstruction_loss_from_queries(
-            Tensor(queries[b - n_c:b, 0]), recon[n_c:], Tensor(queries[b - n_c:b, 1]),
-            recon[:n_c])
-        T.backward(T.scale(l_r, lam))
-        if block_c.grad is not None:
-            l_r = T.attach(l_r, prefix[n_rec:], block_c.grad, lam)
+            Tensor(queries[b - n_c:b, 0]), Tensor(joined[n_c:]), Tensor(queries[b - n_c:b, 1]),
+            Tensor(joined[:n_c]))
+        if grads[0] is not None:
+            l_r = T.attach(l_r, prefix[n_rec:], np.concatenate(grads), lam)
     if not n_rec:
         return None, l_r
     return reconstruct_batch(rows[:n_rec], prefix[:n_rec], model.backbone, emb=emb[:n_rec]), l_r
@@ -311,7 +332,8 @@ def train_task(model: RebQModel, samples: list[Sample], epochs: int, batch_size:
     loss of the returned logits against the targets in order, L_r the
     reconstruction loss over the batch's complete samples (zero when the
     batch has none or it is switched off), and the objective is L_c + lam * L_r.
-    forward_batch back-propagates lam * L_r, touching no parameter, before the
+    forward_batch back-propagates lam * L_r, touching no parameter, one chunk
+    of at most batch_size counterpart rows at a time, before the
     classification pass records; the step's gradients keep their bits.
     """
     if not samples:

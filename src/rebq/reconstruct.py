@@ -20,11 +20,12 @@ alone. A QueryCache therefore memoizes it for one experiment: rows are
 keyed by content (tokens plus patch bytes), so a masked copy and each
 masked counterpart of a sample get their own entries, and only rows not
 seen before go through the pass. The cached rows are bit-identical to a
-fresh pass.
+fresh pass. A key holds a SHA-256 digest of the patch bytes, not the bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -49,7 +50,7 @@ class QueryCache:
     def key(sample: Sample) -> tuple:
         patches = np.asarray(sample.patches)
         return (tuple(sample.text_tokens), patches.dtype.str, patches.shape,
-                patches.tobytes())
+                hashlib.sha256(patches.tobytes()).digest())
 
 
 def generate_queries_batch(samples: list[Sample], backbone: MultimodalBackbone,

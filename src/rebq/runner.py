@@ -16,6 +16,7 @@ SessionSummary and Report field declares its rule next to itself
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import time
 from contextlib import contextmanager
@@ -90,7 +91,7 @@ class RunConfig:
             ("vocab_size", sy.vocab_size, "reads at most", bb.text_vocab_size))
             if (have != want if rule == "needs" else have > want)]
         if misfit:
-            raise ExperimentError("benchmark", "the corpus does not fit the backbone: "
+            raise ExperimentError("benchmark", "synth does not fit the backbone: "
                                                + ", ".join(misfit))
 
     def _stream(self, i: int) -> int:
@@ -261,7 +262,7 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
         if differ:
             raise ExperimentError("backbone", f"{source} differs from the config's backbone "
                                               f"in {', '.join(differ)}")
-        backbone_bytes = backbone.parameter_bytes()
+        backbone_digest = hashlib.sha256(backbone.parameter_bytes()).digest()
 
     with _stage("benchmark"):
         meta, samples = synth_generate(config.num_classes, config.samples_per_class,
@@ -295,7 +296,7 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
             log = train_task(model, stream.train_data(j), config.epochs, config.batch_size,
                              config.lr, _session_seed(config.seed_train, j), cache=cache)
             logs.append(log)
-            if backbone.parameter_bytes() != backbone_bytes:
+            if hashlib.sha256(backbone.parameter_bytes()).digest() != backbone_digest:
                 raise ExperimentError("freeze", f"backbone changed during session {j}")
             for i in range(j + 1):
                 test = stream.test_data(i)

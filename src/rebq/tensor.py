@@ -474,14 +474,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return out
 
 
-def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out, links = _output(a.data.transpose(axes), a)
-    if links is not None:
-        inv = tuple(np.argsort(axes))
-        out._node = _Node(links, lambda g: (g.transpose(inv),))
-    return out
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     """The tensors joined along axis; a lone tensor is returned as it is."""
     tensors = tuple(tensors)
@@ -568,22 +560,6 @@ def relu(a: Tensor) -> Tensor:
 
 
 # -- softmax family ------------------------------------------------------------------------
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Softmax over the last axis, stabilized by max subtraction."""
-    if a.shape[-1] < 1:
-        raise ShapeError("softmax_rows: last dimension must be >= 1")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    res = e / e.sum(axis=-1, keepdims=True)
-    out, links = _output(res, a)
-    if links is not None:
-        def bwd(g):
-            dot = (g * res).sum(axis=-1, keepdims=True)
-            return ((g - dot) * res,)
-        out._node = _Node(links, bwd)
-    return out
 
 
 def log_softmax_rows(a: Tensor) -> Tensor:

@@ -113,7 +113,7 @@ class TestPretrainCli:
         cfg_path = write_config(tmp_path)
         rc = main(["pretrain", "--config", str(cfg_path), "--set", setting])
         assert rc == 2
-        assert capsys.readouterr().err == ("error [benchmark] the corpus does not fit the "
+        assert capsys.readouterr().err == ("error [benchmark] synth does not fit the "
                                            f"backbone: {misfit}\n")
         assert calls == []
 
@@ -562,7 +562,7 @@ class TestReport:
          "report config.eta must lie in [0, 100], got 150"),
         (lambda doc: {**doc, "config": {**doc["config"],
                                         "synth": {**doc["config"]["synth"], "patch_dim": 8}}},
-         "report config.the corpus does not fit the backbone: patch_dim 8 "
+         "report config.synth does not fit the backbone: patch_dim 8 "
          "(the backbone needs 6)"),
         (lambda doc: {**doc, "config": {**doc["config"], "num_sessions": 3}},
          "report config.num_sessions is 3, but the matrix has 2 sessions"),

@@ -12,8 +12,9 @@ from rebq.backbone import MultimodalBackbone
 from rebq.pipeline import (VARIANT_PRESETS, ModelConfig, _targets, build_variant,
                            forward_batch, predict_batch, train_task)
 from rebq.prompt import PromptPool, PromptVector
-from rebq.reconstruct import QueryCache, counterparts
-from rebq.tensor import AdamW
+from rebq.reconstruct import (QueryCache, counterparts, generate_queries_batch,
+                              reconstruct_batch, reconstruction_loss_from_queries)
+from rebq.tensor import AdamW, Tensor
 
 from conftest import TINY, float64
 from reconstruction_oracle import reconstruction_loss
@@ -305,11 +306,12 @@ class TestTrainTask:
 
     def test_reconstruction_records_released_before_classification(
             self, tiny_backbone, complete_samples, monkeypatch):
-        """In a step on complete samples the counterparts' reconstruction pass
-        is back-propagated first: when the classification forward starts, no
-        array its attention records kept is alive."""
+        """In a step on 4 complete samples the 8 counterparts reconstruct in two
+        chunks of 4 rows, each back-propagated before the next pass records:
+        every tracked backbone forward holds at most the batch's rows and
+        starts when no array an earlier pass's attention records kept is alive."""
         model = make_model(tiny_backbone)
-        kept, alive = [], []
+        kept, passes = [], []
         attention, forward = T.attention, MultimodalBackbone.forward
 
         def keeping_attention(qkv, heads, prefix=None, rows=None):
@@ -321,7 +323,8 @@ class TestTrainTask:
             return out
 
         def watched_forward(bb, x, prefix=None, positions=None):
-            alive.append((len(kept), sum(ref() is not None for ref in kept)))
+            if T.recording(x, prefix, *bb.params.values()):
+                passes.append((x.shape[0], sum(ref() is not None for ref in kept)))
             return forward(bb, x, prefix, positions)
 
         monkeypatch.setattr(T, "attention", keeping_attention)
@@ -329,11 +332,47 @@ class TestTrainTask:
         batch = complete_samples[:4]
         log = train_task(model, batch, 1, len(batch), 1e-4, seed=3)
         assert log.steps[0].reconstruction > 0.0
-        # the untracked query pass, the counterparts' pass, then classification
-        assert len(alive) == 3
-        recorded, still_alive = alive[-1]
-        assert recorded > 0
-        assert still_alive == 0
+        # two counterpart chunks, then classification
+        assert passes == [(4, 0), (4, 0), (4, 0)]
+        assert kept
+
+    @pytest.mark.parametrize("n_c", [1, 2, 3, 4])
+    def test_chunked_reconstruction_bit_identical(self, tiny_backbone, complete_samples,
+                                                  monkeypatch, n_c):
+        """At batch 4 the 2 * n_c counterparts run in one chunk or two; L_r and
+        the memory block's phase-one gradient equal, bit for bit, one
+        reconstruct_batch pass over all counterparts."""
+        model = make_model(tiny_backbone)
+        batch = complete_samples[:n_c] + [counterparts(s)[i % 2] for i, s in
+                                          enumerate(complete_samples[4:8 - n_c])]
+        attached = []
+        attach = T.attach
+
+        def spying_attach(scalar, x, grad, seed):
+            attached.append(grad)
+            return attach(scalar, x, grad, seed)
+
+        monkeypatch.setattr(T, "attach", spying_attach)
+        _, _, l_r = forward_batch(model, batch, with_lr=True)
+
+        # forward_batch's rows and memory selection, then the counterparts in one pass
+        ordered = sorted(batch, key=lambda s: pipeline.MISSING_TYPES.index(s.missing_type))
+        pairs = [counterparts(s) for s in ordered[4 - n_c:]]
+        rows = ordered + [p[0] for p in pairs] + [p[1] for p in pairs]
+        bb = model.backbone
+        with T.no_grad():
+            emb = bb.embed_batch(rows)
+            queries = generate_queries_batch(rows, bb, emb=emb)
+            prefix = model.memory.select(Tensor(queries[list(range(4 - n_c)) + list(
+                range(4, len(rows))), 2]))
+        block = Tensor(prefix.data[4 - n_c:], trainable=True)
+        recon = reconstruct_batch(rows[4:], block, bb, emb=emb[4:])
+        want = reconstruction_loss_from_queries(
+            Tensor(queries[4 - n_c:4, 0]), recon[n_c:], Tensor(queries[4 - n_c:4, 1]),
+            recon[:n_c])
+        T.backward(T.scale(want, model.mcfg.lam))
+        assert np.array_equal(l_r.data, want.data)
+        assert len(attached) == 1 and np.array_equal(attached[0], block.grad)
 
     def test_loss_decomposition_exact(self, tiny_backbone, tiny_benchmark):
         _, stream = tiny_benchmark

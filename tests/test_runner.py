@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 from pathlib import Path
@@ -195,6 +196,25 @@ class TestRunExperiment:
             run_experiment(tiny_config(tmp_path, num_classes=5), backbone=tiny_backbone)
         assert calls == []
 
+    def test_backbone_changed_in_a_session_refused(self, tiny_backbone, tmp_path,
+                                                   monkeypatch):
+        """The per-session freeze check sees a one-ulp change to one backbone
+        scalar, made while the first session trains."""
+        backbone = copy.deepcopy(tiny_backbone)
+        train_task = runner.train_task
+
+        def tampering(*args, **kwargs):
+            log = train_task(*args, **kwargs)
+            w = backbone.params["l0.ff1_w"].data
+            w[0, 0] = np.nextafter(w[0, 0], np.inf)
+            return log
+
+        monkeypatch.setattr(runner, "train_task", tampering)
+        with pytest.raises(ExperimentError) as exc:
+            run_experiment(tiny_config(tmp_path), backbone=backbone)
+        assert (exc.value.stage, exc.value.cause) == ("freeze",
+                                                      "backbone changed during session 0")
+
     @pytest.mark.parametrize("field, value, misfit", [
         ("patch_dim", 5, "patch_dim 5 (the backbone needs 6)"),
         ("num_patches", 5, "num_patches 5 (the backbone needs 4)"),
@@ -208,7 +228,7 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError) as exc:
             run_experiment(cfg)
         assert exc.value.stage == "benchmark"
-        assert exc.value.cause == f"the corpus does not fit the backbone: {misfit}"
+        assert exc.value.cause == f"synth does not fit the backbone: {misfit}"
 
     def test_determinism_modulo_timing(self, tiny_backbone, tmp_path):
         cfg = tiny_config(tmp_path)

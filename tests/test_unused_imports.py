@@ -17,8 +17,6 @@ SOURCES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted(TESTS.glob("*
 # the program: the package and the benchmark harness, without their tests
 PROGRAM = PACKAGE + sorted(p for p in (TESTS.parent / "perfbench").glob("*.py")
                            if not p.name.startswith("test_"))
-# the attention tests' reference chain; no program code calls it
-UNCALLED_ALLOWED = {"tensor.softmax_rows"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -97,7 +95,7 @@ def test_every_definition_has_a_caller():
     for path in PACKAGE:
         defined.update(definitions(path.read_text(), path.stem))
     assert len(defined) > 100
-    assert sorted(q for q, name in defined.items() if name not in used) == sorted(UNCALLED_ALLOWED)
+    assert sorted(q for q, name in defined.items() if name not in used) == []
 
 
 def test_caller_check_flags_an_uncalled_definition():
