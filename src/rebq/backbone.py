@@ -19,22 +19,28 @@ cores (tensor.split_rows) and the result is bit-identical to one serial
 pass. Each layer's feed-forward block is a ReLU MLP of width FFN_MULT * D.
 A desk-scale pretraining routine trains the encoder on synthetic
 modality-complete data until the joint cls token classifies held-out
-samples, then freezes every parameter.
+samples, then freezes every parameter. A checkpoint is one NumPy .npz
+archive holding each parameter under its name and a meta.json entry with
+the config and the frozen flag; loading reads it without unpickling and
+checks every tensor against the stored config.
 """
 
 from __future__ import annotations
 
+import json
+import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import rules, serialize
+from . import rules
 from . import tensor as T
 from .bench import CorpusMeta, Sample
 from .rules import rule
 from .tensor import AdamW, Tensor
 
 FFN_MULT = 2  # feed-forward width per embedding dimension
+META = "meta.json"  # the checkpoint archive entry that holds the metadata JSON
 
 
 @dataclass
@@ -226,38 +232,53 @@ class MultimodalBackbone:
     # -- checkpointing -------------------------------------------------------------------
 
     def save_checkpoint(self, path, extra_meta: dict | None = None):
-        meta = {"config": asdict(self.config), "frozen": self.frozen}
-        if extra_meta:
-            meta.update(extra_meta)
-        serialize.save_container(path, "backbone", meta,
-                                 {k: v.data for k, v in self.params.items()})
+        """One .npz archive at path as named: each parameter under its name and
+        META, a 0-d string of JSON: extra_meta, then the config and frozen flag."""
+        meta = {**(extra_meta or {}), "config": asdict(self.config), "frozen": self.frozen}
+        arrays = {name: t.data for name, t in self.params.items()}
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays, **{META: np.array(json.dumps(meta))})
 
     @classmethod
     def load_checkpoint(cls, path) -> tuple["MultimodalBackbone", dict]:
-        """Load a saved backbone; its float64 payloads are cast to float32.
-
-        Tensor names and shapes must match those the stored config defines.
-        """
-        kind, meta, arrays = serialize.load_container(path)
-        if kind != "backbone":
-            raise serialize.ContainerError(f"{path}: container holds {kind!r}, not a backbone")
+        """Load a save_checkpoint archive, unpickling nothing; tensors are cast
+        to the model's dtype. Anything else is refused with a ValueError that
+        starts with path: not an .npz archive, a failed CRC, no JSON object in
+        META, a config breaking its rules, or tensors whose names, shapes or
+        float dtype do not fit it."""
+        with open(path, "rb") as fh:
+            if not zipfile.is_zipfile(fh):
+                raise ValueError(f"{path}: not an .npz archive; rebq pretrain writes one")
+            fh.seek(0)
+            try:
+                with np.load(fh, allow_pickle=False) as archive:
+                    arrays = {name: archive[name] for name in archive.files}
+                meta = json.loads(arrays.pop(META)[()])
+            except KeyError:
+                raise ValueError(f"{path}: the archive has no {META}") from None
+            except (zipfile.BadZipFile, ValueError, TypeError) as exc:
+                raise ValueError(f"{path}: not a backbone checkpoint: {exc}") from None
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path}: {META} holds {meta!r}, not a JSON object")
         try:
             config = BackboneConfig(**rules.mapping(meta.get("config"), BackboneConfig,
                                                     "stored config"))
         except ValueError as exc:
-            raise serialize.ContainerError(f"{path}: bad backbone config: {exc}") from None
+            raise ValueError(f"{path}: bad backbone config: {exc}") from None
         model = cls(config, np.random.default_rng(0))
         missing = sorted(set(model.params) - set(arrays))
         unknown = sorted(set(arrays) - set(model.params))
         if missing or unknown:
-            raise serialize.ContainerError(
+            raise ValueError(
                 f"{path}: tensors do not match the config (missing {missing}, unknown {unknown})")
         for name, t in model.params.items():
-            if arrays[name].shape != t.shape:
-                raise serialize.ContainerError(
-                    f"{path}: tensor {name} has shape {arrays[name].shape}, "
-                    f"the config needs {t.shape}")
-            t.data = arrays[name].astype(t.data.dtype)
+            arr = arrays[name]
+            if arr.dtype.kind != "f":
+                raise ValueError(f"{path}: tensor {name} has dtype {arr.dtype}, not a float")
+            if arr.shape != t.shape:
+                raise ValueError(f"{path}: tensor {name} has shape {arr.shape}, "
+                                 f"the config needs {t.shape}")
+            t.data = arr.astype(t.data.dtype)
         if meta.get("frozen"):
             model.freeze()
         return model, meta

@@ -13,10 +13,10 @@ a column per axis, and with a `seed` axis the sweep prints AP and FG as
 mean (min-max) over the seeds. Each value is checked against the rule its
 field declares (rebq.rules) before any command runs. No flag mirrors a
 RunConfig field: the other flags set only what RunConfig does not hold
-(output paths, pretraining sizes, sweep jobs). $REBQ_OUTPUT_ROOT, when
-set, roots the relative output directories of run, sweep and report --emit.
-It does not root the checkpoint path, so pretrain writes the checkpoint
-where run and sweep read it.
+(output paths, sweep jobs). $REBQ_OUTPUT_ROOT, when set, roots the
+relative output directories of run, sweep and report --emit. It does not
+root the checkpoint path, so pretrain writes the checkpoint where run and
+sweep read it.
 """
 
 from __future__ import annotations
@@ -34,12 +34,13 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .backbone import PretrainConfig, pretrain
+from .backbone import pretrain
 from .bench import synth_generate
 from .runner import (ExperimentError, Report, RunConfig, emit_report,
                      run_experiment)
 
 OUTPUT_ROOT_ENV = "REBQ_OUTPUT_ROOT"
+PRETRAIN_SAMPLES_PER_CLASS = 100  # size of the pretraining corpus per class
 
 
 def _resolve_output(path: str) -> str:
@@ -66,10 +67,17 @@ def _override(config: dict, key: str, value):
     config[key] = {**old, **value} if both else value
 
 
+def _read_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+            raise ValueError(f"{path} is not JSON: {exc}") from None
+
+
 def _load_config(args) -> RunConfig:
     if args.config:
-        with open(args.config) as fh:
-            cfg = RunConfig.from_dict(json.load(fh))
+        cfg = RunConfig.from_dict(_read_json(args.config))
     else:
         cfg = RunConfig()
     if args.set:
@@ -86,15 +94,10 @@ def _load_config(args) -> RunConfig:
 
 def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
-    if args.pretrain_samples_per_class < 1:
-        raise ValueError("pretrain: --samples-per-class must be >= 1, "
-                         f"got {args.pretrain_samples_per_class}")
-    pcfg = PretrainConfig(steps=args.steps, batch_size=args.pretrain_batch_size,
-                          eval_every=args.eval_every)
     pretrain_seed = int(np.random.SeedSequence([cfg.seed, 97]).generate_state(1)[0])
-    corpus = synth_generate(cfg.backbone.pretrain_classes, args.pretrain_samples_per_class,
+    corpus = synth_generate(cfg.backbone.pretrain_classes, PRETRAIN_SAMPLES_PER_CLASS,
                             cfg.synth, seed=pretrain_seed, id_prefix="p")
-    model, report = pretrain(cfg.backbone, corpus, seed=pretrain_seed, pcfg=pcfg)
+    model, report = pretrain(cfg.backbone, corpus, seed=pretrain_seed)
     out = args.out or cfg.backbone_checkpoint
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     model.save_checkpoint(out, {"accuracy": report.accuracy, "usable": report.usable,
@@ -243,8 +246,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.report) as fh:
-        report = Report.from_dict(json.load(fh))
+    report = Report.from_dict(_read_json(args.report))
     ap, fg = report.recompute()
     ok = abs(ap - report.ap) <= 1e-12 and (
         (fg is None and report.fg is None) or abs(fg - report.fg) <= 1e-12)
@@ -278,11 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="pretrain and freeze a backbone checkpoint")
     common(p)
     p.add_argument("--out", help="checkpoint path (default: config backbone_checkpoint)")
-    p.add_argument("--steps", type=int, default=1500)
-    p.add_argument("--batch-size", dest="pretrain_batch_size", type=int, default=16)
-    p.add_argument("--eval-every", type=int, default=100)
-    p.add_argument("--samples-per-class", dest="pretrain_samples_per_class", type=int,
-                   default=100)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("run", help="run one continual experiment")

@@ -1,4 +1,5 @@
 import copy
+import json
 import sys
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from rebq.backbone import BackboneConfig, PretrainConfig, pretrain
+from rebq.backbone import META, BackboneConfig, PretrainConfig, pretrain
 from rebq.bench import SynthConfig, build_stream, synth_generate
 
 TINY = BackboneConfig(embed_dim=32, num_layers=2, num_heads=2, text_vocab_size=64,
@@ -34,6 +35,20 @@ def float64(model):
     for t in tensors:
         t.data = t.data.astype(np.float64)
     return model
+
+
+def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The metadata and the tensors of a backbone checkpoint archive."""
+    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
+        arrays = dict(archive)
+    return json.loads(arrays.pop(META)[()]), arrays
+
+
+def write_checkpoint(path, meta: dict, arrays: dict[str, np.ndarray]):
+    """Write meta and arrays as save_checkpoint lays out a checkpoint,
+    without checking either."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays, **{META: np.array(json.dumps(meta))})
 
 
 def make_tiny_backbone():

@@ -5,13 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rebq import serialize
 from rebq import tensor as T
 from rebq.backbone import PretrainReport
 from rebq.cli import _load_config, build_parser, main
 from rebq.runner import RunConfig
 
-from conftest import TINY, TINY_SYNTH
+from conftest import TINY, TINY_SYNTH, read_checkpoint, write_checkpoint
 
 import dataclasses
 
@@ -57,8 +56,7 @@ def cli_workspace(tmp_path_factory):
     """Config plus a pretrained checkpoint shared by the CLI tests."""
     tmp = tmp_path_factory.mktemp("cli")
     cfg_path = write_config(tmp)
-    rc = main(["pretrain", "--config", str(cfg_path), "--steps", "400",
-               "--eval-every", "50", "--samples-per-class", "40"])
+    rc = main(["pretrain", "--config", str(cfg_path)])
     assert rc == 0
     return tmp, cfg_path
 
@@ -75,18 +73,7 @@ class TestPretrainCli:
     def test_checkpoint_written(self, cli_workspace):
         tmp, _ = cli_workspace
         assert (tmp / "backbone.rbqt").exists()
-
-    @pytest.mark.parametrize("flag, field", [
-        ("--steps", "steps"), ("--batch-size", "batch_size"), ("--eval-every", "eval_every"),
-        pytest.param("--samples-per-class", "pretrain: --samples-per-class must be >= 1",
-                     id="--samples-per-class")])
-    def test_bad_setting_exits_naming_field(self, tmp_path, capsys, flag, field):
-        cfg_path = write_config(tmp_path)
-        rc = main(["pretrain", "--config", str(cfg_path), "--samples-per-class", "4",
-                   flag, "0"])
-        assert rc == 2
-        assert field in capsys.readouterr().err
-        assert not (tmp_path / "backbone.rbqt").exists()
+        assert not (tmp / "backbone.rbqt.npz").exists()
 
     @pytest.mark.parametrize("setting, message", [
         ("backbone_checkpoint=5", "error [backbone] backbone_checkpoint must be a string, got 5"),
@@ -96,8 +83,7 @@ class TestPretrainCli:
         calls = []
         monkeypatch.setattr("rebq.cli.pretrain", lambda *a, **k: calls.append(a))
         cfg_path = write_config(tmp_path)
-        rc = main(["pretrain", "--config", str(cfg_path), "--samples-per-class", "4",
-                   "--set", setting])
+        rc = main(["pretrain", "--config", str(cfg_path), "--set", setting])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert calls == []
@@ -231,6 +217,13 @@ class TestRun:
         assert calls == []
         assert not (tmp_path / "seeded").exists()
 
+    @pytest.mark.parametrize("command, flag", [("run", "--config"), ("report", "--report")])
+    def test_malformed_json_named_by_its_path(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "bad.json"
+        path.write_text('{"eta":\n}')
+        assert main([command, flag, str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path} is not JSON: Expecting value")
+
     def test_no_flag_mirrors_a_config_field(self):
         """Config fields are set through --config and --set only."""
         fields = {f.name for f in dataclasses.fields(RunConfig)}
@@ -257,20 +250,28 @@ class TestRun:
                             lambda *a, **k: (tiny_backbone, PretrainReport(1.0, 1, True)))
         cfg_path = write_config(tmp_path, backbone_checkpoint="backbone.rbqt",
                                 output_dir="out")
-        assert main(["pretrain", "--config", str(cfg_path), "--samples-per-class", "4"]) == 0
+        assert main(["pretrain", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "backbone.rbqt").exists()
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "root" / "out" / "report.json").exists()
 
     def test_checkpoint_with_a_removed_key_refused(self, cli_workspace, tmp_path, capsys):
         tmp, _ = cli_workspace
-        kind, meta, arrays = serialize.load_container(tmp / "backbone.rbqt")
+        meta, arrays = read_checkpoint(tmp / "backbone.rbqt")
         meta["config"]["ffn_mult"] = 2
-        serialize.save_container(tmp_path / "old.rbqt", kind, meta, arrays)
+        write_checkpoint(tmp_path / "old.rbqt", meta, arrays)
         cfg_path = write_config(tmp_path, backbone_checkpoint=str(tmp_path / "old.rbqt"))
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert ("old.rbqt: bad backbone config: stored config has unknown keys ['ffn_mult']"
                 in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_checkpoint_of_the_old_format_refused(self, tmp_path, capsys):
+        old = tmp_path / "old.rbqt"
+        old.write_bytes(b"RBQT\x01\x00\x00\x00" + bytes(64))
+        cfg_path = write_config(tmp_path, backbone_checkpoint=str(old))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error [backbone] {old}: ")
         assert not (tmp_path / "out").exists()
 
     def test_flag_beats_env(self, cli_workspace, monkeypatch):

@@ -561,7 +561,7 @@ class TestPrecision:
         predict_batch(model, stream.test_data(0)[:6])
         assert dtypes == f32
 
-        # checkpoints hold float64; loading casts back to the same float32 bits
+        # checkpoints hold the float32 arrays, so loading restores the same bits
         tiny_backbone.save_checkpoint(tmp_path / "backbone.rbqt")
         loaded, _ = MultimodalBackbone.load_checkpoint(tmp_path / "backbone.rbqt")
         assert loaded.parameter_bytes() == tiny_backbone.parameter_bytes()
