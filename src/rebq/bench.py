@@ -1,12 +1,13 @@
 """Benchmark construction: synthetic corpora, session splits, missing masks.
 
 synth_generate is the only source of a corpus: a list of complete
-:class:`Sample` records plus the :class:`CorpusMeta` sizes they were made
-with. Sessions partition the classes into disjoint subsets; the missing
-mask then degrades a configurable share of each session's samples to a
-single modality. Sample.without is the one place that makes such a copy: it
-replaces the absent modality with its canonical dummy (empty token sequence
-for text, all-ones patches of the sample's own shape for images).
+:class:`Sample` records plus the :class:`CorpusMeta` a run reads of it
+(class count and label mode). Sessions partition the classes into disjoint
+subsets; the missing mask then degrades a configurable share of each
+session's samples to a single modality. Sample.without is the one place
+that makes such a copy: it replaces the absent modality with its canonical
+dummy (empty token sequence for text, all-ones patches of the sample's own
+shape for images).
 """
 
 from __future__ import annotations
@@ -54,13 +55,9 @@ class Sample:
 
 @dataclass
 class CorpusMeta:
-    """The sizes synth_generate made a corpus with."""
+    """What a run reads of how synth_generate made a corpus."""
     num_classes: int
-    patch_dim: int
-    max_text_len: int
     multi_label: bool
-    vocab_size: int
-    num_patches: int
 
 
 @dataclass
@@ -144,10 +141,7 @@ def synth_generate(num_classes: int, samples_per_class: int, cfg: SynthConfig,
             patches=_sample_patches(protos.patch_means, active, cfg, rng),
             label=active if cfg.multi_label else active[0],
         ))
-    meta = CorpusMeta(num_classes=num_classes, patch_dim=cfg.patch_dim,
-                      max_text_len=cfg.max_text_len, multi_label=cfg.multi_label,
-                      vocab_size=cfg.vocab_size, num_patches=cfg.num_patches)
-    return meta, samples
+    return CorpusMeta(num_classes=num_classes, multi_label=cfg.multi_label), samples
 
 
 # -- session splitting --------------------------------------------------------------

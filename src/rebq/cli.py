@@ -1,22 +1,26 @@
 """Command-line surface: pretrain, run, sweep, report.
 
-Configuration comes from a JSON file matching RunConfig. `--set
-key=value` overrides one of its keys (a mapping value for a nested config
-such as synth or backbone overrides only the keys it names), and `sweep
---axis key=v1,v2` runs the grid over any keys but output_dir, each axis and
-value once; the root seed is the key `seed`, so `--set seed=3` and `--axis
-seed=1,2,3` vary a run's randomness. A value list is cut only at the
-commas outside brackets, braces and quotes, so a mapping can be a value.
-A run's tag and directory join `<axis><value>` for each axis; a mapping or
-list value is named by its position in the axis list instead. sweep.csv has
-a column per axis, and with a `seed` axis the sweep prints AP and FG as
-mean (min-max) over the seeds. Each value is checked against the rule its
-field declares (rebq.rules) before any command runs. No flag mirrors a
-RunConfig field: the other flags set only what RunConfig does not hold
-(output paths, sweep jobs). $REBQ_OUTPUT_ROOT, when set, roots the
-relative output directories of run, sweep and report --emit. It does not
-root the checkpoint path, so pretrain writes the checkpoint where run and
-sweep read it.
+A run's settings come from a JSON file matching RunConfig (`--config`) and
+from `--set key=value`, which overrides one key (a mapping value for a
+nested config such as synth or backbone overrides only the keys it names);
+no flag mirrors a RunConfig field. pretrain writes `backbone_checkpoint`,
+which run and sweep read; run writes its report to `output_dir`, and sweep
+writes sweep.csv and one directory per run there. $REBQ_OUTPUT_ROOT, when
+set, roots a relative `output_dir` and the directory of `report --emit`,
+but not the checkpoint path.
+
+`sweep --axis key=v1,v2` runs the grid over any keys but output_dir, each
+axis and value once; the root seed is the key `seed`. A value list is read
+as one JSON array. When a bare string such as `text-missing` keeps it from
+parsing, it is cut at every comma and each non-empty item is read as a
+`--set` value (JSON, else the raw string), so a string that holds a comma
+is listed quoted, beside quoted items only. A run's tag and directory join
+`<axis><value>` for each axis, with a mapping or list value named by its
+position in the axis list. The runs execute in `--jobs` worker processes
+that share the cores, and a failing run ends the sweep with its stage
+error. sweep.csv has a column per axis, and with a `seed` axis the sweep
+prints AP and FG as mean (min-max) over the seeds. Each value is checked
+against the rule its field declares (rebq.rules) before any command runs.
 """
 
 from __future__ import annotations
@@ -98,7 +102,7 @@ def cmd_pretrain(args) -> int:
     corpus = synth_generate(cfg.backbone.pretrain_classes, PRETRAIN_SAMPLES_PER_CLASS,
                             cfg.synth, seed=pretrain_seed, id_prefix="p")
     model, report = pretrain(cfg.backbone, corpus, seed=pretrain_seed)
-    out = args.out or cfg.backbone_checkpoint
+    out = cfg.backbone_checkpoint
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     model.save_checkpoint(out, {"accuracy": report.accuracy, "usable": report.usable,
                                 "steps_used": report.steps_used})
@@ -116,7 +120,7 @@ def _run_single(cfg: RunConfig) -> Report:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
-    cfg = dataclasses.replace(cfg, output_dir=_resolve_output(args.out or cfg.output_dir))
+    cfg = dataclasses.replace(cfg, output_dir=_resolve_output(cfg.output_dir))
     report = _run_single(cfg)
     fg = "n/a" if report.fg is None else f"{report.fg:.4f}"
     print(f"variant={cfg.variant} eta={cfg.eta} AP={report.ap:.4f} FG={fg}")
@@ -157,24 +161,13 @@ def _print_over_seeds(axes: list[tuple[str, list]], combos: list[tuple],
         print(f"{label}: AP={_spread(aps)} FG={_spread(fgs)}")
 
 
-def _split_top_level(raw: str) -> list[str]:
-    """raw cut at each comma outside brackets, braces and double-quoted strings."""
-    parts, start, depth, quoted, escaped = [], 0, 0, False, False
-    for i, ch in enumerate(raw):
-        if escaped:
-            escaped = False
-        elif quoted:
-            escaped, quoted = ch == "\\", ch != '"'
-        elif ch == '"':
-            quoted = True
-        elif ch in "[{":
-            depth += 1
-        elif ch in "]}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(raw[start:i])
-            start = i + 1
-    return parts + [raw[start:]]
+def _axis_values(raw: str) -> list:
+    """An --axis value list: one JSON array, or, when a bare string keeps it
+    from parsing, each non-empty comma-separated item read as a --set value."""
+    try:
+        return json.loads(f"[{raw}]")
+    except json.JSONDecodeError:
+        return [_parse_value(v) for v in raw.split(",") if v]
 
 
 def cmd_sweep(args) -> int:
@@ -187,7 +180,7 @@ def cmd_sweep(args) -> int:
         name, _, raw = spec.partition("=")
         if name not in keys:
             raise ValueError(f"unknown sweep axis {name!r}; choose a config key from {keys}")
-        values = [_parse_value(v) for v in _split_top_level(raw) if v]
+        values = _axis_values(raw)
         if not values:
             raise ValueError(f"axis {name} has no values")
         if name in (n for n, _ in axes):
@@ -200,9 +193,9 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep needs at least one --axis")
     names = [name for name, _ in axes]
 
-    root = _resolve_output(args.out or base.output_dir)
+    root = _resolve_output(base.output_dir)
     combos = list(itertools.product(*(vals for _, vals in axes)))
-    configs = []
+    tags, configs = [], []
     for combo in combos:
         d = base.to_dict()
         tag_parts = []
@@ -214,20 +207,14 @@ def cmd_sweep(args) -> int:
         d["output_dir"] = str(Path(root) / tag)
         cfg = RunConfig.from_dict(d)
         cfg.check()
-        configs.append((tag, cfg.to_dict()))
+        tags.append(tag)
+        configs.append(cfg.to_dict())
 
-    results = []
-    if args.jobs > 1:
-        # the runs share the cores: each splits its passes into at most
-        # cores // jobs parts, so jobs processes start no more threads than cores
-        with ProcessPoolExecutor(max_workers=args.jobs, initializer=T.set_row_parts,
-                                 initargs=(max(1, T.row_parts() // args.jobs),)) as pool:
-            for (tag, _), res in zip(configs, pool.map(_sweep_worker,
-                                                       [d for _, d in configs])):
-                results.append((tag, res))
-    else:
-        for tag, d in configs:
-            results.append((tag, _sweep_worker(d)))
+    # the runs share the cores: each splits its passes into at most
+    # cores // jobs parts, so jobs processes start no more threads than cores
+    with ProcessPoolExecutor(max_workers=args.jobs, initializer=T.set_row_parts,
+                             initargs=(max(1, T.row_parts() // args.jobs),)) as pool:
+        results = list(zip(tags, pool.map(_sweep_worker, configs)))
 
     summary = Path(root) / "sweep.csv"
     summary.parent.mkdir(parents=True, exist_ok=True)
@@ -279,20 +266,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pretrain", help="pretrain and freeze a backbone checkpoint")
     common(p)
-    p.add_argument("--out", help="checkpoint path (default: config backbone_checkpoint)")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("run", help="run one continual experiment")
     common(p)
-    p.add_argument("--out", help="output directory (default: config output_dir)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="grid sweep over config axes")
     common(p)
     p.add_argument("--axis", action="append", default=[], metavar="KEY=V1,V2,...",
                    help="sweep axis; any config key but output_dir")
-    p.add_argument("--out", help="sweep output root")
-    p.add_argument("--jobs", type=int, default=1, help="parallel runs")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes that run the grid")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="verify and print a saved report")

@@ -121,10 +121,6 @@ class RebQModel:
     def parameters(self) -> list[Tensor]:
         return list(self.named_parameters().values())
 
-    def parameter_bytes(self) -> bytes:
-        named = self.named_parameters()
-        return b"".join(named[k].data.tobytes() for k in sorted(named))
-
     def text_source(self):
         return self.unified if self.unified is not None else self.folder
 

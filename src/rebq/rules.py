@@ -3,7 +3,7 @@
 Each field of a checked dataclass is declared with `rule(...)`. Its kind is
 its annotation: int (not a bool), float (an int or a finite float), str,
 bool, dict, list[X], X | None or a nested dataclass. The rule may add bounds
-(`low`, `high`, exclusive when `open`; a list's length is bounded),
+(`low`, `high`, both inclusive; a list's length is bounded),
 `choices`, and for RunConfig's top-level fields the `stage` that reads it.
 `check` walks an instance and its nested dataclasses and raises a ValueError
 naming the dotted path of the first field that breaks its rule. A rule that
@@ -22,7 +22,6 @@ from types import NoneType
 class Rule(typing.NamedTuple):
     low: float | None = None
     high: float | None = None
-    open: bool = False
     choices: tuple = ()
     stage: str | None = None
 
@@ -72,8 +71,7 @@ def _broken(value, r: Rule) -> str | None:
     if r.high is None:
         ok, text = n >= r.low, f">= {r.low}"
     else:
-        ok = r.low < n < r.high if r.open else r.low <= n <= r.high
-        text = f"in ({r.low}, {r.high})" if r.open else f"in [{r.low}, {r.high}]"
+        ok, text = r.low <= n <= r.high, f"in [{r.low}, {r.high}]"
     verb = "have length" if isinstance(value, list) else "be" if r.high is None else "lie"
     return None if ok else f"{verb} {text}"
 

@@ -38,9 +38,12 @@ from .rules import rule
 
 class ExperimentError(RuntimeError):
     def __init__(self, stage: str, cause: str):
-        super().__init__(f"[{stage}] {cause}")
+        super().__init__(stage, cause)  # args rebuild the error when it is unpickled
         self.stage = stage
         self.cause = cause
+
+    def __str__(self) -> str:
+        return f"[{self.stage}] {self.cause}"
 
 
 @dataclass

@@ -37,6 +37,12 @@ def float64(model):
     return model
 
 
+def parameter_bytes(model) -> bytes:
+    """The trainable parameters of a RebQ model joined in name order."""
+    named = model.named_parameters()
+    return b"".join(named[k].data.tobytes() for k in sorted(named))
+
+
 def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """The metadata and the tensors of a backbone checkpoint archive."""
     with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:

@@ -7,7 +7,7 @@ import pytest
 
 from rebq import tensor as T
 from rebq.backbone import PretrainReport
-from rebq.cli import _load_config, build_parser, main
+from rebq.cli import _axis_values, _load_config, build_parser, main
 from rebq.runner import RunConfig
 
 from conftest import TINY, TINY_SYNTH, read_checkpoint, write_checkpoint
@@ -65,7 +65,8 @@ def cli_workspace(tmp_path_factory):
 def report_doc(cli_workspace):
     """The parsed report.json of one run in the shared workspace."""
     tmp, cfg_path = cli_workspace
-    assert main(["run", "--config", str(cfg_path), "--out", str(tmp / "report_doc")]) == 0
+    assert main(["run", "--config", str(cfg_path),
+                 "--set", f"output_dir={tmp / 'report_doc'}"]) == 0
     return json.loads((tmp / "report_doc" / "report.json").read_text())
 
 
@@ -111,7 +112,8 @@ class TestPretrainCli:
                             lambda *a, seed, **k: seeds.append(seed) or (None, []))
         monkeypatch.setattr("rebq.cli.pretrain", lambda *a, seed, **k: seeds.append(seed)
                             or (tiny_backbone, PretrainReport(1.0, 1, True)))
-        assert main(["pretrain", "--out", str(tmp_path / "backbone.rbqt")]) == 0
+        checkpoint = tmp_path / "backbone.rbqt"
+        assert main(["pretrain", "--set", f"backbone_checkpoint={checkpoint}"]) == 0
         expected = int(np.random.SeedSequence([1, 97]).generate_state(1)[0])
         assert seeds == [expected, expected] == [2260559168, 2260559168]
 
@@ -119,7 +121,7 @@ class TestPretrainCli:
 class TestRun:
     def test_run_emits_reports(self, cli_workspace):
         tmp, cfg_path = cli_workspace
-        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp / "run1")])
+        rc = main(["run", "--config", str(cfg_path), "--set", f"output_dir={tmp / 'run1'}"])
         assert rc == 0
         for name in ("report.json", "matrix.csv", "trajectory.csv"):
             assert (tmp / "run1" / name).exists()
@@ -130,13 +132,13 @@ class TestRun:
     def test_missing_checkpoint_exit_code(self, tmp_path):
         cfg_path = write_config(tmp_path,
                                 backbone_checkpoint=str(tmp_path / "nope.rbqt"))
-        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        rc = main(["run", "--config", str(cfg_path), "--set", f"output_dir={tmp_path / 'x'}"])
         assert rc == 2
 
     def test_variant_flag_override(self, cli_workspace):
         tmp, cfg_path = cli_workspace
         rc = main(["run", "--config", str(cfg_path), "--set", "variant=baseline",
-                   "--out", str(tmp / "run_baseline")])
+                   "--set", f"output_dir={tmp / 'run_baseline'}"])
         assert rc == 0
         report = json.loads((tmp / "run_baseline" / "report.json").read_text())
         assert report["config"]["variant"] == "baseline"
@@ -144,7 +146,7 @@ class TestRun:
     def test_unknown_set_key_rejected(self, cli_workspace):
         tmp, cfg_path = cli_workspace
         rc = main(["run", "--config", str(cfg_path), "--set", "bogus_key=1",
-                   "--out", str(tmp / "x")])
+                   "--set", f"output_dir={tmp / 'x'}"])
         assert rc == 2
 
     @pytest.mark.parametrize("setting, message", [
@@ -185,8 +187,9 @@ class TestRun:
              "synth-noise-above-one"])
     def test_bad_nested_config_named(self, cli_workspace, capsys, setting, message):
         tmp, cfg_path = cli_workspace
-        rc = main(["run", "--config", str(cfg_path), "--set", setting,
-                   "--out", str(tmp / "nested_bad")])
+        # output_dir comes first, so it does not replace a bad output_dir under test
+        rc = main(["run", "--config", str(cfg_path),
+                   "--set", f"output_dir={tmp / 'nested_bad'}", "--set", setting])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp / "nested_bad").exists()
@@ -211,7 +214,7 @@ class TestRun:
         cfg_path = write_config(tmp_path)
         axis = ["--axis", "eta=0"] if command == "sweep" else []
         rc = main([command, "--config", str(cfg_path), "--set", "seed=-1", *axis,
-                   "--out", str(tmp_path / "seeded")])
+                   "--set", f"output_dir={tmp_path / 'seeded'}"])
         assert rc == 2
         assert capsys.readouterr().err == "error [benchmark] seed must be >= 0, got -1\n"
         assert calls == []
@@ -225,19 +228,48 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"error: {path} is not JSON: Expecting value")
 
     def test_no_flag_mirrors_a_config_field(self):
-        """Config fields are set through --config and --set only."""
+        """Config fields, output paths included, are set through --config and
+        --set only; the other flags set what a RunConfig does not hold."""
         fields = {f.name for f in dataclasses.fields(RunConfig)}
         commands = next(a.choices for a in build_parser()._actions
                         if isinstance(a.choices, dict))
         mirrored = {(name, action.dest) for name, command in commands.items()
                     for action in command._actions if action.dest in fields}
         assert mirrored == set()
+        flags = {name: sorted(s for action in command._actions for s in action.option_strings
+                              if s != "-h" and s != "--help")
+                 for name, command in commands.items()}
+        assert flags == {"pretrain": ["--config", "--set"], "run": ["--config", "--set"],
+                         "sweep": ["--axis", "--config", "--jobs", "--set"],
+                         "report": ["--emit", "--report"]}
+
+    @pytest.mark.parametrize("command", ["pretrain", "run", "sweep"])
+    def test_out_flag_refused(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_pretrain_then_run_through_the_checkpoint_setting(self, tmp_path, tiny_backbone,
+                                                             monkeypatch):
+        """The path pretrain writes to is the path run reads from."""
+        monkeypatch.setattr("rebq.cli.pretrain",
+                            lambda *a, **k: (tiny_backbone, PretrainReport(1.0, 1, True)))
+        cfg_path = write_config(tmp_path)
+        checkpoint = f"backbone_checkpoint={tmp_path / 'elsewhere' / 'b.rbqt'}"
+        assert main(["pretrain", "--config", str(cfg_path), "--set", checkpoint]) == 0
+        assert (tmp_path / "elsewhere" / "b.rbqt").exists()
+        assert not (tmp_path / "backbone.rbqt").exists()
+        assert main(["run", "--config", str(cfg_path), "--set", checkpoint]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["config"]["backbone_checkpoint"] == str(tmp_path / "elsewhere" / "b.rbqt")
 
     def test_output_root_env(self, cli_workspace, monkeypatch):
         tmp, cfg_path = cli_workspace
         root = tmp / "env_root"
         monkeypatch.setenv("REBQ_OUTPUT_ROOT", str(root))
-        rc = main(["run", "--config", str(cfg_path), "--out", "nested/run"])
+        rc = main(["run", "--config", str(cfg_path), "--set", "output_dir=nested/run"])
         assert rc == 0
         assert (root / "nested" / "run" / "report.json").exists()
 
@@ -275,10 +307,11 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
     def test_flag_beats_env(self, cli_workspace, monkeypatch):
+        """An absolute output_dir is not rooted under $REBQ_OUTPUT_ROOT."""
         tmp, cfg_path = cli_workspace
         monkeypatch.setenv("REBQ_OUTPUT_ROOT", str(tmp / "ignored"))
         absolute = tmp / "absolute_out"
-        rc = main(["run", "--config", str(cfg_path), "--out", str(absolute)])
+        rc = main(["run", "--config", str(cfg_path), "--set", f"output_dir={absolute}"])
         assert rc == 0
         assert (absolute / "report.json").exists()
         assert not (tmp / "ignored").exists()
@@ -287,7 +320,7 @@ class TestRun:
         tmp, cfg_path = cli_workspace
         for i, run_dir in enumerate(("seeded_a", "seeded_b")):
             rc = main(["run", "--config", str(cfg_path), "--set", "seed=777",
-                       "--out", str(tmp / run_dir)])
+                       "--set", f"output_dir={tmp / run_dir}"])
             assert rc == 0
         a = json.loads((tmp / "seeded_a" / "report.json").read_text())
         b = json.loads((tmp / "seeded_b" / "report.json").read_text())
@@ -299,7 +332,7 @@ class TestSweep:
     def test_grid_and_summary(self, cli_workspace):
         tmp, cfg_path = cli_workspace
         rc = main(["sweep", "--config", str(cfg_path), "--axis", "eta=0,50",
-                   "--out", str(tmp / "sweep")])
+                   "--set", f"output_dir={tmp / 'sweep'}"])
         assert rc == 0
         summary = (tmp / "sweep" / "sweep.csv").read_text().splitlines()
         assert summary[0] == "tag,eta,ap,fg,output_dir"
@@ -310,7 +343,7 @@ class TestSweep:
     def test_unknown_axis_rejected(self, cli_workspace):
         tmp, cfg_path = cli_workspace
         rc = main(["sweep", "--config", str(cfg_path), "--axis", "bogus=1",
-                   "--out", str(tmp / "sweep2")])
+                   "--set", f"output_dir={tmp / 'sweep2'}"])
         assert rc == 2
 
 
@@ -318,14 +351,14 @@ class TestSweep:
         tmp, cfg_path = cli_workspace
         rc = main(["sweep", "--config", str(cfg_path),
                    "--axis", "missing_case=text-missing,image-missing",
-                   "--out", str(tmp / "sweep_case")])
+                   "--set", f"output_dir={tmp / 'sweep_case'}"])
         assert rc == 0
         for case in ("text-missing", "image-missing"):
             report = json.loads(
                 (tmp / "sweep_case" / f"missing_case{case}" / "report.json").read_text())
             assert report["config"]["missing_case"] == case
         rc = main(["sweep", "--config", str(cfg_path), "--axis", "output_dir=a,b",
-                   "--out", str(tmp / "sweep_out")])
+                   "--set", f"output_dir={tmp / 'sweep_out'}"])
         assert rc == 2
         assert "unknown sweep axis 'output_dir'" in capsys.readouterr().err
         assert not (tmp / "sweep_out").exists()
@@ -341,7 +374,7 @@ class TestSweep:
         tmp, cfg_path = cli_workspace
         out = tmp / f"sweep_synth{len(values)}"
         rc = main(["sweep", "--config", str(cfg_path), "--axis", "synth=" + ",".join(values),
-                   "--out", str(out)])
+                   "--set", f"output_dir={out}"])
         assert rc == 0
         with open(out / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -356,7 +389,7 @@ class TestSweep:
     def test_variant_axis(self, cli_workspace):
         tmp, cfg_path = cli_workspace
         rc = main(["sweep", "--config", str(cfg_path), "--axis", "variant=canonical,baseline",
-                   "--out", str(tmp / "sweep_variant")])
+                   "--set", f"output_dir={tmp / 'sweep_variant'}"])
         assert rc == 0
         for variant in ("canonical", "baseline"):
             report = json.loads(
@@ -374,7 +407,7 @@ class TestSweep:
         # the good value comes first, so a check made per run would start it
         good = {"eta": "0", "pool_size": "4", "lam": "0.1", "variant": "canonical"}[axis]
         rc = main(["sweep", "--config", str(cfg_path), "--axis", f"{axis}={good},{bad}",
-                   "--out", str(out)])
+                   "--set", f"output_dir={out}"])
         assert rc == 2
         err = capsys.readouterr().err
         assert f"error [{stage}] {axis} must" in err and bad.lower() in err.lower()
@@ -390,7 +423,7 @@ class TestSweep:
         out = tmp / f"sweep_range_{axis}"
         # the good value comes first, so a check made per run would start it
         rc = main(["sweep", "--config", str(cfg_path), "--axis", f"{axis}={values}",
-                   "--out", str(out)])
+                   "--set", f"output_dir={out}"])
         assert rc == 2
         err = capsys.readouterr().err
         assert f"error [{stage}] {axis} must" in err
@@ -401,15 +434,50 @@ class TestSweep:
         tmp, cfg_path = cli_workspace
         out = tmp / f"sweep_jobs{jobs}"
         rc = main(["sweep", "--config", str(cfg_path), "--axis", "eta=0",
-                   "--jobs", jobs, "--out", str(out)])
+                   "--jobs", jobs, "--set", f"output_dir={out}"])
         assert rc == 2
         assert f"sweep: --jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failing_run_ends_the_sweep_with_its_stage_error(self, tmp_path, capsys, jobs):
+        """The run's ExperimentError crosses back from its worker process."""
+        missing = tmp_path / "nope.rbqt"
+        cfg_path = write_config(tmp_path, backbone_checkpoint=str(missing))
+        rc = main(["sweep", "--config", str(cfg_path), "--axis", "eta=0,50", "--jobs", jobs])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error [backbone] checkpoint {missing} not found; "
+                                           "run pretrain first\n")
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_failing_run_cancels_the_pending_runs(self, cli_workspace, capsys):
+        """The first run's loss overflows; the sweep reports it before the
+        last run of the grid starts."""
+        tmp, cfg_path = cli_workspace
+        out = tmp / "sweep_cancel"
+        lrs = ",".join(["1e30", *(f"0.00{i}" for i in range(1, 9))])
+        rc = main(["sweep", "--config", str(cfg_path), "--axis", f"lr={lrs}",
+                   "--set", f"output_dir={out}"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error [train] ")
+        assert not (out / "lr0.008").exists() and not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("raw, values", [
+        ("0,50", [0, 50]), (" 0, 50 ", [0, 50]), ("0,", [0]), ("", []), ("NaN", [float("nan")]),
+        ("text-missing,image-missing", ["text-missing", "image-missing"]),
+        ("x,,y,", ["x", "y"]), ("null,x", [None, "x"]), ('"x","b,c"', ["x", "b,c"]),
+        ('[1,2],[3]', [[1, 2], [3]]), ('{"a":1,"b":2},{"a":3}', [{"a": 1, "b": 2}, {"a": 3}]),
+        ('x,"b,c"', ["x", '"b', 'c"'])],
+        ids=["numbers", "spaces", "trailing-comma", "empty", "nan", "bare-strings",
+             "empty-items", "null-beside-string", "quoted-comma", "lists", "mappings",
+             "bare-beside-quoted-comma"])
+    def test_axis_list_read_as_json_else_cut_at_commas(self, raw, values):
+        assert json.dumps(_axis_values(raw)) == json.dumps(values)  # NaN compares by text
+
     def test_jobs_share_the_cores(self, cli_workspace):
         tmp, cfg_path = cli_workspace
         rc = main(["sweep", "--config", str(cfg_path), "--axis", "eta=0,50",
-                   "--jobs", "2", "--out", str(tmp / "sweep_jobs")])
+                   "--jobs", "2", "--set", f"output_dir={tmp / 'sweep_jobs'}"])
         assert rc == 0
         for tag in ("eta0", "eta50"):
             report = json.loads((tmp / "sweep_jobs" / tag / "report.json").read_text())
@@ -418,7 +486,7 @@ class TestSweep:
     def test_seed_axis_derives_every_seed_stream(self, cli_workspace):
         tmp, cfg_path = cli_workspace
         rc = main(["sweep", "--config", str(cfg_path), "--axis", "seed=1,2",
-                   "--out", str(tmp / "sweep_seed")])
+                   "--set", f"output_dir={tmp / 'sweep_seed'}"])
         assert rc == 0
         base = RunConfig.from_dict(json.loads(cfg_path.read_text()))
         for seed in (1, 2):
@@ -432,7 +500,7 @@ class TestSweep:
         tmp, cfg_path = cli_workspace
         capsys.readouterr()
         rc = main(["sweep", "--config", str(cfg_path), "--axis", "variant=canonical,baseline",
-                   "--axis", "seed=1,2", "--out", str(tmp / "sweep_claims")])
+                   "--axis", "seed=1,2", "--set", f"output_dir={tmp / 'sweep_claims'}"])
         assert rc == 0
         with open(tmp / "sweep_claims" / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -466,7 +534,7 @@ class TestSweep:
         one directory and sweep.csv holds the same row twice."""
         tmp, cfg_path = cli_workspace
         out = tmp / "sweep_repeated"
-        rc = main(["sweep", "--config", str(cfg_path), *axes, "--out", str(out)])
+        rc = main(["sweep", "--config", str(cfg_path), *axes, "--set", f"output_dir={out}"])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -485,7 +553,7 @@ class TestSweep:
         five streams it derives are no config keys."""
         tmp, cfg_path = cli_workspace
         out = tmp / "sweep_bad_seed"
-        rc = main(["sweep", "--config", str(cfg_path), *args, "--out", str(out)])
+        rc = main(["sweep", "--config", str(cfg_path), *args, "--set", f"output_dir={out}"])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -494,7 +562,7 @@ class TestSweep:
 class TestReport:
     def test_verify_round_trip(self, cli_workspace, capsys):
         tmp, cfg_path = cli_workspace
-        assert main(["run", "--config", str(cfg_path), "--out", str(tmp / "rep")]) == 0
+        assert main(["run", "--config", str(cfg_path), "--set", f"output_dir={tmp / 'rep'}"]) == 0
         rc = main(["report", "--report", str(tmp / "rep" / "report.json")])
         assert rc == 0
         out = capsys.readouterr().out
@@ -502,7 +570,8 @@ class TestReport:
 
     def test_tampered_report_flagged(self, cli_workspace):
         tmp, cfg_path = cli_workspace
-        assert main(["run", "--config", str(cfg_path), "--out", str(tmp / "tamper")]) == 0
+        assert main(["run", "--config", str(cfg_path),
+                     "--set", f"output_dir={tmp / 'tamper'}"]) == 0
         path = tmp / "tamper" / "report.json"
         doc = json.loads(path.read_text())
         doc["ap"] = 0.123456

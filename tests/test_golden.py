@@ -30,7 +30,7 @@ from rebq import tensor as T
 from rebq.pipeline import VARIANT_PRESETS
 from rebq.runner import RunConfig, emit_report, run_experiment
 
-from conftest import TINY, TINY_SYNTH, make_tiny_backbone
+from conftest import TINY, TINY_SYNTH, make_tiny_backbone, parameter_bytes
 
 GOLDEN = Path(__file__).parent / "golden.json"
 
@@ -75,7 +75,7 @@ def run_hashes(cfg: RunConfig, backbone, out: Path) -> dict[str, str]:
     hashes = {"report.json": sha256(json.dumps(stable, sort_keys=True).encode())}
     for name in ("matrix.csv", "trajectory.csv", "queries.json"):
         hashes[name] = sha256((out / name).read_bytes())
-    hashes["parameters"] = sha256(artifacts.model.parameter_bytes())
+    hashes["parameters"] = sha256(parameter_bytes(artifacts.model))
     return hashes
 
 

@@ -16,7 +16,7 @@ from rebq.reconstruct import (QueryCache, counterparts, generate_queries_batch,
                               reconstruct_batch, reconstruction_loss_from_queries)
 from rebq.tensor import AdamW, Tensor
 
-from conftest import TINY, float64
+from conftest import TINY, float64, parameter_bytes
 from reconstruction_oracle import reconstruction_loss
 
 MCFG = ModelConfig(num_classes=4, pool_size=6, memory_pool_size=6, prompt_len=3, lam=0.01)
@@ -276,10 +276,10 @@ class TestTrainTask:
                                            batch_size):
         _, stream = tiny_benchmark
         model = make_model(tiny_backbone)
-        before = model.parameter_bytes()
+        before = parameter_bytes(model)
         with pytest.raises(ValueError, match="batch_size"):
             train_task(model, stream.train_data(0)[:8], 1, batch_size, 1e-4, seed=0)
-        assert model.parameter_bytes() == before
+        assert parameter_bytes(model) == before
 
     def test_step_graph_released_before_next_forward(self, tiny_backbone, tiny_benchmark,
                                                      monkeypatch):
@@ -393,9 +393,9 @@ class TestTrainTask:
     def test_zero_lr_step_leaves_parameters(self, tiny_backbone, tiny_benchmark):
         _, stream = tiny_benchmark
         model = make_model(tiny_backbone)
-        before = model.parameter_bytes()
+        before = parameter_bytes(model)
         train_task(model, stream.train_data(0)[:4], 1, 4, 0.0, seed=3)
-        assert model.parameter_bytes() == before
+        assert parameter_bytes(model) == before
 
     def test_backbone_frozen_through_training(self, tiny_backbone, tiny_benchmark):
         _, stream = tiny_benchmark
@@ -407,9 +407,9 @@ class TestTrainTask:
     def test_training_moves_pools_and_head(self, tiny_backbone, tiny_benchmark):
         _, stream = tiny_benchmark
         model = make_model(tiny_backbone)
-        before = model.parameter_bytes()
+        before = parameter_bytes(model)
         train_task(model, stream.train_data(0)[:12], 2, 4, 1e-4, seed=5)
-        assert model.parameter_bytes() != before
+        assert parameter_bytes(model) != before
 
     def test_gradient_routing_lambda_positive(self, tiny_backbone, tiny_benchmark):
         _, stream = tiny_benchmark
@@ -448,17 +448,17 @@ class TestTrainTask:
         for _ in range(2):
             model = make_model(tiny_backbone)
             train_task(model, stream.train_data(0)[:12], 1, 4, 1e-4, seed=6)
-            runs.append(model.parameter_bytes())
+            runs.append(parameter_bytes(model))
         assert runs[0] == runs[1]
 
     def test_non_finite_loss_stops_before_update(self, tiny_backbone, tiny_benchmark):
         _, stream = tiny_benchmark
         model = make_model(tiny_backbone)
         model.head_b.data[0] = np.nan
-        before = model.parameter_bytes()
+        before = parameter_bytes(model)
         with pytest.raises(ValueError, match="train_task: non-finite loss at step 0"):
             train_task(model, stream.train_data(0)[:8], 1, 4, 1e-4, seed=0)
-        assert model.parameter_bytes() == before
+        assert parameter_bytes(model) == before
 
     def test_non_finite_reconstruction_loss_stops_before_update(self, tiny_backbone,
                                                                 complete_samples):
@@ -466,10 +466,10 @@ class TestTrainTask:
         step before any parameter moves, with L_c finite."""
         model = make_model(tiny_backbone)
         model.memory.components.data[0] = np.nan
-        before = model.parameter_bytes()
+        before = parameter_bytes(model)
         with pytest.raises(ValueError, match=r"non-finite loss at step 0 \(L_c \d.*L_r nan"):
             train_task(model, complete_samples[:4], 1, 4, 1e-4, seed=0)
-        assert model.parameter_bytes() == before
+        assert parameter_bytes(model) == before
 
     @pytest.mark.parametrize("variant", ["canonical", "no_modality_specific_query"])
     def test_query_cache_bit_identical(self, tiny_backbone, tiny_benchmark, variant):
@@ -483,7 +483,7 @@ class TestTrainTask:
                 train_task(model, stream.train_data(j), 2, 4, 1e-4, seed=j, cache=cache)
                 preds += [predict_batch(model, stream.test_data(i), 16, cache=cache)
                           for i in range(j + 1)]
-            results.append((model.parameter_bytes(), preds))
+            results.append((parameter_bytes(model), preds))
         assert cache.rows
         assert results[0] == results[1]
 

@@ -52,15 +52,14 @@ def out_of_range(kind, rule) -> st.SearchStrategy:
     """Values of the right kind outside the field's declared range or choices."""
     if rule.choices:
         return st.text().filter(lambda v: v not in rule.choices)
-    closed = not rule.open
     if kind is int:
-        below = st.integers(max_value=rule.low - closed)
-        above = None if rule.high is None else st.integers(min_value=rule.high + closed)
+        below = st.integers(max_value=rule.low - 1)
+        above = None if rule.high is None else st.integers(min_value=rule.high + 1)
     else:
         reals = dict(allow_nan=False, allow_infinity=False)
-        below = st.floats(max_value=rule.low, exclude_max=closed, **reals)
+        below = st.floats(max_value=rule.low, exclude_max=True, **reals)
         above = None if rule.high is None else st.floats(min_value=rule.high,
-                                                          exclude_min=closed, **reals)
+                                                          exclude_min=True, **reals)
     return below if above is None else below | above
 
 

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,15 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError) as exc:
             run_experiment(cfg)
         assert exc.value.stage == "backbone"
+
+    def test_stage_error_survives_pickling(self, tmp_path):
+        """A sweep's worker process sends its run's error back pickled."""
+        with pytest.raises(ExperimentError) as exc:
+            run_experiment(tiny_config(tmp_path))
+        back = pickle.loads(pickle.dumps(exc.value))
+        cause = f"checkpoint {tmp_path / 'missing.rbqt'} not found; run pretrain first"
+        assert type(back) is ExperimentError
+        assert (back.stage, back.cause, str(back)) == ("backbone", cause, f"[backbone] {cause}")
 
     @pytest.mark.parametrize("overrides, stage, needle", [
         ({"missing_case": "sideways"}, "benchmark", "sideways"),
