@@ -12,11 +12,12 @@ side (attention rows, feed-forward, final norm) for those rows alone; keys
 and values still span the whole sequence. Each attention block is recorded
 as qkv affine, one fused tensor.attention node (which takes the layer's
 key/value prefix block and the query rows) and output affine, so training
-backpropagates through it in closed form. A pass that records nothing on
-the tape runs row-parallel: every output row depends on its own input row
-alone, so forward splits the batch into contiguous parts over the process's
-cores (tensor.split_rows) and the result is bit-identical to one serial
-pass. Each layer's feed-forward block is a ReLU MLP of width FFN_MULT * D.
+backpropagates through it in closed form. A pass through the frozen
+backbone runs row-parallel, forward and backward: every output row depends
+on its own input and prefix rows alone, so forward splits the batch over
+the process's cores (tensor.split_pass), each part recording its own tape
+when the prompt prefix is tracked, bit-identical to one serial pass. Each
+layer's feed-forward block is a ReLU MLP of width FFN_MULT * D.
 A desk-scale pretraining routine trains the encoder on synthetic
 modality-complete data until the joint cls token classifies held-out
 samples, then freezes every parameter. A checkpoint is one NumPy .npz
@@ -187,9 +188,10 @@ class MultimodalBackbone:
         feed-forward and the final norm for those rows only. None returns the
         whole sequence.
 
-        A pass that records nothing on the tape (grad recording off, or no
-        tracked input, prefix or parameter) splits its batch rows over
-        tensor.split_rows; tracked passes run serially.
+        A pass that records nothing on the tape, or records only through its
+        prefix, splits its batch rows over tensor.split_pass, whose parts
+        call _layers and never this traced entry point. A pass tracked
+        through x or a backbone parameter (pretraining) runs serially.
         """
         c = self.config
         if x.ndim != 3 or x.shape[-1] != c.embed_dim:
@@ -204,14 +206,10 @@ class MultimodalBackbone:
                     0 <= p < n for p in positions):
                 raise ValueError(
                     f"positions must be distinct rows in [0, {n}), got {positions}")
-        if T.recording(x, prefix, *self.params.values()):
+        if T.recording(x, *self.params.values()):
             return self._layers(x, prefix, positions)
-
-        def part(lo: int, hi: int) -> Tensor:
-            return self._layers(x[lo:hi], None if prefix is None else prefix[lo:hi],
-                                positions)
-
-        return T.concat(T.split_rows(part, x.shape[0]), axis=0)
+        return T.split_pass(lambda lo, hi, rows: self._layers(x[lo:hi], rows, positions),
+                            x.shape[0], prefix)
 
     def _layers(self, x: Tensor, prefix: Tensor | None,
                 positions: list[int] | None) -> Tensor:

@@ -16,7 +16,9 @@ complete samples then ride along in the unified pass and the memory
 selection, and their reconstruction runs in chunks of at most the batch's
 rows, each recorded, back-propagated and released before the next chunk
 and before the classification pass, so no tracked pass holds more rows
-than the batch. Evaluation calls it without L_r.
+than the batch. The chunks and passes run one after another; each pass
+splits its own rows over the cores, forward and backward
+(backbone.forward). Evaluation calls it without L_r.
 Variants (ablations and the naive per-missing-type baseline) are built by
 ``build_variant`` from a preset name in VARIANT_PRESETS.
 """

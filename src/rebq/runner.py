@@ -291,7 +291,8 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
     logs: list[TrainingLog] = []
     per_session: list[dict] = []
     mode = "f1_macro" if meta.multi_label else "accuracy"
-    with _stage("train"):
+    # train_task and predict_batch name non-finite values; numpy's warnings add nothing
+    with _stage("train"), np.errstate(all="ignore"):
         # the unified pass depends only on the frozen backbone and the row,
         # so one memo serves every epoch and evaluation of the experiment
         cache = QueryCache(backbone)

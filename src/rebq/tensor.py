@@ -36,15 +36,17 @@ back to the kernel (the resident set stays at its high-water mark between
 steps), and every thread allocates from one arena, so the workers of
 :func:`split_rows` keep no high-water mark of their own.
 
-:func:`split_rows` spreads the rows of an untracked pass over the cores
-the process may run on (:func:`row_parts`): the calling thread computes one
-contiguous part and a small worker pool, created on first use and dropped
-in a forked child, computes the rest. Importing the module starts no
-thread.
+:func:`split_rows` spreads the rows of a pass over the cores the process
+may run on (:func:`row_parts`): the calling thread computes one contiguous
+part and a small worker pool, created on first use and dropped in a forked
+child, computes the rest under copies of the caller's context.
+:func:`split_pass` runs a prompt-tracked pass so, one sub-tape per part.
+Importing the module starts no thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import math
 import os
@@ -146,12 +148,15 @@ def recording(*tensors) -> bool:
     return _grad_enabled and any(t is not None and _link(t) is not None for t in tensors)
 
 
-# -- row-parallel untracked passes ------------------------------------------------
+# -- row-parallel passes -----------------------------------------------------------
 
 # the fewest rows one part of a split holds: below it, handing the interpreter
-# lock back and forth between short numpy operations costs more than the
-# second core saves (forward timings at the default sizes are in CHANGES.md)
-PARALLEL_MIN_ROWS = 20
+# lock back and forth costs more than the second core saves. Split over serial
+# time of a 2r-row pass at the default sizes on two cores (CHANGES.md):
+#   r                          8      12     16     20
+#   prompted forward+backward  1.02x  0.71x  0.71x  0.67x
+#   untracked forward          0.94x  0.70x  0.77x  0.80x
+PARALLEL_MIN_ROWS = 16
 
 _parts_limit: int | None = None  # None: the cores this process may run on
 _pool: ThreadPoolExecutor | None = None
@@ -198,26 +203,65 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
+def _in_parts(fn, calls: list[tuple]) -> list:
+    """fn(*args) for each args in calls, results in order: the calling thread
+    runs the first and the worker pool the others, each under a copy of the
+    caller's context. Every call finishes before a failure propagates."""
+    if len(calls) == 1:
+        return [fn(*calls[0])]
+    pool = _workers()
+    futures = [pool.submit(contextvars.copy_context().run, fn, *args) for args in calls[1:]]
+    try:
+        first = fn(*calls[0])
+    finally:
+        wait(futures)  # no part outlives the call, even when the first one fails
+    return [first] + [f.result() for f in futures]
+
+
 def split_rows(fn, n: int) -> list:
     """``fn(lo, hi)`` over contiguous parts of ``range(n)``, results in order.
 
     The rows divide into at most :func:`row_parts` parts of at least
     :data:`PARALLEL_MIN_ROWS` rows, as equal as possible; the calling thread
-    runs the first part and the worker pool the others. fn must record
-    nothing on the tape and make no row depend on another part's rows. With
-    one part, ``fn(0, n)`` runs inline and nothing touches the pool.
+    runs the first part and the worker pool the others, under copies of the
+    caller's context (numpy's error state lives there). fn must make no row
+    or tape record depend on another part's. With one part, ``fn(0, n)``
+    runs inline and nothing touches the pool.
     """
-    parts = min(row_parts(), n // PARALLEL_MIN_ROWS)
-    if parts <= 1:
-        return [fn(0, n)]
+    parts = max(1, min(row_parts(), n // PARALLEL_MIN_ROWS))
     bounds = [n * i // parts for i in range(parts + 1)]
-    pool = _workers()
-    futures = [pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    try:
-        first = fn(bounds[0], bounds[1])
-    finally:
-        wait(futures)  # no part outlives the call, even when the first one fails
-    return [first] + [f.result() for f in futures]
+    return _in_parts(fn, list(zip(bounds, bounds[1:])))
+
+
+def split_pass(fn, n: int, prefix: Tensor | None = None) -> Tensor:
+    """``fn(lo, hi, rows)`` over the parts of :func:`split_rows`, joined along
+    axis 0 as one Tensor; rows is prefix's rows lo:hi (None without prefix),
+    and fn must record nothing but through them. One part runs inline. When
+    prefix records, each part records a sub-tape on a detached leaf over its
+    rows; the result's one record walks the sub-tapes on the parts' threads,
+    each seeded with its rows of the gradient, and hands prefix the leaves'
+    gradients in row order: the bits of one serial pass over separable rows.
+    """
+    tracked = recording(prefix)
+
+    def part(lo: int, hi: int) -> tuple:
+        rows = prefix
+        if prefix is not None and hi - lo < n:
+            rows = Tensor(prefix.data[lo:hi], trainable=tracked)
+        return lo, hi, rows, fn(lo, hi, rows)
+
+    parts = split_rows(part, n)
+    if len(parts) == 1:
+        return parts[0][3]
+    out = Tensor(np.concatenate([res.data for _, _, _, res in parts]))
+    if tracked and parts[0][3]._node is not None:
+        subtapes = [(lo, hi, leaf, res._node) for lo, hi, leaf, res in parts]
+
+        def bwd(g):
+            _in_parts(_walk, [(root, g[lo:hi]) for lo, hi, _, root in subtapes])
+            return (np.concatenate([leaf.grad for _, _, leaf, _ in subtapes]),)
+        out._node = _Node((_link(prefix),), bwd)
+    return out
 
 
 class ShapeError(ValueError):
@@ -772,9 +816,13 @@ def backward(loss_tensor: Tensor):
     if loss_tensor.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss_tensor.shape}")
     root = _link(loss_tensor)
-    if root is None:
-        return
+    if root is not None:
+        _walk(root, np.ones_like(loss_tensor.data))
 
+
+def _walk(root, grad: Array):
+    """backward's walk from the link root, seeded with grad; split_pass's
+    workers call it, never the ``backward`` a traced run wraps."""
     order: list = []
     seen: set[int] = set()
     stack: list[tuple] = [(root, False)]
@@ -794,7 +842,7 @@ def backward(loss_tensor: Tensor):
                 if p is not None and id(p) not in seen:
                     stack.append((p, False))
 
-    grads: dict[int, Array] = {id(root): np.ones_like(loss_tensor.data)}
+    grads: dict[int, Array] = {id(root): grad}
     while order:
         link = order.pop()
         g = grads.pop(id(link), None)

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +137,21 @@ class TestRun:
                                 backbone_checkpoint=str(tmp_path / "nope.rbqt"))
         rc = main(["run", "--config", str(cfg_path), "--set", f"output_dir={tmp_path / 'x'}"])
         assert rc == 2
+
+    def test_diverging_run_prints_only_its_stage_error(self, cli_workspace, capfd):
+        """numpy's overflow warnings on the way to the non-finite loss stay
+        quiet. The run is a child process: pytest records the warnings its own
+        process raises, so only a child's stderr shows what a user sees."""
+        tmp, cfg_path = cli_workspace
+        done = subprocess.run(
+            [sys.executable, "-m", "rebq.cli", "run", "--config", str(cfg_path),
+             "--set", "lr=1e30", "--set", f"output_dir={tmp / 'diverged'}"],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, timeout=300)
+        err = capfd.readouterr().err
+        assert done.returncode == 2
+        assert "RuntimeWarning" not in err
+        assert err.startswith("error [train] train_task: non-finite loss at step ")
+        assert err.count("\n") == 1
 
     def test_variant_flag_override(self, cli_workspace):
         tmp, cfg_path = cli_workspace

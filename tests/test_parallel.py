@@ -1,24 +1,34 @@
-"""Row-parallel untracked backbone passes (tensor.split_rows).
+"""Row-parallel backbone passes (tensor.split_rows, tensor.split_pass).
 
-An untracked forward splits its batch rows over worker threads; every row is
-computed by the same per-sample operations, so the result must be byte-equal
-to a serial pass. Tracked passes, and batches too small for two parts, never
-reach the pool.
+A pass through the frozen backbone splits its batch rows over worker
+threads, untracked or tracked through its prompt prefix alone. Every row is
+computed by the same per-sample operations, forward and backward, so the
+output and the prefix's gradient must be byte-equal to a serial pass. A
+split tracked pass is one tape record whose backward walks each part's own
+sub-tape on the part's thread; the functions a traced run wraps stay on the
+calling thread. Passes tracked through backbone parameters, and batches too
+small for two parts, never reach the pool. Parts run under the caller's
+context, so numpy's error state holds in each.
 """
 
 import multiprocessing
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rebq import prompt
 from rebq import tensor as T
 from rebq.backbone import BackboneConfig, MultimodalBackbone, unified_positions
+from rebq.bench import synth_generate
+from rebq.pipeline import ModelConfig, build_variant, train_task
 from rebq.tensor import Tensor
 
-from conftest import TINY
+from conftest import TINY, TINY_SYNTH
 
 MIN = T.PARALLEL_MIN_ROWS
 
@@ -80,6 +90,31 @@ def tape_records(out: Tensor) -> int:
     return len(seen)
 
 
+def read_rows(bb: MultimodalBackbone, positions: str):
+    pos = unified_positions(bb.config)
+    return {"all": None, "joint": [0],
+            "unified": [pos["text_cls"], pos["visual_cls"], pos["joint"]]}[positions]
+
+
+def pass_bytes(bb: MultimodalBackbone, x: Tensor, block: np.ndarray | None, positions,
+               tracked: bool, parts: int) -> tuple[bytes, bytes | None]:
+    """Output bytes of one forward at parts row parts and, when the block is
+    tracked, the bytes of the block's gradient of sum(output * coefficients)."""
+    T.set_row_parts(parts)
+    try:
+        if not tracked:
+            with T.no_grad():
+                return bb.forward(x, None if block is None else Tensor(block),
+                                  positions).data.tobytes(), None
+        leaf = Tensor(block, trainable=True)
+        out = bb.forward(x, T.scale(leaf, 1.0), positions)
+        coeff = np.random.default_rng(out.shape[1]).standard_normal(out.shape, dtype=np.float32)
+        T.backward(T.tsum(T.mul(out, Tensor(coeff))))
+        return out.data.tobytes(), leaf.grad.tobytes()
+    finally:
+        T.set_row_parts(None)
+
+
 class TestSplitForward:
     @settings(max_examples=30, deadline=None)
     @given(size=st.sampled_from(["tiny", "default"]),
@@ -87,26 +122,31 @@ class TestSplitForward:
                           st.integers(3 * MIN - 2, 3 * MIN + 2)),
            workers=st.integers(2, 3),
            prefix=st.sampled_from([None, 0, 3]),
+           tracked=st.booleans(),
            positions=st.sampled_from(["all", "joint", "unified"]),
            seed=st.integers(0, 2 ** 16))
-    def test_split_equals_serial(self, size, rows, workers, prefix, positions, seed):
+    def test_split_equals_serial(self, size, rows, workers, prefix, tracked, positions, seed):
         bb = BACKBONES[size]
         x = unified_input(bb, rows, seed)
-        block = None if prefix is None else prompt_block(bb, rows, prefix, seed + 1)
-        pos = unified_positions(bb.config)
-        rows_read = {"all": None, "joint": [0],
-                     "unified": [pos["text_cls"], pos["visual_cls"], pos["joint"]]}[positions]
-        try:
-            T.set_row_parts(1)
-            with T.no_grad():
-                serial = bb.forward(x, block, rows_read).data
-            T.set_row_parts(workers)
-            with T.no_grad():
-                split = bb.forward(x, block, rows_read).data
-        finally:
-            T.set_row_parts(None)
-        assert split.shape == serial.shape
-        assert split.tobytes() == serial.tobytes()
+        block = None if prefix is None else prompt_block(bb, rows, prefix, seed + 1).data
+        tracked = tracked and block is not None
+        rows_read = read_rows(bb, positions)
+        serial = pass_bytes(bb, x, block, rows_read, tracked, 1)
+        assert pass_bytes(bb, x, block, rows_read, tracked, workers) == serial
+
+    @pytest.mark.parametrize("size", ["tiny", "default"])
+    @pytest.mark.parametrize("positions", ["all", "joint", "unified"])
+    @pytest.mark.parametrize("n_p", [0, 3])
+    def test_prefix_tracked_split_equals_serial(self, size, positions, n_p):
+        """Output and prefix gradient keep their bytes at 1, 2 and 3 parts."""
+        bb = BACKBONES[size]
+        x = unified_input(bb, 3 * MIN + 1, 7)
+        block = prompt_block(bb, 3 * MIN + 1, n_p, 8).data
+        rows_read = read_rows(bb, positions)
+        serial = pass_bytes(bb, x, block, rows_read, True, 1)
+        assert serial[1] is not None
+        for parts in (2, 3):
+            assert pass_bytes(bb, x, block, rows_read, True, parts) == serial
 
     def test_grad_enabled_untracked_pass_splits(self, parts, monkeypatch):
         """A frozen backbone with constant inputs records nothing, so it splits
@@ -118,7 +158,7 @@ class TestSplitForward:
         assert spy.calls == 1
         assert out._node is None
 
-    def test_tracked_pass_never_splits(self, parts, monkeypatch):
+    def test_prefix_tracked_pass_splits_into_one_record(self, parts, monkeypatch):
         bb = BACKBONES["tiny"]
         x = unified_input(bb, 3 * MIN, 2)
         block = prompt_block(bb, 3 * MIN, 2, 3, trainable=True)
@@ -127,9 +167,61 @@ class TestSplitForward:
         spy = PoolSpy(monkeypatch)
         parts(3)
         tracked = bb.forward(x, block, positions=[0])
-        assert spy.calls == 0
-        assert tape_records(tracked) == tape_records(serial)
+        assert spy.calls == 1
+        assert tape_records(serial) > 1 and tape_records(tracked) == 1
+        assert tracked._node.inputs == (block,)
         assert tracked.data.tobytes() == serial.data.tobytes()
+
+    def test_pass_tracked_through_backbone_parameters_never_splits(self, parts, monkeypatch):
+        """Pretraining's passes record through the backbone's own parameters."""
+        bb = MultimodalBackbone(TINY, np.random.default_rng(0))
+        x = unified_input(bb, 3 * MIN, 2)
+        spy = PoolSpy(monkeypatch)
+        parts(3)
+        out = bb.forward(x, prompt_block(bb, 3 * MIN, 2, 3, trainable=True), positions=[0])
+        T.backward(T.tsum(out))
+        assert spy.calls == 0
+        assert bb.params["l0.qkv_w"].grad is not None
+
+    def test_second_backward_through_split_pass_refused(self, parts):
+        bb = BACKBONES["tiny"]
+        block = prompt_block(bb, 2 * MIN, 2, 3, trainable=True)
+        parts(2)
+        out = bb.forward(unified_input(bb, 2 * MIN, 4), block, positions=[0])
+        T.backward(T.tsum(out))
+        first = block.grad.copy()
+        with pytest.raises(RuntimeError, match="released by an earlier backward"):
+            T.backward(T.tsum(T.scale(out, 2.0)))
+        assert block.grad.tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("stage", ["forward", "backward"])
+    @pytest.mark.parametrize("failing", [0, 2])
+    def test_failing_part_raises_after_every_part_finished(self, parts, stage, failing):
+        """Part 0 runs on the calling thread and part 2 on a worker; the
+        other parts take longer than the failing one."""
+        parts(3)
+        n = 3 * MIN
+        finished = []
+
+        def step(lo: int):
+            if lo == failing * n // 3:
+                raise ValueError(f"part at row {lo} failed")
+            time.sleep(0.05)
+            finished.append(lo)
+
+        def fn(lo, hi, rows):
+            if stage == "forward":
+                step(lo)
+            out = T.scale(rows, 1.0)
+            inner = out._node.backward
+            out._node.backward = lambda g: (step(lo), inner(g))[1]
+            return out
+
+        prefix = Tensor(np.ones((n, 2), dtype=np.float32), trainable=True)
+        with pytest.raises(ValueError, match="failed"):
+            T.backward(T.tsum(T.split_pass(fn, n, prefix)))
+        assert sorted(finished) == [lo for lo in (0, n // 3, 2 * n // 3)
+                                    if lo != failing * n // 3]
 
     def test_small_batch_never_reaches_pool(self, parts, monkeypatch):
         bb = BACKBONES["tiny"]
@@ -147,6 +239,13 @@ class TestSplitForward:
         assert spans[0][0] == 0 and spans[-1][1] == 3 * MIN + 2
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
         assert min(hi - lo for lo, hi in spans) >= MIN
+
+    def test_parts_run_under_the_callers_numpy_error_state(self, parts):
+        parts(3)
+        with np.errstate(over="raise", invalid="ignore"):
+            states = T.split_rows(lambda lo, hi: np.geterr(), 3 * MIN)
+        assert len(states) == 3
+        assert all(s["over"] == "raise" and s["invalid"] == "ignore" for s in states)
 
     def test_set_row_parts_rejects_zero(self):
         with pytest.raises(ValueError, match="parts"):
@@ -222,3 +321,32 @@ class TestRowSeparableBackward:
             assert joint[1] is None and all(p[1] is None for p in parts)
         else:
             assert joint[1].tobytes() == np.concatenate([p[1] for p in parts]).tobytes()
+
+
+def test_traced_functions_stay_on_the_calling_thread(tiny_backbone, monkeypatch):
+    """A traced run wraps backward, forward and select_prompt in spans kept on
+    one stack; in a training step whose passes split, each is still called
+    from the calling thread alone, as often as with one part."""
+    _, samples = synth_generate(4, 2 * MIN // 4, TINY_SYNTH, seed=5)
+    calls: list[tuple[str, int]] = []
+    for owner, name in ((T, "backward"), (MultimodalBackbone, "forward"),
+                        (prompt, "select_prompt")):
+        def wrapper(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+            calls.append((_name, threading.get_ident()))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+    spy = PoolSpy(monkeypatch)
+    mcfg = ModelConfig(num_classes=4, pool_size=6, memory_pool_size=6, prompt_len=3)
+    counted = {}
+    try:
+        for parts in (1, 2):
+            T.set_row_parts(parts)
+            calls.clear()
+            model = build_variant("canonical", tiny_backbone, mcfg, seed=42)
+            train_task(model, samples, 1, len(samples), 1e-4, seed=3)
+            assert {ident for _, ident in calls} == {threading.get_ident()}
+            counted[parts] = sorted(name for name, _ in calls)
+    finally:
+        T.set_row_parts(None)
+    assert spy.calls > 0
+    assert counted[2] == counted[1]
