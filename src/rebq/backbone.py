@@ -20,28 +20,23 @@ when the prompt prefix is tracked, bit-identical to one serial pass. Each
 layer's feed-forward block is a ReLU MLP of width FFN_MULT * D.
 A desk-scale pretraining routine trains the encoder on synthetic
 modality-complete data until the joint cls token classifies held-out
-samples, then freezes every parameter. A checkpoint is one NumPy .npz
-archive holding each parameter under its name and a meta.json entry with
-the config and the frozen flag; loading reads it without unpickling and
-checks every tensor against the stored config.
+samples, then freezes every parameter. frozen_backbone builds the backbone
+a run's config describes this way, from a fixed seed, once per process.
 """
 
 from __future__ import annotations
 
-import json
-import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from . import rules
 from . import tensor as T
-from .bench import CorpusMeta, Sample
+from .bench import CorpusMeta, Sample, SynthConfig, synth_generate
 from .rules import rule
 from .tensor import AdamW, Tensor
 
 FFN_MULT = 2  # feed-forward width per embedding dimension
-META = "meta.json"  # the checkpoint archive entry that holds the metadata JSON
 
 
 @dataclass
@@ -227,60 +222,6 @@ class MultimodalBackbone:
                 T.layer_norm(x, self.params[f"l{l}.ln2_g"], self.params[f"l{l}.ln2_b"]), l))
         return T.layer_norm(x, self.params["lnf_g"], self.params["lnf_b"])
 
-    # -- checkpointing -------------------------------------------------------------------
-
-    def save_checkpoint(self, path, extra_meta: dict | None = None):
-        """One .npz archive at path as named: each parameter under its name and
-        META, a 0-d string of JSON: extra_meta, then the config and frozen flag."""
-        meta = {**(extra_meta or {}), "config": asdict(self.config), "frozen": self.frozen}
-        arrays = {name: t.data for name, t in self.params.items()}
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays, **{META: np.array(json.dumps(meta))})
-
-    @classmethod
-    def load_checkpoint(cls, path) -> tuple["MultimodalBackbone", dict]:
-        """Load a save_checkpoint archive, unpickling nothing; tensors are cast
-        to the model's dtype. Anything else is refused with a ValueError that
-        starts with path: not an .npz archive, a failed CRC, no JSON object in
-        META, a config breaking its rules, or tensors whose names, shapes or
-        float dtype do not fit it."""
-        with open(path, "rb") as fh:
-            if not zipfile.is_zipfile(fh):
-                raise ValueError(f"{path}: not an .npz archive; rebq pretrain writes one")
-            fh.seek(0)
-            try:
-                with np.load(fh, allow_pickle=False) as archive:
-                    arrays = {name: archive[name] for name in archive.files}
-                meta = json.loads(arrays.pop(META)[()])
-            except KeyError:
-                raise ValueError(f"{path}: the archive has no {META}") from None
-            except (zipfile.BadZipFile, ValueError, TypeError) as exc:
-                raise ValueError(f"{path}: not a backbone checkpoint: {exc}") from None
-        if not isinstance(meta, dict):
-            raise ValueError(f"{path}: {META} holds {meta!r}, not a JSON object")
-        try:
-            config = BackboneConfig(**rules.mapping(meta.get("config"), BackboneConfig,
-                                                    "stored config"))
-        except ValueError as exc:
-            raise ValueError(f"{path}: bad backbone config: {exc}") from None
-        model = cls(config, np.random.default_rng(0))
-        missing = sorted(set(model.params) - set(arrays))
-        unknown = sorted(set(arrays) - set(model.params))
-        if missing or unknown:
-            raise ValueError(
-                f"{path}: tensors do not match the config (missing {missing}, unknown {unknown})")
-        for name, t in model.params.items():
-            arr = arrays[name]
-            if arr.dtype.kind != "f":
-                raise ValueError(f"{path}: tensor {name} has dtype {arr.dtype}, not a float")
-            if arr.shape != t.shape:
-                raise ValueError(f"{path}: tensor {name} has shape {arr.shape}, "
-                                 f"the config needs {t.shape}")
-            t.data = arr.astype(t.data.dtype)
-        if meta.get("frozen"):
-            model.freeze()
-        return model, meta
-
 
 # -- pretraining ----------------------------------------------------------------------------
 
@@ -378,3 +319,28 @@ def pretrain(config: BackboneConfig, corpus: tuple[CorpusMeta, list[Sample]], se
     report = PretrainReport(accuracy=accuracy, steps_used=steps_used,
                             usable=accuracy >= MIN_ACCURACY, losses=losses)
     return model, report
+
+
+PRETRAIN_SEED = int(np.random.SeedSequence([1, 97]).generate_state(1)[0])  # 2260559168
+PRETRAIN_SAMPLES_PER_CLASS = 100  # size of the pretraining corpus per class
+SYNTH_SIZES = ("vocab_size", "max_text_len", "num_patches", "patch_dim")
+_FROZEN: dict[tuple, MultimodalBackbone] = {}  # frozen_backbone's results in this process
+
+
+def frozen_backbone(config: BackboneConfig, synth: SynthConfig) -> MultimodalBackbone:
+    """The frozen backbone a run with config and synth fine-tunes around,
+    pretrained from PRETRAIN_SEED on a single-label corpus of synth's
+    SYNTH_SIZES and SynthConfig's other defaults. Each config and sizes pair
+    is pretrained once per process and shared; pretraining that ends below
+    MIN_ACCURACY raises a ValueError."""
+    sizes = SynthConfig(**{name: getattr(synth, name) for name in SYNTH_SIZES})
+    key = (astuple(config), astuple(sizes))
+    if key not in _FROZEN:
+        corpus = synth_generate(config.pretrain_classes, PRETRAIN_SAMPLES_PER_CLASS, sizes,
+                                seed=PRETRAIN_SEED, id_prefix="p")
+        model, report = pretrain(config, corpus, seed=PRETRAIN_SEED)
+        if not report.usable:
+            raise ValueError(f"pretraining ended at held-out accuracy {report.accuracy:.4f}, "
+                             f"below MIN_ACCURACY {MIN_ACCURACY}")
+        _FROZEN[key] = model
+    return _FROZEN[key]

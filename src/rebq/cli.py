@@ -1,13 +1,12 @@
-"""Command-line surface: pretrain, run, sweep, report.
+"""Command-line surface: run, sweep, report.
 
 A run's settings come from a JSON file matching RunConfig (`--config`) and
 from `--set key=value`, which overrides one key (a mapping value for a
 nested config such as synth or backbone overrides only the keys it names);
-no flag mirrors a RunConfig field. pretrain writes `backbone_checkpoint`,
-which run and sweep read; run writes its report to `output_dir`, and sweep
-writes sweep.csv and one directory per run there. $REBQ_OUTPUT_ROOT, when
-set, roots a relative `output_dir` and the directory of `report --emit`,
-but not the checkpoint path.
+no flag mirrors a RunConfig field. run writes its report to `output_dir`,
+and sweep writes sweep.csv and one directory per run there.
+$REBQ_OUTPUT_ROOT, when set, roots a relative `output_dir` and the
+directory of `report --emit`.
 
 `sweep --axis key=v1,v2` runs the grid over any keys but output_dir, each
 axis and value once; the root seed is the key `seed`. A value list is read
@@ -38,16 +37,14 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .backbone import pretrain
-from .bench import synth_generate
 from .runner import (ExperimentError, Report, RunConfig, emit_report,
                      run_experiment)
 
 OUTPUT_ROOT_ENV = "REBQ_OUTPUT_ROOT"
-PRETRAIN_SAMPLES_PER_CLASS = 100  # size of the pretraining corpus per class
 
 
 def _resolve_output(path: str) -> str:
+    """An output directory: a relative path under $REBQ_OUTPUT_ROOT when set."""
     root = os.environ.get(OUTPUT_ROOT_ENV)
     p = Path(path)
     if root and not p.is_absolute():
@@ -94,22 +91,6 @@ def _load_config(args) -> RunConfig:
         cfg = RunConfig.from_dict(d)
     cfg.check()  # before a command resolves a path or builds anything from it
     return cfg
-
-
-def cmd_pretrain(args) -> int:
-    cfg = _load_config(args)
-    pretrain_seed = int(np.random.SeedSequence([cfg.seed, 97]).generate_state(1)[0])
-    corpus = synth_generate(cfg.backbone.pretrain_classes, PRETRAIN_SAMPLES_PER_CLASS,
-                            cfg.synth, seed=pretrain_seed, id_prefix="p")
-    model, report = pretrain(cfg.backbone, corpus, seed=pretrain_seed)
-    out = cfg.backbone_checkpoint
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
-    model.save_checkpoint(out, {"accuracy": report.accuracy, "usable": report.usable,
-                                "steps_used": report.steps_used})
-    print(f"pretrained backbone -> {out}")
-    print(f"held-out accuracy {report.accuracy:.4f} after {report.steps_used} steps"
-          f" ({'usable' if report.usable else 'UNUSABLE'})")
-    return 0 if report.usable else 1
 
 
 def _run_single(cfg: RunConfig) -> Report:
@@ -263,10 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (JSON-parsed value; a mapping is "
                             "merged into a nested config)")
-
-    p = sub.add_parser("pretrain", help="pretrain and freeze a backbone checkpoint")
-    common(p)
-    p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("run", help="run one continual experiment")
     common(p)

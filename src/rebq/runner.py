@@ -1,6 +1,6 @@
 """Experiment orchestration: config, the continual protocol, and reports.
 
-run_experiment takes the frozen backbone (loaded from its checkpoint when
+run_experiment takes the frozen backbone (backbone.frozen_backbone's when
 none is passed), builds the benchmark stream, trains the chosen variant on
 sessions 0..T-1 in one call, one session at a time (never revisiting
 earlier sessions' training data), and fills the session matrix (the
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, rules
 from . import tensor as T
-from .backbone import BackboneConfig, MultimodalBackbone
+from .backbone import BackboneConfig, MultimodalBackbone, frozen_backbone
 from .bench import MISSING_CASES, CmmlStream, SynthConfig, build_stream, synth_generate
 from .metrics import ap_fg, performance
 from .pipeline import (VARIANT_PRESETS, ModelConfig, RebQModel, TrainingLog, build_variant,
@@ -49,7 +49,6 @@ class ExperimentError(RuntimeError):
 @dataclass
 class RunConfig:
     backbone: BackboneConfig = rule(factory=BackboneConfig, stage="backbone")
-    backbone_checkpoint: str = rule("backbone.rbqt", stage="backbone")
     synth: SynthConfig = rule(factory=SynthConfig, stage="benchmark")
     num_classes: int = rule(20, low=2, stage="benchmark")
     samples_per_class: int = rule(200, low=1, stage="benchmark")
@@ -220,17 +219,6 @@ class RunArtifacts:
     logs: list[TrainingLog]
 
 
-def _load_backbone(config: RunConfig) -> MultimodalBackbone:
-    path = Path(config.backbone_checkpoint)
-    if not path.exists():
-        raise ExperimentError("backbone", f"checkpoint {path} not found; run pretrain first")
-    backbone, meta = MultimodalBackbone.load_checkpoint(path)
-    if not meta.get("usable", True):
-        raise ExperimentError("backbone", f"checkpoint {path} is flagged unusable "
-                                          f"(accuracy {meta.get('accuracy')})")
-    return backbone
-
-
 def _session_seed(seed_train: int, session: int) -> int:
     return int(np.random.SeedSequence([seed_train, session]).generate_state(1)[0])
 
@@ -254,17 +242,14 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
     started = time.time()
     config.check()
     with _stage("backbone"):
-        source = "the passed backbone"
         if backbone is None:
-            backbone, source = _load_backbone(config), f"checkpoint {config.backbone_checkpoint}"
-        if not backbone.frozen:
-            raise ExperimentError("backbone", "backbone must be frozen before fine-tuning")
+            backbone = frozen_backbone(config.backbone, config.synth)
         # the report records config.backbone, so it must be the backbone every pass uses
         used, stated = asdict(backbone.config), asdict(config.backbone)
         differ = [f"{k} {used[k]!r} (config {stated[k]!r})" for k in used if used[k] != stated[k]]
         if differ:
-            raise ExperimentError("backbone", f"{source} differs from the config's backbone "
-                                              f"in {', '.join(differ)}")
+            raise ExperimentError("backbone", "the passed backbone differs from the config's "
+                                              f"backbone in {', '.join(differ)}")
         backbone_digest = hashlib.sha256(backbone.parameter_bytes()).digest()
 
     with _stage("benchmark"):

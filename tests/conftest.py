@@ -8,7 +8,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from rebq.backbone import META, BackboneConfig, PretrainConfig, pretrain
+from rebq import backbone
+from rebq.backbone import BackboneConfig, PretrainConfig, pretrain
 from rebq.bench import SynthConfig, build_stream, synth_generate
 
 TINY = BackboneConfig(embed_dim=32, num_layers=2, num_heads=2, text_vocab_size=64,
@@ -43,20 +44,6 @@ def parameter_bytes(model) -> bytes:
     return b"".join(named[k].data.tobytes() for k in sorted(named))
 
 
-def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """The metadata and the tensors of a backbone checkpoint archive."""
-    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
-        arrays = dict(archive)
-    return json.loads(arrays.pop(META)[()]), arrays
-
-
-def write_checkpoint(path, meta: dict, arrays: dict[str, np.ndarray]):
-    """Write meta and arrays as save_checkpoint lays out a checkpoint,
-    without checking either."""
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays, **{META: np.array(json.dumps(meta))})
-
-
 def make_tiny_backbone():
     """The frozen TINY backbone the tests share, pretrained from fixed seeds."""
     corpus = synth_generate(TINY.pretrain_classes, 40, TINY_SYNTH, seed=111)
@@ -69,6 +56,25 @@ def make_tiny_backbone():
 @pytest.fixture(scope="session")
 def tiny_backbone():
     return make_tiny_backbone()
+
+
+@pytest.fixture()
+def pretrain_calls(monkeypatch, tmp_path):
+    """Empty frozen_backbone's memo for the test and log each pretrain call it
+    makes as [seed, whether the corpus is multi-label]. The log is a file, so
+    the worker processes a sweep forks from this one add their calls too;
+    the fixture's value reads it."""
+    log = tmp_path / "pretrain_calls.jsonl"
+    log.touch()
+
+    def logged(config, corpus, seed, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(json.dumps([seed, corpus[0].multi_label]) + "\n")
+        return pretrain(config, corpus, seed, **kwargs)
+
+    monkeypatch.setattr(backbone, "_FROZEN", {})
+    monkeypatch.setattr(backbone, "pretrain", logged)
+    return lambda: [json.loads(line) for line in log.read_text().splitlines()]
 
 
 @pytest.fixture(scope="session")

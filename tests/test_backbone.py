@@ -1,18 +1,13 @@
-import dataclasses
-import gc
-import pickle
-import sys
-
 import numpy as np
 import pytest
 
 from rebq import tensor as T
-from rebq.backbone import (META, MIN_ACCURACY, BackboneConfig, MultimodalBackbone,
-                           PretrainConfig, pretrain, recon_positions, unified_positions)
+from rebq.backbone import (MIN_ACCURACY, BackboneConfig, MultimodalBackbone, PretrainConfig,
+                           pretrain, recon_positions, unified_positions)
 from rebq.bench import Sample, SynthConfig, dummy_patches, synth_generate
 from rebq.tensor import Tensor
 
-from conftest import float64, read_checkpoint, write_checkpoint
+from conftest import float64
 
 CFG = BackboneConfig(embed_dim=32, num_layers=2, num_heads=2, text_vocab_size=64,
                      max_text_len=8, num_patches=4, patch_dim=6, pretrain_classes=4)
@@ -215,22 +210,6 @@ class TestPretrain:
         with pytest.raises(ValueError):
             pretrain(CFG, (meta, samples), seed=15)
 
-    def test_checkpoint_round_trip(self, tmp_path):
-        corpus = pretrain_corpus()
-        model, report = pretrain(CFG, corpus, seed=16,
-                                 pcfg=PretrainConfig(steps=40, batch_size=8, eval_every=20))
-        path = tmp_path / "backbone.rbqt"
-        model.save_checkpoint(path, {"accuracy": report.accuracy, "usable": report.usable})
-        loaded, meta = MultimodalBackbone.load_checkpoint(path)
-        assert loaded.frozen
-        assert meta["accuracy"] == report.accuracy
-        assert loaded.parameter_bytes() == model.parameter_bytes()
-        emb_a = model.embed_batch(corpus[1][:3])
-        emb_b = loaded.embed_batch(corpus[1][:3])
-        a = model.forward(emb_a).data
-        b = loaded.forward(emb_b).data
-        assert a.tobytes() == b.tobytes()
-
     def test_unusable_flag_below_minimum(self):
         corpus = pretrain_corpus()
         _, report = pretrain(CFG, corpus, seed=17,
@@ -243,113 +222,6 @@ class TestPretrain:
         meta, samples = pretrain_corpus()
         with pytest.raises(ValueError, match="at least 2 samples, got 1: one is held out"):
             pretrain(CFG, (meta, samples[:1]), seed=18, pcfg=PretrainConfig(steps=2))
-
-
-def rewrite(path, edit):
-    """Rewrite the checkpoint at path with edit applied to its tensors."""
-    meta, arrays = read_checkpoint(path)
-    edit(arrays)
-    write_checkpoint(path, meta, arrays)
-
-
-def flip_payload_byte(path):
-    _, arrays = read_checkpoint(path)
-    raw = bytearray(path.read_bytes())
-    raw[raw.index(arrays["token_emb"].tobytes())] ^= 1
-    path.write_bytes(bytes(raw))
-
-
-def save_npy(path):
-    with open(path, "wb") as fh:
-        np.save(fh, np.ones(3, dtype=np.float32))
-
-
-def drop_meta(path):
-    _, arrays = read_checkpoint(path)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def meta_not_an_object(path):
-    write_checkpoint(path, [1, 2], read_checkpoint(path)[1])
-
-
-def retype_lnf_b(dtype):
-    return lambda path: rewrite(path, lambda arrays: arrays.update(
-        lnf_b=np.zeros(CFG.embed_dim, dtype=dtype)))
-
-
-class TestCheckpointValidation:
-    @pytest.fixture()
-    def path(self, tmp_path):
-        bb = make_backbone()
-        bb.freeze()
-        path = tmp_path / "backbone.rbqt"
-        bb.save_checkpoint(path)
-        return path
-
-    def test_extra_meta_cannot_replace_config_or_frozen(self, path):
-        make_backbone().save_checkpoint(path, {"config": {}, "frozen": True, "usable": False})
-        loaded, meta = MultimodalBackbone.load_checkpoint(path)
-        assert not loaded.frozen and loaded.config == CFG
-        assert meta == {"config": dataclasses.asdict(CFG), "frozen": False, "usable": False}
-
-    @pytest.mark.parametrize("corrupt, message", [
-        pytest.param(lambda p: p.write_bytes(p.read_bytes()[:-8]), "not an .npz archive",
-                     id="truncated"),
-        pytest.param(lambda p: p.write_bytes(b""), "not an .npz archive", id="empty"),
-        pytest.param(flip_payload_byte, "Bad CRC-32 for file 'token_emb.npy'",
-                     id="payload-byte-flipped"),
-        pytest.param(lambda p: p.write_text("accuracy 0.9\n"), "not an .npz archive",
-                     id="text-file"),
-        pytest.param(save_npy, "not an .npz archive", id="npy-array"),
-        pytest.param(drop_meta, f"the archive has no {META}", id="no-meta"),
-        pytest.param(meta_not_an_object, f"{META} holds [1, 2], not a JSON object",
-                     id="meta-not-an-object"),
-        pytest.param(retype_lnf_b(object), "Object arrays cannot be loaded", id="object-member"),
-        pytest.param(retype_lnf_b(np.int32), "tensor lnf_b has dtype int32, not a float",
-                     id="integer-tensor"),
-        pytest.param(retype_lnf_b(np.complex64), "tensor lnf_b has dtype complex64, not a float",
-                     id="complex-tensor")])
-    def test_refused_naming_the_path(self, path, monkeypatch, corrupt, message):
-        """Refused with a ValueError that starts with the path, without
-        unpickling anything or leaving a file handle open."""
-        corrupt(path)
-        unpickled, unraisable = [], []
-        monkeypatch.setattr(pickle, "load", lambda *a, **k: unpickled.append(a))
-        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-        with pytest.raises(ValueError) as refused:
-            MultimodalBackbone.load_checkpoint(path)
-        assert str(refused.value).startswith(f"{path}: ")
-        assert message in str(refused.value)
-        del refused
-        gc.collect()  # a leaked handle warns as it is collected, so reaches the hook
-        assert unpickled == [] and unraisable == []
-
-    def test_missing_tensor_rejected(self, path):
-        rewrite(path, lambda arrays: arrays.pop("lnf_b"))
-        with pytest.raises(ValueError, match="lnf_b"):
-            MultimodalBackbone.load_checkpoint(path)
-
-    def test_unknown_tensor_rejected(self, path):
-        rewrite(path, lambda arrays: arrays.update(extra=np.zeros(3)))
-        with pytest.raises(ValueError, match="extra"):
-            MultimodalBackbone.load_checkpoint(path)
-
-    def test_shape_mismatch_rejected(self, path):
-        rewrite(path, lambda arrays: arrays.update(patch_w=np.zeros((5, CFG.embed_dim))))
-        with pytest.raises(ValueError, match="patch_w"):
-            MultimodalBackbone.load_checkpoint(path)
-
-    @pytest.mark.parametrize("key, value, message", [
-        ("num_heads", 0, "num_heads must be >= 1, got 0"),
-        ("embed_dim", 32.0, "embed_dim must be an integer, got 32.0")])
-    def test_stored_config_breaking_a_rule_rejected(self, path, key, value, message):
-        meta, arrays = read_checkpoint(path)
-        meta["config"][key] = value
-        write_checkpoint(path, meta, arrays)
-        with pytest.raises(ValueError, match=f"bad backbone config: {message}"):
-            MultimodalBackbone.load_checkpoint(path)
 
 
 class TestPositions:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,12 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rebq import backbone
 from rebq import tensor as T
-from rebq.backbone import PretrainReport
 from rebq.cli import _axis_values, _load_config, build_parser, main
 from rebq.runner import RunConfig
 
-from conftest import TINY, TINY_SYNTH, read_checkpoint, write_checkpoint
+from conftest import TINY, TINY_SYNTH
 
 import dataclasses
 
@@ -32,7 +33,6 @@ def with_entry(doc: dict, i: int, j: int, value) -> dict:
 def write_config(tmp_path, **overrides) -> Path:
     cfg = RunConfig(
         backbone=TINY,
-        backbone_checkpoint=str(tmp_path / "backbone.rbqt"),
         synth=TINY_SYNTH,
         num_classes=4,
         samples_per_class=10,
@@ -56,12 +56,9 @@ def write_config(tmp_path, **overrides) -> Path:
 
 @pytest.fixture(scope="module")
 def cli_workspace(tmp_path_factory):
-    """Config plus a pretrained checkpoint shared by the CLI tests."""
+    """A directory and the TINY config the CLI tests share."""
     tmp = tmp_path_factory.mktemp("cli")
-    cfg_path = write_config(tmp)
-    rc = main(["pretrain", "--config", str(cfg_path)])
-    assert rc == 0
-    return tmp, cfg_path
+    return tmp, write_config(tmp)
 
 
 @pytest.fixture(scope="module")
@@ -71,54 +68,6 @@ def report_doc(cli_workspace):
     assert main(["run", "--config", str(cfg_path),
                  "--set", f"output_dir={tmp / 'report_doc'}"]) == 0
     return json.loads((tmp / "report_doc" / "report.json").read_text())
-
-
-class TestPretrainCli:
-    def test_checkpoint_written(self, cli_workspace):
-        tmp, _ = cli_workspace
-        assert (tmp / "backbone.rbqt").exists()
-        assert not (tmp / "backbone.rbqt.npz").exists()
-
-    @pytest.mark.parametrize("setting, message", [
-        ("backbone_checkpoint=5", "error [backbone] backbone_checkpoint must be a string, got 5"),
-        ("output_dir=null", "error [emit] output_dir must be a string, got None")])
-    def test_bad_path_setting_refused_before_pretraining(self, tmp_path, capsys,
-                                                         monkeypatch, setting, message):
-        calls = []
-        monkeypatch.setattr("rebq.cli.pretrain", lambda *a, **k: calls.append(a))
-        cfg_path = write_config(tmp_path)
-        rc = main(["pretrain", "--config", str(cfg_path), "--set", setting])
-        assert rc == 2
-        assert message in capsys.readouterr().err
-        assert calls == []
-
-    @pytest.mark.parametrize("setting, misfit", [
-        ('synth={"patch_dim": 8}', "patch_dim 8 (the backbone needs 6)"),
-        ('synth={"vocab_size": 1024}', "vocab_size 1024 (the backbone reads at most 64)")])
-    def test_corpus_the_backbone_cannot_read_refused_before_any_corpus(
-            self, tmp_path, capsys, monkeypatch, setting, misfit):
-        calls = []
-        for name in ("synth_generate", "pretrain"):
-            monkeypatch.setattr(f"rebq.cli.{name}", lambda *a, **k: calls.append(a))
-        cfg_path = write_config(tmp_path)
-        rc = main(["pretrain", "--config", str(cfg_path), "--set", setting])
-        assert rc == 2
-        assert capsys.readouterr().err == ("error [benchmark] synth does not fit the "
-                                           f"backbone: {misfit}\n")
-        assert calls == []
-
-    def test_default_pretraining_seed(self, tmp_path, monkeypatch, tiny_backbone):
-        """The default seed 1 pretrains from SeedSequence([1, 97]), the seed the
-        default checkpoint has always come from."""
-        seeds = []
-        monkeypatch.setattr("rebq.cli.synth_generate",
-                            lambda *a, seed, **k: seeds.append(seed) or (None, []))
-        monkeypatch.setattr("rebq.cli.pretrain", lambda *a, seed, **k: seeds.append(seed)
-                            or (tiny_backbone, PretrainReport(1.0, 1, True)))
-        checkpoint = tmp_path / "backbone.rbqt"
-        assert main(["pretrain", "--set", f"backbone_checkpoint={checkpoint}"]) == 0
-        expected = int(np.random.SeedSequence([1, 97]).generate_state(1)[0])
-        assert seeds == [expected, expected] == [2260559168, 2260559168]
 
 
 class TestRun:
@@ -132,11 +81,27 @@ class TestRun:
         assert report["config"]["variant"] == "canonical"
         assert 0.0 <= report["ap"] <= 1.0
 
-    def test_missing_checkpoint_exit_code(self, tmp_path):
-        cfg_path = write_config(tmp_path,
-                                backbone_checkpoint=str(tmp_path / "nope.rbqt"))
-        rc = main(["run", "--config", str(cfg_path), "--set", f"output_dir={tmp_path / 'x'}"])
-        assert rc == 2
+    def test_multi_label_run_in_a_fresh_directory(self, tmp_path, monkeypatch,
+                                                  pretrain_calls):
+        """No command runs first, and the backbone of a multi-label run is
+        pretrained on a single-label corpus."""
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, output_dir="out")
+        assert main(["run", "--config", str(cfg_path),
+                     "--set", 'synth={"multi_label":true}']) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["config"]["synth"]["multi_label"] is True
+        assert pretrain_calls() == [[backbone.PRETRAIN_SEED, False]]
+
+    def test_unusable_pretraining_is_a_backbone_error(self, tmp_path, capsys, monkeypatch,
+                                                      pretrain_calls):
+        monkeypatch.setattr(backbone, "MIN_ACCURACY", 1.5)
+        cfg_path = write_config(tmp_path)
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert re.fullmatch(r"error \[backbone\] pretraining ended at held-out accuracy "
+                            r"[01]\.\d{4}, below MIN_ACCURACY 1\.5\n", capsys.readouterr().err)
+        assert len(pretrain_calls()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_diverging_run_prints_only_its_stage_error(self, cli_workspace, capfd):
         """numpy's overflow warnings on the way to the non-finite loss stay
@@ -191,6 +156,8 @@ class TestRun:
         ("eta=true", "error [benchmark] eta must be a finite number, got True"),
         ("epochs=1.5", "error [train] epochs must be an integer, got 1.5"),
         ("warmup_frac=0.1", "error: config has unknown keys ['warmup_frac']"),
+        ("backbone_checkpoint=backbone.rbqt",
+         "error: config has unknown keys ['backbone_checkpoint']"),
         ("prompted_layers=3", "error [model] prompted_layers 3 exceeds backbone.num_layers 2"),
         ("output_dir=5", "error [emit] output_dir must be a string, got 5"),
         ("export_queries=1", "error [emit] export_queries must be true or false, got 1"),
@@ -201,6 +168,7 @@ class TestRun:
              "backbone-dim-real", "synth-text-len-zero", "synth-multi-label-string",
              "synth-noise-string", "synth-noise-negative", "synth-tokens-zero",
              "sessions-negative", "eta-bool", "epochs-real", "warmup-frac-removed",
+             "backbone-checkpoint-removed",
              "prompted-layers-deeper-than-backbone", "output-dir-int", "export-queries-int",
              "synth-noise-above-one"])
     def test_bad_nested_config_named(self, cli_workspace, capsys, setting, message):
@@ -223,12 +191,11 @@ class TestRun:
         assert cfg.backbone == dataclasses.replace(TINY, pretrain_classes=5)
         assert cfg.synth == dataclasses.replace(TINY_SYNTH, multi_label=True)
 
-    @pytest.mark.parametrize("command", ["run", "sweep", "pretrain"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_negative_seed_refused_naming_the_field(self, tmp_path, capsys, monkeypatch,
                                                     command):
         calls = []
-        for name in ("run_experiment", "pretrain"):
-            monkeypatch.setattr(f"rebq.cli.{name}", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr("rebq.cli.run_experiment", lambda *a, **k: calls.append(a))
         cfg_path = write_config(tmp_path)
         axis = ["--axis", "eta=0"] if command == "sweep" else []
         rc = main([command, "--config", str(cfg_path), "--set", "seed=-1", *axis,
@@ -257,31 +224,17 @@ class TestRun:
         flags = {name: sorted(s for action in command._actions for s in action.option_strings
                               if s != "-h" and s != "--help")
                  for name, command in commands.items()}
-        assert flags == {"pretrain": ["--config", "--set"], "run": ["--config", "--set"],
+        assert flags == {"run": ["--config", "--set"],
                          "sweep": ["--axis", "--config", "--jobs", "--set"],
                          "report": ["--emit", "--report"]}
 
-    @pytest.mark.parametrize("command", ["pretrain", "run", "sweep"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_out_flag_refused(self, tmp_path, capsys, command):
         with pytest.raises(SystemExit) as exc:
             main([command, "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
         assert "unrecognized arguments: --out" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
-
-    def test_pretrain_then_run_through_the_checkpoint_setting(self, tmp_path, tiny_backbone,
-                                                             monkeypatch):
-        """The path pretrain writes to is the path run reads from."""
-        monkeypatch.setattr("rebq.cli.pretrain",
-                            lambda *a, **k: (tiny_backbone, PretrainReport(1.0, 1, True)))
-        cfg_path = write_config(tmp_path)
-        checkpoint = f"backbone_checkpoint={tmp_path / 'elsewhere' / 'b.rbqt'}"
-        assert main(["pretrain", "--config", str(cfg_path), "--set", checkpoint]) == 0
-        assert (tmp_path / "elsewhere" / "b.rbqt").exists()
-        assert not (tmp_path / "backbone.rbqt").exists()
-        assert main(["run", "--config", str(cfg_path), "--set", checkpoint]) == 0
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["config"]["backbone_checkpoint"] == str(tmp_path / "elsewhere" / "b.rbqt")
 
     def test_output_root_env(self, cli_workspace, monkeypatch):
         tmp, cfg_path = cli_workspace
@@ -290,39 +243,6 @@ class TestRun:
         rc = main(["run", "--config", str(cfg_path), "--set", "output_dir=nested/run"])
         assert rc == 0
         assert (root / "nested" / "run" / "report.json").exists()
-
-    def test_output_root_leaves_the_checkpoint_path(self, tiny_backbone, tmp_path,
-                                                     monkeypatch):
-        """With the root set, pretrain writes the checkpoint where run reads it."""
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("REBQ_OUTPUT_ROOT", str(tmp_path / "root"))
-        monkeypatch.setattr("rebq.cli.pretrain",
-                            lambda *a, **k: (tiny_backbone, PretrainReport(1.0, 1, True)))
-        cfg_path = write_config(tmp_path, backbone_checkpoint="backbone.rbqt",
-                                output_dir="out")
-        assert main(["pretrain", "--config", str(cfg_path)]) == 0
-        assert (tmp_path / "backbone.rbqt").exists()
-        assert main(["run", "--config", str(cfg_path)]) == 0
-        assert (tmp_path / "root" / "out" / "report.json").exists()
-
-    def test_checkpoint_with_a_removed_key_refused(self, cli_workspace, tmp_path, capsys):
-        tmp, _ = cli_workspace
-        meta, arrays = read_checkpoint(tmp / "backbone.rbqt")
-        meta["config"]["ffn_mult"] = 2
-        write_checkpoint(tmp_path / "old.rbqt", meta, arrays)
-        cfg_path = write_config(tmp_path, backbone_checkpoint=str(tmp_path / "old.rbqt"))
-        assert main(["run", "--config", str(cfg_path)]) == 2
-        assert ("old.rbqt: bad backbone config: stored config has unknown keys ['ffn_mult']"
-                in capsys.readouterr().err)
-        assert not (tmp_path / "out").exists()
-
-    def test_checkpoint_of_the_old_format_refused(self, tmp_path, capsys):
-        old = tmp_path / "old.rbqt"
-        old.write_bytes(b"RBQT\x01\x00\x00\x00" + bytes(64))
-        cfg_path = write_config(tmp_path, backbone_checkpoint=str(old))
-        assert main(["run", "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err.startswith(f"error [backbone] {old}: ")
-        assert not (tmp_path / "out").exists()
 
     def test_flag_beats_env(self, cli_workspace, monkeypatch):
         """An absolute output_dir is not rooted under $REBQ_OUTPUT_ROOT."""
@@ -460,13 +380,19 @@ class TestSweep:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failing_run_ends_the_sweep_with_its_stage_error(self, tmp_path, capsys, jobs):
         """The run's ExperimentError crosses back from its worker process."""
-        missing = tmp_path / "nope.rbqt"
-        cfg_path = write_config(tmp_path, backbone_checkpoint=str(missing))
+        cfg_path = write_config(tmp_path, samples_per_class=1)
         rc = main(["sweep", "--config", str(cfg_path), "--axis", "eta=0,50", "--jobs", jobs])
         assert rc == 2
-        assert capsys.readouterr().err == (f"error [backbone] checkpoint {missing} not found; "
-                                           "run pretrain first\n")
+        assert capsys.readouterr().err == ("error [benchmark] session 0 has an empty test "
+                                           "split; raise samples_per_class\n")
         assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_worker_pretrains_once(self, tmp_path, pretrain_calls):
+        """The runs of one worker process share its frozen backbone."""
+        cfg_path = write_config(tmp_path)
+        assert main(["sweep", "--config", str(cfg_path), "--axis", "eta=0,50",
+                     "--jobs", "1"]) == 0
+        assert len(pretrain_calls()) == 1
 
     def test_failing_run_cancels_the_pending_runs(self, cli_workspace, capsys):
         """The first run's loss overflows; the sweep reports it before the
@@ -627,7 +553,7 @@ class TestReport:
          "report matrix[0][0] must be in [0, 1] from the diagonal on, got 1.5"),
         (lambda doc: {**doc, "config": {},
                       "per_session": [{**doc["per_session"][0], "session": 7}] * 3},
-         "report config lacks keys ['backbone', 'backbone_checkpoint', 'batch_size',"),
+         "report config lacks keys ['backbone', 'batch_size',"),
         (lambda doc: {**doc, "config": without(doc["config"], "variant")},
          "report config lacks keys ['variant']"),
         (lambda doc: {**doc, "config": {**doc["config"],
@@ -637,6 +563,8 @@ class TestReport:
          "report config has unknown keys ['bogus']"),
         (lambda doc: {**doc, "config": {**doc["config"], "corpus_path": None}},
          "report config has unknown keys ['corpus_path']"),
+        (lambda doc: {**doc, "config": {**doc["config"], "backbone_checkpoint": "b.rbqt"}},
+         "report config has unknown keys ['backbone_checkpoint']"),
         (lambda doc: {**doc, "config": {
             **doc["config"], "warmup_frac": 0.1, "weight_decay": 0.01,
             "backbone": {**doc["config"]["backbone"], "activation": "relu", "ffn_mult": 2}}},
@@ -666,6 +594,7 @@ class TestReport:
              "matrix-diagonal-none", "matrix-final-column-none", "matrix-above-one",
              "config-empty-sessions-seven", "config-without-variant",
              "config-without-nested-key", "config-unknown-key", "config-with-corpus-path",
+             "config-with-backbone-checkpoint",
              "config-with-removed-keys", "config-with-seed-streams", "config-out-of-range",
              "config-synth-misfit",
              "config-session-count", "config-prompted-deeper-than-backbone",

@@ -34,10 +34,9 @@ from conftest import TINY, TINY_SYNTH, make_tiny_backbone, parameter_bytes
 
 GOLDEN = Path(__file__).parent / "golden.json"
 
-BASE = RunConfig(backbone=TINY, backbone_checkpoint="unused.rbqt", synth=TINY_SYNTH,
-                 num_classes=4, samples_per_class=30, num_sessions=2, eta=60.0,
-                 pool_size=16, memory_pool_size=16, prompt_len=2, epochs=1,
-                 batch_size=4, lr=3e-3, eval_batch_size=16, export_queries=True)
+BASE = RunConfig(backbone=TINY, synth=TINY_SYNTH, num_classes=4, samples_per_class=30,
+                 num_sessions=2, eta=60.0, pool_size=16, memory_pool_size=16, prompt_len=2,
+                 epochs=1, batch_size=4, lr=3e-3, eval_batch_size=16, export_queries=True)
 
 CONFIGS = {
     f"{variant}-{'multi' if multi else 'single'}-layers{layers}": dataclasses.replace(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from rebq import runner
 from rebq import tensor as T
-from rebq.backbone import MultimodalBackbone
+from rebq.backbone import PRETRAIN_SEED, MultimodalBackbone
 from rebq.reconstruct import export_query_embeddings
 from rebq.runner import (ExperimentError, Report, RunConfig, emit_report, report_json_bytes,
                          run_experiment)
@@ -22,7 +22,6 @@ from conftest import TINY, TINY_SYNTH
 def tiny_config(tmp_path, **overrides) -> RunConfig:
     cfg = RunConfig(
         backbone=TINY,
-        backbone_checkpoint=str(tmp_path / "missing.rbqt"),
         synth=TINY_SYNTH,
         num_classes=4,
         samples_per_class=15,
@@ -88,20 +87,14 @@ class TestRunExperiment:
         assert abs(ap - report.ap) <= 1e-12
         assert abs(fg - report.fg) <= 1e-12
 
-    def test_missing_checkpoint_stage_tagged(self, tmp_path):
-        cfg = tiny_config(tmp_path)
-        with pytest.raises(ExperimentError) as exc:
-            run_experiment(cfg)
-        assert exc.value.stage == "backbone"
-
-    def test_stage_error_survives_pickling(self, tmp_path):
+    def test_stage_error_survives_pickling(self, tiny_backbone, tmp_path):
         """A sweep's worker process sends its run's error back pickled."""
         with pytest.raises(ExperimentError) as exc:
-            run_experiment(tiny_config(tmp_path))
+            run_experiment(tiny_config(tmp_path, samples_per_class=1), backbone=tiny_backbone)
         back = pickle.loads(pickle.dumps(exc.value))
-        cause = f"checkpoint {tmp_path / 'missing.rbqt'} not found; run pretrain first"
+        cause = "session 0 has an empty test split; raise samples_per_class"
         assert type(back) is ExperimentError
-        assert (back.stage, back.cause, str(back)) == ("backbone", cause, f"[backbone] {cause}")
+        assert (back.stage, back.cause, str(back)) == ("benchmark", cause, f"[benchmark] {cause}")
 
     @pytest.mark.parametrize("overrides, stage, needle", [
         ({"missing_case": "sideways"}, "benchmark", "sideways"),
@@ -131,17 +124,19 @@ class TestRunExperiment:
         ("pool_size", 1.5, "model"), ("prompted_layers", False, "model"),
         ("seed", 2.0, "benchmark"), ("epochs", 1.5, "train"), ("lr", -1.0, "train"),
         ("lr", "x", "train"), ("lr", float("inf"), "train"), ("seed", None, "benchmark"),
-        ("backbone_checkpoint", None, "backbone"),
         ("export_queries", 1, "emit"), ("export_queries", "yes", "emit"),
         ("output_dir", 5, "emit"), ("output_dir", None, "emit")])
-    def test_out_of_range_refused_before_any_stage(self, tmp_path, field, value, stage):
-        # the checkpoint is missing, so any stage that ran would fail first
+    def test_out_of_range_refused_before_any_stage(self, tmp_path, monkeypatch, field, value,
+                                                   stage):
+        builds = []
+        monkeypatch.setattr(runner, "frozen_backbone", lambda *a: builds.append(a))
         cfg = tiny_config(tmp_path, **{field: value})
         with pytest.raises(ExperimentError) as exc:
             run_experiment(cfg)
         assert exc.value.stage == stage
         assert exc.value.cause.startswith(f"{field} must ")
         assert repr(value) in exc.value.cause
+        assert builds == []
 
     def test_prompted_layers_deeper_than_backbone_refused_before_any_stage(self, tmp_path):
         RunConfig().check()  # the default prompts every layer of the default backbone
@@ -149,28 +144,48 @@ class TestRunExperiment:
                                                   r"backbone.num_layers 2$"):
             run_experiment(tiny_config(tmp_path, prompted_layers=TINY.num_layers + 1))
 
-    @pytest.mark.parametrize("source", ["passed", "checkpoint"])
     def test_other_backbone_config_refused_naming_keys(self, tiny_backbone, tmp_path,
-                                                       monkeypatch, source):
-        """The report records config.backbone, so a backbone built from another
-        config is refused before any stage reads it."""
+                                                       monkeypatch):
+        """The report records config.backbone, so a passed backbone built from
+        another config is refused before any stage reads it."""
         calls = []
         monkeypatch.setattr(runner, "build_stream", lambda *a, **k: calls.append(a))
         stated = dataclasses.replace(TINY, embed_dim=64, num_heads=4, pretrain_classes=5)
-        cfg = tiny_config(tmp_path, backbone=stated,
-                          backbone_checkpoint=str(tmp_path / "backbone.rbqt"))
-        passed = tiny_backbone
-        if source == "checkpoint":
-            tiny_backbone.save_checkpoint(cfg.backbone_checkpoint)
-            passed = None
         with pytest.raises(ExperimentError) as exc:
-            run_experiment(cfg, backbone=passed)
+            run_experiment(tiny_config(tmp_path, backbone=stated), backbone=tiny_backbone)
         assert exc.value.stage == "backbone"
-        assert exc.value.cause.endswith(
-            "differs from the config's backbone in embed_dim 32 (config 64), "
-            "num_heads 2 (config 4), pretrain_classes 4 (config 5)")
-        assert (source == "checkpoint") == ("backbone.rbqt" in exc.value.cause)
+        assert exc.value.cause == (
+            "the passed backbone differs from the config's backbone in embed_dim 32 "
+            "(config 64), num_heads 2 (config 4), pretrain_classes 4 (config 5)")
         assert calls == []
+
+    def test_unfrozen_backbone_refused_before_training(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(runner, "train_task", lambda *a, **k: calls.append(a))
+        unfrozen = MultimodalBackbone(TINY, np.random.default_rng(0))
+        with pytest.raises(ExperimentError,
+                           match=r"^\[model\] RebQModel requires a frozen backbone$"):
+            run_experiment(tiny_config(tmp_path), backbone=unfrozen)
+        assert calls == []
+
+    def test_backbone_pretrained_once_per_config(self, tmp_path, pretrain_calls):
+        """Only the backbone config and the synth sizes decide the frozen
+        backbone, so a process pretrains each pair once, from PRETRAIN_SEED."""
+        def run(**overrides):
+            # one sample per class leaves no test split, so the run ends
+            # right after it has its backbone
+            with pytest.raises(ExperimentError, match="empty test split"):
+                run_experiment(tiny_config(tmp_path, samples_per_class=1, **overrides))
+
+        run()
+        run()
+        assert len(pretrain_calls()) == 1
+        run(synth=dataclasses.replace(TINY_SYNTH, noise_token_prob=0.5))
+        run(seed=7)
+        assert len(pretrain_calls()) == 1
+        run(backbone=dataclasses.replace(TINY, num_layers=1), prompted_layers=1)
+        assert pretrain_calls() == [[2260559168, False]] * 2
+        assert PRETRAIN_SEED == 2260559168
 
     def test_timing_records_threads(self, tiny_run):
         _, report, _ = tiny_run
@@ -230,15 +245,19 @@ class TestRunExperiment:
         ("num_patches", 5, "num_patches 5 (the backbone needs 4)"),
         ("max_text_len", 12, "max_text_len 12 (the backbone reads at most 8)"),
         ("vocab_size", 200, "vocab_size 200 (the backbone reads at most 64)")])
-    def test_corpus_the_backbone_cannot_read_refused(self, tmp_path, field, value, misfit):
-        """RunConfig.check compares the sizes synth draws with before any stage:
-        the checkpoint is missing, so a stage that ran would fail first."""
+    def test_corpus_the_backbone_cannot_read_refused(self, tmp_path, monkeypatch, field,
+                                                     value, misfit):
+        """RunConfig.check compares the sizes synth draws with before any
+        stage, so no backbone is pretrained for them."""
+        builds = []
+        monkeypatch.setattr(runner, "frozen_backbone", lambda *a: builds.append(a))
         synth = dataclasses.replace(TINY_SYNTH, **{field: value})
         cfg = tiny_config(tmp_path, synth=synth)
         with pytest.raises(ExperimentError) as exc:
             run_experiment(cfg)
         assert exc.value.stage == "benchmark"
         assert exc.value.cause == f"synth does not fit the backbone: {misfit}"
+        assert builds == []
 
     def test_determinism_modulo_timing(self, tiny_backbone, tmp_path):
         cfg = tiny_config(tmp_path)
