@@ -17,7 +17,9 @@ backbone runs row-parallel, forward and backward: every output row depends
 on its own input and prefix rows alone, so forward splits the batch over
 the process's cores (tensor.split_pass), each part recording its own tape
 when the prompt prefix is tracked, bit-identical to one serial pass. Each
-layer's feed-forward block is a ReLU MLP of width FFN_MULT * D.
+layer's feed-forward block is a ReLU MLP of width FFN_MULT * D. The
+SynthConfig a backbone is built for sizes its input tables (SYNTH_SIZES);
+later readers take those sizes from the tables' shapes (input_sizes).
 A desk-scale pretraining routine trains the encoder on synthetic
 modality-complete data until the joint cls token classifies held-out
 samples, then freezes every parameter. frozen_backbone builds the backbone
@@ -37,6 +39,7 @@ from .rules import rule
 from .tensor import AdamW, Tensor
 
 FFN_MULT = 2  # feed-forward width per embedding dimension
+SYNTH_SIZES = ("vocab_size", "max_text_len", "num_patches", "patch_dim")  # the input format
 
 
 @dataclass
@@ -44,10 +47,6 @@ class BackboneConfig:
     embed_dim: int = rule(64, low=1)          # D
     num_layers: int = rule(4, low=1)          # L
     num_heads: int = rule(4, low=1)           # H
-    text_vocab_size: int = rule(512, low=1)
-    max_text_len: int = rule(16, low=1)       # P
-    num_patches: int = rule(16, low=1)        # Q
-    patch_dim: int = rule(16, low=1)
     pretrain_classes: int = rule(10, low=2)
 
     def __post_init__(self):
@@ -59,37 +58,36 @@ class BackboneConfig:
 
 # Position map for the unified query/classification layout
 # [x_cls, x_cls_t, X_text, x_cls_v, X_visual].
-def unified_positions(cfg: BackboneConfig) -> dict[str, int]:
-    return {"joint": 0, "text_cls": 1, "visual_cls": 2 + cfg.max_text_len}
+def unified_positions(backbone: MultimodalBackbone) -> dict[str, int]:
+    return {"joint": 0, "text_cls": 1, "visual_cls": 2 + backbone.input_sizes()["max_text_len"]}
 
 
-def recon_positions(cfg: BackboneConfig) -> list[int]:
+def recon_positions(backbone: MultimodalBackbone) -> list[int]:
     """The unified rows that form the reconstruction layout [x_cls, X_text,
     X_visual]: every row but the two modality cls tokens."""
-    pos = unified_positions(cfg)
-    return [p for p in range(3 + cfg.max_text_len + cfg.num_patches)
+    pos, sizes = unified_positions(backbone), backbone.input_sizes()
+    return [p for p in range(3 + sizes["max_text_len"] + sizes["num_patches"])
             if p not in (pos["text_cls"], pos["visual_cls"])]
 
 
 class MultimodalBackbone:
-    def __init__(self, config: BackboneConfig, rng: np.random.Generator):
+    def __init__(self, config: BackboneConfig, synth: SynthConfig, rng: np.random.Generator):
         self.config = config
         self.frozen = False
-        c = config
-        d = c.embed_dim
+        d = config.embed_dim
         f = FFN_MULT * d
         p: dict[str, Tensor] = {}
-        p["token_emb"] = T.normal_init(rng, (c.text_vocab_size, d))
-        p["patch_w"] = T.normal_init(rng, (c.patch_dim, d))
+        p["token_emb"] = T.normal_init(rng, (synth.vocab_size, d))
+        p["patch_w"] = T.normal_init(rng, (synth.patch_dim, d))
         p["patch_b"] = T.zeros(d, trainable=True)
-        p["text_pos"] = T.normal_init(rng, (c.max_text_len, d))
-        p["vis_pos"] = T.normal_init(rng, (c.num_patches, d))
+        p["text_pos"] = T.normal_init(rng, (synth.max_text_len, d))
+        p["vis_pos"] = T.normal_init(rng, (synth.num_patches, d))
         p["text_type"] = T.normal_init(rng, (d,))
         p["vis_type"] = T.normal_init(rng, (d,))
         p["cls"] = T.normal_init(rng, (d,))
         p["cls_t"] = T.normal_init(rng, (d,))
         p["cls_v"] = T.normal_init(rng, (d,))
-        for l in range(c.num_layers):
+        for l in range(config.num_layers):
             p[f"l{l}.ln1_g"] = T.ones(d, trainable=True)
             p[f"l{l}.ln1_b"] = T.zeros(d, trainable=True)
             p[f"l{l}.qkv_w"] = T.normal_init(rng, (d, 3 * d))
@@ -117,21 +115,27 @@ class MultimodalBackbone:
     def parameter_bytes(self) -> bytes:
         return b"".join(self.params[k].data.tobytes() for k in sorted(self.params))
 
+    def input_sizes(self) -> dict[str, int]:
+        """The SYNTH_SIZES of the corpora this backbone reads, from its tables' shapes."""
+        tables = ("token_emb", "text_pos", "vis_pos", "patch_w")
+        return {k: self.params[t].shape[0] for k, t in zip(SYNTH_SIZES, tables)}
+
     # -- embedding ----------------------------------------------------------------
 
     def embed_batch(self, samples: list[Sample]) -> Tensor:
         """The (B, S, D) unified sequence [x_cls, x_cls_t, X_text, x_cls_v,
         X_visual]: token/patch embeddings plus positional and modality-type
         terms, between the cls rows."""
-        c = self.config
-        ids = np.zeros((len(samples), c.max_text_len), dtype=np.int64)
+        sizes = self.input_sizes()
+        text_len, shape = sizes["max_text_len"], (sizes["num_patches"], sizes["patch_dim"])
+        ids = np.zeros((len(samples), text_len), dtype=np.int64)
         for i, s in enumerate(samples):
             toks = s.text_tokens
-            if len(toks) > c.max_text_len:
-                raise ValueError(f"sample {s.id}: text longer than {c.max_text_len}")
+            if len(toks) > text_len:
+                raise ValueError(f"sample {s.id}: text longer than {text_len}")
             if toks:
                 arr = np.asarray(toks, dtype=np.int64)
-                if arr.min() < 0 or arr.max() >= c.text_vocab_size:
+                if arr.min() < 0 or arr.max() >= sizes["vocab_size"]:
                     raise ValueError(f"sample {s.id}: token id out of range")
                 ids[i, :len(toks)] = arr
         text = T.embedding(self.params["token_emb"], ids)
@@ -139,12 +143,11 @@ class MultimodalBackbone:
 
         patch_w = self.params["patch_w"]
         patches = np.stack([np.asarray(s.patches, dtype=patch_w.data.dtype) for s in samples])
-        if patches.shape[1:] != (c.num_patches, c.patch_dim):
-            raise ValueError(
-                f"patches must be ({c.num_patches}, {c.patch_dim}), got {patches.shape[1:]}")
+        if patches.shape[1:] != shape:
+            raise ValueError(f"patches must be {shape}, got {patches.shape[1:]}")
         vis = T.affine(Tensor(patches), patch_w, self.params["patch_b"])
         vis = T.add(T.add(vis, self.params["vis_pos"]), self.params["vis_type"])
-        b, d, p = len(samples), c.embed_dim, self.params
+        b, d, p = len(samples), self.config.embed_dim, self.params
 
         def cls_row(vec: Tensor) -> Tensor:
             return T.broadcast_to(T.reshape(vec, (1, 1, d)), (b, 1, d))
@@ -256,8 +259,9 @@ def pretrain(config: BackboneConfig, corpus: tuple[CorpusMeta, list[Sample]], se
              pcfg: PretrainConfig | None = None) -> tuple[MultimodalBackbone, PretrainReport]:
     """Train the encoder to classify the joint cls token, then freeze it.
 
-    Stops early once held-out accuracy reaches TARGET_ACCURACY; a run that
-    ends below MIN_ACCURACY is flagged unusable. One sample at least is held
+    meta.synth sizes the input tables and must be single-label. Stops
+    early once held-out accuracy reaches TARGET_ACCURACY; a run that ends
+    below MIN_ACCURACY is flagged unusable. One sample at least is held
     out, so the corpus needs two or more.
     """
     pcfg = pcfg or PretrainConfig()
@@ -265,6 +269,8 @@ def pretrain(config: BackboneConfig, corpus: tuple[CorpusMeta, list[Sample]], se
     if meta.num_classes != config.pretrain_classes:
         raise ValueError(
             f"corpus has {meta.num_classes} classes, config expects {config.pretrain_classes}")
+    if meta.synth.multi_label:
+        raise ValueError("pretraining corpus must be single-label, got synth.multi_label true")
     for s in samples:
         if s.missing_type != "complete":
             raise ValueError("pretraining corpus must be modality-complete")
@@ -273,7 +279,7 @@ def pretrain(config: BackboneConfig, corpus: tuple[CorpusMeta, list[Sample]], se
                          "held out and at least one must be left to train on")
 
     rng = np.random.default_rng(seed)
-    model = MultimodalBackbone(config, rng)
+    model = MultimodalBackbone(config, meta.synth, rng)
     d, classes = config.embed_dim, config.pretrain_classes
     head_w = T.normal_init(rng, (d, classes))
     head_b = T.zeros(classes, trainable=True)
@@ -323,7 +329,6 @@ def pretrain(config: BackboneConfig, corpus: tuple[CorpusMeta, list[Sample]], se
 
 PRETRAIN_SEED = int(np.random.SeedSequence([1, 97]).generate_state(1)[0])  # 2260559168
 PRETRAIN_SAMPLES_PER_CLASS = 100  # size of the pretraining corpus per class
-SYNTH_SIZES = ("vocab_size", "max_text_len", "num_patches", "patch_dim")
 _FROZEN: dict[tuple, MultimodalBackbone] = {}  # frozen_backbone's results in this process
 
 

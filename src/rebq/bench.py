@@ -2,12 +2,12 @@
 
 synth_generate is the only source of a corpus: a list of complete
 :class:`Sample` records plus the :class:`CorpusMeta` a run reads of it
-(class count and label mode). Sessions partition the classes into disjoint
-subsets; the missing mask then degrades a configurable share of each
-session's samples to a single modality. Sample.without is the one place
-that makes such a copy: it replaces the absent modality with its canonical
-dummy (empty token sequence for text, all-ones patches of the sample's own
-shape for images).
+(class count and the SynthConfig that drew it). Sessions partition the
+classes into disjoint subsets; the missing mask then degrades a
+configurable share of each session's samples to a single modality.
+Sample.without is the one place that makes such a copy: it replaces the
+absent modality with its canonical dummy (empty token sequence for text,
+all-ones patches of the sample's own shape for images).
 """
 
 from __future__ import annotations
@@ -54,13 +54,6 @@ class Sample:
 
 
 @dataclass
-class CorpusMeta:
-    """What a run reads of how synth_generate made a corpus."""
-    num_classes: int
-    multi_label: bool
-
-
-@dataclass
 class SynthConfig:
     vocab_size: int = rule(512, low=2)          # id 0 is padding
     max_text_len: int = rule(16, low=1)
@@ -74,6 +67,14 @@ class SynthConfig:
 
     def __post_init__(self):
         rules.check(self)
+
+
+@dataclass
+class CorpusMeta:
+    """What a run reads of how synth_generate made a corpus: its class count
+    and the SynthConfig that drew it (input sizes and label mode)."""
+    num_classes: int
+    synth: SynthConfig
 
 
 def dummy_patches(num_patches: int, patch_dim: int) -> np.ndarray:
@@ -141,7 +142,7 @@ def synth_generate(num_classes: int, samples_per_class: int, cfg: SynthConfig,
             patches=_sample_patches(protos.patch_means, active, cfg, rng),
             label=active if cfg.multi_label else active[0],
         ))
-    return CorpusMeta(num_classes=num_classes, multi_label=cfg.multi_label), samples
+    return CorpusMeta(num_classes=num_classes, synth=cfg), samples
 
 
 # -- session splitting --------------------------------------------------------------

@@ -84,7 +84,7 @@ def generate_queries_batch(samples: list[Sample], backbone: MultimodalBackbone,
 def _unified_pass(samples: list[Sample], backbone: MultimodalBackbone,
                   emb=None) -> np.ndarray:
     """(B, 3, D) text, visual and memory queries of one unified forward."""
-    pos = unified_positions(backbone.config)
+    pos = unified_positions(backbone)
     with T.no_grad():
         if emb is None:
             emb = backbone.embed_batch(samples)
@@ -105,7 +105,7 @@ def reconstruct_batch(samples: list[Sample], prefix: Tensor,
     """
     if emb is None:
         emb = backbone.embed_batch(samples)
-    return backbone.forward(emb[:, recon_positions(backbone.config)], prefix,
+    return backbone.forward(emb[:, recon_positions(backbone)], prefix,
                             positions=[0])[:, 0]
 
 

@@ -74,8 +74,8 @@ class RunConfig:
 
         The ExperimentError names the field (backbone.* and synth.* by dotted
         path) and carries the stage its top-level field declares as its reader.
-        Then a prompted_layers that is set may not exceed backbone.num_layers,
-        and the corpus synth describes must fit what the backbone reads.
+        Then a prompted_layers that is set may not exceed backbone.num_layers;
+        the backbone takes its input sizes from synth, so the two fit by construction.
         """
         for f in dataclasses.fields(self):
             try:
@@ -85,16 +85,6 @@ class RunConfig:
         if (self.prompted_layers or 0) > self.backbone.num_layers:
             raise ExperimentError("model", f"prompted_layers {self.prompted_layers} exceeds "
                                            f"backbone.num_layers {self.backbone.num_layers}")
-        sy, bb = self.synth, self.backbone
-        misfit = [f"{name} {have} (the backbone {rule} {want})" for name, have, rule, want in (
-            ("patch_dim", sy.patch_dim, "needs", bb.patch_dim),
-            ("num_patches", sy.num_patches, "needs", bb.num_patches),
-            ("max_text_len", sy.max_text_len, "reads at most", bb.max_text_len),
-            ("vocab_size", sy.vocab_size, "reads at most", bb.text_vocab_size))
-            if (have != want if rule == "needs" else have > want)]
-        if misfit:
-            raise ExperimentError("benchmark", "synth does not fit the backbone: "
-                                               + ", ".join(misfit))
 
     def _stream(self, i: int) -> int:
         return int(np.random.SeedSequence(self.seed).generate_state(5)[i])
@@ -244,12 +234,14 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
     with _stage("backbone"):
         if backbone is None:
             backbone = frozen_backbone(config.backbone, config.synth)
-        # the report records config.backbone, so it must be the backbone every pass uses
-        used, stated = asdict(backbone.config), asdict(config.backbone)
-        differ = [f"{k} {used[k]!r} (config {stated[k]!r})" for k in used if used[k] != stated[k]]
+        # the report records config, so it must describe the backbone every pass uses
+        stated = config.to_dict()
+        used = {"backbone": asdict(backbone.config), "synth": backbone.input_sizes()}
+        differ = [f"{part}.{k} {v!r} (config {stated[part][k]!r})" for part, have in used.items()
+                  for k, v in have.items() if v != stated[part][k]]
         if differ:
-            raise ExperimentError("backbone", "the passed backbone differs from the config's "
-                                              f"backbone in {', '.join(differ)}")
+            raise ExperimentError("backbone", "the passed backbone differs from the config in "
+                                              + ", ".join(differ))
         backbone_digest = hashlib.sha256(backbone.parameter_bytes()).digest()
 
     with _stage("benchmark"):
@@ -268,14 +260,14 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
                            memory_pool_size=config.memory_pool_size,
                            prompt_len=config.prompt_len,
                            prompted_layers=config.prompted_layers, lam=config.lam,
-                           multi_label=meta.multi_label)
+                           multi_label=meta.synth.multi_label)
         model = build_variant(config.variant, backbone, mcfg, config.seed_model)
 
     t = config.num_sessions
     matrix: list[list[float | None]] = [[None] * t for _ in range(t)]
     logs: list[TrainingLog] = []
     per_session: list[dict] = []
-    mode = "f1_macro" if meta.multi_label else "accuracy"
+    mode = "f1_macro" if meta.synth.multi_label else "accuracy"
     # train_task and predict_batch name non-finite values; numpy's warnings add nothing
     with _stage("train"), np.errstate(all="ignore"):
         # the unified pass depends only on the frozen backbone and the row,

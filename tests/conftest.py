@@ -12,8 +12,7 @@ from rebq import backbone
 from rebq.backbone import BackboneConfig, PretrainConfig, pretrain
 from rebq.bench import SynthConfig, build_stream, synth_generate
 
-TINY = BackboneConfig(embed_dim=32, num_layers=2, num_heads=2, text_vocab_size=64,
-                      max_text_len=8, num_patches=4, patch_dim=6, pretrain_classes=4)
+TINY = BackboneConfig(embed_dim=32, num_layers=2, num_heads=2, pretrain_classes=4)
 
 TINY_SYNTH = SynthConfig(vocab_size=64, max_text_len=8, num_patches=4, patch_dim=6,
                          tokens_per_class=5, noise_token_prob=0.1, patch_noise_std=0.3)
@@ -69,7 +68,7 @@ def pretrain_calls(monkeypatch, tmp_path):
 
     def logged(config, corpus, seed, **kwargs):
         with open(log, "a") as fh:
-            fh.write(json.dumps([seed, corpus[0].multi_label]) + "\n")
+            fh.write(json.dumps([seed, corpus[0].synth.multi_label]) + "\n")
         return pretrain(config, corpus, seed, **kwargs)
 
     monkeypatch.setattr(backbone, "_FROZEN", {})

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,38 +7,39 @@ from rebq import tensor as T
 from rebq.backbone import (MIN_ACCURACY, BackboneConfig, MultimodalBackbone, PretrainConfig,
                            pretrain, recon_positions, unified_positions)
 from rebq.bench import Sample, SynthConfig, dummy_patches, synth_generate
-from rebq.tensor import Tensor
+from rebq.tensor import AdamW, Tensor
 
 from conftest import float64
 
-CFG = BackboneConfig(embed_dim=32, num_layers=2, num_heads=2, text_vocab_size=64,
-                     max_text_len=8, num_patches=4, patch_dim=6, pretrain_classes=4)
+CFG = BackboneConfig(embed_dim=32, num_layers=2, num_heads=2, pretrain_classes=4)
+SYNTH = SynthConfig(vocab_size=64, max_text_len=8, num_patches=4, patch_dim=6,
+                    tokens_per_class=6, noise_token_prob=0.05, patch_noise_std=0.2)
 
 
-def make_backbone(seed=0, cfg=CFG):
-    return MultimodalBackbone(cfg, np.random.default_rng(seed))
+def make_backbone(seed=0):
+    return MultimodalBackbone(CFG, SYNTH, np.random.default_rng(seed))
 
 
 def text_rows(x):
     """The X_text rows of an embedded unified sequence."""
-    return x.data[:, 2:2 + CFG.max_text_len]
+    return x.data[:, 2:2 + SYNTH.max_text_len]
 
 
 def visual_rows(x):
     """The X_visual rows of an embedded unified sequence."""
-    return x.data[:, 3 + CFG.max_text_len:]
+    return x.data[:, 3 + SYNTH.max_text_len:]
 
 
-def sample_for(cfg, tokens, seed=0):
+def sample_for(tokens, seed=0):
     rng = np.random.default_rng(seed)
     return Sample(id="t", text_tokens=tokens,
-                  patches=rng.standard_normal((cfg.num_patches, cfg.patch_dim)), label=0)
+                  patches=rng.standard_normal((SYNTH.num_patches, SYNTH.patch_dim)), label=0)
 
 
 class TestEmbed:
     def test_same_token_differs_only_by_position(self):
         bb = float64(make_backbone())
-        emb = text_rows(bb.embed_batch([sample_for(CFG, [5, 5, 5])]))[0]
+        emb = text_rows(bb.embed_batch([sample_for([5, 5, 5])]))[0]
         pos = bb.params["text_pos"].data
         np.testing.assert_allclose(emb[0] - emb[1], pos[0] - pos[1], atol=1e-12)
 
@@ -62,32 +65,32 @@ class TestEmbed:
     def test_token_out_of_range_rejected(self):
         bb = make_backbone()
         with pytest.raises(ValueError):
-            bb.embed_batch([sample_for(CFG, [64])])
+            bb.embed_batch([sample_for([64])])
 
     def test_padding_fills_short_text(self):
         bb = make_backbone()
-        short = text_rows(bb.embed_batch([sample_for(CFG, [7])]))[0]
-        padded = text_rows(bb.embed_batch([sample_for(CFG, [7, 0, 0, 0, 0, 0, 0, 0])]))[0]
+        short = text_rows(bb.embed_batch([sample_for([7])]))[0]
+        padded = text_rows(bb.embed_batch([sample_for([7, 0, 0, 0, 0, 0, 0, 0])]))[0]
         assert short.tobytes() == padded.tobytes()
 
 
 class TestForward:
     def test_output_length_matches_input(self):
         bb = make_backbone()
-        emb = bb.embed_batch([sample_for(CFG, [1, 2, 3])])
+        emb = bb.embed_batch([sample_for([1, 2, 3])])
         out = bb.forward(emb)
-        assert out.shape == (1, 2 + CFG.max_text_len + 1 + CFG.num_patches, CFG.embed_dim)
+        assert out.shape == (1, 2 + SYNTH.max_text_len + 1 + SYNTH.num_patches, CFG.embed_dim)
 
     def test_attention_prefix_keeps_length(self):
         bb = make_backbone(seed=1)
-        emb = bb.embed_batch([sample_for(CFG, [1, 2, 3])])
+        emb = bb.embed_batch([sample_for([1, 2, 3])])
         blocks = Tensor(np.random.default_rng(2).standard_normal((1, 2, 2, 8, 32)))
         out = bb.forward(emb, blocks)
-        assert out.shape[1] == 2 + CFG.max_text_len + 1 + CFG.num_patches
+        assert out.shape[1] == 2 + SYNTH.max_text_len + 1 + SYNTH.num_patches
 
     def test_empty_prefix_bit_identical_to_uninjected(self):
         bb = make_backbone(seed=4)
-        emb = bb.embed_batch([sample_for(CFG, [4, 9])])
+        emb = bb.embed_batch([sample_for([4, 9])])
         plain = bb.forward(emb).data
         empty = T.zeros((1, 2, 2, 0, 32))
         injected = bb.forward(emb, empty).data
@@ -95,7 +98,7 @@ class TestForward:
 
     def test_zero_prompted_layers_bit_identical(self):
         bb = make_backbone(seed=5)
-        emb = bb.embed_batch([sample_for(CFG, [4, 9])])
+        emb = bb.embed_batch([sample_for([4, 9])])
         blocks = Tensor(np.random.default_rng(6).standard_normal((1, 0, 2, 4, 32)))
         plain = bb.forward(emb).data
         injected = bb.forward(emb, blocks).data
@@ -103,7 +106,7 @@ class TestForward:
 
     def test_too_many_prompted_layers_rejected(self):
         bb = make_backbone()
-        emb = bb.embed_batch([sample_for(CFG, [1])])
+        emb = bb.embed_batch([sample_for([1])])
         blocks = Tensor(np.zeros((1, 3, 2, 2, 32)))
         with pytest.raises(ValueError, match="prefix prompts 3 layers, backbone has 2"):
             bb.forward(emb, blocks)
@@ -115,14 +118,14 @@ class TestForward:
 
     def test_forward_deterministic(self):
         bb = make_backbone(seed=7)
-        emb = bb.embed_batch([sample_for(CFG, [2, 4, 8])])
+        emb = bb.embed_batch([sample_for([2, 4, 8])])
         a = bb.forward(emb).data.tobytes()
         b = bb.forward(emb).data.tobytes()
         assert a == b
 
     def test_head_permutation_symmetry(self):
         bb = float64(make_backbone(seed=8))
-        emb = bb.embed_batch([sample_for(CFG, [3, 1, 4])])
+        emb = bb.embed_batch([sample_for([3, 1, 4])])
         base = bb.forward(emb).data.copy()
         d, h = CFG.embed_dim, CFG.num_heads
         dh = d // h
@@ -142,7 +145,7 @@ class TestForward:
         """Blocks merged along N_p act as one set of prompts: their order does
         not change the output beyond rounding."""
         bb = float64(make_backbone(seed=9))
-        emb = bb.embed_batch([sample_for(CFG, [1, 2])])
+        emb = bb.embed_batch([sample_for([1, 2])])
         rng = np.random.default_rng(10)
         a = Tensor(rng.standard_normal((1, 2, 2, 3, 32)))
         b = Tensor(rng.standard_normal((1, 2, 2, 2, 32)))
@@ -156,7 +159,7 @@ class TestForward:
     def test_shallow_prefix_prompts_leading_layers(self, monkeypatch):
         """A prefix with fewer layers than the backbone prompts the leading ones."""
         bb = make_backbone(seed=12)
-        emb = bb.embed_batch([sample_for(CFG, [3, 5])])
+        emb = bb.embed_batch([sample_for([3, 5])])
         prefixes = []
         attention = T.attention
 
@@ -170,11 +173,8 @@ class TestForward:
         assert prefixes == [(1, 2, 3, 32), None]
 
 
-def pretrain_corpus(seed=11, n=40):
-    synth = SynthConfig(vocab_size=CFG.text_vocab_size, max_text_len=CFG.max_text_len,
-                        num_patches=CFG.num_patches, patch_dim=CFG.patch_dim,
-                        tokens_per_class=6, noise_token_prob=0.05, patch_noise_std=0.2)
-    return synth_generate(CFG.pretrain_classes, n, synth, seed=seed)
+def pretrain_corpus(seed=11, n=40, **synth):
+    return synth_generate(CFG.pretrain_classes, n, dataclasses.replace(SYNTH, **synth), seed=seed)
 
 
 class TestPretrain:
@@ -217,6 +217,17 @@ class TestPretrain:
         assert report.accuracy < MIN_ACCURACY
         assert not report.usable
 
+    def test_multi_label_corpus_refused_by_name(self, monkeypatch):
+        """List labels make no one-hot target, so the corpus is refused by its
+        label mode before the first step."""
+        steps = []
+        monkeypatch.setattr(AdamW, "step", lambda self: steps.append(self))
+        with pytest.raises(ValueError) as exc:
+            pretrain(CFG, pretrain_corpus(multi_label=True), seed=19, pcfg=PretrainConfig(steps=2))
+        assert str(exc.value) == ("pretraining corpus must be single-label, "
+                                  "got synth.multi_label true")
+        assert steps == []
+
     def test_single_sample_corpus_refused(self):
         """One sample is held out, so none would be left to train on."""
         meta, samples = pretrain_corpus()
@@ -226,23 +237,31 @@ class TestPretrain:
 
 class TestPositions:
     def test_unified_layout_indices(self):
-        pos = unified_positions(CFG)
-        assert pos == {"joint": 0, "text_cls": 1, "visual_cls": 2 + CFG.max_text_len}
+        """The unified and reconstruction rows take the text length and the
+        patch count from the tables the backbone was built with."""
+        pos = unified_positions(make_backbone())
+        assert pos == {"joint": 0, "text_cls": 1, "visual_cls": 2 + SYNTH.max_text_len}
+        synth = dataclasses.replace(SYNTH, vocab_size=40, max_text_len=5, num_patches=3)
+        bb = MultimodalBackbone(CFG, synth, np.random.default_rng(0))
+        assert bb.input_sizes() == {"vocab_size": 40, "max_text_len": 5, "num_patches": 3,
+                                    "patch_dim": 6}
+        assert unified_positions(bb) == {"joint": 0, "text_cls": 1, "visual_cls": 7}
+        assert recon_positions(bb) == [0, 2, 3, 4, 5, 6, 8, 9, 10]
 
     def test_embedded_sequence_layout(self):
         """embed_batch puts the three cls rows around the text and patch rows,
         and the reconstruction layout is that sequence without the modality
         cls rows."""
         bb = make_backbone()
-        x = bb.embed_batch([sample_for(CFG, [1, 2, 3]), sample_for(CFG, [4], seed=1)])
-        p, pos = bb.params, unified_positions(CFG)
-        assert x.shape == (2, 3 + CFG.max_text_len + CFG.num_patches, CFG.embed_dim)
+        x = bb.embed_batch([sample_for([1, 2, 3]), sample_for([4], seed=1)])
+        p, pos = bb.params, unified_positions(bb)
+        assert x.shape == (2, 3 + SYNTH.max_text_len + SYNTH.num_patches, CFG.embed_dim)
         for row, vec in ((pos["joint"], p["cls"].data),
                          (pos["text_cls"], p["cls_t"].data + p["text_type"].data),
                          (pos["visual_cls"], p["cls_v"].data + p["vis_type"].data)):
             assert x.data[1, row].tobytes() == vec.tobytes()
         recon = np.concatenate([x.data[:, :1], text_rows(x), visual_rows(x)], axis=1)
-        assert x.data[:, recon_positions(CFG)].tobytes() == recon.tobytes()
+        assert x.data[:, recon_positions(bb)].tobytes() == recon.tobytes()
 
 
 class TestReadout:
@@ -252,25 +271,25 @@ class TestReadout:
         """A freshly embedded input for one graph: a backward releases the
         records it walks, so two graphs that each run a backward cannot share
         them."""
-        emb = bb.embed_batch([sample_for(CFG, [1, 2, 3], seed=1), sample_for(CFG, [9], seed=2)])
-        return emb[:, recon_positions(CFG)] if kind == "recon-attention" else emb
+        emb = bb.embed_batch([sample_for([1, 2, 3], seed=1), sample_for([9], seed=2)])
+        return emb[:, recon_positions(bb)] if kind == "recon-attention" else emb
 
-    def layout(self, kind, rng):
+    def layout(self, bb, kind, rng):
         if kind == "unified-attention":
             blocks = Tensor(rng.standard_normal((2, 2, 2, 3, 32)), trainable=True)
-            pos = unified_positions(CFG)
+            pos = unified_positions(bb)
             return blocks, [pos["text_cls"], pos["visual_cls"], pos["joint"]]
         if kind == "recon-attention":
             block = Tensor(rng.standard_normal((2, 1, 2, 5, 32)), trainable=True)
             # the joint cls, a text row and the last patch row, one prompted layer
-            return block, [0, 3, CFG.max_text_len + CFG.num_patches]
+            return block, [0, 3, SYNTH.max_text_len + SYNTH.num_patches]
         return None, [0]
 
     @pytest.mark.parametrize("kind", ["unified-attention", "recon-attention", "plain"])
     def test_rows_equal_full_forward(self, kind):
         bb = float64(make_backbone(seed=13))
         rng = np.random.default_rng(14)
-        prompt, rows = self.layout(kind, rng)
+        prompt, rows = self.layout(bb, kind, rng)
         full = bb.forward(self.sequence(bb, kind), prompt)
         part = bb.forward(self.sequence(bb, kind), prompt, positions=rows)
         assert part.shape == (2, len(rows), CFG.embed_dim)
@@ -284,10 +303,10 @@ class TestReadout:
         np.testing.assert_allclose(grad_part, prompt.grad, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("rows", [[], [0, 0], [-1],
-                                      [2 + CFG.max_text_len + CFG.num_patches + 1]])
+                                      [2 + SYNTH.max_text_len + SYNTH.num_patches + 1]])
     def test_bad_positions_rejected(self, rows):
         bb = make_backbone()
-        emb = bb.embed_batch([sample_for(CFG, [1])])
+        emb = bb.embed_batch([sample_for([1])])
         with pytest.raises(ValueError, match="positions"):
             bb.forward(emb, positions=rows)
 

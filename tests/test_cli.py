@@ -140,6 +140,9 @@ class TestRun:
         ('backbone={"pretrain_classes": 1}',
          "config key backbone: pretrain_classes must be >= 2, got 1"),
         ('backbone={"activation": "gelu"}', "config key backbone has unknown keys ['activation']"),
+        ('backbone={"text_vocab_size": 64, "max_text_len": 8, "num_patches": 4, "patch_dim": 6}',
+         "config key backbone has unknown keys "
+         "['max_text_len', 'num_patches', 'patch_dim', 'text_vocab_size']"),
         ('backbone={"num_heads": 0}', "config key backbone: num_heads must be >= 1, got 0"),
         ('backbone={"embed_dim": 32.0}',
          "config key backbone: embed_dim must be an integer, got 32.0"),
@@ -164,7 +167,8 @@ class TestRun:
         ('synth={"noise_token_prob": 3.0}',
          "config key synth: noise_token_prob must lie in [0, 1], got 3.0")],
         ids=["backbone-not-mapping", "synth-unknown-key", "backbone-value-type",
-             "backbone-value-refused", "backbone-activation-removed", "backbone-heads-zero",
+             "backbone-value-refused", "backbone-activation-removed",
+             "backbone-input-sizes-removed", "backbone-heads-zero",
              "backbone-dim-real", "synth-text-len-zero", "synth-multi-label-string",
              "synth-noise-string", "synth-noise-negative", "synth-tokens-zero",
              "sessions-negative", "eta-bool", "epochs-real", "warmup-frac-removed",
@@ -569,6 +573,11 @@ class TestReport:
             **doc["config"], "warmup_frac": 0.1, "weight_decay": 0.01,
             "backbone": {**doc["config"]["backbone"], "activation": "relu", "ffn_mult": 2}}},
          "report config has unknown keys ['warmup_frac', 'weight_decay']"),
+        (lambda doc: {**doc, "config": {**doc["config"], "backbone": {
+            **doc["config"]["backbone"], "text_vocab_size": 64, "max_text_len": 8,
+            "num_patches": 4, "patch_dim": 6}}},
+         "report config key backbone has unknown keys "
+         "['max_text_len', 'num_patches', 'patch_dim', 'text_vocab_size']"),
         (lambda doc: {**doc, "config": {**without(doc["config"], "seed"), "seed_corpus": 1,
                                         "seed_split": 2, "seed_mask": 3, "seed_train": 4,
                                         "seed_model": 5}},
@@ -576,10 +585,6 @@ class TestReport:
          "'seed_split', 'seed_train']"),
         (lambda doc: {**doc, "config": {**doc["config"], "eta": 150}},
          "report config.eta must lie in [0, 100], got 150"),
-        (lambda doc: {**doc, "config": {**doc["config"],
-                                        "synth": {**doc["config"]["synth"], "patch_dim": 8}}},
-         "report config.synth does not fit the backbone: patch_dim 8 "
-         "(the backbone needs 6)"),
         (lambda doc: {**doc, "config": {**doc["config"], "num_sessions": 3}},
          "report config.num_sessions is 3, but the matrix has 2 sessions"),
         (lambda doc: {**doc, "config": {**doc["config"], "prompted_layers": 100}},
@@ -595,8 +600,8 @@ class TestReport:
              "config-empty-sessions-seven", "config-without-variant",
              "config-without-nested-key", "config-unknown-key", "config-with-corpus-path",
              "config-with-backbone-checkpoint",
-             "config-with-removed-keys", "config-with-seed-streams", "config-out-of-range",
-             "config-synth-misfit",
+             "config-with-removed-keys", "config-with-removed-backbone-sizes",
+             "config-with-seed-streams", "config-out-of-range",
              "config-session-count", "config-prompted-deeper-than-backbone",
              "per-session-extra", "per-session-order"])
     def test_non_report_json_rejected(self, report_doc, capsys, tmp_path, tamper, message):

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from rebq import prompt
 from rebq import tensor as T
 from rebq.backbone import BackboneConfig, MultimodalBackbone, unified_positions
-from rebq.bench import synth_generate
+from rebq.bench import SynthConfig, synth_generate
 from rebq.pipeline import ModelConfig, build_variant, train_task
 from rebq.tensor import Tensor
 
@@ -33,21 +33,23 @@ from conftest import TINY, TINY_SYNTH
 MIN = T.PARALLEL_MIN_ROWS
 
 
-def frozen_backbone(cfg: BackboneConfig, seed: int = 0) -> MultimodalBackbone:
-    bb = MultimodalBackbone(cfg, np.random.default_rng(seed))
+def frozen_backbone(cfg: BackboneConfig, synth: SynthConfig, seed: int = 0
+                    ) -> MultimodalBackbone:
+    bb = MultimodalBackbone(cfg, synth, np.random.default_rng(seed))
     bb.freeze()
     return bb
 
 
-BACKBONES = {"tiny": frozen_backbone(TINY), "default": frozen_backbone(BackboneConfig())}
+BACKBONES = {"tiny": frozen_backbone(TINY, TINY_SYNTH),
+             "default": frozen_backbone(BackboneConfig(), SynthConfig())}
 
 
 def unified_input(bb: MultimodalBackbone, rows: int, seed: int) -> Tensor:
     """A random constant sequence of the unified layout's length."""
-    c = bb.config
-    length = 3 + c.max_text_len + c.num_patches
+    sizes = bb.input_sizes()
+    length = 3 + sizes["max_text_len"] + sizes["num_patches"]
     return Tensor(np.random.default_rng(seed).standard_normal(
-        (rows, length, c.embed_dim), dtype=np.float32))
+        (rows, length, bb.config.embed_dim), dtype=np.float32))
 
 
 def prompt_block(bb: MultimodalBackbone, rows: int, n_p: int, seed: int,
@@ -91,7 +93,7 @@ def tape_records(out: Tensor) -> int:
 
 
 def read_rows(bb: MultimodalBackbone, positions: str):
-    pos = unified_positions(bb.config)
+    pos = unified_positions(bb)
     return {"all": None, "joint": [0],
             "unified": [pos["text_cls"], pos["visual_cls"], pos["joint"]]}[positions]
 
@@ -174,7 +176,7 @@ class TestSplitForward:
 
     def test_pass_tracked_through_backbone_parameters_never_splits(self, parts, monkeypatch):
         """Pretraining's passes record through the backbone's own parameters."""
-        bb = MultimodalBackbone(TINY, np.random.default_rng(0))
+        bb = MultimodalBackbone(TINY, TINY_SYNTH, np.random.default_rng(0))
         x = unified_input(bb, 3 * MIN, 2)
         spy = PoolSpy(monkeypatch)
         parts(3)

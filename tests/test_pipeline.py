@@ -16,7 +16,7 @@ from rebq.reconstruct import (QueryCache, counterparts, generate_queries_batch,
                               reconstruct_batch, reconstruction_loss_from_queries)
 from rebq.tensor import AdamW, Tensor
 
-from conftest import TINY, float64, parameter_bytes
+from conftest import TINY, TINY_SYNTH, float64, parameter_bytes
 from reconstruction_oracle import reconstruction_loss
 
 MCFG = ModelConfig(num_classes=4, pool_size=6, memory_pool_size=6, prompt_len=3, lam=0.01)
@@ -86,7 +86,7 @@ class TestBuildVariant:
 
     def test_unfrozen_backbone_rejected(self):
         from rebq.backbone import MultimodalBackbone
-        bb = MultimodalBackbone(TINY, np.random.default_rng(0))
+        bb = MultimodalBackbone(TINY, TINY_SYNTH, np.random.default_rng(0))
         with pytest.raises(ValueError):
             build_variant("canonical", bb, MCFG, 0)
 

@@ -34,7 +34,7 @@ class TestGenerateQueries:
     def test_dummy_is_constant_across_samples(self, tiny_backbone, complete_samples):
         a = text_only(complete_samples[0])
         b = Sample(id="other", text_tokens=list(a.text_tokens),
-                   patches=dummy_patches(TINY.num_patches, TINY.patch_dim),
+                   patches=dummy_patches(TINY_SYNTH.num_patches, TINY_SYNTH.patch_dim),
                    label=a.label, has_visual=False)
         qa = generate_queries_batch([a], tiny_backbone)
         qb = generate_queries_batch([b], tiny_backbone)
@@ -77,7 +77,7 @@ class TestReconstructQuery:
         q_hat = reconstruct_batch(masked, pool.select(mem), tiny_backbone).data
         with T.no_grad():
             emb = tiny_backbone.embed_batch(masked)
-            plain = tiny_backbone.forward(emb[:, recon_positions(TINY)],
+            plain = tiny_backbone.forward(emb[:, recon_positions(tiny_backbone)],
                                           positions=[0]).data[:, 0]
         assert q_hat.tobytes() == plain.tobytes()
 
@@ -259,7 +259,7 @@ class TestQueryCache:
         assert rows[0].tobytes() != rows[1].tobytes()
 
     def test_bound_to_one_frozen_backbone(self, tiny_backbone, complete_samples):
-        other = MultimodalBackbone(TINY, np.random.default_rng(0))
+        other = MultimodalBackbone(TINY, TINY_SYNTH, np.random.default_rng(0))
         with pytest.raises(ValueError, match="frozen"):
             QueryCache(other)
         other.freeze()

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from rebq import runner
 from rebq import tensor as T
-from rebq.backbone import PRETRAIN_SEED, MultimodalBackbone
+from rebq.backbone import PRETRAIN_SEED, MultimodalBackbone, PretrainConfig, pretrain
+from rebq.bench import synth_generate
 from rebq.reconstruct import export_query_embeddings
 from rebq.runner import (ExperimentError, Report, RunConfig, emit_report, report_json_bytes,
                          run_experiment)
@@ -146,23 +147,33 @@ class TestRunExperiment:
 
     def test_other_backbone_config_refused_naming_keys(self, tiny_backbone, tmp_path,
                                                        monkeypatch):
-        """The report records config.backbone, so a passed backbone built from
-        another config is refused before any stage reads it."""
+        """The report records config.backbone and the synth sizes, so a passed
+        backbone built from another config, or pretrained for corpora of other
+        sizes, is refused before any stage reads it."""
         calls = []
         monkeypatch.setattr(runner, "build_stream", lambda *a, **k: calls.append(a))
         stated = dataclasses.replace(TINY, embed_dim=64, num_heads=4, pretrain_classes=5)
-        with pytest.raises(ExperimentError) as exc:
-            run_experiment(tiny_config(tmp_path, backbone=stated), backbone=tiny_backbone)
-        assert exc.value.stage == "backbone"
-        assert exc.value.cause == (
-            "the passed backbone differs from the config's backbone in embed_dim 32 "
-            "(config 64), num_heads 2 (config 4), pretrain_classes 4 (config 5)")
+        sizes = dataclasses.replace(TINY_SYNTH, vocab_size=96, max_text_len=6, num_patches=5,
+                                    patch_dim=7)
+        other_sizes, _ = pretrain(TINY, synth_generate(TINY.pretrain_classes, 10, sizes, seed=5),
+                                  seed=6, pcfg=PretrainConfig(steps=2))
+        for cfg, passed, differ in (
+                (tiny_config(tmp_path, backbone=stated), tiny_backbone,
+                 "backbone.embed_dim 32 (config 64), backbone.num_heads 2 (config 4), "
+                 "backbone.pretrain_classes 4 (config 5)"),
+                (tiny_config(tmp_path), other_sizes,
+                 "synth.vocab_size 96 (config 64), synth.max_text_len 6 (config 8), "
+                 "synth.num_patches 5 (config 4), synth.patch_dim 7 (config 6)")):
+            with pytest.raises(ExperimentError) as exc:
+                run_experiment(cfg, backbone=passed)
+            assert exc.value.stage == "backbone"
+            assert exc.value.cause == f"the passed backbone differs from the config in {differ}"
         assert calls == []
 
     def test_unfrozen_backbone_refused_before_training(self, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr(runner, "train_task", lambda *a, **k: calls.append(a))
-        unfrozen = MultimodalBackbone(TINY, np.random.default_rng(0))
+        unfrozen = MultimodalBackbone(TINY, TINY_SYNTH, np.random.default_rng(0))
         with pytest.raises(ExperimentError,
                            match=r"^\[model\] RebQModel requires a frozen backbone$"):
             run_experiment(tiny_config(tmp_path), backbone=unfrozen)
@@ -185,6 +196,10 @@ class TestRunExperiment:
         assert len(pretrain_calls()) == 1
         run(backbone=dataclasses.replace(TINY, num_layers=1), prompted_layers=1)
         assert pretrain_calls() == [[2260559168, False]] * 2
+        # other sizes get a backbone of their own, pretrained single-label
+        run(synth=dataclasses.replace(TINY_SYNTH, max_text_len=12, patch_dim=8,
+                                      multi_label=True))
+        assert pretrain_calls() == [[2260559168, False]] * 3
         assert PRETRAIN_SEED == 2260559168
 
     def test_timing_records_threads(self, tiny_run):
@@ -239,25 +254,6 @@ class TestRunExperiment:
             run_experiment(tiny_config(tmp_path), backbone=backbone)
         assert (exc.value.stage, exc.value.cause) == ("freeze",
                                                       "backbone changed during session 0")
-
-    @pytest.mark.parametrize("field, value, misfit", [
-        ("patch_dim", 5, "patch_dim 5 (the backbone needs 6)"),
-        ("num_patches", 5, "num_patches 5 (the backbone needs 4)"),
-        ("max_text_len", 12, "max_text_len 12 (the backbone reads at most 8)"),
-        ("vocab_size", 200, "vocab_size 200 (the backbone reads at most 64)")])
-    def test_corpus_the_backbone_cannot_read_refused(self, tmp_path, monkeypatch, field,
-                                                     value, misfit):
-        """RunConfig.check compares the sizes synth draws with before any
-        stage, so no backbone is pretrained for them."""
-        builds = []
-        monkeypatch.setattr(runner, "frozen_backbone", lambda *a: builds.append(a))
-        synth = dataclasses.replace(TINY_SYNTH, **{field: value})
-        cfg = tiny_config(tmp_path, synth=synth)
-        with pytest.raises(ExperimentError) as exc:
-            run_experiment(cfg)
-        assert exc.value.stage == "benchmark"
-        assert exc.value.cause == f"synth does not fit the backbone: {misfit}"
-        assert builds == []
 
     def test_determinism_modulo_timing(self, tiny_backbone, tmp_path):
         cfg = tiny_config(tmp_path)
