@@ -336,11 +336,17 @@ def frozen_backbone(config: BackboneConfig, synth: SynthConfig) -> MultimodalBac
     """The frozen backbone a run with config and synth fine-tunes around,
     pretrained from PRETRAIN_SEED on a single-label corpus of synth's
     SYNTH_SIZES and SynthConfig's other defaults. Each config and sizes pair
-    is pretrained once per process and shared; pretraining that ends below
-    MIN_ACCURACY raises a ValueError."""
+    is pretrained once per process and shared. A synth.vocab_size too small
+    for that corpus's pretrain_classes token bags is refused before it is
+    drawn, and pretraining that ends below MIN_ACCURACY raises a ValueError."""
     sizes = SynthConfig(**{name: getattr(synth, name) for name in SYNTH_SIZES})
     key = (astuple(config), astuple(sizes))
     if key not in _FROZEN:
+        need = config.pretrain_classes * sizes.tokens_per_class + 1  # id 0 is padding
+        if sizes.vocab_size < need:
+            raise ValueError(f"backbone.pretrain_classes {config.pretrain_classes} x the "
+                             f"pretraining corpus's {sizes.tokens_per_class} tokens per class "
+                             f"need synth.vocab_size >= {need}, got {sizes.vocab_size}")
         corpus = synth_generate(config.pretrain_classes, PRETRAIN_SAMPLES_PER_CLASS, sizes,
                                 seed=PRETRAIN_SEED, id_prefix="p")
         model, report = pretrain(config, corpus, seed=PRETRAIN_SEED)

@@ -19,6 +19,9 @@ and before the classification pass, so no tracked pass holds more rows
 than the batch. The chunks and passes run one after another; each pass
 splits its own rows over the cores, forward and backward
 (backbone.forward). Evaluation calls it without L_r.
+The samples carry the label format (_multi_label): int labels train on
+cross-entropy and predict the argmax, lists of active classes on binary
+cross-entropy and predict the columns with a positive logit.
 Variants (ablations and the naive per-missing-type baseline) are built by
 ``build_variant`` from a preset name in VARIANT_PRESETS.
 """
@@ -61,13 +64,13 @@ VARIANT_PRESETS = {
 
 @dataclass
 class ModelConfig:
+    """Head and prompt sizes and the L_r weight; the samples carry the label format."""
     num_classes: int
     pool_size: int = 128
     memory_pool_size: int = 128
     prompt_len: int = 8
     prompted_layers: int | None = None   # at most the backbone depth; None prompts every layer
     lam: float = 0.01          # reconstruction loss weight
-    multi_label: bool = False
 
 
 class RebQModel:
@@ -264,11 +267,23 @@ def _reconstruct(model: RebQModel, rows: list[Sample], queries: np.ndarray, emb:
     return reconstruct_batch(rows[:n_rec], prefix[:n_rec], model.backbone, emb=emb[:n_rec]), l_r
 
 
+def _multi_label(samples: list[Sample]) -> bool:
+    """True when every label lists active classes, False when every label is an int."""
+    ids = {kind: [s.id for s in samples if isinstance(s.label, list) is kind]
+           for kind in (True, False)}
+    if ids[True] and ids[False]:
+        raise ValueError(f"samples mix list labels {ids[True]} and int labels {ids[False]}")
+    return bool(ids[True])
+
+
 def predict_batch(model: RebQModel, samples: list[Sample], batch_size: int = 64,
                   cache: QueryCache | None = None):
-    """Task-agnostic predictions over the full class set, in input order."""
+    """Task-agnostic predictions over the full class set, in input order:
+    the argmax class for int labels, the sorted classes with a positive logit
+    for list labels. Samples whose labels mix the two are refused."""
     if batch_size < 1:
         raise ValueError(f"predict_batch: batch_size must be >= 1, got {batch_size}")
+    multi = _multi_label(samples)
     preds: list = [None] * len(samples)
     with T.no_grad():
         for start in range(0, len(samples), batch_size):
@@ -280,10 +295,8 @@ def predict_batch(model: RebQModel, samples: list[Sample], batch_size: int = 64,
                 ids = [chunk[order[row]].id for row in np.nonzero(bad)[0]]
                 raise ValueError(f"predict_batch: non-finite logits for samples {ids}")
             for row, orig in enumerate(order):
-                if model.mcfg.multi_label:
-                    preds[start + orig] = sorted(int(c) for c in np.nonzero(vals[row] > 0.0)[0])
-                else:
-                    preds[start + orig] = int(np.argmax(vals[row]))
+                preds[start + orig] = (np.flatnonzero(vals[row] > 0.0).tolist() if multi
+                                       else int(np.argmax(vals[row])))
     return preds
 
 
@@ -307,16 +320,10 @@ class TrainingLog:
         return float(np.mean([getattr(s, attr) for s in self.steps]))
 
 
-def _targets(model: RebQModel, batch: list[Sample]) -> Tensor:
+def _targets(model: RebQModel, batch: list[Sample], multi: bool) -> Tensor:
     c = model.mcfg.num_classes
-    if model.mcfg.multi_label:
-        rows = np.zeros((len(batch), c), dtype=T.DTYPE)
-        for i, s in enumerate(batch):
-            for lbl in s.label:
-                if not 0 <= lbl < c:
-                    raise ValueError(f"label {lbl} out of range [0, {c})")
-                rows[i, lbl] = 1.0
-        return Tensor(rows)
+    if multi:  # multi-hot rows
+        return Tensor(np.stack([T.one_hot(s.label, c).max(axis=0, initial=0.0) for s in batch]))
     return Tensor(T.one_hot([s.label for s in batch], c))
 
 
@@ -327,9 +334,11 @@ def train_task(model: RebQModel, samples: list[Sample], epochs: int, batch_size:
     AdamW runs its default schedule (tensor.AdamW) from base rate lr over
     epochs * ceil(len(samples) / batch_size) steps. Each step runs
     forward_batch with the reconstruction loss on: L_c is the classification
-    loss of the returned logits against the targets in order, L_r the
-    reconstruction loss over the batch's complete samples (zero when the
-    batch has none or it is switched off), and the objective is L_c + lam * L_r.
+    loss of the returned logits against the targets in order (cross-entropy
+    for int labels, binary cross-entropy over multi-hot targets for lists; a
+    session that mixes the two is refused), L_r the reconstruction loss over
+    the batch's complete samples (zero when the batch has none or it is
+    switched off), and the objective is L_c + lam * L_r.
     forward_batch back-propagates lam * L_r, touching no parameter, one chunk
     of at most batch_size counterpart rows at a time, before the
     classification pass records; the step's gradients keep their bits.
@@ -338,11 +347,14 @@ def train_task(model: RebQModel, samples: list[Sample], epochs: int, batch_size:
         raise ValueError("train_task: empty session")
     if batch_size < 1:
         raise ValueError(f"train_task: batch_size must be >= 1, got {batch_size}")
+    if epochs < 1:
+        raise ValueError(f"train_task: epochs must be >= 1, got {epochs}")
+    multi = _multi_label(samples)
     rng = np.random.default_rng(seed)
     opt = AdamW(model.parameters(), base_lr=lr,
                 total_steps=epochs * math.ceil(len(samples) / batch_size))
     lam = model.mcfg.lam
-    loss_fn = T.binary_cross_entropy if model.mcfg.multi_label else T.cross_entropy
+    loss_fn = T.binary_cross_entropy if multi else T.cross_entropy
     log = TrainingLog()
     step = 0
     for _ in range(epochs):
@@ -350,7 +362,7 @@ def train_task(model: RebQModel, samples: list[Sample], epochs: int, batch_size:
         for start in range(0, len(samples), batch_size):
             batch = [samples[i] for i in perm[start:start + batch_size]]
             logits, order, l_r = forward_batch(model, batch, with_lr=True, cache=cache)
-            l_c = loss_fn(logits, _targets(model, [batch[i] for i in order]))
+            l_c = loss_fn(logits, _targets(model, [batch[i] for i in order], multi))
             if l_r is None:
                 l_r = Tensor(np.zeros_like(l_c.data))
             total = T.add(l_c, T.scale(l_r, lam))

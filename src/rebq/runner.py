@@ -259,8 +259,7 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
         mcfg = ModelConfig(num_classes=meta.num_classes, pool_size=config.pool_size,
                            memory_pool_size=config.memory_pool_size,
                            prompt_len=config.prompt_len,
-                           prompted_layers=config.prompted_layers, lam=config.lam,
-                           multi_label=meta.synth.multi_label)
+                           prompted_layers=config.prompted_layers, lam=config.lam)
         model = build_variant(config.variant, backbone, mcfg, config.seed_model)
 
     t = config.num_sessions

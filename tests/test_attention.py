@@ -172,7 +172,7 @@ class TestTape:
         monkeypatch.setattr(T, "attention", counting)
         logits, order, l_r = forward_batch(model, batch, with_lr=True)
         assert sum(recorded) == 3 * TINY.num_layers
-        l_c = T.cross_entropy(logits, _targets(model, [batch[i] for i in order]))
+        l_c = T.cross_entropy(logits, _targets(model, [batch[i] for i in order], False))
         loss = T.add(l_c, T.scale(l_r, model.mcfg.lam))
         ops: Counter = Counter()
         seen, stack = set(), [loss._node]

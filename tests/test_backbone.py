@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from rebq import backbone
 from rebq import tensor as T
 from rebq.backbone import (MIN_ACCURACY, BackboneConfig, MultimodalBackbone, PretrainConfig,
-                           pretrain, recon_positions, unified_positions)
+                           frozen_backbone, pretrain, recon_positions, unified_positions)
 from rebq.bench import Sample, SynthConfig, dummy_patches, synth_generate
 from rebq.tensor import AdamW, Tensor
 
@@ -227,6 +228,26 @@ class TestPretrain:
         assert str(exc.value) == ("pretraining corpus must be single-label, "
                                   "got synth.multi_label true")
         assert steps == []
+
+    def test_frozen_backbone_vocab_too_small_refused_by_name(self, monkeypatch):
+        """The pretraining corpus draws pretrain_classes token bags of
+        SynthConfig's default tokens_per_class (8), not the run's 6: 4 x 8
+        tokens and padding need 33 ids, so vocab_size 32 is refused before a
+        corpus is drawn, and 33 passes."""
+        class Drawn(Exception):
+            pass
+
+        def draw(*args, **kwargs):
+            raise Drawn
+
+        monkeypatch.setattr(backbone, "synth_generate", draw)
+        monkeypatch.setattr(backbone, "_FROZEN", {})
+        with pytest.raises(ValueError) as exc:
+            frozen_backbone(CFG, dataclasses.replace(SYNTH, vocab_size=32))
+        assert str(exc.value) == ("backbone.pretrain_classes 4 x the pretraining corpus's 8 "
+                                  "tokens per class need synth.vocab_size >= 33, got 32")
+        with pytest.raises(Drawn):
+            frozen_backbone(CFG, dataclasses.replace(SYNTH, vocab_size=33))
 
     def test_single_sample_corpus_refused(self):
         """One sample is held out, so none would be left to train on."""

@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import inspect
+import math
 import tracemalloc
 import weakref
 
@@ -9,6 +11,7 @@ import pytest
 from rebq import pipeline
 from rebq import tensor as T
 from rebq.backbone import MultimodalBackbone
+from rebq.bench import synth_generate
 from rebq.pipeline import (VARIANT_PRESETS, ModelConfig, _targets, build_variant,
                            forward_batch, predict_batch, train_task)
 from rebq.prompt import PromptPool, PromptVector
@@ -23,13 +26,19 @@ MCFG = ModelConfig(num_classes=4, pool_size=6, memory_pool_size=6, prompt_len=3,
 
 
 def make_model(tiny_backbone, variant="canonical", **overrides):
-    import dataclasses
     mcfg = dataclasses.replace(MCFG, **overrides)
     return build_variant(variant, tiny_backbone, mcfg, seed=42)
 
 
 def masked_pair(sample):
     return counterparts(sample)
+
+
+def list_label_samples(seed=411):
+    """A TINY multi-label corpus, each label a list of active classes, with
+    the masked pairs of its first two samples appended."""
+    _, samples = synth_generate(4, 3, dataclasses.replace(TINY_SYNTH, multi_label=True), seed)
+    return samples + [*masked_pair(samples[0]), *masked_pair(samples[1])]
 
 
 def input_order_logits(model, batch) -> np.ndarray:
@@ -214,11 +223,27 @@ class TestPredict:
         logits = forward_batch(model, complete_samples[:1])[0].data[0]
         assert int(np.argmax(logits)) == int(np.argmax(logits + 123.0))
 
-    def test_multi_label_threshold(self):
-        # sigmoid(z) > 0.5 iff z > 0: logits (-2, +2) activate only index 1
-        logits = np.array([-2.0, 2.0])
-        active = sorted(int(c) for c in np.nonzero(logits > 0.0)[0])
-        assert active == [1]
+    def test_list_labels_predict_positive_logit_columns(self, tiny_backbone):
+        """List labels make each prediction the sorted columns of the sample's
+        logits row above 0, where the sigmoid passes 0.5."""
+        model = make_model(tiny_backbone)
+        samples = list_label_samples()
+        preds = predict_batch(model, samples)
+        logits, order, _ = forward_batch(model, samples)
+        want = [None] * len(samples)
+        for row, orig in enumerate(order):
+            want[orig] = sorted(int(c) for c in np.nonzero(logits.data[row] > 0.0)[0])
+        assert preds == want
+        assert all(type(c) is int for p in preds for c in p)
+        assert {len(p) for p in preds} != {0}
+
+    def test_mixed_label_kinds_refused_naming_samples(self, tiny_backbone, complete_samples):
+        model = make_model(tiny_backbone)
+        lists = list_label_samples()[:2]
+        with pytest.raises(ValueError) as exc:
+            predict_batch(model, complete_samples[:1] + lists)
+        assert str(exc.value) == (f"samples mix list labels {[s.id for s in lists]} "
+                                  f"and int labels {[complete_samples[0].id]}")
 
     def test_predict_signature_task_agnostic(self):
         params = inspect.signature(predict_batch).parameters
@@ -279,6 +304,50 @@ class TestTrainTask:
         before = parameter_bytes(model)
         with pytest.raises(ValueError, match="batch_size"):
             train_task(model, stream.train_data(0)[:8], 1, batch_size, 1e-4, seed=0)
+        assert parameter_bytes(model) == before
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_epochs_below_one_rejected(self, tiny_backbone, tiny_benchmark, epochs):
+        _, stream = tiny_benchmark
+        model = make_model(tiny_backbone)
+        with pytest.raises(ValueError, match=f"train_task: epochs must be >= 1, got {epochs}"):
+            train_task(model, stream.train_data(0)[:8], epochs, 4, 1e-4, seed=0)
+
+    def test_list_labels_train_on_binary_cross_entropy(self, tiny_backbone, monkeypatch):
+        """A model built with no label setting trains a list-label session on
+        binary cross-entropy over multi-hot targets, one per sample and epoch,
+        and predicts active sets."""
+        targets = []
+        bce = T.binary_cross_entropy
+
+        def spying_bce(logits, target):
+            targets.append(target.data)
+            return bce(logits, target)
+
+        def refuse(*args):
+            raise AssertionError("cross_entropy called")
+
+        monkeypatch.setattr(T, "binary_cross_entropy", spying_bce)
+        monkeypatch.setattr(T, "cross_entropy", refuse)
+        model = make_model(tiny_backbone)
+        samples = list_label_samples()
+        log = train_task(model, samples, 2, 4, 1e-4, seed=9)
+        assert len(targets) == len(log.steps) == 2 * math.ceil(len(samples) / 4)
+        assert all(np.isfinite(s.classification) and s.classification > 0 for s in log.steps)
+        active = sorted(np.flatnonzero(row).tolist() for t in targets for row in t)
+        assert active == sorted(2 * [s.label for s in samples])
+        assert set(np.concatenate(targets).ravel().tolist()) == {0.0, 1.0}
+        preds = predict_batch(model, samples)
+        assert all(isinstance(p, list) and set(p) <= set(range(4)) for p in preds)
+
+    def test_mixed_label_kinds_refused_naming_samples(self, tiny_backbone, complete_samples):
+        model = make_model(tiny_backbone)
+        lists = list_label_samples()[:2]
+        before = parameter_bytes(model)
+        with pytest.raises(ValueError) as exc:
+            train_task(model, lists + complete_samples[:2], 1, 4, 1e-4, seed=0)
+        assert str(exc.value) == (f"samples mix list labels {[s.id for s in lists]} "
+                                  f"and int labels {[s.id for s in complete_samples[:2]]}")
         assert parameter_bytes(model) == before
 
     def test_step_graph_released_before_next_forward(self, tiny_backbone, tiny_benchmark,
@@ -416,7 +485,7 @@ class TestTrainTask:
         model = make_model(tiny_backbone)
         batch = [s for s in stream.train_data(0) if s.missing_type == "complete"][:3]
         logits, order, l_r = forward_batch(model, batch, with_lr=True)
-        l_c = T.cross_entropy(logits, _targets(model, [batch[i] for i in order]))
+        l_c = T.cross_entropy(logits, _targets(model, [batch[i] for i in order], False))
         T.add(l_c, T.scale(l_r, 0.01)).backward()
         assert model.memory.components.grad is not None
         assert np.abs(model.memory.components.grad).sum() > 0
@@ -433,12 +502,12 @@ class TestTrainTask:
         # only complete samples: no reconstruction happens, memory gets nothing
         logits, order, l_r = forward_batch(model, complete, with_lr=True)
         assert l_r is None
-        T.cross_entropy(logits, _targets(model, [complete[i] for i in order])).backward()
+        T.cross_entropy(logits, _targets(model, [complete[i] for i in order], False)).backward()
         assert model.memory.components.grad is None
 
         # incomplete samples route gradient into the memory pool through q-hat
         logits, order, _ = forward_batch(model, incomplete, with_lr=True)
-        T.cross_entropy(logits, _targets(model, [incomplete[i] for i in order])).backward()
+        T.cross_entropy(logits, _targets(model, [incomplete[i] for i in order], False)).backward()
         assert model.memory.components.grad is not None
         assert np.abs(model.memory.components.grad).sum() > 0
 
@@ -586,7 +655,7 @@ class TestEndToEndGradient:
         def build():
             # the training path: L_r rides along in the classification passes
             logits, order, l_r = forward_batch(model, batch, with_lr=True)
-            l_c = T.cross_entropy(logits, _targets(model, [batch[i] for i in order]))
+            l_c = T.cross_entropy(logits, _targets(model, [batch[i] for i in order], False))
             return T.add(l_c, T.scale(l_r, model.mcfg.lam))
 
         l_r_ref = reconstruction_loss([complete_samples[1]], model.memory, model.backbone)
