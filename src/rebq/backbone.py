@@ -42,7 +42,7 @@ FFN_MULT = 2  # feed-forward width per embedding dimension
 SYNTH_SIZES = ("vocab_size", "max_text_len", "num_patches", "patch_dim")  # the input format
 
 
-@dataclass
+@dataclass(frozen=True)
 class BackboneConfig:
     embed_dim: int = rule(64, low=1)          # D
     num_layers: int = rule(4, low=1)          # L
@@ -235,16 +235,14 @@ TARGET_ACCURACY = 0.9    # held-out accuracy that stops training early
 MIN_ACCURACY = 0.6       # below it the backbone is flagged unusable
 
 
-@dataclass
+@dataclass(frozen=True)
 class PretrainConfig:
     """Steps, batch size and evaluation cadence. The rest is fixed: PRETRAIN_LR,
     HOLDOUT_FRAC, TARGET_ACCURACY, MIN_ACCURACY and AdamW's default schedule."""
     steps: int = rule(1500, low=1)
     batch_size: int = rule(16, low=1)
     eval_every: int = rule(100, low=1)
-
-    def __post_init__(self):
-        rules.check(self)
+    __post_init__ = rules.check
 
 
 @dataclass

@@ -24,7 +24,7 @@ from .rules import rule
 MISSING_CASES = ("text-missing", "image-missing", "both-missing")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sample:
     id: str
     text_tokens: list[int]
@@ -53,7 +53,7 @@ class Sample:
         raise ValueError(f"sample {self.id}: unknown modality {modality!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     vocab_size: int = rule(512, low=2)          # id 0 is padding
     max_text_len: int = rule(16, low=1)
@@ -64,9 +64,7 @@ class SynthConfig:
     patch_noise_std: float = rule(0.5, low=0)            # sigma
     prototype_scale: float = rule(1.0, low=0)
     multi_label: bool = rule(False)
-
-    def __post_init__(self):
-        rules.check(self)
+    __post_init__ = rules.check
 
 
 @dataclass

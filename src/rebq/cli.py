@@ -18,8 +18,9 @@ is listed quoted, beside quoted items only. A run's tag and directory join
 position in the axis list. The runs execute in `--jobs` worker processes
 that share the cores, and a failing run ends the sweep with its stage
 error. sweep.csv has a column per axis, and with a `seed` axis the sweep
-prints AP and FG as mean (min-max) over the seeds. Each value is checked
-against the rule its field declares (rebq.rules) before any command runs.
+prints AP and FG as mean (min-max) over the seeds. The file's mapping and
+the overrides make one RunConfig, which checks each value against the rule
+its field declares (rebq.rules) when built, before any command runs.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import rules
 from . import tensor as T
 from .runner import (ExperimentError, Report, RunConfig, emit_report,
                      run_experiment)
@@ -77,20 +79,15 @@ def _read_json(path: str):
 
 
 def _load_config(args) -> RunConfig:
-    if args.config:
-        cfg = RunConfig.from_dict(_read_json(args.config))
-    else:
-        cfg = RunConfig()
-    if args.set:
-        d = cfg.to_dict()
-        for item in args.set:
-            key, sep, raw = item.partition("=")
-            if not sep:
-                raise ValueError(f"--set expects key=value, got {item!r}")
-            _override(d, key, _parse_value(raw))
-        cfg = RunConfig.from_dict(d)
-    cfg.check()  # before a command resolves a path or builds anything from it
-    return cfg
+    """The RunConfig of the --config file's mapping with each --set applied,
+    checked when built, before a command resolves a path or builds anything."""
+    d = rules.mapping(_read_json(args.config), RunConfig, "config") if args.config else {}
+    for item in args.set or ():
+        key, sep, raw = item.partition("=")
+        if not sep:
+            raise ValueError(f"--set expects key=value, got {item!r}")
+        _override(d, key, _parse_value(raw))
+    return RunConfig.from_dict(d)
 
 
 def _run_single(cfg: RunConfig) -> Report:
@@ -186,10 +183,8 @@ def cmd_sweep(args) -> int:
             tag_parts.append(f"{name}{named}")
         tag = "_".join(tag_parts)
         d["output_dir"] = str(Path(root) / tag)
-        cfg = RunConfig.from_dict(d)
-        cfg.check()
         tags.append(tag)
-        configs.append(cfg.to_dict())
+        configs.append(RunConfig.from_dict(d).to_dict())
 
     # the runs share the cores: each splits its passes into at most
     # cores // jobs parts, so jobs processes start no more threads than cores

@@ -3,22 +3,24 @@
 One forward path serves training and evaluation. forward_batch orders a
 mini-batch by missing type, embeds every row once into one sequence,
 runs one untracked unified pass for the modality and memory queries and
-a tracked memory-injected pass that reconstructs each missing query;
-the baseline, whose prompts follow the missing type alone, runs neither.
-Its classification step is the same for every variant: the variant lists
-(row slice, prompt prefix) groups, and each group runs one prompted
-backbone forward over a row view of the sequence, whose joint cls output
-feeds the shared linear head. The baseline and the pooled variants form
-one group for the whole batch; without modality-specific queries each
-missing type is its own group, since its prefix length differs. Training (train_task) also
-asks for the reconstruction loss: the masked counterparts of the batch's
-complete samples then ride along in the unified pass and the memory
-selection, and their reconstruction runs in chunks of at most the batch's
-rows, each recorded, back-propagated and released before the next chunk
-and before the classification pass, so no tracked pass holds more rows
-than the batch. The chunks and passes run one after another; each pass
-splits its own rows over the cores, forward and backward
-(backbone.forward). Evaluation calls it without L_r.
+a tracked memory-injected pass that reconstructs each missing query.
+VariantSpec.query "modality" (RebQ) runs both (the second given a memory
+source), "available" the first alone, and "missing_type" (the baseline),
+whose prompts follow the missing type alone, neither. The classification
+step is the same for every variant: the variant lists (row slice, prompt
+prefix) groups, and each group runs one prompted backbone forward over a
+row view of the sequence, whose joint cls output feeds the shared linear
+head. Under "available" each missing type is its own group, since its
+prefix length differs; otherwise the batch is one group. Training
+(train_task) also asks for the reconstruction loss, which only "modality"
+computes: the masked counterparts of the batch's complete samples ride
+along in the unified pass and the memory selection, and their
+reconstruction runs in chunks of at most the batch's rows, each recorded,
+back-propagated and released before the next chunk and before the
+classification pass, so no tracked pass holds more rows than the batch.
+The chunks and passes run one after another; each pass splits its own
+rows over the cores, forward and backward (backbone.forward). Evaluation
+calls it without L_r.
 The samples carry the label format (_multi_label): int labels train on
 cross-entropy and predict the argmax, lists of active classes on binary
 cross-entropy and predict the columns with a positive logit.
@@ -33,12 +35,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rules
 from . import tensor as T
 from .backbone import MultimodalBackbone
 from .bench import Sample
 from .prompt import PromptVector, init_pool, init_vector
 from .reconstruct import (QueryCache, counterparts, generate_queries_batch,
                           reconstruct_batch, reconstruction_loss_from_queries)
+from .rules import rule
 from .tensor import AdamW, Tensor
 
 MISSING_TYPES = ("text-only", "image-only", "complete")
@@ -46,31 +50,34 @@ MISSING_TYPES = ("text-only", "image-only", "complete")
 
 @dataclass(frozen=True)
 class VariantSpec:
-    modality_specific_query: bool = True
-    memory: str = "pool"     # pool | vector | none; a memory source reconstructs
-    prompts: str = "pool"    # pool: a text and a visual pool | unified: one shared pool
-    baseline: bool = False
+    # modality: modality-specific queries, a missing one reconstructed from memory |
+    # available: the available modalities' prompts | missing_type: a block per missing type
+    query: str = rule("modality", choices=("modality", "available", "missing_type"))
+    memory: str = rule("pool", choices=("pool", "vector", "none"))  # the reconstruction source
+    prompts: str = rule("pool", choices=("pool", "unified"))  # text and visual pools, or one
+    __post_init__ = rules.check
 
 
 VARIANT_PRESETS = {
     "canonical": VariantSpec(),
     "no_reconstruction": VariantSpec(memory="none"),
-    "no_modality_specific_query": VariantSpec(modality_specific_query=False),
+    "no_modality_specific_query": VariantSpec(query="available"),
     "no_memory_pool": VariantSpec(memory="vector"),
     "no_modality_specific_pool": VariantSpec(prompts="unified"),
-    "baseline": VariantSpec(baseline=True, memory="none"),
+    "baseline": VariantSpec(query="missing_type", memory="none"),
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     """Head and prompt sizes and the L_r weight; the samples carry the label format."""
-    num_classes: int
-    pool_size: int = 128
-    memory_pool_size: int = 128
-    prompt_len: int = 8
-    prompted_layers: int | None = None   # at most the backbone depth; None prompts every layer
-    lam: float = 0.01          # reconstruction loss weight
+    num_classes: int = rule(low=2)
+    pool_size: int = rule(128, low=1)
+    memory_pool_size: int = rule(128, low=1)
+    prompt_len: int = rule(8, low=1)
+    prompted_layers: int | None = rule(None, low=0)  # at most the backbone depth; None: all
+    lam: float = rule(0.01, low=0)  # reconstruction loss weight
+    __post_init__ = rules.check  # the rules of the RunConfig fields these copy
 
 
 class RebQModel:
@@ -90,7 +97,7 @@ class RebQModel:
         self.folder = self.album = self.unified = self.memory = None
         self.baseline_blocks: dict[str, PromptVector] | None = None
 
-        if spec.baseline:
+        if spec.query == "missing_type":
             self.baseline_blocks = {kind: init_vector(rng, d, mcfg.prompt_len, depth)
                                     for kind in MISSING_TYPES}
         else:
@@ -167,9 +174,6 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
     """
     if not samples:
         raise ValueError("forward_batch: empty batch")
-    for s in samples:
-        if not s.has_text and not s.has_visual:
-            raise ValueError(f"sample {s.id} is missing both modalities")
     backbone = model.backbone
     cfg = backbone.config
     kinds = [MISSING_TYPES.index(s.missing_type) for s in samples]
@@ -178,9 +182,10 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
     b, n_t, n_c = len(samples), kinds.count(0), kinds.count(2)
     n_inc = b - n_c
 
-    has_memory = model.memory is not None
-    use_recon = has_memory and model.spec.modality_specific_query and n_inc > 0
-    use_lr = with_lr and model.mcfg.lam > 0.0 and has_memory and n_c > 0
+    # only modality-specific queries read the memory source's reconstructions
+    reads_memory = model.memory is not None and model.spec.query == "modality"
+    use_recon = reads_memory and n_inc > 0
+    use_lr = with_lr and model.mcfg.lam > 0.0 and reads_memory and n_c > 0
 
     # the embedded sequence is a frozen-backbone constant: every row embeds
     # once and every pass reads rows of the same array
@@ -192,7 +197,7 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
         emb = backbone.embed_batch(rows)
     spans = (slice(0, n_t), slice(n_t, n_inc), slice(n_inc, b))
     l_r = None
-    if model.spec.baseline:
+    if model.spec.query == "missing_type":
         # the baseline's prompts follow the missing type alone: it reads no query
         groups = [(slice(0, b), T.concat(
             [model.baseline_blocks[kind].select(T.zeros((sl.stop - sl.start, cfg.embed_dim)))
@@ -212,7 +217,7 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
         # without modality-specific queries only the available modality's
         # prompts are prefixed, so each missing type is its own group
         text_src, vis_src = model.text_source(), model.visual_source()
-        if model.spec.modality_specific_query:
+        if model.spec.query == "modality":
             groups = [(slice(0, b), T.concat([text_src.select(q_text), vis_src.select(q_vis)],
                                              axis=3))]
         else:

@@ -5,9 +5,10 @@ its annotation: int (not a bool), float (an int or a finite float), str,
 bool, dict, list[X], X | None or a nested dataclass. The rule may add bounds
 (`low`, `high`, both inclusive; a list's length is bounded),
 `choices`, and for RunConfig's top-level fields the `stage` that reads it.
-`check` walks an instance and its nested dataclasses and raises a ValueError
-naming the dotted path of the first field that breaks its rule. A rule that
-relates two fields stays with its dataclass and runs after `check`.
+`check` raises a ValueError naming the first field that breaks its rule.
+Every settings dataclass is frozen and checks itself in __post_init__, so a
+nested one is valid already and is checked for its kind alone. A rule
+that relates two fields stays with its dataclass and runs after `check`.
 """
 
 from __future__ import annotations
@@ -82,12 +83,10 @@ def _kinds(cls) -> dict:
 
 
 def check_field(obj, f: dataclasses.Field, prefix: str = "") -> None:
-    """Raise a ValueError naming prefix + the dotted path when field f of obj breaks its rule."""
+    """Raise a ValueError naming prefix + f's name when field f of obj breaks its rule."""
     value, kind, name = getattr(obj, f.name), _kinds(type(obj))[f.name], prefix + f.name
     if not _fits(value, kind):
         raise ValueError(f"{name} must be {_describe(kind)}, got {value!r}")
-    if dataclasses.is_dataclass(kind):
-        return check(value, name + ".")
     broken = _broken(value, f.metadata["rule"])
     if broken:
         raise ValueError(f"{name} must {broken}, got {value!r}")

@@ -10,7 +10,8 @@ draw comes from one of five streams (corpus, split, mask, training, model)
 that RunConfig derives from its one root seed, so identical configs
 reproduce identical reports apart from wall-clock timing. Every RunConfig,
 SessionSummary and Report field declares its rule next to itself
-(rebq.rules).
+(rebq.rules); a RunConfig is frozen and refuses a broken rule when built,
+so run_experiment and every command take it as valid.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class ExperimentError(RuntimeError):
         return f"[{self.stage}] {self.cause}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     backbone: BackboneConfig = rule(factory=BackboneConfig, stage="backbone")
     synth: SynthConfig = rule(factory=SynthConfig, stage="benchmark")
@@ -69,13 +70,13 @@ class RunConfig:
     export_queries: bool = rule(False, stage="emit")
     output_dir: str = rule("runs/run", stage="emit")
 
-    def check(self):
-        """Refuse a value that breaks its field's declared rule before any stage runs.
+    def __post_init__(self):
+        """Refuse a value that breaks its field's declared rule, so no stage sees one.
 
-        The ExperimentError names the field (backbone.* and synth.* by dotted
-        path) and carries the stage its top-level field declares as its reader.
-        Then a prompted_layers that is set may not exceed backbone.num_layers;
-        the backbone takes its input sizes from synth, so the two fit by construction.
+        The ExperimentError names the field and the stage it declares as its
+        reader; backbone and synth checked themselves when built. Then a set
+        prompted_layers may not exceed backbone.num_layers; the backbone takes
+        its input sizes from synth, so the two fit by construction.
         """
         for f in dataclasses.fields(self):
             try:
@@ -156,9 +157,8 @@ class Report:
         """A report read from outside, refused unless it agrees with itself:
         every field keeps its rule, the matrix is square with None below the
         diagonal and values in [0, 1] from it on, fg is None exactly for one
-        session, config is a whole RunConfig that passes RunConfig.check and
-        whose num_sessions is the matrix size, and per_session numbers the
-        sessions 0..T-1 in order."""
+        session, config is a whole, valid RunConfig whose num_sessions is the
+        matrix size, and per_session numbers the sessions 0..T-1 in order."""
         report = cls(**rules.mapping(d, cls, "report"))
         rules.check(report, "report ")
         sizes = [len(row) for row in report.matrix]
@@ -178,7 +178,6 @@ class Report:
             rules.check(SessionSummary(**rules.mapping(entry, SessionSummary, what)), what + " ")
         try:
             config = RunConfig.from_dict(report.config)
-            config.check()
         except ValueError as exc:
             raise ValueError(f"report {exc}") from None
         except ExperimentError as exc:
@@ -230,7 +229,6 @@ def _stage(name: str):
 def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
                    ) -> tuple[Report, RunArtifacts]:
     started = time.time()
-    config.check()
     with _stage("backbone"):
         if backbone is None:
             backbone = frozen_backbone(config.backbone, config.synth)

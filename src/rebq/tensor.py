@@ -537,9 +537,15 @@ def getitem(a: Tensor, key) -> Tensor:
     out, links = _output(a.data[key], a)
     if links is not None:
         shape = a.shape
+        # an index list or array may repeat an entry, whose gradients then add up
+        listed = any(isinstance(k, (list, np.ndarray))
+                     for k in (key if isinstance(key, tuple) else (key,)))
         def bwd(g):
             full = np.zeros(shape, dtype=g.dtype)
-            full[key] = g
+            if listed:
+                np.add.at(full, key, g)
+            else:
+                full[key] = g
             return (full,)
         out._node = _Node(links, bwd)
     return out
@@ -791,7 +797,8 @@ def binary_cross_entropy(logits: Tensor, target: Tensor) -> Tensor:
     if links is not None:
         n = z.size
         def bwd(g):
-            s = 1.0 / (1.0 + np.exp(-z))
+            with np.errstate(over="ignore"):  # exp(-z) overflows to inf where s is 0
+                s = 1.0 / (1.0 + np.exp(-z))
             return (g * (s - t) / n, None)
         out._node = _Node(links, bwd)
     return out

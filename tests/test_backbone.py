@@ -207,8 +207,8 @@ class TestPretrain:
 
     def test_incomplete_corpus_rejected(self):
         meta, samples = pretrain_corpus()
-        samples[0].has_text = False
-        with pytest.raises(ValueError):
+        samples[0] = samples[0].without("text")
+        with pytest.raises(ValueError, match="pretraining corpus must be modality-complete"):
             pretrain(CFG, (meta, samples), seed=15)
 
     def test_unusable_flag_below_minimum(self):

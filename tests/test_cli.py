@@ -216,6 +216,15 @@ class TestRun:
         assert main([command, flag, str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path} is not JSON: Expecting value")
 
+    def test_config_file_not_a_mapping_refused(self, tmp_path, capsys):
+        """The file is refused by name before an override merges into it."""
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main(["run", "--config", str(path), "--set", "eta=0",
+                     "--set", f"output_dir={tmp_path / 'out'}"]) == 2
+        assert capsys.readouterr().err == "error: config must be a mapping, got [1, 2]\n"
+        assert not (tmp_path / "out").exists()
+
     def test_no_flag_mirrors_a_config_field(self):
         """Config fields, output paths included, are set through --config and
         --set only; the other flags set what a RunConfig does not hold."""

@@ -93,6 +93,13 @@ class TestBuildVariant:
         with pytest.raises(ValueError, match="unknown variant 'rebq'"):
             build_variant("rebq", tiny_backbone, MCFG, 0)
 
+    @pytest.mark.parametrize("field, value, low", [
+        ("num_classes", 0, 2), ("pool_size", 0, 1), ("memory_pool_size", 0, 1),
+        ("prompt_len", 0, 1), ("prompted_layers", -1, 0), ("lam", -1.0, 0)])
+    def test_model_config_refuses_what_a_run_refuses(self, field, value, low):
+        with pytest.raises(ValueError, match=rf"^{field} must be >= {low}, got {value}$"):
+            dataclasses.replace(MCFG, **{field: value})
+
     def test_unfrozen_backbone_rejected(self):
         from rebq.backbone import MultimodalBackbone
         bb = MultimodalBackbone(TINY, TINY_SYNTH, np.random.default_rng(0))
@@ -165,15 +172,6 @@ class TestForward:
         assert folder[1].tobytes() == base[1].tobytes()
         for moved, row in ((album, 1), (album, 2), (folder, 0), (folder, 2)):
             assert not np.array_equal(moved[row], base[row])
-
-    def test_both_missing_rejected(self, tiny_backbone, complete_samples):
-        model = make_model(tiny_backbone)
-        bad = type(complete_samples[0])(id="bad", text_tokens=[1],
-                                        patches=complete_samples[0].patches, label=0)
-        bad.has_text = False
-        bad.has_visual = False
-        with pytest.raises(ValueError):
-            forward_batch(model, [bad])
 
     def test_empty_batch_rejected(self, tiny_backbone):
         with pytest.raises(ValueError, match="forward_batch: empty batch"):
@@ -583,10 +581,14 @@ class TestFusedPath:
         assert l_r_fused.item() == pytest.approx(l_r_ref.item(), abs=1e-10)
 
     def test_lr_off_without_lambda_or_memory(self, tiny_backbone, tiny_benchmark):
+        """Only modality-specific queries read a reconstruction, so L_r is off
+        without them too, though the variant still builds its memory pool."""
         _, stream = tiny_benchmark
         batch = stream.train_data(0)[:6]
+        assert any(s.missing_type == "complete" for s in batch)
         for model in (make_model(tiny_backbone, lam=0.0),
-                      make_model(tiny_backbone, variant="no_reconstruction")):
+                      make_model(tiny_backbone, variant="no_reconstruction"),
+                      make_model(tiny_backbone, variant="no_modality_specific_query")):
             logits, _, l_r = forward_batch(model, batch, with_lr=True)
             assert l_r is None
             assert logits.data.tobytes() == forward_batch(model, batch)[0].data.tobytes()

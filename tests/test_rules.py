@@ -6,23 +6,26 @@ the checked dataclasses that declares no rule; the property draws, for
 every config field, a value of the wrong kind or outside the declared
 range and asserts that the refusal names the field; a config that gives a
 value for one of the seed streams RunConfig derives from its root seed is
-refused naming the stream. Only the checks run.
+refused naming the stream. Every settings class and Sample refuses
+assignment once built. Only the checks run.
 """
 
 import dataclasses
 import math
 import typing
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rebq.backbone import BackboneConfig, PretrainConfig
-from rebq.bench import SynthConfig
+from rebq.bench import Sample, SynthConfig
+from rebq.pipeline import ModelConfig, VariantSpec
 from rebq.runner import ExperimentError, Report, RunConfig, SessionSummary
 
-CHECKED = (RunConfig, BackboneConfig, SynthConfig, PretrainConfig, Report, SessionSummary)
-CONFIGS = (RunConfig, BackboneConfig, SynthConfig, PretrainConfig)
+CONFIGS = (RunConfig, BackboneConfig, SynthConfig, PretrainConfig, VariantSpec)
+CHECKED = CONFIGS + (ModelConfig, Report, SessionSummary)
 NESTED = {"backbone": BackboneConfig, "synth": SynthConfig}
 
 
@@ -93,7 +96,7 @@ def test_bad_value_refused_naming_the_field(cls, f, data):
     value = data.draw(bad_values(cls, f))
     if cls is RunConfig:
         with pytest.raises(ExperimentError) as exc:
-            dataclasses.replace(RunConfig(), **{f.name: value}).check()
+            dataclasses.replace(RunConfig(), **{f.name: value})
         assert exc.value.stage == f.metadata["rule"].stage
         assert exc.value.cause.startswith(f"{f.name} must ")
         return
@@ -101,10 +104,21 @@ def test_bad_value_refused_naming_the_field(cls, f, data):
         cls(**{f.name: value})
     key = next((k for k, kind in NESTED.items() if kind is cls), None)
     if key is not None:
-        # a nested config changed after it was built is refused by RunConfig.check
-        nested = cls()
-        setattr(nested, f.name, value)
+        # a nested config cannot change once built, so RunConfig checks its kind alone
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cls(), f.name, value)
         with pytest.raises(ExperimentError) as exc:
-            RunConfig(**{key: nested}).check()
+            RunConfig(**{key: value})
         assert exc.value.stage == RunConfig.__dataclass_fields__[key].metadata["rule"].stage
-        assert exc.value.cause.startswith(f"{key}.{f.name} must ")
+        assert exc.value.cause.startswith(f"{key} must be a {cls.__name__}, got ")
+
+
+@pytest.mark.parametrize("obj", [
+    RunConfig(), BackboneConfig(), SynthConfig(), PretrainConfig(), VariantSpec(),
+    ModelConfig(num_classes=2),
+    Sample(id="x", text_tokens=[1], patches=np.ones((2, 2)), label=0)],
+    ids=lambda obj: type(obj).__name__)
+def test_refuses_assignment_once_built(obj):
+    for f in dataclasses.fields(obj):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"'{f.name}'"):
+            setattr(obj, f.name, getattr(obj, f.name))

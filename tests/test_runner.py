@@ -104,11 +104,9 @@ class TestRunExperiment:
         ({"batch_size": -1}, "train", "batch_size"),
         ({"eval_batch_size": -2}, "train", "batch_size"),
     ])
-    def test_bad_input_stage_tagged(self, tiny_backbone, tmp_path, overrides, stage,
-                                    needle):
-        cfg = tiny_config(tmp_path, **overrides)
+    def test_bad_input_stage_tagged(self, tmp_path, overrides, stage, needle):
         with pytest.raises(ExperimentError) as exc:
-            run_experiment(cfg, backbone=tiny_backbone)
+            tiny_config(tmp_path, **overrides)
         assert exc.value.stage == stage
         assert needle in exc.value.cause
 
@@ -127,23 +125,19 @@ class TestRunExperiment:
         ("lr", "x", "train"), ("lr", float("inf"), "train"), ("seed", None, "benchmark"),
         ("export_queries", 1, "emit"), ("export_queries", "yes", "emit"),
         ("output_dir", 5, "emit"), ("output_dir", None, "emit")])
-    def test_out_of_range_refused_before_any_stage(self, tmp_path, monkeypatch, field, value,
-                                                   stage):
-        builds = []
-        monkeypatch.setattr(runner, "frozen_backbone", lambda *a: builds.append(a))
-        cfg = tiny_config(tmp_path, **{field: value})
+    def test_out_of_range_refused_before_any_stage(self, tmp_path, field, value, stage):
+        """The RunConfig is refused when built, so no stage can run on it."""
         with pytest.raises(ExperimentError) as exc:
-            run_experiment(cfg)
+            tiny_config(tmp_path, **{field: value})
         assert exc.value.stage == stage
         assert exc.value.cause.startswith(f"{field} must ")
         assert repr(value) in exc.value.cause
-        assert builds == []
 
     def test_prompted_layers_deeper_than_backbone_refused_before_any_stage(self, tmp_path):
-        RunConfig().check()  # the default prompts every layer of the default backbone
+        RunConfig()  # the default prompts every layer of the default backbone
         with pytest.raises(ExperimentError, match=r"^\[model\] prompted_layers 3 exceeds "
                                                   r"backbone.num_layers 2$"):
-            run_experiment(tiny_config(tmp_path, prompted_layers=TINY.num_layers + 1))
+            tiny_config(tmp_path, prompted_layers=TINY.num_layers + 1)
 
     def test_other_backbone_config_refused_naming_keys(self, tiny_backbone, tmp_path,
                                                        monkeypatch):

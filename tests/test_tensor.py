@@ -202,6 +202,13 @@ class TestLosses:
         build().backward()
         assert_grad_close(logits.grad, finite_diff_grad(build, logits))
 
+    def test_bce_gradient_at_saturated_logits(self):
+        """exp(-z) overflows float32 at z = -100; the sigmoid's limit there is 0."""
+        logits = Tensor(np.array([[-100.0, 100.0, 0.0]], np.float32), trainable=True)
+        target = Tensor(np.array([[0.0, 1.0, 1.0]], np.float32))
+        T.binary_cross_entropy(logits, target).backward()
+        np.testing.assert_array_equal(logits.grad, np.array([[0.0, 0.0, -0.5 / 3]], np.float32))
+
 
 class TestBackward:
     def test_sum_of_squares_closed_form(self):
@@ -289,6 +296,18 @@ class TestBackward:
         build().backward()
         assert_grad_close(table.grad, finite_diff_grad(build, table))
         assert_grad_close(other.grad, finite_diff_grad(build, other))
+
+    @pytest.mark.parametrize("key, counts", [
+        ([0, 0, 2], [2, 0, 1]),
+        (np.array([2, 2, 2]), [0, 0, 3]),
+        ((np.array([1, 1]), slice(None)), [0, 2, 0]),
+        (np.array([True, False, True]), [1, 0, 1]),
+        (slice(0, 2), [1, 1, 0]),
+    ], ids=["list", "array", "array-in-tuple", "mask", "slice"])
+    def test_getitem_gradient_counts_each_index(self, key, counts):
+        x = Tensor(np.zeros((3, 2)), trainable=True)
+        T.tsum(x[key]).backward()
+        np.testing.assert_array_equal(x.grad, np.repeat(np.array(counts, float)[:, None], 2, 1))
 
     def test_concat_of_one_tensor_is_that_tensor(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), trainable=True)
