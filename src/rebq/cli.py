@@ -253,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="verify and print a saved report")
     p.add_argument("--report", required=True, help="path to report.json")
-    p.add_argument("--emit", help="directory to re-emit CSVs into")
+    p.add_argument("--emit", help="directory to re-emit report.json, matrix.csv and "
+                                  "trajectory.csv into (a report holds no steps.csv)")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -55,13 +55,20 @@ class VariantSpec:
     query: str = rule("modality", choices=("modality", "available", "missing_type"))
     memory: str = rule("pool", choices=("pool", "vector", "none"))  # the reconstruction source
     prompts: str = rule("pool", choices=("pool", "unified"))  # text and visual pools, or one
-    __post_init__ = rules.check
+
+    def __post_init__(self):
+        """Refuse a memory source that the query would never read: only
+        modality-specific queries take a reconstruction."""
+        rules.check(self)
+        if self.memory != "none" and self.query != "modality":
+            raise ValueError(f"memory {self.memory!r} needs query 'modality', "
+                             f"got query {self.query!r}")
 
 
 VARIANT_PRESETS = {
     "canonical": VariantSpec(),
     "no_reconstruction": VariantSpec(memory="none"),
-    "no_modality_specific_query": VariantSpec(query="available"),
+    "no_modality_specific_query": VariantSpec(query="available", memory="none"),
     "no_memory_pool": VariantSpec(memory="vector"),
     "no_modality_specific_pool": VariantSpec(prompts="unified"),
     "baseline": VariantSpec(query="missing_type", memory="none"),
@@ -182,8 +189,8 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
     b, n_t, n_c = len(samples), kinds.count(0), kinds.count(2)
     n_inc = b - n_c
 
-    # only modality-specific queries read the memory source's reconstructions
-    reads_memory = model.memory is not None and model.spec.query == "modality"
+    # a memory source exists only for modality-specific queries (VariantSpec)
+    reads_memory = model.memory is not None
     use_recon = reads_memory and n_inc > 0
     use_lr = with_lr and model.mcfg.lam > 0.0 and reads_memory and n_c > 0
 

@@ -12,7 +12,8 @@ reconstruction loss (reconstruction_loss_from_queries) trains the memory pool to
 reconstructions toward the queries the complete sample would have produced
 (ground truth is gradient-detached); pipeline.forward_batch computes it
 over the complete samples' masked counterparts, which counterparts makes
-with Sample.without.
+with Sample.without. forward_batch is the one caller of both passes, in
+training and evaluation alike.
 
 The unified pass reads only the frozen backbone and a row's text tokens
 and patches, and each of its output rows depends on its own input row
@@ -26,7 +27,6 @@ fresh pass. A key holds a SHA-256 digest of the patch bytes, not the bytes.
 from __future__ import annotations
 
 import hashlib
-import json
 
 import numpy as np
 
@@ -125,57 +125,4 @@ def reconstruction_loss_from_queries(q_text: Tensor, q_hat_text: Tensor,
     total = T.add(T.tsum(T.square(T.sub(q_text, q_hat_text))),
                   T.tsum(T.square(T.sub(q_visual, q_hat_visual))))
     return T.scale(total, 1.0 / shapes[0][0])
-
-
-def export_query_embeddings(samples: list[Sample], backbone: MultimodalBackbone,
-                            memory_source=None, path=None,
-                            batch_size: int = 64) -> list[dict]:
-    """JSON-ready query embeddings for external visualization.
-
-    Complete samples contribute ground-truth queries; incomplete samples
-    contribute the raw dummy-contaminated query (kind "unreconstructed")
-    and, when a memory source is supplied, the reconstructed one. Samples
-    go through the backbone batch_size at a time.
-    """
-    if batch_size < 1:
-        raise ValueError(f"export_query_embeddings: batch_size must be >= 1, got {batch_size}")
-    records: list[dict] = []
-    for start in range(0, len(samples), batch_size):
-        records += _query_records(samples[start:start + batch_size], backbone,
-                                  memory_source)
-    if path is not None:
-        with open(path, "w") as fh:
-            json.dump(records, fh)
-    return records
-
-
-def _query_records(samples: list[Sample], backbone: MultimodalBackbone,
-                   memory_source) -> list[dict]:
-    """The export records of one batch, in sample order."""
-    records: list[dict] = []
-    with T.no_grad():
-        emb = backbone.embed_batch(samples)
-    raw = generate_queries_batch(samples, backbone, emb=emb)
-    incomplete = [i for i, s in enumerate(samples) if s.missing_type != "complete"]
-    recon_by_index: dict[int, np.ndarray] = {}
-    if memory_source is not None and incomplete:
-        rows = [samples[i] for i in incomplete]
-        with T.no_grad():
-            rec = reconstruct_batch(rows, memory_source.select(Tensor(raw[incomplete, 2])),
-                                    backbone, emb=emb[incomplete])
-        recon_by_index = {i: rec.data[j] for j, i in enumerate(incomplete)}
-
-    for i, s in enumerate(samples):
-        label = s.label if isinstance(s.label, int) else list(s.label)
-        for col, (modality, present) in enumerate((("text", s.has_text),
-                                                   ("visual", s.has_visual))):
-            records.append({"id": s.id, "label": label, "modality": modality,
-                            "kind": "ground_truth" if present else "unreconstructed",
-                            "embedding": raw[i, col].tolist()})
-        if i in recon_by_index:
-            records.append({"id": s.id, "label": label,
-                            "modality": "text" if not s.has_text else "visual",
-                            "kind": "reconstructed",
-                            "embedding": recon_by_index[i].tolist()})
-    return records
 

@@ -5,13 +5,14 @@ none is passed), builds the benchmark stream, trains the chosen variant on
 sessions 0..T-1 in one call, one session at a time (never revisiting
 earlier sessions' training data), and fills the session matrix (the
 report's list of lists, rebq.metrics) column by column; emit_report writes
-the self-contained report and the CSVs derived from its matrix. Every random
-draw comes from one of five streams (corpus, split, mask, training, model)
-that RunConfig derives from its one root seed, so identical configs
-reproduce identical reports apart from wall-clock timing. Every RunConfig,
-SessionSummary and Report field declares its rule next to itself
-(rebq.rules); a RunConfig is frozen and refuses a broken rule when built,
-so run_experiment and every command take it as valid.
+the self-contained report, the CSVs derived from its matrix and the
+per-step losses of the training logs. Every random draw comes from one of
+five streams (corpus, split, mask, training, model) that RunConfig derives
+from its one root seed, so identical configs reproduce identical reports
+apart from wall-clock timing. Every RunConfig, SessionSummary and Report
+field declares its rule next to itself (rebq.rules); a RunConfig is frozen
+and refuses a broken rule when built, so run_experiment and every command
+take it as valid.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .bench import MISSING_CASES, CmmlStream, SynthConfig, build_stream, synth_g
 from .metrics import ap_fg, performance
 from .pipeline import (VARIANT_PRESETS, ModelConfig, RebQModel, TrainingLog, build_variant,
                        predict_batch, train_task)
-from .reconstruct import QueryCache, export_query_embeddings
+from .reconstruct import QueryCache
 from .rules import rule
 
 
@@ -67,7 +68,6 @@ class RunConfig:
     lr: float = rule(1e-4, low=0, stage="train")
     eval_batch_size: int = rule(64, low=1, stage="train")
     seed: int = rule(1, low=0, stage="benchmark")  # root of the seed_* streams below
-    export_queries: bool = rule(False, stage="emit")
     output_dir: str = rule("runs/run", stage="emit")
 
     def __post_init__(self):
@@ -318,7 +318,10 @@ def report_json_bytes(report: Report) -> bytes:
 def emit_report(report: Report, out_dir, artifacts: RunArtifacts | None = None) -> None:
     """Write report.json, and from report.matrix matrix.csv (row i holds
     a[i][i..T-1]) and trajectory.csv (j, the mean of column j over sessions
-    0..j); with artifacts and the config's export_queries, queries.json too.
+    0..j). With artifacts, steps.csv too: under a header line, one row per
+    training step of artifacts.logs (session, step, total, L_c, L_r, lr).
+    A report alone (rebq report --emit) holds no step, so it writes no
+    steps.csv.
 
     Any failure to write, such as a file path taken by a directory, raises an
     ExperimentError tagged emit.
@@ -334,8 +337,10 @@ def emit_report(report: Report, out_dir, artifacts: RunArtifacts | None = None) 
         with open(out / "trajectory.csv", "w") as fh:
             for j in range(len(matrix)):
                 fh.write(f"{j},{float(np.mean([row[j] for row in matrix[:j + 1]]))!r}\n")
-        if artifacts is not None and report.config.get("export_queries"):
-            test_samples = [s for session in artifacts.stream.sessions for s in session.test]
-            export_query_embeddings(test_samples, artifacts.model.backbone,
-                                    artifacts.model.memory, path=out / "queries.json",
-                                    batch_size=report.config["eval_batch_size"])
+        if artifacts is not None:
+            with open(out / "steps.csv", "w") as fh:
+                fh.write("session,step,total,classification,reconstruction,lr\n")
+                for j, log in enumerate(artifacts.logs):
+                    for s in log.steps:
+                        values = (s.total, s.classification, s.reconstruction, s.lr)
+                        fh.write(f"{j},{s.step},{','.join(repr(float(v)) for v in values)}\n")

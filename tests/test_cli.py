@@ -75,8 +75,8 @@ class TestRun:
         tmp, cfg_path = cli_workspace
         rc = main(["run", "--config", str(cfg_path), "--set", f"output_dir={tmp / 'run1'}"])
         assert rc == 0
-        for name in ("report.json", "matrix.csv", "trajectory.csv"):
-            assert (tmp / "run1" / name).exists()
+        assert sorted(p.name for p in (tmp / "run1").iterdir()) == [
+            "matrix.csv", "report.json", "steps.csv", "trajectory.csv"]
         report = json.loads((tmp / "run1" / "report.json").read_text())
         assert report["config"]["variant"] == "canonical"
         assert 0.0 <= report["ap"] <= 1.0
@@ -163,7 +163,7 @@ class TestRun:
          "error: config has unknown keys ['backbone_checkpoint']"),
         ("prompted_layers=3", "error [model] prompted_layers 3 exceeds backbone.num_layers 2"),
         ("output_dir=5", "error [emit] output_dir must be a string, got 5"),
-        ("export_queries=1", "error [emit] export_queries must be true or false, got 1"),
+        ("export_queries=true", "error: config has unknown keys ['export_queries']"),
         ('synth={"noise_token_prob": 3.0}',
          "config key synth: noise_token_prob must lie in [0, 1], got 3.0")],
         ids=["backbone-not-mapping", "synth-unknown-key", "backbone-value-type",
@@ -173,7 +173,7 @@ class TestRun:
              "synth-noise-string", "synth-noise-negative", "synth-tokens-zero",
              "sessions-negative", "eta-bool", "epochs-real", "warmup-frac-removed",
              "backbone-checkpoint-removed",
-             "prompted-layers-deeper-than-backbone", "output-dir-int", "export-queries-int",
+             "prompted-layers-deeper-than-backbone", "output-dir-int", "export-queries-removed",
              "synth-noise-above-one"])
     def test_bad_nested_config_named(self, cli_workspace, capsys, setting, message):
         tmp, cfg_path = cli_workspace
@@ -626,12 +626,15 @@ class TestReport:
 
     def test_re_emit_matches_the_run(self, cli_workspace, report_doc, tmp_path):
         """The CSVs derive from report.matrix alone, so re-emitting a saved
-        report reproduces the run's bytes."""
+        report reproduces the run's bytes; a report holds no training step,
+        so no steps.csv is written."""
         run = cli_workspace[0] / "report_doc"
         assert main(["report", "--report", str(run / "report.json"),
                      "--emit", str(tmp_path / "again")]) == 0
         for name in ("matrix.csv", "trajectory.csv"):
             assert (tmp_path / "again" / name).read_bytes() == (run / name).read_bytes()
+        assert sorted(p.name for p in (tmp_path / "again").iterdir()) == [
+            "matrix.csv", "report.json", "trajectory.csv"]
 
     def test_re_emit_names_the_directory_under_the_output_root(
             self, cli_workspace, report_doc, tmp_path, monkeypatch, capsys):

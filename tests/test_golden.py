@@ -2,8 +2,8 @@
 
 Every variant preset runs single- and multi-label with 0 and 2 prompted
 layers on the TINY backbone, 24 configs in all. Each run's report.json
-(minus timing and output_dir), matrix.csv, trajectory.csv, queries.json
-and trained parameter bytes are hashed with SHA-256 and compared with
+(minus timing and output_dir), matrix.csv, trajectory.csv, steps.csv and
+trained parameter bytes are hashed with SHA-256 and compared with
 tests/golden.json, so a change that moves any result bit fails here and
 names the configs and artifacts it moved.
 
@@ -15,7 +15,9 @@ After a declared numerics change, re-record from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
 
-and commit the diff of tests/golden.json, which shows the moved configs.
+which prints each artifact that was added, removed or moved against the
+file it overwrites and the configs it did so in, and commit the diff of
+tests/golden.json.
 """
 
 import ctypes
@@ -36,7 +38,7 @@ GOLDEN = Path(__file__).parent / "golden.json"
 
 BASE = RunConfig(backbone=TINY, synth=TINY_SYNTH, num_classes=4, samples_per_class=30,
                  num_sessions=2, eta=60.0, pool_size=16, memory_pool_size=16, prompt_len=2,
-                 epochs=1, batch_size=4, lr=3e-3, eval_batch_size=16, export_queries=True)
+                 epochs=1, batch_size=4, lr=3e-3, eval_batch_size=16)
 
 CONFIGS = {
     f"{variant}-{'multi' if multi else 'single'}-layers{layers}": dataclasses.replace(
@@ -72,7 +74,7 @@ def run_hashes(cfg: RunConfig, backbone, out: Path) -> dict[str, str]:
     stable = json.loads((out / "report.json").read_text())
     del stable["timing"], stable["config"]["output_dir"]
     hashes = {"report.json": sha256(json.dumps(stable, sort_keys=True).encode())}
-    for name in ("matrix.csv", "trajectory.csv", "queries.json"):
+    for name in ("matrix.csv", "trajectory.csv", "steps.csv"):
         hashes[name] = sha256((out / name).read_bytes())
     hashes["parameters"] = sha256(parameter_bytes(artifacts.model))
     return hashes
@@ -82,24 +84,54 @@ def all_hashes(backbone, root: Path) -> dict[str, dict[str, str]]:
     return {tag: run_hashes(cfg, backbone, root / tag) for tag, cfg in CONFIGS.items()}
 
 
+def differences(old: dict, new: dict) -> list[str]:
+    """One line per artifact and kind of change between two {config: {artifact:
+    hash}} tables, naming the configs it touches: an artifact new has and old
+    lacks is added, one old has and new lacks removed, and one whose hash
+    differs moved."""
+    tags = sorted(set(old) | set(new))
+    touched: dict[tuple[str, str], list[str]] = {}
+    for tag in tags:
+        was, now = old.get(tag, {}), new.get(tag, {})
+        for name in sorted(set(was) | set(now)):
+            if name not in was:
+                touched.setdefault((name, "added"), []).append(tag)
+            elif name not in now:
+                touched.setdefault((name, "removed"), []).append(tag)
+            elif was[name] != now[name]:
+                touched.setdefault((name, "moved"), []).append(tag)
+    return [f"{name} {change} in " + (f"all {len(tags)} configs" if len(where) == len(tags)
+                                      else f"{len(where)}: " + ", ".join(where))
+            for (name, change), where in sorted(touched.items())]
+
+
 def test_outputs_match_golden(tiny_backbone, tmp_path):
     golden = json.loads(GOLDEN.read_text())
     here = machine()
     recorded = {k: golden[k] for k in here}
     assert recorded == here, (f"tests/golden.json was recorded on {recorded}, this machine "
                               f"is {here}; its bits cannot be compared here")
-    hashes = all_hashes(tiny_backbone, tmp_path)
-    assert set(hashes) == set(golden["hashes"]), "the config list differs from golden.json"
-    moved = [f"{tag}: {name}" for tag, arts in hashes.items()
-             for name, digest in arts.items() if golden["hashes"][tag].get(name) != digest]
-    assert not moved, "outputs moved from tests/golden.json:\n" + "\n".join(moved)
+    changed = differences(golden["hashes"], all_hashes(tiny_backbone, tmp_path))
+    assert not changed, "outputs differ from tests/golden.json:\n" + "\n".join(changed)
+
+
+def test_differences_name_each_change_and_its_configs():
+    old = {"a": {"x": "1", "y": "2"}, "b": {"x": "1", "y": "2"}}
+    new = {"a": {"x": "1", "z": "3"}, "b": {"x": "9", "z": "3"}}
+    assert differences(old, new) == ["x moved in 1: b", "y removed in all 2 configs",
+                                     "z added in all 2 configs"]
+    assert differences(old, old) == []
+    assert differences(old, {"a": old["a"]}) == ["x removed in 1: b", "y removed in 1: b"]
 
 
 def record():
+    old = json.loads(GOLDEN.read_text())["hashes"] if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         hashes = all_hashes(make_tiny_backbone(), Path(tmp))
     GOLDEN.write_text(json.dumps({**machine(), "hashes": hashes}, indent=1, sort_keys=True)
                       + "\n")
+    for line in differences(old, hashes) or ["no artifact changed"]:
+        print(line)
     print(f"recorded {len(hashes)} configs -> {GOLDEN}")
 
 

@@ -12,8 +12,8 @@ from rebq import pipeline
 from rebq import tensor as T
 from rebq.backbone import MultimodalBackbone
 from rebq.bench import synth_generate
-from rebq.pipeline import (VARIANT_PRESETS, ModelConfig, _targets, build_variant,
-                           forward_batch, predict_batch, train_task)
+from rebq.pipeline import (VARIANT_PRESETS, ModelConfig, VariantSpec, _targets,
+                           build_variant, forward_batch, predict_batch, train_task)
 from rebq.prompt import PromptPool, PromptVector
 from rebq.reconstruct import (QueryCache, counterparts, generate_queries_batch,
                               reconstruct_batch, reconstruction_loss_from_queries)
@@ -92,6 +92,15 @@ class TestBuildVariant:
             build_variant("not_a_variant", tiny_backbone, MCFG, 0)
         with pytest.raises(ValueError, match="unknown variant 'rebq'"):
             build_variant("rebq", tiny_backbone, MCFG, 0)
+
+    @pytest.mark.parametrize("query", ["available", "missing_type"])
+    @pytest.mark.parametrize("memory", ["pool", "vector"])
+    def test_memory_only_for_modality_queries(self, query, memory):
+        """Only modality-specific queries read a reconstruction, so no other
+        query takes a memory source."""
+        with pytest.raises(ValueError, match=rf"^memory '{memory}' needs query 'modality', "
+                                             rf"got query '{query}'$"):
+            VariantSpec(query=query, memory=memory)
 
     @pytest.mark.parametrize("field, value, low", [
         ("num_classes", 0, 2), ("pool_size", 0, 1), ("memory_pool_size", 0, 1),
@@ -478,6 +487,25 @@ class TestTrainTask:
         train_task(model, stream.train_data(0)[:12], 2, 4, 1e-4, seed=5)
         assert parameter_bytes(model) != before
 
+    @pytest.mark.parametrize("variant", sorted(VARIANT_PRESETS))
+    def test_every_parameter_trains_and_backbone_stays(self, tiny_backbone, tiny_benchmark,
+                                                       variant):
+        """A variant builds only what it reads: over one session with every
+        layer prompted, every parameter of the model moves and no backbone
+        parameter does."""
+        _, stream = tiny_benchmark
+        session = stream.train_data(0)
+        assert {s.missing_type for s in session} == set(pipeline.MISSING_TYPES)
+        model = make_model(tiny_backbone, variant)
+        assert model.mcfg.prompted_layers is None  # every layer takes a prompt
+        before = {name: p.data.copy() for name, p in model.named_parameters().items()}
+        frozen = tiny_backbone.parameter_bytes()
+        train_task(model, session, 1, 4, 1e-3, seed=8)
+        unmoved = [name for name, p in model.named_parameters().items()
+                   if np.array_equal(p.data, before[name])]
+        assert unmoved == []
+        assert tiny_backbone.parameter_bytes() == frozen
+
     def test_gradient_routing_lambda_positive(self, tiny_backbone, tiny_benchmark):
         _, stream = tiny_benchmark
         model = make_model(tiny_backbone)
@@ -581,8 +609,8 @@ class TestFusedPath:
         assert l_r_fused.item() == pytest.approx(l_r_ref.item(), abs=1e-10)
 
     def test_lr_off_without_lambda_or_memory(self, tiny_backbone, tiny_benchmark):
-        """Only modality-specific queries read a reconstruction, so L_r is off
-        without them too, though the variant still builds its memory pool."""
+        """L_r needs lam > 0 and a memory source, which only modality-specific
+        queries build."""
         _, stream = tiny_benchmark
         batch = stream.train_data(0)[:6]
         assert any(s.missing_type == "complete" for s in batch)

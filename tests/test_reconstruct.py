@@ -10,8 +10,7 @@ from rebq.bench import Sample, dummy_patches, synth_generate
 from rebq.pipeline import ModelConfig, build_variant, forward_batch
 from rebq.prompt import init_pool, init_vector
 from rebq.reconstruct import (QueryCache, counterparts, generate_queries_batch,
-                              export_query_embeddings, reconstruct_batch,
-                              reconstruction_loss_from_queries)
+                              reconstruct_batch, reconstruction_loss_from_queries)
 from rebq.tensor import AdamW, Tensor
 
 from conftest import TINY, TINY_SYNTH, float64
@@ -162,44 +161,6 @@ class TestTrainingImprovesReconstruction:
         assert after > before
 
 
-class TestExport:
-    def test_export_kinds_and_round_trip(self, tmp_path, tiny_backbone, complete_samples):
-        import json
-        pool = memory_pool(seed=13)
-        samples = [complete_samples[0], text_only(complete_samples[1])]
-        path = tmp_path / "queries.json"
-        records = export_query_embeddings(samples, tiny_backbone, pool, path=path)
-        kinds = {(r["id"], r["modality"], r["kind"]) for r in records}
-        assert (samples[0].id, "text", "ground_truth") in kinds
-        assert (samples[1].id, "visual", "unreconstructed") in kinds
-        assert (samples[1].id, "visual", "reconstructed") in kinds
-        loaded = json.loads(path.read_text())
-        assert loaded == records
-        assert all(len(r["embedding"]) == TINY.embed_dim for r in records)
-
-    def test_record_sequence(self, tiny_backbone, complete_samples):
-        pool = memory_pool(seed=14)
-        i_only = counterparts(complete_samples[2])[1]
-        samples = [complete_samples[0], text_only(complete_samples[1]), i_only]
-        records = export_query_embeddings(samples, tiny_backbone, pool)
-        ids = [s.id for s in samples]
-        assert [(r["id"], r["modality"], r["kind"]) for r in records] == [
-            (ids[0], "text", "ground_truth"), (ids[0], "visual", "ground_truth"),
-            (ids[1], "text", "ground_truth"), (ids[1], "visual", "unreconstructed"),
-            (ids[1], "visual", "reconstructed"),
-            (ids[2], "text", "unreconstructed"), (ids[2], "visual", "ground_truth"),
-            (ids[2], "text", "reconstructed"),
-        ]
-        raw = generate_queries_batch(samples, tiny_backbone)
-        assert records[3]["embedding"] == raw[1, 1].tolist()
-        assert records[5]["embedding"] == raw[2, 0].tolist()
-        with T.no_grad():
-            rec = reconstruct_batch(samples[1:], pool.select(Tensor(raw[1:, 2])),
-                                    tiny_backbone).data
-        assert records[4]["embedding"] == rec[0].tolist()
-        assert records[7]["embedding"] == rec[1].tolist()
-
-
 @pytest.fixture(scope="module")
 def mixed_rows():
     """32 complete samples and both masked counterparts of each: 96 rows."""
@@ -269,7 +230,7 @@ class TestQueryCache:
 
 
 class TestEmbedOnce:
-    """Each caller embeds its rows in one call and returns the values that
+    """The training call embeds its rows in one call and returns the L_r that
     separate query and reconstruction passes give."""
 
     @pytest.fixture()
@@ -299,16 +260,3 @@ class TestEmbedOnce:
         ref = reconstruction_loss_from_queries(Tensor(gt[:, 0]), rec[5:],
                                                Tensor(gt[:, 1]), rec[:5])
         assert loss.data.tobytes() == ref.data.tobytes()
-
-    def test_export_query_embeddings(self, tiny_backbone, complete_samples, embed_calls):
-        pool = memory_pool(seed=23)
-        i_only = counterparts(complete_samples[2])[1]
-        samples = [complete_samples[0], text_only(complete_samples[1]), i_only]
-        records = export_query_embeddings(samples, tiny_backbone, pool)
-        assert embed_calls == [3]
-        raw = generate_queries_batch(samples, tiny_backbone)
-        with T.no_grad():
-            rec = reconstruct_batch(samples[1:], pool.select(Tensor(raw[1:, 2])),
-                                    tiny_backbone).data
-        assert records[4]["embedding"] == rec[0].tolist()
-        assert records[7]["embedding"] == rec[1].tolist()

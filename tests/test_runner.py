@@ -13,7 +13,6 @@ from rebq import runner
 from rebq import tensor as T
 from rebq.backbone import PRETRAIN_SEED, MultimodalBackbone, PretrainConfig, pretrain
 from rebq.bench import synth_generate
-from rebq.reconstruct import export_query_embeddings
 from rebq.runner import (ExperimentError, Report, RunConfig, emit_report, report_json_bytes,
                          run_experiment)
 
@@ -123,7 +122,6 @@ class TestRunExperiment:
         ("pool_size", 1.5, "model"), ("prompted_layers", False, "model"),
         ("seed", 2.0, "benchmark"), ("epochs", 1.5, "train"), ("lr", -1.0, "train"),
         ("lr", "x", "train"), ("lr", float("inf"), "train"), ("seed", None, "benchmark"),
-        ("export_queries", 1, "emit"), ("export_queries", "yes", "emit"),
         ("output_dir", 5, "emit"), ("output_dir", None, "emit")])
     def test_out_of_range_refused_before_any_stage(self, tmp_path, field, value, stage):
         """The RunConfig is refused when built, so no stage can run on it."""
@@ -298,7 +296,7 @@ class TestEmit:
         out = tmp_path / "emit"
         assert emit_report(report, out, artifacts) is None
         assert {p.name for p in out.iterdir()} == {"report.json", "matrix.csv",
-                                                  "trajectory.csv"}
+                                                  "trajectory.csv", "steps.csv"}
 
         (a00, a01), (_, a11) = report.matrix
         assert (out / "matrix.csv").read_text() == f"{a00!r},{a01!r}\n{a11!r}\n"
@@ -306,7 +304,22 @@ class TestEmit:
             f"0,{a00!r}\n1,{float(np.mean([a01, a11]))!r}\n"
         assert Report.from_dict(json.loads((out / "report.json").read_text())) == report
 
-    @pytest.mark.parametrize("taken", ["report.json", "trajectory.csv"])
+    def test_steps_csv_rows_are_the_training_logs(self, tiny_run, tmp_path):
+        _, report, artifacts = tiny_run
+        emit_report(report, tmp_path / "with", artifacts)
+        header, *rows = (tmp_path / "with" / "steps.csv").read_text().splitlines()
+        assert header == "session,step,total,classification,reconstruction,lr"
+        # each float is written as its repr, so it reads back exactly
+        assert [(int(j), int(step), *map(float, values))
+                for j, step, *values in (row.split(",") for row in rows)] == [
+            (j, s.step, s.total, s.classification, s.reconstruction, s.lr)
+            for j, log in enumerate(artifacts.logs) for s in log.steps]
+        assert len(rows) == sum(entry["steps"] for entry in report.per_session)
+        # a report alone holds no step
+        emit_report(report, tmp_path / "without")
+        assert not (tmp_path / "without" / "steps.csv").exists()
+
+    @pytest.mark.parametrize("taken", ["report.json", "trajectory.csv", "steps.csv"])
     def test_write_failure_stage_tagged(self, tiny_run, tmp_path, taken):
         _, report, artifacts = tiny_run
         (tmp_path / taken).mkdir()
@@ -319,41 +332,3 @@ class TestEmit:
         (tmp_path / "out").write_text("")
         with pytest.raises(ExperimentError, match=r"^\[emit\] "):
             emit_report(report, tmp_path / "out", artifacts)
-
-    def test_query_export_opt_in(self, tiny_backbone, tmp_path):
-        cfg = tiny_config(tmp_path, export_queries=True,
-                          output_dir=str(tmp_path / "outq"))
-        report, artifacts = run_experiment(cfg, backbone=tiny_backbone)
-        emit_report(report, cfg.output_dir, artifacts)
-        records = json.loads((tmp_path / "outq" / "queries.json").read_text())
-        kinds = {r["kind"] for r in records}
-        assert {"ground_truth", "unreconstructed", "reconstructed"} <= kinds
-
-
-    def test_query_export_bounded_by_eval_batch_size(self, tiny_backbone, tmp_path,
-                                                     monkeypatch):
-        cfg = tiny_config(tmp_path, export_queries=True, eval_batch_size=5,
-                          output_dir=str(tmp_path / "outq"))
-        report, artifacts = run_experiment(cfg, backbone=tiny_backbone)
-        forward, rows_seen = MultimodalBackbone.forward, []
-
-        def recording(self, x, *args, **kwargs):
-            rows_seen.append(x.shape[0])
-            return forward(self, x, *args, **kwargs)
-
-        monkeypatch.setattr(MultimodalBackbone, "forward", recording)
-        emit_report(report, cfg.output_dir, artifacts)
-        monkeypatch.undo()
-        assert rows_seen and max(rows_seen) <= 5
-        records = json.loads((tmp_path / "outq" / "queries.json").read_text())
-
-        test = [s for session in artifacts.stream.sessions for s in session.test]
-        assert len(test) > 5
-        whole = export_query_embeddings(test, artifacts.model.backbone, artifacts.model.memory,
-                                        batch_size=len(test))
-        assert [(r["id"], r["modality"], r["kind"]) for r in records] == \
-            [(r["id"], r["modality"], r["kind"]) for r in whole]
-        # float32 sums may round differently at another batch size; the
-        # rows are layer-norm outputs of unit scale
-        np.testing.assert_allclose([r["embedding"] for r in records],
-                                   [r["embedding"] for r in whole], rtol=1e-6, atol=1e-6)

@@ -1,5 +1,8 @@
 import ctypes
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -725,6 +728,32 @@ class TestBlas:
         assert get_threads() == 1
 
 
+# eight tracked passes in a fresh interpreter; prints the minor faults of the last five
+FAULTS_OF_REPEATED_PASSES = """
+import resource
+import numpy as np
+from rebq import tensor as T
+from rebq.tensor import Tensor
+rng = np.random.default_rng(0)
+x = Tensor(rng.standard_normal((256, 512)).astype(np.float32), trainable=True)
+w = Tensor((rng.standard_normal((512, 512)) / 20).astype(np.float32), trainable=True)
+b = Tensor(np.zeros(512, np.float32), trainable=True)
+
+def tracked_pass():
+    h = x
+    for _ in range(8):
+        h = T.relu(T.affine(h, w, b))
+    T.tsum(T.square(h)).backward()
+
+for _ in range(3):
+    tracked_pass()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    tracked_pass()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 class TestAllocator:
     @pytest.mark.skipif(T._libc_mallopt() is None, reason="the C library has no mallopt")
     def test_freed_tape_memory_is_reused(self):
@@ -733,25 +762,12 @@ class TestAllocator:
         Each pass allocates about 16 MB of activations and gradients in 512 KB
         arrays and frees them with its graph. A C library that hands them back
         to the kernel takes every page again as a minor fault on the next pass
-        (about 900 per pass with glibc's defaults).
+        (about 900 per pass with glibc's defaults). The passes run in a fresh
+        interpreter, so the count does not depend on what earlier tests
+        allocated and freed.
         """
-        import resource
-        rng = np.random.default_rng(0)
-        x = Tensor(rng.standard_normal((256, 512)).astype(np.float32), trainable=True)
-        w = Tensor((rng.standard_normal((512, 512)) / 20).astype(np.float32),
-                   trainable=True)
-        b = Tensor(np.zeros(512, np.float32), trainable=True)
-
-        def tracked_pass():
-            h = x
-            for _ in range(8):
-                h = T.relu(T.affine(h, w, b))
-            T.tsum(T.square(h)).backward()
-
-        for _ in range(3):
-            tracked_pass()
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(5):
-            tracked_pass()
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        done = subprocess.run([sys.executable, "-c", FAULTS_OF_REPEATED_PASSES],
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                              capture_output=True, text=True, timeout=120, check=True)
+        faults = int(done.stdout)
         assert faults < 100
