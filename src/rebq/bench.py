@@ -22,6 +22,8 @@ from . import rules
 from .rules import rule
 
 MISSING_CASES = ("text-missing", "image-missing", "both-missing")
+# the values of Sample.missing_type, in the order pipeline.forward_batch groups rows
+MISSING_TYPES = ("text-only", "image-only", "complete")
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,13 @@ parsing, it is cut at every comma and each non-empty item is read as a
 `--set` value (JSON, else the raw string), so a string that holds a comma
 is listed quoted, beside quoted items only. A run's tag and directory join
 `<axis><value>` for each axis, with a mapping or list value named by its
-position in the axis list. The runs execute in `--jobs` worker processes
-that share the cores, and a failing run ends the sweep with its stage
-error. sweep.csv has a column per axis, and with a `seed` axis the sweep
-prints AP and FG as mean (min-max) over the seeds. The file's mapping and
-the overrides make one RunConfig, which checks each value against the rule
-its field declares (rebq.rules) when built, before any command runs.
+position in the axis list. The runs execute in `--jobs` worker processes,
+or one per run when the grid has fewer, that share the cores, and a
+failing run ends the sweep with its stage error. sweep.csv has a column
+per axis, and with a `seed` axis the sweep prints AP and FG as mean
+(min-max) over the seeds. The file's mapping and the overrides make one
+RunConfig, which checks each value against the rule its field declares
+(rebq.rules) when built, before any command runs.
 """
 
 from __future__ import annotations
@@ -186,10 +187,12 @@ def cmd_sweep(args) -> int:
         tags.append(tag)
         configs.append(RunConfig.from_dict(d).to_dict())
 
-    # the runs share the cores: each splits its passes into at most
-    # cores // jobs parts, so jobs processes start no more threads than cores
-    with ProcessPoolExecutor(max_workers=args.jobs, initializer=T.set_row_parts,
-                             initargs=(max(1, T.row_parts() // args.jobs),)) as pool:
+    # the pool starts all its workers at once, so no more than the grid has
+    # runs; each splits its passes into at most cores // jobs parts, so the
+    # workers start no more threads than cores
+    jobs = min(args.jobs, len(configs))
+    with ProcessPoolExecutor(max_workers=jobs, initializer=T.set_row_parts,
+                             initargs=(max(1, T.row_parts() // jobs),)) as pool:
         results = list(zip(tags, pool.map(_sweep_worker, configs)))
 
     summary = Path(root) / "sweep.csv"

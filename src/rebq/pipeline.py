@@ -1,26 +1,27 @@
 """The full model and per-session training loop.
 
-One forward path serves training and evaluation. forward_batch orders a
-mini-batch by missing type, embeds every row once into one sequence,
-runs one untracked unified pass for the modality and memory queries and
-a tracked memory-injected pass that reconstructs each missing query.
-VariantSpec.query "modality" (RebQ) runs both (the second given a memory
-source), "available" the first alone, and "missing_type" (the baseline),
-whose prompts follow the missing type alone, neither. The classification
-step is the same for every variant: the variant lists (row slice, prompt
+One forward path serves training and evaluation. forward_batch groups a
+mini-batch's rows by missing type, embeds every row once into one
+sequence, runs one untracked unified pass for the modality and memory
+queries and a tracked memory-injected pass that reconstructs each missing
+query, and returns the logits in input order. VariantSpec.query
+"modality" (RebQ) runs both (the second given a memory source),
+"available" the first alone, and "missing_type" (the baseline), whose
+prompts follow the missing type alone, neither. The classification step
+is the same for every variant: the variant lists (row slice, prompt
 prefix) groups, and each group runs one prompted backbone forward over a
 row view of the sequence, whose joint cls output feeds the shared linear
 head. Under "available" each missing type is its own group, since its
 prefix length differs; otherwise the batch is one group. Training
 (train_task) also asks for the reconstruction loss, which only "modality"
-computes: the masked counterparts of the batch's complete samples ride
-along in the unified pass and the memory selection, and their
-reconstruction runs in chunks of at most the batch's rows, each recorded,
-back-propagated and released before the next chunk and before the
-classification pass, so no tracked pass holds more rows than the batch.
-The chunks and passes run one after another; each pass splits its own
-rows over the cores, forward and backward (backbone.forward). Evaluation
-calls it without L_r.
+computes: the masked counterparts of the batch's complete samples
+(Sample.without) ride along in the unified pass and the memory selection,
+and their reconstruction runs in chunks of at most the batch's rows, each
+recorded, back-propagated and released before the next chunk and before
+the classification pass, so no tracked pass holds more rows than the
+batch. The chunks and passes run one after another; each pass splits its
+own rows over the cores, forward and backward (backbone.forward).
+Evaluation calls it without L_r.
 The samples carry the label format (_multi_label): int labels train on
 cross-entropy and predict the argmax, lists of active classes on binary
 cross-entropy and predict the columns with a positive logit.
@@ -38,14 +39,11 @@ import numpy as np
 from . import rules
 from . import tensor as T
 from .backbone import MultimodalBackbone
-from .bench import Sample
+from .bench import MISSING_TYPES, Sample
 from .prompt import PromptVector, init_pool, init_vector
-from .reconstruct import (QueryCache, counterparts, generate_queries_batch,
-                          reconstruct_batch, reconstruction_loss_from_queries)
+from .reconstruct import QueryCache, generate_queries_batch, reconstruct_batch
 from .rules import rule
 from .tensor import AdamW, Tensor
-
-MISSING_TYPES = ("text-only", "image-only", "complete")
 
 
 @dataclass(frozen=True)
@@ -161,23 +159,22 @@ def build_variant(name: str, backbone: MultimodalBackbone, mcfg: ModelConfig,
 
 
 def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False,
-                  cache: QueryCache | None = None
-                  ) -> tuple[Tensor, list[int], Tensor | None]:
-    """Logits for a mini-batch, grouped by missing type, and optionally L_r.
+                  cache: QueryCache | None = None) -> tuple[Tensor, Tensor | None]:
+    """Logits for a mini-batch, row i for samples[i], and optionally L_r.
 
-    Returns logits in group order (text-only, image-only, complete), the
-    order that maps logits rows back to the input batch, and the
-    reconstruction loss. With with_lr set (and lam > 0, a memory source
-    and at least one complete sample) the masked counterparts of the
-    complete samples ride along in the unified pass and the memory
-    selection, and L_r is their mean residual, whose own records are already
-    released; its backward is exact in L_c + lam * L_r (_reconstruct).
-    Otherwise the third value is None. One memory selection serves the
-    counterparts' chunks, then the incomplete rows' reconstruction pass
-    (prompt.compute_weights says why); every tracked pass holds at most
-    len(samples) rows, and the counterparts take a second chunk only when
-    they outnumber the batch (2 * n_c > len(samples)). A cache
-    memoizes the unified pass across calls (see reconstruct.QueryCache).
+    Inside, the rows run grouped by missing type (text-only, image-only,
+    complete, the order of bench.MISSING_TYPES); the joined logits are put
+    back in input order once, before they are returned. With with_lr set
+    (and lam > 0, a memory source and at least one complete sample) the
+    masked counterparts of the complete samples ride along in the unified
+    pass and the memory selection, and L_r is their mean residual, whose own
+    records are already released; its backward is exact in L_c + lam * L_r
+    (_reconstruct). Otherwise the second value is None. One memory selection
+    serves the counterparts' chunks, then the incomplete rows'
+    reconstruction pass (prompt.compute_weights says why); every tracked
+    pass holds at most len(samples) rows, and the counterparts take a second
+    chunk only when they outnumber the batch (2 * n_c > len(samples)). A
+    cache memoizes the unified pass across calls (see reconstruct.QueryCache).
     """
     if not samples:
         raise ValueError("forward_batch: empty batch")
@@ -185,7 +182,6 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
     cfg = backbone.config
     kinds = [MISSING_TYPES.index(s.missing_type) for s in samples]
     order = sorted(range(len(samples)), key=kinds.__getitem__)
-    ordered = [samples[i] for i in order]
     b, n_t, n_c = len(samples), kinds.count(0), kinds.count(2)
     n_inc = b - n_c
 
@@ -195,11 +191,12 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
     use_lr = with_lr and model.mcfg.lam > 0.0 and reads_memory and n_c > 0
 
     # the embedded sequence is a frozen-backbone constant: every row embeds
-    # once and every pass reads rows of the same array
-    rows = list(ordered)
+    # once and every pass reads rows of the same array; the complete rows'
+    # counterparts follow the batch, text-only first, then image-only
+    rows = [samples[i] for i in order]
     if use_lr:
-        pairs = [counterparts(s) for s in ordered[n_inc:]]
-        rows += [p[0] for p in pairs] + [p[1] for p in pairs]
+        complete = rows[n_inc:]
+        rows += [s.without("visual") for s in complete] + [s.without("text") for s in complete]
     with T.no_grad():
         emb = backbone.embed_batch(rows)
     spans = (slice(0, n_t), slice(n_t, n_inc), slice(n_inc, b))
@@ -235,22 +232,24 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
                       for sl, sources in reads if sl.stop > sl.start]
     logits = T.concat([T.affine(backbone.forward(emb[sl], prefix, positions=[0])[:, 0],
                                 model.head_w, model.head_b) for sl, prefix in groups], axis=0)
-    return logits, order, l_r
+    # the inverse permutation puts row i back as samples[i]'s
+    return T.getitem(logits, np.argsort(order)), l_r
 
 
 def _reconstruct(model: RebQModel, rows: list[Sample], queries: np.ndarray, emb: Tensor,
                  n_rec: int, b: int, use_lr: bool) -> tuple[Tensor | None, Tensor | None]:
     """The reconstructed queries of rows[:n_rec] and, when use_lr, L_r over
-    the 2 * n_c counterparts rows[b:], from one memory selection.
+    the 2 * n_c counterparts rows[b:] (text-only, then image-only), from one
+    memory selection.
 
     The counterparts go first, in chunks of at most b rows (at most two, one
     when 2 * n_c <= b), in row order. Each chunk's pass runs on a detached
     leaf over its prompt rows and back-propagates its share of lam * L_r,
     through the chain L_r itself takes, before the next chunk records: no
     tracked pass holds more than b rows, and each row's gradient keeps its
-    bits, since a frozen-backbone pass is row-separable. L_r's value comes
-    untracked from the joined reconstructions, and T.attach carries the
-    joined chunk gradients on."""
+    bits, since a frozen-backbone pass is row-separable. L_r's value is the
+    same _residual taken untracked over the joined reconstructions, scaled
+    by 1 / n_c, and T.attach carries the joined chunk gradients on."""
     idx = list(range(n_rec)) + list(range(b, len(rows)))
     prefix = model.memory.select(Tensor(queries[idx, 2]))
     l_r = None
@@ -264,19 +263,20 @@ def _reconstruct(model: RebQModel, rows: list[Sample], queries: np.ndarray, emb:
             leaf = Tensor(prefix.data[n_rec + lo:n_rec + hi], trainable=True)
             recon = reconstruct_batch(rows[b + lo:b + hi], leaf, model.backbone,
                                       emb=emb[b + lo:b + hi])
-            residual = T.tsum(T.square(T.sub(Tensor(truth[lo:hi]), recon)))
-            T.backward(T.scale(T.scale(residual, 1.0 / n_c), lam))
+            T.backward(T.scale(T.scale(_residual(truth[lo:hi], recon), 1.0 / n_c), lam))
             recons.append(recon.data)
             grads.append(leaf.grad)
-        joined = np.concatenate(recons)
-        l_r = reconstruction_loss_from_queries(
-            Tensor(queries[b - n_c:b, 0]), Tensor(joined[n_c:]), Tensor(queries[b - n_c:b, 1]),
-            Tensor(joined[:n_c]))
+        l_r = T.scale(_residual(truth, Tensor(np.concatenate(recons))), 1.0 / n_c)
         if grads[0] is not None:
             l_r = T.attach(l_r, prefix[n_rec:], np.concatenate(grads), lam)
     if not n_rec:
         return None, l_r
     return reconstruct_batch(rows[:n_rec], prefix[:n_rec], model.backbone, emb=emb[:n_rec]), l_r
+
+
+def _residual(truth: np.ndarray, recon: Tensor) -> Tensor:
+    """The summed squared distance of recon from the detached truth rows."""
+    return T.tsum(T.square(T.sub(Tensor(truth), recon)))
 
 
 def _multi_label(samples: list[Sample]) -> bool:
@@ -296,19 +296,17 @@ def predict_batch(model: RebQModel, samples: list[Sample], batch_size: int = 64,
     if batch_size < 1:
         raise ValueError(f"predict_batch: batch_size must be >= 1, got {batch_size}")
     multi = _multi_label(samples)
-    preds: list = [None] * len(samples)
+    preds: list = []
     with T.no_grad():
         for start in range(0, len(samples), batch_size):
             chunk = samples[start:start + batch_size]
-            logits, order, _ = forward_batch(model, chunk, cache=cache)
-            vals = logits.data
+            vals = forward_batch(model, chunk, cache=cache)[0].data
             bad = ~np.isfinite(vals).all(axis=1)
             if bad.any():
-                ids = [chunk[order[row]].id for row in np.nonzero(bad)[0]]
+                ids = [chunk[row].id for row in np.flatnonzero(bad)]
                 raise ValueError(f"predict_batch: non-finite logits for samples {ids}")
-            for row, orig in enumerate(order):
-                preds[start + orig] = (np.flatnonzero(vals[row] > 0.0).tolist() if multi
-                                       else int(np.argmax(vals[row])))
+            preds += [np.flatnonzero(row > 0.0).tolist() if multi else int(np.argmax(row))
+                      for row in vals]
     return preds
 
 
@@ -346,7 +344,7 @@ def train_task(model: RebQModel, samples: list[Sample], epochs: int, batch_size:
     AdamW runs its default schedule (tensor.AdamW) from base rate lr over
     epochs * ceil(len(samples) / batch_size) steps. Each step runs
     forward_batch with the reconstruction loss on: L_c is the classification
-    loss of the returned logits against the targets in order (cross-entropy
+    loss of the returned logits, row i against batch[i]'s target (cross-entropy
     for int labels, binary cross-entropy over multi-hot targets for lists; a
     session that mixes the two is refused), L_r the reconstruction loss over
     the batch's complete samples (zero when the batch has none or it is
@@ -373,8 +371,8 @@ def train_task(model: RebQModel, samples: list[Sample], epochs: int, batch_size:
         perm = rng.permutation(len(samples))
         for start in range(0, len(samples), batch_size):
             batch = [samples[i] for i in perm[start:start + batch_size]]
-            logits, order, l_r = forward_batch(model, batch, with_lr=True, cache=cache)
-            l_c = loss_fn(logits, _targets(model, [batch[i] for i in order], multi))
+            logits, l_r = forward_batch(model, batch, with_lr=True, cache=cache)
+            l_c = loss_fn(logits, _targets(model, batch, multi))
             if l_r is None:
                 l_r = Tensor(np.zeros_like(l_c.data))
             total = T.add(l_c, T.scale(l_r, lam))

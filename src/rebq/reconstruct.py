@@ -8,12 +8,13 @@ a sample missing one modality, prompts selected from the memory pool by
 the joint query are prefixed to a second forward over the compact [cls,
 text, visual] rows of the same sequence (recon_positions); the cls output
 of that pass is the reconstructed query for the absent modality. The
-reconstruction loss (reconstruction_loss_from_queries) trains the memory pool to pull those
-reconstructions toward the queries the complete sample would have produced
-(ground truth is gradient-detached); pipeline.forward_batch computes it
-over the complete samples' masked counterparts, which counterparts makes
-with Sample.without. forward_batch is the one caller of both passes, in
-training and evaluation alike.
+reconstruction loss L_r trains the memory pool to pull those
+reconstructions toward the queries the complete sample would have
+produced (ground truth is gradient-detached): pipeline.forward_batch
+computes it over the 2N masked counterparts (Sample.without) of N
+complete samples, as their summed squared residual divided by N.
+forward_batch is the one caller of both passes, in training and
+evaluation alike.
 
 The unified pass reads only the frozen backbone and a row's text tokens
 and patches, and each of its output rows depends on its own input row
@@ -107,22 +108,3 @@ def reconstruct_batch(samples: list[Sample], prefix: Tensor,
         emb = backbone.embed_batch(samples)
     return backbone.forward(emb[:, recon_positions(backbone)], prefix,
                             positions=[0])[:, 0]
-
-
-def counterparts(sample: Sample) -> tuple[Sample, Sample]:
-    """(text-only, image-only) masked copies of a complete sample (Sample.without)."""
-    return sample.without("visual"), sample.without("text")
-
-
-def reconstruction_loss_from_queries(q_text: Tensor, q_hat_text: Tensor,
-                                     q_visual: Tensor, q_hat_visual: Tensor) -> Tensor:
-    """Mean over the N samples of both squared-norm reconstruction residuals;
-    all four queries are (N, D)."""
-    shapes = [q.shape for q in (q_text, q_hat_text, q_visual, q_hat_visual)]
-    if len(shapes[0]) != 2 or len(set(shapes)) != 1:
-        raise T.ShapeError(f"reconstruction loss: need four matching (N, D) queries, "
-                           f"got shapes {shapes}")
-    total = T.add(T.tsum(T.square(T.sub(q_text, q_hat_text))),
-                  T.tsum(T.square(T.sub(q_visual, q_hat_visual))))
-    return T.scale(total, 1.0 / shapes[0][0])
-

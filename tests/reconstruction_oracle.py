@@ -2,18 +2,33 @@
 training path.
 
 pipeline.forward_batch computes L_r with the masked counterparts of a
-batch's complete samples riding along in its two backbone passes. This
-oracle builds the same quantity from the public pieces (counterparts, one
-unified pass, one memory-prefixed reconstruction pass and
-reconstruction_loss_from_queries), so tests can compare the two.
+batch's complete samples riding along in its two backbone passes, in
+chunks, as one residual summed over all counterpart rows. This oracle
+builds the same quantity from the public pieces (Sample.without, one
+unified pass, one memory-prefixed reconstruction pass) and its own
+formula, reconstruction_loss_from_queries, which sums the text and visual
+residuals apart, so tests can compare the two. The formulas add in
+another order, so they agree to rounding, not bit for bit.
 """
 
 import numpy as np
 
 from rebq import tensor as T
-from rebq.reconstruct import (counterparts, generate_queries_batch, reconstruct_batch,
-                              reconstruction_loss_from_queries)
+from rebq.reconstruct import generate_queries_batch, reconstruct_batch
 from rebq.tensor import Tensor
+
+
+def reconstruction_loss_from_queries(q_text: Tensor, q_hat_text: Tensor,
+                                     q_visual: Tensor, q_hat_visual: Tensor) -> Tensor:
+    """Mean over the N samples of both squared-norm reconstruction residuals;
+    all four queries are (N, D)."""
+    shapes = [q.shape for q in (q_text, q_hat_text, q_visual, q_hat_visual)]
+    if len(shapes[0]) != 2 or len(set(shapes)) != 1:
+        raise T.ShapeError(f"reconstruction loss: need four matching (N, D) queries, "
+                           f"got shapes {shapes}")
+    total = T.add(T.tsum(T.square(T.sub(q_text, q_hat_text))),
+                  T.tsum(T.square(T.sub(q_visual, q_hat_visual))))
+    return T.scale(total, 1.0 / shapes[0][0])
 
 
 def reconstruct_counterparts(samples, memory_source, backbone):
@@ -23,8 +38,8 @@ def reconstruct_counterparts(samples, memory_source, backbone):
     counterpart that lacks its modality. Samples and counterparts embed in
     one call and share one unified pass.
     """
-    pairs = [counterparts(s) for s in samples]
-    rows = list(samples) + [p[0] for p in pairs] + [p[1] for p in pairs]
+    rows = (list(samples) + [s.without("visual") for s in samples]
+            + [s.without("text") for s in samples])
     n = len(samples)
     with T.no_grad():
         emb = backbone.embed_batch(rows)

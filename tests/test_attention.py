@@ -170,9 +170,9 @@ class TestTape:
             return out
 
         monkeypatch.setattr(T, "attention", counting)
-        logits, order, l_r = forward_batch(model, batch, with_lr=True)
+        logits, l_r = forward_batch(model, batch, with_lr=True)
         assert sum(recorded) == 3 * TINY.num_layers
-        l_c = T.cross_entropy(logits, _targets(model, [batch[i] for i in order], False))
+        l_c = T.cross_entropy(logits, _targets(model, batch, False))
         loss = T.add(l_c, T.scale(l_r, model.mcfg.lam))
         ops: Counter = Counter()
         seen, stack = set(), [loss._node]

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rebq import backbone
+from rebq import backbone, cli
 from rebq import tensor as T
 from rebq.cli import _axis_values, _load_config, build_parser, main
 from rebq.runner import RunConfig
@@ -439,6 +439,31 @@ class TestSweep:
         for tag in ("eta0", "eta50"):
             report = json.loads((tmp / "sweep_jobs" / tag / "report.json").read_text())
             assert report["timing"]["threads"] == max(1, T.row_parts() // 2)
+
+    def test_jobs_beyond_the_grid_start_one_worker_per_run(self, cli_workspace, monkeypatch):
+        """The pool starts all its workers at once, so --jobs 64 over two runs
+        asks for two, and the cores are split over those two."""
+        tmp, cfg_path = cli_workspace
+        pools = []
+
+        class InProcessPool:  # records the pool's arguments, starts no process
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append({"max_workers": max_workers, "initargs": initargs})
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        rc = main(["sweep", "--config", str(cfg_path), "--axis", "eta=0,50",
+                   "--jobs", "64", "--set", f"output_dir={tmp / 'sweep_jobs64'}"])
+        assert rc == 0
+        assert pools == [{"max_workers": 2, "initargs": (max(1, T.row_parts() // 2),)}]
 
     def test_seed_axis_derives_every_seed_stream(self, cli_workspace):
         tmp, cfg_path = cli_workspace

@@ -11,12 +11,11 @@ import pytest
 from rebq import pipeline
 from rebq import tensor as T
 from rebq.backbone import MultimodalBackbone
-from rebq.bench import synth_generate
+from rebq.bench import MISSING_TYPES, synth_generate
 from rebq.pipeline import (VARIANT_PRESETS, ModelConfig, VariantSpec, _targets,
                            build_variant, forward_batch, predict_batch, train_task)
 from rebq.prompt import PromptPool, PromptVector
-from rebq.reconstruct import (QueryCache, counterparts, generate_queries_batch,
-                              reconstruct_batch, reconstruction_loss_from_queries)
+from rebq.reconstruct import QueryCache, generate_queries_batch, reconstruct_batch
 from rebq.tensor import AdamW, Tensor
 
 from conftest import TINY, TINY_SYNTH, float64, parameter_bytes
@@ -31,7 +30,8 @@ def make_model(tiny_backbone, variant="canonical", **overrides):
 
 
 def masked_pair(sample):
-    return counterparts(sample)
+    """(text-only, image-only) masked copies of a complete sample."""
+    return sample.without("visual"), sample.without("text")
 
 
 def list_label_samples(seed=411):
@@ -39,15 +39,6 @@ def list_label_samples(seed=411):
     the masked pairs of its first two samples appended."""
     _, samples = synth_generate(4, 3, dataclasses.replace(TINY_SYNTH, multi_label=True), seed)
     return samples + [*masked_pair(samples[0]), *masked_pair(samples[1])]
-
-
-def input_order_logits(model, batch) -> np.ndarray:
-    """Untracked forward_batch logits with row i belonging to batch[i]."""
-    with T.no_grad():
-        out, order, _ = forward_batch(model, batch)
-    rows = np.empty_like(out.data)
-    rows[order] = out.data
-    return rows
 
 
 def shift_pool(model, name: str, by: float = 0.5):
@@ -119,23 +110,23 @@ class TestBuildVariant:
 class TestForward:
     def test_logits_length(self, tiny_backbone, complete_samples):
         model = make_model(tiny_backbone)
-        logits, _, _ = forward_batch(model, complete_samples[:1])
+        logits, _ = forward_batch(model, complete_samples[:1])
         assert logits.shape == (1, 4)
 
     def test_complete_sample_skips_reconstruction(self, tiny_backbone, complete_samples):
         model = make_model(tiny_backbone)
         batch = complete_samples[:3]
         shifted = shift_pool(model, "memory")
-        assert input_order_logits(shifted, batch).tobytes() == \
-            input_order_logits(model, batch).tobytes()
+        assert forward_batch(shifted, batch)[0].data.tobytes() == \
+            forward_batch(model, batch)[0].data.tobytes()
 
     def test_missing_modality_reconstructed(self, tiny_backbone, complete_samples):
         """Shifting the memory pool moves exactly the incomplete rows' logits."""
         model = make_model(tiny_backbone)
         t_only, i_only = masked_pair(complete_samples[0])
         batch = [t_only, i_only, complete_samples[1]]
-        base = input_order_logits(model, batch)
-        moved = input_order_logits(shift_pool(model, "memory"), batch)
+        base = forward_batch(model, batch)[0].data
+        moved = forward_batch(shift_pool(model, "memory"), batch)[0].data
         assert not np.array_equal(moved[0], base[0])
         assert not np.array_equal(moved[1], base[1])
         assert moved[2].tobytes() == base[2].tobytes()
@@ -149,8 +140,7 @@ class TestForward:
             raise AssertionError("reconstruct_batch called")
 
         monkeypatch.setattr(pipeline, "reconstruct_batch", refuse)
-        _, _, l_r = forward_batch(model, [t_only, i_only, complete_samples[1]],
-                                  with_lr=True)
+        _, l_r = forward_batch(model, [t_only, i_only, complete_samples[1]], with_lr=True)
         assert l_r is None
 
     def test_baseline_reads_no_query(self, tiny_backbone, tiny_benchmark, monkeypatch):
@@ -174,9 +164,9 @@ class TestForward:
         model = make_model(tiny_backbone, variant="no_modality_specific_query")
         t_only, i_only = masked_pair(complete_samples[0])
         batch = [t_only, i_only, complete_samples[1]]
-        base = input_order_logits(model, batch)
-        album = input_order_logits(shift_pool(model, "album"), batch)
-        folder = input_order_logits(shift_pool(model, "folder"), batch)
+        base = forward_batch(model, batch)[0].data
+        album = forward_batch(shift_pool(model, "album"), batch)[0].data
+        folder = forward_batch(shift_pool(model, "folder"), batch)[0].data
         assert album[0].tobytes() == base[0].tobytes()
         assert folder[1].tobytes() == base[1].tobytes()
         for moved, row in ((album, 1), (album, 2), (folder, 0), (folder, 2)):
@@ -194,35 +184,42 @@ class TestForward:
         batch = list(complete_samples[:4])
         for s in complete_samples[4:8]:
             batch += masked_pair(s)
-        logits, order, _ = forward_batch(model, batch)
-        by_sample = {orig: logits.data[row] for row, orig in enumerate(order)}
+        logits, _ = forward_batch(model, batch)
         perm = np.random.default_rng(0).permutation(len(batch))
-        logits_p, order_p, _ = forward_batch(model, [batch[i] for i in perm])
-        for row, orig in enumerate(order_p):
-            assert logits_p.data[row].tobytes() == by_sample[perm[orig]].tobytes()
+        logits_p, _ = forward_batch(model, [batch[i] for i in perm])
+        assert logits_p.data.tobytes() == logits.data[perm].tobytes()
+
+    @pytest.mark.parametrize("variant", sorted(VARIANT_PRESETS))
+    def test_logits_independent_of_input_order(self, tiny_backbone, complete_samples,
+                                               variant):
+        """A mixed batch given out of missing-type order gives the logits of
+        the same batch given grouped, each row with its own sample."""
+        model = make_model(tiny_backbone, variant)
+        t_a, i_a = masked_pair(complete_samples[0])
+        t_b, i_b = masked_pair(complete_samples[1])
+        batch = [complete_samples[2], i_a, t_a, complete_samples[3], i_b, t_b]
+        order = sorted(range(len(batch)),
+                       key=lambda i: MISSING_TYPES.index(batch[i].missing_type))
+        assert order != list(range(len(batch)))
+        sorted_batch = [batch[i] for i in order]
+        assert forward_batch(model, batch)[0].data[order].tobytes() == \
+            forward_batch(model, sorted_batch)[0].data.tobytes()
 
     def test_batch_matches_single(self, tiny_backbone, complete_samples):
         model = float64(make_model(tiny_backbone))
         t_only, i_only = masked_pair(complete_samples[0])
         batch = [complete_samples[1], t_only, i_only]
-        logits, order, _ = forward_batch(model, batch)
-        for row, orig in enumerate(order):
-            single, _, _ = forward_batch(model, [batch[orig]])
-            np.testing.assert_allclose(logits.data[row], single.data[0], atol=1e-10)
-
-    def test_group_order_permutation(self, tiny_backbone, complete_samples):
-        model = make_model(tiny_backbone)
-        t_only, i_only = masked_pair(complete_samples[0])
-        batch = [complete_samples[1], t_only, i_only]
-        _, order, _ = forward_batch(model, batch)
-        assert order == [1, 2, 0]
+        logits, _ = forward_batch(model, batch)
+        for row, sample in zip(logits.data, batch):
+            single, _ = forward_batch(model, [sample])
+            np.testing.assert_allclose(row, single.data[0], atol=1e-10)
 
 
 class TestPredict:
     def test_argmax(self, tiny_backbone, complete_samples):
         model = make_model(tiny_backbone)
         [pred] = predict_batch(model, complete_samples[:1])
-        logits, _, _ = forward_batch(model, complete_samples[:1])
+        logits, _ = forward_batch(model, complete_samples[:1])
         assert pred == int(np.argmax(logits.data[0]))
 
     def test_shift_invariance(self, tiny_backbone, complete_samples):
@@ -236,11 +233,8 @@ class TestPredict:
         model = make_model(tiny_backbone)
         samples = list_label_samples()
         preds = predict_batch(model, samples)
-        logits, order, _ = forward_batch(model, samples)
-        want = [None] * len(samples)
-        for row, orig in enumerate(order):
-            want[orig] = sorted(int(c) for c in np.nonzero(logits.data[row] > 0.0)[0])
-        assert preds == want
+        logits, _ = forward_batch(model, samples)
+        assert preds == [sorted(int(c) for c in np.nonzero(row > 0.0)[0]) for row in logits.data]
         assert all(type(c) is int for p in preds for c in p)
         assert {len(p) for p in preds} != {0}
 
@@ -278,8 +272,8 @@ class TestPredict:
         samples = stream.test_data(0) + stream.test_data(1)
         assert predict_batch(model, samples, batch_size=1) == \
             predict_batch(model, samples, batch_size=64)
-        single = np.concatenate([input_order_logits(model, [s]) for s in samples])
-        np.testing.assert_allclose(single, input_order_logits(model, samples),
+        single = np.concatenate([forward_batch(model, [s])[0].data for s in samples])
+        np.testing.assert_allclose(single, forward_batch(model, samples)[0].data,
                                    rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("batch_size", [0, -2])
@@ -419,8 +413,13 @@ class TestTrainTask:
         the memory block's phase-one gradient equal, bit for bit, one
         reconstruct_batch pass over all counterparts."""
         model = make_model(tiny_backbone)
-        batch = complete_samples[:n_c] + [counterparts(s)[i % 2] for i, s in
-                                          enumerate(complete_samples[4:8 - n_c])]
+        # the incomplete rows as forward_batch groups them: text-only, then image-only
+        sources = complete_samples[4:8 - n_c]
+        half = (len(sources) + 1) // 2
+        incomplete = ([s.without("visual") for s in sources[:half]]
+                      + [s.without("text") for s in sources[half:]])
+        complete = complete_samples[:n_c]
+        batch = complete + incomplete
         attached = []
         attach = T.attach
 
@@ -429,12 +428,11 @@ class TestTrainTask:
             return attach(scalar, x, grad, seed)
 
         monkeypatch.setattr(T, "attach", spying_attach)
-        _, _, l_r = forward_batch(model, batch, with_lr=True)
+        _, l_r = forward_batch(model, batch, with_lr=True)
 
         # forward_batch's rows and memory selection, then the counterparts in one pass
-        ordered = sorted(batch, key=lambda s: pipeline.MISSING_TYPES.index(s.missing_type))
-        pairs = [counterparts(s) for s in ordered[4 - n_c:]]
-        rows = ordered + [p[0] for p in pairs] + [p[1] for p in pairs]
+        rows = (incomplete + complete + [s.without("visual") for s in complete]
+                + [s.without("text") for s in complete])
         bb = model.backbone
         with T.no_grad():
             emb = bb.embed_batch(rows)
@@ -443,9 +441,9 @@ class TestTrainTask:
                 range(4, len(rows))), 2]))
         block = Tensor(prefix.data[4 - n_c:], trainable=True)
         recon = reconstruct_batch(rows[4:], block, bb, emb=emb[4:])
-        want = reconstruction_loss_from_queries(
-            Tensor(queries[4 - n_c:4, 0]), recon[n_c:], Tensor(queries[4 - n_c:4, 1]),
-            recon[:n_c])
+        # text-only rows reconstruct the visual query, image-only rows the text
+        truth = Tensor(np.concatenate([queries[4 - n_c:4, 1], queries[4 - n_c:4, 0]]))
+        want = T.scale(T.tsum(T.square(T.sub(truth, recon))), 1.0 / n_c)
         T.backward(T.scale(want, model.mcfg.lam))
         assert np.array_equal(l_r.data, want.data)
         assert len(attached) == 1 and np.array_equal(attached[0], block.grad)
@@ -495,7 +493,7 @@ class TestTrainTask:
         parameter does."""
         _, stream = tiny_benchmark
         session = stream.train_data(0)
-        assert {s.missing_type for s in session} == set(pipeline.MISSING_TYPES)
+        assert {s.missing_type for s in session} == set(MISSING_TYPES)
         model = make_model(tiny_backbone, variant)
         assert model.mcfg.prompted_layers is None  # every layer takes a prompt
         before = {name: p.data.copy() for name, p in model.named_parameters().items()}
@@ -510,8 +508,8 @@ class TestTrainTask:
         _, stream = tiny_benchmark
         model = make_model(tiny_backbone)
         batch = [s for s in stream.train_data(0) if s.missing_type == "complete"][:3]
-        logits, order, l_r = forward_batch(model, batch, with_lr=True)
-        l_c = T.cross_entropy(logits, _targets(model, [batch[i] for i in order], False))
+        logits, l_r = forward_batch(model, batch, with_lr=True)
+        l_c = T.cross_entropy(logits, _targets(model, batch, False))
         T.add(l_c, T.scale(l_r, 0.01)).backward()
         assert model.memory.components.grad is not None
         assert np.abs(model.memory.components.grad).sum() > 0
@@ -526,14 +524,14 @@ class TestTrainTask:
         complete = [s for s in stream.train_data(0) if s.missing_type == "complete"][:3]
 
         # only complete samples: no reconstruction happens, memory gets nothing
-        logits, order, l_r = forward_batch(model, complete, with_lr=True)
+        logits, l_r = forward_batch(model, complete, with_lr=True)
         assert l_r is None
-        T.cross_entropy(logits, _targets(model, [complete[i] for i in order], False)).backward()
+        T.cross_entropy(logits, _targets(model, complete, False)).backward()
         assert model.memory.components.grad is None
 
         # incomplete samples route gradient into the memory pool through q-hat
-        logits, order, _ = forward_batch(model, incomplete, with_lr=True)
-        T.cross_entropy(logits, _targets(model, [incomplete[i] for i in order], False)).backward()
+        logits, _ = forward_batch(model, incomplete, with_lr=True)
+        T.cross_entropy(logits, _targets(model, incomplete, False)).backward()
         assert model.memory.components.grad is not None
         assert np.abs(model.memory.components.grad).sum() > 0
 
@@ -600,10 +598,9 @@ class TestFusedPath:
         batch = stream.train_data(0)[:6]
         complete = [s for s in batch if s.missing_type == "complete"]
         assert complete and len(complete) < len(batch)
-        logits_fused, order_fused, l_r_fused = forward_batch(model, batch, with_lr=True)
-        logits, order, l_r = forward_batch(model, batch)
+        logits_fused, l_r_fused = forward_batch(model, batch, with_lr=True)
+        logits, l_r = forward_batch(model, batch)
         assert l_r is None
-        assert order_fused == order
         np.testing.assert_allclose(logits_fused.data, logits.data, atol=1e-10)
         l_r_ref = reconstruction_loss(complete, model.memory, model.backbone)
         assert l_r_fused.item() == pytest.approx(l_r_ref.item(), abs=1e-10)
@@ -617,7 +614,7 @@ class TestFusedPath:
         for model in (make_model(tiny_backbone, lam=0.0),
                       make_model(tiny_backbone, variant="no_reconstruction"),
                       make_model(tiny_backbone, variant="no_modality_specific_query")):
-            logits, _, l_r = forward_batch(model, batch, with_lr=True)
+            logits, l_r = forward_batch(model, batch, with_lr=True)
             assert l_r is None
             assert logits.data.tobytes() == forward_batch(model, batch)[0].data.tobytes()
 
@@ -684,12 +681,12 @@ class TestEndToEndGradient:
 
         def build():
             # the training path: L_r rides along in the classification passes
-            logits, order, l_r = forward_batch(model, batch, with_lr=True)
-            l_c = T.cross_entropy(logits, _targets(model, [batch[i] for i in order], False))
+            logits, l_r = forward_batch(model, batch, with_lr=True)
+            l_c = T.cross_entropy(logits, _targets(model, batch, False))
             return T.add(l_c, T.scale(l_r, model.mcfg.lam))
 
         l_r_ref = reconstruction_loss([complete_samples[1]], model.memory, model.backbone)
-        assert forward_batch(model, batch, with_lr=True)[2].item() == pytest.approx(
+        assert forward_batch(model, batch, with_lr=True)[1].item() == pytest.approx(
             l_r_ref.item(), abs=1e-10)
 
         build().backward()

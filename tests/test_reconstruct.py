@@ -9,12 +9,12 @@ from rebq.backbone import MultimodalBackbone, recon_positions
 from rebq.bench import Sample, dummy_patches, synth_generate
 from rebq.pipeline import ModelConfig, build_variant, forward_batch
 from rebq.prompt import init_pool, init_vector
-from rebq.reconstruct import (QueryCache, counterparts, generate_queries_batch,
-                              reconstruct_batch, reconstruction_loss_from_queries)
+from rebq.reconstruct import QueryCache, generate_queries_batch, reconstruct_batch
 from rebq.tensor import AdamW, Tensor
 
 from conftest import TINY, TINY_SYNTH, float64
-from reconstruction_oracle import mean_reconstruction_cosine, reconstruction_loss
+from reconstruction_oracle import (mean_reconstruction_cosine, reconstruction_loss,
+                                   reconstruction_loss_from_queries)
 
 
 def memory_pool(seed=0, k=4):
@@ -22,7 +22,7 @@ def memory_pool(seed=0, k=4):
 
 
 def text_only(sample):
-    return counterparts(sample)[0]
+    return sample.without("visual")
 
 
 class TestGenerateQueries:
@@ -89,6 +89,8 @@ class TestReconstructQuery:
 
 
 class TestReconstructionLoss:
+    """The oracle's own L_r formula, the reference the training path is held to."""
+
     def test_perfect_reconstruction_zero(self):
         q = Tensor(np.random.default_rng(7).standard_normal((3, 8)))
         loss = reconstruction_loss_from_queries(q, q, q, q)
@@ -165,8 +167,8 @@ class TestTrainingImprovesReconstruction:
 def mixed_rows():
     """32 complete samples and both masked counterparts of each: 96 rows."""
     _, samples = synth_generate(4, 8, TINY_SYNTH, seed=411)
-    pairs = [counterparts(s) for s in samples]
-    return samples + [p[0] for p in pairs] + [p[1] for p in pairs]
+    return (samples + [s.without("visual") for s in samples]
+            + [s.without("text") for s in samples])
 
 
 class TestQueryCache:
@@ -211,7 +213,8 @@ class TestQueryCache:
     def test_keys_follow_content(self, tiny_backbone, complete_samples):
         cache = QueryCache(tiny_backbone)
         s = complete_samples[0]
-        generate_queries_batch([s, *counterparts(s)], tiny_backbone, cache=cache)
+        generate_queries_batch([s, s.without("visual"), s.without("text")], tiny_backbone,
+                               cache=cache)
         assert len(cache.rows) == 3
         same_id = dataclasses.replace(complete_samples[1], id=s.id)
         generate_queries_batch([s, same_id], tiny_backbone, cache=cache)
@@ -250,13 +253,14 @@ class TestEmbedOnce:
         each in one call; its L_r equals the one of separate passes."""
         mcfg = ModelConfig(num_classes=4, pool_size=4, memory_pool_size=4, prompt_len=3)
         model = build_variant("canonical", tiny_backbone, mcfg, seed=21)
-        _, _, loss = forward_batch(model, complete_samples[:5], with_lr=True)
+        _, loss = forward_batch(model, complete_samples[:5], with_lr=True)
         assert embed_calls == [15]
-        rows = [c for s in complete_samples[:5] for c in counterparts(s)]
-        rows = rows[0::2] + rows[1::2]
+        rows = ([s.without("visual") for s in complete_samples[:5]]
+                + [s.without("text") for s in complete_samples[:5]])
         gt = generate_queries_batch(complete_samples[:5], tiny_backbone)
         mem = Tensor(generate_queries_batch(rows, tiny_backbone)[:, 2])
         rec = reconstruct_batch(rows, model.memory.select(mem), tiny_backbone)
-        ref = reconstruction_loss_from_queries(Tensor(gt[:, 0]), rec[5:],
-                                               Tensor(gt[:, 1]), rec[:5])
+        # text-only rows reconstruct the visual query, image-only rows the text
+        truth = Tensor(np.concatenate([gt[:, 1], gt[:, 0]]))
+        ref = T.scale(T.tsum(T.square(T.sub(truth, rec))), 1.0 / 5)
         assert loss.data.tobytes() == ref.data.tobytes()
