@@ -21,7 +21,9 @@ failing run ends the sweep with its stage error. sweep.csv has a column
 per axis, and with a `seed` axis the sweep prints AP and FG as mean
 (min-max) over the seeds. The file's mapping and the overrides make one
 RunConfig, which checks each value against the rule its field declares
-(rebq.rules) when built, before any command runs.
+(rebq.rules) when built, before any command runs. A refused value prints
+`error [stage]`, a nested one of backbone or synth the stage its parent
+field declares; an unknown or missing key prints `error:`.
 """
 
 from __future__ import annotations
@@ -107,8 +109,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sweep_worker(cfg_dict: dict) -> tuple[str, float, float | None]:
-    cfg = RunConfig.from_dict(cfg_dict)
+def _sweep_worker(cfg: RunConfig) -> tuple[str, float, float | None]:
     report = _run_single(cfg)
     return cfg.output_dir, report.ap, report.fg
 
@@ -185,7 +186,7 @@ def cmd_sweep(args) -> int:
         tag = "_".join(tag_parts)
         d["output_dir"] = str(Path(root) / tag)
         tags.append(tag)
-        configs.append(RunConfig.from_dict(d).to_dict())
+        configs.append(RunConfig.from_dict(d))
 
     # the pool starts all its workers at once, so no more than the grid has
     # runs; each splits its passes into at most cores // jobs parts, so the

@@ -13,15 +13,11 @@ prefix) groups, and each group runs one prompted backbone forward over a
 row view of the sequence, whose joint cls output feeds the shared linear
 head. Under "available" each missing type is its own group, since its
 prefix length differs; otherwise the batch is one group. Training
-(train_task) also asks for the reconstruction loss, which only "modality"
-computes: the masked counterparts of the batch's complete samples
-(Sample.without) ride along in the unified pass and the memory selection,
-and their reconstruction runs in chunks of at most the batch's rows, each
-recorded, back-propagated and released before the next chunk and before
-the classification pass, so no tracked pass holds more rows than the
-batch. The chunks and passes run one after another; each pass splits its
-own rows over the cores, forward and backward (backbone.forward).
-Evaluation calls it without L_r.
+(train_task) also asks for the reconstruction loss L_r, which only
+"modality" computes, over the masked counterparts of the batch's complete
+samples; _reconstruct says how it runs in chunks. Evaluation calls it
+without L_r. The passes run one after another, and each splits its own
+rows over the cores, forward and backward (backbone.forward).
 The samples carry the label format (_multi_label): int labels train on
 cross-entropy and predict the argmax, lists of active classes on binary
 cross-entropy and predict the columns with a positive logit.
@@ -135,9 +131,6 @@ class RebQModel:
         out["head.b"] = self.head_b
         return out
 
-    def parameters(self) -> list[Tensor]:
-        return list(self.named_parameters().values())
-
     def text_source(self):
         return self.unified if self.unified is not None else self.folder
 
@@ -166,15 +159,10 @@ def forward_batch(model: RebQModel, samples: list[Sample], with_lr: bool = False
     complete, the order of bench.MISSING_TYPES); the joined logits are put
     back in input order once, before they are returned. With with_lr set
     (and lam > 0, a memory source and at least one complete sample) the
-    masked counterparts of the complete samples ride along in the unified
-    pass and the memory selection, and L_r is their mean residual, whose own
-    records are already released; its backward is exact in L_c + lam * L_r
-    (_reconstruct). Otherwise the second value is None. One memory selection
-    serves the counterparts' chunks, then the incomplete rows'
-    reconstruction pass (prompt.compute_weights says why); every tracked
-    pass holds at most len(samples) rows, and the counterparts take a second
-    chunk only when they outnumber the batch (2 * n_c > len(samples)). A
-    cache memoizes the unified pass across calls (see reconstruct.QueryCache).
+    second value is L_r over the complete samples' masked counterparts, its
+    reconstruction passes already back-propagated (_reconstruct); otherwise
+    it is None. A cache memoizes the unified pass across calls (see
+    reconstruct.QueryCache).
     """
     if not samples:
         raise ValueError("forward_batch: empty batch")
@@ -240,16 +228,20 @@ def _reconstruct(model: RebQModel, rows: list[Sample], queries: np.ndarray, emb:
                  n_rec: int, b: int, use_lr: bool) -> tuple[Tensor | None, Tensor | None]:
     """The reconstructed queries of rows[:n_rec] and, when use_lr, L_r over
     the 2 * n_c counterparts rows[b:] (text-only, then image-only), from one
-    memory selection.
+    memory selection (prompt.compute_weights says why).
 
-    The counterparts go first, in chunks of at most b rows (at most two, one
-    when 2 * n_c <= b), in row order. Each chunk's pass runs on a detached
-    leaf over its prompt rows and back-propagates its share of lam * L_r,
-    through the chain L_r itself takes, before the next chunk records: no
-    tracked pass holds more than b rows, and each row's gradient keeps its
-    bits, since a frozen-backbone pass is row-separable. L_r's value is the
-    same _residual taken untracked over the joined reconstructions, scaled
-    by 1 / n_c, and T.attach carries the joined chunk gradients on."""
+    The counterparts (Sample.without of the batch's complete samples) rode
+    along in the unified pass; their reconstruction goes first, in chunks of
+    at most b rows (at most two, one when 2 * n_c <= b), in row order. Each
+    chunk's pass runs on a detached leaf over its prompt rows and
+    back-propagates its share of lam * L_r, through the chain L_r itself
+    takes, and releases its records before the next chunk and the
+    classification pass record: no tracked pass holds more than b rows, and
+    each row's gradient keeps its bits, since a frozen-backbone pass is
+    row-separable. L_r's value is the same _residual taken untracked over
+    the joined reconstructions, scaled by 1 / n_c, and T.attach carries the
+    joined chunk gradients on to the memory selection, so the backward of
+    L_c + lam * L_r is exact."""
     idx = list(range(n_rec)) + list(range(b, len(rows)))
     prefix = model.memory.select(Tensor(queries[idx, 2]))
     l_r = None
@@ -348,10 +340,8 @@ def train_task(model: RebQModel, samples: list[Sample], epochs: int, batch_size:
     for int labels, binary cross-entropy over multi-hot targets for lists; a
     session that mixes the two is refused), L_r the reconstruction loss over
     the batch's complete samples (zero when the batch has none or it is
-    switched off), and the objective is L_c + lam * L_r.
-    forward_batch back-propagates lam * L_r, touching no parameter, one chunk
-    of at most batch_size counterpart rows at a time, before the
-    classification pass records; the step's gradients keep their bits.
+    switched off), and the objective is L_c + lam * L_r, whose reconstruction
+    passes forward_batch has already back-propagated (_reconstruct).
     """
     if not samples:
         raise ValueError("train_task: empty session")
@@ -361,7 +351,7 @@ def train_task(model: RebQModel, samples: list[Sample], epochs: int, batch_size:
         raise ValueError(f"train_task: epochs must be >= 1, got {epochs}")
     multi = _multi_label(samples)
     rng = np.random.default_rng(seed)
-    opt = AdamW(model.parameters(), base_lr=lr,
+    opt = AdamW(model.named_parameters().values(), base_lr=lr,
                 total_steps=epochs * math.ceil(len(samples) / batch_size))
     lam = model.mcfg.lam
     loss_fn = T.binary_cross_entropy if multi else T.cross_entropy

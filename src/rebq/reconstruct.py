@@ -10,9 +10,9 @@ text, visual] rows of the same sequence (recon_positions); the cls output
 of that pass is the reconstructed query for the absent modality. The
 reconstruction loss L_r trains the memory pool to pull those
 reconstructions toward the queries the complete sample would have
-produced (ground truth is gradient-detached): pipeline.forward_batch
-computes it over the 2N masked counterparts (Sample.without) of N
-complete samples, as their summed squared residual divided by N.
+produced (ground truth is gradient-detached): it is the summed squared
+residual of the 2N masked counterparts (Sample.without) of N complete
+samples, divided by N, and pipeline._reconstruct says how it is computed.
 forward_batch is the one caller of both passes, in training and
 evaluation alike.
 

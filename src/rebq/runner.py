@@ -48,6 +48,20 @@ class ExperimentError(RuntimeError):
         return f"[{self.stage}] {self.cause}"
 
 
+@contextmanager
+def _stage(name: str):
+    """Re-raise any failure in the block as an ExperimentError tagged name.
+
+    An ExperimentError raised inside keeps its own stage.
+    """
+    try:
+        yield
+    except ExperimentError:
+        raise
+    except Exception as exc:
+        raise ExperimentError(name, str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class RunConfig:
     backbone: BackboneConfig = rule(factory=BackboneConfig, stage="backbone")
@@ -73,16 +87,15 @@ class RunConfig:
     def __post_init__(self):
         """Refuse a value that breaks its field's declared rule, so no stage sees one.
 
-        The ExperimentError names the field and the stage it declares as its
-        reader; backbone and synth checked themselves when built. Then a set
-        prompted_layers may not exceed backbone.num_layers; the backbone takes
-        its input sizes from synth, so the two fit by construction.
+        _stage raises an ExperimentError naming the field, tagged with the
+        stage it declares as its reader; backbone and synth checked themselves
+        when built. Then a set prompted_layers may not exceed
+        backbone.num_layers; the backbone takes its input sizes from synth, so
+        the two fit by construction.
         """
         for f in dataclasses.fields(self):
-            try:
+            with _stage(f.metadata["rule"].stage):
                 rules.check_field(self, f)
-            except ValueError as exc:
-                raise ExperimentError(f.metadata["rule"].stage, str(exc)) from None
         if (self.prompted_layers or 0) > self.backbone.num_layers:
             raise ExperimentError("model", f"prompted_layers {self.prompted_layers} exceeds "
                                            f"backbone.num_layers {self.backbone.num_layers}")
@@ -105,14 +118,14 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        """Unknown or lacking keys raise a ValueError; a refused value, nested
+        ones too, raises the ExperimentError of its top-level field's stage."""
         d = dict(rules.mapping(d, cls, "config"))
         for key, kind in (("backbone", BackboneConfig), ("synth", SynthConfig)):
             if key in d:
                 fields = rules.mapping(d[key], kind, f"config key {key}")
-                try:
+                with _stage(cls.__dataclass_fields__[key].metadata["rule"].stage):
                     d[key] = kind(**fields)
-                except ValueError as exc:  # a value __post_init__ refuses
-                    raise ValueError(f"config key {key}: {exc}") from None
         return cls(**d)
 
 
@@ -210,20 +223,6 @@ class RunArtifacts:
 
 def _session_seed(seed_train: int, session: int) -> int:
     return int(np.random.SeedSequence([seed_train, session]).generate_state(1)[0])
-
-
-@contextmanager
-def _stage(name: str):
-    """Re-raise any failure in the block as an ExperimentError tagged name.
-
-    An ExperimentError raised inside keeps its own stage.
-    """
-    try:
-        yield
-    except ExperimentError:
-        raise
-    except Exception as exc:
-        raise ExperimentError(name, str(exc)) from exc
 
 
 def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None

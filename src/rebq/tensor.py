@@ -24,7 +24,8 @@ records to the tape rather than one per slice, reshape and transpose.
 :func:`attach` carries an earlier backward's gradient into a later graph, so
 one loss term can be back-propagated and released before the rest records.
 
-The module also houses the loss functions, parameter initializers and the
+The module also houses the two losses, softmax and sigmoid cross-entropy,
+each one record with a closed-form backward, parameter initializers and the
 AdamW optimizer with a linear-warmup / cosine-annealing schedule. AdamW
 updates each parameter in cache-sized chunks (:data:`ADAMW_CHUNK`) with one
 chunk of scratch per dtype.
@@ -612,17 +613,6 @@ def relu(a: Tensor) -> Tensor:
 # -- softmax family ------------------------------------------------------------------------
 
 
-def log_softmax_rows(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    res = shifted - lse
-    out, links = _output(res, a)
-    if links is not None:
-        sm = np.exp(res)
-        out._node = _Node(links, lambda g: (g - sm * g.sum(axis=-1, keepdims=True),))
-    return out
-
-
 def attention(qkv: Tensor, heads: int, prefix: Tensor | None = None, rows=None) -> Tensor:
     """Multi-head scaled dot-product attention in one tape record.
 
@@ -779,12 +769,21 @@ def one_hot(index, num_classes: int) -> Array:
 
 
 def cross_entropy(logits: Tensor, target: Tensor) -> Tensor:
-    """Mean softmax cross-entropy; target rows are one-hot (or a distribution)."""
+    """Mean softmax cross-entropy in one record, rounding as log-softmax, mul, sum
+    and scale would; target rows are one-hot (or a distribution), with no gradient."""
     if logits.shape != target.shape:
         raise ShapeError(f"cross_entropy: logits {logits.shape} vs target {target.shape}")
-    logp = log_softmax_rows(logits)
-    rows = 1 if logits.ndim == 1 else int(np.prod(logits.shape[:-1]))
-    return scale(tsum(mul(logp, target)), -1.0 / rows)
+    z, t = logits.data, target.data
+    shifted = z - z.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    c = -1.0 / math.prod(z.shape[:-1])  # -1 / rows
+    out, links = _output((logp * t).sum() * c, logits)
+    if links is not None:
+        def bwd(g):
+            gl = np.broadcast_to(g * c, logp.shape) * t
+            return (gl - np.exp(logp) * gl.sum(axis=-1, keepdims=True),)
+        out._node = _Node(links, bwd)
+    return out
 
 
 def binary_cross_entropy(logits: Tensor, target: Tensor) -> Tensor:

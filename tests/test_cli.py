@@ -11,8 +11,10 @@ import pytest
 
 from rebq import backbone, cli
 from rebq import tensor as T
+from rebq.backbone import BackboneConfig
+from rebq.bench import SynthConfig
 from rebq.cli import _axis_values, _load_config, build_parser, main
-from rebq.runner import RunConfig
+from rebq.runner import ExperimentError, Report, RunConfig
 
 from conftest import TINY, TINY_SYNTH
 
@@ -52,6 +54,19 @@ def write_config(tmp_path, **overrides) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg.to_dict()))
     return path
+
+
+def refused(f: dataclasses.Field):
+    """One value the declared rule of field f refuses: one below its bound,
+    or a string where it bounds nothing."""
+    low = f.metadata["rule"].low
+    return "x" if low is None else low - 1
+
+
+# each field of the nested configs, with a value its rule refuses
+NESTED_REFUSALS = [pytest.param(key, f.name, refused(f), id=f"{key}.{f.name}")
+                   for key, kind in (("backbone", BackboneConfig), ("synth", SynthConfig))
+                   for f in dataclasses.fields(kind)]
 
 
 @pytest.fixture(scope="module")
@@ -136,25 +151,25 @@ class TestRun:
         ("backbone=5", "config key backbone must be a mapping, got 5"),
         ('synth={"bogus": 1}', "config key synth has unknown keys ['bogus']"),
         ('backbone={"embed_dim": "x"}',
-         "config key backbone: embed_dim must be an integer, got 'x'"),
+         "error [backbone] embed_dim must be an integer, got 'x'"),
         ('backbone={"pretrain_classes": 1}',
-         "config key backbone: pretrain_classes must be >= 2, got 1"),
+         "error [backbone] pretrain_classes must be >= 2, got 1"),
         ('backbone={"activation": "gelu"}', "config key backbone has unknown keys ['activation']"),
         ('backbone={"text_vocab_size": 64, "max_text_len": 8, "num_patches": 4, "patch_dim": 6}',
          "config key backbone has unknown keys "
          "['max_text_len', 'num_patches', 'patch_dim', 'text_vocab_size']"),
-        ('backbone={"num_heads": 0}', "config key backbone: num_heads must be >= 1, got 0"),
+        ('backbone={"num_heads": 0}', "error [backbone] num_heads must be >= 1, got 0"),
         ('backbone={"embed_dim": 32.0}',
-         "config key backbone: embed_dim must be an integer, got 32.0"),
-        ('synth={"max_text_len": 0}', "config key synth: max_text_len must be >= 1, got 0"),
+         "error [backbone] embed_dim must be an integer, got 32.0"),
+        ('synth={"max_text_len": 0}', "error [benchmark] max_text_len must be >= 1, got 0"),
         ('synth={"multi_label": "yes"}',
-         "config key synth: multi_label must be true or false, got 'yes'"),
+         "error [benchmark] multi_label must be true or false, got 'yes'"),
         ('synth={"patch_noise_std": "a"}',
-         "config key synth: patch_noise_std must be a finite number, got 'a'"),
+         "error [benchmark] patch_noise_std must be a finite number, got 'a'"),
         ('synth={"patch_noise_std": -1.0}',
-         "config key synth: patch_noise_std must be >= 0, got -1.0"),
+         "error [benchmark] patch_noise_std must be >= 0, got -1.0"),
         ('synth={"tokens_per_class": 0}',
-         "config key synth: tokens_per_class must be >= 1, got 0"),
+         "error [benchmark] tokens_per_class must be >= 1, got 0"),
         ("num_sessions=-1", "error [benchmark] num_sessions must be >= 1, got -1"),
         ("eta=true", "error [benchmark] eta must be a finite number, got True"),
         ("epochs=1.5", "error [train] epochs must be an integer, got 1.5"),
@@ -165,7 +180,7 @@ class TestRun:
         ("output_dir=5", "error [emit] output_dir must be a string, got 5"),
         ("export_queries=true", "error: config has unknown keys ['export_queries']"),
         ('synth={"noise_token_prob": 3.0}',
-         "config key synth: noise_token_prob must lie in [0, 1], got 3.0")],
+         "error [benchmark] noise_token_prob must lie in [0, 1], got 3.0")],
         ids=["backbone-not-mapping", "synth-unknown-key", "backbone-value-type",
              "backbone-value-refused", "backbone-activation-removed",
              "backbone-input-sizes-removed", "backbone-heads-zero",
@@ -183,6 +198,28 @@ class TestRun:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp / "nested_bad").exists()
+
+    @pytest.mark.parametrize("key, name, value", NESTED_REFUSALS)
+    def test_refused_nested_value_names_its_stage(self, cli_workspace, report_doc, capsys,
+                                                  tmp_path, key, name, value):
+        """A nested value fails with the stage its parent field declares, as a
+        top-level value does: built from a mapping, set on the command line and
+        read back from a report."""
+        with pytest.raises(ExperimentError) as exc:
+            RunConfig.from_dict({key: {name: value}})
+        assert exc.value.stage == RunConfig.__dataclass_fields__[key].metadata["rule"].stage
+        assert exc.value.cause.startswith(f"{name} must ")
+        _, cfg_path = cli_workspace
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path), "--set", f"output_dir={tmp_path / 'out'}",
+                     "--set", f"{key}={json.dumps({name: value})}"]) == 2
+        assert capsys.readouterr().err == f"error {exc.value}\n"
+        assert not (tmp_path / "out").exists()
+        doc = json.loads(json.dumps(report_doc))
+        doc["config"][key][name] = value
+        with pytest.raises(ValueError) as read:
+            Report.from_dict(doc)
+        assert str(read.value) == f"report config.{exc.value.cause}"
 
     def test_nested_set_merges_into_file_values(self, cli_workspace):
         """A mapping --set changes the keys it names alone; the config file's

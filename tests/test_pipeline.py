@@ -656,7 +656,7 @@ class TestPrecision:
         train_task(model, stream.train_data(0)[:4], 1, 4, 1e-4, seed=8)
         predict_batch(model, stream.test_data(0)[:6])
         assert dtypes == f32
-        tensors = list(tiny_backbone.params.values()) + model.parameters()
+        tensors = [*tiny_backbone.params.values(), *model.named_parameters().values()]
         assert {t.data.dtype for t in tensors} == f32
 
     def test_float64_model_stays_float64(self, tiny_backbone, tiny_benchmark, monkeypatch):

@@ -192,6 +192,31 @@ class TestLosses:
         expected = softmax_rows(Tensor(logits.data)).data - target.data
         np.testing.assert_allclose(logits.grad, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("soft", [False, True], ids=["one-hot", "soft"])
+    def test_ce_over_a_batch_is_one_record(self, soft):
+        """(4, 6) logits: the value and the logits gradient agree with float64
+        references, the target gets no gradient, the tape holds one record, and
+        float32 inputs give a float32 loss and gradient."""
+        rng = np.random.default_rng(12)
+        logits = rand(rng, 4, 6)
+        rows = rng.dirichlet(np.ones(6), size=4) if soft else T.one_hot([0, 5, 2, 2], 6)
+        target = Tensor(rows.astype(np.float64), trainable=True)
+        loss = T.cross_entropy(logits, target)
+        z = logits.data
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        assert loss.item() == pytest.approx(-(logp * rows).sum() / 4, rel=1e-12)
+        assert len(loss._node.inputs) == 1 and loss._node.inputs[0] is logits
+        loss.backward()
+        assert target.grad is None
+        assert_grad_close(logits.grad, finite_diff_grad(
+            lambda: T.cross_entropy(logits, target), logits), rtol=1e-8)
+
+        logits32 = Tensor(z.astype(np.float32), trainable=True)
+        loss32 = T.cross_entropy(logits32, Tensor(rows.astype(np.float32)))
+        assert loss32.data.dtype == np.float32
+        loss32.backward()
+        assert logits32.grad.dtype == np.float32
+
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             T.one_hot(7, 5)
