@@ -302,7 +302,8 @@ def run_experiment(config: RunConfig, backbone: MultimodalBackbone | None = None
         per_session=per_session,
         timing={"wall_clock_s": time.time() - started,
                 "started_at": started,
-                "threads": T.row_parts()},
+                "threads": T.row_parts(),
+                "adamw": T.adamw_update()},
     )
     return report, RunArtifacts(model=model, stream=stream, logs=logs)
 

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import pickle
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,17 @@ class TestRunExperiment:
     def test_timing_records_threads(self, tiny_run):
         _, report, _ = tiny_run
         assert report.timing["threads"] == T.row_parts() >= 1
+
+    def test_timing_records_the_adamw_update(self, tiny_run):
+        _, report, _ = tiny_run
+        assert report.timing["adamw"] == T.adamw_update()
+        if shutil.which("cc") is not None:
+            assert report.timing["adamw"] == "c"
+        # a report written before the key existed still reads
+        d = json.loads(report_json_bytes(report))
+        del d["timing"]["adamw"]
+        assert Report.from_dict(d).timing == {k: v for k, v in report.timing.items()
+                                              if k != "adamw"}
 
     @pytest.mark.parametrize("overrides", [{"batch_size": 0}, {"eval_batch_size": -2}])
     def test_batch_sizes_checked_before_training(self, tiny_backbone, tmp_path,
